@@ -61,6 +61,6 @@ from .symbols import (
     poly_t_symbol,
     sampled_symbol,
 )
-from .bergman_oracle import DiskPoint, disk_poly, disk_poly_alt, toeplitz_entry_2d
+from .bergman_oracle import DiskPoint, disk_poly, toeplitz_entry_2d
 
 __version__ = "0.1.0"

@@ -16,10 +16,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .integration import gauss_legendre_grid
-from .jacobi import JacobiParams, jac_fn_eval, jac_norm_coeff, q_eval
+from .jacobi import JacobiParams, jac_norm_coeff, q_eval
 from .symbols import SymbolSpec, eval_at_t
 
-__all__ = ["DiskPoint", "disk_poly", "disk_poly_alt", "toeplitz_entry_2d"]
+__all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d"]
 
 
 class DiskPoint(NamedTuple):
@@ -49,23 +49,6 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     )
     out = radial * np.exp(1j * (p - q) * theta)
     return complex(out) if out.ndim == 0 else out
-
-
-def disk_poly_alt(p: int, q: int, alpha: float, pt: DiskPoint):
-    """Alternative form through the weighted orthonormal function:
-    e^(i (p-q) theta) (1-r^2)^(-alpha/2) / sqrt(alpha+1) times the
-    normalized function at r^2.  Agrees with disk_poly wherever both are
-    defined."""
-    r = np.asarray(pt.r, dtype=float)
-    theta = np.asarray(pt.theta, dtype=float)
-    params = JacobiParams(alpha, float(abs(p - q)), min(p, q))
-    out = (
-        np.exp(1j * (p - q) * theta)
-        * (1.0 - r * r) ** (-alpha / 2.0)
-        / math.sqrt(alpha + 1.0)
-        * jac_fn_eval(params, r * r)
-    )
-    return complex(out) if np.asarray(out).ndim == 0 else out
 
 
 def _symbol_breakpoint(a: SymbolSpec) -> Optional[float]:

@@ -3,18 +3,15 @@ states, demo the matrix-unit reconstruction, cross-check against the 2D
 disk oracle, and run the invariant suite.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 states not
-separable.  The POLYBERG_THREADS environment variable caps the number of
-workers used for per-frequency computation; output ordering is by
-ascending frequency regardless of how the work was scheduled.
+separable.  Blocks are computed one frequency after another, in
+ascending order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,11 +20,9 @@ import numpy as np
 from . import verify as verify_mod
 from .bergman_oracle import toeplitz_entry_2d
 from .gammaseq import (
-    MatrixSeq,
     block_csv,
     block_order,
-    frequencies,
-    gamma_matrix,
+    gamma_sequence,
     seq_to_json_obj,
     spectral_norm,
     tail_deviation,
@@ -42,7 +37,7 @@ from .purestates import (
     limit_state,
     separate,
 )
-from .symbols import boundary_limit, symbol_from_json_obj, symbol_to_json_obj
+from .symbols import symbol_from_json_obj, symbol_to_json_obj
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,15 +53,6 @@ class RunConfig:
     seed: int = 0
     tol_zero: float = 1e-10
     tol_nonzero: float = 1e-8
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("POLYBERG_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(cap, 1)
 
 
 def _load_symbol(spec: str, alpha: float):
@@ -105,23 +91,6 @@ def _parse_state(spec: str, n: int) -> PureState:
     return finite_state(xi, vec / nrm)
 
 
-def _parallel_sequence(a, n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    freqs = list(frequencies(n, xi_max))
-    cap = _worker_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(freqs))) as pool:
-            mats = list(pool.map(lambda xi: gamma_matrix(a, n, alpha, xi), freqs))
-    else:
-        mats = [gamma_matrix(a, n, alpha, xi) for xi in freqs]
-    return MatrixSeq(
-        n=n,
-        alpha=alpha,
-        blocks=dict(zip(freqs, mats)),
-        scalar_limit=boundary_limit(a),
-        symbol=a,
-    )
-
-
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -132,7 +101,7 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 def cmd_gamma(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
-    seq = _parallel_sequence(a, args.n, args.alpha, args.xi_max)
+    seq = gamma_sequence(a, args.n, args.alpha, args.xi_max)
     if args.format == "json":
         payload = json.dumps(seq_to_json_obj(seq), indent=2)
     else:
@@ -153,7 +122,7 @@ def cmd_purestate(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
     state = _parse_state(args.state[0], args.n)
     xi_top = args.xi_max if state.is_limit else max(args.xi_max, state.xi, 0)
-    seq = _parallel_sequence(a, args.n, args.alpha, xi_top)
+    seq = gamma_sequence(a, args.n, args.alpha, xi_top)
     val = eval_state(state, seq)
     print(f"state value: {val}")
     return EXIT_OK

@@ -29,7 +29,6 @@ __all__ = [
     "negative_submatrix_check",
     "tail_deviation",
     "spectral_norm",
-    "heuristic_scalar_limit",
     "seq_to_json_obj",
     "seq_from_json_obj",
     "block_csv",
@@ -197,15 +196,6 @@ def tail_deviation(seq: MatrixSeq, xi: int) -> float:
         raise ValueError(f"tail deviation is defined for xi >= 0, got {xi}")
     b = seq.block(xi)
     return spectral_norm(b - seq.scalar_limit * np.eye(b.shape[0]))
-
-
-def heuristic_scalar_limit(seq: MatrixSeq) -> complex:
-    """Average of the diagonal of the last computed block.  Heuristic:
-    intended only for sampled symbols whose true boundary value is not
-    supplied; no convergence guarantee."""
-    b = seq.block(seq.xi_max)
-    v = complex(np.trace(b) / b.shape[0])
-    return v.real if v.imag == 0.0 else v
 
 
 def _matrix_to_rows(m: np.ndarray):

@@ -184,7 +184,7 @@ def matrix_unit(
     return left @ gs[d - 1].conj().T @ gs[d - 1] @ right
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     """Cached block at frequency xi of the sequence for generating symbol
     number p.  Read-only: callers must not mutate the returned array."""

@@ -1,22 +1,29 @@
 """Entry integrals of symbols against pairs of normalized Jacobi functions.
 
-The default path for closed-form symbols is exact: polynomial products
-are convolved in rational arithmetic and contracted against exact
-rational weight moments, so every orthogonality relation the entries
-inherit holds to the last bit (zeros come out as literal 0.0).  Indicator
-symbols use truncated moments through the regularized incomplete Beta;
-sampled symbols fall back to composite Gauss-Legendre quadrature.
+Polynomial symbols are integrated exactly, in Python integers over a
+common denominator.  With the weight exponent alpha = p / 2^e (a binary
+float), the moment of degree d is d! 2^(e (d+1)) / P[d+1], where
+P[j] = prod_{i=1..j} (p + i 2^e) comes from one prefix table per alpha.
+An entry convolves the integer coefficients of the two Jacobi polynomials
+with the symbol's, contracts the result against the moments over one
+denominator and rounds once, by a correctly rounded int / int division;
+so every orthogonality relation the entries inherit holds to the last
+bit (zeros come out as literal 0.0).  A constant symbol gives value * I
+by orthonormality.  Indicator symbols use truncated moments through the
+regularized incomplete Beta; sampled symbols fall back to composite
+Gauss-Legendre quadrature.
 
-The moment caches are the only shared state; entries are deterministic
-functions of their keys, so concurrent reads/inserts always agree
-bitwise.
+The caches are the only shared state.  They are bounded, sized so that
+one n = 8 request up to |xi| = 190 keeps all its hits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import operator
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,6 +48,10 @@ GL_PANELS = 256
 # 4-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
+_FACTORIALS = tuple(
+    itertools.accumulate(range(1, MAX_MOMENT_DEGREE + 1), operator.mul, initial=1)
+)
+
 
 class MomentKey(NamedTuple):
     k: int
@@ -48,13 +59,23 @@ class MomentKey(NamedTuple):
     xi_abs: int
 
 
-@lru_cache(maxsize=None)
-def _moment_exact(degree: int, alpha: float) -> Fraction:
+@lru_cache(maxsize=16)
+def _moment_table(alpha: float) -> tuple[int, int, tuple[int, ...]]:
+    # (p, e, P) with alpha = p / 2^e and P[j] = prod_{i=1..j} (p + i 2^e)
+    # for j <= MAX_MOMENT_DEGREE + 1
+    p, e = jacobi.dyadic(alpha)
+    q = 1 << e
+    prefix = itertools.accumulate(
+        (p + i * q for i in range(1, MAX_MOMENT_DEGREE + 2)), operator.mul, initial=1
+    )
+    return p, e, tuple(prefix)
+
+
+def _moment_float(degree: int, alpha: float) -> float:
     # integral of t^degree (1-t)^alpha over [0, 1]
     #   = degree! / prod_{i=1..degree+1} (alpha + i)
-    if degree == 0:
-        return 1 / (Fraction(alpha) + 1)
-    return _moment_exact(degree - 1, alpha) * degree / (Fraction(alpha) + degree + 1)
+    _, e, prefix = _moment_table(alpha)
+    return (_FACTORIALS[degree] << (e * (degree + 1))) / prefix[degree + 1]
 
 
 def _check_key(key: MomentKey) -> None:
@@ -68,11 +89,6 @@ def _check_key(key: MomentKey) -> None:
         raise ValueError(f"alpha must exceed -1, got {key.alpha}")
 
 
-@lru_cache(maxsize=None)
-def _moment_float(degree: int, alpha: float) -> float:
-    return float(_moment_exact(degree, alpha))
-
-
 def moment(key: MomentKey) -> float:
     """Weight moment: integral of t^(k+xi_abs) (1-t)^alpha over [0, 1]."""
     key = MomentKey(*key)
@@ -80,7 +96,7 @@ def moment(key: MomentKey) -> float:
     return _moment_float(key.k + key.xi_abs, key.alpha)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _truncated_moment_float(degree: int, alpha: float, x: float) -> float:
     full = _moment_float(degree, alpha)
     return full * reg_incomplete_beta(x, degree + 1, alpha + 1.0)
@@ -97,49 +113,6 @@ def truncated_moment(key: MomentKey, x: float) -> float:
     return _truncated_moment_float(key.k + key.xi_abs, key.alpha, float(x))
 
 
-@lru_cache(maxsize=None)
-def _pair_coeffs(alpha: float, xi_abs: int, j: int, k: int) -> tuple[Fraction, ...]:
-    # coefficients of Q_j * Q_k for the (alpha, xi_abs) weight
-    cj = jacobi.q_coeffs_exact(alpha, float(xi_abs), j)
-    ck = jacobi.q_coeffs_exact(alpha, float(xi_abs), k)
-    out = [Fraction(0)] * (j + k + 1)
-    for i, a in enumerate(cj):
-        for l, b in enumerate(ck):
-            out[i + l] += a * b
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
-    """Product of the two normalization constants for indices j and k."""
-    return math.sqrt(
-        float(
-            jacobi.norm_coeff_sq_exact(alpha, xi_abs, j)
-            * jacobi.norm_coeff_sq_exact(alpha, xi_abs, k)
-        )
-    )
-
-
-def _conv_fraction(u: tuple, v: tuple) -> list:
-    out = [Fraction(0)] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        for l, b in enumerate(v):
-            out[i + l] += a * b
-    return out
-
-
-def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
-    """Exact integral of a real-coefficient polynomial against the
-    (alpha, xi_abs) weight: sum of coeffs[d] * moment(d).  Coefficients
-    may be floats or exact rationals."""
-    acc = Fraction(0)
-    for d, c in enumerate(coeffs):
-        if c:
-            frac = c if isinstance(c, Fraction) else Fraction(float(c))
-            acc += frac * _moment_exact(d + xi_abs, alpha)
-    return float(acc)
-
-
 def _guard_degree(degree: int) -> None:
     if degree > MAX_MOMENT_DEGREE:
         raise ValueError(
@@ -147,26 +120,76 @@ def _guard_degree(degree: int) -> None:
         )
 
 
-def _poly_entry_exact(a_coeffs, alpha: float, xi_abs: int, j: int, k: int) -> float:
-    pair = _pair_coeffs(alpha, xi_abs, j, k)
-    frac = [
-        c if isinstance(c, Fraction) else Fraction(float(c)) for c in a_coeffs
+def _conv(u, v) -> tuple[int, ...]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for l, b in enumerate(v):
+                out[i + l] += a * b
+    return tuple(out)
+
+
+def _scaled(coeffs) -> tuple[list[int], int]:
+    # integer numerators over one common denominator; floats (and anything
+    # that is not an exact rational) are taken at their binary value
+    ratios = [
+        c.as_integer_ratio() if isinstance(c, numbers.Rational)
+        else float(c).as_integer_ratio()
+        for c in coeffs
     ]
-    full = _conv_fraction(pair, tuple(frac))
-    _guard_degree(len(full) - 1 + xi_abs)
-    acc = Fraction(0)
-    for d, c in enumerate(full):
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _contract(nums, den: int, alpha: float, xi_abs: int) -> float:
+    # sum_d nums[d] * moment(d + xi_abs) / den, rounded once: each moment
+    # d! 2^(e (d+1)) / P[d+1] is put over P[top+1] by the tail product
+    # P[top+1] / P[d+1] = prod_{i=d+2..top+1} (p + i 2^e)
+    top = xi_abs + len(nums) - 1
+    _guard_degree(top)
+    p, e, prefix = _moment_table(alpha)
+    q = 1 << e
+    acc = 0
+    tail = 1
+    for d in range(top, xi_abs - 1, -1):
+        c = nums[d - xi_abs]
         if c:
-            acc += c * _moment_exact(d + xi_abs, alpha)
-    return float(acc)
+            acc += (c * _FACTORIALS[d] * tail) << (e * (d + 1))
+        tail *= p + (d + 1) * q
+    return acc / (den * prefix[top + 1])
+
+
+@lru_cache(maxsize=8192)
+def _pair_int(alpha: float, xi_abs: int, j: int, k: int) -> tuple[tuple[int, ...], int]:
+    # coefficients of Q_j * Q_k for the (alpha, xi_abs) weight, one denominator
+    cj, dj = jacobi.q_coeffs_int(alpha, float(xi_abs), j)
+    ck, dk = jacobi.q_coeffs_int(alpha, float(xi_abs), k)
+    return _conv(cj, ck), dj * dk
+
+
+@lru_cache(maxsize=8192)
+def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
+    """Product of the two normalization constants for indices j and k."""
+    nj, dj = jacobi.norm_coeff_sq_int(alpha, xi_abs, j)
+    nk, dk = jacobi.norm_coeff_sq_int(alpha, xi_abs, k)
+    return math.sqrt((nj * nk) / (dj * dk))
+
+
+def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
+    """Exact integral of a real-coefficient polynomial against the
+    (alpha, xi_abs) weight: sum of coeffs[d] * moment(d).  Coefficients
+    may be floats or exact rationals."""
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    return _contract(*_scaled(coeffs), alpha, xi_abs)
 
 
 def _indicator_entry(s: float, alpha: float, xi_abs: int, j: int, k: int) -> float:
     x = s * s
-    pair = _pair_coeffs(alpha, xi_abs, j, k)
+    pair, den = _pair_int(alpha, xi_abs, j, k)
     _guard_degree(len(pair) - 1 + xi_abs)
     terms = [
-        float(c) * _truncated_moment_float(d + xi_abs, alpha, x)
+        c / den * _truncated_moment_float(d + xi_abs, alpha, x)
         for d, c in enumerate(pair)
         if c
     ]
@@ -226,9 +249,10 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     the product of normalization constants times the integral of
     a(sqrt(t)) Q_j(t) Q_k(t) (1-t)^alpha t^|xi|.
 
-    Closed-form symbols are integrated exactly; sampled symbols by
-    composite quadrature.  The (j, k) and (k, j) calls share one code
-    path, so symmetry is exact.
+    Constants give value * I; polynomial symbols are integrated exactly;
+    indicators through truncated moments; sampled symbols by composite
+    quadrature.  The (j, k) and (k, j) calls share one code path, so
+    symmetry is exact.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
@@ -237,25 +261,29 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     if k < j:
         j, k = k, j
     xi_abs = abs(int(xi))
-    kk = norm_product(alpha, xi_abs, j, k)
-
     if a.kind == "const":
-        v = a.value
-        base = _poly_entry_exact((1.0,), alpha, xi_abs, j, k)
-        return kk * base * v
-    if a.kind == "jacobi_g":
-        # rebuild the generator coefficients as exact rationals; the
-        # float-rounded copies stored for pointwise evaluation would
-        # contaminate the structural zeros at high degree
-        exact = jacobi.q_coeffs_exact(a.alpha, 0.0, a.p)
-        return kk * _poly_entry_exact(exact, alpha, xi_abs, j, k)
-    if a.kind == "poly_t":
-        coeffs = a.coeffs
-        if any(isinstance(c, complex) for c in coeffs):
-            re = _poly_entry_exact([complex(c).real for c in coeffs], alpha, xi_abs, j, k)
-            im = _poly_entry_exact([complex(c).imag for c in coeffs], alpha, xi_abs, j, k)
+        # orthonormality makes the block value * I (0.0 * value keeps the
+        # entry's type); the exact path's degree guards still apply
+        if k > jacobi.MAX_DEGREE:
+            raise ValueError(f"degree {k} exceeds supported maximum {jacobi.MAX_DEGREE}")
+        _guard_degree(j + k + xi_abs)
+        return a.value if j == k else 0.0 * a.value
+    kk = norm_product(alpha, xi_abs, j, k)
+    if a.kind in ("poly_t", "jacobi_g"):
+        pair, pair_den = _pair_int(alpha, xi_abs, j, k)
+
+        def entry(nums, den):
+            return _contract(_conv(pair, nums), pair_den * den, alpha, xi_abs)
+
+        if a.kind == "jacobi_g":
+            # the generator's exact coefficients, not the float copies stored
+            # for pointwise evaluation, which would spoil the structural zeros
+            return kk * entry(*jacobi.q_coeffs_int(a.alpha, 0.0, a.p))
+        if any(isinstance(c, complex) for c in a.coeffs):
+            re = entry(*_scaled([complex(c).real for c in a.coeffs]))
+            im = entry(*_scaled([complex(c).imag for c in a.coeffs]))
             return kk * complex(re, im)
-        return kk * _poly_entry_exact(coeffs, alpha, xi_abs, j, k)
+        return kk * entry(*_scaled(a.coeffs))
     if a.kind == "indicator":
         return kk * _indicator_entry(a.s, alpha, xi_abs, j, k)
     if a.kind == "sampled":

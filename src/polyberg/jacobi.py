@@ -1,10 +1,14 @@
 """Shifted Jacobi polynomials on (0, 1) and their L2-normalized functions.
 
 The polynomials are kept in monomial form (degree <= 64).  Coefficients
-and squared normalization constants are built in exact rational
-arithmetic relative to the binary value of the weight exponents, which is
-what lets the downstream moment integration produce exact zeros where
-orthogonality demands them.
+and squared normalization constants are exact, held as Python integers
+over one common integer denominator.  The weight exponents are binary
+floats, alpha = p / 2^e, so the generalized binomials expand into integer
+products scaled by powers of 2^e.  A float is made from such a number by
+one int / int division, which Python rounds correctly; that is what lets
+the downstream moment integration produce exact zeros where
+orthogonality demands them.  `q_coeffs_exact` and `norm_coeff_sq_exact`
+return the same numbers as reduced Fractions.
 """
 
 from __future__ import annotations
@@ -22,15 +26,19 @@ __all__ = [
     "MAX_DEGREE",
     "JacobiParams",
     "q_coeffs",
+    "q_coeffs_int",
     "q_coeffs_exact",
     "q_eval",
     "jac_norm_coeff",
+    "norm_coeff_sq_int",
     "norm_coeff_sq_exact",
     "jac_fn_eval",
     "jac_sup_bound",
 ]
 
 MAX_DEGREE = 64
+# holds every (beta, m) of one n = 8 request up to |xi| = 190 (1528 keys)
+_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -50,43 +58,52 @@ class JacobiParams:
             raise ValueError(f"degree must be nonnegative, got {self.m}")
 
 
-def _binom_exact(upper: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (upper - i) / (i + 1)
-    return out
+def dyadic(x: float) -> tuple[int, int]:
+    """(p, e) with x = p / 2^e exactly."""
+    p, den = float(x).as_integer_ratio()
+    return p, den.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
-def _q_coeffs_cached(alpha: float, beta: float, m: int) -> tuple[Fraction, ...]:
-    a = Fraction(alpha)
-    b = Fraction(beta)
-    return tuple(
-        _binom_exact(a + b + m + k, k)
-        * _binom_exact(b + m, m - k)
-        * (-1) ** (m - k)
-        for k in range(m + 1)
-    )
+@lru_cache(maxsize=_CACHE_SIZE)
+def q_coeffs_int(alpha: float, beta: float, m: int) -> tuple[tuple[int, ...], int]:
+    """Monomial coefficients of the degree-m polynomial as integer
+    numerators over one common denominator: (numerators, denominator).
 
-
-def q_coeffs_exact(alpha: float, beta: float, m: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the degree-m polynomial, exact rationals.
-
-    Coefficient of t^k is C(alpha+beta+m+k, k) C(beta+m, m-k) (-1)^(m-k),
-    with the generalized binomials expanded as falling-factorial products.
+    Coefficient of t^k is C(alpha+beta+m+k, k) C(beta+m, m-k) (-1)^(m-k).
+    With alpha = pa / 2^e and beta = pb / 2^e, that is C(m, k) times two
+    integer products over 2^(e m) m!.
     """
     if m > MAX_DEGREE:
         raise ValueError(f"degree {m} exceeds supported maximum {MAX_DEGREE}")
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    return _q_coeffs_cached(float(alpha), float(beta), int(m))
+    m = int(m)
+    pa, ea = dyadic(alpha)
+    pb, eb = dyadic(beta)
+    e = max(ea, eb)
+    pa <<= e - ea
+    pb <<= e - eb
+    q = 1 << e
+    nums = tuple(
+        (-1) ** (m - k)
+        * math.comb(m, k)
+        * math.prod(pa + pb + (m + k - i) * q for i in range(k))
+        * math.prod(pb + (m - i) * q for i in range(m - k))
+        for k in range(m + 1)
+    )
+    return nums, math.factorial(m) << (e * m)
+
+
+def q_coeffs_exact(alpha: float, beta: float, m: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of the degree-m polynomial, exact rationals."""
+    nums, den = q_coeffs_int(alpha, beta, m)
+    return tuple(Fraction(c, den) for c in nums)
 
 
 def q_coeffs(p: JacobiParams) -> np.ndarray:
     """Monomial coefficients as floats, index = power of t."""
-    return np.array(
-        [float(c) for c in q_coeffs_exact(p.alpha, p.beta, p.m)], dtype=float
-    )
+    nums, den = q_coeffs_int(p.alpha, p.beta, p.m)
+    return np.array([c / den for c in nums], dtype=float)
 
 
 def compensated_poly_eval(coeffs, t):
@@ -110,22 +127,28 @@ def q_eval(p: JacobiParams, t):
     return compensated_poly_eval(q_coeffs(p), t)
 
 
-@lru_cache(maxsize=None)
-def _norm_sq_int_beta(alpha: float, beta: int, m: int) -> Fraction:
-    # (2m+a+b+1) Gamma(m+a+b+1) m! / (Gamma(m+a+1) Gamma(m+b+1)); the two
-    # Gamma ratios telescope for integer b.
-    a = Fraction(alpha)
-    out = Fraction(2 * m) + a + beta + 1
-    for i in range(1, beta + 1):
-        out = out * (m + a + i) / (m + i)
-    return out
+@lru_cache(maxsize=_CACHE_SIZE)
+def norm_coeff_sq_int(alpha: float, beta: int, m: int) -> tuple[int, int]:
+    """Squared normalization constant (integer beta) as an integer
+    (numerator, denominator) pair.
+
+    (2m+a+b+1) Gamma(m+a+b+1) m! / (Gamma(m+a+1) Gamma(m+b+1)); the two
+    Gamma ratios telescope for integer b to prod_{i=1..b} (m+a+i)/(m+i).
+    """
+    if beta < 0:
+        raise ValueError(f"integer beta must be nonnegative, got {beta}")
+    beta, m = int(beta), int(m)
+    p, e = dyadic(alpha)
+    q = 1 << e
+    num = ((2 * m + beta + 1) * q + p) * math.prod(
+        (m + i) * q + p for i in range(1, beta + 1)
+    )
+    return num, math.prod(range(m + 1, m + beta + 1)) << (e * (beta + 1))
 
 
 def norm_coeff_sq_exact(alpha: float, beta: int, m: int) -> Fraction:
     """Squared normalization constant as an exact rational (integer beta)."""
-    if beta < 0:
-        raise ValueError(f"integer beta must be nonnegative, got {beta}")
-    return _norm_sq_int_beta(float(alpha), int(beta), int(m))
+    return Fraction(*norm_coeff_sq_int(alpha, beta, m))
 
 
 def jac_norm_coeff(p: JacobiParams) -> float:
@@ -135,7 +158,8 @@ def jac_norm_coeff(p: JacobiParams) -> float:
          / (Gamma(m+alpha+1) Gamma(m+beta+1))).
     """
     if float(p.beta).is_integer() and p.beta >= 0:
-        return math.sqrt(float(norm_coeff_sq_exact(p.alpha, int(p.beta), p.m)))
+        num, den = norm_coeff_sq_int(p.alpha, int(p.beta), p.m)
+        return math.sqrt(num / den)
     log_sq = (
         math.log(2 * p.m + p.alpha + p.beta + 1)
         + log_gamma(p.m + p.alpha + p.beta + 1)

@@ -11,12 +11,11 @@ Instances are immutable after construction and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .jacobi import compensated_poly_eval, q_coeffs_exact
+from .jacobi import compensated_poly_eval, q_coeffs_int
 
 __all__ = [
     "SymbolSpec",
@@ -80,24 +79,18 @@ def poly_t_symbol(coeffs: Sequence) -> SymbolSpec:
 def make_gp(p: int, alpha: float) -> SymbolSpec:
     """Generating symbol number p: the degree-p polynomial for the
     (alpha, 0) weight, composed with r^2 (so in t it is the polynomial
-    itself).  Its boundary value is the polynomial at t = 1, computed in
-    closed form as a product rather than by summing large alternating
-    coefficients.
+    itself).  Its boundary value is the polynomial at t = 1, the sum of
+    the exact coefficients, rounded once; no cancellation can occur.
     """
     if p < 0:
         raise ValueError(f"generator index must be nonnegative, got {p}")
-    exact = q_coeffs_exact(alpha, 0.0, p)
-    # value at t=1 equals C(alpha+p, p)
-    a = Fraction(alpha)
-    lim = Fraction(1)
-    for i in range(1, p + 1):
-        lim = lim * (a + i) / i
+    nums, den = q_coeffs_int(alpha, 0.0, p)
     return SymbolSpec(
         kind="jacobi_g",
-        coeffs=tuple(float(c) for c in exact),
+        coeffs=tuple(c / den for c in nums),
         p=int(p),
         alpha=float(alpha),
-        limit=float(lim),
+        limit=sum(nums) / den,
     )
 
 

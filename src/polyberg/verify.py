@@ -110,7 +110,9 @@ def check_moment_identity(cfg) -> Tuple[bool, str]:
 
 
 def check_jacobi_fn_orthonormal(cfg) -> Tuple[bool, str]:
-    one = const_symbol(1.0)
+    # the unit polynomial, not the constant: constants return value * I
+    # without integrating
+    one = poly_t_symbol([1.0])
     worst = 0.0
     for alpha in _alphas(cfg.alpha):
         for xi in range(0, 6):

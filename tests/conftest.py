@@ -3,16 +3,20 @@
 The oracles are deliberately independent of the package internals:
 classical-recurrence polynomial evaluation, a single high-order
 Gauss-Legendre rule for weighted integrals, exact-rational convolution,
-and a pseudorandom structured-generator factory.
+the exact path built from Fractions (generalized binomials, recursive
+moments), the second form of the disk polynomials, and a pseudorandom
+structured-generator factory.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from polyberg.integration import weighted_product_integral
-from polyberg.jacobi import q_coeffs_exact
+from polyberg.jacobi import JacobiParams, jac_fn_eval, q_coeffs_exact
 
 
 def classical_jacobi_recurrence(alpha: float, beta: float, m: int, x):
@@ -78,6 +82,78 @@ def exact_pair_integral(alpha: float, beta: int, p: int, q: int) -> float:
     through exact rational convolution and the exact moments."""
     conv = conv_exact(q_coeffs_exact(alpha, beta, p), q_coeffs_exact(alpha, beta, q))
     return weighted_product_integral(conv, alpha, beta)
+
+
+def binom_exact(upper: Fraction, k: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (upper - i) / (i + 1)
+    return out
+
+
+def q_coeffs_fraction(alpha: float, beta: float, m: int) -> tuple:
+    """Monomial coefficients C(a+b+m+k, k) C(b+m, m-k) (-1)^(m-k) of the
+    shifted Jacobi polynomial, built as Fractions."""
+    a = Fraction(alpha)
+    b = Fraction(beta)
+    return tuple(
+        binom_exact(a + b + m + k, k) * binom_exact(b + m, m - k) * (-1) ** (m - k)
+        for k in range(m + 1)
+    )
+
+
+def norm_sq_fraction(alpha: float, beta: int, m: int) -> Fraction:
+    """(2m+a+b+1) prod_{i=1..b} (m+a+i)/(m+i) as a Fraction."""
+    a = Fraction(alpha)
+    out = Fraction(2 * m) + a + beta + 1
+    for i in range(1, beta + 1):
+        out = out * (m + a + i) / (m + i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def moment_fraction(degree: int, alpha: float) -> Fraction:
+    """Integral of t^degree (1-t)^alpha over [0, 1] by the recursion
+    M(d) = M(d-1) d / (alpha + d + 1)."""
+    if degree == 0:
+        return 1 / (Fraction(alpha) + 1)
+    return moment_fraction(degree - 1, alpha) * degree / (Fraction(alpha) + degree + 1)
+
+
+def norm_product_fraction(alpha: float, xi_abs: int, j: int, k: int) -> float:
+    return math.sqrt(
+        float(norm_sq_fraction(alpha, xi_abs, j) * norm_sq_fraction(alpha, xi_abs, k))
+    )
+
+
+@lru_cache(maxsize=None)
+def pair_fraction(alpha: float, xi_abs: int, j: int, k: int) -> tuple:
+    return tuple(
+        conv_exact(q_coeffs_fraction(alpha, xi_abs, j), q_coeffs_fraction(alpha, xi_abs, k))
+    )
+
+
+def poly_entry_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) -> float:
+    """Integral of sum coeffs[d] t^d against Q_j Q_k (1-t)^alpha t^xi_abs,
+    from Fraction convolutions and moments, rounded once."""
+    pair = pair_fraction(alpha, xi_abs, j, k)
+    full = conv_exact(
+        pair, [c if isinstance(c, Fraction) else Fraction(float(c)) for c in coeffs]
+    )
+    return float(sum(c * moment_fraction(d + xi_abs, alpha) for d, c in enumerate(full)))
+
+
+def disk_poly_alt(p: int, q: int, alpha: float, r: float, theta: float) -> complex:
+    """Disk polynomial through the weighted orthonormal function:
+    e^(i (p-q) theta) (1-r^2)^(-alpha/2) / sqrt(alpha+1) times the
+    normalized function at r^2."""
+    params = JacobiParams(alpha, float(abs(p - q)), min(p, q))
+    return complex(
+        np.exp(1j * (p - q) * theta)
+        * (1.0 - r * r) ** (-alpha / 2.0)
+        / math.sqrt(alpha + 1.0)
+        * jac_fn_eval(params, r * r)
+    )
 
 
 def random_antitriangular_generators(n: int, seed: int, symmetric: bool = False):

@@ -1,0 +1,111 @@
+"""The integer exact path against the Fraction construction it replaced.
+
+Coefficients, normalization constants and moments must be the same
+rationals, and every float read off them the same float, bit for bit:
+both paths round the same exact number once.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import (
+    moment_fraction,
+    norm_product_fraction,
+    norm_sq_fraction,
+    poly_entry_fraction,
+    q_coeffs_fraction,
+)
+from polyberg import generators, integration, jacobi
+from polyberg.gammaseq import gamma_matrix
+from polyberg.integration import (
+    MAX_MOMENT_DEGREE,
+    MomentKey,
+    beta_entry,
+    moment,
+    norm_product,
+)
+from polyberg.jacobi import norm_coeff_sq_exact, q_coeffs_exact
+from polyberg.symbols import indicator_symbol, make_gp, poly_t_symbol
+
+ALPHAS = (0.0, 0.3, 0.5, 1.0, 2.5, -0.5)
+IDX = 7
+POLY_DEGREE = 3
+GP = 5
+
+
+def xis(degree: int) -> tuple:
+    # the last frequency puts the top moment degree exactly at the guard
+    return (0, 1, 7, 60, 120, MAX_MOMENT_DEGREE - 2 * IDX - degree)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_coefficients_and_norms_equal_fractions(alpha):
+    for xi in xis(0):
+        for m in range(IDX + 1):
+            assert q_coeffs_exact(alpha, xi, m) == q_coeffs_fraction(alpha, xi, m)
+            assert norm_coeff_sq_exact(alpha, xi, m) == norm_sq_fraction(alpha, xi, m)
+    assert q_coeffs_exact(alpha, 0.0, GP) == q_coeffs_fraction(alpha, 0.0, GP)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_moments_equal_fractions(alpha):
+    for degree in range(MAX_MOMENT_DEGREE + 1):
+        assert moment(MomentKey(degree, alpha, 0)) == float(moment_fraction(degree, alpha))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_norm_product_equals_fractions(alpha):
+    for xi in xis(0):
+        for j in range(IDX + 1):
+            for k in range(j, IDX + 1):
+                assert norm_product(alpha, xi, j, k) == norm_product_fraction(alpha, xi, j, k)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_entries_equal_fractions(alpha):
+    rng = np.random.default_rng(int(10 * alpha) + 7)
+    real = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1))
+    cplx = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1)
+                         + 1j * rng.uniform(-1, 1, POLY_DEGREE + 1))
+    gp = make_gp(GP, alpha)
+    gp_exact = q_coeffs_fraction(alpha, 0.0, GP)
+    for xi in xis(GP):
+        for j in range(IDX + 1):
+            for k in range(j, IDX + 1):
+                kk = norm_product_fraction(alpha, xi, j, k)
+                want = kk * poly_entry_fraction(real.coeffs, alpha, xi, j, k)
+                assert beta_entry(real, alpha, xi, j, k) == want
+                re = poly_entry_fraction([c.real for c in cplx.coeffs], alpha, xi, j, k)
+                im = poly_entry_fraction([c.imag for c in cplx.coeffs], alpha, xi, j, k)
+                assert beta_entry(cplx, alpha, xi, j, k) == kk * complex(re, im)
+                want = kk * poly_entry_fraction(gp_exact, alpha, xi, j, k)
+                assert beta_entry(gp, alpha, xi, j, k) == want
+
+
+def test_moment_guard_is_kept():
+    with pytest.raises(ValueError):
+        beta_entry(make_gp(GP, 1.0), 1.0, MAX_MOMENT_DEGREE - 2 * IDX - GP + 1, IDX, IDX)
+    with pytest.raises(ValueError):
+        integration.weighted_product_integral([1.0, 2.0], 0.5, MAX_MOMENT_DEGREE)
+
+
+def _caches():
+    for mod in (integration, jacobi, generators):
+        for val in vars(mod).values():
+            if hasattr(val, "cache_info") and val.__module__ == mod.__name__:
+                yield f"{mod.__name__}.{val.__name__}", val
+
+
+def test_caches_stay_bounded_over_many_thresholds():
+    thresholds = np.linspace(0.05, 0.95, 500)
+    for i, s in enumerate(thresholds):
+        gamma_matrix(indicator_symbol(float(s)), 2, 0.25 * (i % 4), i % 7)
+        for name, fn in _caches():
+            info = fn.cache_info()
+            assert info.maxsize is not None, name
+            assert info.currsize <= info.maxsize, name
+    assert math.isclose(
+        beta_entry(indicator_symbol(0.5), 0.0, 1, 0, 0), 1.0 / 16.0, rel_tol=1e-13
+    )

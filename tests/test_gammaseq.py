@@ -11,7 +11,6 @@ from polyberg.gammaseq import (
     block_order,
     gamma_matrix,
     gamma_sequence,
-    heuristic_scalar_limit,
     negative_submatrix_check,
     seq_from_json_obj,
     seq_to_json_obj,
@@ -187,11 +186,6 @@ def test_tail_deviation_errors():
     seq2 = gamma_sequence(const_symbol(1.0), 2, 0.0, 3)
     with pytest.raises(ValueError):
         tail_deviation(seq2, -1)
-
-
-def test_heuristic_limit_label():
-    seq = gamma_sequence(const_symbol(0.8), 2, 0.0, 12)
-    assert heuristic_scalar_limit(seq) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_seq_algebra_limits():

@@ -77,6 +77,17 @@ def test_const_symbol_gives_identity():
                     assert abs(val - (1.0 if j == k else 0.0)) < 1e-12
 
 
+def test_unit_polynomial_symbol_gives_identity():
+    # the same orthonormality, through the exact contraction path
+    one = poly_t_symbol([1.0])
+    for alpha in (0.0, 0.5, 1.0, 2.5):
+        for xi in range(0, 9):
+            for j in range(6):
+                for k in range(j, 6):
+                    val = beta_entry(one, alpha, xi, j, k)
+                    assert abs(val - (1.0 if j == k else 0.0)) < 1e-12
+
+
 def test_entry_frozen_examples():
     assert beta_entry(make_gp(1, 0.0), 0.0, 0, 0, 1) == pytest.approx(
         1.0 / np.sqrt(3.0), rel=1e-14
