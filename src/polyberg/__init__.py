@@ -22,7 +22,7 @@ from .generators import (
     nu_table,
     same_frequency_plan,
 )
-from .integration import MomentKey, beta_entry, moment, truncated_moment
+from .integration import MomentKey, beta_entry, moment
 from .jacobi import (
     JacobiParams,
     jac_fn_eval,

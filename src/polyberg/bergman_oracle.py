@@ -1,11 +1,13 @@
 """Independent verification path: disk polynomials and brute-force 2D
 quadrature of Toeplitz matrix elements over the weighted unit disk.
 
-Nothing here reuses the exact-moment machinery; polynomials, the weight
-and the symbol are evaluated pointwise on a tensor grid (uniform angular
+Nothing here reuses the entry-integral machinery; polynomials, the weight
+and the symbol are evaluated pointwise on a tensor grid: uniform angular
 nodes, which integrate the occurring trigonometric frequencies exactly,
-times composite Gauss-Legendre panels in the t = r^2 variable, which
-absorbs the area Jacobian).
+times composite Gauss-Legendre panels in u = sqrt(1 - t), t = r^2.  That
+variable absorbs the area Jacobian and turns the weight (1-t)^alpha dt
+into 2 u^(2 alpha + 1) du, a polynomial for half-integer alpha and never
+singular at the boundary for alpha >= 0.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .integration import gauss_legendre_grid
 from .jacobi import JacobiParams, jac_norm_coeff, q_eval
 from .symbols import SymbolSpec, eval_at_t
 
 __all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d"]
+
+# 4-point Gauss-Legendre nodes/weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
 class DiskPoint(NamedTuple):
@@ -51,10 +55,16 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     return complex(out) if out.ndim == 0 else out
 
 
-def _symbol_breakpoint(a: SymbolSpec) -> Optional[float]:
-    # indicator symbols jump at t = s^2; aligning a panel edge there keeps
-    # the radial integrand panelwise smooth
-    return a.s * a.s if a.kind == "indicator" else None
+def gauss_legendre_grid(n_panels: int, breakpoint: float | None = None):
+    """Composite 4-point Gauss-Legendre nodes and weights on n_panels equal
+    panels of [0, 1].  A breakpoint becomes one more panel edge, so
+    integrands with a jump there stay panelwise smooth."""
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
+    if breakpoint is not None:
+        edges = np.sort(np.append(edges, breakpoint))
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
 
 
 def toeplitz_entry_2d(
@@ -71,7 +81,9 @@ def toeplitz_entry_2d(
     disk_poly(p, q) in the weighted disk space, by tensor quadrature.
 
     The measure in (t = r^2, theta) coordinates has density
-    (alpha+1) (1-t)^alpha dt dtheta / (2 pi).  The uniform angular rule
+    (alpha+1) (1-t)^alpha dt dtheta / (2 pi), that is
+    (alpha+1) 2 u^(2 alpha + 1) du dtheta / (2 pi) in u = sqrt(1 - t),
+    where the radial panels lie.  The uniform angular rule
     is exact for the occurring frequency provided the node count exceeds
     |p-q| + |p2-q2|; fewer nodes alias and are refused.
     """
@@ -84,7 +96,11 @@ def toeplitz_entry_2d(
             f"{abs(p - q) + abs(p2 - q2)}; need more than "
             f"{abs(p - q) + abs(p2 - q2) + 1}"
         )
-    t_nodes, t_weights = gauss_legendre_grid(radial_panels, _symbol_breakpoint(a))
+    # indicator symbols jump at t = s^2, that is u = sqrt(1 - s^2); a panel
+    # edge there keeps the radial integrand panelwise smooth
+    jump = math.sqrt(1.0 - a.s * a.s) if a.kind == "indicator" else None
+    u_nodes, u_weights = gauss_legendre_grid(radial_panels, jump)
+    t_nodes = 1.0 - u_nodes * u_nodes
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
 
     r = np.sqrt(t_nodes)
@@ -93,8 +109,7 @@ def toeplitz_entry_2d(
         eval_at_t(a, t_nodes)[None, :]
         * disk_poly(p2, q2, alpha, grid)
         * np.conj(disk_poly(p, q, alpha, grid))
-        * (1.0 - t_nodes[None, :]) ** alpha
     )
-    weighted = integrand * t_weights[None, :]
-    # (alpha+1)/(2 pi) * sum_theta (2 pi / M) * sum_t w_t f(t, theta)
+    weighted = integrand * (2.0 * u_nodes ** (2.0 * alpha + 1.0) * u_weights)[None, :]
+    # (alpha+1)/(2 pi) * sum_theta (2 pi / M) * sum_u w_u 2 u^(2 alpha+1) f(t, theta)
     return complex((alpha + 1.0) / angular_nodes * np.sum(weighted))

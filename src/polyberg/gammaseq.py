@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integration import beta_entry
+from .integration import entry_block
 from .symbols import SymbolSpec, boundary_limit, symbol_from_json_obj, symbol_to_json_obj
 
 __all__ = [
@@ -54,19 +54,7 @@ def frequencies(n: int, xi_max: int) -> range:
 def gamma_matrix(a: SymbolSpec, n: int, alpha: float, xi: int) -> np.ndarray:
     """Dense block at frequency xi; symmetric by construction and real
     whenever the symbol is real."""
-    d = block_order(n, xi)
-    entries = {}
-    is_complex = False
-    for j in range(d):
-        for k in range(j, d):
-            v = beta_entry(a, alpha, xi, j, k)
-            entries[(j, k)] = v
-            is_complex = is_complex or isinstance(v, complex)
-    out = np.zeros((d, d), dtype=complex if is_complex else float)
-    for (j, k), v in entries.items():
-        out[j, k] = v
-        out[k, j] = v
-    return out
+    return entry_block(a, alpha, xi, block_order(n, xi))
 
 
 @dataclass

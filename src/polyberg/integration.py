@@ -9,9 +9,13 @@ with the symbol's, contracts the result against the moments over one
 denominator and rounds once, by a correctly rounded int / int division;
 so every orthogonality relation the entries inherit holds to the last
 bit (zeros come out as literal 0.0).  A constant symbol gives value * I
-by orthonormality.  Indicator symbols use truncated moments through the
-regularized incomplete Beta; sampled symbols fall back to composite
-Gauss-Legendre quadrature.
+by orthonormality.
+
+Indicator and sampled symbols are sums of pieces c (x - t)^e on [0, x]
+(e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table), and
+entry_block integrates their whole block at once on Gauss rules for the
+weight u^|xi|, with the orthonormal polynomials taken from their
+three-term recurrence.
 
 The caches are the only shared state.  They are bounded, sized so that
 one n = 8 request up to |xi| = 190 keeps all its hits.
@@ -23,30 +27,27 @@ import itertools
 import math
 import numbers
 import operator
-import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import jacobi
-from .special_fn import reg_incomplete_beta
-from .symbols import SymbolSpec, eval_at_t
+from .special_fn import gauss_rule, gauss_size, jacobi_recurrence
+from .symbols import SymbolSpec
 
 __all__ = [
     "MomentKey",
     "moment",
-    "truncated_moment",
     "beta_entry",
+    "entry_block",
     "weighted_product_integral",
     "norm_product",
 ]
 
 MAX_MOMENT_DEGREE = 192
-
-GL_PANELS = 256
-# 4-point Gauss-Legendre nodes/weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# symbols integrated on a Gauss rule rather than exactly
+FLOAT_KINDS = ("indicator", "sampled")
 
 _FACTORIALS = tuple(
     itertools.accumulate(range(1, MAX_MOMENT_DEGREE + 1), operator.mul, initial=1)
@@ -78,39 +79,15 @@ def _moment_float(degree: int, alpha: float) -> float:
     return (_FACTORIALS[degree] << (e * (degree + 1))) / prefix[degree + 1]
 
 
-def _check_key(key: MomentKey) -> None:
-    if key.k < 0 or key.xi_abs < 0:
-        raise ValueError(f"moment indices must be nonnegative, got {key}")
-    if key.k + key.xi_abs > MAX_MOMENT_DEGREE:
-        raise ValueError(
-            f"moment degree {key.k + key.xi_abs} exceeds guard {MAX_MOMENT_DEGREE}"
-        )
-    if not key.alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {key.alpha}")
-
-
 def moment(key: MomentKey) -> float:
     """Weight moment: integral of t^(k+xi_abs) (1-t)^alpha over [0, 1]."""
     key = MomentKey(*key)
-    _check_key(key)
+    if key.k < 0 or key.xi_abs < 0:
+        raise ValueError(f"moment indices must be nonnegative, got {key}")
+    if not key.alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {key.alpha}")
+    _guard_degree(key.k + key.xi_abs)
     return _moment_float(key.k + key.xi_abs, key.alpha)
-
-
-@lru_cache(maxsize=2048)
-def _truncated_moment_float(degree: int, alpha: float, x: float) -> float:
-    full = _moment_float(degree, alpha)
-    return full * reg_incomplete_beta(x, degree + 1, alpha + 1.0)
-
-
-def truncated_moment(key: MomentKey, x: float) -> float:
-    """Partial weight moment over [0, x]."""
-    key = MomentKey(*key)
-    _check_key(key)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"truncation point must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    return _truncated_moment_float(key.k + key.xi_abs, key.alpha, float(x))
 
 
 def _guard_degree(degree: int) -> None:
@@ -184,64 +161,78 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     return _contract(*_scaled(coeffs), alpha, xi_abs)
 
 
-def _indicator_entry(s: float, alpha: float, xi_abs: int, j: int, k: int) -> float:
-    x = s * s
-    pair, den = _pair_int(alpha, xi_abs, j, k)
-    _guard_degree(len(pair) - 1 + xi_abs)
-    terms = [
-        c / den * _truncated_moment_float(d + xi_abs, alpha, x)
-        for d, c in enumerate(pair)
-        if c
-    ]
-    return math.fsum(terms)
+def _guard_entry(j: int, k: int, xi_abs: int) -> None:
+    # the exact path's degree guards, which every kind shares
+    if k > jacobi.MAX_DEGREE:
+        raise ValueError(f"degree {k} exceeds supported maximum {jacobi.MAX_DEGREE}")
+    _guard_degree(j + k + xi_abs)
 
 
-def _panel_edges(n_panels: int, breakpoint: float | None = None) -> np.ndarray:
-    if breakpoint is None or not 0.0 < breakpoint < 1.0:
-        return np.linspace(0.0, 1.0, n_panels + 1)
-    left = min(max(int(round(n_panels * breakpoint)), 1), n_panels - 1)
-    return np.concatenate(
-        [
-            np.linspace(0.0, breakpoint, left + 1),
-            np.linspace(breakpoint, 1.0, n_panels - left + 1)[1:],
-        ]
-    )
+def _pieces(a: SymbolSpec):
+    # (level, cuts, e, cs): a = level + sum_i cs[i] (cuts[i] - t)^e on
+    # [0, cuts[i]].  A table, flat outside its knots, is its last value plus
+    # a ramp at each knot, weighted by the change of slope there.
+    if a.kind == "indicator":
+        return 0.0, np.array([a.s * a.s]), 0, np.array([1.0])
+    ts = np.array([t for t, _ in a.points])
+    vs = np.array([v for _, v in a.points])
+    slopes = np.diff(vs) / np.diff(ts)
+    cs = np.diff(slopes, prepend=0.0, append=0.0)
+    keep = (ts > 0.0) & (cs != 0.0)
+    return vs[-1], ts[keep], 1, cs[keep]
 
 
-def gauss_legendre_grid(n_panels: int, breakpoint: float | None = None):
-    """Composite 4-point Gauss-Legendre nodes and weights on [0, 1].
-
-    If a breakpoint is supplied the panel edges are aligned with it so
-    integrands with a jump there stay panelwise smooth.
-    """
-    edges = _panel_edges(n_panels, breakpoint)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _orthonormal(alpha: float, xi_abs: int, d: int, t: np.ndarray) -> np.ndarray:
+    # rows 0..d-1: the orthonormal polynomials for the (alpha, xi_abs)
+    # weight at t, times sqrt(mass) so that row 0 is 1
+    diag, off = jacobi_recurrence(alpha, float(xi_abs), d)
+    vals = np.ones((d, t.size))
+    for m in range(d - 1):
+        vals[m + 1] = ((t - diag[m]) * vals[m] - (off[m - 1] * vals[m - 1] if m else 0.0)) / off[m]
+    return vals
 
 
-def _sampled_entry(a: SymbolSpec, alpha: float, xi_abs: int, j: int, k: int):
-    if alpha < 0.0:
-        warnings.warn(
-            "sampled-symbol quadrature with alpha < 0 has an endpoint "
-            "singularity; accuracy is degraded",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    nodes, weights = gauss_legendre_grid(GL_PANELS)
-    pj = jacobi.JacobiParams(alpha, float(xi_abs), j)
-    pk = jacobi.JacobiParams(alpha, float(xi_abs), k)
-    integrand = (
-        eval_at_t(a, nodes)
-        * jacobi.q_eval(pj, nodes)
-        * jacobi.q_eval(pk, nodes)
-        * (1.0 - nodes) ** alpha
-        * nodes**xi_abs
-    )
-    return np.sum(weights * integrand)
+def _float_block(a: SymbolSpec, alpha: float, xi_abs: int, d: int) -> np.ndarray:
+    # With t = x u a piece is c x^(xi_abs+1+e) times the integral of (1-u)^e
+    # (1-xu)^alpha p_j p_k against u^xi_abs.  Cuts whose rule sizes lie within
+    # a factor 2 share the largest of them; all go into one product V g V^T.
+    level, cuts, e, cs = _pieces(a)
+    out = level * np.eye(d)
+    if cuts.size:
+        degree = 2 * (d - 1) + e + max(math.ceil(alpha), 0)
+        need = np.array([gauss_size(x, degree) for x in cuts])
+        group = np.log2(need.max() / need).astype(int)
+        ts, gs = [], []
+        for k in set(group.tolist()):
+            x, c = cuts[group == k], cs[group == k]
+            u, w = gauss_rule(float(xi_abs), int(need[group == k].max()))
+            t = np.outer(x, u)
+            ts.append(t.ravel())
+            gs.append(((c * x ** (xi_abs + 1 + e))[:, None] * (w * (1.0 - u) ** e) * (1.0 - t) ** alpha).ravel())
+        # summed in the rule's extended precision
+        vals = _orthonormal(alpha, xi_abs, d, np.concatenate(ts)).astype(np.longdouble)
+        block = np.dot(vals * np.concatenate(gs), vals.T) / _moment_float(xi_abs, alpha)
+        out = out + block.astype(out.dtype)
+    return out
+
+
+def entry_block(a: SymbolSpec, alpha: float, xi: int, d: int) -> np.ndarray:
+    """The d x d block of entries beta_entry(a, alpha, xi, j, k), exactly
+    symmetric and complex only for a complex symbol: on Gauss rules for
+    indicator and sampled symbols, else entry by entry on the exact path."""
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if a.kind in FLOAT_KINDS:
+        xi_abs = abs(int(xi))
+        _guard_entry(d - 1, d - 1, xi_abs)
+        out = _float_block(a, alpha, xi_abs, d)
+    else:
+        out = np.array([[beta_entry(a, alpha, xi, j, k) if j <= k else 0.0 for k in range(d)]
+                        for j in range(d)])
+    # the upper triangle, copied below the diagonal: exactly symmetric
+    for j in range(d):
+        out[j + 1:, j] = out[j, j + 1:]
+    return out
 
 
 def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
@@ -250,9 +241,9 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     a(sqrt(t)) Q_j(t) Q_k(t) (1-t)^alpha t^|xi|.
 
     Constants give value * I; polynomial symbols are integrated exactly;
-    indicators through truncated moments; sampled symbols by composite
-    quadrature.  The (j, k) and (k, j) calls share one code path, so
-    symmetry is exact.
+    indicator and sampled entries are read off their Gauss-rule block of
+    order k + 1 (see entry_block).  The (j, k) and (k, j) calls share one
+    code path, so symmetry is exact.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
@@ -261,12 +252,12 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     if k < j:
         j, k = k, j
     xi_abs = abs(int(xi))
+    _guard_entry(j, k, xi_abs)
+    if a.kind in FLOAT_KINDS:
+        return _float_block(a, alpha, xi_abs, k + 1)[j, k].item()
     if a.kind == "const":
         # orthonormality makes the block value * I (0.0 * value keeps the
-        # entry's type); the exact path's degree guards still apply
-        if k > jacobi.MAX_DEGREE:
-            raise ValueError(f"degree {k} exceeds supported maximum {jacobi.MAX_DEGREE}")
-        _guard_degree(j + k + xi_abs)
+        # entry's type)
         return a.value if j == k else 0.0 * a.value
     kk = norm_product(alpha, xi_abs, j, k)
     if a.kind in ("poly_t", "jacobi_g"):
@@ -284,10 +275,4 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
             im = entry(*_scaled([complex(c).imag for c in a.coeffs]))
             return kk * complex(re, im)
         return kk * entry(*_scaled(a.coeffs))
-    if a.kind == "indicator":
-        return kk * _indicator_entry(a.s, alpha, xi_abs, j, k)
-    if a.kind == "sampled":
-        val = _sampled_entry(a, alpha, xi_abs, j, k)
-        out = kk * val
-        return complex(out) if np.iscomplexobj(np.asarray(val)) else float(out)
     raise ValueError(f"unknown symbol kind {a.kind!r}")

@@ -1,18 +1,28 @@
-"""Scalar Gamma/Beta kernels and two elementary Gamma-ratio inequalities.
+"""Scalar Gamma/Beta kernels, Gauss rules on [0, 1] and two elementary
+Gamma-ratio inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  The log-gamma kernel is a Lanczos approximation (g = 7,
-nine terms) with reflection for small arguments; the regularized
-incomplete Beta uses the modified Lentz continued fraction.
+nine terms) with reflection for small arguments.  Gauss rules for the
+weight u^b on [0, 1] come from the closed-form three-term recurrence of
+the Jacobi polynomials (DLMF 18.9) by the Golub-Welsch eigenvalue method;
+they integrate every truncated integral of the package, the regularized
+incomplete Beta included.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "log_gamma",
     "beta",
+    "jacobi_recurrence",
+    "gauss_rule",
+    "gauss_size",
     "reg_incomplete_beta",
     "wendel_bound_holds",
     "binom_bound_holds",
@@ -35,9 +45,10 @@ _LANCZOS = (
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
-_CF_MAX_ITER = 300
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
+# a Gauss rule is sized for this accuracy; it refuses more nodes than
+# MAX_GAUSS_SIZE (a cut within about 8e-5 of 1)
+_GAUSS_LOG_TOL = math.log(1e-16)
+MAX_GAUSS_SIZE = 1024
 
 
 def log_gamma(z: float) -> float:
@@ -62,77 +73,73 @@ def beta(x: float, y: float) -> float:
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete Beta, modified Lentz method."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction did not converge for "
-        f"a={a}, b={b}, x={x}"
-    )
+def jacobi_recurrence(a: float, b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence t p_k = c_(k+1) p_(k+1) + d_k p_k + c_k p_(k-1) of the
+    orthonormal polynomials for the weight (1-t)^a t^b on (0, 1): the
+    diagonal d_0..d_(size-1) and off-diagonal c_1..c_(size-1) of the Jacobi
+    matrix (DLMF 18.9.2 moved to (0, 1), free of cancellation for
+    a + b >= 0)."""
+    k = np.arange(1.0, size)
+    s = 2.0 * k + a + b
+    diag = np.empty(size)
+    diag[0] = (b + 1.0) / (a + b + 2.0)
+    diag[1:] = (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))
+    off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    return diag, off
+
+
+@lru_cache(maxsize=512)
+def gauss_rule(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of `size` nodes for the weight u^b on [0, 1], b > -1
+    (Golub & Welsch 1969): the eigenvalues of the Jacobi matrix, and the
+    squared first components of its unit eigenvectors times the mass
+    1 / (b + 1).  The arrays are shared and read-only; the weights are
+    numpy.longdouble, scaled so that they sum to the mass."""
+    diag, off = jacobi_recurrence(0.0, b, size)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    # The eigenvector at node u is (p_0(u), ..., p_(size-1)(u)); running the
+    # recurrence, rescaled to unit length at each step, gives its first
+    # component to full relative accuracy even where u^b is tiny.
+    first, prev, cur = np.ones(size), np.zeros(size), np.ones(size)
+    for m in range(size - 1):
+        nxt = ((nodes - diag[m]) * cur - (off[m - 1] * prev if m else 0.0)) / off[m]
+        norm = np.sqrt(1.0 + nxt * nxt)
+        first, prev, cur = first / norm, cur / norm, nxt / norm
+    weights = first.astype(np.longdouble) ** 2
+    weights /= weights.sum() * (b + 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_size(x: float, degree: int) -> int:
+    """Nodes a Gauss rule on [0, 1] needs for a polynomial of the given
+    degree times (1 - x u)^c, c <= 0, 0 < x < 1 (a positive power of
+    1 - x u counts in the degree).  The error decays like rho^(-2 size),
+    rho = z + sqrt(z^2 - 1) for the singularity u = 1/x, z = 2/x - 1."""
+    size = degree // 2 + 1 + math.ceil(-_GAUSS_LOG_TOL / (2.0 * math.acosh(2.0 / x - 1.0)))
+    if size > MAX_GAUSS_SIZE:
+        raise ValueError(f"cut {x} lies too close to 1: a Gauss rule would need {size} nodes")
+    return size
 
 
 def reg_incomplete_beta(x: float, p: float, q: float) -> float:
-    """Regularized incomplete Beta I_x(p, q).
-
-    I_x(p, q) = (1/B(p, q)) * integral of t^(p-1) (1-t)^(q-1) over [0, x].
-    The symmetry I_x(p, q) = 1 - I_{1-x}(q, p) is applied for
-    x > p/(p+q) so the continued fraction stays in its fast-convergence
-    region.
+    """Regularized incomplete Beta I_x(p, q) = (1/B(p, q)) * integral of
+    t^(p-1) (1-t)^(q-1) over [0, x] = x^p / B(p, q) * integral of
+    (1-xu)^(q-1) against u^(p-1) over [0, 1], on the Gauss rule.  The
+    symmetry I_x(p, q) = 1 - I_{1-x}(q, p) is applied for x > p/(p+q), which
+    keeps x away from 1 and the rule short.
     """
     if p <= 0.0 or q <= 0.0:
         raise ValueError(f"reg_incomplete_beta requires p, q > 0, got ({p}, {q})")
     if x < 0.0 or x > 1.0:
         raise ValueError(f"reg_incomplete_beta requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    # closed forms when one weight exponent vanishes
-    if q == 1.0:
-        return x**p
-    if p == 1.0:
-        return -math.expm1(q * math.log1p(-x))
+    if x == 0.0 or x == 1.0:
+        return float(x)
     if x > p / (p + q):
         return 1.0 - reg_incomplete_beta(1.0 - x, q, p)
-    log_front = (
-        log_gamma(p + q)
-        - log_gamma(p)
-        - log_gamma(q)
-        + p * math.log(x)
-        + q * math.log1p(-x)
-    )
-    return math.exp(log_front) * _beta_cf(p, q, x) / p
+    nodes, weights = gauss_rule(p - 1.0, gauss_size(x, max(math.ceil(q - 1.0), 0)))
+    log_front = log_gamma(p + q) - log_gamma(p) - log_gamma(q) + p * math.log(x)
+    return math.exp(log_front) * float(weights @ (1.0 - x * nodes) ** (q - 1.0))
 
 
 def binom_real(z: float, k: int) -> float:

@@ -11,6 +11,7 @@ Instances are immutable after construction and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,11 +77,13 @@ def poly_t_symbol(coeffs: Sequence) -> SymbolSpec:
     return SymbolSpec(kind="poly_t", coeffs=cs, limit=lim)
 
 
+@lru_cache(maxsize=512)
 def make_gp(p: int, alpha: float) -> SymbolSpec:
     """Generating symbol number p: the degree-p polynomial for the
     (alpha, 0) weight, composed with r^2 (so in t it is the polynomial
     itself).  Its boundary value is the polynomial at t = 1, the sum of
     the exact coefficients, rounded once; no cancellation can occur.
+    Symbols are immutable, so one instance per (p, alpha) is shared.
     """
     if p < 0:
         raise ValueError(f"generator index must be nonnegative, got {p}")

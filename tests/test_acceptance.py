@@ -336,7 +336,7 @@ def test_c09_scalar_limit_convergence(s):
     worst_at = max(devs, key=devs.get)
     worst = devs[worst_at]
     ref60 = C09_XI60_REF.get(s)
-    ref_ok = ref60 is None or abs(worst60 - ref60) <= 1e-6 * ref60
+    ref_ok = ref60 is None or abs(worst60 - ref60) <= 1e-10 * ref60
     ok = worst < 1e-6 and dominated and closed_ok and ref_ok
     elapsed = time.perf_counter() - t0
     _report(

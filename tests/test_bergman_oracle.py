@@ -80,7 +80,7 @@ def test_oracle_frequency_selection(rng):
 
 
 def test_oracle_matches_exact_entries():
-    for alpha in (0.0, 1.0):
+    for alpha in (0.0, 0.5, 1.0, 1.5):
         for a in (indicator_symbol(0.5), make_gp(2, alpha)):
             for n in (1, 3):
                 for xi in range(max(-n + 1, -3), 4):

@@ -17,7 +17,7 @@ from conftest import (
     poly_entry_fraction,
     q_coeffs_fraction,
 )
-from polyberg import generators, integration, jacobi
+from polyberg import generators, integration, jacobi, special_fn, symbols
 from polyberg.gammaseq import gamma_matrix
 from polyberg.integration import (
     MAX_MOMENT_DEGREE,
@@ -92,7 +92,7 @@ def test_moment_guard_is_kept():
 
 
 def _caches():
-    for mod in (integration, jacobi, generators):
+    for mod in (integration, jacobi, generators, special_fn, symbols):
         for val in vars(mod).values():
             if hasattr(val, "cache_info") and val.__module__ == mod.__name__:
                 yield f"{mod.__name__}.{val.__name__}", val

@@ -1,0 +1,156 @@
+"""Indicator and sampled blocks against an mpmath reference.
+
+The reference expands each entry in monomials, k_j k_k sum_m (Q_j Q_k)_m
+E_(m+|xi|), with exact Jacobi coefficients and norm constants from the
+Fraction oracles and the symbol moments E_m = integral of a(sqrt(t)) t^m
+(1-t)^alpha over [0, 1] in mpmath at 80 digits.  The moments are summed
+segment by segment of the symbol (the indicator's [0, s^2]; the sampled
+table's flat ends and linear pieces), so the reference shares neither
+the Gauss rule nor the ramp decomposition of the package.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
+from polyberg.integration import beta_entry, entry_block
+from polyberg.symbols import indicator_symbol, sampled_symbol, sup_abs
+
+mpmath = pytest.importorskip("mpmath")
+
+DPS = 80
+TOL = 1e-12
+
+# (n, alpha, xi, s): the indicator cases of the accuracy baseline, the
+# criterion-9 worst case up to its check frequency, and each end of the
+# frequency guard (2 (n - 1) + xi <= 192)
+INDICATOR_CASES = [
+    (4, 2.5, 60, 0.9),
+    (4, 2.5, 170, 0.9),
+    (6, 1.0, 60, 0.9),
+    (8, 1.0, 60, 0.9),
+    (8, 0.5, 150, 0.95),
+    (8, 0.25, 178, 0.98),
+    (2, 0.0, 190, 0.99),
+    (8, 1.75, -3, 0.733),
+    (4, 0.0, 0, 0.3),
+]
+SAMPLED_LAST = (0.5, 0.98, 0.999)
+SAMPLED_ALPHAS = (-0.5, 0.5, 2.25)
+SAMPLED_XIS = (-3, 0, 60, 170)
+
+
+def _segment_moments(alpha, x1, x2, top):
+    """Integrals of t^m (1-t)^alpha over [x1, x2] for m <= top, by
+    (m + alpha + 1) I_m = m I_(m-1) - [t^m (1-t)^(alpha+1)] from x1 to x2."""
+    a1 = alpha + 1
+    edge = [(1 - x) ** a1 for x in (x1, x2)]
+    out = [(edge[0] - edge[1]) / a1]
+    for m in range(1, top + 1):
+        bracket = x2**m * edge[1] - x1**m * edge[0]
+        out.append((m * out[-1] - bracket) / (m + a1))
+    return out
+
+
+def _symbol_moments(pieces, alpha, top):
+    """E_0..E_top of a symbol given as [(x1, x2, A, B)]: a = A + B t on
+    [x1, x2]."""
+    out = [mpmath.mpf(0)] * (top + 1)
+    for x1, x2, lin0, lin1 in pieces:
+        seg = _segment_moments(alpha, x1, x2, top + 1)
+        for m in range(top + 1):
+            out[m] += lin0 * seg[m] + lin1 * seg[m + 1]
+    return out
+
+
+def _reference_block(pieces, alpha, xi, d):
+    xi_abs = abs(xi)
+    mom = _symbol_moments(pieces, mpmath.mpf(alpha), 2 * (d - 1) + xi_abs)
+    coeffs = [q_coeffs_fraction(alpha, xi_abs, m) for m in range(d)]
+    norms = [mpmath.sqrt(mpmath.mpf(f.numerator) / f.denominator)
+             for f in (norm_sq_fraction(alpha, xi_abs, m) for m in range(d))]
+    out = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        for k in range(j, d):
+            pair = conv_exact(coeffs[j], coeffs[k])
+            acc = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mom[m + xi_abs]
+                              for m, c in enumerate(pair))
+            out[j, k] = out[k, j] = complex(norms[j] * norms[k] * acc)
+    return out
+
+
+def _indicator_pieces(s):
+    return [(mpmath.mpf(0), mpmath.mpf(s) ** 2, 1, 0)]
+
+
+def _sampled_pieces(points):
+    ts = [mpmath.mpf(t) for t, _ in points]
+    vs = [mpmath.mpmathify(v) for _, v in points]
+    pieces = [(mpmath.mpf(0), ts[0], vs[0], 0), (ts[-1], mpmath.mpf(1), vs[-1], 0)]
+    for (t1, v1), (t2, v2) in zip(zip(ts, vs), zip(ts[1:], vs[1:])):
+        slope = (v2 - v1) / (t2 - t1)
+        pieces.append((t1, t2, v1 - slope * t1, slope))
+    return pieces
+
+
+def _table(t_last, imag=False):
+    # eleven uneven knots from 0.03 to t_last, a smooth profile in t
+    ts = t_last * (0.03 + 0.97 * np.linspace(0.0, 1.0, 11) ** 0.8)
+    vs = 0.5 + 0.4 * np.cos(3.0 * ts) - 0.3 * ts**2
+    if imag:
+        vs = vs + 1j * (0.2 - 0.5 * np.sin(2.0 * ts))
+    return [(float(t), complex(v) if imag else float(v)) for t, v in zip(ts, vs)]
+
+
+def _check(a, pieces, n, alpha, xi):
+    d = min(n + xi, n)
+    with mpmath.workdps(DPS):
+        want = _reference_block(pieces, alpha, xi, d)
+    got = entry_block(a, alpha, xi, d)
+    err = float(np.max(np.abs(got - want)))
+    assert err <= TOL * max(1.0, sup_abs(a)), (a.kind, n, alpha, xi, err)
+    return got
+
+
+@pytest.mark.parametrize("n, alpha, xi, s", INDICATOR_CASES)
+def test_indicator_blocks_match_mpmath(n, alpha, xi, s):
+    got = _check(indicator_symbol(s), _indicator_pieces(s), n, alpha, xi)
+    assert got.dtype == float
+
+
+@pytest.mark.parametrize("alpha", SAMPLED_ALPHAS)
+@pytest.mark.parametrize("t_last", SAMPLED_LAST)
+def test_sampled_blocks_match_mpmath(t_last, alpha):
+    points = _table(t_last)
+    a = sampled_symbol(points)
+    for xi in SAMPLED_XIS:
+        got = _check(a, _sampled_pieces(points), 4, alpha, xi)
+        assert got.dtype == float
+
+
+def test_complex_sampled_block_matches_mpmath():
+    points = _table(0.98, imag=True)
+    a = sampled_symbol(points)
+    for xi in (-2, 0, 60):
+        got = _check(a, _sampled_pieces(points), 6, 0.5, xi)
+        assert got.dtype == complex
+        entry = beta_entry(a, 0.5, xi, 0, 1)
+        assert isinstance(entry, complex) and abs(entry - got[0, 1]) <= 1e-14
+
+
+def test_float_blocks_are_exactly_symmetric_and_agree_with_entries():
+    a = sampled_symbol(_table(0.98))
+    for sym in (indicator_symbol(0.81), a):
+        block = entry_block(sym, 1.5, 7, 6)
+        assert np.array_equal(block, block.T)
+        for j in range(6):
+            for k in range(6):
+                assert math.isclose(beta_entry(sym, 1.5, 7, j, k), block[j, k],
+                                    rel_tol=1e-13, abs_tol=1e-15)
+
+
+def test_float_blocks_refuse_cut_too_close_to_one():
+    with pytest.raises(ValueError, match="too close to 1"):
+        entry_block(sampled_symbol([(0.0, 0.0), (1.0 - 1e-9, 1.0)]), 0.5, 0, 3)

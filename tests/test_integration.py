@@ -1,6 +1,4 @@
-"""Entry-integral tests: exact moments, truncated moments, dispatch paths."""
-
-import warnings
+"""Entry-integral tests: exact moments, dispatch paths."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from polyberg.integration import (
     beta_entry,
     moment,
     norm_product,
-    truncated_moment,
 )
 from polyberg.symbols import (
     const_symbol,
@@ -45,26 +42,6 @@ def test_moment_matches_quadrature(rng):
         got = moment(MomentKey(k, alpha, xi))
         want = weighted_quadrature(alpha, k + xi, lambda t: np.ones_like(t))
         assert abs(got - want) <= 1e-13 * want
-
-
-def test_truncated_moment_frozen_values():
-    key = MomentKey(0, 0.0, 1)
-    assert truncated_moment(key, 1.0) == moment(key)
-    assert truncated_moment(key, 0.0) == 0.0
-    assert truncated_moment(key, 0.25) == pytest.approx(1.0 / 32.0, rel=1e-13)
-
-
-def test_truncated_moment_matches_riemann(rng):
-    # crude independent check: midpoint rule on a fine grid
-    for _ in range(10):
-        alpha = float(rng.choice([0.0, 1.0, 2.5]))
-        k = int(rng.integers(0, 5))
-        x = float(rng.uniform(0.1, 0.9))
-        ts = np.linspace(0.0, x, 200001)
-        mid = 0.5 * (ts[1:] + ts[:-1])
-        ref = float(np.sum(mid**k * (1 - mid) ** alpha) * (ts[1] - ts[0]))
-        got = truncated_moment(MomentKey(k, alpha, 0), x)
-        assert abs(got - ref) < 1e-9
 
 
 def test_const_symbol_gives_identity():
@@ -172,14 +149,6 @@ def test_exact_vs_sampled_quadrature_paths(rng):
                 exact = beta_entry(a, alpha, xi, j, k)
                 sampled = beta_entry(b, alpha, xi, j, k)
                 assert abs(exact - sampled) < 1e-6
-
-
-def test_sampled_negative_alpha_warns():
-    a = sampled_symbol([(0.0, 1.0), (0.5, 1.0)])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        beta_entry(a, -0.5, 0, 0, 0)
-    assert any("singularity" in str(w.message) for w in caught)
 
 
 def test_entry_domain_errors():
