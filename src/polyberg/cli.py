@@ -28,7 +28,7 @@ from .gammaseq import (
     tail_deviation,
 )
 from .generators import generator_block, matrix_unit, nu_table, same_frequency_plan
-from .integration import beta_entry
+from .integration import entry_block
 from .purestates import (
     NotSeparableError,
     PureState,
@@ -190,9 +190,10 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for xi in range(max(-n + 1, -args.xi_max), args.xi_max + 1):
         d = block_order(n, xi)
+        block = entry_block(a, args.alpha, xi, d)
         for j in range(d):
             for k in range(j, d):
-                direct = beta_entry(a, args.alpha, xi, j, k)
+                direct = block[j, k]
                 two_d = toeplitz_entry_2d(
                     a,
                     args.alpha,

@@ -35,6 +35,7 @@ __all__ = [
     "same_frequency_plan",
     "cross_frequency_plan",
     "generator_block",
+    "generator_stack",
 ]
 
 TOL_ZERO = 1e-10
@@ -193,6 +194,26 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=512)
+def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
+    """Blocks of generating symbol p at frequencies -n+1 .. xi_max, each
+    padded with zeros to order n, stacked as (xi_max + n, n, n).
+
+    The block at -eta is the leading (n-eta)-submatrix of the block at eta
+    (its entries are the same integrals), so only nonnegative frequencies
+    are integrated.  Zero padding commutes with products: the leading part
+    of a product of padded blocks is the product of the blocks.  Read-only.
+    """
+    stack = np.zeros((len(frequencies(n, xi_max)), n, n))
+    for xi in range(xi_max + 1):
+        stack[n - 1 + xi] = generator_block(n, alpha, xi, p)
+    for eta in range(1, n):
+        d = n - eta
+        stack[n - 1 - eta, :d, :d] = generator_block(n, alpha, eta, p)[:d, :d]
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class SeparationPlan:
     """Symbolic recipe (sum_j c_j A_{k_j}) * A_mid^2 * (sum_j c'_j A_{k'_j})
@@ -205,19 +226,19 @@ class SeparationPlan:
     right: tuple
 
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        if xi_max < 0:
-            raise ValueError(f"xi_max must be nonnegative, got {xi_max}")
-        freqs = list(frequencies(self.n, xi_max))
+        """One batched product over the padded generator stacks, sliced
+        back to the order of each frequency's block."""
+        freqs = frequencies(self.n, xi_max)
+
+        def combine(terms):
+            return sum(c * generator_stack(self.n, self.alpha, xi_max, k) for c, k in terms)
+
+        mid = generator_stack(self.n, self.alpha, xi_max, self.middle)
+        prod = combine(self.left) @ mid @ mid @ combine(self.right)
         blocks = {}
-        for xi in freqs:
-            left = sum(
-                c * generator_block(self.n, self.alpha, xi, k) for c, k in self.left
-            )
-            right = sum(
-                c * generator_block(self.n, self.alpha, xi, k) for c, k in self.right
-            )
-            mid = generator_block(self.n, self.alpha, xi, self.middle)
-            blocks[xi] = left @ mid @ mid @ right
+        for i, xi in enumerate(freqs):
+            d = block_order(self.n, xi)
+            blocks[xi] = prod[i, :d, :d]
         lims = {k: make_gp(k, self.alpha).limit for _, k in self.left + self.right}
         lims[self.middle] = make_gp(self.middle, self.alpha).limit
         lim = (
@@ -240,19 +261,22 @@ class SeparationPlan:
         return json.dumps(self.to_json_obj())
 
 
-def _plan_from_generators(
+@lru_cache(maxsize=1024)
+def _plan(
     n: int,
     alpha: float,
-    freq: int,
-    symbol_indices: Sequence[int],
+    xi: int,
     p: int,
     q: int,
     tol_zero: float,
     tol_nonzero: float,
 ) -> SeparationPlan:
-    gs = [generator_block(n, alpha, freq, s) for s in symbol_indices]
+    # generators d-1+|xi|+j, j < d: the last one is a nonzero multiple of
+    # E_{d-1,d-1} at xi and vanishes at every lower frequency
+    d = block_order(n, xi)
+    symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
+    gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
     table = nu_table(gs, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
-    d = table.order
     left = tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
     right = tuple((float(table.nu[q, j]), symbol_indices[j]) for j in range(q, d))
     return SeparationPlan(
@@ -270,14 +294,12 @@ def same_frequency_plan(
     tol_nonzero: float = TOL_NONZERO,
 ) -> SeparationPlan:
     """Plan whose evaluation X has X_xi equal to the matrix unit E_{p,q}
-    (order min(n+xi, n))."""
+    (order min(n+xi, n)).  Plans are cached: equal arguments return the
+    same frozen plan."""
     d = block_order(n, xi)
     if not (0 <= p < d and 0 <= q < d):
         raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")
-    symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
-    return _plan_from_generators(
-        n, alpha, xi, symbol_indices, p, q, tol_zero, tol_nonzero
-    )
+    return _plan(n, float(alpha), xi, p, q, tol_zero, tol_nonzero)
 
 
 def cross_frequency_plan(
@@ -292,11 +314,12 @@ def cross_frequency_plan(
     """Plan whose evaluation X has X_eta = E_{p,p} while X_xi is the zero
     block (xi < eta).
 
-    The generator symbols are chosen so that the squared middle factor is
-    a sequence whose block at xi vanishes identically: its structural
-    index exceeds the last antidiagonal of the order-min(n+xi, n) block.
-    Both-negative frequencies draw generators from a lower symbol range
-    than the other three sign patterns.
+    This is the same-frequency plan for E_{p,p} at eta, so the plan does
+    not depend on xi.  Its squared middle factor is a sequence whose block
+    at xi vanishes identically: its structural index exceeds the last
+    antidiagonal of the order-min(n+xi, n) block.  Both-negative
+    frequencies draw generators from a lower symbol range than the other
+    three sign patterns.
     """
     if xi >= eta:
         raise ValueError(f"need xi < eta, got ({xi}, {eta})")
@@ -304,10 +327,4 @@ def cross_frequency_plan(
     d_eta = block_order(n, eta)
     if not 0 <= p < d_eta:
         raise ValueError(f"unit index must lie in [0, {d_eta}), got {p}")
-    if eta < 0:
-        symbol_indices = [n - 1 + j for j in range(d_eta)]
-    else:
-        symbol_indices = [n - 1 + eta + j for j in range(d_eta)]
-    return _plan_from_generators(
-        n, alpha, eta, symbol_indices, p, p, tol_zero, tol_nonzero
-    )
+    return _plan(n, float(alpha), eta, p, p, tol_zero, tol_nonzero)

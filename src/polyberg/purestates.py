@@ -22,7 +22,7 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, gamma_sequence
 from .generators import cross_frequency_plan, same_frequency_plan
-from .integration import beta_entry
+from .integration import FLOAT_KINDS, entry_block
 from .symbols import SymbolSpec, indicator_symbol
 
 __all__ = [
@@ -116,10 +116,17 @@ def eval_state_integral(
     d = block_order(n, xi)
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
+    if a.kind in FLOAT_KINDS:
+        # entry (j, k) read off the Gauss-rule block of order max(j, k) + 1,
+        # as beta_entry reads it, so the sizes differ from eval_state's block
+        blocks = [entry_block(a, alpha, xi, m + 1) for m in range(d)]
+        entries = np.array([[blocks[max(j, k)][j, k] for k in range(d)] for j in range(d)])
+    else:
+        entries = entry_block(a, alpha, xi, d)
     acc = 0.0 + 0.0j
     for j in range(d):
         for k in range(d):
-            acc += np.conj(vec[j]) * vec[k] * beta_entry(a, alpha, xi, j, k)
+            acc += np.conj(vec[j]) * vec[k] * entries[j, k]
     return acc.real if abs(acc.imag) < 1e-14 * max(1.0, abs(acc)) else acc
 
 
@@ -146,7 +153,12 @@ def witness_indices(u, v) -> Tuple[int, int]:
     if abs(abs(v[p]) - abs(u[p])) > PROPORTIONAL_TOL:
         return p, p
     tau = v[p] / u[p]
-    q = next(i for i in range(len(u)) if abs(v[i] - tau * u[i]) > PROPORTIONAL_TOL)
+    q = next((i for i in range(len(u)) if abs(v[i] - tau * u[i]) > PROPORTIONAL_TOL), None)
+    if q is None:
+        raise NotSeparableError(
+            "vectors are nearly proportional: no entry of v deviates from "
+            f"{tau:.6g} * u by more than {PROPORTIONAL_TOL}"
+        )
     return p, q
 
 

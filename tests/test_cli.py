@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from polyberg import integration
 from polyberg.cli import main
 from polyberg.gammaseq import seq_from_json_obj
 
@@ -188,6 +189,22 @@ def test_oracle_command(capsys):
     )
     assert code == 0
     assert "worst disagreement" in capsys.readouterr().out
+
+
+def test_oracle_builds_one_block_per_frequency(monkeypatch, capsys):
+    # the printed gamma blocks, one per frequency -3..4, not one per entry
+    calls = []
+    real = integration._float_block
+
+    def counted(a, alpha, xi_abs, d):
+        calls.append(d)
+        return real(a, alpha, xi_abs, d)
+
+    monkeypatch.setattr(integration, "_float_block", counted)
+    code = main(["oracle", "--n", "4", "--xi-max", "4",
+                 "--symbol", '{"kind":"indicator","s":0.7}'])
+    assert code == 0
+    assert calls == [1, 2, 3, 4, 4, 4, 4, 4]
 
 
 def test_verify_default_passes(capsys):

@@ -27,6 +27,7 @@ from polyberg.integration import (
     norm_product,
 )
 from polyberg.jacobi import norm_coeff_sq_exact, q_coeffs_exact
+from polyberg.purestates import finite_state, separate
 from polyberg.symbols import indicator_symbol, make_gp, poly_t_symbol
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0, 2.5, -0.5)
@@ -109,3 +110,24 @@ def test_caches_stay_bounded_over_many_thresholds():
     assert math.isclose(
         beta_entry(indicator_symbol(0.5), 0.0, 1, 0, 0), 1.0 / 16.0, rel_tol=1e-13
     )
+
+
+def test_generator_caches_stay_bounded_over_many_separations():
+    # off-diagonal witnesses need the plans (p, q) and (q, p), diagonal ones
+    # (p, p); every (alpha, xi) brings new plans and new stacks.  Dyadic
+    # alphas keep the exact integers short; no other test uses these.
+    r = 1.0 / math.sqrt(2.0)
+    states = (([1.0, 0.0], [0.0, 1.0]), ([r, r], [r, -r]))
+    caches = {name: fn for name, fn in _caches() if name.startswith("polyberg.generators.")}
+    limits = {name: fn.cache_info().maxsize for name, fn in caches.items()}
+    misses = {name: fn.cache_info().misses for name, fn in caches.items()}
+    for alpha in (np.arange(10) + 0.5) / 8.0:
+        for xi in range(40):
+            for u, v in states:
+                separate(finite_state(xi, u), finite_state(xi, v), 2, float(alpha))
+            for name, fn in caches.items():
+                info = fn.cache_info()
+                assert info.maxsize is not None, name
+                assert info.currsize <= info.maxsize, name
+    for name in ("polyberg.generators._plan", "polyberg.generators.generator_stack"):
+        assert caches[name].cache_info().misses - misses[name] > limits[name], name

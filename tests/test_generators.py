@@ -12,6 +12,7 @@ from polyberg.generators import (
     antitriangular_report,
     cross_frequency_plan,
     generator_block,
+    generator_stack,
     matrix_unit,
     nu_table,
     same_frequency_plan,
@@ -248,3 +249,77 @@ def test_plan_scalar_limit_propagates():
         * sum(c * lims[k] for c, k in plan.right)
     )
     assert x.scalar_limit == pytest.approx(want, rel=1e-12)
+
+
+def _reference_evaluation(plan, xi_max):
+    # the product L @ M @ M @ R frequency by frequency on the blocks
+    blocks = {}
+    for xi in range(-plan.n + 1, xi_max + 1):
+        left = sum(c * generator_block(plan.n, plan.alpha, xi, k) for c, k in plan.left)
+        right = sum(c * generator_block(plan.n, plan.alpha, xi, k) for c, k in plan.right)
+        mid = generator_block(plan.n, plan.alpha, xi, plan.middle)
+        blocks[xi] = left @ mid @ mid @ right
+    return blocks
+
+
+def _plans(n, alpha):
+    # every same-frequency and cross plan with frequencies up to 6, with
+    # the frequency its evaluation is read at
+    for xi in range(-n + 1, 7):
+        d = min(n + xi, n)
+        for p in range(d):
+            for q in range(d):
+                yield xi, same_frequency_plan(n, alpha, xi, p, q)
+        for eta in range(xi + 1, 7):
+            for p in range(min(n + eta, n)):
+                yield eta, cross_frequency_plan(n, alpha, xi, eta, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_evaluate_equals_per_frequency_products(n, alpha):
+    refs = {}
+    for xi, plan in _plans(n, alpha):
+        for xi_max in {max(xi, 0), 9}:
+            key = (plan, xi_max)
+            if key not in refs:
+                refs[key] = _reference_evaluation(plan, xi_max)
+            got = plan.evaluate(xi_max)
+            assert got.blocks.keys() == refs[key].keys()
+            for f, want in refs[key].items():
+                assert np.array_equal(got.block(f), want), (n, alpha, plan, xi_max, f)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_negative_block_is_leading_submatrix(n, alpha):
+    for eta in range(1, n):
+        d = n - eta
+        for p in range(2 * n + 2):
+            neg = generator_block(n, alpha, -eta, p)
+            assert neg.shape == (d, d)
+            assert np.array_equal(neg, generator_block(n, alpha, eta, p)[:d, :d]), (eta, p)
+
+
+def test_plans_are_cached():
+    assert same_frequency_plan(3, 0.5, 1, 0, 2) is same_frequency_plan(3, 0.5, 1, 0, 2)
+    # the lower frequency of a cross plan is validated, not used
+    cross = cross_frequency_plan(3, 0.5, -2, 1, 0)
+    assert cross_frequency_plan(3, 0.5, 0, 1, 0) is cross
+    assert same_frequency_plan(3, 0.5, 1, 0, 0) is cross
+    # an integer alpha gives the same float plan whichever call came first
+    by_int = same_frequency_plan(2, 1, 0, 0, 1)
+    assert by_int is same_frequency_plan(2, 1.0, 0, 0, 1)
+    assert isinstance(by_int.alpha, float)
+    assert json.loads(by_int.to_json())["alpha"] == 1.0
+
+
+def test_generator_stacks_are_read_only():
+    plan = same_frequency_plan(3, 0.5, -1, 0, 1)
+    plan.evaluate(4)
+    stack = generator_stack(3, 0.5, 4, plan.middle)
+    assert stack.shape == (4 + 3, 3, 3)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        generator_block(3, 0.5, 2, plan.middle)[0, 0] = 1.0

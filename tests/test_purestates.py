@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import unit
+from polyberg import integration
 from polyberg.gammaseq import gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
@@ -139,6 +140,30 @@ def test_witness_indices_proportional_error():
     u = unit([1, 2, 3])
     with pytest.raises(NotSeparableError):
         witness_indices(u, np.exp(0.3j) * u)
+
+
+def test_witness_indices_nearly_proportional_error():
+    # the cross products exceed the proportionality tolerance, but no
+    # single entry deviates from the phase-matched first one by as much
+    u = np.ones(3) / np.sqrt(3.0)
+    theta = 1.6e-10
+    v = u * np.exp(1j * np.array([0.0, theta, -theta]))
+    with pytest.raises(NotSeparableError, match="nearly proportional"):
+        witness_indices(u, v)
+
+
+def test_state_integral_builds_one_block_per_column(monkeypatch, rng):
+    calls = []
+    real = integration._float_block
+
+    def counted(a, alpha, xi_abs, d):
+        calls.append(d)
+        return real(a, alpha, xi_abs, d)
+
+    monkeypatch.setattr(integration, "_float_block", counted)
+    u = unit(rng.normal(size=4) + 1j * rng.normal(size=4))
+    eval_state_integral(1, u, indicator_symbol(0.7), 4, 0.5)
+    assert calls == [1, 2, 3, 4]
 
 
 def test_separate_same_frequency_basis():
