@@ -22,12 +22,13 @@ from .bergman_oracle import toeplitz_entry_2d
 from .gammaseq import (
     block_csv,
     block_order,
+    frequencies,
     gamma_sequence,
     seq_to_json_obj,
     spectral_norm,
     tail_deviation,
 )
-from .generators import generator_block, matrix_unit, nu_table, same_frequency_plan
+from .generators import generator_family, matrix_unit, same_frequency_plan
 from .integration import entry_block
 from .purestates import (
     NotSeparableError,
@@ -110,8 +111,9 @@ def cmd_gamma(args) -> int:
     sink = sys.stdout if args.out else sys.stderr
     print("xi order norm" + (" tail_deviation" if seq.scalar_limit is not None else ""),
           file=sink)
-    for xi in sorted(seq.blocks):
-        row = f"{xi:3d} {seq.blocks[xi].shape[0]:5d} {spectral_norm(seq.blocks[xi]):.6e}"
+    for xi in frequencies(seq.n, seq.xi_max):
+        b = seq.block(xi)
+        row = f"{xi:3d} {b.shape[0]:5d} {spectral_norm(b):.6e}"
         if seq.scalar_limit is not None and xi >= 0:
             row += f" {tail_deviation(seq, xi):.6e}"
         print(row, file=sink)
@@ -168,10 +170,10 @@ def _describe_plan(args, s1: PureState, s2: PureState):
 
 
 def cmd_basis(args) -> int:
-    d = block_order(args.n, args.xi)
-    symbol_indices = [d - 1 + abs(args.xi) + j for j in range(d)]
-    gs = [generator_block(args.n, args.alpha, args.xi, s) for s in symbol_indices]
-    table = nu_table(gs, tol_zero=args.tol_zero, tol_nonzero=args.tol_nonzero)
+    _, gs, table = generator_family(
+        args.n, args.alpha, args.xi, args.tol_zero, args.tol_nonzero
+    )
+    d = table.order
     worst = 0.0
     for p in range(d):
         for q in range(d):
@@ -188,7 +190,7 @@ def cmd_oracle(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
     n = args.n
     worst = 0.0
-    for xi in range(max(-n + 1, -args.xi_max), args.xi_max + 1):
+    for xi in frequencies(n, args.xi_max):
         d = block_order(n, xi)
         block = entry_block(a, args.alpha, xi, d)
         for j in range(d):
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ algebra downstream needs.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,7 @@ __all__ = [
     "gamma_matrix",
     "gamma_sequence",
     "MatrixSeq",
+    "pack_blocks",
     "negative_submatrix_check",
     "tail_deviation",
     "spectral_norm",
@@ -57,31 +59,51 @@ def gamma_matrix(a: SymbolSpec, n: int, alpha: float, xi: int) -> np.ndarray:
     return entry_block(a, alpha, xi, block_order(n, xi))
 
 
+def pack_blocks(n: int, blocks) -> np.ndarray:
+    """Stack the blocks of frequencies -n+1, -n+2, ... (given in that
+    order) as one read-only (len, n, n) array, each block padded with
+    zeros to order n.  Refuses a block of the wrong order."""
+    blocks = list(blocks)
+    dtype = complex if any(np.iscomplexobj(b) for b in blocks) else float
+    stack = np.zeros((len(blocks), n, n), dtype=dtype)
+    for i, b in enumerate(blocks):
+        d = block_order(n, i - n + 1)
+        if np.shape(b) != (d, d):
+            raise ValueError(
+                f"block at frequency {i - n + 1} must have order {d}, got {np.shape(b)}"
+            )
+        stack[i, :d, :d] = b
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass
 class MatrixSeq:
     """Truncated matrix sequence: blocks for every admissible frequency up
-    to xi_max, plus the scalar limit at infinity when defined."""
+    to xi_max, plus the scalar limit at infinity when defined.
+
+    blocks is one read-only (xi_max + n, n, n) stack (see pack_blocks);
+    block(xi) is the unpadded view.  Zero padding commutes with sums,
+    scalar multiples and products, so each is one numpy call.  Real
+    products equal the per-block products bit for bit; complex ones may
+    differ by an ulp at negative frequencies, where the padded product
+    rounds at order n (no package path multiplies complex sequences).
+    """
 
     n: int
     alpha: float
-    blocks: dict = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
     scalar_limit: Optional[complex] = None
     symbol: Optional[SymbolSpec] = None
 
     def __post_init__(self) -> None:
-        keys = sorted(self.blocks)
-        expected = list(frequencies(self.n, max(keys)))
-        if keys != expected:
+        shape, n = np.shape(self.blocks), self.n
+        if n < 1 or len(shape) != 3 or shape[0] < n or shape[1:] != (n, n):
             raise ValueError(
-                f"blocks must cover every frequency {expected[0]}..{expected[-1]}"
+                f"blocks must be an (xi_max + n, n, n) stack, n = {n}, got {shape}"
             )
-        for xi in keys:
-            d = block_order(self.n, xi)
-            if self.blocks[xi].shape != (d, d):
-                raise ValueError(
-                    f"block at frequency {xi} must have order {d}, "
-                    f"got shape {self.blocks[xi].shape}"
-                )
+        self.blocks = np.asarray(self.blocks).view()
+        self.blocks.flags.writeable = False
 
     @property
     def xi_min(self) -> int:
@@ -89,63 +111,45 @@ class MatrixSeq:
 
     @property
     def xi_max(self) -> int:
-        return max(self.blocks)
+        return len(self.blocks) - self.n
 
     def block(self, xi: int) -> np.ndarray:
-        if xi not in self.blocks:
+        if not self.xi_min <= xi <= self.xi_max:
             raise IndexError(
                 f"frequency {xi} outside the computed range "
                 f"[{self.xi_min}, {self.xi_max}]"
             )
-        return self.blocks[xi]
+        d = block_order(self.n, xi)
+        return self.blocks[xi + self.n - 1, :d, :d]
 
     def sup_block_norm(self) -> float:
-        return max(spectral_norm(m) for m in self.blocks.values())
+        return max(spectral_norm(self.block(xi)) for xi in frequencies(self.n, self.xi_max))
 
-    def _check_compatible(self, other: "MatrixSeq") -> None:
-        if self.n != other.n or self.xi_max != other.xi_max:
-            raise ValueError("sequences must share n and truncation")
-
-    def __add__(self, other: "MatrixSeq") -> "MatrixSeq":
-        self._check_compatible(other)
+    def _pointwise(self, other: "MatrixSeq", block_op, limit_op) -> "MatrixSeq":
+        if (self.n, self.alpha, self.xi_max) != (other.n, other.alpha, other.xi_max):
+            raise ValueError("sequences must share n, alpha and truncation")
         lim = None
         if self.scalar_limit is not None and other.scalar_limit is not None:
-            lim = self.scalar_limit + other.scalar_limit
-        return MatrixSeq(
-            n=self.n,
-            alpha=self.alpha,
-            blocks={xi: self.blocks[xi] + other.blocks[xi] for xi in self.blocks},
-            scalar_limit=lim,
-        )
+            lim = limit_op(self.scalar_limit, other.scalar_limit)
+        return MatrixSeq(self.n, self.alpha, block_op(self.blocks, other.blocks), lim)
+
+    def __add__(self, other: "MatrixSeq") -> "MatrixSeq":
+        return self._pointwise(other, operator.add, operator.add)
+
+    def __matmul__(self, other: "MatrixSeq") -> "MatrixSeq":
+        return self._pointwise(other, operator.matmul, operator.mul)
 
     def __mul__(self, c) -> "MatrixSeq":
         lim = None if self.scalar_limit is None else c * self.scalar_limit
-        return MatrixSeq(
-            n=self.n,
-            alpha=self.alpha,
-            blocks={xi: c * b for xi, b in self.blocks.items()},
-            scalar_limit=lim,
-        )
+        return MatrixSeq(self.n, self.alpha, c * self.blocks, lim)
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other: "MatrixSeq") -> "MatrixSeq":
-        self._check_compatible(other)
-        lim = None
-        if self.scalar_limit is not None and other.scalar_limit is not None:
-            lim = self.scalar_limit * other.scalar_limit
-        return MatrixSeq(
-            n=self.n,
-            alpha=self.alpha,
-            blocks={xi: self.blocks[xi] @ other.blocks[xi] for xi in self.blocks},
-            scalar_limit=lim,
-        )
 
 
 def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
     """All blocks for frequencies -n+1 ... xi_max; the scalar limit is
     taken from the symbol, never estimated."""
-    blocks = {xi: gamma_matrix(a, n, alpha, xi) for xi in frequencies(n, xi_max)}
+    blocks = pack_blocks(n, (gamma_matrix(a, n, alpha, xi) for xi in frequencies(n, xi_max)))
     return MatrixSeq(
         n=n, alpha=alpha, blocks=blocks, scalar_limit=boundary_limit(a), symbol=a
     )
@@ -212,8 +216,8 @@ def seq_to_json_obj(seq: MatrixSeq) -> dict:
         "xi_max": seq.xi_max,
         "symbol": None if seq.symbol is None else symbol_to_json_obj(seq.symbol),
         "matrices": [
-            {"xi": xi, "rows": _matrix_to_rows(seq.blocks[xi])}
-            for xi in sorted(seq.blocks)
+            {"xi": xi, "rows": _matrix_to_rows(seq.block(xi))}
+            for xi in frequencies(seq.n, seq.xi_max)
         ],
         "scalar_limit": lim,
     }
@@ -224,10 +228,13 @@ def seq_from_json_obj(obj: dict) -> MatrixSeq:
     if isinstance(lim, list):
         lim = complex(lim[0], lim[1])
     sym = obj.get("symbol")
+    n = int(obj["n"])
+    if [int(m["xi"]) for m in obj["matrices"]] != list(frequencies(n, int(obj["xi_max"]))):
+        raise ValueError(f"matrices must list frequencies {-n + 1}..{obj['xi_max']} in order")
     return MatrixSeq(
-        n=int(obj["n"]),
+        n=n,
         alpha=float(obj["alpha"]),
-        blocks={int(m["xi"]): _rows_to_matrix(m["rows"]) for m in obj["matrices"]},
+        blocks=pack_blocks(n, (_rows_to_matrix(m["rows"]) for m in obj["matrices"])),
         scalar_limit=lim,
         symbol=None if sym is None else symbol_from_json_obj(sym, alpha=obj["alpha"]),
     )

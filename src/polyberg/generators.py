@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies, gamma_matrix
+from .gammaseq import MatrixSeq, block_order, frequencies, gamma_matrix, pack_blocks
 from .symbols import make_gp
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "same_frequency_plan",
     "cross_frequency_plan",
     "generator_block",
+    "generator_family",
     "generator_stack",
 ]
 
@@ -196,22 +197,19 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Blocks of generating symbol p at frequencies -n+1 .. xi_max, each
-    padded with zeros to order n, stacked as (xi_max + n, n, n).
+    """Blocks of generating symbol p at frequencies -n+1 .. xi_max, packed
+    as the blocks of a MatrixSeq (see gammaseq.pack_blocks).  Read-only."""
+    return pack_blocks(n, (generator_block(n, alpha, xi, p) for xi in frequencies(n, xi_max)))
 
-    The block at -eta is the leading (n-eta)-submatrix of the block at eta
-    (its entries are the same integrals), so only nonnegative frequencies
-    are integrated.  Zero padding commutes with products: the leading part
-    of a product of padded blocks is the product of the blocks.  Read-only.
-    """
-    stack = np.zeros((len(frequencies(n, xi_max)), n, n))
-    for xi in range(xi_max + 1):
-        stack[n - 1 + xi] = generator_block(n, alpha, xi, p)
-    for eta in range(1, n):
-        d = n - eta
-        stack[n - 1 - eta, :d, :d] = generator_block(n, alpha, eta, p)[:d, :d]
-    stack.flags.writeable = False
-    return stack
+
+def generator_family(n: int, alpha: float, xi: int, tol_zero: float, tol_nonzero: float):
+    """Symbol indices d-1+|xi|+j (j < d), their blocks at xi and the nu
+    table of those blocks.  The last generator is a nonzero multiple of
+    E_{d-1,d-1} at xi and vanishes at every lower frequency."""
+    d = block_order(n, xi)
+    symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
+    gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
+    return symbol_indices, gs, nu_table(gs, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
 
 
 @dataclass(frozen=True)
@@ -226,27 +224,21 @@ class SeparationPlan:
     right: tuple
 
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        """One batched product over the padded generator stacks, sliced
-        back to the order of each frequency's block."""
-        freqs = frequencies(self.n, xi_max)
+        """One batched product over the padded generator stacks."""
 
-        def combine(terms):
-            return sum(c * generator_stack(self.n, self.alpha, xi_max, k) for c, k in terms)
+        def stack(k):
+            return generator_stack(self.n, self.alpha, xi_max, k)
 
-        mid = generator_stack(self.n, self.alpha, xi_max, self.middle)
-        prod = combine(self.left) @ mid @ mid @ combine(self.right)
-        blocks = {}
-        for i, xi in enumerate(freqs):
-            d = block_order(self.n, xi)
-            blocks[xi] = prod[i, :d, :d]
-        lims = {k: make_gp(k, self.alpha).limit for _, k in self.left + self.right}
-        lims[self.middle] = make_gp(self.middle, self.alpha).limit
-        lim = (
-            sum(c * lims[k] for c, k in self.left)
-            * lims[self.middle] ** 2
-            * sum(c * lims[k] for c, k in self.right)
-        )
-        return MatrixSeq(n=self.n, alpha=self.alpha, blocks=blocks, scalar_limit=lim)
+        def limit(k):
+            return make_gp(k, self.alpha).limit
+
+        def combine(terms, f):
+            return sum(c * f(k) for c, k in terms)
+
+        mid = stack(self.middle)
+        prod = combine(self.left, stack) @ mid @ mid @ combine(self.right, stack)
+        lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
+        return MatrixSeq(n=self.n, alpha=self.alpha, blocks=prod, scalar_limit=lim)
 
     def to_json_obj(self) -> dict:
         return {
@@ -271,12 +263,8 @@ def _plan(
     tol_zero: float,
     tol_nonzero: float,
 ) -> SeparationPlan:
-    # generators d-1+|xi|+j, j < d: the last one is a nonzero multiple of
-    # E_{d-1,d-1} at xi and vanishes at every lower frequency
-    d = block_order(n, xi)
-    symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
-    gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
-    table = nu_table(gs, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+    symbol_indices, _, table = generator_family(n, alpha, xi, tol_zero, tol_nonzero)
+    d = len(symbol_indices)
     left = tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
     right = tuple((float(table.nu[q, j]), symbol_indices[j]) for j in range(q, d))
     return SeparationPlan(

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, gamma_sequence
+from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .generators import cross_frequency_plan, same_frequency_plan
 from .integration import FLOAT_KINDS, entry_block
 from .symbols import SymbolSpec, indicator_symbol
@@ -300,9 +300,9 @@ def closure_gap_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
         raise ValueError("the witness construction needs n >= 2")
     if xi_max < 2:
         raise ValueError(f"xi_max must be at least 2, got {xi_max}")
-    blocks = {
-        xi: np.zeros((block_order(n, xi), block_order(n, xi)))
-        for xi in range(-n + 1, xi_max + 1)
-    }
-    blocks[2] = np.eye(n)
+    blocks = pack_blocks(
+        n,
+        (np.eye(n) if xi == 2 else np.zeros((block_order(n, xi),) * 2)
+         for xi in frequencies(n, xi_max)),
+    )
     return MatrixSeq(n=n, alpha=alpha, blocks=blocks, scalar_limit=0.0)

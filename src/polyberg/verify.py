@@ -15,6 +15,7 @@ import numpy as np
 
 from . import integration, jacobi, special_fn
 from .gammaseq import (
+    frequencies,
     gamma_matrix,
     gamma_sequence,
     negative_submatrix_check,
@@ -150,7 +151,7 @@ def check_gamma_basics(cfg) -> Tuple[bool, str]:
         seq = gamma_sequence(const_symbol(1.0), n, alpha, 8)
         dev = max(
             float(np.max(np.abs(seq.block(xi) - np.eye(seq.block(xi).shape[0]))))
-            for xi in seq.blocks
+            for xi in frequencies(n, 8)
         )
         ok = ok and dev < 1e-12
         msgs.append(f"identity dev {dev:.1e}")
@@ -165,7 +166,7 @@ def check_gamma_basics(cfg) -> Tuple[bool, str]:
             ok = ok and np.array_equal(ga, ga.T)
         for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
             seq2 = gamma_sequence(sym, n, alpha, 8)
-            for xi in seq2.blocks:
+            for xi in frequencies(n, 8):
                 evs = np.linalg.eigvalsh(seq2.block(xi))
                 ok = ok and evs.min() >= -1e-10
                 ok = ok and spectral_norm(seq2.block(xi)) <= sup_abs(sym) + 1e-9

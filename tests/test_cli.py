@@ -83,7 +83,7 @@ def test_gamma_bad_symbol_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_gamma_env_thread_cap(tmp_path, monkeypatch):
+def test_gamma_json_is_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     args = [
@@ -93,11 +93,28 @@ def test_gamma_env_thread_cap(tmp_path, monkeypatch):
         "--xi-max", "6",
         "--symbol", '{"kind":"jacobi_g","p":3}',
     ]
-    monkeypatch.delenv("POLYBERG_THREADS", raising=False)
     main(args + ["--out", str(out1)])
-    monkeypatch.setenv("POLYBERG_THREADS", "4")
     main(args + ["--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+CONST = '{"kind":"const","value":1}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--format", "csv", "--xi", "50", "--symbol", CONST],
+        ["gamma", "--format", "csv", "--xi=-2", "--symbol", CONST],
+        ["basis", "--n", "2", "--xi", "-3"],
+        ["purestate", "--symbol", CONST, "--state=-5:1"],
+        ["separate", "--state=-5:1", "--state", "inf"],
+        ["oracle", "--xi-max", "-1", "--symbol", CONST],
+    ],
+)
+def test_out_of_range_frequency_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_purestate_value(capsys):

@@ -9,6 +9,7 @@ from polyberg.gammaseq import (
     MatrixSeq,
     block_csv,
     block_order,
+    frequencies,
     gamma_matrix,
     gamma_sequence,
     negative_submatrix_check,
@@ -39,7 +40,8 @@ def test_block_order():
 def test_const_symbol_identity_blocks():
     seq = gamma_sequence(const_symbol(2.0), 3, 0.0, 4)
     assert len(seq.blocks) == 7
-    for xi, b in seq.blocks.items():
+    for xi in frequencies(3, 4):
+        b = seq.block(xi)
         assert b.shape == (block_order(3, xi),) * 2
         assert np.max(np.abs(b - 2.0 * np.eye(b.shape[0]))) < 1e-12
 
@@ -71,7 +73,7 @@ def test_psd_for_nonnegative_symbols():
         const_symbol(2.0),
     ):
         seq = gamma_sequence(sym, 3, 0.5, 8)
-        for b in seq.blocks.values():
+        for b in map(seq.block, frequencies(3, 8)):
             assert np.linalg.eigvalsh(b).min() >= -1e-10
 
 
@@ -84,7 +86,7 @@ def test_norm_bounded_by_symbol_sup():
     ):
         seq = gamma_sequence(sym, 4, 1.0, 10)
         bound = sup_abs(sym) + 1e-9
-        for b in seq.blocks.values():
+        for b in map(seq.block, frequencies(4, 10)):
             assert spectral_norm(b) <= bound
 
 
@@ -134,7 +136,7 @@ def test_spectral_norm_matches_numpy(rng):
 
 def test_spectral_norm_complex_blocks(rng):
     seq = gamma_sequence(const_symbol(1 + 2j), 3, 0.0, 3)
-    for b in seq.blocks.values():
+    for b in map(seq.block, frequencies(3, 3)):
         assert np.iscomplexobj(b)
         assert spectral_norm(b) == pytest.approx(abs(1 + 2j), rel=1e-10)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -188,18 +190,75 @@ def test_tail_deviation_errors():
         tail_deviation(seq2, -1)
 
 
+def _seq_grid(n, xi_max):
+    """Real sequences (g_1, g_2, const, indicator) and complex ones."""
+    real = [
+        gamma_sequence(make_gp(1, 0.0), n, 0.0, xi_max),
+        gamma_sequence(make_gp(2, 0.0), n, 0.0, xi_max),
+        gamma_sequence(const_symbol(2.0), n, 0.0, xi_max),
+        gamma_sequence(indicator_symbol(0.5), n, 0.0, xi_max),
+    ]
+    cplx = [
+        gamma_sequence(const_symbol(1 + 2j), n, 0.0, xi_max),
+        gamma_sequence(poly_t_symbol([0.5 + 1j, -0.25j, 0.3]), n, 0.0, xi_max),
+    ]
+    return real, cplx
+
+
+def _padding_is_zero(seq):
+    for xi in frequencies(seq.n, seq.xi_max):
+        d = block_order(seq.n, xi)
+        slab = seq.blocks[xi + seq.n - 1]
+        if np.any(slab[d:, :]) or np.any(slab[:, d:]):
+            return False
+    return True
+
+
 def test_seq_algebra_limits():
-    a = gamma_sequence(make_gp(1, 0.0), 2, 0.0, 4)
-    b = gamma_sequence(make_gp(2, 0.0), 2, 0.0, 4)
-    s = a + b
-    p = a @ b
-    assert s.scalar_limit == pytest.approx(2.0)
-    assert p.scalar_limit == pytest.approx(1.0)
-    for xi in s.blocks:
-        assert np.allclose(s.block(xi), a.block(xi) + b.block(xi))
-        assert np.allclose(p.block(xi), a.block(xi) @ b.block(xi))
-    half = 0.5 * a
-    assert half.scalar_limit == pytest.approx(0.5)
+    xi_max = 4
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3, 5):
+        real, cplx = _seq_grid(n, xi_max)
+        a, b = real[:2]
+        assert (a + b).scalar_limit == pytest.approx(2.0)
+        assert (a @ b).scalar_limit == pytest.approx(1.0)
+        assert (0.5 * a).scalar_limit == pytest.approx(0.5)
+        freqs = frequencies(n, xi_max)
+        grid = [(x, True) for x in real] + [(x, False) for x in cplx]
+        for x, x_real in grid:
+            assert len(x.blocks) == len(freqs)
+            for c in (0.5, -1.5j):
+                cx = c * x
+                assert _padding_is_zero(cx)
+                for xi in freqs:
+                    assert np.array_equal(cx.block(xi), c * x.block(xi))
+            for y, y_real in grid:
+                s, p = x + y, x @ y
+                assert _padding_is_zero(s) and _padding_is_zero(p)
+                for xi in freqs:
+                    bx, by = x.block(xi), y.block(xi)
+                    assert np.array_equal(s.block(xi), bx + by)
+                    if x_real and y_real:
+                        assert np.array_equal(p.block(xi), bx @ by)
+                    else:
+                        # the padded product rounds at order n: within 4 ulps
+                        # of the magnitude sum of each entry
+                        bound = 4 * eps * (np.abs(bx) @ np.abs(by))
+                        assert np.all(np.abs(p.block(xi) - bx @ by) <= bound), xi
+
+
+def test_seq_algebra_refuses_mixed_sequences():
+    g = make_gp(1, 0.0)
+    a = gamma_sequence(g, 2, 0.0, 3)
+    for other in (
+        gamma_sequence(g, 2, 1.0, 3),
+        gamma_sequence(g, 3, 0.0, 3),
+        gamma_sequence(g, 2, 0.0, 4),
+    ):
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a @ other
 
 
 def test_json_round_trip_bitwise():
@@ -209,7 +268,7 @@ def test_json_round_trip_bitwise():
         back = seq_from_json_obj(json.loads(text))
         assert back.n == seq.n and back.alpha == seq.alpha
         assert back.scalar_limit == seq.scalar_limit
-        for xi in seq.blocks:
+        for xi in frequencies(3, 5):
             assert np.array_equal(back.block(xi), seq.block(xi))
 
 
@@ -223,10 +282,37 @@ def test_block_csv():
 
 
 def test_matrixseq_validation():
-    with pytest.raises(ValueError):
-        MatrixSeq(n=2, alpha=0.0, blocks={0: np.eye(2), 2: np.eye(2)})
-    with pytest.raises(ValueError):
-        MatrixSeq(n=2, alpha=0.0, blocks={-1: np.eye(2), 0: np.eye(2)})
+    for n, bad in (
+        (2, np.eye(2)),
+        (2, np.zeros((1, 2, 2))),  # xi_max < 0
+        (2, np.zeros((3, 3, 3))),
+        (2, np.zeros((3, 2, 3))),
+        (0, np.zeros((1, 0, 0))),
+    ):
+        with pytest.raises(ValueError):
+            MatrixSeq(n=n, alpha=0.0, blocks=bad)
     seq = gamma_sequence(const_symbol(1.0), 2, 0.0, 2)
-    with pytest.raises(IndexError):
-        seq.block(5)
+    for xi in (-2, 3):
+        with pytest.raises(IndexError):
+            seq.block(xi)
+    obj = seq_to_json_obj(seq)
+    gap = dict(obj, matrices=[m for m in obj["matrices"] if m["xi"] != 1])
+    with pytest.raises(ValueError, match="in order"):
+        seq_from_json_obj(gap)
+    wrong = dict(
+        obj,
+        matrices=[dict(m, rows=[[1.0]]) if m["xi"] == 0 else m for m in obj["matrices"]],
+    )
+    with pytest.raises(ValueError, match="order 2"):
+        seq_from_json_obj(wrong)
+
+
+def test_matrixseq_is_read_only():
+    seq = gamma_sequence(indicator_symbol(0.5), 3, 0.0, 3)
+    for s in (seq, seq + seq, 2.0 * seq, seq @ seq):
+        with pytest.raises(ValueError):
+            s.blocks[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.block(-1)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.block(2)[0, 0] = 1.0
