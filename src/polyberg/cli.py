@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import generator_family, matrix_unit, same_frequency_plan
+from .generators import generator_family, same_frequency_plan
 from .integration import entry_block
 from .purestates import (
     NotSeparableError,
@@ -44,16 +43,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NOT_SEPARABLE = 3
-
-
-@dataclass
-class RunConfig:
-    n: int = 2
-    alpha: float = 0.0
-    xi_max: int = 8
-    seed: int = 0
-    tol_zero: float = 1e-10
-    tol_nonzero: float = 1e-8
 
 
 def _load_symbol(spec: str, alpha: float):
@@ -173,15 +162,10 @@ def cmd_basis(args) -> int:
     _, gs, table = generator_family(
         args.n, args.alpha, args.xi, args.tol_zero, args.tol_nonzero
     )
-    d = table.order
-    worst = 0.0
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d))
-            e[p, q] = 1.0
-            err = float(np.max(np.abs(matrix_unit(gs, table, p, q) - e)))
-            worst = max(worst, err)
-            print(f"unit ({p},{q}): max entry error {err:.3e}")
+    errs = verify_mod.matrix_unit_errors(gs, table)
+    for (p, q), err in np.ndenumerate(errs):
+        print(f"unit ({p},{q}): max entry error {err:.3e}")
+    worst = float(errs.max())
     print(f"worst reconstruction error: {worst:.3e}")
     return EXIT_OK if worst < 1e-8 else EXIT_FAIL
 
@@ -212,15 +196,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(
-        n=args.n,
-        alpha=args.alpha,
-        xi_max=args.xi_max,
-        seed=args.seed,
-        tol_zero=args.tol_zero,
-        tol_nonzero=args.tol_nonzero,
+    results = verify_mod.run_all(
+        args.n, args.alpha, args.seed, args.tol_zero, args.tol_nonzero
     )
-    results = verify_mod.run_all(cfg)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -281,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--n", type=int, default=3)
     p_verify.add_argument("--alpha", type=float, default=None)
-    p_verify.add_argument("--xi-max", dest="xi_max", type=int, default=8)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-10)
     p_verify.add_argument("--tol-nonzero", dest="tol_nonzero", type=float, default=1e-8)

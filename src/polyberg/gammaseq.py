@@ -77,7 +77,7 @@ def pack_blocks(n: int, blocks) -> np.ndarray:
     return stack
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixSeq:
     """Truncated matrix sequence: blocks for every admissible frequency up
     to xi_max, plus the scalar limit at infinity when defined.
@@ -88,6 +88,7 @@ class MatrixSeq:
     products equal the per-block products bit for bit; complex ones may
     differ by an ulp at negative frequencies, where the padded product
     rounds at order n (no package path multiplies complex sequences).
+    Equality is identity: a == b holds only when a is b.
     """
 
     n: int

@@ -1,20 +1,27 @@
-"""Runnable invariant suite behind the command-line `verify` subcommand.
+"""The package's invariant checks, each implemented once.
 
-Each check returns (ok, detail); the driver prints one line per check.
-Checks that depend on the sup bound are skipped with an explicit notice
-when the weight exponent is not positive, because no bound of that shape
-is established there.
+Every check takes its grid as arguments and returns the values it
+measured; the caller asserts its own bound.  `polyberg verify` runs the
+checks on the small grid of its command line (run_all, through the
+CHECKS table), and the acceptance and unit tests run the same functions
+on their own grids.  A check that samples takes a numpy Generator, so
+each caller chooses its own draws.  The sup-bound check is skipped when
+the weight exponent is not positive, because no bound of that shape is
+established there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from itertools import zip_longest
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from . import integration, jacobi, special_fn
+from . import special_fn
 from .gammaseq import (
+    block_order,
     frequencies,
     gamma_matrix,
     gamma_sequence,
@@ -22,7 +29,16 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import antitriangular_report, generator_block, matrix_unit, nu_table
+from .generators import (
+    TOL_NONZERO,
+    TOL_ZERO,
+    antitriangular_report,
+    generator_block,
+    matrix_unit,
+    nu_table,
+)
+from .integration import beta_entry, weighted_product_integral
+from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_exact
 from .purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -35,7 +51,440 @@ from .purestates import (
 )
 from .symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol, sup_abs
 
-SKIP = "skip"
+
+# --- special functions and Jacobi polynomials -------------------------------
+
+
+def gamma_ratio_violations(rng, draws: int) -> int:
+    """Number of random (z, a, k) points at which the Wendel bound or the
+    binomial bound fails."""
+    bad = 0
+    for _ in range(draws):
+        z = float(rng.uniform(1e-6, 100.0))
+        a = float(rng.uniform(1e-6, 10.0))
+        k = int(rng.integers(0, 31))
+        bad += not (special_fn.wendel_bound_holds(z, a) and special_fn.binom_bound_holds(z, k))
+    return bad
+
+
+def beta_asymmetry(rng, draws: int, lo: float, hi: float) -> float:
+    """Largest |B(x, y) - B(y, x)| / B(x, y) over random x, y in [lo, hi]."""
+    worst = 0.0
+    for _ in range(draws):
+        x, y = (float(v) for v in rng.uniform(lo, hi, size=2))
+        bxy = special_fn.beta(x, y)
+        worst = max(worst, abs(bxy - special_fn.beta(y, x)) / bxy)
+    return worst
+
+
+def incomplete_beta_drop(p: float, q: float, points: int) -> float:
+    """Largest decrease of x -> I_x(p, q) between neighbouring points of
+    an even grid on [0, 1]."""
+    xs = np.linspace(0.0, 1.0, points)
+    vals = [special_fn.reg_incomplete_beta(float(x), p, q) for x in xs]
+    return float(np.max(-np.diff(vals)))
+
+
+def _float_pair_integral(alpha: float, b: int, p: int, q: int) -> float:
+    conv = np.convolve(
+        [float(c) for c in q_coeffs_exact(alpha, b, p)],
+        [float(c) for c in q_coeffs_exact(alpha, b, q)],
+    )
+    return weighted_product_integral(conv, alpha, b)
+
+
+def orthogonality_deviation(alphas, betas, degrees: int, pair_integral=_float_pair_integral):
+    """Largest |<Q_p, Q_q> - delta_pq h_p| over p <= q < degrees, with the
+    closed-form squared norm h_p = Gamma(p+a+1) Gamma(p+b+1) /
+    ((2p+a+b+1) Gamma(p+a+b+1) p!).  pair_integral(alpha, b, p, q) is the
+    weighted inner product; by default it convolves float coefficients."""
+    lg = special_fn.log_gamma
+    worst = 0.0
+    for alpha in alphas:
+        for b in betas:
+            for p in range(degrees):
+                for q in range(p, degrees):
+                    want = 0.0
+                    if p == q:
+                        want = math.exp(
+                            lg(p + alpha + 1) + lg(p + b + 1.0)
+                            - math.log(2 * p + alpha + b + 1)
+                            - lg(p + alpha + b + 1) - lg(p + 1.0)
+                        )
+                    worst = max(worst, abs(pair_integral(alpha, b, p, q) - want))
+    return worst
+
+
+def moment_identity_deviation(alphas, xis, degrees: int) -> float:
+    """Largest relative deviation of the integral of t^m Q_m against the
+    (alpha, xi) weight from B(xi+m+1, alpha+m+1), over m < degrees."""
+    worst = 0.0
+    for alpha in alphas:
+        for xi in xis:
+            for m in range(degrees):
+                coeffs = [0.0] * m + [float(c) for c in q_coeffs_exact(alpha, xi, m)]
+                val = weighted_product_integral(coeffs, alpha, xi)
+                want = special_fn.beta(xi + m + 1.0, alpha + m + 1.0)
+                worst = max(worst, abs(val - want) / want)
+    return worst
+
+
+def identity_deviation(one, alphas, xis, order: int) -> float:
+    """Largest |beta_entry(one, alpha, xi, j, k) - delta_jk| over
+    j <= k < order, for a symbol `one` equal to 1."""
+    worst = 0.0
+    for alpha in alphas:
+        for xi in xis:
+            for j in range(order):
+                for k in range(j, order):
+                    val = beta_entry(one, alpha, xi, j, k)
+                    worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
+    return worst
+
+
+def sup_bound_ratio(cases, points: int) -> float:
+    """Largest ratio of max |f| on an even grid of [0, x] to
+    jac_sup_bound, over (alpha, beta, m, x) cases."""
+    worst = 0.0
+    for alpha, b, m, x in cases:
+        params = JacobiParams(alpha, b, m)
+        seen = np.max(np.abs(jac_fn_eval(params, np.linspace(0.0, x, points))))
+        worst = max(worst, float(seen / jac_sup_bound(params, x)))
+    return worst
+
+
+# --- sequences and generator blocks -----------------------------------------
+
+
+def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple:
+    """(identity deviation of the unit symbol's blocks up to xi_max,
+    linearity deviation of the polynomial symbols with coefficients ca
+    and cb at lin_xis, whether those blocks are exactly symmetric,
+    smallest eigenvalue and largest ||block|| - sup|a| of two nonnegative
+    symbols up to xi_max)."""
+    seq = gamma_sequence(const_symbol(1.0), n, alpha, xi_max)
+    id_dev = max(
+        float(np.max(np.abs(b - np.eye(b.shape[0]))))
+        for b in map(seq.block, frequencies(n, xi_max))
+    )
+    combo = [x + y for x, y in zip_longest(ca, cb, fillvalue=0.0)]
+    lin_dev, symmetric = 0.0, True
+    for xi in lin_xis:
+        ga, gb, gc = (gamma_matrix(poly_t_symbol(c), n, alpha, xi) for c in (ca, cb, combo))
+        lin_dev = max(lin_dev, float(np.max(np.abs(ga + gb - gc))))
+        symmetric = symmetric and all(np.array_equal(g, g.T) for g in (ga, gb, gc))
+    min_eig, norm_excess = math.inf, -math.inf
+    for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
+        s2 = gamma_sequence(sym, n, alpha, xi_max)
+        for b in map(s2.block, frequencies(n, xi_max)):
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(b).min()))
+            norm_excess = max(norm_excess, spectral_norm(b) - sup_abs(sym))
+    return id_dev, lin_dev, symmetric, min_eig, norm_excess
+
+
+def antitriangular_failures(
+    n: int, alpha: float, blocks, tol_zero: float = TOL_ZERO, tol_nonzero: float = TOL_NONZERO
+) -> list:
+    """The (xi, p) among blocks whose generator block lacks the
+    (p - |xi|)-antitriangular profile."""
+    return [
+        (xi, p) for xi, p in blocks
+        if not antitriangular_report(
+            generator_block(n, alpha, xi, p), p - abs(xi), tol_zero, tol_nonzero
+        ).holds
+    ]
+
+
+def zero_lemma(n: int, alpha: float, xis, count: int) -> tuple:
+    """Largest entry of the structurally zero generator blocks, the first
+    `count` indices p >= 2d - 1 + |xi| at each xi: (absolute, scaled),
+    the scaled one divided by max(1, largest entry of generator p at any
+    of xis)."""
+    worst = worst_scaled = 0.0
+    for xi in xis:
+        start = 2 * block_order(n, xi) - 1 + abs(xi)
+        for p in range(start, start + count):
+            top = float(np.max(np.abs(generator_block(n, alpha, xi, p))))
+            worst = max(worst, top)
+            if top > 0.0:  # a literal zero scales to zero; skip building the scale
+                scale = max(
+                    1.0, max(float(np.max(np.abs(generator_block(n, alpha, e, p)))) for e in xis)
+                )
+                worst_scaled = max(worst_scaled, top / scale)
+    return worst, worst_scaled
+
+
+def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> list:
+    """Generator family G_0..G_{n-1} with the structure nu_table needs:
+    G_p vanishes above antidiagonal n - 1 + p, its entries on it have
+    magnitudes in [0.2, 1.2) (a numerically meaningful 'nonzero'), and
+    those below are uniform in [-1, 1].  rng is a Generator or a seed."""
+    rng = np.random.default_rng(rng)
+    gs = []
+    for p in range(n):
+        g = np.zeros((n, n))
+        for j in range(n):
+            for k in range(j if symmetric else 0, n):
+                s = j + k
+                if s > n - 1 + p:
+                    g[j, k] = rng.uniform(-1.0, 1.0)
+                elif s == n - 1 + p:
+                    g[j, k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.2)
+                if symmetric:
+                    g[k, j] = g[j, k]
+        gs.append(g)
+    return gs
+
+
+def matrix_unit_errors(gs, table) -> np.ndarray:
+    """Largest entry of |matrix_unit(gs, table, p, q) - E_pq|, per (p, q)."""
+    d = len(gs)
+    errs = np.zeros((d, d))
+    for p in range(d):
+        for q in range(d):
+            e = np.zeros((d, d))
+            e[p, q] = 1.0
+            errs[p, q] = np.max(np.abs(matrix_unit(gs, table, p, q) - e))
+    return errs
+
+
+def matrix_unit_error(families) -> float:
+    """Worst matrix-unit reconstruction error over generator families."""
+    return max(
+        (float(matrix_unit_errors(gs, nu_table(gs)).max()) for gs in families), default=0.0
+    )
+
+
+def negative_submatrix_failures(
+    n: int, alpha: float, symbols, xi_max: int, tol: float = 1e-12
+) -> list:
+    """(symbol index, xi) of the negative-frequency blocks that differ by
+    more than tol from the leading submatrix of the mirrored block."""
+    failures = []
+    for i, sym in enumerate(symbols):
+        seq = gamma_sequence(sym, n, alpha, xi_max)
+        failures += [
+            (i, xi) for xi in range(-n + 1, 0)
+            if not negative_submatrix_check(seq, xi, tol=tol)
+        ]
+    return failures
+
+
+def scalar_limit_tail(s: float, n: int, alpha: float, xis) -> tuple:
+    """Tail deviations {xi: ||Gamma_xi - limit I||} of the indicator of
+    [0, s] at xis, and, at n = 1 and alpha = 0, the largest relative
+    deviation from the closed form (s^2)^(xi+1) (None otherwise)."""
+    seq = gamma_sequence(indicator_symbol(s), n, alpha, max(xis))
+    devs = {xi: tail_deviation(seq, xi) for xi in xis}
+    closed = None
+    if n == 1 and alpha == 0.0:
+        closed = max(abs(dev - (s * s) ** (xi + 1)) / (s * s) ** (xi + 1)
+                     for xi, dev in devs.items())
+    return devs, closed
+
+
+# --- pure states -------------------------------------------------------------
+
+
+def two_path_gap(rng, n: int, alphas, terms: int, draws: int) -> float:
+    """Largest |eval_state - eval_state_integral|: per alpha, a random
+    polynomial symbol with `terms` coefficients in [-1, 1] and `draws`
+    random states at frequencies -n+1..6."""
+    worst = 0.0
+    for alpha in alphas:
+        sym = poly_t_symbol(list(rng.uniform(-1.0, 1.0, size=terms)))
+        seq = gamma_sequence(sym, n, alpha, 6)
+        for _ in range(draws):
+            xi = int(rng.integers(-n + 1, 7))
+            d = block_order(n, xi)
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            v1 = eval_state(finite_state(xi, u), seq)
+            worst = max(worst, abs(v1 - eval_state_integral(xi, u, sym, n, alpha)))
+    return worst
+
+
+def coincidence_gap(n: int, alpha: float, symbols) -> float:
+    """Largest |sigma_1(a) - sigma_2(a)| over symbols for the documented
+    coincidence pair, through the integral representation."""
+    s1, s2 = coincidence_pair(n, alpha)
+    return max(
+        abs(eval_state_integral(s1.xi, s1.u, a, n, alpha)
+            - eval_state_integral(s2.xi, s2.u, a, n, alpha))
+        for a in symbols
+    )
+
+
+def closure_gap_witness_check(n: int, alpha: float, xi_max: int) -> tuple:
+    """(witness, its values on the coincidence pair, whether separate
+    refuses the pair)."""
+    s1, s2 = coincidence_pair(n, alpha)
+    w = closure_gap_witness(n, alpha, xi_max)
+    try:
+        separate(s1, s2, n, alpha)
+        refused = False
+    except NotSeparableError:
+        refused = True
+    return w, (eval_state(s1, w), eval_state(s2, w)), refused
+
+
+def separation_gaps(n: int, alpha: float, pairs) -> tuple:
+    """(smallest |sigma_1 - sigma_2| on the witnesses of the separated
+    pairs, (xi_1, xi_2) of each pair that separate refused)."""
+    min_gap, refused = math.inf, []
+    for s1, s2 in pairs:
+        try:
+            _, vals = separate(s1, s2, n, alpha)
+            min_gap = min(min_gap, abs(vals[0] - vals[1]))
+        except NotSeparableError:
+            refused.append((s1.xi, s2.xi))
+    return min_gap, refused
+
+
+# --- the command-line grid ---------------------------------------------------
+
+
+class CliGrid(NamedTuple):
+    n: int
+    alphas: list
+    seed: int
+    tol_zero: float
+    tol_nonzero: float
+
+    def rng(self):
+        return np.random.default_rng(self.seed)
+
+
+def _sup_bound(g):
+    alphas = [a for a in g.alphas if a > 0.0]
+    if not alphas:
+        return None
+    rng = g.rng()
+    cases = (
+        (float(rng.choice(alphas)), float(rng.integers(0, 41)), int(rng.integers(0, 6)),
+         float(rng.uniform(0.05, 0.95)))
+        for _ in range(30)
+    )
+    return sup_bound_ratio(cases, 1500)
+
+
+def _sequence_basics(g):
+    return [
+        sequence_basics(g.n, alpha, 8, [0.3, -0.2, 0.5], [0.1, 0.4], (-g.n + 1, 0, 3))
+        for alpha in g.alphas
+    ]
+
+
+def _antitriangular(g):
+    n = min(g.n, 4)
+    blocks = [
+        (xi, p) for xi in range(-n + 1, 4) for p in range(2 * block_order(n, xi) - 1 + abs(xi))
+    ]
+    return [
+        f for alpha in g.alphas
+        for f in antitriangular_failures(n, alpha, blocks, g.tol_zero, g.tol_nonzero)
+    ]
+
+
+def _zero_blocks(g):
+    n = min(g.n, 4)
+    return max(zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in g.alphas)
+
+
+def _matrix_units(g):
+    rng = g.rng()
+    return matrix_unit_error(
+        random_antitriangular_generators(n, rng)
+        for n in range(2, min(g.n, 5) + 1) for _ in range(10)
+    )
+
+
+def _negative_submatrix(g):
+    return [
+        f for alpha in g.alphas
+        for f in negative_submatrix_failures(
+            g.n, alpha,
+            (indicator_symbol(0.7), make_gp(3, alpha), poly_t_symbol([0.5, 0.25])),
+            max(4, g.n),
+        )
+    ]
+
+
+def _tail(g):
+    devs = [scalar_limit_tail(0.5, g.n, alpha, [60])[0][60] for alpha in g.alphas]
+    return devs, scalar_limit_tail(0.5, 1, 0.0, range(21))[1]
+
+
+def _coincidence(g):
+    n = max(g.n, 2)
+    out = []
+    for alpha in g.alphas:
+        syms = (indicator_symbol(0.5), make_gp(2, alpha), poly_t_symbol([0.3, 0.4, -0.1]))
+        _, vals, refused = closure_gap_witness_check(n, alpha, 4)
+        out.append((coincidence_gap(n, alpha, syms), vals, refused))
+    return out
+
+
+def _separation(g):
+    n = max(min(g.n, 3), 2)
+    e0, e1 = np.eye(n)[:2]
+    pairs = [
+        (finite_state(0, e0), finite_state(0, e1)),
+        (finite_state(0, e0), finite_state(2, e0)),
+        (finite_state(-1, np.eye(n - 1)[0]), finite_state(1, e1)),
+        (limit_state(), finite_state(1, e0)),
+    ]
+    return [separation_gaps(n, alpha, pairs) for alpha in g.alphas]
+
+
+# (name, measurement on the command-line grid, pass test of the
+# measurement, detail text of the measurement); a measurement of None
+# marks the check skipped
+CHECKS = [
+    ("gamma-ratio inequalities", lambda g: gamma_ratio_violations(g.rng(), 1000),
+     lambda bad: bad == 0, lambda _: "1000 random (z, a, k) points"),
+    ("beta kernel",
+     lambda g: (beta_asymmetry(g.rng(), 200, 0.05, 40.0), incomplete_beta_drop(2.5, 3.5, 101)),
+     lambda m: m[0] <= 1e-12 and m[1] <= 1e-14,
+     lambda _: "Beta symmetry + incomplete-beta monotonicity"),
+    ("weighted orthogonality", lambda g: orthogonality_deviation(g.alphas, range(5), 6),
+     lambda w: w < 1e-10, lambda w: f"max deviation {w:.2e}"),
+    ("beta-moment identity", lambda g: moment_identity_deviation(g.alphas, range(5), 6),
+     lambda w: w < 1e-10, lambda w: f"max relative deviation {w:.2e}"),
+    # the unit polynomial, not the constant: constants return value * I
+    # without integrating
+    ("orthonormal entries",
+     lambda g: identity_deviation(poly_t_symbol([1.0]), g.alphas, range(6), 4),
+     lambda w: w < 1e-12, lambda w: f"max deviation from identity {w:.2e}"),
+    ("sup bound dominance", _sup_bound, lambda r: r <= 1 + 1e-12,
+     lambda r: "unproven for alpha <= 0; skipped" if r is None
+     else "grid sup dominated by the closed-form bound"),
+    ("sequence basics", _sequence_basics,
+     lambda res: all(
+         i < 1e-12 and lin < 1e-12 and sym and eig >= -1e-10 and over <= 1e-9
+         for i, lin, sym, eig, over in res
+     ),
+     lambda res: f"identity dev {res[0][0]:.1e}; linearity, symmetry, PSD, norm bound"),
+    ("antitriangular profile", _antitriangular, lambda bad: not bad,
+     lambda _: "generating-symbol blocks have the expected antidiagonal profile"),
+    ("structurally zero blocks", _zero_blocks,
+     lambda w: w < 1e-10, lambda w: f"max entry of structurally-zero blocks {w:.2e}"),
+    ("matrix-unit reconstruction", _matrix_units,
+     lambda w: w < 1e-8, lambda w: f"max reconstruction error {w:.2e}"),
+    ("negative-frequency submatrix", _negative_submatrix, lambda bad: not bad,
+     lambda _: "negative blocks equal leading submatrices of mirrored blocks"),
+    ("scalar-limit tail", _tail,
+     lambda m: all(dev < 1e-6 for dev in m[0]) and m[1] <= 1e-14,
+     lambda m: f"deviations at frequency 60: {', '.join(f'{dev:.1e}' for dev in m[0])}"),
+    ("state evaluation two paths", lambda g: two_path_gap(g.rng(), g.n, g.alphas, 4, 20),
+     lambda w: w < 1e-12, lambda w: f"max disagreement {w:.2e}"),
+    ("coincidence pair & witness", _coincidence,
+     lambda res: all(gap < 1e-10 and vals == (0.0, 1.0) and ref for gap, vals, ref in res),
+     lambda _: "documented pair agrees on generators; explicit witness gives (0, 1)"),
+    ("pure-state separation", _separation,
+     lambda res: all(gap > 1e-8 and not refused for gap, refused in res),
+     lambda _: "representative state pairs separated with gap > 1e-8"),
+]
 
 
 @dataclass
@@ -45,302 +494,28 @@ class CheckResult:
     detail: str
 
 
-def _alphas(alpha: Optional[float]) -> list:
-    return [alpha] if alpha is not None else [0.0, 1.0, 2.5]
-
-
-def check_gamma_inequalities(cfg) -> Tuple[bool, str]:
-    rng = np.random.default_rng(cfg.seed)
-    worst = True
-    for _ in range(1000):
-        z = float(rng.uniform(1e-6, 100.0))
-        a = float(rng.uniform(1e-6, 10.0))
-        k = int(rng.integers(0, 31))
-        worst = worst and special_fn.wendel_bound_holds(z, a)
-        worst = worst and special_fn.binom_bound_holds(z, k)
-    return worst, "1000 random (z, a, k) points"
-
-
-def check_beta_kernel(cfg) -> Tuple[bool, str]:
-    rng = np.random.default_rng(cfg.seed)
-    ok = True
-    for _ in range(200):
-        x, y = rng.uniform(0.05, 40.0, size=2)
-        bxy = special_fn.beta(float(x), float(y))
-        ok = ok and abs(bxy - special_fn.beta(float(y), float(x))) <= 1e-12 * bxy
-    prev = 0.0
-    for x in np.linspace(0.0, 1.0, 101):
-        cur = special_fn.reg_incomplete_beta(float(x), 2.5, 3.5)
-        ok = ok and cur >= prev - 1e-14
-        prev = cur
-    return ok, "Beta symmetry + incomplete-beta monotonicity"
-
-
-def check_orthogonality(cfg) -> Tuple[bool, str]:
-    worst = 0.0
-    for alpha in _alphas(cfg.alpha):
-        for beta in range(0, 5):
-            for p in range(6):
-                for q in range(p, 6):
-                    cp = jacobi.q_coeffs_exact(alpha, beta, p)
-                    cq = jacobi.q_coeffs_exact(alpha, beta, q)
-                    conv = np.convolve(
-                        [float(c) for c in cp], [float(c) for c in cq]
-                    )
-                    val = integration.weighted_product_integral(conv, alpha, beta)
-                    if p == q:
-                        target = 1.0 / float(
-                            jacobi.norm_coeff_sq_exact(alpha, beta, p)
-                        )
-                    else:
-                        target = 0.0
-                    worst = max(worst, abs(val - target))
-    return worst < 1e-10, f"max deviation {worst:.2e}"
-
-
-def check_moment_identity(cfg) -> Tuple[bool, str]:
-    worst = 0.0
-    for alpha in _alphas(cfg.alpha):
-        for xi in range(0, 5):
-            for m in range(6):
-                coeffs = [0.0] * m + [float(c) for c in jacobi.q_coeffs_exact(alpha, xi, m)]
-                val = integration.weighted_product_integral(coeffs, alpha, xi)
-                target = special_fn.beta(xi + m + 1.0, alpha + m + 1.0)
-                worst = max(worst, abs(val - target) / target)
-    return worst < 1e-10, f"max relative deviation {worst:.2e}"
-
-
-def check_jacobi_fn_orthonormal(cfg) -> Tuple[bool, str]:
-    # the unit polynomial, not the constant: constants return value * I
-    # without integrating
-    one = poly_t_symbol([1.0])
-    worst = 0.0
-    for alpha in _alphas(cfg.alpha):
-        for xi in range(0, 6):
-            for j in range(4):
-                for k in range(j, 4):
-                    val = integration.beta_entry(one, alpha, xi, j, k)
-                    worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    return worst < 1e-12, f"max deviation from identity {worst:.2e}"
-
-
-def check_sup_bound(cfg) -> Tuple[bool, str]:
-    alphas = [a for a in _alphas(cfg.alpha) if a > 0.0]
-    if not alphas:
-        return SKIP, "unproven for alpha <= 0; skipped"
-    rng = np.random.default_rng(cfg.seed)
-    ok = True
-    for _ in range(30):
-        alpha = float(rng.choice(alphas))
-        betam = int(rng.integers(0, 41))
-        m = int(rng.integers(0, 6))
-        x = float(rng.uniform(0.05, 0.95))
-        params = jacobi.JacobiParams(alpha, float(betam), m)
-        bound = jacobi.jac_sup_bound(params, x)
-        pts = np.linspace(0.0, x, 1500)
-        seen = np.max(np.abs(jacobi.jac_fn_eval(params, pts)))
-        ok = ok and seen <= bound * (1 + 1e-12)
-    return ok, "grid sup dominated by the closed-form bound"
-
-
-def check_gamma_basics(cfg) -> Tuple[bool, str]:
-    n = cfg.n
-    msgs = []
-    ok = True
-    for alpha in _alphas(cfg.alpha):
-        seq = gamma_sequence(const_symbol(1.0), n, alpha, 8)
-        dev = max(
-            float(np.max(np.abs(seq.block(xi) - np.eye(seq.block(xi).shape[0]))))
-            for xi in frequencies(n, 8)
-        )
-        ok = ok and dev < 1e-12
-        msgs.append(f"identity dev {dev:.1e}")
-        a = poly_t_symbol([0.3, -0.2, 0.5])
-        b = poly_t_symbol([0.1, 0.4])
-        combo = poly_t_symbol([0.3 + 0.1, -0.2 + 0.4, 0.5])
-        for xi in (-n + 1, 0, 3):
-            ga = gamma_matrix(a, n, alpha, xi)
-            gb = gamma_matrix(b, n, alpha, xi)
-            gc = gamma_matrix(combo, n, alpha, xi)
-            ok = ok and float(np.max(np.abs(ga + gb - gc))) < 1e-12
-            ok = ok and np.array_equal(ga, ga.T)
-        for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
-            seq2 = gamma_sequence(sym, n, alpha, 8)
-            for xi in frequencies(n, 8):
-                evs = np.linalg.eigvalsh(seq2.block(xi))
-                ok = ok and evs.min() >= -1e-10
-                ok = ok and spectral_norm(seq2.block(xi)) <= sup_abs(sym) + 1e-9
-    return ok, "; ".join(msgs[:1]) + "; linearity, symmetry, PSD, norm bound"
-
-
-def check_antitriangular(cfg) -> Tuple[bool, str]:
-    n = min(cfg.n, 4)
-    ok = True
-    for alpha in _alphas(cfg.alpha):
-        for xi in range(-n + 1, 4):
-            d = min(n + xi, n)
-            for p in range(0, 2 * d - 2 + abs(xi) + 1):
-                rep = antitriangular_report(
-                    generator_block(n, alpha, xi, p),
-                    p - abs(xi),
-                    tol_zero=cfg.tol_zero,
-                    tol_nonzero=cfg.tol_nonzero,
-                )
-                ok = ok and rep.holds
-    return ok, "generating-symbol blocks have the expected antidiagonal profile"
-
-
-def check_zero_blocks(cfg) -> Tuple[bool, str]:
-    n = min(cfg.n, 4)
-    worst = 0.0
-    for alpha in _alphas(cfg.alpha):
-        for xi in range(-n + 1, 4):
-            d = min(n + xi, n)
-            for p in range(2 * d - 1 + abs(xi), 2 * d + 4 + abs(xi)):
-                worst = max(
-                    worst, float(np.max(np.abs(generator_block(n, alpha, xi, p))))
-                )
-    return worst < 1e-10, f"max entry of structurally-zero blocks {worst:.2e}"
-
-
-def check_matrix_units(cfg) -> Tuple[bool, str]:
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    for n in range(2, min(cfg.n, 5) + 1):
-        for _ in range(10):
-            gs = []
-            for p in range(n):
-                g = np.zeros((n, n))
-                for j in range(n):
-                    for k in range(n):
-                        if j + k > n - 1 + p:
-                            g[j, k] = rng.uniform(-1.0, 1.0)
-                        elif j + k == n - 1 + p:
-                            g[j, k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.2)
-                gs.append(g)
-            table = nu_table(gs)
-            for p in range(n):
-                for q in range(n):
-                    e = np.zeros((n, n))
-                    e[p, q] = 1.0
-                    worst = max(
-                        worst,
-                        float(np.max(np.abs(matrix_unit(gs, table, p, q) - e))),
-                    )
-    return worst < 1e-8, f"max reconstruction error {worst:.2e}"
-
-
-def check_negative_submatrix(cfg) -> Tuple[bool, str]:
-    n = cfg.n
-    ok = True
-    for alpha in _alphas(cfg.alpha):
-        for sym in (indicator_symbol(0.7), make_gp(3, alpha), poly_t_symbol([0.5, 0.25])):
-            seq = gamma_sequence(sym, n, alpha, max(4, n))
-            for xi in range(-n + 1, 0):
-                ok = ok and negative_submatrix_check(seq, xi)
-    return ok, "negative blocks equal leading submatrices of mirrored blocks"
-
-
-def check_tail(cfg) -> Tuple[bool, str]:
-    ok = True
-    details = []
-    for alpha in _alphas(cfg.alpha):
-        seq = gamma_sequence(indicator_symbol(0.5), cfg.n, alpha, 60)
-        dev = tail_deviation(seq, 60)
-        ok = ok and dev < 1e-6
-        details.append(f"{dev:.1e}")
-    seq1 = gamma_sequence(indicator_symbol(0.5), 1, 0.0, 20)
-    for xi in range(0, 21):
-        want = 0.25 ** (xi + 1)
-        ok = ok and abs(tail_deviation(seq1, xi) - want) <= 1e-14 * want
-    return ok, f"deviations at frequency 60: {', '.join(details)}"
-
-
-def check_state_two_paths(cfg) -> Tuple[bool, str]:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n
-    worst = 0.0
-    for alpha in _alphas(cfg.alpha):
-        sym = poly_t_symbol(list(rng.uniform(-1.0, 1.0, size=4)))
-        seq = gamma_sequence(sym, n, alpha, 6)
-        for _ in range(20):
-            xi = int(rng.integers(-n + 1, 7))
-            d = min(n + xi, n)
-            u = rng.normal(size=d) + 1j * rng.normal(size=d)
-            u /= np.linalg.norm(u)
-            s = finite_state(xi, u)
-            v1 = eval_state(s, seq)
-            v2 = eval_state_integral(xi, u, sym, n, alpha)
-            worst = max(worst, abs(v1 - v2))
-    return worst < 1e-12, f"max disagreement {worst:.2e}"
-
-
-def check_coincidence_and_witness(cfg) -> Tuple[bool, str]:
-    n = max(cfg.n, 2)
-    ok = True
-    for alpha in _alphas(cfg.alpha):
-        s1, s2 = coincidence_pair(n, alpha)
-        for sym in (indicator_symbol(0.5), make_gp(2, alpha), poly_t_symbol([0.3, 0.4, -0.1])):
-            d1 = eval_state_integral(s1.xi, s1.u, sym, n, alpha)
-            d2 = eval_state_integral(s2.xi, s2.u, sym, n, alpha)
-            ok = ok and abs(d1 - d2) < 1e-10
-        w = closure_gap_witness(n, alpha, 4)
-        ok = ok and eval_state(s1, w) == 0.0 and eval_state(s2, w) == 1.0
-        try:
-            separate(s1, s2, n, alpha)
-            ok = False
-        except NotSeparableError:
-            pass
-    return ok, "documented pair agrees on generators; explicit witness gives (0, 1)"
-
-
-def check_separation(cfg) -> Tuple[bool, str]:
-    n = max(min(cfg.n, 3), 2)
-    ok = True
-    for alpha in _alphas(cfg.alpha):
-        e0 = np.eye(n)[0]
-        e1 = np.eye(n)[1]
-        pairs = [
-            (finite_state(0, e0), finite_state(0, e1)),
-            (finite_state(0, e0), finite_state(2, e0)),
-            (finite_state(-1, np.eye(n - 1)[0] if n > 1 else [1.0]), finite_state(1, e1)),
-            (limit_state(), finite_state(1, e0)),
-        ]
-        for s1, s2 in pairs:
-            _, vals = separate(s1, s2, n, alpha)
-            ok = ok and abs(vals[0] - vals[1]) > 1e-8
-    return ok, "representative state pairs separated with gap > 1e-8"
-
-
-CHECKS: List[Tuple[str, Callable]] = [
-    ("gamma-ratio inequalities", check_gamma_inequalities),
-    ("beta kernel", check_beta_kernel),
-    ("weighted orthogonality", check_orthogonality),
-    ("beta-moment identity", check_moment_identity),
-    ("orthonormal entries", check_jacobi_fn_orthonormal),
-    ("sup bound dominance", check_sup_bound),
-    ("sequence basics", check_gamma_basics),
-    ("antitriangular profile", check_antitriangular),
-    ("structurally zero blocks", check_zero_blocks),
-    ("matrix-unit reconstruction", check_matrix_units),
-    ("negative-frequency submatrix", check_negative_submatrix),
-    ("scalar-limit tail", check_tail),
-    ("state evaluation two paths", check_state_two_paths),
-    ("coincidence pair & witness", check_coincidence_and_witness),
-    ("pure-state separation", check_separation),
-]
-
-
-def run_all(cfg) -> List[CheckResult]:
+def run_all(
+    n: int,
+    alpha: Optional[float],
+    seed: int,
+    tol_zero: float = TOL_ZERO,
+    tol_nonzero: float = TOL_NONZERO,
+) -> List[CheckResult]:
+    """Every check on the command-line grid: order n, the one weight
+    exponent alpha (0, 1 and 2.5 when None) and the seed of every
+    sampling check.  Refuses n < 1 and alpha <= -1 before any check."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if alpha is not None and not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    alphas = [alpha] if alpha is not None else [0.0, 1.0, 2.5]
+    grid = CliGrid(n, alphas, seed, tol_zero, tol_nonzero)
     results = []
-    for name, fn in CHECKS:
+    for name, measure, passes, detail in CHECKS:
         try:
-            status, detail = fn(cfg)
+            value = measure(grid)
+            status = "skip" if value is None else "pass" if passes(value) else "fail"
+            results.append(CheckResult(name, status, detail(value)))
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(name, "fail", f"raised {exc!r}"))
-            continue
-        if status == SKIP:
-            results.append(CheckResult(name, "skip", detail))
-        else:
-            results.append(CheckResult(name, "pass" if status else "fail", detail))
     return results

@@ -4,8 +4,7 @@ The oracles are deliberately independent of the package internals:
 classical-recurrence polynomial evaluation, a single high-order
 Gauss-Legendre rule for weighted integrals, exact-rational convolution,
 the exact path built from Fractions (generalized binomials, recursive
-moments), the second form of the disk polynomials, and a pseudorandom
-structured-generator factory.
+moments), and the second form of the disk polynomials.
 """
 
 import math
@@ -154,27 +153,6 @@ def disk_poly_alt(p: int, q: int, alpha: float, r: float, theta: float) -> compl
         / math.sqrt(alpha + 1.0)
         * jac_fn_eval(params, r * r)
     )
-
-
-def random_antitriangular_generators(n: int, seed: int, symmetric: bool = False):
-    """Generator family with forced structure: zero above the shifted
-    antidiagonal, magnitudes on it bounded away from zero (a numerically
-    meaningful 'nonzero'), free entries uniform in [-1, 1]."""
-    rng = np.random.default_rng(seed)
-    gs = []
-    for p in range(n):
-        g = np.zeros((n, n))
-        for j in range(n):
-            for k in range(j if symmetric else 0, n):
-                s = j + k
-                if s > n - 1 + p:
-                    g[j, k] = rng.uniform(-1.0, 1.0)
-                elif s == n - 1 + p:
-                    g[j, k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.2)
-                if symmetric:
-                    g[k, j] = g[j, k]
-        gs.append(g)
-    return gs
 
 
 def unit(v) -> np.ndarray:

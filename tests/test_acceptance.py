@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its measured runtime and asserting the stated tolerances.
+Criteria 1-9, 11 and 12 measure through the checks of polyberg.verify,
+the functions `polyberg verify` runs on its smaller grid.
 
 Criterion 9 checks the 1e-6 tail target at the frequency where the exact
 decay reaches it: frequency 60 for the 0.3 and 0.5 indicator thresholds,
@@ -15,48 +17,33 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
-    exact_pair_integral,
-    random_antitriangular_generators,
-    unit,
-)
-from polyberg.gammaseq import (
-    block_order,
-    frequencies,
-    gamma_matrix,
-    gamma_sequence,
-    negative_submatrix_check,
-    spectral_norm,
-    tail_deviation,
-)
-from polyberg.generators import (
-    antitriangular_report,
-    generator_block,
-    matrix_unit,
-    nu_table,
-)
-from polyberg.integration import beta_entry, weighted_product_integral
-from polyberg.jacobi import JacobiParams, jac_sup_bound, q_coeffs_exact
+from conftest import exact_pair_integral, unit
+from polyberg.bergman_oracle import toeplitz_entry_2d
+from polyberg.gammaseq import block_order, frequencies, tail_deviation
+from polyberg.integration import beta_entry
+from polyberg.jacobi import JacobiParams, jac_sup_bound
 from polyberg.purestates import (
-    NotSeparableError,
-    closure_gap_witness,
     coincidence_pair,
-    eval_state,
     eval_state_integral,
     finite_state,
     limit_state,
     same_pure_state,
-    separate,
 )
-from polyberg.special_fn import log_gamma
-from polyberg.symbols import (
-    const_symbol,
-    indicator_symbol,
-    make_gp,
-    poly_t_symbol,
-    sup_abs,
+from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol
+from polyberg.verify import (
+    antitriangular_failures,
+    closure_gap_witness_check,
+    coincidence_gap,
+    matrix_unit_error,
+    moment_identity_deviation,
+    negative_submatrix_failures,
+    orthogonality_deviation,
+    random_antitriangular_generators,
+    scalar_limit_tail,
+    separation_gaps,
+    sequence_basics,
+    zero_lemma,
 )
-from polyberg.bergman_oracle import toeplitz_entry_2d
 
 ALPHAS = (0.0, 0.5, 1.0, 2.5)
 
@@ -68,23 +55,7 @@ def _report(num: int, ok: bool, detail: str, elapsed: float, limit: float) -> No
 
 def test_c01_jacobi_orthogonality():
     t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in ALPHAS:
-        for b in range(0, 7):
-            for p in range(8):
-                for q in range(p, 8):
-                    val = exact_pair_integral(alpha, b, p, q)
-                    if p == q:
-                        want = math.exp(
-                            log_gamma(p + alpha + 1)
-                            + log_gamma(p + b + 1.0)
-                            - math.log(2 * p + alpha + b + 1)
-                            - log_gamma(p + alpha + b + 1)
-                            - log_gamma(p + 1.0)
-                        )
-                    else:
-                        want = 0.0
-                    worst = max(worst, abs(val - want))
+    worst = orthogonality_deviation(ALPHAS, range(7), 8, exact_pair_integral)
     elapsed = time.perf_counter() - t0
     _report(1, worst < 1e-10, f"orthogonality vs closed-form norms, max dev {worst:.2e}", elapsed, 5.0)
     assert worst < 1e-10
@@ -93,18 +64,7 @@ def test_c01_jacobi_orthogonality():
 
 def test_c02_beta_moment_identity():
     t0 = time.perf_counter()
-    worst = 0.0
-    for alpha in ALPHAS:
-        for xi in range(0, 7):
-            for m in range(8):
-                coeffs = [0.0] * m + [float(c) for c in q_coeffs_exact(alpha, xi, m)]
-                val = weighted_product_integral(coeffs, alpha, xi)
-                want = math.exp(
-                    log_gamma(xi + m + 1.0)
-                    + log_gamma(alpha + m + 1.0)
-                    - log_gamma(xi + alpha + 2.0 * m + 2.0)
-                )
-                worst = max(worst, abs(val - want) / want)
+    worst = moment_identity_deviation(ALPHAS, range(7), 8)
     elapsed = time.perf_counter() - t0
     _report(2, worst < 1e-10, f"degree-matched moments equal Beta values, max rel dev {worst:.2e}", elapsed, 1.0)
     assert worst < 1e-10
@@ -113,32 +73,16 @@ def test_c02_beta_moment_identity():
 
 def test_c03_sequence_basics():
     t0 = time.perf_counter()
-    id_dev = lin_dev = 0.0
-    min_eig = 0.0
-    norm_excess = -1.0
     rng = np.random.default_rng(0)
+    res = []
     for n in (1, 2, 3, 4):
         for alpha in ALPHAS:
-            seq = gamma_sequence(const_symbol(1.0), n, alpha, 16)
-            for b in map(seq.block, frequencies(n, 16)):
-                id_dev = max(id_dev, float(np.max(np.abs(b - np.eye(b.shape[0])))))
             ca = list(rng.uniform(-1, 1, size=4))
             cb = list(rng.uniform(-1, 1, size=6))
-            combo = poly_t_symbol([x + y for x, y in zip(ca + [0, 0], cb)])
-            for xi in (-n + 1, 0, 16):
-                lhs = gamma_matrix(combo, n, alpha, xi)
-                rhs = gamma_matrix(poly_t_symbol(ca), n, alpha, xi) + gamma_matrix(
-                    poly_t_symbol(cb), n, alpha, xi
-                )
-                lin_dev = max(lin_dev, float(np.max(np.abs(lhs - rhs))))
-                assert np.array_equal(lhs, lhs.T)
-            for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
-                s2 = gamma_sequence(sym, n, alpha, 16)
-                cap = sup_abs(sym) + 1e-9
-                for b in map(s2.block, frequencies(n, 16)):
-                    min_eig = min(min_eig, float(np.linalg.eigvalsh(b).min()))
-                    norm_excess = max(norm_excess, spectral_norm(b) - cap)
-    ok = id_dev < 1e-12 and lin_dev < 1e-12 and min_eig >= -1e-10 and norm_excess <= 0
+            res.append(sequence_basics(n, alpha, 16, ca, cb, (-n + 1, 0, 16)))
+    id_devs, lin_devs, symmetric, min_eigs, norm_excess = zip(*res)
+    id_dev, lin_dev, min_eig = max(id_devs), max(lin_devs), min(0.0, *min_eigs)
+    ok = id_dev < 1e-12 and lin_dev < 1e-12 and all(symmetric) and min_eig >= -1e-10 and max(norm_excess) <= 1e-9
     elapsed = time.perf_counter() - t0
     _report(
         3, ok,
@@ -146,46 +90,36 @@ def test_c03_sequence_basics():
         f"symmetry exact, PSD (min eig {min_eig:.1e}), norms within sup",
         elapsed, 10.0,
     )
+    assert all(symmetric)
     assert ok
     assert elapsed < 10.0
 
 
 def test_c04_antitriangular_structure():
     t0 = time.perf_counter()
-    ok = True
+    bad = []
     checked = 0
     for n in range(1, 6):
         for alpha in ALPHAS:
-            for xi in range(max(-n + 1, -6), 7):
-                for p in range(0, 2 * n - 2 + abs(xi) + 1):
-                    rep = antitriangular_report(
-                        generator_block(n, alpha, xi, p), p - abs(xi)
-                    )
-                    ok = ok and rep.holds
-                    checked += 1
+            blocks = [
+                (xi, p) for xi in range(max(-n + 1, -6), 7) for p in range(2 * n - 1 + abs(xi))
+            ]
+            bad += [(n, alpha, xi, p) for xi, p in antitriangular_failures(n, alpha, blocks)]
+            checked += len(blocks)
+    ok = not bad
     elapsed = time.perf_counter() - t0
     _report(4, ok, f"antidiagonal profile holds for {checked} generator blocks", elapsed, 20.0)
-    assert ok
+    assert ok, bad
     assert elapsed < 20.0
 
 
 def test_c05_zero_lemma():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 6):
-        for alpha in ALPHAS:
-            for xi in range(max(-n + 1, -6), 7):
-                d = block_order(n, xi)
-                for p in range(2 * d - 1 + abs(xi), 2 * d + 3 + abs(xi)):
-                    block = generator_block(n, alpha, xi, p)
-                    scale = max(
-                        1.0,
-                        max(
-                            float(np.max(np.abs(generator_block(n, alpha, e, p))))
-                            for e in range(max(-n + 1, -6), 7)
-                        ),
-                    )
-                    worst = max(worst, float(np.max(np.abs(block))) / scale)
+    worst = max(
+        zero_lemma(n, alpha, range(max(-n + 1, -6), 7), 4)[1]
+        for n in range(1, 6)
+        for alpha in ALPHAS
+    )
     elapsed = time.perf_counter() - t0
     _report(5, worst < 1e-10, f"structurally-zero blocks vanish, worst scaled entry {worst:.2e}", elapsed, 5.0)
     assert worst < 1e-10
@@ -194,17 +128,9 @@ def test_c05_zero_lemma():
 
 def test_c06_matrix_unit_reconstruction():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (2, 3, 4, 5):
-        for seed in range(100):
-            gs = random_antitriangular_generators(n, seed=seed)
-            table = nu_table(gs)
-            for p in range(n):
-                for q in range(n):
-                    e = np.zeros((n, n))
-                    e[p, q] = 1.0
-                    err = float(np.max(np.abs(matrix_unit(gs, table, p, q) - e)))
-                    worst = max(worst, err)
+    worst = matrix_unit_error(
+        random_antitriangular_generators(n, seed) for n in (2, 3, 4, 5) for seed in range(100)
+    )
     elapsed = time.perf_counter() - t0
     _report(6, worst < 1e-8, f"400 seeded generator sets reproduce all units, worst {worst:.2e}", elapsed, 10.0)
     assert worst < 1e-8
@@ -236,18 +162,15 @@ def test_c07_separation_totality():
     pairs = 0
     for n in (2, 3):
         for alpha in (0.0, 1.0):
-            rng = np.random.default_rng(0)
-            states = _state_grid(n, rng)
-            for i, s1 in enumerate(states):
-                for s2 in states[i + 1:]:
-                    if same_pure_state(s1, s2):
-                        continue
-                    pairs += 1
-                    try:
-                        _, vals = separate(s1, s2, n, alpha)
-                        min_gap = min(min_gap, abs(vals[0] - vals[1]))
-                    except NotSeparableError:
-                        refused.append((n, alpha, s1.xi, s2.xi))
+            states = _state_grid(n, np.random.default_rng(0))
+            grid = [
+                (s1, s2) for i, s1 in enumerate(states) for s2 in states[i + 1:]
+                if not same_pure_state(s1, s2)
+            ]
+            gap, ref = separation_gaps(n, alpha, grid)
+            pairs += len(grid)
+            min_gap = min(min_gap, gap)
+            refused += [(n, alpha, *r) for r in ref]
     # refusals must be exactly the documented mirrored-frequency pairs
     expected = sorted(
         (n, alpha, -eta, eta)
@@ -273,14 +196,11 @@ def test_c08_boundary_coincidence():
     rng = np.random.default_rng(0)
     symbols = [indicator_symbol(0.3), indicator_symbol(0.5)]
     symbols += [poly_t_symbol(list(rng.uniform(-1, 1, size=7))) for _ in range(5)]
-    worst = 0.0
-    for n in (2, 3, 4):
-        for alpha in ALPHAS:
-            s1, s2 = coincidence_pair(n, alpha)
-            for a in symbols + [make_gp(p, alpha) for p in range(7)]:
-                v1 = eval_state_integral(s1.xi, s1.u, a, n, alpha)
-                v2 = eval_state_integral(s2.xi, s2.u, a, n, alpha)
-                worst = max(worst, abs(v1 - v2))
+    worst = max(
+        coincidence_gap(n, alpha, symbols + [make_gp(p, alpha) for p in range(7)])
+        for n in (2, 3, 4)
+        for alpha in ALPHAS
+    )
     _, s2 = coincidence_pair(2, 0.0)
     scalar = eval_state_integral(s2.xi, s2.u, indicator_symbol(0.5), 2, 0.0)
     scalar_ok = abs(scalar - 1.0 / 64.0) < 1e-12
@@ -320,20 +240,18 @@ def test_c09_scalar_limit_convergence(s):
     closed_ok = True
     for n in (1, 2, 3, 4):
         for alpha in (0.0, 1.0, 2.5):
-            seq = gamma_sequence(indicator_symbol(s), n, alpha, xi_check)
-            devs[(n, alpha)] = tail_deviation(seq, xi_check)
-            worst60 = max(worst60, tail_deviation(seq, 60))
+            tail, closed = scalar_limit_tail(s, n, alpha, range(xi_check + 1))
+            devs[(n, alpha)] = tail[xi_check]
+            worst60 = max(worst60, tail[60])
             if alpha > 0:
                 for xi in range(0, xi_check + 1, 10):
                     bound = n * max(
                         jac_sup_bound(JacobiParams(alpha, float(xi), m), s * s)
                         for m in range(n)
                     ) * 2.0
-                    dominated = dominated and tail_deviation(seq, xi) <= bound
+                    dominated = dominated and tail[xi] <= bound
             elif n == 1:
-                for xi in range(0, xi_check + 1):
-                    want = (s * s) ** (xi + 1)
-                    closed_ok = closed_ok and abs(tail_deviation(seq, xi) - want) <= 1e-14 * want
+                closed_ok = closed_ok and closed <= 1e-14
     worst_at = max(devs, key=devs.get)
     worst = devs[worst_at]
     ref60 = C09_XI60_REF.get(s)
@@ -387,15 +305,13 @@ def test_c11_negative_frequency_submatrix():
     ok = True
     for n in (2, 3, 4):
         for alpha in (0.0, 1.0, 2.5):
-            for sym in (
+            syms = (
                 const_symbol(1.5),
                 indicator_symbol(0.7),
                 make_gp(3, alpha),
                 poly_t_symbol([0.5, -0.25, 0.1]),
-            ):
-                seq = gamma_sequence(sym, n, alpha, 6)
-                for xi in range(-n + 1, 0):
-                    ok = ok and negative_submatrix_check(seq, xi, tol=1e-12)
+            )
+            ok = ok and not negative_submatrix_failures(n, alpha, syms, 6, tol=1e-12)
     elapsed = time.perf_counter() - t0
     _report(11, ok, "negative blocks equal mirrored leading submatrices", elapsed, 10.0)
     assert ok
@@ -407,9 +323,8 @@ def test_c12_closure_gap_witness():
     ok = True
     for n in (2, 3, 4):
         for alpha in (0.0, 1.0):
-            w = closure_gap_witness(n, alpha, 6)
-            s1, s2 = coincidence_pair(n, alpha)
-            ok = ok and eval_state(s1, w) == 0.0 and eval_state(s2, w) == 1.0
+            w, vals, refused = closure_gap_witness_check(n, alpha, 6)
+            ok = ok and vals == (0.0, 1.0) and refused
             ok = ok and w.scalar_limit == 0.0
             ok = ok and all(
                 w.block(xi).shape == (block_order(n, xi),) * 2 for xi in frequencies(n, 6)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from polyberg import integration
+from polyberg import integration, verify
 from polyberg.cli import main
 from polyberg.gammaseq import seq_from_json_obj
 
@@ -242,3 +242,27 @@ def test_verify_seed_independence(capsys):
     for seed in ("7", "8"):
         code = main(["verify", "--n", "2", "--alpha", "0.5", "--seed", seed])
         assert code == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "-1"], ["--alpha", "nan"]]
+)
+def test_verify_bad_input_exits_2(argv, capsys):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_verify_reports_a_crashed_check(monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "gamma_ratio_violations", boom)
+    code = main(["verify", "--n", "2", "--alpha", "1.0"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL  gamma-ratio inequalities")
+    assert lines[0].endswith("raised RuntimeError('boom')")
+    assert lines[-1] == "14/15 checks passed, 1 failed"

@@ -26,6 +26,7 @@ from polyberg.symbols import (
     sampled_symbol,
     sup_abs,
 )
+from polyberg.verify import negative_submatrix_failures, scalar_limit_tail, sequence_basics
 
 
 def test_block_order():
@@ -93,21 +94,14 @@ def test_norm_bounded_by_symbol_sup():
 def test_gamma_linearity(rng):
     ca = list(rng.uniform(-1, 1, size=3))
     cb = list(rng.uniform(-1, 1, size=5))
-    combo = poly_t_symbol([x + y for x, y in zip(ca + [0, 0], cb)])
-    for xi in (-2, 0, 5):
-        lhs = gamma_matrix(combo, 3, 2.5, xi)
-        rhs = gamma_matrix(poly_t_symbol(ca), 3, 2.5, xi) + gamma_matrix(
-            poly_t_symbol(cb), 3, 2.5, xi
-        )
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    _, lin_dev, _, _, _ = sequence_basics(3, 2.5, 5, ca, cb, (-2, 0, 5))
+    assert lin_dev < 1e-12
 
 
 def test_negative_submatrix_relation():
-    for sym in (const_symbol(3.0), make_gp(3, 0.0), indicator_symbol(0.7)):
-        for n in (2, 4):
-            seq = gamma_sequence(sym, n, 1.5, 6)
-            for xi in range(-n + 1, 0):
-                assert negative_submatrix_check(seq, xi)
+    syms = (const_symbol(3.0), make_gp(3, 0.0), indicator_symbol(0.7))
+    for n in (2, 4):
+        assert negative_submatrix_failures(n, 1.5, syms, 6) == []
 
 
 def test_negative_submatrix_truncation_error():
@@ -166,10 +160,8 @@ def test_spectral_norm_near_degenerate_top_pair():
 
 
 def test_tail_deviation_closed_form():
-    seq = gamma_sequence(indicator_symbol(0.5), 1, 0.0, 30)
-    for xi in range(0, 31):
-        want = 0.25 ** (xi + 1)
-        assert abs(tail_deviation(seq, xi) - want) <= 1e-14 * want
+    _, closed = scalar_limit_tail(0.5, 1, 0.0, range(31))
+    assert closed <= 1e-14
 
 
 def test_tail_deviation_goes_to_zero():
@@ -305,6 +297,13 @@ def test_matrixseq_validation():
     )
     with pytest.raises(ValueError, match="order 2"):
         seq_from_json_obj(wrong)
+
+
+def test_matrixseq_equality_is_identity():
+    a = gamma_sequence(const_symbol(1.0), 2, 0.0, 2)
+    b = gamma_sequence(const_symbol(1.0), 2, 0.0, 2)
+    assert (a == b) is False and (a == a) is True
+    assert a in [a] and a not in [b]
 
 
 def test_matrixseq_is_read_only():

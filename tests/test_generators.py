@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_antitriangular_generators
 from polyberg.gammaseq import frequencies, gamma_matrix
 from polyberg.generators import (
     GeneratorStructureError,
@@ -18,6 +17,12 @@ from polyberg.generators import (
     same_frequency_plan,
 )
 from polyberg.symbols import make_gp
+from polyberg.verify import (
+    antitriangular_failures,
+    matrix_unit_error,
+    random_antitriangular_generators,
+    zero_lemma,
+)
 
 
 def unit_matrix(d, p, q):
@@ -52,25 +57,17 @@ def test_generator_structure_profile():
     # blocks of the generating symbols are (p - |xi|)-antitriangular
     for n in (2, 3, 5):
         for alpha in (0.0, 0.5, 2.5):
-            for xi in (-n + 1, -1, 0, 2, 6):
-                if xi < -n + 1:
-                    continue
-                d = min(n + xi, n)
-                for p in range(0, 2 * d - 2 + abs(xi) + 1):
-                    rep = antitriangular_report(
-                        generator_block(n, alpha, xi, p), p - abs(xi)
-                    )
-                    assert rep.holds, (n, alpha, xi, p)
+            blocks = [
+                (xi, p) for xi in (-n + 1, -1, 0, 2, 6) if xi >= -n + 1
+                for p in range(2 * min(n + xi, n) - 1 + abs(xi))
+            ]
+            assert antitriangular_failures(n, alpha, blocks) == [], (n, alpha)
 
 
 def test_zero_lemma_blocks_are_exactly_zero():
     for n in (2, 4):
         for alpha in (0.0, 1.0):
-            for xi in (-n + 1, 0, 3):
-                d = min(n + xi, n)
-                for p in range(2 * d - 1 + abs(xi), 2 * d + 3 + abs(xi)):
-                    m = generator_block(n, alpha, xi, p)
-                    assert np.max(np.abs(m)) == 0.0, (n, alpha, xi, p)
+            assert zero_lemma(n, alpha, (-n + 1, 0, 3), 4)[0] == 0.0, (n, alpha)
 
 
 def test_nu_table_hand_recursion_n2():
@@ -86,7 +83,7 @@ def test_nu_table_hand_recursion_n2():
 
 def test_nu_table_hand_recursion_n3(rng):
     # closed forms obtained by solving the three elimination steps by hand
-    gs = random_antitriangular_generators(3, seed=11)
+    gs = random_antitriangular_generators(3, 11)
     t = nu_table(gs)
     g0, g1, g2 = gs
     nu22 = 1.0 / g2[2, 2] ** 2
@@ -120,7 +117,7 @@ def test_nu_table_order_one():
 
 
 def test_nu_table_structure_errors():
-    good = random_antitriangular_generators(3, seed=5)
+    good = random_antitriangular_generators(3, 5)
     bad_last = [g.copy() for g in good]
     bad_last[2][0, 0] = 0.5
     with pytest.raises(GeneratorStructureError, match="last generator"):
@@ -141,19 +138,13 @@ def test_nu_table_structure_errors():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_matrix_units_random_generators(n, symmetric):
-    for seed in range(12):
-        gs = random_antitriangular_generators(n, seed=seed, symmetric=symmetric)
-        t = nu_table(gs)
-        for p in range(n):
-            for q in range(n):
-                got = matrix_unit(gs, t, p, q)
-                err = np.max(np.abs(got - unit_matrix(n, p, q)))
-                assert err < 1e-8, (n, seed, p, q, err)
+    families = (random_antitriangular_generators(n, seed, symmetric) for seed in range(12))
+    assert matrix_unit_error(families) < 1e-8
 
 
 def test_matrix_unit_corner_any_valid_family():
     for seed in (0, 3):
-        gs = random_antitriangular_generators(4, seed=seed)
+        gs = random_antitriangular_generators(4, seed)
         t = nu_table(gs)
         got = matrix_unit(gs, t, 3, 3)
         assert np.max(np.abs(got - unit_matrix(4, 3, 3))) < 1e-10

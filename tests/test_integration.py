@@ -17,6 +17,7 @@ from polyberg.symbols import (
     poly_t_symbol,
     sampled_symbol,
 )
+from polyberg.verify import identity_deviation
 
 
 def test_moment_frozen_values():
@@ -45,24 +46,12 @@ def test_moment_matches_quadrature(rng):
 
 
 def test_const_symbol_gives_identity():
-    one = const_symbol(1.0)
-    for alpha in (0.0, 0.5, 1.0, 2.5):
-        for xi in range(0, 9):
-            for j in range(6):
-                for k in range(j, 6):
-                    val = beta_entry(one, alpha, xi, j, k)
-                    assert abs(val - (1.0 if j == k else 0.0)) < 1e-12
+    assert identity_deviation(const_symbol(1.0), (0.0, 0.5, 1.0, 2.5), range(9), 6) < 1e-12
 
 
 def test_unit_polynomial_symbol_gives_identity():
     # the same orthonormality, through the exact contraction path
-    one = poly_t_symbol([1.0])
-    for alpha in (0.0, 0.5, 1.0, 2.5):
-        for xi in range(0, 9):
-            for j in range(6):
-                for k in range(j, 6):
-                    val = beta_entry(one, alpha, xi, j, k)
-                    assert abs(val - (1.0 if j == k else 0.0)) < 1e-12
+    assert identity_deviation(poly_t_symbol([1.0]), (0.0, 0.5, 1.0, 2.5), range(9), 6) < 1e-12
 
 
 def test_entry_frozen_examples():

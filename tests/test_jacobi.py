@@ -22,6 +22,7 @@ from polyberg.jacobi import (
 )
 from polyberg.special_fn import beta as beta_fn
 from polyberg.special_fn import log_gamma
+from polyberg.verify import orthogonality_deviation, sup_bound_ratio
 
 
 def test_q_coeffs_frozen_examples():
@@ -111,22 +112,8 @@ def test_norm_coeff_gamma_vs_binomial_route():
 
 
 def test_weighted_orthogonality_against_closed_form():
-    for alpha in (0.0, 1.0, 2.5):
-        for b in (0, 3):
-            for p in range(6):
-                for q in range(p, 6):
-                    val = exact_pair_integral(alpha, b, p, q)
-                    if p == q:
-                        want = math.exp(
-                            log_gamma(p + alpha + 1)
-                            + log_gamma(p + b + 1.0)
-                            - math.log(2 * p + alpha + b + 1)
-                            - log_gamma(p + alpha + b + 1)
-                            - log_gamma(p + 1.0)
-                        )
-                    else:
-                        want = 0.0
-                    assert abs(val - want) < 1e-10
+    worst = orthogonality_deviation((0.0, 1.0, 2.5), (0, 3), 6, exact_pair_integral)
+    assert worst < 1e-10
 
 
 def test_degree_vanishing():
@@ -224,12 +211,9 @@ def test_sup_bound_dominates_grid_scan():
 
 
 def test_sup_bound_dominates_random_tuples(rng):
-    for _ in range(50):
-        alpha = float(rng.uniform(0.05, 6.0))
-        b = float(rng.integers(0, 41))
-        m = int(rng.integers(0, 6))
-        x = float(rng.uniform(0.05, 0.95))
-        params = JacobiParams(alpha, b, m)
-        ts = np.linspace(0.0, x, 2000)
-        seen = np.max(np.abs(jac_fn_eval(params, ts)))
-        assert seen <= jac_sup_bound(params, x) * (1 + 1e-12)
+    cases = (
+        (float(rng.uniform(0.05, 6.0)), float(rng.integers(0, 41)), int(rng.integers(0, 6)),
+         float(rng.uniform(0.05, 0.95)))
+        for _ in range(50)
+    )
+    assert sup_bound_ratio(cases, 2000) <= 1 + 1e-12

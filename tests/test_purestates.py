@@ -25,6 +25,7 @@ from polyberg.symbols import (
     make_gp,
     poly_t_symbol,
 )
+from polyberg.verify import coincidence_gap, two_path_gap
 
 
 def test_state_validation():
@@ -73,16 +74,7 @@ def test_eval_state_errors():
 
 def test_two_path_agreement(rng):
     for n in (2, 4):
-        for alpha in (0.0, 1.0, 2.5):
-            a = poly_t_symbol(list(rng.uniform(-1, 1, size=5)))
-            seq = gamma_sequence(a, n, alpha, 6)
-            for _ in range(34):
-                xi = int(rng.integers(-n + 1, 7))
-                d = min(n + xi, n)
-                u = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
-                v1 = eval_state(finite_state(xi, u), seq)
-                v2 = eval_state_integral(xi, u, a, n, alpha)
-                assert abs(v1 - v2) < 1e-12
+        assert two_path_gap(rng, n, (0.0, 1.0, 2.5), 5, 34) < 1e-12
 
 
 def test_state_integral_matches_density_quadrature(rng):
@@ -232,7 +224,6 @@ def test_coincidence_pair_values():
 def test_coincidence_pair_agrees_on_many_symbols(rng):
     for n in (2, 3):
         for alpha in (0.0, 0.5, 2.5):
-            s1, s2 = coincidence_pair(n, alpha)
             symbols = [
                 indicator_symbol(0.3),
                 const_symbol(2.0),
@@ -240,10 +231,7 @@ def test_coincidence_pair_agrees_on_many_symbols(rng):
                 make_gp(4, alpha),
                 poly_t_symbol(list(rng.uniform(-1, 1, size=7))),
             ]
-            for a in symbols:
-                v1 = eval_state_integral(s1.xi, s1.u, a, n, alpha)
-                v2 = eval_state_integral(s2.xi, s2.u, a, n, alpha)
-                assert abs(v1 - v2) < 1e-10, (n, alpha, a.kind)
+            assert coincidence_gap(n, alpha, symbols) < 1e-10, (n, alpha)
 
 
 def test_coincidence_function_identity():
