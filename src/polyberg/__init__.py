@@ -8,7 +8,6 @@ from .gammaseq import (
     block_order,
     gamma_matrix,
     gamma_sequence,
-    negative_submatrix_check,
     spectral_norm,
     tail_deviation,
 )

@@ -3,8 +3,8 @@ states, demo the matrix-unit reconstruction, cross-check against the 2D
 disk oracle, and run the invariant suite.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 states not
-separable.  Blocks are computed one frequency after another, in
-ascending order.
+separable.  A sequence's blocks come from one stacked call over all its
+frequencies (integration.entry_blocks).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from . import verify as verify_mod
-from .bergman_oracle import toeplitz_entry_2d
 from .gammaseq import (
     block_csv,
     block_order,
@@ -27,8 +26,7 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import generator_family, same_frequency_plan
-from .integration import entry_block
+from .generators import cross_frequency_plan, generator_family, same_frequency_plan
 from .purestates import (
     NotSeparableError,
     PureState,
@@ -36,6 +34,7 @@ from .purestates import (
     finite_state,
     limit_state,
     separate,
+    witness_indices,
 )
 from .symbols import symbol_from_json_obj, symbol_to_json_obj
 
@@ -125,9 +124,7 @@ def cmd_separate(args) -> int:
         return EXIT_USAGE
     s1 = _parse_state(args.state[0], args.n)
     s2 = _parse_state(args.state[1], args.n)
-    witness_symbol = (
-        _load_symbol(args.symbol, args.alpha) if args.symbol else None
-    )
+    witness_symbol = _load_symbol(args.symbol, args.alpha) if args.symbol else None
     try:
         witness, vals = separate(
             s1, s2, args.n, args.alpha, infinity_witness=witness_symbol
@@ -147,9 +144,6 @@ def cmd_separate(args) -> int:
 
 
 def _describe_plan(args, s1: PureState, s2: PureState):
-    from .generators import cross_frequency_plan
-    from .purestates import witness_indices
-
     if s1.xi == s2.xi:
         p, q = witness_indices(s1.u, s2.u)
         return same_frequency_plan(args.n, args.alpha, s1.xi, p, q).to_json_obj()
@@ -172,24 +166,9 @@ def cmd_basis(args) -> int:
 
 def cmd_oracle(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
-    n = args.n
     worst = 0.0
-    for xi in frequencies(n, args.xi_max):
-        d = block_order(n, xi)
-        block = entry_block(a, args.alpha, xi, d)
-        for j in range(d):
-            for k in range(j, d):
-                direct = block[j, k]
-                two_d = toeplitz_entry_2d(
-                    a,
-                    args.alpha,
-                    max(j + xi, j),
-                    max(j - xi, j),
-                    max(k + xi, k),
-                    max(k - xi, k),
-                )
-                err = abs(two_d - direct)
-                worst = max(worst, err)
+    for xi, gap in verify_mod.oracle_gaps(a, args.n, args.alpha, args.xi_max).items():
+        worst = max(worst, gap)
         print(f"xi = {xi}: cumulative max |2d - exact| = {worst:.3e}")
     print(f"worst disagreement: {worst:.3e}")
     return EXIT_OK if worst < 1e-6 else EXIT_FAIL
@@ -220,14 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, symbol=False):
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
+        if symbol:  # the commands that take a symbol compute its sequence
+            p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
+            p.add_argument("--symbol", required=True, help="symbol JSON or @file path")
+
+    def tolerances(p):
         p.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-10)
         p.add_argument("--tol-nonzero", dest="tol_nonzero", type=float, default=1e-8)
-        if symbol:
-            p.add_argument(
-                "--symbol", required=True, help="symbol JSON or @file path"
-            )
 
     p_gamma = sub.add_parser("gamma", help="compute and export a matrix sequence")
     common(p_gamma, symbol=True)
@@ -249,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser("basis", help="matrix-unit reconstruction demo")
     common(p_basis)
+    tolerances(p_basis)
     p_basis.add_argument("--xi", type=int, default=0)
     p_basis.set_defaults(fn=cmd_basis)
 
@@ -260,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=3)
     p_verify.add_argument("--alpha", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-10)
-    p_verify.add_argument("--tol-nonzero", dest="tol_nonzero", type=float, default=1e-8)
+    tolerances(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

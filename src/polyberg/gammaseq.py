@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integration import entry_block
+from .integration import entry_block, entry_blocks
 from .symbols import SymbolSpec, boundary_limit, symbol_from_json_obj, symbol_to_json_obj
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "gamma_sequence",
     "MatrixSeq",
     "pack_blocks",
-    "negative_submatrix_check",
     "tail_deviation",
     "spectral_norm",
     "seq_to_json_obj",
@@ -148,28 +147,16 @@ class MatrixSeq:
 
 
 def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    """All blocks for frequencies -n+1 ... xi_max; the scalar limit is
-    taken from the symbol, never estimated."""
-    blocks = pack_blocks(n, (gamma_matrix(a, n, alpha, xi) for xi in frequencies(n, xi_max)))
+    """All blocks for frequencies -n+1 ... xi_max, from one entry_blocks
+    call over 0 ... max(xi_max, n - 1) at order n: the block at xi < 0 is
+    the leading submatrix of order n + xi of the block at -xi.  The scalar
+    limit is taken from the symbol, never estimated."""
+    xis = frequencies(n, xi_max)
+    stack = entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), block_order(n, 0))
+    blocks = pack_blocks(n, (stack[abs(xi), :n + min(xi, 0), :n + min(xi, 0)] for xi in xis))
     return MatrixSeq(
         n=n, alpha=alpha, blocks=blocks, scalar_limit=boundary_limit(a), symbol=a
     )
-
-
-def negative_submatrix_check(seq: MatrixSeq, xi: int, tol: float = 1e-12) -> bool:
-    """True iff the block at a negative frequency equals the leading
-    principal submatrix of the block at the mirrored positive frequency."""
-    if not (-seq.n + 1 <= xi <= -1):
-        raise ValueError(f"frequency must lie in [{-seq.n + 1}, -1], got {xi}")
-    if -xi > seq.xi_max:
-        raise IndexError(
-            f"mirrored frequency {-xi} exceeds the truncation {seq.xi_max}; "
-            "recompute with a larger xi_max"
-        )
-    neg = seq.block(xi)
-    d = neg.shape[0]
-    top = seq.block(-xi)[:d, :d]
-    return bool(np.max(np.abs(neg - top)) <= tol)
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -13,9 +13,11 @@ by orthonormality.
 
 Indicator and sampled symbols are sums of pieces c (x - t)^e on [0, x]
 (e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table), and
-entry_block integrates their whole block at once on Gauss rules for the
-weight u^|xi|, with the orthonormal polynomials taken from their
-three-term recurrence.
+entry_blocks integrates their blocks for a whole range of frequencies at
+once on stacked Gauss rules for the weights u^|xi|, with the orthonormal
+polynomials taken from their three-term recurrence.  It works through the
+range in chunks whose products and Jacobi matrices stay within
+_CHUNK_BYTES.
 
 The caches are the only shared state.  They are bounded, sized so that
 one n = 8 request up to |xi| = 190 keeps all its hits.
@@ -33,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jacobi
-from .special_fn import gauss_rule, gauss_size, jacobi_recurrence
+from .special_fn import gauss_rules, gauss_size, jacobi_recurrence
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -41,11 +43,14 @@ __all__ = [
     "moment",
     "beta_entry",
     "entry_block",
+    "entry_blocks",
     "weighted_product_integral",
     "norm_product",
 ]
 
 MAX_MOMENT_DEGREE = 192
+# bytes of working set per chunk of frequencies (a chunk holds at least one)
+_CHUNK_BYTES = 1 << 20
 # symbols integrated on a Gauss rule rather than exactly
 FLOAT_KINDS = ("indicator", "sampled")
 
@@ -182,57 +187,72 @@ def _pieces(a: SymbolSpec):
     return vs[-1], ts[keep], 1, cs[keep]
 
 
-def _orthonormal(alpha: float, xi_abs: int, d: int, t: np.ndarray) -> np.ndarray:
-    # rows 0..d-1: the orthonormal polynomials for the (alpha, xi_abs)
-    # weight at t, times sqrt(mass) so that row 0 is 1
-    diag, off = jacobi_recurrence(alpha, float(xi_abs), d)
-    vals = np.ones((d, t.size))
-    for m in range(d - 1):
-        vals[m + 1] = ((t - diag[m]) * vals[m] - (off[m - 1] * vals[m - 1] if m else 0.0)) / off[m]
-    return vals
-
-
-def _float_block(a: SymbolSpec, alpha: float, xi_abs: int, d: int) -> np.ndarray:
-    # With t = x u a piece is c x^(xi_abs+1+e) times the integral of (1-u)^e
-    # (1-xu)^alpha p_j p_k against u^xi_abs.  Cuts whose rule sizes lie within
-    # a factor 2 share the largest of them; all go into one product V g V^T.
+def _gauss_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
+    # With t = x u a piece is c x^(xi+1+e) times the integral of (1-u)^e
+    # (1-xu)^alpha p_j p_k against u^xi.  Cuts whose rule sizes lie within a
+    # factor 2 share the largest of them.  Each chunk of frequencies takes its
+    # rules from one stack and its blocks from one stacked product V g V^T.
     level, cuts, e, cs = _pieces(a)
-    out = level * np.eye(d)
-    if cuts.size:
-        degree = 2 * (d - 1) + e + max(math.ceil(alpha), 0)
-        need = np.array([gauss_size(x, degree) for x in cuts])
-        group = np.log2(need.max() / need).astype(int)
+    out = np.broadcast_to(level * np.eye(d), (len(xis), d, d)).copy()
+    if not cuts.size:
+        return out
+    degree = 2 * (d - 1) + e + max(math.ceil(alpha), 0)
+    need = np.array([gauss_size(x, degree) for x in cuts])
+    group = np.log2(need.max() / need).astype(int)
+    groups = [(cuts[group == k], cs[group == k], int(need[group == k].max()))
+              for k in set(group.tolist())]
+    nodes = sum(x.size * size for x, _, size in groups)
+    # per frequency: the products V g V^T and the Jacobi matrix of the largest rule
+    per_xi = np.dtype(np.longdouble).itemsize * d * nodes + 8 * int(need.max()) ** 2
+    step = max(1, _CHUNK_BYTES // per_xi)
+    for lo in range(0, len(xis), step):
+        chunk = xis[lo:lo + step]
+        b = np.array(chunk, dtype=float)[:, None]
         ts, gs = [], []
-        for k in set(group.tolist()):
-            x, c = cuts[group == k], cs[group == k]
-            u, w = gauss_rule(float(xi_abs), int(need[group == k].max()))
-            t = np.outer(x, u)
-            ts.append(t.ravel())
-            gs.append(((c * x ** (xi_abs + 1 + e))[:, None] * (w * (1.0 - u) ** e) * (1.0 - t) ** alpha).ravel())
+        for x, c, size in groups:
+            u, w = gauss_rules(float(chunk.start), len(chunk), size)
+            t = x[:, None] * u[:, None]
+            ts.append(t.reshape(len(chunk), -1))
+            gs.append(((c * x ** (b + 1 + e))[:, :, None] * (w * (1.0 - u) ** e)[:, None]
+                       * (1.0 - t) ** alpha).reshape(len(chunk), -1))
+        t, g = (np.concatenate(v, axis=1) for v in (ts, gs))
+        # the orthonormal polynomials at t, times sqrt(mass) so that row 0 is 1
+        diag, off = jacobi_recurrence(alpha, b, d)
+        vals = np.ones((len(chunk), d, nodes))
+        for m in range(d - 1):
+            vals[:, m + 1] = ((t - diag[:, m, None]) * vals[:, m]
+                              - (off[:, m - 1, None] * vals[:, m - 1] if m else 0.0)) / off[:, m, None]
         # summed in the rule's extended precision
-        vals = _orthonormal(alpha, xi_abs, d, np.concatenate(ts)).astype(np.longdouble)
-        block = np.dot(vals * np.concatenate(gs), vals.T) / _moment_float(xi_abs, alpha)
-        out = out + block.astype(out.dtype)
+        vals = vals.astype(np.longdouble)
+        mass = np.array([_moment_float(xi, alpha) for xi in chunk])[:, None, None]
+        block = np.matmul(vals * g[:, None], vals.transpose(0, 2, 1)) / mass
+        out[lo:lo + step] += block.astype(out.dtype)
+    return out
+
+
+def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
+    """The d x d blocks of entries beta_entry(a, alpha, xi, j, k) for xi in
+    the range xis >= 0, as one exactly symmetric (len(xis), d, d) stack,
+    complex only for a complex symbol: from one chunked Gauss-rule kernel
+    for indicator and sampled symbols, else entry by entry, exactly."""
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if a.kind in FLOAT_KINDS:
+        _guard_entry(d - 1, d - 1, xis[-1])
+        out = _gauss_blocks(a, alpha, xis, d)
+    else:
+        out = np.array([[[beta_entry(a, alpha, xi, j, k) if j <= k else 0.0 for k in range(d)]
+                         for j in range(d)] for xi in xis])
+    # the upper triangle, copied below the diagonal: exactly symmetric
+    for j in range(d):
+        out[:, j + 1:, j] = out[:, j, j + 1:]
     return out
 
 
 def entry_block(a: SymbolSpec, alpha: float, xi: int, d: int) -> np.ndarray:
-    """The d x d block of entries beta_entry(a, alpha, xi, j, k), exactly
-    symmetric and complex only for a complex symbol: on Gauss rules for
-    indicator and sampled symbols, else entry by entry on the exact path."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if a.kind in FLOAT_KINDS:
-        xi_abs = abs(int(xi))
-        _guard_entry(d - 1, d - 1, xi_abs)
-        out = _float_block(a, alpha, xi_abs, d)
-    else:
-        out = np.array([[beta_entry(a, alpha, xi, j, k) if j <= k else 0.0 for k in range(d)]
-                        for j in range(d)])
-    # the upper triangle, copied below the diagonal: exactly symmetric
-    for j in range(d):
-        out[j + 1:, j] = out[j, j + 1:]
-    return out
+    """The block of entry_blocks at the single frequency xi (any sign)."""
+    xi_abs = abs(int(xi))
+    return entry_blocks(a, alpha, range(xi_abs, xi_abs + 1), d)[0]
 
 
 def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
@@ -242,7 +262,7 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
 
     Constants give value * I; polynomial symbols are integrated exactly;
     indicator and sampled entries are read off their Gauss-rule block of
-    order k + 1 (see entry_block).  The (j, k) and (k, j) calls share one
+    order k + 1 (see entry_blocks).  The (j, k) and (k, j) calls share one
     code path, so symmetry is exact.
     """
     if not alpha > -1.0:
@@ -254,7 +274,7 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     xi_abs = abs(int(xi))
     _guard_entry(j, k, xi_abs)
     if a.kind in FLOAT_KINDS:
-        return _float_block(a, alpha, xi_abs, k + 1)[j, k].item()
+        return _gauss_blocks(a, alpha, range(xi_abs, xi_abs + 1), k + 1)[0, j, k].item()
     if a.kind == "const":
         # orthonormality makes the block value * I (0.0 * value keeps the
         # entry's type)

@@ -3,11 +3,11 @@ Gamma-ratio inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  The log-gamma kernel is a Lanczos approximation (g = 7,
-nine terms) with reflection for small arguments.  Gauss rules for the
-weight u^b on [0, 1] come from the closed-form three-term recurrence of
-the Jacobi polynomials (DLMF 18.9) by the Golub-Welsch eigenvalue method;
-they integrate every truncated integral of the package, the regularized
-incomplete Beta included.
+nine terms) with reflection for small arguments.  Stacks of Gauss rules
+for the weights u^b, u^(b+1), ... on [0, 1] come from the closed-form
+three-term recurrence of the Jacobi polynomials (DLMF 18.9) by the
+Golub-Welsch eigenvalue method; they integrate every truncated integral
+of the package, the regularized incomplete Beta (a stack of one) included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = [
     "log_gamma",
     "beta",
     "jacobi_recurrence",
-    "gauss_rule",
+    "gauss_rules",
     "gauss_size",
     "reg_incomplete_beta",
     "wendel_bound_holds",
@@ -73,40 +73,43 @@ def beta(x: float, y: float) -> float:
     return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
-def jacobi_recurrence(a: float, b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recurrence t p_k = c_(k+1) p_(k+1) + d_k p_k + c_k p_(k-1) of the
-    orthonormal polynomials for the weight (1-t)^a t^b on (0, 1): the
-    diagonal d_0..d_(size-1) and off-diagonal c_1..c_(size-1) of the Jacobi
-    matrix (DLMF 18.9.2 moved to (0, 1), free of cancellation for
-    a + b >= 0)."""
+def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrences t p_k = c_(k+1) p_(k+1) + d_k p_k + c_k p_(k-1) of the
+    orthonormal polynomials for the weights (1-t)^a t^b on (0, 1), one per
+    exponent of the column b (shape (count, 1)): the diagonals d_0..d_(size-1)
+    and off-diagonals c_1..c_(size-1) of the Jacobi matrices as rows
+    (DLMF 18.9.2 moved to (0, 1), free of cancellation for a + b >= 0)."""
     k = np.arange(1.0, size)
     s = 2.0 * k + a + b
-    diag = np.empty(size)
-    diag[0] = (b + 1.0) / (a + b + 2.0)
-    diag[1:] = (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))
+    rest = (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))
     off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
-    return diag, off
+    return np.concatenate([(b + 1.0) / (a + b + 2.0), rest], axis=1), off
 
 
-@lru_cache(maxsize=512)
-def gauss_rule(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule of `size` nodes for the weight u^b on [0, 1], b > -1
-    (Golub & Welsch 1969): the eigenvalues of the Jacobi matrix, and the
-    squared first components of its unit eigenvectors times the mass
-    1 / (b + 1).  The arrays are shared and read-only; the weights are
-    numpy.longdouble, scaled so that they sum to the mass."""
-    diag, off = jacobi_recurrence(0.0, b, size)
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+@lru_cache(maxsize=128)
+def gauss_rules(b: float, count: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rules of `size` nodes for the weights u^(b+i) on [0, 1], i <
+    count, b > -1 (Golub & Welsch 1969), as shared read-only (count, size)
+    arrays: the eigenvalues of the Jacobi matrices, from one stacked
+    eigvalsh, and the squared first components of their unit eigenvectors
+    in numpy.longdouble, scaled so that each row sums to its mass 1/(b+i+1)."""
+    bs = b + np.arange(count)[:, None]
+    diag, off = jacobi_recurrence(0.0, bs, size)
+    jac = np.zeros((count, size, size))
+    jac[:, range(size), range(size)] = diag
+    jac[:, range(1, size), range(size - 1)] = off
+    nodes = np.linalg.eigvalsh(jac)
     # The eigenvector at node u is (p_0(u), ..., p_(size-1)(u)); running the
     # recurrence, rescaled to unit length at each step, gives its first
     # component to full relative accuracy even where u^b is tiny.
-    first, prev, cur = np.ones(size), np.zeros(size), np.ones(size)
+    first, prev, cur = np.ones_like(nodes), np.zeros_like(nodes), np.ones_like(nodes)
     for m in range(size - 1):
-        nxt = ((nodes - diag[m]) * cur - (off[m - 1] * prev if m else 0.0)) / off[m]
+        nxt = ((nodes - diag[:, m, None]) * cur
+               - (off[:, m - 1, None] * prev if m else 0.0)) / off[:, m, None]
         norm = np.sqrt(1.0 + nxt * nxt)
         first, prev, cur = first / norm, cur / norm, nxt / norm
     weights = first.astype(np.longdouble) ** 2
-    weights /= weights.sum() * (b + 1.0)
+    weights /= weights.sum(axis=1, keepdims=True) * (bs + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -137,9 +140,9 @@ def reg_incomplete_beta(x: float, p: float, q: float) -> float:
         return float(x)
     if x > p / (p + q):
         return 1.0 - reg_incomplete_beta(1.0 - x, q, p)
-    nodes, weights = gauss_rule(p - 1.0, gauss_size(x, max(math.ceil(q - 1.0), 0)))
+    nodes, weights = gauss_rules(p - 1.0, 1, gauss_size(x, max(math.ceil(q - 1.0), 0)))
     log_front = log_gamma(p + q) - log_gamma(p) - log_gamma(q) + p * math.log(x)
-    return math.exp(log_front) * float(weights @ (1.0 - x * nodes) ** (q - 1.0))
+    return math.exp(log_front) * float(weights[0] @ (1.0 - x * nodes[0]) ** (q - 1.0))
 
 
 def binom_real(z: float, k: int) -> float:

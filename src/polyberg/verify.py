@@ -20,12 +20,12 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import special_fn
+from .bergman_oracle import toeplitz_entry_2d
 from .gammaseq import (
     block_order,
     frequencies,
     gamma_matrix,
     gamma_sequence,
-    negative_submatrix_check,
     spectral_norm,
     tail_deviation,
 )
@@ -258,14 +258,15 @@ def matrix_unit_error(families) -> float:
 def negative_submatrix_failures(
     n: int, alpha: float, symbols, xi_max: int, tol: float = 1e-12
 ) -> list:
-    """(symbol index, xi) of the negative-frequency blocks that differ by
-    more than tol from the leading submatrix of the mirrored block."""
+    """(symbol index, xi) of the negative frequencies at which the block of
+    the sequence, the leading submatrix of the mirrored block, differs by
+    more than tol from gamma_matrix at xi, computed on its own order."""
     failures = []
     for i, sym in enumerate(symbols):
         seq = gamma_sequence(sym, n, alpha, xi_max)
         failures += [
             (i, xi) for xi in range(-n + 1, 0)
-            if not negative_submatrix_check(seq, xi, tol=tol)
+            if not np.max(np.abs(seq.block(xi) - gamma_matrix(sym, n, alpha, xi))) <= tol
         ]
     return failures
 
@@ -281,6 +282,20 @@ def scalar_limit_tail(s: float, n: int, alpha: float, xis) -> tuple:
         closed = max(abs(dev - (s * s) ** (xi + 1)) / (s * s) ** (xi + 1)
                      for xi, dev in devs.items())
     return devs, closed
+
+
+def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:
+    """{xi: largest |2D quadrature - entry|} over the upper triangle of
+    each block of gamma_sequence(a, n, alpha, xi_max).  Entry (j, k) at
+    frequency xi pairs the disk polynomials of indices
+    (max(j + xi, j), max(j - xi, j)) and (max(k + xi, k), max(k - xi, k))."""
+    seq = gamma_sequence(a, n, alpha, xi_max)
+    return {
+        xi: max(abs(toeplitz_entry_2d(a, alpha, max(j + xi, j), max(j - xi, j),
+                                      max(k + xi, k), max(k - xi, k)) - seq.block(xi)[j, k])
+                for j in range(block_order(n, xi)) for k in range(j, block_order(n, xi)))
+        for xi in frequencies(n, xi_max)
+    }
 
 
 # --- pure states -------------------------------------------------------------

@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_pair_integral, unit
-from polyberg.bergman_oracle import toeplitz_entry_2d
 from polyberg.gammaseq import block_order, frequencies, tail_deviation
-from polyberg.integration import beta_entry
 from polyberg.jacobi import JacobiParams, jac_sup_bound
 from polyberg.purestates import (
     coincidence_pair,
@@ -37,6 +35,7 @@ from polyberg.verify import (
     matrix_unit_error,
     moment_identity_deviation,
     negative_submatrix_failures,
+    oracle_gaps,
     orthogonality_deviation,
     random_antitriangular_generators,
     scalar_limit_tail,
@@ -283,17 +282,7 @@ def test_c10_disk_quadrature_oracle():
     for alpha in (0.0, 1.0):
         for a in (indicator_symbol(0.5), make_gp(2, alpha)):
             for n in (1, 3):
-                for xi in range(max(-n + 1, -3), 4):
-                    d = block_order(n, xi)
-                    for j in range(d):
-                        for k in range(j, d):
-                            want = beta_entry(a, alpha, xi, j, k)
-                            got = toeplitz_entry_2d(
-                                a, alpha,
-                                max(j + xi, j), max(j - xi, j),
-                                max(k + xi, k), max(k - xi, k),
-                            )
-                            worst = max(worst, abs(got - want))
+                worst = max(worst, *oracle_gaps(a, n, alpha, 3).values())
     elapsed = time.perf_counter() - t0
     _report(10, worst < 1e-6, f"2D quadrature vs exact entries, worst {worst:.2e}", elapsed, 60.0)
     assert worst < 1e-6

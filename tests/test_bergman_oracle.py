@@ -5,8 +5,8 @@ import pytest
 
 from conftest import disk_poly_alt
 from polyberg.bergman_oracle import DiskPoint, disk_poly, toeplitz_entry_2d
-from polyberg.integration import beta_entry
 from polyberg.symbols import const_symbol, indicator_symbol, make_gp
+from polyberg.verify import oracle_gaps
 
 
 def test_disk_poly_constant():
@@ -83,20 +83,8 @@ def test_oracle_matches_exact_entries():
     for alpha in (0.0, 0.5, 1.0, 1.5):
         for a in (indicator_symbol(0.5), make_gp(2, alpha)):
             for n in (1, 3):
-                for xi in range(max(-n + 1, -3), 4):
-                    d = min(n + xi, n)
-                    for j in range(d):
-                        for k in range(j, d):
-                            want = beta_entry(a, alpha, xi, j, k)
-                            got = toeplitz_entry_2d(
-                                a,
-                                alpha,
-                                max(j + xi, j),
-                                max(j - xi, j),
-                                max(k + xi, k),
-                                max(k - xi, k),
-                            )
-                            assert abs(got - want) < 1e-6, (alpha, a.kind, xi, j, k)
+                gaps = oracle_gaps(a, n, alpha, 3)
+                assert max(gaps.values()) < 1e-6, (alpha, a.kind, n, gaps)
 
 
 def test_oracle_aliasing_guard():

@@ -117,6 +117,24 @@ def test_out_of_range_frequency_exits_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--seed", "5", "--symbol", CONST],
+        ["basis", "--xi-max", "99"],
+        ["separate", "--xi-max", "3", "--state", "inf", "--state=0:1,0"],
+        ["oracle", "--tol-zero", "1e-3", "--symbol", CONST],
+        ["purestate", "--tol-nonzero", "1e-3", "--symbol", CONST, "--state", "inf"],
+    ],
+)
+def test_unread_options_are_refused(argv, capsys):
+    # each subcommand takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_purestate_value(capsys):
     code = main(
         [
@@ -209,19 +227,20 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_builds_one_block_per_frequency(monkeypatch, capsys):
-    # the printed gamma blocks, one per frequency -3..4, not one per entry
+    # the printed gamma blocks: one stacked kernel call over |xi| = 0..4 at
+    # order 4 (negative frequencies are leading submatrices), not one per entry
     calls = []
-    real = integration._float_block
+    real = integration._gauss_blocks
 
-    def counted(a, alpha, xi_abs, d):
-        calls.append(d)
-        return real(a, alpha, xi_abs, d)
+    def counted(a, alpha, xis, d):
+        calls.append((xis, d))
+        return real(a, alpha, xis, d)
 
-    monkeypatch.setattr(integration, "_float_block", counted)
+    monkeypatch.setattr(integration, "_gauss_blocks", counted)
     code = main(["oracle", "--n", "4", "--xi-max", "4",
                  "--symbol", '{"kind":"indicator","s":0.7}'])
     assert code == 0
-    assert calls == [1, 2, 3, 4, 4, 4, 4, 4]
+    assert calls == [(range(5), 4)]
 
 
 def test_verify_default_passes(capsys):

@@ -10,12 +10,15 @@ the Gauss rule nor the ramp decomposition of the package.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
-from polyberg.integration import beta_entry, entry_block
+from polyberg import integration
+from polyberg.gammaseq import gamma_sequence
+from polyberg.integration import beta_entry, entry_block, entry_blocks
 from polyberg.symbols import indicator_symbol, sampled_symbol, sup_abs
 
 mpmath = pytest.importorskip("mpmath")
@@ -154,3 +157,55 @@ def test_float_blocks_are_exactly_symmetric_and_agree_with_entries():
 def test_float_blocks_refuse_cut_too_close_to_one():
     with pytest.raises(ValueError, match="too close to 1"):
         entry_block(sampled_symbol([(0.0, 0.0), (1.0 - 1e-9, 1.0)]), 0.5, 0, 3)
+
+
+def _long_table():
+    # 2048 even knots up to t = 1 - 1/2048: a cut within 5e-4 of 1 needs
+    # hundreds of nodes, so one block outgrows the kernel's chunk budget
+    ts = np.linspace(0.0, 1.0, 2049)[:-1]
+    return [(float(t), float(0.5 + 0.4 * np.cos(3.0 * t) - 0.3 * t * t)) for t in ts]
+
+
+# (symbol, alpha, top frequency, order, whether the range spans several chunks)
+STACK_CASES = [
+    (indicator_symbol(0.81), -0.5, 40, 5, False),
+    (indicator_symbol(0.6), 1.25, 40, 3, False),
+    (sampled_symbol(_table(0.98)), 2.25, 59, 8, True),
+    (sampled_symbol(_table(0.5, imag=True)), -0.5, 20, 6, False),
+    (sampled_symbol(_long_table()), 0.5, 10, 4, True),
+]
+
+
+@pytest.mark.parametrize("a, alpha, top, d, several", STACK_CASES)
+def test_stacked_blocks_equal_single_frequency_calls(a, alpha, top, d, several, monkeypatch):
+    starts = set()
+    real = integration.gauss_rules
+
+    def spy(b, count, size):
+        starts.add(b)
+        return real(b, count, size)
+
+    monkeypatch.setattr(integration, "gauss_rules", spy)
+    stack = entry_blocks(a, alpha, range(top + 1), d)
+    assert (len(starts) > 1) == several
+    for xi in range(top + 1):
+        assert np.array_equal(stack[xi], entry_block(a, alpha, xi, d)), xi
+
+
+@pytest.mark.parametrize("a, n, xi_max", [
+    (sampled_symbol(_long_table()), 8, 10),  # 2048 knots: the products fill a chunk
+    (indicator_symbol(0.9999), 1, 2),  # 652 nodes: the Jacobi matrices fill a chunk
+])
+def test_sequence_working_set_stays_at_one_chunk(a, n, xi_max):
+    # every chunk holds one frequency, so the whole sequence peaks where a
+    # single block does; an unchunked kernel needs xi_max + 1 times that
+    tracemalloc.start()
+    try:
+        entry_block(a, 0.0, xi_max, n)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        gamma_sequence(a, n, 0.0, xi_max)
+        whole = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert whole < 1.25 * one, (whole, one)

@@ -12,7 +12,6 @@ from polyberg.gammaseq import (
     frequencies,
     gamma_matrix,
     gamma_sequence,
-    negative_submatrix_check,
     seq_from_json_obj,
     seq_to_json_obj,
     spectral_norm,
@@ -102,14 +101,6 @@ def test_negative_submatrix_relation():
     syms = (const_symbol(3.0), make_gp(3, 0.0), indicator_symbol(0.7))
     for n in (2, 4):
         assert negative_submatrix_failures(n, 1.5, syms, 6) == []
-
-
-def test_negative_submatrix_truncation_error():
-    seq = gamma_sequence(const_symbol(1.0), 4, 0.0, 1)
-    with pytest.raises(IndexError):
-        negative_submatrix_check(seq, -3)
-    with pytest.raises(ValueError):
-        negative_submatrix_check(seq, 0)
 
 
 def test_spectral_norm_matches_numpy(rng):
