@@ -26,15 +26,14 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import cross_frequency_plan, generator_family, same_frequency_plan
+from .generators import SeparationPlan, generator_family
 from .purestates import (
     NotSeparableError,
     PureState,
     eval_state,
     finite_state,
     limit_state,
-    separate,
-    witness_indices,
+    separation,
 )
 from .symbols import symbol_from_json_obj, symbol_to_json_obj
 
@@ -126,16 +125,14 @@ def cmd_separate(args) -> int:
     s2 = _parse_state(args.state[1], args.n)
     witness_symbol = _load_symbol(args.symbol, args.alpha) if args.symbol else None
     try:
-        witness, vals = separate(
+        _, vals, recipe = separation(
             s1, s2, args.n, args.alpha, infinity_witness=witness_symbol
         )
     except NotSeparableError as exc:
         print(f"not separable by construction: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE
-    if witness.symbol is not None:
-        print("witness symbol: " + json.dumps(symbol_to_json_obj(witness.symbol)))
-    else:
-        print("witness plan: " + json.dumps(_describe_plan(args, s1, s2)))
+    for key, value in recipe.items():
+        print(f"witness {key}: " + json.dumps(value, default=_recipe_json))
     print(f"sigma_1 = {vals[0]}")
     print(f"sigma_2 = {vals[1]}")
     gap = abs(vals[0] - vals[1])
@@ -143,13 +140,9 @@ def cmd_separate(args) -> int:
     return EXIT_OK if gap > 1e-8 else EXIT_NOT_SEPARABLE
 
 
-def _describe_plan(args, s1: PureState, s2: PureState):
-    if s1.xi == s2.xi:
-        p, q = witness_indices(s1.u, s2.u)
-        return same_frequency_plan(args.n, args.alpha, s1.xi, p, q).to_json_obj()
-    lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
-    p = int(np.argmax(np.abs(hi.u)))
-    return cross_frequency_plan(args.n, args.alpha, lo.xi, hi.xi, p).to_json_obj()
+def _recipe_json(obj):
+    # the plans and symbols of a separation recipe
+    return obj.to_json_obj() if isinstance(obj, SeparationPlan) else symbol_to_json_obj(obj)
 
 
 def cmd_basis(args) -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies, gamma_matrix, pack_blocks
+from .gammaseq import MatrixSeq, block_order, gamma_matrix, gamma_sequence
 from .symbols import make_gp
 
 __all__ = [
@@ -197,9 +197,9 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Blocks of generating symbol p at frequencies -n+1 .. xi_max, packed
-    as the blocks of a MatrixSeq (see gammaseq.pack_blocks).  Read-only."""
-    return pack_blocks(n, (generator_block(n, alpha, xi, p) for xi in frequencies(n, xi_max)))
+    """Blocks of generating symbol p at frequencies -n+1 .. xi_max: the
+    read-only stack of its gamma_sequence (see gammaseq.pack_blocks)."""
+    return gamma_sequence(make_gp(p, alpha), n, alpha, xi_max).blocks
 
 
 def generator_family(n: int, alpha: float, xi: int, tol_zero: float, tol_nonzero: float):

@@ -1,23 +1,28 @@
-"""Entry integrals of symbols against pairs of normalized Jacobi functions.
+"""Blocks of entry integrals of symbols against pairs of normalized Jacobi
+functions.
+
+entry_blocks is the one entry kernel: it gives the blocks Gamma_xi(a) of a
+whole range of frequencies as one stack, from one of two block kernels
+chosen by the symbol kind.  entry_block and beta_entry read from it.
 
 Polynomial symbols are integrated exactly, in Python integers over a
 common denominator.  With the weight exponent alpha = p / 2^e (a binary
 float), the moment of degree d is d! 2^(e (d+1)) / P[d+1], where
 P[j] = prod_{i=1..j} (p + i 2^e) comes from one prefix table per alpha.
-An entry convolves the integer coefficients of the two Jacobi polynomials
-with the symbol's, contracts the result against the moments over one
-denominator and rounds once, by a correctly rounded int / int division;
-so every orthogonality relation the entries inherit holds to the last
-bit (zeros come out as literal 0.0).  A constant symbol gives value * I
-by orthonormality.
+Per frequency the exact kernel scales the symbol's coefficients once and
+forms the product of the symbol with each Jacobi polynomial once; an
+entry convolves that row with the second polynomial, contracts the result
+against the moments over one denominator and rounds once, by a correctly
+rounded int / int division.  So every orthogonality relation the entries
+inherit holds to the last bit (zeros come out as literal 0.0).  A
+constant symbol gives value * I by orthonormality.
 
 Indicator and sampled symbols are sums of pieces c (x - t)^e on [0, x]
-(e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table), and
-entry_blocks integrates their blocks for a whole range of frequencies at
-once on stacked Gauss rules for the weights u^|xi|, with the orthonormal
-polynomials taken from their three-term recurrence.  It works through the
-range in chunks whose products and Jacobi matrices stay within
-_CHUNK_BYTES.
+(e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table); their
+kernel integrates all blocks of the range on stacked Gauss rules for the
+weights u^|xi|, with the orthonormal polynomials taken from their
+three-term recurrence.  It works through the range in chunks whose
+products and Jacobi matrices stay within _CHUNK_BYTES.
 
 The caches are the only shared state.  They are bounded, sized so that
 one n = 8 request up to |xi| = 190 keeps all its hits.
@@ -142,14 +147,6 @@ def _contract(nums, den: int, alpha: float, xi_abs: int) -> float:
 
 
 @lru_cache(maxsize=8192)
-def _pair_int(alpha: float, xi_abs: int, j: int, k: int) -> tuple[tuple[int, ...], int]:
-    # coefficients of Q_j * Q_k for the (alpha, xi_abs) weight, one denominator
-    cj, dj = jacobi.q_coeffs_int(alpha, float(xi_abs), j)
-    ck, dk = jacobi.q_coeffs_int(alpha, float(xi_abs), k)
-    return _conv(cj, ck), dj * dk
-
-
-@lru_cache(maxsize=8192)
 def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
     """Product of the two normalization constants for indices j and k."""
     nj, dj = jacobi.norm_coeff_sq_int(alpha, xi_abs, j)
@@ -164,13 +161,6 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     return _contract(*_scaled(coeffs), alpha, xi_abs)
-
-
-def _guard_entry(j: int, k: int, xi_abs: int) -> None:
-    # the exact path's degree guards, which every kind shares
-    if k > jacobi.MAX_DEGREE:
-        raise ValueError(f"degree {k} exceeds supported maximum {jacobi.MAX_DEGREE}")
-    _guard_degree(j + k + xi_abs)
 
 
 def _pieces(a: SymbolSpec):
@@ -230,19 +220,51 @@ def _gauss_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
     return out
 
 
+def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
+    # Upper triangles.  Per frequency each row j forms Q_j S once; entry
+    # (j, k) contracts (Q_j S) Q_k, the integer polynomial (Q_j Q_k) S over
+    # one denominator, and rounds once.
+    if a.kind == "const":
+        # orthonormality makes the block value * I
+        return np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
+    if a.kind == "jacobi_g":
+        # the generator's exact coefficients, not the float copies stored
+        # for pointwise evaluation, which would spoil the structural zeros
+        parts = [jacobi.q_coeffs_int(a.alpha, 0.0, a.p)]
+    elif any(isinstance(c, complex) for c in a.coeffs):
+        parts = [_scaled([complex(c).real for c in a.coeffs]),
+                 _scaled([complex(c).imag for c in a.coeffs])]
+    else:
+        parts = [_scaled(a.coeffs)]
+    out = np.zeros((len(xis), d, d), dtype=complex if len(parts) == 2 else float)
+    for i, xi in enumerate(xis):
+        qs = [jacobi.q_coeffs_int(alpha, float(xi), m) for m in range(d)]
+        for j, (qj, dj) in enumerate(qs):
+            rows = [(_conv(qj, nums), dj * den) for nums, den in parts]
+            for k in range(j, d):
+                qk, dk = qs[k]
+                vals = [_contract(_conv(row, qk), row_den * dk, alpha, xi)
+                        for row, row_den in rows]
+                out[i, j, k] = norm_product(alpha, xi, j, k) * (
+                    complex(*vals) if len(vals) == 2 else vals[0])
+    return out
+
+
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
-    """The d x d blocks of entries beta_entry(a, alpha, xi, j, k) for xi in
-    the range xis >= 0, as one exactly symmetric (len(xis), d, d) stack,
-    complex only for a complex symbol: from one chunked Gauss-rule kernel
-    for indicator and sampled symbols, else entry by entry, exactly."""
+    """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
+    exactly symmetric (len(xis), d, d) stack, complex only for a complex
+    symbol.  Indicator and sampled symbols take the chunked Gauss-rule
+    kernel, the others the exact one.  Refuses degree d - 1 above
+    jacobi.MAX_DEGREE and moment degrees above MAX_MOMENT_DEGREE (the
+    largest is 2(d - 1) + max(xis), plus the degree of a polynomial
+    symbol)."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if a.kind in FLOAT_KINDS:
-        _guard_entry(d - 1, d - 1, xis[-1])
-        out = _gauss_blocks(a, alpha, xis, d)
-    else:
-        out = np.array([[[beta_entry(a, alpha, xi, j, k) if j <= k else 0.0 for k in range(d)]
-                         for j in range(d)] for xi in xis])
+    if d - 1 > jacobi.MAX_DEGREE:
+        raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
+    _guard_degree(2 * (d - 1) + xis[-1])
+    kernel = _gauss_blocks if a.kind in FLOAT_KINDS else _exact_blocks
+    out = kernel(a, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):
         out[:, j + 1:, j] = out[:, j, j + 1:]
@@ -260,39 +282,9 @@ def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
     the product of normalization constants times the integral of
     a(sqrt(t)) Q_j(t) Q_k(t) (1-t)^alpha t^|xi|.
 
-    Constants give value * I; polynomial symbols are integrated exactly;
-    indicator and sampled entries are read off their Gauss-rule block of
-    order k + 1 (see entry_blocks).  The (j, k) and (k, j) calls share one
-    code path, so symmetry is exact.
+    Entry [j, k] of entry_block(a, alpha, xi, max(j, k) + 1): that block is
+    exactly symmetric, and its guards are the entry's.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
     if j < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({j}, {k})")
-    if k < j:
-        j, k = k, j
-    xi_abs = abs(int(xi))
-    _guard_entry(j, k, xi_abs)
-    if a.kind in FLOAT_KINDS:
-        return _gauss_blocks(a, alpha, range(xi_abs, xi_abs + 1), k + 1)[0, j, k].item()
-    if a.kind == "const":
-        # orthonormality makes the block value * I (0.0 * value keeps the
-        # entry's type)
-        return a.value if j == k else 0.0 * a.value
-    kk = norm_product(alpha, xi_abs, j, k)
-    if a.kind in ("poly_t", "jacobi_g"):
-        pair, pair_den = _pair_int(alpha, xi_abs, j, k)
-
-        def entry(nums, den):
-            return _contract(_conv(pair, nums), pair_den * den, alpha, xi_abs)
-
-        if a.kind == "jacobi_g":
-            # the generator's exact coefficients, not the float copies stored
-            # for pointwise evaluation, which would spoil the structural zeros
-            return kk * entry(*jacobi.q_coeffs_int(a.alpha, 0.0, a.p))
-        if any(isinstance(c, complex) for c in a.coeffs):
-            re = entry(*_scaled([complex(c).real for c in a.coeffs]))
-            im = entry(*_scaled([complex(c).imag for c in a.coeffs]))
-            return kk * complex(re, im)
-        return kk * entry(*_scaled(a.coeffs))
-    raise ValueError(f"unknown symbol kind {a.kind!r}")
+    return entry_block(a, alpha, xi, max(j, k) + 1)[j, k].item()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .generators import cross_frequency_plan, same_frequency_plan
-from .integration import FLOAT_KINDS, entry_block
+from .integration import entry_block
 from .symbols import SymbolSpec, indicator_symbol
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "eval_state_integral",
     "witness_indices",
     "NotSeparableError",
+    "separation",
     "separate",
     "coincidence_pair",
     "submatrix_coincidence_pair",
@@ -116,13 +117,10 @@ def eval_state_integral(
     d = block_order(n, xi)
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
-    if a.kind in FLOAT_KINDS:
-        # entry (j, k) read off the Gauss-rule block of order max(j, k) + 1,
-        # as beta_entry reads it, so the sizes differ from eval_state's block
-        blocks = [entry_block(a, alpha, xi, m + 1) for m in range(d)]
-        entries = np.array([[blocks[max(j, k)][j, k] for k in range(d)] for j in range(d)])
-    else:
-        entries = entry_block(a, alpha, xi, d)
+    # entry (j, k) read off the block of order max(j, k) + 1, as beta_entry
+    # reads it, so the Gauss rules differ from those of eval_state's block
+    blocks = [entry_block(a, alpha, xi, m + 1) for m in range(d)]
+    entries = np.array([[blocks[max(j, k)][j, k] for k in range(d)] for j in range(d)])
     acc = 0.0 + 0.0j
     for j in range(d):
         for k in range(d):
@@ -218,23 +216,27 @@ def _hermitian_value(s: PureState, x: MatrixSeq) -> float:
     return v.real if isinstance(v, complex) else v
 
 
-def separate(
+def separation(
     s1: PureState,
     s2: PureState,
     n: int,
     alpha: float,
     infinity_witness: Optional[SymbolSpec] = None,
-) -> Tuple[MatrixSeq, Tuple[float, float]]:
+) -> Tuple[MatrixSeq, Tuple[float, float], dict]:
     """Produce a witness sequence on which the two states differ, with the
-    pair of state values.
+    pair of state values and the recipe the witness was built from:
+    {"symbol": a} for the sequence of symbol a, {"plan": P} for the
+    evaluation of plan P, or {"plans": (P, Q), "combination": c} for the
+    evaluations A of P and B of Q combined as A + B (c = "sym") or
+    i (A - B) (c = "skew").
 
     Same-frequency pairs go through the matrix-unit plans at the indices
     found by witness_indices (off-diagonal units are evaluated through
-    their Hermitian and skew-Hermitian combinations); a limit state is
-    told apart from any finite state by an indicator symbol; distinct
-    finite frequencies use a cross-frequency plan that kills the lower
-    block.  Raises NotSeparableError for equal states and for the
-    documented coincidence families.
+    their Hermitian and skew-Hermitian combinations, whichever has the
+    larger gap); a limit state is told apart from any finite state by an
+    indicator symbol; distinct finite frequencies use a cross-frequency
+    plan that kills the lower block.  Raises NotSeparableError for equal
+    states and for the documented coincidence families.
     """
     if same_pure_state(s1, s2):
         raise NotSeparableError("identical pure states")
@@ -250,36 +252,37 @@ def separate(
         if sym.limit is None:
             raise ValueError("infinity witness symbol needs a known boundary limit")
         witness = gamma_sequence(sym, n, alpha, max(fin.xi, 0))
-        vals = (eval_state(s1, witness), eval_state(s2, witness))
-        _require_gap(vals)
-        return witness, vals
-
-    if s1.xi == s2.xi:
+        recipe, value = {"symbol": sym}, eval_state
+    elif s1.xi == s2.xi:
         xi = s1.xi
         p, q = witness_indices(s1.u, s2.u)
+        plan = same_frequency_plan(n, alpha, xi, p, q)
         if p == q:
-            witness = same_frequency_plan(n, alpha, xi, p, p).evaluate(max(xi, 0))
+            witness, recipe = plan.evaluate(max(xi, 0)), {"plan": plan}
         else:
-            a = same_frequency_plan(n, alpha, xi, p, q).evaluate(max(xi, 0))
-            b = same_frequency_plan(n, alpha, xi, q, p).evaluate(max(xi, 0))
-            sym_part = a + b
-            skew_part = 1j * (a + (-1.0) * b)
-            gap_sym = abs(
-                _hermitian_value(s1, sym_part) - _hermitian_value(s2, sym_part)
-            )
-            gap_skew = abs(
-                _hermitian_value(s1, skew_part) - _hermitian_value(s2, skew_part)
-            )
-            witness = sym_part if gap_sym >= gap_skew else skew_part
-        vals = (_hermitian_value(s1, witness), _hermitian_value(s2, witness))
-        _require_gap(vals)
-        return witness, vals
-
-    lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
-    p = int(np.argmax(np.abs(hi.u)))
-    witness = cross_frequency_plan(n, alpha, lo.xi, hi.xi, p).evaluate(max(hi.xi, 0))
-    vals = (_hermitian_value(s1, witness), _hermitian_value(s2, witness))
+            mirror = same_frequency_plan(n, alpha, xi, q, p)
+            a, b = plan.evaluate(max(xi, 0)), mirror.evaluate(max(xi, 0))
+            parts = {"sym": a + b, "skew": 1j * (a + (-1.0) * b)}
+            gap = {c: abs(_hermitian_value(s1, w) - _hermitian_value(s2, w))
+                   for c, w in parts.items()}
+            combination = "sym" if gap["sym"] >= gap["skew"] else "skew"
+            witness = parts[combination]
+            recipe = {"plans": (plan, mirror), "combination": combination}
+        value = _hermitian_value
+    else:
+        lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
+        p = int(np.argmax(np.abs(hi.u)))
+        plan = cross_frequency_plan(n, alpha, lo.xi, hi.xi, p)
+        witness, recipe, value = plan.evaluate(max(hi.xi, 0)), {"plan": plan}, _hermitian_value
+    vals = (value(s1, witness), value(s2, witness))
     _require_gap(vals)
+    return witness, vals, recipe
+
+
+def separate(s1: PureState, s2: PureState, n: int, alpha: float,
+             infinity_witness: Optional[SymbolSpec] = None) -> Tuple[MatrixSeq, Tuple[float, float]]:
+    """The witness sequence and the pair of state values of separation."""
+    witness, vals, _ = separation(s1, s2, n, alpha, infinity_witness)
     return witness, vals
 
 

@@ -37,7 +37,7 @@ from .generators import (
     matrix_unit,
     nu_table,
 )
-from .integration import beta_entry, weighted_product_integral
+from .integration import entry_block, weighted_product_integral
 from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_exact
 from .purestates import (
     NotSeparableError,
@@ -130,16 +130,13 @@ def moment_identity_deviation(alphas, xis, degrees: int) -> float:
 
 
 def identity_deviation(one, alphas, xis, order: int) -> float:
-    """Largest |beta_entry(one, alpha, xi, j, k) - delta_jk| over
-    j <= k < order, for a symbol `one` equal to 1."""
-    worst = 0.0
-    for alpha in alphas:
-        for xi in xis:
-            for j in range(order):
-                for k in range(j, order):
-                    val = beta_entry(one, alpha, xi, j, k)
-                    worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    return worst
+    """Largest entry of |entry_block(one, alpha, xi, order) - I| over the
+    alphas and xis, for a symbol `one` equal to 1."""
+    return max(
+        (float(np.max(np.abs(entry_block(one, alpha, xi, order) - np.eye(order))))
+         for alpha in alphas for xi in xis),
+        default=0.0,
+    )
 
 
 def sup_bound_ratio(cases, points: int) -> float:

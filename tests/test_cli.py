@@ -8,6 +8,8 @@ import pytest
 from polyberg import integration, verify
 from polyberg.cli import main
 from polyberg.gammaseq import seq_from_json_obj
+from polyberg.generators import SeparationPlan
+from polyberg.purestates import eval_state, finite_state
 
 
 def test_gamma_writes_json(tmp_path, capsys):
@@ -158,6 +160,22 @@ def test_separate_distinct_states(capsys):
     out = capsys.readouterr().out
     assert "gap = 1.0" in out
     assert "witness plan" in out
+
+
+def test_separate_recipe_rebuilds_the_witness(capsys):
+    # an off-diagonal unit: the witness combines the (0, 1) and (1, 0) plans
+    vectors = ([0.6, 0.8], [0.6, -0.8])
+    code = main(["separate", "--n", "2", "--state", "0:0.6,0.8", "--state", "0:0.6,-0.8"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    recipe = dict(line.split(": ", 1) for line in lines if line.startswith("witness "))
+    sigmas = [float(line.split(" = ")[1]) for line in lines if line.startswith("sigma_")]
+    a, b = (SeparationPlan(**obj).evaluate(0) for obj in json.loads(recipe["witness plans"]))
+    sym = json.loads(recipe["witness combination"]) == "sym"
+    witness = a + b if sym else 1j * (a + (-1.0) * b)
+    values = [eval_state(finite_state(0, u), witness) for u in vectors]
+    assert values == pytest.approx(sigmas, abs=1e-12)
+    assert sigmas == pytest.approx([0.96, -0.96], abs=1e-12)
 
 
 def test_separate_infinity(capsys):

@@ -28,7 +28,7 @@ from polyberg.integration import (
 )
 from polyberg.jacobi import norm_coeff_sq_exact, q_coeffs_exact
 from polyberg.purestates import finite_state, separate
-from polyberg.symbols import indicator_symbol, make_gp, poly_t_symbol
+from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0, 2.5, -0.5)
 IDX = 7
@@ -64,30 +64,59 @@ def test_norm_product_equals_fractions(alpha):
                 assert norm_product(alpha, xi, j, k) == norm_product_fraction(alpha, xi, j, k)
 
 
+def _fraction_block(coeffs, alpha, xi, d, kks):
+    # entries from the Fraction construction, each rounded once, with the
+    # norm products kks[j, k]; complex coefficients are integrated in their
+    # real and imaginary parts
+    cplx = any(isinstance(c, complex) for c in coeffs)
+    block = np.zeros((d, d), dtype=complex if cplx else float)
+    for j in range(d):
+        for k in range(j, d):
+            kk = kks[j, k]
+            re = poly_entry_fraction([c.real for c in coeffs], alpha, xi, j, k)
+            if cplx:
+                im = poly_entry_fraction([c.imag for c in coeffs], alpha, xi, j, k)
+                block[j, k] = block[k, j] = kk * complex(re, im)
+            else:
+                block[j, k] = block[k, j] = kk * re
+    return block
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_entries_equal_fractions(alpha):
     rng = np.random.default_rng(int(10 * alpha) + 7)
     real = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1))
     cplx = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1)
                          + 1j * rng.uniform(-1, 1, POLY_DEGREE + 1))
-    gp = make_gp(GP, alpha)
-    gp_exact = q_coeffs_fraction(alpha, 0.0, GP)
+    cases = [(real, real.coeffs), (cplx, cplx.coeffs),
+             (make_gp(GP, alpha), q_coeffs_fraction(alpha, 0.0, GP))]
+    consts = [const_symbol(-1.25), const_symbol(0.5 - 0.75j)]
+    d = IDX + 1
     for xi in xis(GP):
-        for j in range(IDX + 1):
-            for k in range(j, IDX + 1):
-                kk = norm_product_fraction(alpha, xi, j, k)
-                want = kk * poly_entry_fraction(real.coeffs, alpha, xi, j, k)
-                assert beta_entry(real, alpha, xi, j, k) == want
-                re = poly_entry_fraction([c.real for c in cplx.coeffs], alpha, xi, j, k)
-                im = poly_entry_fraction([c.imag for c in cplx.coeffs], alpha, xi, j, k)
-                assert beta_entry(cplx, alpha, xi, j, k) == kk * complex(re, im)
-                want = kk * poly_entry_fraction(gp_exact, alpha, xi, j, k)
-                assert beta_entry(gp, alpha, xi, j, k) == want
+        # each block from a stack over two frequencies (one at xi = 0)
+        lo = max(xi - 1, 0)
+        kks = {(j, k): norm_product_fraction(alpha, xi, j, k)
+               for j in range(d) for k in range(j, d)}
+        for sym, coeffs in cases:
+            want = _fraction_block(coeffs, alpha, xi, d, kks)
+            got = integration.entry_blocks(sym, alpha, range(lo, xi + 1), d)[xi - lo]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for j in range(d):
+                for k in range(j, d):
+                    assert beta_entry(sym, alpha, xi, j, k) == want[j, k]
+        for sym in consts:
+            got = integration.entry_blocks(sym, alpha, range(lo, xi + 1), d)[xi - lo]
+            assert np.array_equal(got, sym.value * np.eye(d))
 
 
 def test_moment_guard_is_kept():
-    with pytest.raises(ValueError):
-        beta_entry(make_gp(GP, 1.0), 1.0, MAX_MOMENT_DEGREE - 2 * IDX - GP + 1, IDX, IDX)
+    # beta_entry reads the block of order k + 1, whose top moment degree is
+    # 2 k + |xi| plus the symbol's degree, whatever j is
+    gp = make_gp(GP, 1.0)
+    edge = MAX_MOMENT_DEGREE - 2 * IDX - GP
+    assert math.isfinite(beta_entry(gp, 1.0, edge, 0, IDX))
+    with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
+        beta_entry(gp, 1.0, edge + 1, 0, IDX)
     with pytest.raises(ValueError):
         integration.weighted_product_integral([1.0, 2.0], 0.5, MAX_MOMENT_DEGREE)
 
