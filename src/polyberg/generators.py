@@ -223,21 +223,17 @@ class SeparationPlan:
     middle: int
     right: tuple
 
+    def __post_init__(self) -> None:
+        # a plan rebuilt from its JSON carries lists; tuples keep it
+        # hashable, so it can key the product cache
+        for side in ("left", "right"):
+            terms = tuple((float(c), int(k)) for c, k in getattr(self, side))
+            object.__setattr__(self, side, terms)
+
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        """One batched product over the padded generator stacks."""
-
-        def stack(k):
-            return generator_stack(self.n, self.alpha, xi_max, k)
-
-        def limit(k):
-            return make_gp(k, self.alpha).limit
-
-        def combine(terms, f):
-            return sum(c * f(k) for c, k in terms)
-
-        mid = stack(self.middle)
-        prod = combine(self.left, stack) @ mid @ mid @ combine(self.right, stack)
-        lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
+        """The plan's sequence up to xi_max: a new MatrixSeq around the
+        cached read-only product stack (see _plan_product)."""
+        prod, lim = _plan_product(self, xi_max)
         return MatrixSeq(n=self.n, alpha=self.alpha, blocks=prod, scalar_limit=lim)
 
     def to_json_obj(self) -> dict:
@@ -251,6 +247,28 @@ class SeparationPlan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
+
+
+@lru_cache(maxsize=512)
+def _plan_product(plan: SeparationPlan, xi_max: int):
+    """One batched product over the padded generator stacks, and the
+    scalar limit of the plan.  The stack is read-only and shared by every
+    evaluation of the plan at xi_max."""
+
+    def stack(k):
+        return generator_stack(plan.n, plan.alpha, xi_max, k)
+
+    def limit(k):
+        return make_gp(k, plan.alpha).limit
+
+    def combine(terms, f):
+        return sum(c * f(k) for c, k in terms)
+
+    mid = stack(plan.middle)
+    prod = combine(plan.left, stack) @ mid @ mid @ combine(plan.right, stack)
+    prod.flags.writeable = False
+    lim = combine(plan.left, limit) * limit(plan.middle) ** 2 * combine(plan.right, limit)
+    return prod, lim
 
 
 @lru_cache(maxsize=1024)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -68,6 +69,8 @@ def finite_state(xi: int, u) -> PureState:
     vec = np.asarray(u, dtype=complex)
     if vec.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"state vector must be finite, got {vec}")
     if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"state vector must be unit norm, got {np.linalg.norm(vec)}")
     return PureState(xi=int(xi), u=vec)
@@ -216,6 +219,13 @@ def _hermitian_value(s: PureState, x: MatrixSeq) -> float:
     return v.real if isinstance(v, complex) else v
 
 
+@lru_cache(maxsize=256)
+def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
+    """The default infinity witness, the sequence of indicator_symbol(0.5);
+    its read-only stack is shared by every separation that reads it."""
+    return gamma_sequence(indicator_symbol(0.5), n, alpha, xi_max)
+
+
 def separation(
     s1: PureState,
     s2: PureState,
@@ -238,6 +248,8 @@ def separation(
     plan that kills the lower block.  Raises NotSeparableError for equal
     states and for the documented coincidence families.
     """
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
     if same_pure_state(s1, s2):
         raise NotSeparableError("identical pure states")
     if _is_documented_coincidence(s1, s2, n, alpha):
@@ -248,11 +260,14 @@ def separation(
 
     if s1.is_limit or s2.is_limit:
         fin = s2 if s1.is_limit else s1
-        sym = infinity_witness if infinity_witness is not None else indicator_symbol(0.5)
-        if sym.limit is None:
+        if infinity_witness is None:
+            cached = _limit_witness(n, float(alpha), max(fin.xi, 0))
+            witness = MatrixSeq(n, alpha, cached.blocks, cached.scalar_limit, cached.symbol)
+        elif infinity_witness.limit is None:
             raise ValueError("infinity witness symbol needs a known boundary limit")
-        witness = gamma_sequence(sym, n, alpha, max(fin.xi, 0))
-        recipe, value = {"symbol": sym}, eval_state
+        else:
+            witness = gamma_sequence(infinity_witness, n, alpha, max(fin.xi, 0))
+        recipe, value = {"symbol": witness.symbol}, eval_state
     elif s1.xi == s2.xi:
         xi = s1.xi
         p, q = witness_indices(s1.u, s2.u)

@@ -17,7 +17,7 @@ from conftest import (
     poly_entry_fraction,
     q_coeffs_fraction,
 )
-from polyberg import generators, integration, jacobi, special_fn, symbols
+from polyberg import gammaseq, generators, integration, jacobi, purestates, special_fn, symbols
 from polyberg.gammaseq import gamma_matrix
 from polyberg.integration import (
     MAX_MOMENT_DEGREE,
@@ -122,7 +122,7 @@ def test_moment_guard_is_kept():
 
 
 def _caches():
-    for mod in (integration, jacobi, generators, special_fn, symbols):
+    for mod in (integration, jacobi, generators, special_fn, symbols, purestates, gammaseq):
         for val in vars(mod).values():
             if hasattr(val, "cache_info") and val.__module__ == mod.__name__:
                 yield f"{mod.__name__}.{val.__name__}", val
@@ -158,5 +158,9 @@ def test_generator_caches_stay_bounded_over_many_separations():
                 info = fn.cache_info()
                 assert info.maxsize is not None, name
                 assert info.currsize <= info.maxsize, name
-    for name in ("polyberg.generators._plan", "polyberg.generators.generator_stack"):
+    for name in (
+        "polyberg.generators._plan",
+        "polyberg.generators._plan_product",
+        "polyberg.generators.generator_stack",
+    ):
         assert caches[name].cache_info().misses - misses[name] > limits[name], name

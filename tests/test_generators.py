@@ -12,6 +12,7 @@ from polyberg.generators import (
     cross_frequency_plan,
     generator_block,
     generator_stack,
+    SeparationPlan,
     matrix_unit,
     nu_table,
     same_frequency_plan,
@@ -230,6 +231,14 @@ def test_plan_json():
     assert all(len(pair) == 2 for pair in obj["left"])
 
 
+def test_plan_rebuilt_from_json_is_equal():
+    plan = same_frequency_plan(3, 0.5, 1, 0, 2)
+    rebuilt = SeparationPlan(**json.loads(plan.to_json()))
+    assert isinstance(rebuilt.left, tuple) and isinstance(rebuilt.right[0], tuple)
+    assert rebuilt == plan and hash(rebuilt) == hash(plan)
+    assert np.array_equal(rebuilt.evaluate(3).blocks, plan.evaluate(3).blocks)
+
+
 def test_plan_scalar_limit_propagates():
     plan = same_frequency_plan(2, 0.0, 0, 0, 0)
     x = plan.evaluate(2)
@@ -279,6 +288,28 @@ def test_evaluate_equals_per_frequency_products(n, alpha):
             assert list(frequencies(n, got.xi_max)) == list(refs[key])
             for f, want in refs[key].items():
                 assert np.array_equal(got.block(f), want), (n, alpha, plan, xi_max, f)
+
+
+def _batched_evaluation(plan, xi_max):
+    # the product L @ M @ M @ R over the generator stacks, uncached
+    def combine(terms):
+        return sum(c * generator_stack(plan.n, plan.alpha, xi_max, k) for c, k in terms)
+
+    mid = generator_stack(plan.n, plan.alpha, xi_max, plan.middle)
+    return combine(plan.left) @ mid @ mid @ combine(plan.right)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_cached_evaluations_equal_the_batched_product(n, alpha):
+    for xi, plan in _plans(n, alpha):
+        xi_max = max(xi, 0)
+        first, second = plan.evaluate(xi_max), plan.evaluate(xi_max)
+        assert np.array_equal(first.blocks, _batched_evaluation(plan, xi_max)), (plan, xi_max)
+        assert first is not second and np.shares_memory(first.blocks, second.blocks)
+        assert not first.blocks.flags.writeable and not second.blocks.flags.writeable
+        second.scalar_limit = None
+        assert plan.evaluate(xi_max).scalar_limit == first.scalar_limit
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

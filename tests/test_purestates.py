@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import unit
-from polyberg import integration
+from polyberg import generators, integration, purestates
 from polyberg.gammaseq import frequencies, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
@@ -34,6 +34,12 @@ def test_state_validation():
     s = finite_state(2, [1.0, 0.0, 0.0])
     assert s.xi == 2 and not s.is_limit
     assert limit_state().is_limit
+
+
+def test_state_vector_must_be_finite():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="must be finite"):
+            finite_state(0, bad)
 
 
 def test_same_pure_state():
@@ -182,6 +188,32 @@ def test_separate_infinity():
     # reversed order gives reversed values
     _, vals_r = separate(s_fin, s_inf, 3, 0.0)
     assert vals_r[0] == pytest.approx(1.0 / 64.0, rel=1e-12) and vals_r[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_cached_limit_witness_equals_the_indicator_sequence(n, alpha):
+    ind = indicator_symbol(0.5)
+    for xi in range(-n + 1, 7):
+        fin = finite_state(xi, np.eye(min(n + xi, n))[0])
+        first, _ = separate(limit_state(), fin, n, alpha)
+        second, _ = separate(fin, limit_state(), n, alpha)
+        want = gamma_sequence(ind, n, alpha, max(xi, 0))
+        assert np.array_equal(first.blocks, want.blocks), xi
+        assert first.scalar_limit == want.scalar_limit and first.symbol == ind
+        assert first is not second and np.shares_memory(first.blocks, second.blocks)
+        assert not first.blocks.flags.writeable and not second.blocks.flags.writeable
+
+
+def test_separate_refuses_bad_alpha_before_any_cache():
+    s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
+    caches = (purestates._limit_witness, generators._plan, generators._plan_product)
+    before = [c.cache_info() for c in caches]
+    for alpha in (float("nan"), -1.5, -1.0):
+        for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
+            with pytest.raises(ValueError, match="alpha must exceed -1"):
+                separate(*pair, 2, alpha)
+    assert [c.cache_info() for c in caches] == before
 
 
 def test_separate_cross_frequency():
