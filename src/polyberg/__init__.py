@@ -1,65 +1,47 @@
 """Matrix-sequence model of radial Toeplitz operators on polyanalytic
 weighted Bergman spaces: exact entry integrals, structural diagnostics,
 matrix-unit generators, pure-state separation, and an independent 2D
-disk-quadrature oracle."""
+disk-quadrature oracle.
 
-from .gammaseq import (
-    MatrixSeq,
-    block_order,
-    gamma_matrix,
-    gamma_sequence,
-    spectral_norm,
-    tail_deviation,
-)
-from .generators import (
-    AntitriangularReport,
-    NuTable,
-    SeparationPlan,
-    antitriangular_report,
-    cross_frequency_plan,
-    matrix_unit,
-    nu_table,
-    same_frequency_plan,
-)
-from .integration import MomentKey, beta_entry, moment
-from .jacobi import (
-    JacobiParams,
-    jac_fn_eval,
-    jac_norm_coeff,
-    jac_sup_bound,
-    q_coeffs,
-    q_eval,
-)
-from .purestates import (
-    NotSeparableError,
-    PureState,
-    closure_gap_witness,
-    coincidence_pair,
-    eval_state,
-    eval_state_integral,
-    finite_state,
-    limit_state,
-    separate,
-    submatrix_coincidence_pair,
-    witness_indices,
-)
-from .special_fn import (
-    beta,
-    binom_bound_holds,
-    log_gamma,
-    reg_incomplete_beta,
-    wendel_bound_holds,
-)
-from .symbols import (
-    SymbolSpec,
-    boundary_limit,
-    const_symbol,
-    eval_at_t,
-    indicator_symbol,
-    make_gp,
-    poly_t_symbol,
-    sampled_symbol,
-)
-from .bergman_oracle import DiskPoint, disk_poly, toeplitz_entry_2d
+The public names below are loaded on demand (PEP 562): importing the
+package, or one of its modules, loads only the modules that are used.
+A name, once resolved, is a plain attribute of the package.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "gammaseq": ("MatrixSeq", "block_order", "gamma_matrix", "gamma_sequence",
+                 "spectral_norm", "tail_deviation"),
+    "generators": ("AntitriangularReport", "NuTable", "SeparationPlan",
+                   "antitriangular_report", "cross_frequency_plan", "matrix_unit",
+                   "nu_table", "same_frequency_plan"),
+    "integration": ("MomentKey", "beta_entry", "moment"),
+    "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound",
+               "q_coeffs", "q_eval"),
+    "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
+                   "coincidence_pair", "eval_state", "eval_state_integral",
+                   "finite_state", "limit_state", "separate",
+                   "submatrix_coincidence_pair", "witness_indices"),
+    "special_fn": ("beta", "binom_bound_holds", "log_gamma", "reg_incomplete_beta",
+                   "wendel_bound_holds"),
+    "symbols": ("SymbolSpec", "boundary_limit", "const_symbol", "eval_at_t",
+                "indicator_symbol", "make_gp", "poly_t_symbol", "sampled_symbol"),
+    "bergman_oracle": ("DiskPoint", "disk_poly", "toeplitz_entry_2d"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,9 @@ disk oracle, and run the invariant suite.
 
 Exit codes: 0 success, 1 failed verification, 2 bad input, 3 states not
 separable.  A sequence's blocks come from one stacked call over all its
-frequencies (integration.entry_blocks).
+frequencies (integration.entry_blocks).  The generator, pure-state and
+verification modules are imported by the commands that use them, so a
+`gamma` process loads only the sequence path.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import verify as verify_mod
 from .gammaseq import (
     block_csv,
     block_order,
@@ -24,18 +25,11 @@ from .gammaseq import (
     gamma_sequence,
     seq_to_json_obj,
     spectral_norm,
-    tail_deviation,
-)
-from .generators import SeparationPlan, generator_family
-from .purestates import (
-    NotSeparableError,
-    PureState,
-    eval_state,
-    finite_state,
-    limit_state,
-    separation,
 )
 from .symbols import symbol_from_json_obj, symbol_to_json_obj
+
+if TYPE_CHECKING:
+    from .purestates import PureState
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -57,6 +51,8 @@ def _load_symbol(spec: str, alpha: float):
 
 
 def _parse_state(spec: str, n: int) -> PureState:
+    from .purestates import finite_state, limit_state
+
     if spec.strip().lower() == "inf":
         return limit_state()
     try:
@@ -73,6 +69,8 @@ def _parse_state(spec: str, n: int) -> PureState:
             f"state at frequency {xi} needs a vector of dimension {d}, "
             f"got {vec.shape[0]}"
         )
+    if not np.isfinite(vec).all():
+        raise ValueError(f"state vector must be finite, got {vec}")
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         raise ValueError("state vector must be nonzero")
@@ -91,23 +89,28 @@ def cmd_gamma(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
     seq = gamma_sequence(a, args.n, args.alpha, args.xi_max)
     if args.format == "json":
-        payload = json.dumps(seq_to_json_obj(seq), indent=2)
+        payload = json.dumps(seq_to_json_obj(seq))
     else:
         payload = block_csv(seq, args.xi)
     _write_output(payload, args.out)
     sink = sys.stdout if args.out else sys.stderr
-    print("xi order norm" + (" tail_deviation" if seq.scalar_limit is not None else ""),
-          file=sink)
-    for xi in frequencies(seq.n, seq.xi_max):
-        b = seq.block(xi)
-        row = f"{xi:3d} {b.shape[0]:5d} {spectral_norm(b):.6e}"
-        if seq.scalar_limit is not None and xi >= 0:
-            row += f" {tail_deviation(seq, xi):.6e}"
+    n, limit = seq.n, seq.scalar_limit
+    print("xi order norm" + (" tail_deviation" if limit is not None else ""), file=sink)
+    # one stacked SVD per column: padding adds only zero singular values,
+    # and the tail column reads the blocks of xi >= 0, which are unpadded
+    norms = spectral_norm(seq.blocks)
+    tails = None if limit is None else spectral_norm(seq.blocks[n - 1:] - limit * np.eye(n))
+    for i, xi in enumerate(frequencies(n, seq.xi_max)):
+        row = f"{xi:3d} {block_order(n, xi):5d} {norms[i]:.6e}"
+        if tails is not None and xi >= 0:
+            row += f" {tails[xi]:.6e}"
         print(row, file=sink)
     return EXIT_OK
 
 
 def cmd_purestate(args) -> int:
+    from .purestates import eval_state
+
     a = _load_symbol(args.symbol, args.alpha)
     state = _parse_state(args.state[0], args.n)
     xi_top = args.xi_max if state.is_limit else max(args.xi_max, state.xi, 0)
@@ -121,6 +124,8 @@ def cmd_separate(args) -> int:
     if len(args.state) != 2:
         print("separate needs exactly two --state arguments", file=sys.stderr)
         return EXIT_USAGE
+    from .purestates import NotSeparableError, separation
+
     s1 = _parse_state(args.state[0], args.n)
     s2 = _parse_state(args.state[1], args.n)
     witness_symbol = _load_symbol(args.symbol, args.alpha) if args.symbol else None
@@ -142,14 +147,19 @@ def cmd_separate(args) -> int:
 
 def _recipe_json(obj):
     # the plans and symbols of a separation recipe
+    from .generators import SeparationPlan
+
     return obj.to_json_obj() if isinstance(obj, SeparationPlan) else symbol_to_json_obj(obj)
 
 
 def cmd_basis(args) -> int:
+    from .generators import generator_family
+    from .verify import matrix_unit_errors
+
     _, gs, table = generator_family(
         args.n, args.alpha, args.xi, args.tol_zero, args.tol_nonzero
     )
-    errs = verify_mod.matrix_unit_errors(gs, table)
+    errs = matrix_unit_errors(gs, table)
     for (p, q), err in np.ndenumerate(errs):
         print(f"unit ({p},{q}): max entry error {err:.3e}")
     worst = float(errs.max())
@@ -158,9 +168,11 @@ def cmd_basis(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .verify import oracle_gaps
+
     a = _load_symbol(args.symbol, args.alpha)
     worst = 0.0
-    for xi, gap in verify_mod.oracle_gaps(a, args.n, args.alpha, args.xi_max).items():
+    for xi, gap in oracle_gaps(a, args.n, args.alpha, args.xi_max).items():
         worst = max(worst, gap)
         print(f"xi = {xi}: cumulative max |2d - exact| = {worst:.3e}")
     print(f"worst disagreement: {worst:.3e}")
@@ -168,7 +180,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(
+    from .verify import run_all
+
+    results = run_all(
         args.n, args.alpha, args.seed, args.tol_zero, args.tol_nonzero
     )
     width = max(len(r.name) for r in results)

@@ -123,7 +123,7 @@ class MatrixSeq:
         return self.blocks[xi + self.n - 1, :d, :d]
 
     def sup_block_norm(self) -> float:
-        return max(spectral_norm(self.block(xi)) for xi in frequencies(self.n, self.xi_max))
+        return float(spectral_norm(self.blocks).max())
 
     def _pointwise(self, other: "MatrixSeq", block_op, limit_op) -> "MatrixSeq":
         if (self.n, self.alpha, self.xi_max) != (other.n, other.alpha, other.xi_max):
@@ -159,13 +159,16 @@ def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSe
     )
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of a block (its operator 2-norm); 0 for an
-    empty block."""
+def spectral_norm(m: np.ndarray):
+    """Largest singular value of a block (its operator 2-norm), as a float;
+    0 for an empty block.  For a stack of blocks, such as a MatrixSeq's
+    padded blocks (padding adds only zero singular values), the array of
+    the norms of its blocks, from one stacked SVD."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 def tail_deviation(seq: MatrixSeq, xi: int) -> float:
@@ -180,8 +183,8 @@ def tail_deviation(seq: MatrixSeq, xi: int) -> float:
 
 def _matrix_to_rows(m: np.ndarray):
     if np.iscomplexobj(m):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-    return [[float(v) for v in row] for row in m]
+        return np.stack((m.real, m.imag), axis=-1).tolist()
+    return m.tolist()
 
 
 def _rows_to_matrix(rows):

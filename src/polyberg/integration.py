@@ -9,13 +9,14 @@ Polynomial symbols are integrated exactly, in Python integers over a
 common denominator.  With the weight exponent alpha = p / 2^e (a binary
 float), the moment of degree d is d! 2^(e (d+1)) / P[d+1], where
 P[j] = prod_{i=1..j} (p + i 2^e) comes from one prefix table per alpha.
-Per frequency the exact kernel scales the symbol's coefficients once and
-forms the product of the symbol with each Jacobi polynomial once; an
-entry convolves that row with the second polynomial, contracts the result
-against the moments over one denominator and rounds once, by a correctly
-rounded int / int division.  So every orthogonality relation the entries
-inherit holds to the last bit (zeros come out as literal 0.0).  A
-constant symbol gives value * I by orthonormality.
+Per frequency the exact kernel puts the moments over one denominator
+once, contracts them with the symbol's scaled coefficients S to the Hankel
+vector W[l] = sum_c S_c M[l + c], and each Jacobi polynomial Q_j with W to
+the row y_j[b] = sum_a Q_j[a] W[a + b]; entry (j, k) is sum_b Q_k[b]
+y_j[b] over one denominator, rounded once by a correctly rounded
+int / int division.  So every orthogonality relation the entries inherit
+holds to the last bit (zeros come out as literal 0.0).  A constant symbol
+gives value * I by orthonormality.
 
 Indicator and sampled symbols are sums of pieces c (x - t)^e on [0, x]
 (e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table); their
@@ -107,15 +108,6 @@ def _guard_degree(degree: int) -> None:
         )
 
 
-def _conv(u, v) -> tuple[int, ...]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for l, b in enumerate(v):
-                out[i + l] += a * b
-    return tuple(out)
-
-
 def _scaled(coeffs) -> tuple[list[int], int]:
     # integer numerators over one common denominator; floats (and anything
     # that is not an exact rational) are taken at their binary value
@@ -128,22 +120,20 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _contract(nums, den: int, alpha: float, xi_abs: int) -> float:
-    # sum_d nums[d] * moment(d + xi_abs) / den, rounded once: each moment
-    # d! 2^(e (d+1)) / P[d+1] is put over P[top+1] by the tail product
-    # P[top+1] / P[d+1] = prod_{i=d+2..top+1} (p + i 2^e)
-    top = xi_abs + len(nums) - 1
+def _moments(alpha: float, xi_abs: int, top: int) -> tuple[list[int], int]:
+    # the moments of degrees xi_abs .. top as integer numerators over the
+    # one denominator P[top+1]: each moment d! 2^(e (d+1)) / P[d+1] is
+    # scaled by the tail product P[top+1] / P[d+1] = prod_{i=d+2..top+1}
+    # (p + i 2^e)
     _guard_degree(top)
     p, e, prefix = _moment_table(alpha)
     q = 1 << e
-    acc = 0
+    nums = []
     tail = 1
     for d in range(top, xi_abs - 1, -1):
-        c = nums[d - xi_abs]
-        if c:
-            acc += (c * _FACTORIALS[d] * tail) << (e * (d + 1))
+        nums.append((_FACTORIALS[d] * tail) << (e * (d + 1)))
         tail *= p + (d + 1) * q
-    return acc / (den * prefix[top + 1])
+    return nums[::-1], prefix[top + 1]
 
 
 @lru_cache(maxsize=8192)
@@ -160,7 +150,9 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     may be floats or exact rationals."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    return _contract(*_scaled(coeffs), alpha, xi_abs)
+    nums, den = _scaled(coeffs)
+    moments, mden = _moments(alpha, xi_abs, xi_abs + len(nums) - 1)
+    return sum(c * m for c, m in zip(nums, moments)) / (den * mden)
 
 
 def _pieces(a: SymbolSpec):
@@ -221,9 +213,8 @@ def _gauss_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
 
 
 def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
-    # Upper triangles.  Per frequency each row j forms Q_j S once; entry
-    # (j, k) contracts (Q_j S) Q_k, the integer polynomial (Q_j Q_k) S over
-    # one denominator, and rounds once.
+    # Upper triangles, by the Hankel contraction of the module docstring:
+    # entry (j, k) is the rational integral of Q_j Q_k S, rounded once.
     if a.kind == "const":
         # orthonormality makes the block value * I
         return np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
@@ -237,13 +228,19 @@ def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
     else:
         parts = [_scaled(a.coeffs)]
     out = np.zeros((len(xis), d, d), dtype=complex if len(parts) == 2 else float)
+    # the largest moment degree above |xi|: that of entry (d - 1, d - 1)
+    span = 2 * (d - 1) + max(len(nums) for nums, _ in parts) - 1
     for i, xi in enumerate(xis):
+        moments, mden = _moments(alpha, xi, xi + span)
+        hankels = [([sum(c * moments[l + m] for m, c in enumerate(nums)) for l in range(2 * d - 1)],
+                     den * mden) for nums, den in parts]
         qs = [jacobi.q_coeffs_int(alpha, float(xi), m) for m in range(d)]
         for j, (qj, dj) in enumerate(qs):
-            rows = [(_conv(qj, nums), dj * den) for nums, den in parts]
+            rows = [([sum(c * w[m + b] for m, c in enumerate(qj)) for b in range(d)], dj * wden)
+                    for w, wden in hankels]
             for k in range(j, d):
                 qk, dk = qs[k]
-                vals = [_contract(_conv(row, qk), row_den * dk, alpha, xi)
+                vals = [sum(c * y for c, y in zip(qk, row)) / (row_den * dk)
                         for row, row_den in rows]
                 out[i, j, k] = norm_product(alpha, xi, j, k) * (
                     complex(*vals) if len(vals) == 2 else vals[0])

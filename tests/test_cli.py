@@ -1,15 +1,17 @@
 """Command-line behavior: outputs, exit codes, round trips."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from polyberg import integration, verify
 from polyberg.cli import main
-from polyberg.gammaseq import seq_from_json_obj
+from polyberg.gammaseq import gamma_sequence, seq_from_json_obj, spectral_norm, tail_deviation
 from polyberg.generators import SeparationPlan
 from polyberg.purestates import eval_state, finite_state
+from polyberg.symbols import symbol_from_json_obj
 
 
 def test_gamma_writes_json(tmp_path, capsys):
@@ -60,6 +62,27 @@ def test_gamma_const_identity_stdout(capsys):
     for m in obj["matrices"]:
         arr = np.array(m["rows"])
         assert np.allclose(arr, 2.0 * np.eye(arr.shape[0]))
+
+
+@pytest.mark.parametrize("symbol", [
+    '{"kind":"indicator","s":0.5}',
+    '{"kind":"poly_t","coeffs":[[0.5,0.25],-1,[0,2]]}',
+])
+def test_gamma_table_equals_the_per_block_norms(symbol, tmp_path, capsys):
+    # the table reads one stacked SVD over the padded blocks; each column
+    # must print what the norm of the unpadded block prints
+    n, alpha, xi_max = 4, 0.5, 5
+    code = main(["gamma", "--n", str(n), "--alpha", str(alpha), "--xi-max", str(xi_max),
+                 "--symbol", symbol, "--out", str(tmp_path / "seq.json")])
+    assert code == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    seq = gamma_sequence(symbol_from_json_obj(json.loads(symbol), alpha=alpha), n, alpha, xi_max)
+    assert [int(r[0]) for r in rows] == list(range(-n + 1, xi_max + 1))
+    for xi, order, norm, *tail in rows:
+        xi = int(xi)
+        assert int(order) == seq.block(xi).shape[0]
+        assert norm == f"{spectral_norm(seq.block(xi)):.6e}"
+        assert tail == ([f"{tail_deviation(seq, xi):.6e}"] if xi >= 0 else [])
 
 
 def test_gamma_csv(tmp_path):
@@ -221,6 +244,16 @@ def test_separate_wrong_dimension_exits_2(capsys):
         ["separate", "--n", "2", "--alpha", "0", "--state", "0:1", "--state", "1:1,0"]
     )
     assert code == 2
+
+
+def test_nonfinite_state_is_refused_before_normalizing(capsys):
+    # no numpy warning on the way, and the message shows the given vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["separate", "--state", "0:nan,0", "--state", "0:1,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: state vector must be finite, got [nan+0.j")
 
 
 def test_basis_demo(capsys):

@@ -88,22 +88,27 @@ def test_entries_equal_fractions(alpha):
     real = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1))
     cplx = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1)
                          + 1j * rng.uniform(-1, 1, POLY_DEGREE + 1))
-    cases = [(real, real.coeffs), (cplx, cplx.coeffs),
-             (make_gp(GP, alpha), q_coeffs_fraction(alpha, 0.0, GP))]
+    # each symbol up to the frequency that puts the top moment degree of
+    # its n = 8 block, 2 (d - 1) + xi + degree, at the guard
+    cases = [(real, real.coeffs, POLY_DEGREE), (cplx, cplx.coeffs, POLY_DEGREE),
+             (make_gp(GP, alpha), q_coeffs_fraction(alpha, 0.0, GP), GP)]
     consts = [const_symbol(-1.25), const_symbol(0.5 - 0.75j)]
     d = IDX + 1
-    for xi in xis(GP):
-        # each block from a stack over two frequencies (one at xi = 0)
-        lo = max(xi - 1, 0)
-        kks = {(j, k): norm_product_fraction(alpha, xi, j, k)
-               for j in range(d) for k in range(j, d)}
-        for sym, coeffs in cases:
+    for sym, coeffs, degree in cases:
+        for xi in xis(degree):
+            # each block from a stack over two frequencies (one at xi = 0)
+            lo = max(xi - 1, 0)
+            kks = {(j, k): norm_product_fraction(alpha, xi, j, k)
+                   for j in range(d) for k in range(j, d)}
             want = _fraction_block(coeffs, alpha, xi, d, kks)
             got = integration.entry_blocks(sym, alpha, range(lo, xi + 1), d)[xi - lo]
             assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
             for j in range(d):
                 for k in range(j, d):
                     assert beta_entry(sym, alpha, xi, j, k) == want[j, k]
+    for xi in xis(GP):
+        lo = max(xi - 1, 0)
         for sym in consts:
             got = integration.entry_blocks(sym, alpha, range(lo, xi + 1), d)[xi - lo]
             assert np.array_equal(got, sym.value * np.eye(d))

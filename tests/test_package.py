@@ -1,0 +1,46 @@
+"""The package loads its modules on demand.
+
+`import polyberg` loads no module; each public name is imported from its
+module on first lookup, so a `polyberg gamma` process loads only the
+sequence path.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import polyberg
+
+GAMMA_PATH = {"cli", "gammaseq", "integration", "jacobi", "special_fn", "symbols"}
+
+
+def test_cli_import_loads_only_the_sequence_path():
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, polyberg.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('polyberg.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
+
+
+def test_public_names_resolve_to_their_modules():
+    for module, names in polyberg._EXPORTS.items():
+        mod = importlib.import_module(f"polyberg.{module}")
+        for name in names:
+            assert getattr(polyberg, name) is getattr(mod, name)
+            # a resolved name is cached as a plain attribute
+            assert vars(polyberg)[name] is getattr(mod, name)
+    assert sorted(polyberg.__all__) == sorted(polyberg._MODULE_OF)
+
+
+def test_dir_lists_every_public_name():
+    assert set(polyberg.__all__) <= set(dir(polyberg))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polyberg.no_such_name
