@@ -14,9 +14,9 @@ _EXPORTS = {
     "gammaseq": ("MatrixSeq", "block_order", "gamma_matrix", "gamma_sequence",
                  "spectral_norm", "tail_deviation"),
     "generators": ("AntitriangularReport", "NuTable", "SeparationPlan",
-                   "antitriangular_report", "cross_frequency_plan", "matrix_unit",
+                   "antitriangular_report", "matrix_unit",
                    "nu_table", "same_frequency_plan"),
-    "integration": ("MomentKey", "beta_entry", "moment"),
+    "integration": ("beta_entry",),
     "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound",
                "q_coeffs", "q_eval"),
     "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
@@ -25,7 +25,7 @@ _EXPORTS = {
                    "submatrix_coincidence_pair", "witness_indices"),
     "special_fn": ("beta", "binom_bound_holds", "log_gamma", "reg_incomplete_beta",
                    "wendel_bound_holds"),
-    "symbols": ("SymbolSpec", "boundary_limit", "const_symbol", "eval_at_t",
+    "symbols": ("SymbolSpec", "const_symbol", "eval_at_t",
                 "indicator_symbol", "make_gp", "poly_t_symbol", "sampled_symbol"),
     "bergman_oracle": ("DiskPoint", "disk_poly", "toeplitz_entry_2d"),
 }

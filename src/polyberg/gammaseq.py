@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .integration import entry_block, entry_blocks
-from .symbols import SymbolSpec, boundary_limit, symbol_from_json_obj, symbol_to_json_obj
+from .symbols import SymbolSpec, symbol_from_json_obj, symbol_to_json_obj
 
 __all__ = [
     "block_order",
@@ -155,7 +155,7 @@ def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSe
     stack = entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), block_order(n, 0))
     blocks = pack_blocks(n, (stack[abs(xi), :n + min(xi, 0), :n + min(xi, 0)] for xi in xis))
     return MatrixSeq(
-        n=n, alpha=alpha, blocks=blocks, scalar_limit=boundary_limit(a), symbol=a
+        n=n, alpha=alpha, blocks=blocks, scalar_limit=a.limit, symbol=a
     )
 
 

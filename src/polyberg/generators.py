@@ -33,7 +33,6 @@ __all__ = [
     "matrix_unit",
     "SeparationPlan",
     "same_frequency_plan",
-    "cross_frequency_plan",
     "generator_block",
     "generator_family",
     "generator_stack",
@@ -306,31 +305,3 @@ def same_frequency_plan(
     if not (0 <= p < d and 0 <= q < d):
         raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")
     return _plan(n, float(alpha), xi, p, q, tol_zero, tol_nonzero)
-
-
-def cross_frequency_plan(
-    n: int,
-    alpha: float,
-    xi: int,
-    eta: int,
-    p: int,
-    tol_zero: float = TOL_ZERO,
-    tol_nonzero: float = TOL_NONZERO,
-) -> SeparationPlan:
-    """Plan whose evaluation X has X_eta = E_{p,p} while X_xi is the zero
-    block (xi < eta).
-
-    This is the same-frequency plan for E_{p,p} at eta, so the plan does
-    not depend on xi.  Its squared middle factor is a sequence whose block
-    at xi vanishes identically: its structural index exceeds the last
-    antidiagonal of the order-min(n+xi, n) block.  Both-negative
-    frequencies draw generators from a lower symbol range than the other
-    three sign patterns.
-    """
-    if xi >= eta:
-        raise ValueError(f"need xi < eta, got ({xi}, {eta})")
-    block_order(n, xi)  # validates xi membership
-    d_eta = block_order(n, eta)
-    if not 0 <= p < d_eta:
-        raise ValueError(f"unit index must lie in [0, {d_eta}), got {p}")
-    return _plan(n, float(alpha), eta, p, p, tol_zero, tol_nonzero)

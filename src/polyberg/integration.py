@@ -18,12 +18,16 @@ int / int division.  So every orthogonality relation the entries inherit
 holds to the last bit (zeros come out as literal 0.0).  A constant symbol
 gives value * I by orthonormality.
 
-Indicator and sampled symbols are sums of pieces c (x - t)^e on [0, x]
-(e = 0 at the cut s^2; a ramp, e = 1, at each knot of a table); their
-kernel integrates all blocks of the range on stacked Gauss rules for the
-weights u^|xi|, with the orthonormal polynomials taken from their
-three-term recurrence.  It works through the range in chunks whose
-products and Jacobi matrices stay within _CHUNK_BYTES.
+An indicator or sampled symbol is a level plus a part r that vanishes
+beyond x: level 0 and r = 1 up to the cut x = s^2, or the table's last
+value, with r linear between the knots up to the last knot x.  The level
+gives level * I.  The rest is integrated on one Gauss-Legendre panel rule
+on [0, x], shared by every frequency: the panels halve toward x, every
+knot is an edge, and each panel is sized from its Bernstein ellipse
+(Trefethen, SIAM Review 50, 2008).  The kernel then works a frequency at
+a time: the weight t^|xi| (1-t)^alpha / mass at the nodes, the
+orthonormal polynomials from their three-term recurrence, and one
+extended-precision product V g V^T, so its working set is nodes x d.
 
 The caches are the only shared state.  They are bounded, sized so that
 one n = 8 request up to |xi| = 190 keeps all its hits.
@@ -36,17 +40,14 @@ import math
 import numbers
 import operator
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import jacobi
-from .special_fn import gauss_rules, gauss_size, jacobi_recurrence
+from .special_fn import gauss_size, jacobi_recurrence, legendre_rule
 from .symbols import SymbolSpec
 
 __all__ = [
-    "MomentKey",
-    "moment",
     "beta_entry",
     "entry_block",
     "entry_blocks",
@@ -55,20 +56,12 @@ __all__ = [
 ]
 
 MAX_MOMENT_DEGREE = 192
-# bytes of working set per chunk of frequencies (a chunk holds at least one)
-_CHUNK_BYTES = 1 << 20
-# symbols integrated on a Gauss rule rather than exactly
+# symbols integrated on the panel rule rather than exactly
 FLOAT_KINDS = ("indicator", "sampled")
 
 _FACTORIALS = tuple(
     itertools.accumulate(range(1, MAX_MOMENT_DEGREE + 1), operator.mul, initial=1)
 )
-
-
-class MomentKey(NamedTuple):
-    k: int
-    alpha: float
-    xi_abs: int
 
 
 @lru_cache(maxsize=16)
@@ -88,17 +81,6 @@ def _moment_float(degree: int, alpha: float) -> float:
     #   = degree! / prod_{i=1..degree+1} (alpha + i)
     _, e, prefix = _moment_table(alpha)
     return (_FACTORIALS[degree] << (e * (degree + 1))) / prefix[degree + 1]
-
-
-def moment(key: MomentKey) -> float:
-    """Weight moment: integral of t^(k+xi_abs) (1-t)^alpha over [0, 1]."""
-    key = MomentKey(*key)
-    if key.k < 0 or key.xi_abs < 0:
-        raise ValueError(f"moment indices must be nonnegative, got {key}")
-    if not key.alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {key.alpha}")
-    _guard_degree(key.k + key.xi_abs)
-    return _moment_float(key.k + key.xi_abs, key.alpha)
 
 
 def _guard_degree(degree: int) -> None:
@@ -150,65 +132,75 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     may be floats or exact rationals."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if xi_abs < 0:
+        raise ValueError(f"xi_abs must be nonnegative, got {xi_abs}")
     nums, den = _scaled(coeffs)
     moments, mden = _moments(alpha, xi_abs, xi_abs + len(nums) - 1)
     return sum(c * m for c, m in zip(nums, moments)) / (den * mden)
 
 
-def _pieces(a: SymbolSpec):
-    # (level, cuts, e, cs): a = level + sum_i cs[i] (cuts[i] - t)^e on
-    # [0, cuts[i]].  A table, flat outside its knots, is its last value plus
-    # a ramp at each knot, weighted by the change of slope there.
+@lru_cache(maxsize=64)
+def _panel_rule(a: SymbolSpec, alpha: float, d: int):
+    # The split a = level + r, r = 0 beyond x, and the panel rule on [0, x]
+    # for blocks of order d: (x, level, t, log(t / x), g) with the nodes t and
+    # the longdouble weights g = w r(t) (1-t)^alpha, as shared read-only
+    # arrays.  The rule is built in s = x - t, which keeps 1 - t = (1 - x) + s
+    # and the knots near x to full relative accuracy.  Panel edges halve
+    # toward x down to the floor: the distance from x to the nearer of 1,
+    # where (1-t)^alpha is singular, and x (1 + 1/MAX_MOMENT_DEGREE), beyond
+    # which t^|xi| outgrows x^|xi| by more than a factor e.  Every knot is an
+    # edge too, and each panel is sized from the ellipse through that point.
     if a.kind == "indicator":
-        return 0.0, np.array([a.s * a.s]), 0, np.array([1.0])
-    ts = np.array([t for t, _ in a.points])
-    vs = np.array([v for _, v in a.points])
-    slopes = np.diff(vs) / np.diff(ts)
-    cs = np.diff(slopes, prepend=0.0, append=0.0)
-    keep = (ts > 0.0) & (cs != 0.0)
-    return vs[-1], ts[keep], 1, cs[keep]
+        x, level, knots, rise = a.s * a.s, 0.0, np.zeros(1), np.ones(1)
+    else:
+        ts = np.array([t for t, _ in a.points])
+        vs = np.array([v for _, v in a.points])
+        x, level = ts[-1], vs[-1]
+        knots, rise = x - ts[::-1], vs[::-1] - level
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"cut {x} must lie in (0, 1)")
+    floor = min(1.0 - x, x / MAX_MOMENT_DEGREE)
+    halvings = x * 0.5 ** np.arange(math.ceil(math.log2(x / floor)) + 1)
+    edges = np.array(sorted({0.0, *halvings.tolist(), *knots[knots < x].tolist()}))
+    lo, half = edges[:-1], np.diff(edges) / 2
+    degree = 2 * (d - 1) + (a.kind == "sampled") + max(math.ceil(alpha), 0)
+    sizes = gauss_size((lo + half + floor) / half, degree)
+    s, w = [], []
+    for size in sorted(set(sizes.tolist())):
+        u, wu = legendre_rule(size)
+        pick = sizes == size
+        s.append((lo[pick, None] + half[pick, None] * (1.0 + u)).ravel())
+        w.append((half[pick, None] * wu).ravel())
+    s, w = np.concatenate(s), np.concatenate(w)
+    # a panel on which the table equals its last value adds nothing
+    r = np.interp(s, knots, rise)
+    keep = r != 0.0
+    s, g = s[keep], w[keep] * r[keep] * ((1.0 - x) + s[keep]) ** alpha
+    # t^xi = x^xi exp(xi log(t / x)): a rounded t would lose xi ulps
+    rule = x - s, np.log1p(-s / x), g
+    for arr in rule:
+        arr.flags.writeable = False
+    return (x, level) + rule
 
 
-def _gauss_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
-    # With t = x u a piece is c x^(xi+1+e) times the integral of (1-u)^e
-    # (1-xu)^alpha p_j p_k against u^xi.  Cuts whose rule sizes lie within a
-    # factor 2 share the largest of them.  Each chunk of frequencies takes its
-    # rules from one stack and its blocks from one stacked product V g V^T.
-    level, cuts, e, cs = _pieces(a)
+def _panel_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
+    # level I plus, frequency by frequency, the integral of r p_j p_k against
+    # the normalized weight t^xi (1-t)^alpha / mass on the one panel rule
+    x, level, t, log_ratio, g = _panel_rule(a, alpha, d)
     out = np.broadcast_to(level * np.eye(d), (len(xis), d, d)).copy()
-    if not cuts.size:
+    if not t.size:
         return out
-    degree = 2 * (d - 1) + e + max(math.ceil(alpha), 0)
-    need = np.array([gauss_size(x, degree) for x in cuts])
-    group = np.log2(need.max() / need).astype(int)
-    groups = [(cuts[group == k], cs[group == k], int(need[group == k].max()))
-              for k in set(group.tolist())]
-    nodes = sum(x.size * size for x, _, size in groups)
-    # per frequency: the products V g V^T and the Jacobi matrix of the largest rule
-    per_xi = np.dtype(np.longdouble).itemsize * d * nodes + 8 * int(need.max()) ** 2
-    step = max(1, _CHUNK_BYTES // per_xi)
-    for lo in range(0, len(xis), step):
-        chunk = xis[lo:lo + step]
-        b = np.array(chunk, dtype=float)[:, None]
-        ts, gs = [], []
-        for x, c, size in groups:
-            u, w = gauss_rules(float(chunk.start), len(chunk), size)
-            t = x[:, None] * u[:, None]
-            ts.append(t.reshape(len(chunk), -1))
-            gs.append(((c * x ** (b + 1 + e))[:, :, None] * (w * (1.0 - u) ** e)[:, None]
-                       * (1.0 - t) ** alpha).reshape(len(chunk), -1))
-        t, g = (np.concatenate(v, axis=1) for v in (ts, gs))
-        # the orthonormal polynomials at t, times sqrt(mass) so that row 0 is 1
-        diag, off = jacobi_recurrence(alpha, b, d)
-        vals = np.ones((len(chunk), d, nodes))
+    diag, off = jacobi_recurrence(alpha, np.array(xis, dtype=float)[:, None], d)
+    # the orthonormal polynomials at t, times sqrt(mass) so that row 0 is 1
+    vals = np.ones((d, t.size))
+    for i, xi in enumerate(xis):
         for m in range(d - 1):
-            vals[:, m + 1] = ((t - diag[:, m, None]) * vals[:, m]
-                              - (off[:, m - 1, None] * vals[:, m - 1] if m else 0.0)) / off[:, m, None]
-        # summed in the rule's extended precision
-        vals = vals.astype(np.longdouble)
-        mass = np.array([_moment_float(xi, alpha) for xi in chunk])[:, None, None]
-        block = np.matmul(vals * g[:, None], vals.transpose(0, 2, 1)) / mass
-        out[lo:lo + step] += block.astype(out.dtype)
+            vals[m + 1] = ((t - diag[i, m]) * vals[m]
+                           - (off[i, m - 1] * vals[m - 1] if m else 0.0)) / off[i, m]
+        # summed in extended precision
+        v = vals.astype(np.longdouble)
+        weight = g * (x ** xi / _moment_float(xi, alpha) * np.exp(xi * log_ratio))
+        out[i] += np.dot(v * weight, v.T).astype(out.dtype)
     return out
 
 
@@ -250,8 +242,8 @@ def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
     exactly symmetric (len(xis), d, d) stack, complex only for a complex
-    symbol.  Indicator and sampled symbols take the chunked Gauss-rule
-    kernel, the others the exact one.  Refuses degree d - 1 above
+    symbol.  Indicator and sampled symbols take the panel-rule kernel,
+    the others the exact one.  Refuses degree d - 1 above
     jacobi.MAX_DEGREE and moment degrees above MAX_MOMENT_DEGREE (the
     largest is 2(d - 1) + max(xis), plus the degree of a polynomial
     symbol)."""
@@ -260,7 +252,7 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     if d - 1 > jacobi.MAX_DEGREE:
         raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
     _guard_degree(2 * (d - 1) + xis[-1])
-    kernel = _gauss_blocks if a.kind in FLOAT_KINDS else _exact_blocks
+    kernel = _panel_blocks if a.kind in FLOAT_KINDS else _exact_blocks
     out = kernel(a, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):

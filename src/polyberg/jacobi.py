@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -94,8 +93,11 @@ def q_coeffs_int(alpha: float, beta: float, m: int) -> tuple[tuple[int, ...], in
     return nums, math.factorial(m) << (e * m)
 
 
-def q_coeffs_exact(alpha: float, beta: float, m: int) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the degree-m polynomial, exact rationals."""
+def q_coeffs_exact(alpha: float, beta: float, m: int) -> tuple:
+    """Monomial coefficients of the degree-m polynomial, exact rationals
+    (Fractions; the module is imported here, off the float paths)."""
+    from fractions import Fraction
+
     nums, den = q_coeffs_int(alpha, beta, m)
     return tuple(Fraction(c, den) for c in nums)
 
@@ -146,8 +148,11 @@ def norm_coeff_sq_int(alpha: float, beta: int, m: int) -> tuple[int, int]:
     return num, math.prod(range(m + 1, m + beta + 1)) << (e * (beta + 1))
 
 
-def norm_coeff_sq_exact(alpha: float, beta: int, m: int) -> Fraction:
-    """Squared normalization constant as an exact rational (integer beta)."""
+def norm_coeff_sq_exact(alpha: float, beta: int, m: int):
+    """Squared normalization constant as an exact rational (a Fraction;
+    integer beta)."""
+    from fractions import Fraction
+
     return Fraction(*norm_coeff_sq_int(alpha, beta, m))
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
-from .generators import cross_frequency_plan, same_frequency_plan
+from .generators import same_frequency_plan
 from .integration import entry_block
 from .symbols import SymbolSpec, indicator_symbol
 
@@ -121,7 +121,8 @@ def eval_state_integral(
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
     # entry (j, k) read off the block of order max(j, k) + 1, as beta_entry
-    # reads it, so the Gauss rules differ from those of eval_state's block
+    # reads it: panel rules are sized by the order, so for float symbols
+    # they differ from the rule of eval_state's block
     blocks = [entry_block(a, alpha, xi, m + 1) for m in range(d)]
     entries = np.array([[blocks[max(j, k)][j, k] for k in range(d)] for j in range(d)])
     acc = 0.0 + 0.0j
@@ -287,7 +288,12 @@ def separation(
     else:
         lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
         p = int(np.argmax(np.abs(hi.u)))
-        plan = cross_frequency_plan(n, alpha, lo.xi, hi.xi, p)
+        # the plan for E_pp at hi.xi, whatever lo.xi is (lo.xi is only
+        # validated): its squared middle factor vanishes at lo.xi, whose
+        # block order puts the factor's structural index past the last
+        # antidiagonal
+        block_order(n, lo.xi)
+        plan = same_frequency_plan(n, alpha, hi.xi, p, p)
         witness, recipe, value = plan.evaluate(max(hi.xi, 0)), {"plan": plan}, _hermitian_value
     vals = (value(s1, witness), value(s2, witness))
     _require_gap(vals)

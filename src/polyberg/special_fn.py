@@ -1,13 +1,15 @@
-"""Scalar Gamma/Beta kernels, Gauss rules on [0, 1] and two elementary
-Gamma-ratio inequalities.
+"""Scalar Gamma/Beta kernels, Gauss rules and two elementary Gamma-ratio
+inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  The log-gamma kernel is a Lanczos approximation (g = 7,
-nine terms) with reflection for small arguments.  Stacks of Gauss rules
-for the weights u^b, u^(b+1), ... on [0, 1] come from the closed-form
-three-term recurrence of the Jacobi polynomials (DLMF 18.9) by the
-Golub-Welsch eigenvalue method; they integrate every truncated integral
-of the package, the regularized incomplete Beta (a stack of one) included.
+nine terms) with reflection for small arguments.  Gauss-Legendre rules on
+[-1, 1] come from Newton's method on the Legendre recurrence; they make
+the panel rule of the indicator and sampled blocks.  The Gauss rule for
+the weight u^b on [0, 1], which the regularized incomplete Beta needs for
+b down to near -1, comes from the closed-form three-term recurrence of the
+Jacobi polynomials (DLMF 18.9) by the Golub-Welsch eigenvalue method.
+gauss_size sizes either kind of rule from its Bernstein ellipse.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "jacobi_recurrence",
     "gauss_rules",
     "gauss_size",
+    "legendre_rule",
     "reg_incomplete_beta",
     "wendel_bound_holds",
     "binom_bound_holds",
@@ -46,7 +49,7 @@ _LANCZOS = (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # a Gauss rule is sized for this accuracy; it refuses more nodes than
-# MAX_GAUSS_SIZE (a cut within about 8e-5 of 1)
+# MAX_GAUSS_SIZE
 _GAUSS_LOG_TOL = math.log(1e-16)
 MAX_GAUSS_SIZE = 1024
 
@@ -87,41 +90,59 @@ def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, n
 
 
 @lru_cache(maxsize=128)
-def gauss_rules(b: float, count: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rules of `size` nodes for the weights u^(b+i) on [0, 1], i <
-    count, b > -1 (Golub & Welsch 1969), as shared read-only (count, size)
-    arrays: the eigenvalues of the Jacobi matrices, from one stacked
-    eigvalsh, and the squared first components of their unit eigenvectors
-    in numpy.longdouble, scaled so that each row sums to its mass 1/(b+i+1)."""
-    bs = b + np.arange(count)[:, None]
-    diag, off = jacobi_recurrence(0.0, bs, size)
-    jac = np.zeros((count, size, size))
-    jac[:, range(size), range(size)] = diag
-    jac[:, range(1, size), range(size - 1)] = off
-    nodes = np.linalg.eigvalsh(jac)
+def gauss_rules(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of `size` nodes for the weight u^b on [0, 1], b > -1
+    (Golub & Welsch 1969), as shared read-only arrays: the eigenvalues of
+    the Jacobi matrix, and the squared first components of its unit
+    eigenvectors in numpy.longdouble, scaled to sum to the mass 1/(b+1)."""
+    diag, off = jacobi_recurrence(0.0, np.array([[b]]), size)
+    diag, off = diag[0], off[0]
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # The eigenvector at node u is (p_0(u), ..., p_(size-1)(u)); running the
     # recurrence, rescaled to unit length at each step, gives its first
     # component to full relative accuracy even where u^b is tiny.
     first, prev, cur = np.ones_like(nodes), np.zeros_like(nodes), np.ones_like(nodes)
     for m in range(size - 1):
-        nxt = ((nodes - diag[:, m, None]) * cur
-               - (off[:, m - 1, None] * prev if m else 0.0)) / off[:, m, None]
+        nxt = ((nodes - diag[m]) * cur - (off[m - 1] * prev if m else 0.0)) / off[m]
         norm = np.sqrt(1.0 + nxt * nxt)
         first, prev, cur = first / norm, cur / norm, nxt / norm
     weights = first.astype(np.longdouble) ** 2
-    weights /= weights.sum(axis=1, keepdims=True) * (bs + 1.0)
+    weights /= weights.sum() * (b + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def gauss_size(x: float, degree: int) -> int:
-    """Nodes a Gauss rule on [0, 1] needs for a polynomial of the given
-    degree times (1 - x u)^c, c <= 0, 0 < x < 1 (a positive power of
-    1 - x u counts in the degree).  The error decays like rho^(-2 size),
-    rho = z + sqrt(z^2 - 1) for the singularity u = 1/x, z = 2/x - 1."""
-    size = degree // 2 + 1 + math.ceil(-_GAUSS_LOG_TOL / (2.0 * math.acosh(2.0 / x - 1.0)))
-    if size > MAX_GAUSS_SIZE:
-        raise ValueError(f"cut {x} lies too close to 1: a Gauss rule would need {size} nodes")
+@lru_cache(maxsize=64)
+def legendre_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule of `size` nodes on [-1, 1], as shared read-only
+    arrays: the nodes, and the weights in numpy.longdouble.  Newton's method
+    on the recurrence (k+1) P_(k+1) = (2k+1) u P_k - k P_(k-1), run in
+    longdouble from the first guesses -cos(pi (4i - 1) / (4 size + 2))."""
+    u = -np.cos(np.pi * (4.0 * np.arange(1, size + 1) - 1.0) / (4 * size + 2))
+    u = u.astype(np.longdouble)
+    for _ in range(5):
+        prev, cur = np.ones_like(u), u
+        for k in range(1, size):
+            prev, cur = cur, ((2 * k + 1) * u * cur - k * prev) / (k + 1)
+        slope = size * (u * cur - prev) / (u * u - 1)
+        u = u - cur / slope
+    weights = 2 / ((1 - u * u) * slope * slope)
+    nodes = u.astype(float)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_size(z, degree: int):
+    """Nodes a Gauss rule on an interval needs for a polynomial of the given
+    degree times a function analytic inside the Bernstein ellipse through
+    the point z > 1 half-widths from the interval's center (a positive
+    power of a singular factor counts in the degree).  The error decays
+    like rho^(-2 size), rho = z + sqrt(z^2 - 1) (Trefethen, SIAM Review 50,
+    2008).  z may be an array of intervals."""
+    size = degree // 2 + 1 + np.ceil(-_GAUSS_LOG_TOL / (2.0 * np.arccosh(z))).astype(int)
+    if np.max(size) > MAX_GAUSS_SIZE:
+        raise ValueError(f"a Gauss rule would need {np.max(size)} nodes, "
+                         f"more than {MAX_GAUSS_SIZE}")
     return size
 
 
@@ -140,9 +161,11 @@ def reg_incomplete_beta(x: float, p: float, q: float) -> float:
         return float(x)
     if x > p / (p + q):
         return 1.0 - reg_incomplete_beta(1.0 - x, q, p)
-    nodes, weights = gauss_rules(p - 1.0, 1, gauss_size(x, max(math.ceil(q - 1.0), 0)))
+    # the singularity u = 1/x of (1-xu)^(q-1) lies 2/x - 1 half-widths from 1/2
+    size = gauss_size(2.0 / x - 1.0, max(math.ceil(q - 1.0), 0))
+    nodes, weights = gauss_rules(p - 1.0, int(size))
     log_front = log_gamma(p + q) - log_gamma(p) - log_gamma(q) + p * math.log(x)
-    return math.exp(log_front) * float(weights[0] @ (1.0 - x * nodes[0]) ** (q - 1.0))
+    return math.exp(log_front) * float(weights @ (1.0 - x * nodes) ** (q - 1.0))
 
 
 def binom_real(z: float, k: int) -> float:

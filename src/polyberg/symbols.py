@@ -26,7 +26,6 @@ __all__ = [
     "make_gp",
     "sampled_symbol",
     "eval_at_t",
-    "boundary_limit",
     "sup_abs",
     "symbol_to_json_obj",
     "symbol_from_json_obj",
@@ -132,11 +131,6 @@ def eval_at_t(a: SymbolSpec, t):
         out = np.interp(np.asarray(t, dtype=float), ts, vs)
         return float(out) if np.isscalar(t) else out
     raise ValueError(f"unknown symbol kind {a.kind!r}")
-
-
-def boundary_limit(a: SymbolSpec):
-    """Boundary value at r -> 1, or None when unknown (sampled data)."""
-    return a.limit
 
 
 def sup_abs(a: SymbolSpec) -> float:

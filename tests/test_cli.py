@@ -281,13 +281,13 @@ def test_oracle_builds_one_block_per_frequency(monkeypatch, capsys):
     # the printed gamma blocks: one stacked kernel call over |xi| = 0..4 at
     # order 4 (negative frequencies are leading submatrices), not one per entry
     calls = []
-    real = integration._gauss_blocks
+    real = integration._panel_blocks
 
     def counted(a, alpha, xis, d):
         calls.append((xis, d))
         return real(a, alpha, xis, d)
 
-    monkeypatch.setattr(integration, "_gauss_blocks", counted)
+    monkeypatch.setattr(integration, "_panel_blocks", counted)
     code = main(["oracle", "--n", "4", "--xi-max", "4",
                  "--symbol", '{"kind":"indicator","s":0.7}'])
     assert code == 0

@@ -21,10 +21,9 @@ from polyberg import gammaseq, generators, integration, jacobi, purestates, spec
 from polyberg.gammaseq import gamma_matrix
 from polyberg.integration import (
     MAX_MOMENT_DEGREE,
-    MomentKey,
     beta_entry,
-    moment,
     norm_product,
+    weighted_product_integral,
 )
 from polyberg.jacobi import norm_coeff_sq_exact, q_coeffs_exact
 from polyberg.purestates import finite_state, separate
@@ -53,7 +52,9 @@ def test_coefficients_and_norms_equal_fractions(alpha):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_moments_equal_fractions(alpha):
     for degree in range(MAX_MOMENT_DEGREE + 1):
-        assert moment(MomentKey(degree, alpha, 0)) == float(moment_fraction(degree, alpha))
+        # the monomial t^degree: the moment itself, rounded once
+        got = weighted_product_integral([0] * degree + [1], alpha, 0)
+        assert got == float(moment_fraction(degree, alpha))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

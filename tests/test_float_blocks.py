@@ -6,7 +6,7 @@ Fraction oracles and the symbol moments E_m = integral of a(sqrt(t)) t^m
 (1-t)^alpha over [0, 1] in mpmath at 80 digits.  The moments are summed
 segment by segment of the symbol (the indicator's [0, s^2]; the sampled
 table's flat ends and linear pieces), so the reference shares neither
-the Gauss rule nor the ramp decomposition of the package.
+the panel rule nor the split a = level + r of the package.
 """
 
 import math
@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
-from polyberg import integration
 from polyberg.gammaseq import gamma_sequence
 from polyberg.integration import beta_entry, entry_block, entry_blocks
-from polyberg.symbols import indicator_symbol, sampled_symbol, sup_abs
+from polyberg.symbols import SymbolSpec, indicator_symbol, sampled_symbol, sup_abs
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -27,8 +26,8 @@ DPS = 80
 TOL = 1e-12
 
 # (n, alpha, xi, s): the indicator cases of the accuracy baseline, the
-# criterion-9 worst case up to its check frequency, and each end of the
-# frequency guard (2 (n - 1) + xi <= 192)
+# criterion-9 worst case up to its check frequency, each end of the
+# frequency guard (2 (n - 1) + xi <= 192), and cuts near 1
 INDICATOR_CASES = [
     (4, 2.5, 60, 0.9),
     (4, 2.5, 170, 0.9),
@@ -39,6 +38,9 @@ INDICATOR_CASES = [
     (2, 0.0, 190, 0.99),
     (8, 1.75, -3, 0.733),
     (4, 0.0, 0, 0.3),
+    (2, 0.0, 170, 0.9999),
+    (2, 2.5, 170, 0.9999),
+    (4, -0.5, 170, 0.99),
 ]
 SAMPLED_LAST = (0.5, 0.98, 0.999)
 SAMPLED_ALPHAS = (-0.5, 0.5, 2.25)
@@ -155,50 +157,57 @@ def test_float_blocks_are_exactly_symmetric_and_agree_with_entries():
 
 
 def test_float_blocks_refuse_cut_too_close_to_one():
-    with pytest.raises(ValueError, match="too close to 1"):
-        entry_block(sampled_symbol([(0.0, 0.0), (1.0 - 1e-9, 1.0)]), 0.5, 0, 3)
+    # the panels halve toward the cut x down to 1 - x, so they resolve every
+    # cut below 1; only a symbol built around the constructors reaches 1
+    with pytest.raises(ValueError, match="must lie in"):
+        sampled_symbol([(0.0, 0.0), (1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"cut 1.0 must lie in \(0, 1\)"):
+        entry_block(SymbolSpec(kind="sampled", points=((0.0, 0.0), (1.0, 1.0))), 0.5, 0, 3)
+    # the largest double below 1, as a knot and as a cut s^2 = 1 - 2^-52
+    top = float(np.nextafter(1.0, 0.0))
+    points = [(0.0, 0.0), (top, 1.0)]
+    for alpha, xi in ((0.5, 0), (-0.5, 170)):
+        _check(sampled_symbol(points), _sampled_pieces(points), 3, alpha, xi)
+        _check(indicator_symbol(top), _indicator_pieces(top), 3, alpha, xi)
 
 
 def _long_table():
-    # 2048 even knots up to t = 1 - 1/2048: a cut within 5e-4 of 1 needs
-    # hundreds of nodes, so one block outgrows the kernel's chunk budget
+    # 2048 even knots up to t = 1 - 1/2048: a panel between each pair of
+    # knots, so the rule holds thousands of nodes
     ts = np.linspace(0.0, 1.0, 2049)[:-1]
     return [(float(t), float(0.5 + 0.4 * np.cos(3.0 * t) - 0.3 * t * t)) for t in ts]
 
 
-# (symbol, alpha, top frequency, order, whether the range spans several chunks)
+def test_long_table_block_matches_mpmath():
+    points = _long_table()
+    _check(sampled_symbol(points), _sampled_pieces(points), 4, 0.5, 30)
+
+
+# (symbol, alpha, top frequency, order)
 STACK_CASES = [
-    (indicator_symbol(0.81), -0.5, 40, 5, False),
-    (indicator_symbol(0.6), 1.25, 40, 3, False),
-    (sampled_symbol(_table(0.98)), 2.25, 59, 8, True),
-    (sampled_symbol(_table(0.5, imag=True)), -0.5, 20, 6, False),
-    (sampled_symbol(_long_table()), 0.5, 10, 4, True),
+    (indicator_symbol(0.81), -0.5, 40, 5),
+    (indicator_symbol(0.6), 1.25, 40, 3),
+    (sampled_symbol(_table(0.98)), 2.25, 59, 8),
+    (sampled_symbol(_table(0.5, imag=True)), -0.5, 20, 6),
+    (sampled_symbol(_long_table()), 0.5, 10, 4),
 ]
 
 
-@pytest.mark.parametrize("a, alpha, top, d, several", STACK_CASES)
-def test_stacked_blocks_equal_single_frequency_calls(a, alpha, top, d, several, monkeypatch):
-    starts = set()
-    real = integration.gauss_rules
-
-    def spy(b, count, size):
-        starts.add(b)
-        return real(b, count, size)
-
-    monkeypatch.setattr(integration, "gauss_rules", spy)
+@pytest.mark.parametrize("a, alpha, top, d", STACK_CASES)
+def test_stacked_blocks_equal_single_frequency_calls(a, alpha, top, d):
     stack = entry_blocks(a, alpha, range(top + 1), d)
-    assert (len(starts) > 1) == several
     for xi in range(top + 1):
         assert np.array_equal(stack[xi], entry_block(a, alpha, xi, d)), xi
 
 
 @pytest.mark.parametrize("a, n, xi_max", [
-    (sampled_symbol(_long_table()), 8, 10),  # 2048 knots: the products fill a chunk
-    (indicator_symbol(0.9999), 1, 2),  # 652 nodes: the Jacobi matrices fill a chunk
+    (sampled_symbol(_long_table()), 8, 10),  # 2048 knots: thousands of nodes
+    (indicator_symbol(0.9999), 1, 2),  # a cut near 1
 ])
 def test_sequence_working_set_stays_at_one_chunk(a, n, xi_max):
-    # every chunk holds one frequency, so the whole sequence peaks where a
-    # single block does; an unchunked kernel needs xi_max + 1 times that
+    # the kernel works through the range a frequency at a time, so the whole
+    # sequence peaks where a single block does; a kernel holding the products
+    # of every frequency at once needs xi_max + 1 times that
     tracemalloc.start()
     try:
         entry_block(a, 0.0, xi_max, n)

@@ -5,11 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from polyberg.gammaseq import frequencies, gamma_matrix
+from polyberg.gammaseq import block_order, frequencies, gamma_matrix
 from polyberg.generators import (
     GeneratorStructureError,
     antitriangular_report,
-    cross_frequency_plan,
     generator_block,
     generator_stack,
     SeparationPlan,
@@ -102,7 +101,7 @@ def test_nu_table_hand_recursion_n3(rng):
 
 
 def test_plan_truncation_consistency():
-    plan = cross_frequency_plan(3, 0.5, -1, 2, 1)
+    plan = same_frequency_plan(3, 0.5, 2, 1, 1)
     short = plan.evaluate(2)
     long = plan.evaluate(6)
     for xi in frequencies(3, 2):
@@ -178,23 +177,24 @@ def test_same_frequency_plan_off_diagonal_units():
 
 
 def test_cross_frequency_plan_cases():
-    # nonnegative pair
-    x = cross_frequency_plan(2, 0.0, 0, 2, 0).evaluate(2)
+    # the witness of a pair at xi < eta is the plan for E_pp at eta, whose
+    # block at xi vanishes.  Nonnegative pair:
+    x = same_frequency_plan(2, 0.0, 2, 0, 0).evaluate(2)
     assert np.allclose(x.block(2), unit_matrix(2, 0, 0), atol=1e-12)
     assert np.max(np.abs(x.block(0))) < 1e-12
 
     # negative lower, zero upper: example with the known zero block
-    x2 = cross_frequency_plan(2, 0.0, -1, 0, 1).evaluate(1)
+    x2 = same_frequency_plan(2, 0.0, 0, 1, 1).evaluate(1)
     assert np.allclose(x2.block(0), unit_matrix(2, 1, 1), atol=1e-12)
     assert np.max(np.abs(x2.block(-1))) < 1e-12
 
     # both negative
-    x3 = cross_frequency_plan(3, 0.0, -2, -1, 0).evaluate(0)
+    x3 = same_frequency_plan(3, 0.0, -1, 0, 0).evaluate(0)
     assert np.allclose(x3.block(-1), unit_matrix(2, 0, 0), atol=1e-12)
     assert np.max(np.abs(x3.block(-2))) < 1e-12
 
     # negative lower below the mirrored upper frequency
-    x4 = cross_frequency_plan(3, 0.5, -2, 1, 0).evaluate(1)
+    x4 = same_frequency_plan(3, 0.5, 1, 0, 0).evaluate(1)
     assert np.allclose(x4.block(1), unit_matrix(3, 0, 0), atol=1e-10)
     assert np.max(np.abs(x4.block(-2))) < 1e-12
 
@@ -206,7 +206,7 @@ def test_cross_frequency_plan_full_grid():
                 for eta in range(xi + 1, 7):
                     d = min(n + eta, n)
                     for p in (0, d - 1):
-                        x = cross_frequency_plan(n, alpha, xi, eta, p).evaluate(
+                        x = same_frequency_plan(n, alpha, eta, p, p).evaluate(
                             max(eta, 0)
                         )
                         err_unit = np.max(
@@ -217,10 +217,11 @@ def test_cross_frequency_plan_full_grid():
 
 
 def test_cross_frequency_plan_usage_errors():
+    # separation checks the lower frequency, the plan the index at eta
+    with pytest.raises(IndexError):
+        block_order(2, -2)
     with pytest.raises(ValueError):
-        cross_frequency_plan(2, 0.0, 2, 0, 0)
-    with pytest.raises(ValueError):
-        cross_frequency_plan(2, 0.0, 1, 3, 5)
+        same_frequency_plan(2, 0.0, 3, 5, 5)
 
 
 def test_plan_json():
@@ -263,16 +264,13 @@ def _reference_evaluation(plan, xi_max):
 
 
 def _plans(n, alpha):
-    # every same-frequency and cross plan with frequencies up to 6, with
-    # the frequency its evaluation is read at
+    # every plan with frequencies up to 6 (the cross-frequency witnesses
+    # among them), with the frequency its evaluation is read at
     for xi in range(-n + 1, 7):
         d = min(n + xi, n)
         for p in range(d):
             for q in range(d):
                 yield xi, same_frequency_plan(n, alpha, xi, p, q)
-        for eta in range(xi + 1, 7):
-            for p in range(min(n + eta, n)):
-                yield eta, cross_frequency_plan(n, alpha, xi, eta, p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -325,10 +323,6 @@ def test_negative_block_is_leading_submatrix(n, alpha):
 
 def test_plans_are_cached():
     assert same_frequency_plan(3, 0.5, 1, 0, 2) is same_frequency_plan(3, 0.5, 1, 0, 2)
-    # the lower frequency of a cross plan is validated, not used
-    cross = cross_frequency_plan(3, 0.5, -2, 1, 0)
-    assert cross_frequency_plan(3, 0.5, 0, 1, 0) is cross
-    assert same_frequency_plan(3, 0.5, 1, 0, 0) is cross
     # an integer alpha gives the same float plan whichever call came first
     by_int = same_frequency_plan(2, 1, 0, 0, 1)
     assert by_int is same_frequency_plan(2, 1.0, 0, 0, 1)

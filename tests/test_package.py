@@ -18,10 +18,12 @@ GAMMA_PATH = {"cli", "gammaseq", "integration", "jacobi", "special_fn", "symbols
 
 
 def test_cli_import_loads_only_the_sequence_path():
+    # and not fractions, which loads decimal: only the exact oracles use it
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, polyberg.cli; "
-            "print(' '.join(m for m in sys.modules if m.startswith('polyberg.')))")
+            "print(' '.join(m for m in sys.modules "
+            "if m.startswith('polyberg.') or m in ('fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH

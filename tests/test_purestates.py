@@ -152,13 +152,13 @@ def test_witness_indices_nearly_proportional_error():
 
 def test_state_integral_builds_one_block_per_column(monkeypatch, rng):
     calls = []
-    real = integration._gauss_blocks
+    real = integration._panel_blocks
 
     def counted(a, alpha, xis, d):
         calls.append((xis, d))
         return real(a, alpha, xis, d)
 
-    monkeypatch.setattr(integration, "_gauss_blocks", counted)
+    monkeypatch.setattr(integration, "_panel_blocks", counted)
     u = unit(rng.normal(size=4) + 1j * rng.normal(size=4))
     eval_state_integral(1, u, indicator_symbol(0.7), 4, 0.5)
     assert calls == [(range(1, 2), d) for d in (1, 2, 3, 4)]

@@ -5,7 +5,6 @@ import pytest
 
 from polyberg.jacobi import JacobiParams, q_eval
 from polyberg.symbols import (
-    boundary_limit,
     const_symbol,
     eval_at_t,
     indicator_symbol,
@@ -38,7 +37,7 @@ def test_indicator_eval():
     ind = indicator_symbol(0.5)
     assert eval_at_t(ind, 0.2) == 1.0
     assert eval_at_t(ind, 0.3) == 0.0
-    assert boundary_limit(ind) == 0.0
+    assert ind.limit == 0.0
     with pytest.raises(ValueError):
         indicator_symbol(1.0)
     with pytest.raises(ValueError):
@@ -48,9 +47,9 @@ def test_indicator_eval():
 def test_poly_eval_and_limit():
     a = poly_t_symbol([-1.0, 2.0])
     assert eval_at_t(a, 0.75) == pytest.approx(0.5)
-    assert boundary_limit(a) == pytest.approx(1.0)
-    assert boundary_limit(const_symbol(3.5)) == 3.5
-    assert boundary_limit(const_symbol(2 + 1j)) == 2 + 1j
+    assert a.limit == pytest.approx(1.0)
+    assert const_symbol(3.5).limit == 3.5
+    assert const_symbol(2 + 1j).limit == 2 + 1j
 
 
 def test_poly_limit_is_t1_value():
@@ -76,9 +75,9 @@ def test_sampled_symbol():
     a = sampled_symbol([(0.0, 1.0), (0.5, 2.0), (0.9, 0.0)])
     assert eval_at_t(a, 0.25) == pytest.approx(1.5)
     assert eval_at_t(a, 0.95) == pytest.approx(0.0)  # constant beyond last node
-    assert boundary_limit(a) is None
+    assert a.limit is None
     b = sampled_symbol([(0.0, 1.0), (0.5, 2.0)], limit=2.0)
-    assert boundary_limit(b) == 2.0
+    assert b.limit == 2.0
     with pytest.raises(ValueError):
         sampled_symbol([(0.5, 1.0), (0.5, 2.0)])
     with pytest.raises(ValueError):
