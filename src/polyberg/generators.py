@@ -131,9 +131,6 @@ class NuTable:
     nu: np.ndarray
     is_real: bool
 
-    def row(self, p: int) -> np.ndarray:
-        return self.nu[p]
-
 
 def nu_table(
     gs: Sequence[np.ndarray],
@@ -271,16 +268,8 @@ def _plan_product(plan: SeparationPlan, xi_max: int):
 
 
 @lru_cache(maxsize=1024)
-def _plan(
-    n: int,
-    alpha: float,
-    xi: int,
-    p: int,
-    q: int,
-    tol_zero: float,
-    tol_nonzero: float,
-) -> SeparationPlan:
-    symbol_indices, _, table = generator_family(n, alpha, xi, tol_zero, tol_nonzero)
+def _plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
+    symbol_indices, _, table = generator_family(n, alpha, xi, TOL_ZERO, TOL_NONZERO)
     d = len(symbol_indices)
     left = tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
     right = tuple((float(table.nu[q, j]), symbol_indices[j]) for j in range(q, d))
@@ -289,19 +278,12 @@ def _plan(
     )
 
 
-def same_frequency_plan(
-    n: int,
-    alpha: float,
-    xi: int,
-    p: int,
-    q: int,
-    tol_zero: float = TOL_ZERO,
-    tol_nonzero: float = TOL_NONZERO,
-) -> SeparationPlan:
+def same_frequency_plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
     """Plan whose evaluation X has X_xi equal to the matrix unit E_{p,q}
-    (order min(n+xi, n)).  Plans are cached: equal arguments return the
-    same frozen plan."""
+    (order min(n+xi, n)), from the generator family checked at the
+    tolerances TOL_ZERO and TOL_NONZERO.  Plans are cached: equal
+    arguments return the same frozen plan."""
     d = block_order(n, xi)
     if not (0 <= p < d and 0 <= q < d):
         raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")
-    return _plan(n, float(alpha), xi, p, q, tol_zero, tol_nonzero)
+    return _plan(n, float(alpha), xi, p, q)

@@ -120,11 +120,9 @@ def eval_state_integral(
     d = block_order(n, xi)
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
-    # entry (j, k) read off the block of order max(j, k) + 1, as beta_entry
-    # reads it: panel rules are sized by the order, so for float symbols
-    # they differ from the rule of eval_state's block
-    blocks = [entry_block(a, alpha, xi, m + 1) for m in range(d)]
-    entries = np.array([[blocks[max(j, k)][j, k] for k in range(d)] for j in range(d)])
+    # one entry_block call of its own, summed term by term rather than
+    # through eval_state's vdot, so that the two evaluations stay apart
+    entries = entry_block(a, alpha, xi, d)
     acc = 0.0 + 0.0j
     for j in range(d):
         for k in range(d):
@@ -245,9 +243,10 @@ def separation(
     found by witness_indices (off-diagonal units are evaluated through
     their Hermitian and skew-Hermitian combinations, whichever has the
     larger gap); a limit state is told apart from any finite state by an
-    indicator symbol; distinct finite frequencies use a cross-frequency
-    plan that kills the lower block.  Raises NotSeparableError for equal
-    states and for the documented coincidence families.
+    indicator symbol; distinct finite frequencies use the same-frequency
+    plan for E_pp at the higher frequency, whose block at the lower
+    frequency vanishes.  Raises NotSeparableError for equal states and
+    for the documented coincidence families.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")

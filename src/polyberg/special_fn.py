@@ -1,15 +1,15 @@
-"""Scalar Gamma/Beta kernels, Gauss rules and two elementary Gamma-ratio
-inequalities.
+"""Scalar Gamma/Beta kernels, Gauss-Legendre rules and two elementary
+Gamma-ratio inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  The log-gamma kernel is a Lanczos approximation (g = 7,
-nine terms) with reflection for small arguments.  Gauss-Legendre rules on
-[-1, 1] come from Newton's method on the Legendre recurrence; they make
-the panel rule of the indicator and sampled blocks.  The Gauss rule for
-the weight u^b on [0, 1], which the regularized incomplete Beta needs for
-b down to near -1, comes from the closed-form three-term recurrence of the
-Jacobi polynomials (DLMF 18.9) by the Golub-Welsch eigenvalue method.
-gauss_size sizes either kind of rule from its Bernstein ellipse.
+nine terms) with reflection for small arguments.  The regularized
+incomplete Beta is the continued fraction of DLMF 8.17.22, evaluated by
+the modified Lentz method (Thompson & Barnett, J. Comput. Phys. 64, 1986)
+behind a log-gamma front factor.  Gauss-Legendre rules on [-1, 1] come
+from Newton's method on the Legendre recurrence, and gauss_size sizes
+them from their Bernstein ellipse; with jacobi_recurrence they make the
+panel rule of the indicator and sampled blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "log_gamma",
     "beta",
     "jacobi_recurrence",
-    "gauss_rules",
     "gauss_size",
     "legendre_rule",
     "reg_incomplete_beta",
@@ -47,11 +46,15 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 # a Gauss rule is sized for this accuracy; it refuses more nodes than
 # MAX_GAUSS_SIZE
 _GAUSS_LOG_TOL = math.log(1e-16)
 MAX_GAUSS_SIZE = 1024
+# the incomplete Beta's continued fraction stops at this many terms (it
+# needs about 2200 at p = q = 10^7)
+MAX_FRACTION_TERMS = 10000
 
 
 def log_gamma(z: float) -> float:
@@ -87,29 +90,6 @@ def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, n
     rest = (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))
     off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
     return np.concatenate([(b + 1.0) / (a + b + 2.0), rest], axis=1), off
-
-
-@lru_cache(maxsize=128)
-def gauss_rules(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule of `size` nodes for the weight u^b on [0, 1], b > -1
-    (Golub & Welsch 1969), as shared read-only arrays: the eigenvalues of
-    the Jacobi matrix, and the squared first components of its unit
-    eigenvectors in numpy.longdouble, scaled to sum to the mass 1/(b+1)."""
-    diag, off = jacobi_recurrence(0.0, np.array([[b]]), size)
-    diag, off = diag[0], off[0]
-    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    # The eigenvector at node u is (p_0(u), ..., p_(size-1)(u)); running the
-    # recurrence, rescaled to unit length at each step, gives its first
-    # component to full relative accuracy even where u^b is tiny.
-    first, prev, cur = np.ones_like(nodes), np.zeros_like(nodes), np.ones_like(nodes)
-    for m in range(size - 1):
-        nxt = ((nodes - diag[m]) * cur - (off[m - 1] * prev if m else 0.0)) / off[m]
-        norm = np.sqrt(1.0 + nxt * nxt)
-        first, prev, cur = first / norm, cur / norm, nxt / norm
-    weights = first.astype(np.longdouble) ** 2
-    weights /= weights.sum() * (b + 1.0)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 @lru_cache(maxsize=64)
@@ -148,10 +128,15 @@ def gauss_size(z, degree: int):
 
 def reg_incomplete_beta(x: float, p: float, q: float) -> float:
     """Regularized incomplete Beta I_x(p, q) = (1/B(p, q)) * integral of
-    t^(p-1) (1-t)^(q-1) over [0, x] = x^p / B(p, q) * integral of
-    (1-xu)^(q-1) against u^(p-1) over [0, 1], on the Gauss rule.  The
-    symmetry I_x(p, q) = 1 - I_{1-x}(q, p) is applied for x > p/(p+q), which
-    keeps x away from 1 and the rule short.
+    t^(p-1) (1-t)^(q-1) over [0, x] = x^p (1-x)^q / (p B(p, q)) / f, with
+    f = 1 + d_1 / (1 + d_2 / (1 + ...)) the continued fraction of DLMF
+    8.17.22.  Above x = (p+1)/(p+q+2) it takes 1 - I_{1-x}(q, p), where the
+    fraction converges fast.  The value J the fraction gives (I, or 1 - I
+    after that switch) has relative error at most 2 eps (S + 16), where
+    S = |ln Gamma(p+q)| + |ln Gamma(p)| + |ln Gamma(q)| + |p ln x| +
+    |q ln(1-x)|; the switch adds the roundings of 1 - x and 1 - J.
+    Refuses a fraction that has not converged after MAX_FRACTION_TERMS
+    terms.
     """
     if p <= 0.0 or q <= 0.0:
         raise ValueError(f"reg_incomplete_beta requires p, q > 0, got ({p}, {q})")
@@ -159,13 +144,27 @@ def reg_incomplete_beta(x: float, p: float, q: float) -> float:
         raise ValueError(f"reg_incomplete_beta requires 0 <= x <= 1, got {x}")
     if x == 0.0 or x == 1.0:
         return float(x)
-    if x > p / (p + q):
-        return 1.0 - reg_incomplete_beta(1.0 - x, q, p)
-    # the singularity u = 1/x of (1-xu)^(q-1) lies 2/x - 1 half-widths from 1/2
-    size = gauss_size(2.0 / x - 1.0, max(math.ceil(q - 1.0), 0))
-    nodes, weights = gauss_rules(p - 1.0, int(size))
-    log_front = log_gamma(p + q) - log_gamma(p) - log_gamma(q) + p * math.log(x)
-    return math.exp(log_front) * float(weights @ (1.0 - x * nodes) ** (q - 1.0))
+    switch = x > (p + 1.0) / (p + q + 2.0)
+    if switch:
+        x, p, q = 1.0 - x, q, p
+    # modified Lentz (Thompson & Barnett 1986): f is the product of the
+    # ratios c d of successive convergents; 1e-300 stands in for a zero
+    f, c, d = 1.0, 1.0, 0.0
+    for k in range(1, MAX_FRACTION_TERMS + 1):
+        m = k // 2
+        if k % 2:
+            dk = -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 2 * m + 1.0))
+        else:
+            dk = m * (q - m) * x / ((p + 2 * m - 1.0) * (p + 2 * m))
+        d = 1.0 / ((1.0 + dk * d) or 1e-300)
+        c = (1.0 + dk / c) or 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            value = math.exp(log_gamma(p + q) - log_gamma(p) - log_gamma(q)
+                             + p * math.log(x) + q * math.log1p(-x)) / (p * f)
+            return 1.0 - value if switch else value
+    raise ValueError("reg_incomplete_beta: the continued fraction has not "
+                     f"converged after {MAX_FRACTION_TERMS} terms")
 
 
 def binom_real(z: float, k: int) -> float:

@@ -38,7 +38,7 @@ from .generators import (
     nu_table,
 )
 from .integration import entry_block, weighted_product_integral
-from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_exact
+from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs
 from .purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -49,7 +49,7 @@ from .purestates import (
     limit_state,
     separate,
 )
-from .symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol, sup_abs
+from .symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
 
 
 # --- special functions and Jacobi polynomials -------------------------------
@@ -86,10 +86,7 @@ def incomplete_beta_drop(p: float, q: float, points: int) -> float:
 
 
 def _float_pair_integral(alpha: float, b: int, p: int, q: int) -> float:
-    conv = np.convolve(
-        [float(c) for c in q_coeffs_exact(alpha, b, p)],
-        [float(c) for c in q_coeffs_exact(alpha, b, q)],
-    )
+    conv = np.convolve(q_coeffs(JacobiParams(alpha, b, p)), q_coeffs(JacobiParams(alpha, b, q)))
     return weighted_product_integral(conv, alpha, b)
 
 
@@ -122,7 +119,7 @@ def moment_identity_deviation(alphas, xis, degrees: int) -> float:
     for alpha in alphas:
         for xi in xis:
             for m in range(degrees):
-                coeffs = [0.0] * m + [float(c) for c in q_coeffs_exact(alpha, xi, m)]
+                coeffs = [0.0] * m + list(q_coeffs(JacobiParams(alpha, xi, m)))
                 val = weighted_product_integral(coeffs, alpha, xi)
                 want = special_fn.beta(xi + m + 1.0, alpha + m + 1.0)
                 worst = max(worst, abs(val - want) / want)
@@ -159,7 +156,9 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
     and cb at lin_xis, whether those blocks are exactly symmetric,
     smallest eigenvalue and largest ||block|| - sup|a| of two nonnegative
     symbols up to xi_max)."""
-    seq = gamma_sequence(const_symbol(1.0), n, alpha, xi_max)
+    # the unit polynomial, not the constant: constants return value * I
+    # without integrating
+    seq = gamma_sequence(poly_t_symbol([1.0]), n, alpha, xi_max)
     id_dev = max(
         float(np.max(np.abs(b - np.eye(b.shape[0]))))
         for b in map(seq.block, frequencies(n, xi_max))
@@ -476,7 +475,8 @@ CHECKS = [
          i < 1e-12 and lin < 1e-12 and sym and eig >= -1e-10 and over <= 1e-9
          for i, lin, sym, eig, over in res
      ),
-     lambda res: f"identity dev {res[0][0]:.1e}; linearity, symmetry, PSD, norm bound"),
+     lambda res: f"identity dev {max(r[0] for r in res):.1e}; linearity, symmetry, PSD, "
+                 "norm bound"),
     ("antitriangular profile", _antitriangular, lambda bad: not bad,
      lambda _: "generating-symbol blocks have the expected antidiagonal profile"),
     ("structurally zero blocks", _zero_blocks,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from polyberg import integration
 from polyberg.gammaseq import (
     MatrixSeq,
     block_csv,
@@ -95,6 +96,16 @@ def test_gamma_linearity(rng):
     cb = list(rng.uniform(-1, 1, size=5))
     _, lin_dev, _, _, _ = sequence_basics(3, 2.5, 5, ca, cb, (-2, 0, 5))
     assert lin_dev < 1e-12
+
+
+def test_identity_deviation_integrates_the_unit_symbol(monkeypatch):
+    # doubled normalization constants double every integrated entry, so the
+    # identity deviation must see them; a constant symbol never would
+    unpatched = sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))[0]
+    real = integration.norm_product
+    monkeypatch.setattr(integration, "norm_product", lambda *args: 2.0 * real(*args))
+    patched = sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))[0]
+    assert unpatched < 1e-12 < patched
 
 
 def test_negative_submatrix_relation():

@@ -29,6 +29,19 @@ def test_cli_import_loads_only_the_sequence_path():
     assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
 
 
+def test_verify_loads_no_exact_rationals():
+    # verify reads float coefficients off the integer path; fractions and
+    # decimal stay for the test oracles
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from polyberg.cli import main; "
+            "code = main(['verify', '--n', '2', '--seed', '0']); "
+            "print(code, *(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0"
+
+
 def test_public_names_resolve_to_their_modules():
     for module, names in polyberg._EXPORTS.items():
         mod = importlib.import_module(f"polyberg.{module}")

@@ -150,7 +150,7 @@ def test_witness_indices_nearly_proportional_error():
         witness_indices(u, v)
 
 
-def test_state_integral_builds_one_block_per_column(monkeypatch, rng):
+def test_state_integral_builds_one_block(monkeypatch, rng):
     calls = []
     real = integration._panel_blocks
 
@@ -161,7 +161,7 @@ def test_state_integral_builds_one_block_per_column(monkeypatch, rng):
     monkeypatch.setattr(integration, "_panel_blocks", counted)
     u = unit(rng.normal(size=4) + 1j * rng.normal(size=4))
     eval_state_integral(1, u, indicator_symbol(0.7), 4, 0.5)
-    assert calls == [(range(1, 2), d) for d in (1, 2, 3, 4)]
+    assert calls == [(range(1, 2), 4)]
 
 
 def test_separate_same_frequency_basis():

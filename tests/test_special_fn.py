@@ -1,10 +1,11 @@
-"""Gamma/Beta kernel tests against stdlib and closed-form oracles."""
+"""Gamma/Beta kernel tests against stdlib, closed-form and mpmath oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
+from polyberg import special_fn
 from polyberg.special_fn import (
     beta,
     binom_bound_holds,
@@ -89,6 +90,38 @@ def test_incomplete_beta_symmetry_and_monotonicity(rng):
         rhs = 1.0 - reg_incomplete_beta(1.0 - x, float(q), float(p))
         assert abs(lhs - rhs) < 1e-12
     assert incomplete_beta_drop(3.2, 1.7, 500) <= 1e-14
+
+
+def test_incomplete_beta_matches_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for _ in range(1000):
+            x = float(rng.uniform(0.0, 1.0))
+            p, q = (float(v) for v in rng.uniform(0.2, 40.0, size=2))
+            want = float(mpmath.betainc(p, q, 0, x, regularized=True))
+            assert abs(reg_incomplete_beta(x, p, q) - want) <= 1e-13, (x, p, q)
+
+
+@pytest.mark.parametrize("x, p, q", [(0.9999, 10001.0, 1.5), (0.99999, 100001.0, 1.5)])
+def test_incomplete_beta_large_parameters_within_stated_bound(x, p, q):
+    # both lie past the switch, so the fraction evaluates J = 1 - I; the
+    # docstring's bound is 2 eps (S + 16) J plus the roundings of 1 - x
+    # and 1 - J
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = mpmath.betainc(p, q, 0, x, regularized=True)
+    assert x > (p + 1.0) / (p + q + 2.0)
+    eps = np.finfo(float).eps
+    size = (abs(math.lgamma(p + q)) + abs(math.lgamma(p)) + abs(math.lgamma(q))
+            + abs(p * math.log(x)) + abs(q * math.log1p(-x)))
+    bound = 2.0 * eps * (size + 16.0) * float(1 - want) + 2.0 * eps
+    assert abs(reg_incomplete_beta(x, p, q) - float(want)) <= bound
+
+
+def test_incomplete_beta_refuses_at_the_term_cap(monkeypatch):
+    monkeypatch.setattr(special_fn, "MAX_FRACTION_TERMS", 3)
+    with pytest.raises(ValueError, match="not converged after 3 terms"):
+        reg_incomplete_beta(0.5, 20.0, 20.0)
 
 
 def test_incomplete_beta_domain():
