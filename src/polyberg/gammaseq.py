@@ -76,18 +76,20 @@ def pack_blocks(n: int, blocks) -> np.ndarray:
     return stack
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MatrixSeq:
     """Truncated matrix sequence: blocks for every admissible frequency up
     to xi_max, plus the scalar limit at infinity when defined.
 
-    blocks is one read-only (xi_max + n, n, n) stack (see pack_blocks);
-    block(xi) is the unpadded view.  Zero padding commutes with sums,
-    scalar multiples and products, so each is one numpy call.  Real
-    products equal the per-block products bit for bit; complex ones may
-    differ by an ulp at negative frequencies, where the padded product
-    rounds at order n (no package path multiplies complex sequences).
-    Equality is identity: a == b holds only when a is b.
+    Immutable, so a cached sequence is shared as-is (dataclasses.replace
+    makes a changed copy).  blocks is one read-only (xi_max + n, n, n)
+    stack (see pack_blocks); block(xi) is the unpadded view.  Zero padding
+    commutes with sums, scalar multiples and products, so each is one
+    numpy call that gives a new sequence.  Real products equal the
+    per-block products bit for bit; complex ones may differ by an ulp at
+    negative frequencies, where the padded product rounds at order n (no
+    package path multiplies complex sequences).  Equality is identity:
+    a == b holds only when a is b.
     """
 
     n: int
@@ -102,8 +104,9 @@ class MatrixSeq:
             raise ValueError(
                 f"blocks must be an (xi_max + n, n, n) stack, n = {n}, got {shape}"
             )
-        self.blocks = np.asarray(self.blocks).view()
-        self.blocks.flags.writeable = False
+        blocks = np.asarray(self.blocks).view()
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def xi_min(self) -> int:
@@ -114,13 +117,13 @@ class MatrixSeq:
         return len(self.blocks) - self.n
 
     def block(self, xi: int) -> np.ndarray:
-        if not self.xi_min <= xi <= self.xi_max:
+        n = self.n
+        if not -n < xi <= len(self.blocks) - n:
             raise IndexError(
-                f"frequency {xi} outside the computed range "
-                f"[{self.xi_min}, {self.xi_max}]"
+                f"frequency {xi} outside the computed range [{-n + 1}, {len(self.blocks) - n}]"
             )
-        d = block_order(self.n, xi)
-        return self.blocks[xi + self.n - 1, :d, :d]
+        # row xi + n - 1, of order min(n + xi, n)
+        return self.blocks[xi + n - 1] if xi >= 0 else self.blocks[xi + n - 1, :n + xi, :n + xi]
 
     def sup_block_norm(self) -> float:
         return float(spectral_norm(self.blocks).max())

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, gamma_matrix, gamma_sequence
+from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
+from .integration import entry_blocks
 from .symbols import make_gp
 
 __all__ = [
@@ -182,20 +183,40 @@ def matrix_unit(
     return left @ gs[d - 1].conj().T @ gs[d - 1] @ right
 
 
+@lru_cache(maxsize=256)
+def _grown_stack(n: int, alpha: float, p: int) -> list:
+    # [the one read-only stack of generating symbol p, from -n+1 to n-1 or
+    # beyond]; generator_stack grows it by putting a longer one in its place
+    return [gamma_sequence(make_gp(p, alpha), n, alpha, n - 1).blocks]
+
+
+def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
+    """Blocks of generating symbol p at frequencies -n+1 .. xi_max: a
+    read-only view of the one stack kept per (n, alpha, p), which first
+    integrates the frequencies it lacks, up to max(xi_max, n - 1) and no
+    further, as gamma_sequence does.  Blocks are computed a frequency at
+    a time, so the view equals the blocks of a fresh gamma_sequence bit
+    for bit."""
+    frequencies(n, xi_max)  # refuses xi_max < 0
+    held = _grown_stack(n, alpha, p)
+    top = len(held[0]) - n
+    if xi_max > top:
+        new = entry_blocks(make_gp(p, alpha), alpha, range(top + 1, xi_max + 1), n)
+        held[0] = np.concatenate((held[0], new))
+        held[0].flags.writeable = False
+    return held[0][:xi_max + n]
+
+
 @lru_cache(maxsize=4096)
 def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     """Cached block at frequency xi of the sequence for generating symbol
-    number p.  Read-only: callers must not mutate the returned array."""
-    m = gamma_matrix(make_gp(p, alpha), n, alpha, xi)
+    number p, copied off generator_stack so that the cache holds no stack
+    that growth has replaced.  Read-only: callers must not mutate the
+    returned array."""
+    d = block_order(n, xi)
+    m = generator_stack(n, alpha, max(xi, 0), p)[xi + n - 1, :d, :d].copy()
     m.flags.writeable = False
     return m
-
-
-@lru_cache(maxsize=512)
-def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Blocks of generating symbol p at frequencies -n+1 .. xi_max: the
-    read-only stack of its gamma_sequence (see gammaseq.pack_blocks)."""
-    return gamma_sequence(make_gp(p, alpha), n, alpha, xi_max).blocks
 
 
 def generator_family(n: int, alpha: float, xi: int, tol_zero: float, tol_nonzero: float):
@@ -227,10 +248,9 @@ class SeparationPlan:
             object.__setattr__(self, side, terms)
 
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        """The plan's sequence up to xi_max: a new MatrixSeq around the
-        cached read-only product stack (see _plan_product)."""
-        prod, lim = _plan_product(self, xi_max)
-        return MatrixSeq(n=self.n, alpha=self.alpha, blocks=prod, scalar_limit=lim)
+        """The plan's sequence up to xi_max, shared by every evaluation of
+        the plan at xi_max (see _plan_product)."""
+        return _plan_product(self, xi_max)
 
     def to_json_obj(self) -> dict:
         return {
@@ -246,10 +266,9 @@ class SeparationPlan:
 
 
 @lru_cache(maxsize=512)
-def _plan_product(plan: SeparationPlan, xi_max: int):
-    """One batched product over the padded generator stacks, and the
-    scalar limit of the plan.  The stack is read-only and shared by every
-    evaluation of the plan at xi_max."""
+def _plan_product(plan: SeparationPlan, xi_max: int) -> MatrixSeq:
+    """The plan's sequence: one batched product over the padded generator
+    stacks, with the scalar limit of the plan."""
 
     def stack(k):
         return generator_stack(plan.n, plan.alpha, xi_max, k)
@@ -262,9 +281,8 @@ def _plan_product(plan: SeparationPlan, xi_max: int):
 
     mid = stack(plan.middle)
     prod = combine(plan.left, stack) @ mid @ mid @ combine(plan.right, stack)
-    prod.flags.writeable = False
     lim = combine(plan.left, limit) * limit(plan.middle) ** 2 * combine(plan.right, limit)
-    return prod, lim
+    return MatrixSeq(n=plan.n, alpha=plan.alpha, blocks=prod, scalar_limit=lim)
 
 
 @lru_cache(maxsize=1024)

@@ -89,24 +89,24 @@ def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
 def same_pure_state(s1: PureState, s2: PureState) -> bool:
     """Equality as functionals: both are the limit state, or they share a
     frequency and their vectors differ by a unimodular factor."""
-    if s1.is_limit or s2.is_limit:
-        return s1.is_limit and s2.is_limit
+    if s1.xi is None or s2.xi is None:
+        return s1.xi is None and s2.xi is None
     return s1.xi == s2.xi and _proportional(s1.u, s2.u)
 
 
 def eval_state(s: PureState, a_seq: MatrixSeq):
     """Value of the state on a sequence: quadratic form of the block, or
     the scalar limit for the limit state."""
-    if s.is_limit:
+    if s.xi is None:
         if a_seq.scalar_limit is None:
             raise ValueError("limit state needs a sequence with a scalar limit")
         return a_seq.scalar_limit
-    b = a_seq.block(s.xi)
-    if b.shape[0] != s.u.shape[0]:
+    b, u = a_seq.block(s.xi), s.u
+    if len(b) != len(u):
         raise ValueError(
-            f"state vector has dimension {s.u.shape[0]}, block has order {b.shape[0]}"
+            f"state vector has dimension {len(u)}, block has order {len(b)}"
         )
-    val = complex(np.vdot(s.u, b @ s.u))
+    val = complex(np.vdot(u, b @ u))
     return val.real if abs(val.imag) < 1e-14 * max(1.0, abs(val)) else val
 
 
@@ -201,7 +201,7 @@ def _e0_like(s: PureState) -> bool:
 
 
 def _is_documented_coincidence(s1: PureState, s2: PureState, n: int, alpha: float) -> bool:
-    if s1.is_limit or s2.is_limit:
+    if s1.xi is None or s2.xi is None:
         return False
     lo, hi = (s1, s2) if s1.xi <= s2.xi else (s2, s1)
     if n >= 2 and (lo.xi, hi.xi) == (0, 2):
@@ -220,8 +220,8 @@ def _hermitian_value(s: PureState, x: MatrixSeq) -> float:
 
 @lru_cache(maxsize=256)
 def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    """The default infinity witness, the sequence of indicator_symbol(0.5);
-    its read-only stack is shared by every separation that reads it."""
+    """The default infinity witness, the sequence of indicator_symbol(0.5),
+    returned as-is to every separation that reads it."""
     return gamma_sequence(indicator_symbol(0.5), n, alpha, xi_max)
 
 
@@ -258,11 +258,10 @@ def separation(
             "generating sequence (documented coincidence family)"
         )
 
-    if s1.is_limit or s2.is_limit:
-        fin = s2 if s1.is_limit else s1
+    if s1.xi is None or s2.xi is None:
+        fin = s2 if s1.xi is None else s1
         if infinity_witness is None:
-            cached = _limit_witness(n, float(alpha), max(fin.xi, 0))
-            witness = MatrixSeq(n, alpha, cached.blocks, cached.scalar_limit, cached.symbol)
+            witness = _limit_witness(n, float(alpha), max(fin.xi, 0))
         elif infinity_witness.limit is None:
             raise ValueError("infinity witness symbol needs a known boundary limit")
         else:
@@ -286,7 +285,7 @@ def separation(
         value = _hermitian_value
     else:
         lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
-        p = int(np.argmax(np.abs(hi.u)))
+        p = int(abs(hi.u).argmax())
         # the plan for E_pp at hi.xi, whatever lo.xi is (lo.xi is only
         # validated): its squared middle factor vanishes at lo.xi, whose
         # block order puts the factor's structural index past the last
@@ -295,7 +294,11 @@ def separation(
         plan = same_frequency_plan(n, alpha, hi.xi, p, p)
         witness, recipe, value = plan.evaluate(max(hi.xi, 0)), {"plan": plan}, _hermitian_value
     vals = (value(s1, witness), value(s2, witness))
-    _require_gap(vals)
+    if abs(vals[0] - vals[1]) <= MIN_GAP:
+        raise NotSeparableError(
+            f"constructed witness produced values {vals[0]} and {vals[1]} "
+            f"closer than {MIN_GAP}"
+        )
     return witness, vals, recipe
 
 
@@ -304,14 +307,6 @@ def separate(s1: PureState, s2: PureState, n: int, alpha: float,
     """The witness sequence and the pair of state values of separation."""
     witness, vals, _ = separation(s1, s2, n, alpha, infinity_witness)
     return witness, vals
-
-
-def _require_gap(vals) -> None:
-    if abs(vals[0] - vals[1]) <= MIN_GAP:
-        raise NotSeparableError(
-            f"constructed witness produced values {vals[0]} and {vals[1]} "
-            f"closer than {MIN_GAP}"
-        )
 
 
 def closure_gap_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:

@@ -217,6 +217,21 @@ def test_separate_infinity(capsys):
     assert "witness symbol" in out
 
 
+def test_separate_refuses_a_symbol_without_a_limit_state(capsys):
+    # --symbol is read only for a pair with the limit state
+    code = main(
+        [
+            "separate",
+            "--state", "0:1,0",
+            "--state", "2:1,0",
+            "--symbol", '{"kind":"indicator","s":0.5}',
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --symbol")
+
+
 def test_separate_coincidence_exits_3(capsys):
     u = np.sqrt(3.0) / 2.0
     code = main(

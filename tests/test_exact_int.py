@@ -169,6 +169,6 @@ def test_generator_caches_stay_bounded_over_many_separations():
     for name in (
         "polyberg.generators._plan",
         "polyberg.generators._plan_product",
-        "polyberg.generators.generator_stack",
+        "polyberg.generators._grown_stack",
     ):
         assert caches[name].cache_info().misses - misses[name] > limits[name], name

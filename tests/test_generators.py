@@ -1,11 +1,13 @@
 """Antitriangular reports, the matrix-unit recursion, and separation plans."""
 
+import dataclasses
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from polyberg.gammaseq import block_order, frequencies, gamma_matrix
+from polyberg.gammaseq import block_order, frequencies, gamma_matrix, gamma_sequence
 from polyberg.generators import (
     GeneratorStructureError,
     antitriangular_report,
@@ -16,6 +18,7 @@ from polyberg.generators import (
     nu_table,
     same_frequency_plan,
 )
+from polyberg.integration import MAX_MOMENT_DEGREE
 from polyberg.symbols import make_gp
 from polyberg.verify import (
     antitriangular_failures,
@@ -252,13 +255,19 @@ def test_plan_scalar_limit_propagates():
     assert x.scalar_limit == pytest.approx(want, rel=1e-12)
 
 
+@lru_cache(maxsize=None)
+def _fresh_block(n, alpha, xi, k):
+    # integrated on its own, at its own order, not read off a generator stack
+    return gamma_matrix(make_gp(k, alpha), n, alpha, xi)
+
+
 def _reference_evaluation(plan, xi_max):
     # the product L @ M @ M @ R frequency by frequency on the blocks
     blocks = {}
     for xi in range(-plan.n + 1, xi_max + 1):
-        left = sum(c * generator_block(plan.n, plan.alpha, xi, k) for c, k in plan.left)
-        right = sum(c * generator_block(plan.n, plan.alpha, xi, k) for c, k in plan.right)
-        mid = generator_block(plan.n, plan.alpha, xi, plan.middle)
+        left = sum(c * _fresh_block(plan.n, plan.alpha, xi, k) for c, k in plan.left)
+        right = sum(c * _fresh_block(plan.n, plan.alpha, xi, k) for c, k in plan.right)
+        mid = _fresh_block(plan.n, plan.alpha, xi, plan.middle)
         blocks[xi] = left @ mid @ mid @ right
     return blocks
 
@@ -304,10 +313,56 @@ def test_cached_evaluations_equal_the_batched_product(n, alpha):
         xi_max = max(xi, 0)
         first, second = plan.evaluate(xi_max), plan.evaluate(xi_max)
         assert np.array_equal(first.blocks, _batched_evaluation(plan, xi_max)), (plan, xi_max)
-        assert first is not second and np.shares_memory(first.blocks, second.blocks)
+        assert first is second
         assert not first.blocks.flags.writeable and not second.blocks.flags.writeable
-        second.scalar_limit = None
-        assert plan.evaluate(xi_max).scalar_limit == first.scalar_limit
+        for name in ("scalar_limit", "blocks"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(second, name, None)
+
+
+def test_arithmetic_on_cached_witnesses_leaves_them_unchanged():
+    a = same_frequency_plan(3, 0.5, 1, 0, 1).evaluate(1)
+    b = same_frequency_plan(3, 0.5, 1, 1, 0).evaluate(1)
+    before = [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)]
+    for out in (a + b, 1j * a, a @ b):
+        assert out is not a and out is not b
+        assert not np.shares_memory(out.blocks, a.blocks)
+        assert not np.shares_memory(out.blocks, b.blocks)
+    assert [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)] == before
+    assert same_frequency_plan(3, 0.5, 1, 0, 1).evaluate(1) is a
+
+
+def test_grown_stacks_equal_fresh_sequences():
+    # requests in no particular order: each one extends the kept stack by
+    # the frequencies it lacks, or reads a prefix of it
+    n, alpha = 3, 0.375
+    for xi_max in (0, 4, 1, 9, 9, 2, 15):
+        for p in (2, 5, 9):
+            want = gamma_sequence(make_gp(p, alpha), n, alpha, xi_max).blocks
+            got = generator_stack(n, alpha, xi_max, p)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (xi_max, p)
+            for xi in frequencies(n, xi_max):
+                assert np.array_equal(
+                    generator_block(n, alpha, xi, p), _fresh_block(n, alpha, xi, p)
+                ), (xi, p)
+    with pytest.raises(ValueError, match="xi_max must be nonnegative"):
+        generator_stack(n, alpha, -1, 2)
+
+
+def test_grown_stacks_refuse_where_fresh_sequences_do():
+    n, alpha, p = 2, 0.375, 40
+    # the last frequency whose top moment degree, xi + 2 (n - 1) + p, is admitted
+    last = MAX_MOMENT_DEGREE - 2 * (n - 1) - p
+    # refused on the first request, and again once the stack has grown
+    for xi_max in (last + 1, last + 1, 200):
+        with pytest.raises(ValueError) as fresh:
+            gamma_sequence(make_gp(p, alpha), n, alpha, xi_max)
+        with pytest.raises(ValueError) as grown:
+            generator_stack(n, alpha, xi_max, p)
+        assert str(grown.value) == str(fresh.value)
+        generator_stack(n, alpha, last - 3, p)
+    want = gamma_sequence(make_gp(p, alpha), n, alpha, last).blocks
+    assert np.array_equal(generator_stack(n, alpha, last, p), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1,5 +1,9 @@
 """Pure-state evaluation, witness indices, separation, coincidence."""
 
+import collections
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,8 +76,7 @@ def test_eval_state_errors():
         eval_state(finite_state(5, unit([1, 1])), seq)
     with pytest.raises(ValueError):
         eval_state(finite_state(0, [1.0]), seq)
-    nolim = gamma_sequence(poly_t_symbol([1.0]), 2, 0.0, 2)
-    nolim.scalar_limit = None
+    nolim = dataclasses.replace(gamma_sequence(poly_t_symbol([1.0]), 2, 0.0, 2), scalar_limit=None)
     with pytest.raises(ValueError):
         eval_state(limit_state(), nolim)
 
@@ -201,8 +204,42 @@ def test_cached_limit_witness_equals_the_indicator_sequence(n, alpha):
         want = gamma_sequence(ind, n, alpha, max(xi, 0))
         assert np.array_equal(first.blocks, want.blocks), xi
         assert first.scalar_limit == want.scalar_limit and first.symbol == ind
-        assert first is not second and np.shares_memory(first.blocks, second.blocks)
+        assert first is second
         assert not first.blocks.flags.writeable and not second.blocks.flags.writeable
+        for name in ("scalar_limit", "blocks"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(second, name, None)
+
+
+def test_separations_integrate_each_generator_frequency_once(monkeypatch):
+    # one sweep up the frequencies: same-frequency pairs (an off-diagonal
+    # and a diagonal unit) and cross-frequency pairs at every xi.  Every
+    # block of a generating symbol is integrated once, however many
+    # frequencies later ask for it again.
+    for val in vars(generators).values():
+        if hasattr(val, "cache_clear"):
+            val.cache_clear()
+    real, counts = integration.entry_blocks, collections.Counter()
+
+    def spy(a, alpha, xis, d):
+        if a.kind == "jacobi_g":
+            counts.update((a.p, xi) for xi in xis)
+        return real(a, alpha, xis, d)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polyberg."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    n, alpha = 3, 0.5
+    e0, e1, e2 = np.eye(n)
+    for xi in range(31):
+        separate(finite_state(xi, e0), finite_state(xi, e1), n, alpha)
+        separate(finite_state(xi, e0), finite_state(xi, e2), n, alpha)
+        for lo in range(-n + 1, xi):
+            separate(finite_state(lo, np.eye(min(n + lo, n))[0]), finite_state(xi, e1), n, alpha)
+    assert counts
+    assert [key for key, c in counts.items() if c > 1] == []
 
 
 def test_separate_refuses_bad_alpha_before_any_cache():
