@@ -6,17 +6,24 @@ whole range of frequencies as one stack, from one of two block kernels
 chosen by the symbol kind.  entry_block and beta_entry read from it.
 
 Polynomial symbols are integrated exactly, in Python integers over a
-common denominator.  With the weight exponent alpha = p / 2^e (a binary
+common denominator.  With the weight exponent alpha = N / 2^e (a binary
 float), the moment of degree d is d! 2^(e (d+1)) / P[d+1], where
-P[j] = prod_{i=1..j} (p + i 2^e) comes from one prefix table per alpha.
-Per frequency the exact kernel puts the moments over one denominator
-once, contracts them with the symbol's scaled coefficients S to the Hankel
-vector W[l] = sum_c S_c M[l + c], and each Jacobi polynomial Q_j with W to
-the row y_j[b] = sum_a Q_j[a] W[a + b]; entry (j, k) is sum_b Q_k[b]
-y_j[b] over one denominator, rounded once by a correctly rounded
-int / int division.  So every orthogonality relation the entries inherit
-holds to the last bit (zeros come out as literal 0.0).  A constant symbol
-gives value * I by orthonormality.
+P[j] = prod_{i=1..j} (N + i 2^e).  Per frequency the exact kernel puts
+the moments over one denominator once and forms the Hankel vector W[l],
+the integral of t^(|xi|+l) (1-t)^alpha a.  For a poly_t symbol that is
+the contraction W[l] = sum_c S_c M[l + c] with its scaled coefficients
+S.  For a generator g_p of the weight's own alpha, Rodrigues' formula
+(DLMF 18.5.5) gives it in closed form: W[l] = C(K, p) M'[K] at
+K = |xi| + l, where M' are the moments for the exponent
+alpha + p = (N + p 2^e) / 2^e, formed in integers.  So W[l] = 0 for
+K < p, and g_p's coefficients are never formed.  A generator for another
+alpha is a plain polynomial under this weight and takes the contraction.
+Each Jacobi polynomial Q_j and W give the row
+y_j[b] = sum_a Q_j[a] W[a + b]; entry (j, k) is sum_b Q_k[b] y_j[b] over
+one denominator, rounded once by a correctly rounded int / int division.
+So every orthogonality relation the entries inherit holds to the last bit
+(zeros come out as literal 0.0).  A constant symbol gives value * I by
+orthonormality.
 
 An indicator or sampled symbol is a level plus a part r that vanishes
 beyond x: level 0 and r = 1 up to the cut x = s^2, or the table's last
@@ -35,15 +42,14 @@ one n = 8 request up to |xi| = 190 keeps all its hits.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
-import operator
 from functools import lru_cache
 
 import numpy as np
 
 from . import jacobi
+from .jacobi import MAX_MOMENT_DEGREE
 from .special_fn import gauss_size, jacobi_recurrence, legendre_rule
 from .symbols import SymbolSpec
 
@@ -55,33 +61,8 @@ __all__ = [
     "norm_product",
 ]
 
-MAX_MOMENT_DEGREE = 192
 # symbols integrated on the panel rule rather than exactly
 FLOAT_KINDS = ("indicator", "sampled")
-
-_FACTORIALS = tuple(
-    itertools.accumulate(range(1, MAX_MOMENT_DEGREE + 1), operator.mul, initial=1)
-)
-
-
-@lru_cache(maxsize=16)
-def _moment_table(alpha: float) -> tuple[int, int, tuple[int, ...]]:
-    # (p, e, P) with alpha = p / 2^e and P[j] = prod_{i=1..j} (p + i 2^e)
-    # for j <= MAX_MOMENT_DEGREE + 1
-    p, e = jacobi.dyadic(alpha)
-    q = 1 << e
-    prefix = itertools.accumulate(
-        (p + i * q for i in range(1, MAX_MOMENT_DEGREE + 2)), operator.mul, initial=1
-    )
-    return p, e, tuple(prefix)
-
-
-def _moment_float(degree: int, alpha: float) -> float:
-    # integral of t^degree (1-t)^alpha over [0, 1]
-    #   = degree! / prod_{i=1..degree+1} (alpha + i)
-    _, e, prefix = _moment_table(alpha)
-    return (_FACTORIALS[degree] << (e * (degree + 1))) / prefix[degree + 1]
-
 
 def _guard_degree(degree: int) -> None:
     if degree > MAX_MOMENT_DEGREE:
@@ -102,20 +83,21 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _moments(alpha: float, xi_abs: int, top: int) -> tuple[list[int], int]:
-    # the moments of degrees xi_abs .. top as integer numerators over the
-    # one denominator P[top+1]: each moment d! 2^(e (d+1)) / P[d+1] is
-    # scaled by the tail product P[top+1] / P[d+1] = prod_{i=d+2..top+1}
-    # (p + i 2^e)
-    _guard_degree(top)
-    p, e, prefix = _moment_table(alpha)
+def _moments(num: int, e: int, xis: range, span: int):
+    # per xi of the range, the moments of degrees xi .. top = xi + span for
+    # the weight exponent num / 2^e as integer numerators over the one
+    # denominator P[top+1] = tail * head: moment d! 2^(e (d+1)) / P[d+1] is
+    # scaled by P[top+1] / P[d+1], and the head P[xi] is carried along xi.
+    _guard_degree(xis[-1] + span)
     q = 1 << e
-    nums = []
-    tail = 1
-    for d in range(top, xi_abs - 1, -1):
-        nums.append((_FACTORIALS[d] * tail) << (e * (d + 1)))
-        tail *= p + (d + 1) * q
-    return nums[::-1], prefix[top + 1]
+    head = math.prod(num + i * q for i in range(1, xis[0] + 1))
+    for xi in xis:
+        nums, tail = [], 1
+        for d in range(xi + span, xi - 1, -1):
+            nums.append((math.factorial(d) * tail) << (e * (d + 1)))
+            tail *= num + (d + 1) * q
+        yield nums[::-1], tail * head
+        head *= num + (xi + 1) * q
 
 
 @lru_cache(maxsize=8192)
@@ -135,7 +117,8 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     if xi_abs < 0:
         raise ValueError(f"xi_abs must be nonnegative, got {xi_abs}")
     nums, den = _scaled(coeffs)
-    moments, mden = _moments(alpha, xi_abs, xi_abs + len(nums) - 1)
+    moments, mden = next(_moments(*jacobi.dyadic(alpha), range(xi_abs, xi_abs + 1),
+                                  len(nums) - 1))
     return sum(c * m for c, m in zip(nums, moments)) / (den * mden)
 
 
@@ -191,45 +174,58 @@ def _panel_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
     if not t.size:
         return out
     diag, off = jacobi_recurrence(alpha, np.array(xis, dtype=float)[:, None], d)
+    num, e = jacobi.dyadic(alpha)
     # the orthonormal polynomials at t, times sqrt(mass) so that row 0 is 1
     vals = np.ones((d, t.size))
-    for i, xi in enumerate(xis):
+    masses = _moments(num, e, xis, 0)
+    for i, (xi, ((mass,), mden)) in enumerate(zip(xis, masses)):
         for m in range(d - 1):
             vals[m + 1] = ((t - diag[i, m]) * vals[m]
                            - (off[i, m - 1] * vals[m - 1] if m else 0.0)) / off[i, m]
         # summed in extended precision
         v = vals.astype(np.longdouble)
-        weight = g * (x ** xi / _moment_float(xi, alpha) * np.exp(xi * log_ratio))
+        weight = g * (x ** xi / (mass / mden) * np.exp(xi * log_ratio))
         out[i] += np.dot(v * weight, v.T).astype(out.dtype)
     return out
 
 
 def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     # Upper triangles, by the Hankel contraction of the module docstring:
-    # entry (j, k) is the rational integral of Q_j Q_k S, rounded once.
+    # entry (j, k) is the rational integral of Q_j Q_k a, rounded once.
     if a.kind == "const":
         # orthonormality makes the block value * I
         return np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
-    if a.kind == "jacobi_g":
-        # the generator's exact coefficients, not the float copies stored
-        # for pointwise evaluation, which would spoil the structural zeros
-        parts = [jacobi.q_coeffs_int(a.alpha, 0.0, a.p)]
-    elif any(isinstance(c, complex) for c in a.coeffs):
-        parts = [_scaled([complex(c).real for c in a.coeffs]),
-                 _scaled([complex(c).imag for c in a.coeffs])]
+    num, e = jacobi.dyadic(alpha)
+    cplx = a.kind == "poly_t" and any(isinstance(c, complex) for c in a.coeffs)
+    if a.kind == "jacobi_g" and a.alpha == alpha:
+        # Rodrigues' formula: t^K g_p integrates to C(K, p) times the
+        # moment of degree K for the exponent alpha + p (0 for K < p)
+        runs = _moments(num + (a.p << e), e, xis, 2 * (d - 1))
+
+        def hankels(xi, moments, mden):
+            return [([math.comb(xi + l, a.p) * m for l, m in enumerate(moments)], mden)]
     else:
-        parts = [_scaled(a.coeffs)]
-    out = np.zeros((len(xis), d, d), dtype=complex if len(parts) == 2 else float)
-    # the largest moment degree above |xi|: that of entry (d - 1, d - 1)
-    span = 2 * (d - 1) + max(len(nums) for nums, _ in parts) - 1
-    for i, xi in enumerate(xis):
-        moments, mden = _moments(alpha, xi, xi + span)
-        hankels = [([sum(c * moments[l + m] for m, c in enumerate(nums)) for l in range(2 * d - 1)],
-                     den * mden) for nums, den in parts]
+        if a.kind == "jacobi_g":
+            # a generator for another weight exponent is a plain polynomial here
+            parts = [jacobi.q_coeffs_int(a.alpha, 0.0, a.p)]
+        elif cplx:
+            parts = [_scaled([complex(c).real for c in a.coeffs]),
+                     _scaled([complex(c).imag for c in a.coeffs])]
+        else:
+            parts = [_scaled(a.coeffs)]
+        # the largest moment degree above |xi|: that of entry (d - 1, d - 1)
+        runs = _moments(num, e, xis, 2 * (d - 1) + len(parts[0][0]) - 1)
+
+        def hankels(xi, moments, mden):
+            return [([sum(c * moments[l + m] for m, c in enumerate(nums))
+                      for l in range(2 * d - 1)], den * mden) for nums, den in parts]
+    out = np.zeros((len(xis), d, d), dtype=complex if cplx else float)
+    for i, (xi, run) in enumerate(zip(xis, runs)):
+        ws = hankels(xi, *run)
         qs = [jacobi.q_coeffs_int(alpha, float(xi), m) for m in range(d)]
         for j, (qj, dj) in enumerate(qs):
             rows = [([sum(c * w[m + b] for m, c in enumerate(qj)) for b in range(d)], dj * wden)
-                    for w, wden in hankels]
+                    for w, wden in ws]
             for k in range(j, d):
                 qk, dk = qs[k]
                 vals = [sum(c * y for c, y in zip(qk, row)) / (row_den * dk)
@@ -245,8 +241,8 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     symbol.  Indicator and sampled symbols take the panel-rule kernel,
     the others the exact one.  Refuses degree d - 1 above
     jacobi.MAX_DEGREE and moment degrees above MAX_MOMENT_DEGREE (the
-    largest is 2(d - 1) + max(xis), plus the degree of a polynomial
-    symbol)."""
+    largest is 2(d - 1) + max(xis), plus the degree of a poly_t symbol or
+    of a generator for another alpha)."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if d - 1 > jacobi.MAX_DEGREE:

@@ -23,6 +23,7 @@ from .special_fn import log_gamma
 
 __all__ = [
     "MAX_DEGREE",
+    "MAX_MOMENT_DEGREE",
     "JacobiParams",
     "q_coeffs",
     "q_coeffs_int",
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 MAX_DEGREE = 64
+# the largest moment degree integrated exactly (see integration)
+MAX_MOMENT_DEGREE = 192
 # holds every (beta, m) of one n = 8 request up to |xi| = 190 (1528 keys)
 _CACHE_SIZE = 2048
 

@@ -200,17 +200,19 @@ def _e0_like(s: PureState) -> bool:
     return _proportional(s.u, e0)
 
 
-def _is_documented_coincidence(s1: PureState, s2: PureState, n: int, alpha: float) -> bool:
+def _documented_coincidence(s1: PureState, s2: PureState, n: int, alpha: float) -> Optional[str]:
+    # the documented family the pair belongs to, named, or None
     if s1.xi is None or s2.xi is None:
-        return False
+        return None
     lo, hi = (s1, s2) if s1.xi <= s2.xi else (s2, s1)
     if n >= 2 and (lo.xi, hi.xi) == (0, 2):
         u_star = _coincidence_vector(n, alpha).astype(complex)
         if _proportional(lo.u, u_star) and _e0_like(hi):
-            return True
+            return ("the documented (0, 2) pair (the alpha-vector at frequency 0, "
+                    "the first basis vector at frequency 2)")
     if lo.xi < 0 and hi.xi == -lo.xi and _e0_like(lo) and _e0_like(hi):
-        return True
-    return False
+        return f"the documented ({lo.xi}, {hi.xi}) pair of first basis vectors"
+    return None
 
 
 def _hermitian_value(s: PureState, x: MatrixSeq) -> float:
@@ -252,11 +254,9 @@ def separation(
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if same_pure_state(s1, s2):
         raise NotSeparableError("identical pure states")
-    if _is_documented_coincidence(s1, s2, n, alpha):
-        raise NotSeparableError(
-            "not separable by construction: the pair agrees on every "
-            "generating sequence (documented coincidence family)"
-        )
+    family = _documented_coincidence(s1, s2, n, alpha)
+    if family:
+        raise NotSeparableError(f"{family} agrees on every generating sequence")
 
     if s1.xi is None or s2.xi is None:
         fin = s2 if s1.xi is None else s1

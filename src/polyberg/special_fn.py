@@ -2,14 +2,14 @@
 Gamma-ratio inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
-concurrently.  The log-gamma kernel is a Lanczos approximation (g = 7,
-nine terms) with reflection for small arguments.  The regularized
-incomplete Beta is the continued fraction of DLMF 8.17.22, evaluated by
-the modified Lentz method (Thompson & Barnett, J. Comput. Phys. 64, 1986)
-behind a log-gamma front factor.  Gauss-Legendre rules on [-1, 1] come
-from Newton's method on the Legendre recurrence, and gauss_size sizes
-them from their Bernstein ellipse; with jacobi_recurrence they make the
-panel rule of the indicator and sampled blocks.
+concurrently.  log_gamma is math.lgamma behind a domain check.  The
+regularized incomplete Beta is the continued fraction of DLMF 8.17.22,
+evaluated by the modified Lentz method (Thompson & Barnett, J. Comput.
+Phys. 64, 1986) behind a log-gamma front factor.  Gauss-Legendre rules
+on [-1, 1] come from Newton's method on the Legendre recurrence, and
+gauss_size sizes them from their Bernstein ellipse; with
+jacobi_recurrence they make the panel rule of the indicator and sampled
+blocks.
 """
 
 from __future__ import annotations
@@ -31,21 +31,6 @@ __all__ = [
     "binom_real",
 ]
 
-# Lanczos coefficients for g = 7: relative error of Gamma below ~1e-15 on
-# the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = float(np.finfo(float).eps)
 
 # a Gauss rule is sized for this accuracy; it refuses more nodes than
@@ -58,18 +43,10 @@ MAX_FRACTION_TERMS = 10000
 
 
 def log_gamma(z: float) -> float:
-    """ln Gamma(z) for z > 0."""
+    """ln Gamma(z) for z > 0 (math.lgamma)."""
     if z <= 0.0 or math.isnan(z):
         raise ValueError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection keeps the Lanczos sum well conditioned near zero
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    zz = z - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (zz + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(z)
 
 
 def beta(x: float, y: float) -> float:

@@ -10,13 +10,14 @@ Instances are immutable after construction and freely shareable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .jacobi import compensated_poly_eval, q_coeffs_int
+from .jacobi import MAX_MOMENT_DEGREE, JacobiParams, compensated_poly_eval, dyadic, q_coeffs
 
 __all__ = [
     "SymbolSpec",
@@ -39,7 +40,7 @@ class SymbolSpec:
     kind: str
     value: Optional[complex] = None          # const
     s: Optional[float] = None                # indicator threshold in r
-    coeffs: Optional[tuple] = None           # poly_t / jacobi_g, powers of t
+    coeffs: Optional[tuple] = None           # poly_t, powers of t
     p: Optional[int] = None                  # jacobi_g degree
     alpha: Optional[float] = None            # jacobi_g weight exponent
     points: Optional[tuple] = None           # sampled: ((t, value), ...)
@@ -80,20 +81,18 @@ def poly_t_symbol(coeffs: Sequence) -> SymbolSpec:
 def make_gp(p: int, alpha: float) -> SymbolSpec:
     """Generating symbol number p: the degree-p polynomial for the
     (alpha, 0) weight, composed with r^2 (so in t it is the polynomial
-    itself).  Its boundary value is the polynomial at t = 1, the sum of
-    the exact coefficients, rounded once; no cancellation can occur.
-    Symbols are immutable, so one instance per (p, alpha) is shared.
+    itself).  Its boundary value is the polynomial at t = 1,
+    C(alpha + p, p) = prod_{i=1..p} (alpha + i) / p!, formed in integers
+    and rounded once.  p above MAX_MOMENT_DEGREE is refused: every block
+    of such a g_p within the moment guard is zero.  Symbols are immutable,
+    so one instance per (p, alpha) is shared.
     """
-    if p < 0:
-        raise ValueError(f"generator index must be nonnegative, got {p}")
-    nums, den = q_coeffs_int(alpha, 0.0, p)
-    return SymbolSpec(
-        kind="jacobi_g",
-        coeffs=tuple(c / den for c in nums),
-        p=int(p),
-        alpha=float(alpha),
-        limit=sum(nums) / den,
-    )
+    if not 0 <= p <= MAX_MOMENT_DEGREE:
+        raise ValueError(f"generator index {p} outside 0 .. {MAX_MOMENT_DEGREE}")
+    num, e = dyadic(alpha)
+    rising = math.prod(num + (i << e) for i in range(1, p + 1))
+    return SymbolSpec(kind="jacobi_g", p=int(p), alpha=float(alpha),
+                      limit=rising / (math.factorial(p) << (e * p)))
 
 
 def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
@@ -114,6 +113,14 @@ def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
 _poly_eval = compensated_poly_eval
 
 
+def _poly_coeffs(a: SymbolSpec):
+    # monomial coefficients of a polynomial symbol; a generator's are read
+    # off its Jacobi polynomial only here, for pointwise evaluation
+    if a.kind == "jacobi_g":
+        return q_coeffs(JacobiParams(a.alpha, 0.0, a.p)).tolist()
+    return a.coeffs
+
+
 def eval_at_t(a: SymbolSpec, t):
     """Value of the symbol at radius r = sqrt(t); t scalar or array."""
     if a.kind == "const":
@@ -124,7 +131,7 @@ def eval_at_t(a: SymbolSpec, t):
             return 1.0 if t < cut else 0.0
         return np.where(np.asarray(t) < cut, 1.0, 0.0)
     if a.kind in ("poly_t", "jacobi_g"):
-        return _poly_eval(a.coeffs, t)
+        return _poly_eval(_poly_coeffs(a), t)
     if a.kind == "sampled":
         ts = np.array([p[0] for p in a.points])
         vs = np.array([p[1] for p in a.points])
@@ -144,14 +151,15 @@ def sup_abs(a: SymbolSpec) -> float:
     if a.kind == "indicator":
         return 1.0
     if a.kind in ("poly_t", "jacobi_g"):
-        cs = np.array([complex(c) for c in a.coeffs])
+        coeffs = _poly_coeffs(a)
+        cs = np.array([complex(c) for c in coeffs])
         candidates = [0.0, 1.0]
         deriv = cs[1:] * np.arange(1, len(cs))
         if len(deriv) >= 2:
             for r in np.atleast_1d(np.roots(deriv[::-1])):
                 if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
                     candidates.append(float(r.real))
-        return max(abs(_poly_eval(a.coeffs, t)) for t in candidates)
+        return max(abs(_poly_eval(coeffs, t)) for t in candidates)
     if a.kind == "sampled":
         return max(abs(v) for _, v in a.points)
     raise ValueError(f"unknown symbol kind {a.kind!r}")

@@ -244,7 +244,9 @@ def test_separate_coincidence_exits_3(capsys):
         ]
     )
     assert code == 3
-    assert "not separable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("not separable by construction") == 1
+    assert "the documented (0, 2) pair" in err
 
 
 def test_separate_identical_exits_3():
@@ -276,6 +278,28 @@ def test_basis_demo(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "worst reconstruction error" in out
+
+
+def test_basis_past_the_generator_degree(capsys):
+    # the family at xi = 63 is g_64 and g_65, past jacobi.MAX_DEGREE: the
+    # closed form of their blocks needs none of their coefficients
+    code = main(["basis", "--n", "2", "--alpha", "0.5", "--xi", "63"])
+    assert code == 0
+    assert "worst reconstruction error: 0.000e+00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--n", "2", "--xi", "1000000000"],
+        ["gamma", "--n", "2", "--xi-max", "1",
+         "--symbol", '{"kind":"jacobi_g","p":1e9,"alpha":0.5}'],
+    ],
+)
+def test_huge_generator_index_is_refused_before_any_work(argv, capsys):
+    # make_gp refuses the index before forming its boundary product
+    assert main(argv) == 2
+    assert "generator index 100000000" in capsys.readouterr().err
 
 
 def test_oracle_command(capsys):

@@ -116,14 +116,39 @@ def test_entries_equal_fractions(alpha):
             assert np.array_equal(got, sym.value * np.eye(d))
 
 
+@pytest.mark.parametrize("alpha", (0.1, 0.375))
+def test_generator_blocks_past_degree_64_equal_fractions(alpha):
+    # the closed form needs no coefficients of g_p, so p may exceed
+    # jacobi.MAX_DEGREE; the reference convolves the coefficients from
+    # their formula.  Entry (j, k) is a structural zero iff xi + j + k < p.
+    p, d = 70, 3
+    sym, coeffs = make_gp(p, alpha), q_coeffs_fraction(alpha, 0.0, p)
+    for xi in (p - 3, p + 5):
+        kks = {(j, k): norm_product_fraction(alpha, xi, j, k)
+               for j in range(d) for k in range(j, d)}
+        want = _fraction_block(coeffs, alpha, xi, d, kks)
+        got = integration.entry_block(sym, alpha, xi, d)
+        assert got.tobytes() == want.tobytes()
+        for j in range(d):
+            for k in range(d):
+                assert (got[j, k] == 0.0) == (xi + j + k < p), (xi, j, k)
+
+
 def test_moment_guard_is_kept():
     # beta_entry reads the block of order k + 1, whose top moment degree is
-    # 2 k + |xi| plus the symbol's degree, whatever j is
-    gp = make_gp(GP, 1.0)
+    # 2 k + |xi| plus the degree of a poly_t symbol, whatever j is
+    poly = poly_t_symbol([0.5] * GP + [1.0])
     edge = MAX_MOMENT_DEGREE - 2 * IDX - GP
-    assert math.isfinite(beta_entry(gp, 1.0, edge, 0, IDX))
+    assert math.isfinite(beta_entry(poly, 1.0, edge, 0, IDX))
     with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
-        beta_entry(gp, 1.0, edge + 1, 0, IDX)
+        beta_entry(poly, 1.0, edge + 1, 0, IDX)
+    # a generator's degree does not count: it is refused where a constant is
+    gp, const = make_gp(GP, 1.0), const_symbol(1.0)
+    edge = MAX_MOMENT_DEGREE - 2 * IDX
+    for sym in (gp, const):
+        assert math.isfinite(beta_entry(sym, 1.0, edge, 0, IDX))
+        with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
+            beta_entry(sym, 1.0, edge + 1, 0, IDX)
     with pytest.raises(ValueError):
         integration.weighted_product_integral([1.0, 2.0], 0.5, MAX_MOMENT_DEGREE)
 

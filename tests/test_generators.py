@@ -351,8 +351,8 @@ def test_grown_stacks_equal_fresh_sequences():
 
 def test_grown_stacks_refuse_where_fresh_sequences_do():
     n, alpha, p = 2, 0.375, 40
-    # the last frequency whose top moment degree, xi + 2 (n - 1) + p, is admitted
-    last = MAX_MOMENT_DEGREE - 2 * (n - 1) - p
+    # the last frequency whose top moment degree, xi + 2 (n - 1), is admitted
+    last = MAX_MOMENT_DEGREE - 2 * (n - 1)
     # refused on the first request, and again once the stack has grown
     for xi_max in (last + 1, last + 1, 200):
         with pytest.raises(ValueError) as fresh:

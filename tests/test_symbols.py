@@ -1,9 +1,11 @@
 """Symbol construction, evaluation, limits, and JSON codec."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from polyberg.jacobi import JacobiParams, q_eval
+from polyberg.jacobi import MAX_MOMENT_DEGREE, JacobiParams, q_coeffs, q_eval
 from polyberg.symbols import (
     const_symbol,
     eval_at_t,
@@ -17,13 +19,18 @@ from polyberg.symbols import (
 )
 
 
+def _gp_coeffs(g):
+    return tuple(q_coeffs(JacobiParams(g.alpha, 0.0, g.p)).tolist())
+
+
 def test_make_gp_frozen_cases():
     g0 = make_gp(0, 1.7)
-    assert g0.coeffs == (1.0,) and g0.limit == 1.0
+    assert _gp_coeffs(g0) == (1.0,) and g0.limit == 1.0
     g1 = make_gp(1, 0.0)
-    assert g1.coeffs == (-1.0, 2.0) and g1.limit == 1.0
+    assert _gp_coeffs(g1) == (-1.0, 2.0) and g1.limit == 1.0
     g2 = make_gp(2, 0.0)
-    assert g2.coeffs == (1.0, -6.0, 6.0) and g2.limit == 1.0
+    assert _gp_coeffs(g2) == (1.0, -6.0, 6.0) and g2.limit == 1.0
+    assert g2.coeffs is None
 
 
 def test_make_gp_limit_closed_form():
@@ -31,6 +38,26 @@ def test_make_gp_limit_closed_form():
     assert make_gp(1, 1.0).limit == pytest.approx(2.0)
     assert make_gp(2, 2.0).limit == pytest.approx(6.0)
     assert make_gp(3, 0.5).limit == pytest.approx((1.5 * 2.5 * 3.5) / 6.0)
+
+
+def test_make_gp_limit_is_the_binomial_rounded_once():
+    # C(alpha + p, p) = prod_{i=1..p} (alpha + i) / i, exact, rounded once;
+    # p = 100 is past the degree pointwise evaluation admits
+    want = Fraction(1)
+    for i in range(1, 101):
+        want *= (Fraction(1, 2) + i) / i
+    g = make_gp(100, 0.5)
+    assert g.limit == float(want)
+    with pytest.raises(ValueError, match="degree 100 exceeds"):
+        eval_at_t(g, 0.5)
+
+
+def test_make_gp_refuses_indices_beyond_the_moment_guard():
+    # every block of a higher g_p within the moment guard is zero
+    assert make_gp(MAX_MOMENT_DEGREE, 0.5).p == MAX_MOMENT_DEGREE
+    for p in (-1, MAX_MOMENT_DEGREE + 1, 10**9):
+        with pytest.raises(ValueError, match=f"generator index {p} outside"):
+            make_gp(p, 0.5)
 
 
 def test_indicator_eval():
