@@ -106,7 +106,7 @@ def eval_state(s: PureState, a_seq: MatrixSeq):
         raise ValueError(
             f"state vector has dimension {len(u)}, block has order {len(b)}"
         )
-    val = complex(np.vdot(u, b @ u))
+    val = complex(np.vdot(u, b.dot(u)))
     return val.real if abs(val.imag) < 1e-14 * max(1.0, abs(val)) else val
 
 
@@ -142,19 +142,17 @@ def witness_indices(u, v) -> Tuple[int, int]:
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError("vectors must have equal dimension")
-    cross = max(
-        abs(u[j] * v[k] - u[k] * v[j])
-        for j in range(len(u))
-        for k in range(j + 1, len(u))
-    ) if len(u) > 1 else 0.0
-    if cross <= PROPORTIONAL_TOL:
+    # entry (j, k) of uv^T - vu^T is u_j v_k - u_k v_j
+    outer = u[:, None] * v
+    if np.abs(outer - outer.T).max() <= PROPORTIONAL_TOL:
         raise NotSeparableError("vectors are proportional; states coincide")
-    p = next(i for i in range(len(u)) if abs(u[i]) > PROPORTIONAL_TOL)
+    p = int((np.abs(u) > PROPORTIONAL_TOL).argmax())
     if abs(abs(v[p]) - abs(u[p])) > PROPORTIONAL_TOL:
         return p, p
     tau = v[p] / u[p]
-    q = next((i for i in range(len(u)) if abs(v[i] - tau * u[i]) > PROPORTIONAL_TOL), None)
-    if q is None:
+    deviates = np.abs(v - tau * u) > PROPORTIONAL_TOL
+    q = int(deviates.argmax())
+    if not deviates[q]:
         raise NotSeparableError(
             "vectors are nearly proportional: no entry of v deviates from "
             f"{tau:.6g} * u by more than {PROPORTIONAL_TOL}"
@@ -215,16 +213,41 @@ def _documented_coincidence(s1: PureState, s2: PureState, n: int, alpha: float) 
     return None
 
 
-def _hermitian_value(s: PureState, x: MatrixSeq) -> float:
-    v = eval_state(s, x)
-    return v.real if isinstance(v, complex) else v
-
-
 @lru_cache(maxsize=256)
 def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
     """The default infinity witness, the sequence of indicator_symbol(0.5),
     returned as-is to every separation that reads it."""
     return gamma_sequence(indicator_symbol(0.5), n, alpha, xi_max)
+
+
+@lru_cache(maxsize=512)
+def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
+    """(plans, witnesses, complex blocks) of the same-frequency unit
+    E_{p,q} at xi, built once per key and shared as-is.  For p == q: the
+    plan and its evaluation at max(xi, 0), the very sequence
+    plan.evaluate returns.  For p != q: the plan and its mirror (q, p),
+    and the sym and skew combinations of their evaluations, in that
+    order.  Each witness's stack is cast to complex once and held as its
+    blocks, frequency -n+1 first, so a state value costs one dot and one
+    vdot and no cast."""
+    plan = same_frequency_plan(n, alpha, xi, p, q)
+    a = plan.evaluate(max(xi, 0))
+    if p == q:
+        plans, witnesses = (plan,), (a,)
+    else:
+        mirror = same_frequency_plan(n, alpha, xi, q, p)
+        b = mirror.evaluate(max(xi, 0))
+        plans, witnesses = (plan, mirror), (a + b, 1j * (a + (-1.0) * b))
+    cast = [MatrixSeq(n, alpha, np.asarray(w.blocks, dtype=complex)) for w in witnesses]
+    blocks = tuple(tuple(z.block(x) for x in frequencies(n, z.xi_max)) for z in cast)
+    return plans, witnesses, blocks
+
+
+def _unit_value(s: PureState, blocks: tuple, n: int) -> float:
+    # eval_state's quadratic form, real part, on a block of _unit_witness;
+    # separation has checked the vector's dimension against the block order
+    u = s.u
+    return complex(np.vdot(u, blocks[s.xi + n - 1].dot(u))).real
 
 
 def separation(
@@ -247,11 +270,18 @@ def separation(
     larger gap); a limit state is told apart from any finite state by an
     indicator symbol; distinct finite frequencies use the same-frequency
     plan for E_pp at the higher frequency, whose block at the lower
-    frequency vanishes.  Raises NotSeparableError for equal states and
-    for the documented coincidence families.
+    frequency vanishes.  Raises ValueError for alpha <= -1 and for a
+    vector whose dimension is not its frequency's block order, before
+    any cache is read; NotSeparableError for equal states and for the
+    documented coincidence families.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
+    for s in (s1, s2):
+        if s.xi is not None and len(s.u) != block_order(n, s.xi):
+            raise ValueError(
+                f"state vector has dimension {len(s.u)}, block has order {block_order(n, s.xi)}"
+            )
     if same_pure_state(s1, s2):
         raise NotSeparableError("identical pure states")
     family = _documented_coincidence(s1, s2, n, alpha)
@@ -266,34 +296,28 @@ def separation(
             raise ValueError("infinity witness symbol needs a known boundary limit")
         else:
             witness = gamma_sequence(infinity_witness, n, alpha, max(fin.xi, 0))
-        recipe, value = {"symbol": witness.symbol}, eval_state
-    elif s1.xi == s2.xi:
-        xi = s1.xi
-        p, q = witness_indices(s1.u, s2.u)
-        plan = same_frequency_plan(n, alpha, xi, p, q)
-        if p == q:
-            witness, recipe = plan.evaluate(max(xi, 0)), {"plan": plan}
-        else:
-            mirror = same_frequency_plan(n, alpha, xi, q, p)
-            a, b = plan.evaluate(max(xi, 0)), mirror.evaluate(max(xi, 0))
-            parts = {"sym": a + b, "skew": 1j * (a + (-1.0) * b)}
-            gap = {c: abs(_hermitian_value(s1, w) - _hermitian_value(s2, w))
-                   for c, w in parts.items()}
-            combination = "sym" if gap["sym"] >= gap["skew"] else "skew"
-            witness = parts[combination]
-            recipe = {"plans": (plan, mirror), "combination": combination}
-        value = _hermitian_value
+        recipe = {"symbol": witness.symbol}
+        vals = (eval_state(s1, witness), eval_state(s2, witness))
     else:
-        lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
-        p = int(abs(hi.u).argmax())
-        # the plan for E_pp at hi.xi, whatever lo.xi is (lo.xi is only
-        # validated): its squared middle factor vanishes at lo.xi, whose
-        # block order puts the factor's structural index past the last
-        # antidiagonal
-        block_order(n, lo.xi)
-        plan = same_frequency_plan(n, alpha, hi.xi, p, p)
-        witness, recipe, value = plan.evaluate(max(hi.xi, 0)), {"plan": plan}, _hermitian_value
-    vals = (value(s1, witness), value(s2, witness))
+        if s1.xi == s2.xi:
+            xi, (p, q) = s1.xi, witness_indices(s1.u, s2.u)
+        else:
+            # the plan for E_pp at the higher frequency, whatever the
+            # lower one is: its squared middle factor vanishes at the
+            # lower frequency, whose block order puts the factor's
+            # structural index past the last antidiagonal
+            hi = s2 if s1.xi < s2.xi else s1
+            xi, p = hi.xi, int(abs(hi.u).argmax())
+            q = p
+        plans, witnesses, blocks = _unit_witness(n, float(alpha), xi, p, q)
+        k, vals = 0, (_unit_value(s1, blocks[0], n), _unit_value(s2, blocks[0], n))
+        recipe = {"plan": plans[0]}
+        if p != q:
+            skew = (_unit_value(s1, blocks[1], n), _unit_value(s2, blocks[1], n))
+            if abs(skew[0] - skew[1]) > abs(vals[0] - vals[1]):  # sym on a tie
+                k, vals = 1, skew
+            recipe = {"plans": plans, "combination": ("sym", "skew")[k]}
+        witness = witnesses[k]
     if abs(vals[0] - vals[1]) <= MIN_GAP:
         raise NotSeparableError(
             f"constructed witness produced values {vals[0]} and {vals[1]} "

@@ -180,7 +180,8 @@ def test_generator_caches_stay_bounded_over_many_separations():
     # alphas keep the exact integers short; no other test uses these.
     r = 1.0 / math.sqrt(2.0)
     states = (([1.0, 0.0], [0.0, 1.0]), ([r, r], [r, -r]))
-    caches = {name: fn for name, fn in _caches() if name.startswith("polyberg.generators.")}
+    caches = {name: fn for name, fn in _caches()
+              if name.startswith(("polyberg.generators.", "polyberg.purestates."))}
     limits = {name: fn.cache_info().maxsize for name, fn in caches.items()}
     misses = {name: fn.cache_info().misses for name, fn in caches.items()}
     for alpha in (np.arange(10) + 0.5) / 8.0:
@@ -195,5 +196,6 @@ def test_generator_caches_stay_bounded_over_many_separations():
         "polyberg.generators._plan",
         "polyberg.generators._plan_product",
         "polyberg.generators._grown_stack",
+        "polyberg.purestates._unit_witness",
     ):
         assert caches[name].cache_info().misses - misses[name] > limits[name], name

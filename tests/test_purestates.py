@@ -9,7 +9,7 @@ import pytest
 
 from conftest import unit
 from polyberg import generators, integration, purestates
-from polyberg.gammaseq import frequencies, gamma_sequence
+from polyberg.gammaseq import MatrixSeq, frequencies, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -79,6 +79,26 @@ def test_eval_state_errors():
     nolim = dataclasses.replace(gamma_sequence(poly_t_symbol([1.0]), 2, 0.0, 2), scalar_limit=None)
     with pytest.raises(ValueError):
         eval_state(limit_state(), nolim)
+
+
+def _form_with_matmul(s, seq):
+    # eval_state's arithmetic before it moved from b @ u to b.dot(u)
+    b, u = seq.block(s.xi), s.u
+    val = complex(np.vdot(u, b @ u))
+    return val.real if abs(val.imag) < 1e-14 * max(1.0, abs(val)) else val
+
+
+def test_eval_state_dot_is_bit_identical_to_matmul(rng):
+    for n, alpha in ((2, 0.0), (3, 1.0), (4, 0.5)):
+        real = gamma_sequence(indicator_symbol(0.7), n, alpha, 5)
+        seqs = (real, 1j * real + gamma_sequence(make_gp(n + 1, alpha), n, alpha, 5))
+        for seq in seqs:
+            for xi in frequencies(n, 5):  # negative frequencies included
+                d = min(n + xi, n)
+                for u in (rng.normal(size=d), rng.normal(size=d) + 1j * rng.normal(size=d)):
+                    s = finite_state(xi, unit(u))
+                    got, want = eval_state(s, seq), _form_with_matmul(s, seq)
+                    assert type(got) is type(want) and got == want, (n, xi)
 
 
 def test_two_path_agreement(rng):
@@ -151,6 +171,67 @@ def test_witness_indices_nearly_proportional_error():
     v = u * np.exp(1j * np.array([0.0, theta, -theta]))
     with pytest.raises(NotSeparableError, match="nearly proportional"):
         witness_indices(u, v)
+
+
+def _witness_indices_loop(u, v):
+    # the scalar-loop construction witness_indices replaced
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    tol = purestates.PROPORTIONAL_TOL
+    cross = max(
+        (abs(u[j] * v[k] - u[k] * v[j]) for j in range(len(u)) for k in range(j + 1, len(u))),
+        default=0.0,
+    )
+    if cross <= tol:
+        raise NotSeparableError("vectors are proportional; states coincide")
+    p = next(i for i in range(len(u)) if abs(u[i]) > tol)
+    if abs(abs(v[p]) - abs(u[p])) > tol:
+        return p, p
+    tau = v[p] / u[p]
+    q = next((i for i in range(len(u)) if abs(v[i] - tau * u[i]) > tol), None)
+    if q is None:
+        raise NotSeparableError(
+            "vectors are nearly proportional: no entry of v deviates from "
+            f"{tau:.6g} * u by more than {tol}"
+        )
+    return p, q
+
+
+def _outcome(f, u, v):
+    try:
+        return f(u, v)
+    except NotSeparableError as exc:
+        return str(exc)
+
+
+def test_witness_indices_matches_the_loop_reference(rng):
+    cases = []
+    for d in range(1, 7):
+        eye = np.eye(d)
+        cases += [(eye[j], eye[k]) for j in range(d) for k in range(d)]
+        cases += [(unit(eye[j] + eye[k]), unit(eye[j] - eye[k]))
+                  for j in range(d) for k in range(d) if j != k]
+        for _ in range(20):
+            u = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
+            cases += [(u, unit(rng.normal(size=d) + 1j * rng.normal(size=d))),
+                      (u, unit(rng.normal(size=d))), (unit(u.real + 0.5), u)]
+            # nearly proportional: phases off by about the tolerance
+            for theta in (1e-11, 5e-11, 1.6e-10, 1e-9, 1e-6):
+                v = u * np.exp(1j * theta * rng.normal(size=d))
+                cases += [(u, v), (u, np.exp(0.7j) * u), (u, unit(v + theta * eye[-1]))]
+        if d >= 3:
+            # equal moduli, phases (0, t, -t): the cross products pass the
+            # tolerance from t = 1.5e-10 on, single entries from 1.73e-10 on
+            flat = np.ones(d) / np.sqrt(d)
+            phases = np.zeros(d)
+            phases[1:3] = (1.0, -1.0)
+            cases += [(flat, flat * np.exp(1j * t * phases))
+                      for t in np.linspace(1.2e-10, 2.2e-10, 21)]
+    kinds = collections.Counter()
+    for u, v in cases:
+        got, want = _outcome(witness_indices, u, v), _outcome(_witness_indices_loop, u, v)
+        assert got == want, (u, v)
+        kinds[want if isinstance(want, str) else "pp" if want[0] == want[1] else "pq"] += 1
+    assert {"pp", "pq"} <= set(kinds) and len(kinds) >= 4, kinds
 
 
 def test_state_integral_builds_one_block(monkeypatch, rng):
@@ -244,13 +325,95 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
 
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
-    caches = (purestates._limit_witness, generators._plan, generators._plan_product)
+    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan,
+              generators._plan_product)
     before = [c.cache_info() for c in caches]
     for alpha in (float("nan"), -1.5, -1.0):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
             with pytest.raises(ValueError, match="alpha must exceed -1"):
                 separate(*pair, 2, alpha)
     assert [c.cache_info() for c in caches] == before
+
+
+def test_separate_refuses_wrong_dimension_before_any_cache():
+    # a vector longer than its frequency's block: same frequency with
+    # p = q and p != q, two frequencies (either one too long) and the
+    # limit state; each is refused with eval_state's wording
+    r = np.sqrt(0.5)
+    pairs = [
+        (finite_state(1, [1.0, 0.0, 0.0]), finite_state(1, [0.0, 0.0, 1.0])),
+        (finite_state(1, [r, 0.0, r]), finite_state(1, [r, 0.0, -r])),
+        (finite_state(0, [1.0, 0.0]), finite_state(2, [0.0, 0.0, 1.0])),
+        (finite_state(-1, [r, r]), finite_state(1, [0.0, 1.0])),
+        (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
+    ]
+    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan,
+              generators._plan_product, generators._grown_stack)
+    before = [c.cache_info() for c in caches]
+    message = "state vector has dimension [23], block has order [12]$"
+    for s1, s2 in pairs:
+        for pair in ((s1, s2), (s2, s1)):
+            with pytest.raises(ValueError, match=message):
+                separate(*pair, 2, 0.0)
+    assert [c.cache_info() for c in caches] == before
+
+
+def _hermitian_value(s, witness):
+    # the state value separation reports: the real part of eval_state
+    # (in its b @ u form)
+    val = _form_with_matmul(s, witness)
+    return val.real if isinstance(val, complex) else val
+
+
+def test_separation_values_are_the_state_values_of_the_witness(rng):
+    # sym and skew units, diagonal units and two frequencies, at negative
+    # and positive frequencies, with real and complex vectors
+    n, alpha = 3, 0.5
+    combinations = collections.Counter()
+    for xi in range(-n + 1, 4):
+        d = min(n + xi, n)
+        eye = np.eye(d)
+        pairs = []
+        if d > 1:
+            pairs += [(finite_state(xi, eye[0]), finite_state(xi, eye[-1]))]
+            pairs += [(finite_state(xi, unit(eye[0] + c * eye[1])),
+                       finite_state(xi, unit(eye[0] - c * eye[1]))) for c in (1.0, 1j)]
+            pairs += [(finite_state(xi, unit(rng.normal(size=d) + 1j * rng.normal(size=d))),
+                       finite_state(xi, unit(rng.normal(size=d) + 1j * rng.normal(size=d))))
+                      for _ in range(4)]
+        if xi < 3:
+            pairs += [(finite_state(xi, unit(rng.normal(size=d) + 1j * rng.normal(size=d))),
+                       finite_state(3, unit(rng.normal(size=n) + 1j * rng.normal(size=n))))]
+        for s1, s2 in pairs:
+            witness, vals, recipe = purestates.separation(s1, s2, n, alpha)
+            combinations[recipe.get("combination", "plan")] += 1
+            want = (_hermitian_value(s1, witness), _hermitian_value(s2, witness))
+            assert all(type(v) is float for v in vals)
+            assert vals == want, (s1, s2)
+    assert set(combinations) == {"plan", "sym", "skew"}, combinations
+
+
+def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic(monkeypatch):
+    s1, s2 = finite_state(-1, unit([1.0, 1j])), finite_state(-1, unit([1.0, -1j]))
+    first, vals, recipe = purestates.separation(s1, s2, 3, 0.25)
+    assert recipe["combination"] == "skew"
+    ops = collections.Counter()
+    for name in ("__add__", "__mul__", "__rmul__", "__matmul__"):
+        real = getattr(MatrixSeq, name)
+
+        def counted(self, other, _name=name, _real=real):
+            ops[_name] += 1
+            return _real(self, other)
+
+        monkeypatch.setattr(MatrixSeq, name, counted)
+    second, again, _ = purestates.separation(s1, s2, 3, 0.25)
+    assert second is first and again == vals
+    assert not ops
+    plan, mirror = recipe["plans"]
+    assert np.array_equal(
+        (1j * (plan.evaluate(0) + (-1.0) * mirror.evaluate(0))).blocks, first.blocks
+    )
+    assert ops  # the counter sees the arithmetic when there is some
 
 
 def test_separate_cross_frequency():
