@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
-from .integration import entry_blocks
+from .gammaseq import MatrixSeq, block_order, frequencies
+from .integration import entry_block
 from .symbols import make_gp
 
 __all__ = [
@@ -183,38 +183,33 @@ def matrix_unit(
     return left @ gs[d - 1].conj().T @ gs[d - 1] @ right
 
 
-@lru_cache(maxsize=256)
-def _grown_stack(n: int, alpha: float, p: int) -> list:
-    # [the one read-only stack of generating symbol p, from -n+1 to n-1 or
-    # beyond]; generator_stack grows it by putting a longer one in its place
-    return [gamma_sequence(make_gp(p, alpha), n, alpha, n - 1).blocks]
-
-
 def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Blocks of generating symbol p at frequencies -n+1 .. xi_max: a
-    read-only view of the one stack kept per (n, alpha, p), which first
-    integrates the frequencies it lacks, up to max(xi_max, n - 1) and no
-    further, as gamma_sequence does.  Blocks are computed a frequency at
-    a time, so the view equals the blocks of a fresh gamma_sequence bit
-    for bit."""
+    """Blocks of generating symbol p at frequencies -n+1 .. xi_max in the
+    read-only MatrixSeq layout, copied from generator_block: equal to a
+    fresh gamma_sequence's blocks bit for bit, and refused with its
+    message, as the last block it integrates is asked for first."""
     frequencies(n, xi_max)  # refuses xi_max < 0
-    held = _grown_stack(n, alpha, p)
-    top = len(held[0]) - n
-    if xi_max > top:
-        new = entry_blocks(make_gp(p, alpha), alpha, range(top + 1, xi_max + 1), n)
-        held[0] = np.concatenate((held[0], new))
-        held[0].flags.writeable = False
-    return held[0][:xi_max + n]
+    generator_block(n, alpha, max(xi_max, n - 1), p)
+    # frequencies 0 .. xi_max in one copy; pack_blocks' checks cost more
+    stack = np.zeros((xi_max + n, n, n))
+    stack[n - 1:] = [generator_block(n, alpha, xi, p) for xi in range(xi_max + 1)]
+    for d in range(1, n):
+        stack[d - 1, :d, :d] = generator_block(n, alpha, d - n, p)
+    stack.flags.writeable = False
+    return stack
 
 
 @lru_cache(maxsize=4096)
 def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     """Cached block at frequency xi of the sequence for generating symbol
-    number p, copied off generator_stack so that the cache holds no stack
-    that growth has replaced.  Read-only: callers must not mutate the
-    returned array."""
+    number p, integrated at order n for xi >= 0; for xi < 0 the leading
+    submatrix of the block at -xi.  Read-only: callers must not mutate
+    the returned array."""
     d = block_order(n, xi)
-    m = generator_stack(n, alpha, max(xi, 0), p)[xi + n - 1, :d, :d].copy()
+    if xi >= 0:
+        m = entry_block(make_gp(p, alpha), alpha, xi, d)
+    else:
+        m = generator_block(n, alpha, -xi, p)[:d, :d].copy()
     m.flags.writeable = False
     return m
 
@@ -270,8 +265,13 @@ def _plan_product(plan: SeparationPlan, xi_max: int) -> MatrixSeq:
     """The plan's sequence: one batched product over the padded generator
     stacks, with the scalar limit of the plan."""
 
+    stacks: dict = {}
+
     def stack(k):
-        return generator_stack(plan.n, plan.alpha, xi_max, k)
+        # left, middle and right share symbols: each stack is packed once
+        if k not in stacks:
+            stacks[k] = generator_stack(plan.n, plan.alpha, xi_max, k)
+        return stacks[k]
 
     def limit(k):
         return make_gp(k, plan.alpha).limit

@@ -80,15 +80,23 @@ def limit_state() -> PureState:
     return PureState(xi=None, u=None)
 
 
+def _state_gap(u: np.ndarray, v: np.ndarray) -> Tuple[float, int, int]:
+    # max |D| for D = uu* - vv*, zero exactly when v is a unimodular multiple
+    # of u, and the first (p, q) attaining it; the symmetric maximum keeps
+    # p <= q where rounding splits the mirror entries of the Hermitian D
+    mags = np.abs(u[:, None] * u.conj() - v[:, None] * v.conj())
+    mags = np.maximum(mags, mags.T)
+    p, q = divmod(int(mags.argmax()), len(u))
+    return float(mags[p, q]), p, q
+
+
 def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
-    if u.shape != v.shape:
-        return False
-    return abs(abs(np.vdot(u, v)) - 1.0) <= PROPORTIONAL_TOL
+    return u.shape == v.shape and _state_gap(u, v)[0] <= PROPORTIONAL_TOL
 
 
 def same_pure_state(s1: PureState, s2: PureState) -> bool:
     """Equality as functionals: both are the limit state, or they share a
-    frequency and their vectors differ by a unimodular factor."""
+    frequency and max |uu* - vv*| <= PROPORTIONAL_TOL."""
     if s1.xi is None or s2.xi is None:
         return s1.xi is None and s2.xi is None
     return s1.xi == s2.xi and _proportional(s1.u, s2.u)
@@ -131,32 +139,17 @@ def eval_state_integral(
 
 
 def witness_indices(u, v) -> Tuple[int, int]:
-    """Indices (p, q) with u_p conj(u_q) != v_p conj(v_q), found
-    constructively for linearly independent unit vectors.
-
-    p is the first index where u is substantially nonzero; if the moduli
-    of u_p and v_p differ, (p, p) already works, otherwise q is the first
-    index where v deviates from (v_p/u_p) u.
-    """
+    """The first (p, q), p <= q, maximising |u_p conj(u_q) - v_p conj(v_q)|:
+    E_pp, or the better of E_pq's sym and skew combinations, separates
+    the states by at least that maximum.  NotSeparableError when it is
+    within PROPORTIONAL_TOL (the states coincide)."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError("vectors must have equal dimension")
-    # entry (j, k) of uv^T - vu^T is u_j v_k - u_k v_j
-    outer = u[:, None] * v
-    if np.abs(outer - outer.T).max() <= PROPORTIONAL_TOL:
+    gap, p, q = _state_gap(u, v)
+    if gap <= PROPORTIONAL_TOL:
         raise NotSeparableError("vectors are proportional; states coincide")
-    p = int((np.abs(u) > PROPORTIONAL_TOL).argmax())
-    if abs(abs(v[p]) - abs(u[p])) > PROPORTIONAL_TOL:
-        return p, p
-    tau = v[p] / u[p]
-    deviates = np.abs(v - tau * u) > PROPORTIONAL_TOL
-    q = int(deviates.argmax())
-    if not deviates[q]:
-        raise NotSeparableError(
-            "vectors are nearly proportional: no entry of v deviates from "
-            f"{tau:.6g} * u by more than {PROPORTIONAL_TOL}"
-        )
     return p, q
 
 
@@ -265,7 +258,7 @@ def separation(
     i (A - B) (c = "skew").
 
     Same-frequency pairs go through the matrix-unit plans at the indices
-    found by witness_indices (off-diagonal units are evaluated through
+    witness_indices gives (off-diagonal units are evaluated through
     their Hermitian and skew-Hermitian combinations, whichever has the
     larger gap); a limit state is told apart from any finite state by an
     indicator symbol; distinct finite frequencies use the same-frequency
@@ -282,13 +275,13 @@ def separation(
             raise ValueError(
                 f"state vector has dimension {len(s.u)}, block has order {block_order(n, s.xi)}"
             )
-    if same_pure_state(s1, s2):
-        raise NotSeparableError("identical pure states")
     family = _documented_coincidence(s1, s2, n, alpha)
     if family:
         raise NotSeparableError(f"{family} agrees on every generating sequence")
 
     if s1.xi is None or s2.xi is None:
+        if s1.xi == s2.xi:
+            raise NotSeparableError("identical pure states")
         fin = s2 if s1.xi is None else s1
         if infinity_witness is None:
             witness = _limit_witness(n, float(alpha), max(fin.xi, 0))
@@ -300,7 +293,11 @@ def separation(
         vals = (eval_state(s1, witness), eval_state(s2, witness))
     else:
         if s1.xi == s2.xi:
-            xi, (p, q) = s1.xi, witness_indices(s1.u, s2.u)
+            # one D = uu* - vv* decides both: the same state, or the unit
+            gap, p, q = _state_gap(s1.u, s2.u)
+            if gap <= PROPORTIONAL_TOL:
+                raise NotSeparableError("identical pure states")
+            xi = s1.xi
         else:
             # the plan for E_pp at the higher frequency, whatever the
             # lower one is: its squared middle factor vanishes at the

@@ -195,7 +195,7 @@ def test_generator_caches_stay_bounded_over_many_separations():
     for name in (
         "polyberg.generators._plan",
         "polyberg.generators._plan_product",
-        "polyberg.generators._grown_stack",
+        "polyberg.generators.generator_block",
         "polyberg.purestates._unit_witness",
     ):
         assert caches[name].cache_info().misses - misses[name] > limits[name], name

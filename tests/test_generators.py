@@ -18,6 +18,7 @@ from polyberg.generators import (
     nu_table,
     same_frequency_plan,
 )
+from polyberg import integration
 from polyberg.integration import MAX_MOMENT_DEGREE
 from polyberg.symbols import make_gp
 from polyberg.verify import (
@@ -332,9 +333,9 @@ def test_arithmetic_on_cached_witnesses_leaves_them_unchanged():
     assert same_frequency_plan(3, 0.5, 1, 0, 1).evaluate(1) is a
 
 
-def test_grown_stacks_equal_fresh_sequences():
-    # requests in no particular order: each one extends the kept stack by
-    # the frequencies it lacks, or reads a prefix of it
+def test_generator_stacks_equal_fresh_sequences():
+    # requests in no particular order: each one integrates the blocks not
+    # yet cached, or reads cached ones
     n, alpha = 3, 0.375
     for xi_max in (0, 4, 1, 9, 9, 2, 15):
         for p in (2, 5, 9):
@@ -349,11 +350,11 @@ def test_grown_stacks_equal_fresh_sequences():
         generator_stack(n, alpha, -1, 2)
 
 
-def test_grown_stacks_refuse_where_fresh_sequences_do():
+def test_generator_stacks_refuse_where_fresh_sequences_do():
     n, alpha, p = 2, 0.375, 40
     # the last frequency whose top moment degree, xi + 2 (n - 1), is admitted
     last = MAX_MOMENT_DEGREE - 2 * (n - 1)
-    # refused on the first request, and again once the stack has grown
+    # refused on the first request, and again once lower blocks are cached
     for xi_max in (last + 1, last + 1, 200):
         with pytest.raises(ValueError) as fresh:
             gamma_sequence(make_gp(p, alpha), n, alpha, xi_max)
@@ -374,6 +375,23 @@ def test_negative_block_is_leading_submatrix(n, alpha):
             neg = generator_block(n, alpha, -eta, p)
             assert neg.shape == (d, d)
             assert np.array_equal(neg, generator_block(n, alpha, eta, p)[:d, :d]), (eta, p)
+
+
+def test_negative_block_integrates_only_its_mirror(monkeypatch):
+    # frequency -49 at n = 50 is a 1 x 1 block: one order-50 block at 49
+    generator_block.cache_clear()
+    calls = []
+    real = integration.entry_blocks
+
+    def spy(a, alpha, xis, d):
+        calls.append((a.p, list(xis), d))
+        return real(a, alpha, xis, d)
+
+    monkeypatch.setattr(integration, "entry_blocks", spy)
+    block = generator_block(50, 0.5, -49, 49)
+    assert block.shape == (1, 1) and block[0, 0] != 0.0
+    assert generator_block(50, 0.5, -49, 49) is block
+    assert calls == [(49, [49], 50)]
 
 
 def test_plans_are_cached():

@@ -164,36 +164,34 @@ def test_witness_indices_proportional_error():
 
 
 def test_witness_indices_nearly_proportional_error():
-    # the cross products exceed the proportionality tolerance, but no
-    # single entry deviates from the phase-matched first one by as much
+    # equal moduli, phases (0, t, -t): max |uu* - vv*| is |D_12| = 2 sin(t) / 3,
+    # which passes the proportionality tolerance at t = 1.5e-10
     u = np.ones(3) / np.sqrt(3.0)
-    theta = 1.6e-10
-    v = u * np.exp(1j * np.array([0.0, theta, -theta]))
-    with pytest.raises(NotSeparableError, match="nearly proportional"):
-        witness_indices(u, v)
+    for theta in (1e-11, 1.4e-10):
+        v = u * np.exp(1j * np.array([0.0, theta, -theta]))
+        with pytest.raises(NotSeparableError, match="vectors are proportional"):
+            witness_indices(u, v)
+    for theta in (1.6e-10, 1e-6):
+        v = u * np.exp(1j * np.array([0.0, theta, -theta]))
+        assert witness_indices(u, v) == (1, 2)
+
+
+def _state_gap_at(u, v, p, q):
+    return abs(u[p] * np.conj(u[q]) - v[p] * np.conj(v[q]))
 
 
 def _witness_indices_loop(u, v):
-    # the scalar-loop construction witness_indices replaced
+    # the first (p <= q) maximising |u_p conj(u_q) - v_p conj(v_q)|, by loops
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
-    tol = purestates.PROPORTIONAL_TOL
-    cross = max(
-        (abs(u[j] * v[k] - u[k] * v[j]) for j in range(len(u)) for k in range(j + 1, len(u))),
-        default=0.0,
-    )
-    if cross <= tol:
+    best, pq = -1.0, None
+    for p in range(len(u)):
+        for q in range(p, len(u)):
+            gap = _state_gap_at(u, v, p, q)
+            if gap > best:
+                best, pq = gap, (p, q)
+    if best <= purestates.PROPORTIONAL_TOL:
         raise NotSeparableError("vectors are proportional; states coincide")
-    p = next(i for i in range(len(u)) if abs(u[i]) > tol)
-    if abs(abs(v[p]) - abs(u[p])) > tol:
-        return p, p
-    tau = v[p] / u[p]
-    q = next((i for i in range(len(u)) if abs(v[i] - tau * u[i]) > tol), None)
-    if q is None:
-        raise NotSeparableError(
-            "vectors are nearly proportional: no entry of v deviates from "
-            f"{tau:.6g} * u by more than {tol}"
-        )
-    return p, q
+    return pq
 
 
 def _outcome(f, u, v):
@@ -219,8 +217,8 @@ def test_witness_indices_matches_the_loop_reference(rng):
                 v = u * np.exp(1j * theta * rng.normal(size=d))
                 cases += [(u, v), (u, np.exp(0.7j) * u), (u, unit(v + theta * eye[-1]))]
         if d >= 3:
-            # equal moduli, phases (0, t, -t): the cross products pass the
-            # tolerance from t = 1.5e-10 on, single entries from 1.73e-10 on
+            # equal moduli, phases (0, t, -t): max |uu* - vv*| = 2 sin(t) / d
+            # passes the tolerance from t = d * 5e-11 on
             flat = np.ones(d) / np.sqrt(d)
             phases = np.zeros(d)
             phases[1:3] = (1.0, -1.0)
@@ -229,9 +227,42 @@ def test_witness_indices_matches_the_loop_reference(rng):
     kinds = collections.Counter()
     for u, v in cases:
         got, want = _outcome(witness_indices, u, v), _outcome(_witness_indices_loop, u, v)
-        assert got == want, (u, v)
+        if isinstance(got, tuple) and isinstance(want, tuple) and got != want:
+            # a true tie that rounding broke the other way (for d = 2,
+            # |D_00| = |D_11| for any pair of unit vectors)
+            assert got[0] <= got[1], (u, v)
+            gaps = [_state_gap_at(np.asarray(u, complex), np.asarray(v, complex), *pq)
+                    for pq in (got, want)]
+            assert abs(gaps[0] - gaps[1]) <= 1e-15, (u, v)
+        else:
+            assert got == want, (u, v)
         kinds[want if isinstance(want, str) else "pp" if want[0] == want[1] else "pq"] += 1
-    assert {"pp", "pq"} <= set(kinds) and len(kinds) >= 4, kinds
+    assert set(kinds) == {"pp", "pq", "vectors are proportional; states coincide"}, kinds
+
+
+@pytest.mark.parametrize("t", [1e-7, 1.4e-5, 1e-4, 1e-3])
+def test_separate_pairs_at_a_small_angle(t):
+    # max |uu* - vv*| = sin(2t) / 2 at (0, 1): the sym combination of E_01
+    # takes the values 0 and sin(2t)
+    u, v = [1.0, 0.0], [np.cos(t), np.sin(t)]
+    _, vals, recipe = purestates.separation(finite_state(0, u), finite_state(0, v), 2, 0.0)
+    assert recipe["combination"] == "sym"
+    assert abs(vals[1] - vals[0]) == pytest.approx(np.sin(2 * t), rel=1e-9)
+
+
+def test_separation_gap_is_at_least_the_state_difference(rng):
+    # the chosen unit sees the largest entry of D = uu* - vv*: E_pp with
+    # gap |D_pp|, or E_pq's better combination with gap >= sqrt(2) |D_pq|
+    for _ in range(60):
+        n = int(rng.integers(2, 5))
+        xi = int(rng.integers(-n + 2, 4))
+        d = min(n + xi, n)
+        u = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
+        v = unit(rng.normal(size=d) + 1j * rng.normal(size=d) * rng.integers(0, 2))
+        alpha = float(rng.choice([0.0, 0.5]))
+        _, vals, _ = purestates.separation(finite_state(xi, u), finite_state(xi, v), n, alpha)
+        diff = np.abs(np.outer(u, u.conj()) - np.outer(v, v.conj())).max()
+        assert abs(vals[0] - vals[1]) >= diff * (1 - 1e-9), (n, xi, alpha, u, v)
 
 
 def test_state_integral_builds_one_block(monkeypatch, rng):
@@ -348,7 +379,7 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
     caches = (purestates._limit_witness, purestates._unit_witness, generators._plan,
-              generators._plan_product, generators._grown_stack)
+              generators._plan_product, generators.generator_block)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
     for s1, s2 in pairs:
