@@ -128,8 +128,6 @@ def cmd_separate(args) -> int:
 
     s1 = _parse_state(args.state[0], args.n)
     s2 = _parse_state(args.state[1], args.n)
-    if args.symbol and s1.xi is not None and s2.xi is not None:
-        raise ValueError("--symbol is the witness of a limit-state pair; neither state is inf")
     witness_symbol = _load_symbol(args.symbol, args.alpha) if args.symbol else None
     try:
         _, vals, recipe = separation(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -183,11 +183,12 @@ def matrix_unit(
     return left @ gs[d - 1].conj().T @ gs[d - 1] @ right
 
 
+@lru_cache(maxsize=256)
 def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Blocks of generating symbol p at frequencies -n+1 .. xi_max in the
-    read-only MatrixSeq layout, copied from generator_block: equal to a
-    fresh gamma_sequence's blocks bit for bit, and refused with its
-    message, as the last block it integrates is asked for first."""
+    """Cached blocks of generating symbol p at frequencies -n+1 .. xi_max
+    in the read-only MatrixSeq layout, copied once from generator_block:
+    equal to a fresh gamma_sequence's blocks bit for bit, and refused with
+    its message, as the last block it integrates is asked for first."""
     frequencies(n, xi_max)  # refuses xi_max < 0
     generator_block(n, alpha, max(xi_max, n - 1), p)
     # frequencies 0 .. xi_max in one copy; pack_blocks' checks cost more
@@ -265,13 +266,7 @@ def _plan_product(plan: SeparationPlan, xi_max: int) -> MatrixSeq:
     """The plan's sequence: one batched product over the padded generator
     stacks, with the scalar limit of the plan."""
 
-    stacks: dict = {}
-
-    def stack(k):
-        # left, middle and right share symbols: each stack is packed once
-        if k not in stacks:
-            stacks[k] = generator_stack(plan.n, plan.alpha, xi_max, k)
-        return stacks[k]
+    stack = partial(generator_stack, plan.n, plan.alpha, xi_max)
 
     def limit(k):
         return make_gp(k, plan.alpha).limit
@@ -285,15 +280,17 @@ def _plan_product(plan: SeparationPlan, xi_max: int) -> MatrixSeq:
     return MatrixSeq(n=plan.n, alpha=plan.alpha, blocks=prod, scalar_limit=lim)
 
 
-@lru_cache(maxsize=1024)
-def _plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
+@lru_cache(maxsize=256)
+def _plan_grid(n: int, alpha: float, xi: int) -> tuple:
+    """Every unit plan of the family at xi, grid[p][q] for E_{p,q}, from
+    one generator_family and one nu table."""
     symbol_indices, _, table = generator_family(n, alpha, xi, TOL_ZERO, TOL_NONZERO)
     d = len(symbol_indices)
-    left = tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
-    right = tuple((float(table.nu[q, j]), symbol_indices[j]) for j in range(q, d))
-    return SeparationPlan(
-        n=n, alpha=alpha, left=left, middle=symbol_indices[-1], right=right
-    )
+    sides = [tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
+             for p in range(d)]
+    mid = symbol_indices[-1]
+    return tuple(tuple(SeparationPlan(n, alpha, left, mid, right) for right in sides)
+                 for left in sides)
 
 
 def same_frequency_plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
@@ -304,4 +301,4 @@ def same_frequency_plan(n: int, alpha: float, xi: int, p: int, q: int) -> Separa
     d = block_order(n, xi)
     if not (0 <= p < d and 0 <= q < d):
         raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")
-    return _plan(n, float(alpha), xi, p, q)
+    return _plan_grid(n, float(alpha), xi)[p][q]

@@ -91,7 +91,11 @@ def _state_gap(u: np.ndarray, v: np.ndarray) -> Tuple[float, int, int]:
 
 
 def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
-    return u.shape == v.shape and _state_gap(u, v)[0] <= PROPORTIONAL_TOL
+    # |D_00| = ||u_0|^2 - |v_0|^2| <= max |D|: a pair it puts past twice the
+    # tolerance, far beyond any rounding of D, is refused without forming D
+    return (u.shape == v.shape
+            and abs(abs(u[0]) ** 2 - abs(v[0]) ** 2) <= 2.0 * PROPORTIONAL_TOL
+            and _state_gap(u, v)[0] <= PROPORTIONAL_TOL)
 
 
 def same_pure_state(s1: PureState, s2: PureState) -> bool:
@@ -185,24 +189,21 @@ def submatrix_coincidence_pair(n: int, eta: int) -> Tuple[PureState, PureState]:
     return finite_state(-eta, u), finite_state(eta, v)
 
 
-def _e0_like(s: PureState) -> bool:
-    e0 = np.zeros(s.u.shape[0])
+def _e0_like(u: np.ndarray) -> bool:
+    e0 = np.zeros(len(u))
     e0[0] = 1.0
-    return _proportional(s.u, e0)
+    return _proportional(u, e0)
 
 
-def _documented_coincidence(s1: PureState, s2: PureState, n: int, alpha: float) -> Optional[str]:
-    # the documented family the pair belongs to, named, or None
-    if s1.xi is None or s2.xi is None:
-        return None
-    lo, hi = (s1, s2) if s1.xi <= s2.xi else (s2, s1)
-    if n >= 2 and (lo.xi, hi.xi) == (0, 2):
-        u_star = _coincidence_vector(n, alpha).astype(complex)
-        if _proportional(lo.u, u_star) and _e0_like(hi):
-            return ("the documented (0, 2) pair (the alpha-vector at frequency 0, "
-                    "the first basis vector at frequency 2)")
-    if lo.xi < 0 and hi.xi == -lo.xi and _e0_like(lo) and _e0_like(hi):
-        return f"the documented ({lo.xi}, {hi.xi}) pair of first basis vectors"
+def _documented_coincidence(lo: PureState, hi: PureState, n: int, alpha: float) -> Optional[str]:
+    # the documented family of finite states at frequencies (-eta, eta) or
+    # (0, 2), named, or None
+    if hi.xi == -lo.xi:
+        if _e0_like(lo.u) and _e0_like(hi.u):
+            return f"the documented ({lo.xi}, {hi.xi}) pair of first basis vectors"
+    elif n >= 2 and _e0_like(hi.u) and _proportional(lo.u, _coincidence_vector(n, alpha)):
+        return ("the documented (0, 2) pair (the alpha-vector at frequency 0, "
+                "the first basis vector at frequency 2)")
     return None
 
 
@@ -236,13 +237,6 @@ def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     return plans, witnesses, blocks
 
 
-def _unit_value(s: PureState, blocks: tuple, n: int) -> float:
-    # eval_state's quadratic form, real part, on a block of _unit_witness;
-    # separation has checked the vector's dimension against the block order
-    u = s.u
-    return complex(np.vdot(u, blocks[s.xi + n - 1].dot(u))).real
-
-
 def separation(
     s1: PureState,
     s2: PureState,
@@ -264,9 +258,10 @@ def separation(
     indicator symbol; distinct finite frequencies use the same-frequency
     plan for E_pp at the higher frequency, whose block at the lower
     frequency vanishes.  Raises ValueError for alpha <= -1 and for a
-    vector whose dimension is not its frequency's block order, before
-    any cache is read; NotSeparableError for equal states and for the
-    documented coincidence families.
+    vector whose dimension is not its frequency's block order and for
+    an infinity_witness given to two finite states (the CLI's --symbol),
+    before any cache is read; NotSeparableError for equal states and for
+    the documented coincidence families.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
@@ -275,9 +270,8 @@ def separation(
             raise ValueError(
                 f"state vector has dimension {len(s.u)}, block has order {block_order(n, s.xi)}"
             )
-    family = _documented_coincidence(s1, s2, n, alpha)
-    if family:
-        raise NotSeparableError(f"{family} agrees on every generating sequence")
+    if infinity_witness is not None and s1.xi is not None and s2.xi is not None:
+        raise ValueError("--symbol is the witness of a limit-state pair; neither state is inf")
 
     if s1.xi is None or s2.xi is None:
         if s1.xi == s2.xi:
@@ -299,18 +293,27 @@ def separation(
                 raise NotSeparableError("identical pure states")
             xi = s1.xi
         else:
+            lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
+            if hi.xi == -lo.xi or (lo.xi == 0 and hi.xi == 2):
+                family = _documented_coincidence(lo, hi, n, alpha)
+                if family:
+                    raise NotSeparableError(f"{family} agrees on every generating sequence")
             # the plan for E_pp at the higher frequency, whatever the
             # lower one is: its squared middle factor vanishes at the
             # lower frequency, whose block order puts the factor's
             # structural index past the last antidiagonal
-            hi = s2 if s1.xi < s2.xi else s1
             xi, p = hi.xi, int(abs(hi.u).argmax())
             q = p
         plans, witnesses, blocks = _unit_witness(n, float(alpha), xi, p, q)
-        k, vals = 0, (_unit_value(s1, blocks[0], n), _unit_value(s2, blocks[0], n))
+        # eval_state's quadratic forms, real part, on the witnesses' blocks,
+        # whose orders the dimension check above has matched
+        u1, u2, x1, x2 = s1.u, s2.u, s1.xi + n - 1, s2.xi + n - 1
+        k, vals = 0, (complex(np.vdot(u1, blocks[0][x1].dot(u1))).real,
+                      complex(np.vdot(u2, blocks[0][x2].dot(u2))).real)
         recipe = {"plan": plans[0]}
         if p != q:
-            skew = (_unit_value(s1, blocks[1], n), _unit_value(s2, blocks[1], n))
+            skew = (complex(np.vdot(u1, blocks[1][x1].dot(u1))).real,
+                    complex(np.vdot(u2, blocks[1][x2].dot(u2))).real)
             if abs(skew[0] - skew[1]) > abs(vals[0] - vals[1]):  # sym on a tie
                 k, vals = 1, skew
             recipe = {"plans": plans, "combination": ("sym", "skew")[k]}

@@ -232,6 +232,27 @@ def test_separate_refuses_a_symbol_without_a_limit_state(capsys):
     assert captured.err.startswith("error: --symbol")
 
 
+def test_separate_refuses_a_symbol_before_the_coincidence_families(capsys):
+    # the documented (0, 2) pair exits 3 without --symbol; with it, the
+    # request itself is refused first
+    u = np.sqrt(3.0) / 2.0
+    code = main(
+        [
+            "separate",
+            "--n", "2",
+            "--alpha", "0",
+            "--state", f"0:{u},0.5",
+            "--state", "2:1,0",
+            "--symbol", '{"kind":"const","value":1}',
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: --symbol is the witness of a limit-state pair; neither state is inf\n"
+    )
+
+
 def test_separate_coincidence_exits_3(capsys):
     u = np.sqrt(3.0) / 2.0
     code = main(

@@ -193,8 +193,9 @@ def test_generator_caches_stay_bounded_over_many_separations():
                 assert info.maxsize is not None, name
                 assert info.currsize <= info.maxsize, name
     for name in (
-        "polyberg.generators._plan",
+        "polyberg.generators._plan_grid",
         "polyberg.generators._plan_product",
+        "polyberg.generators.generator_stack",
         "polyberg.generators.generator_block",
         "polyberg.purestates._unit_witness",
     ):

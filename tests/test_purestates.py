@@ -20,6 +20,7 @@ from polyberg.purestates import (
     limit_state,
     same_pure_state,
     separate,
+    separation,
     submatrix_coincidence_pair,
     witness_indices,
 )
@@ -327,7 +328,8 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
     # one sweep up the frequencies: same-frequency pairs (an off-diagonal
     # and a diagonal unit) and cross-frequency pairs at every xi.  Every
     # block of a generating symbol is integrated once, however many
-    # frequencies later ask for it again.
+    # frequencies later ask for it again; every family's nu table is
+    # solved once, and every generator stack is packed once.
     for val in vars(generators).values():
         if hasattr(val, "cache_clear"):
             val.cache_clear()
@@ -343,6 +345,19 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if val is real:
                     monkeypatch.setattr(mod, attr, spy)
+    real_nu, real_stack = generators.nu_table, generators.generator_stack
+    families, stacks = collections.Counter(), collections.Counter()
+
+    def nu_spy(gs, *args, **kwargs):
+        families[tuple(g.tobytes() for g in gs)] += 1
+        return real_nu(gs, *args, **kwargs)
+
+    def stack_spy(*key):
+        stacks[key] += 1
+        return real_stack(*key)
+
+    monkeypatch.setattr(generators, "nu_table", nu_spy)
+    monkeypatch.setattr(generators, "generator_stack", stack_spy)
     n, alpha = 3, 0.5
     e0, e1, e2 = np.eye(n)
     for xi in range(31):
@@ -352,12 +367,14 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
             separate(finite_state(lo, np.eye(min(n + lo, n))[0]), finite_state(xi, e1), n, alpha)
     assert counts
     assert [key for key, c in counts.items() if c > 1] == []
+    assert len(families) == 31 and set(families.values()) == {1}  # xi = 0 .. 30
+    assert stacks and real_stack.cache_info().misses == len(stacks)
 
 
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
-    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan,
-              generators._plan_product)
+    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
+              generators._plan_product, generators.generator_stack)
     before = [c.cache_info() for c in caches]
     for alpha in (float("nan"), -1.5, -1.0):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
@@ -378,8 +395,8 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (finite_state(-1, [r, r]), finite_state(1, [0.0, 1.0])),
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
-    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan,
-              generators._plan_product, generators.generator_block)
+    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
+              generators._plan_product, generators.generator_stack, generators.generator_block)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
     for s1, s2 in pairs:
@@ -387,6 +404,62 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
             with pytest.raises(ValueError, match=message):
                 separate(*pair, 2, 0.0)
     assert [c.cache_info() for c in caches] == before
+
+
+def test_separation_refuses_an_infinity_witness_for_two_finite_states():
+    # the witness is read only for a pair with the limit state; it is
+    # refused before any cache, and before the coincidence families
+    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
+              generators._plan_product, generators.generator_stack, generators.generator_block)
+    before = [c.cache_info() for c in caches]
+    e0 = [1.0, 0.0]
+    pairs = [
+        (finite_state(0, e0), finite_state(2, e0)),
+        (finite_state(0, e0), finite_state(0, [0.0, 1.0])),
+        (finite_state(0, e0), finite_state(0, e0)),
+        coincidence_pair(2, 0.0),
+    ]
+    message = "^--symbol is the witness of a limit-state pair; neither state is inf$"
+    for s1, s2 in pairs:
+        with pytest.raises(ValueError, match=message):
+            separation(s1, s2, 2, 0.0, infinity_witness=indicator_symbol(0.5))
+    assert [c.cache_info() for c in caches] == before
+
+
+def _rotated(u, t, rng):
+    # a unit vector at angle t from u (0 in dimension 1), times a random phase
+    if len(u) == 1:
+        return np.exp(2j * np.pi * rng.random()) * u
+    w = rng.normal(size=len(u)) + 1j * rng.normal(size=len(u))
+    w = unit(w - np.vdot(u, w) * u)
+    return np.exp(2j * np.pi * rng.random()) * (np.cos(t) * u + np.sin(t) * w)
+
+
+def test_documented_coincidence_answers_as_the_full_state_test(rng):
+    # the |D_00| pre-filter never changes the answer of the max|D| test,
+    # at angles on both sides of the tolerance, around e0 and around the
+    # alpha-vector
+    def same(u, v):
+        return purestates._state_gap(u, v)[0] <= purestates.PROPORTIONAL_TOL
+
+    answers = collections.Counter()
+    for n in (2, 3, 4):
+        for alpha in (0.0, 0.5, 2.5):
+            u_star = purestates._coincidence_vector(n, alpha).astype(complex)
+            frames = [(0, 2, u_star, np.eye(n)[0].astype(complex))]
+            frames += [(-eta, eta, np.eye(n - eta)[0].astype(complex),
+                        np.eye(n)[0].astype(complex)) for eta in range(1, n)]
+            for lo_xi, hi_xi, lo_u, hi_u in frames:
+                for t in np.logspace(-12, -6, 25):
+                    for t_lo, t_hi in ((t, 0.0), (0.0, t), (t, t)):
+                        u = _rotated(lo_u, t_lo, rng)
+                        v = _rotated(hi_u, t_hi, rng)
+                        want = same(u, lo_u) and same(v, hi_u)
+                        got = purestates._documented_coincidence(
+                            finite_state(lo_xi, u), finite_state(hi_xi, v), n, alpha)
+                        assert (got is not None) == want, (n, alpha, lo_xi, t_lo, t_hi)
+                        answers[want] += 1
+    assert answers[True] > 100 and answers[False] > 100
 
 
 def _hermitian_value(s, witness):
