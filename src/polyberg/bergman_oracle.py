@@ -22,8 +22,10 @@ from .symbols import SymbolSpec, eval_at_t
 
 __all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d"]
 
-# 4-point Gauss-Legendre nodes/weights on [-1, 1]
+# 4-point Gauss-Legendre nodes/weights on [-1, 1], on each of the
+# RADIAL_PANELS panels of toeplitz_entry_2d
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+RADIAL_PANELS = 256
 
 
 class DiskPoint(NamedTuple):
@@ -74,7 +76,6 @@ def toeplitz_entry_2d(
     q: int,
     p2: int,
     q2: int,
-    radial_panels: int = 256,
     angular_nodes: Optional[int] = None,
 ) -> complex:
     """Inner product of (radial symbol) * disk_poly(p2, q2) against
@@ -99,7 +100,7 @@ def toeplitz_entry_2d(
     # indicator symbols jump at t = s^2, that is u = sqrt(1 - s^2); a panel
     # edge there keeps the radial integrand panelwise smooth
     jump = math.sqrt(1.0 - a.s * a.s) if a.kind == "indicator" else None
-    u_nodes, u_weights = gauss_legendre_grid(radial_panels, jump)
+    u_nodes, u_weights = gauss_legendre_grid(RADIAL_PANELS, jump)
     t_nodes = 1.0 - u_nodes * u_nodes
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
 

@@ -155,9 +155,7 @@ def cmd_basis(args) -> int:
     from .generators import generator_family
     from .verify import matrix_unit_errors
 
-    _, gs, table = generator_family(
-        args.n, args.alpha, args.xi, args.tol_zero, args.tol_nonzero
-    )
+    _, gs, table = generator_family(args.n, args.alpha, args.xi)
     errs = matrix_unit_errors(gs, table)
     for (p, q), err in np.ndenumerate(errs):
         print(f"unit ({p},{q}): max entry error {err:.3e}")
@@ -181,9 +179,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
-    results = run_all(
-        args.n, args.alpha, args.seed, args.tol_zero, args.tol_nonzero
-    )
+    results = run_all(args.n, args.alpha, args.seed)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -209,10 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
             p.add_argument("--symbol", required=True, help="symbol JSON or @file path")
 
-    def tolerances(p):
-        p.add_argument("--tol-zero", dest="tol_zero", type=float, default=1e-10)
-        p.add_argument("--tol-nonzero", dest="tol_nonzero", type=float, default=1e-8)
-
     p_gamma = sub.add_parser("gamma", help="compute and export a matrix sequence")
     common(p_gamma, symbol=True)
     p_gamma.add_argument("--format", choices=("json", "csv"), default="json")
@@ -233,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_basis = sub.add_parser("basis", help="matrix-unit reconstruction demo")
     common(p_basis)
-    tolerances(p_basis)
     p_basis.add_argument("--xi", type=int, default=0)
     p_basis.set_defaults(fn=cmd_basis)
 
@@ -245,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=3)
     p_verify.add_argument("--alpha", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=0)
-    tolerances(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 

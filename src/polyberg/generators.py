@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies
+from .gammaseq import MatrixSeq, block_order, frequencies, pack_blocks
 from .integration import entry_block
 from .symbols import make_gp
 
@@ -39,6 +39,8 @@ __all__ = [
     "generator_stack",
 ]
 
+# the one structure rule: entries below TOL_ZERO vanish, entries above
+# TOL_NONZERO do not, both relative to the matrix or row they lie in
 TOL_ZERO = 1e-10
 TOL_NONZERO = 1e-8
 
@@ -52,14 +54,10 @@ class AntitriangularReport:
     holds: bool
 
 
-def antitriangular_report(
-    m: np.ndarray,
-    p: int,
-    tol_zero: float = TOL_ZERO,
-    tol_nonzero: float = TOL_NONZERO,
-) -> AntitriangularReport:
-    """Check p-antitriangularity with tolerances relative to the matrix
-    scale (largest entry magnitude, or 1 for the zero matrix).
+def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
+    """Check p-antitriangularity with the tolerances TOL_ZERO and
+    TOL_NONZERO relative to the matrix scale (largest entry magnitude,
+    or 1 for the zero matrix).
 
     For p beyond the last antidiagonal there are no on-diagonal entries
     and the report holds exactly when the whole matrix is numerically
@@ -73,7 +71,7 @@ def antitriangular_report(
     on = [mags[j, k] for j in range(d) for k in range(d) if j + k == p]
     below_max = max(below) if below else 0.0
     anti_min = min(on) if on else math.inf
-    holds = below_max < tol_zero * scale and anti_min > tol_nonzero * scale
+    holds = below_max < TOL_ZERO * scale and anti_min > TOL_NONZERO * scale
     return AntitriangularReport(
         p=p, below_max=float(below_max), anti_min=float(anti_min),
         scale=scale, holds=holds,
@@ -85,9 +83,7 @@ class GeneratorStructureError(ValueError):
     message names the failed condition and the offending entry."""
 
 
-def _check_generator_structure(
-    gs: Sequence[np.ndarray], tol_zero: float, tol_nonzero: float
-) -> None:
+def _check_generator_structure(gs: Sequence[np.ndarray]) -> None:
     d = gs[0].shape[0]
     if len(gs) != d or any(g.shape != (d, d) for g in gs):
         raise GeneratorStructureError(
@@ -96,7 +92,7 @@ def _check_generator_structure(
     last = np.abs(gs[d - 1])
     scale = last.max() if last.max() > 0 else 1.0
     corner = last[d - 1, d - 1]
-    if corner <= tol_nonzero * scale:
+    if corner <= TOL_NONZERO * scale:
         raise GeneratorStructureError(
             f"last generator: corner entry ({d-1},{d-1}) = {corner:.3e} "
             "is not a nonzero multiple"
@@ -104,20 +100,20 @@ def _check_generator_structure(
     off = last.copy()
     off[d - 1, d - 1] = 0.0
     j, k = np.unravel_index(np.argmax(off), off.shape)
-    if off[j, k] >= tol_zero * scale:
+    if off[j, k] >= TOL_ZERO * scale:
         raise GeneratorStructureError(
             f"last generator: entry ({j},{k}) = {off[j, k]:.3e} must vanish"
         )
     for p in range(d - 1):
         row = np.abs(gs[p][d - 1, :])
         row_scale = row.max() if row.max() > 0 else 1.0
-        if row[p] <= tol_nonzero * row_scale:
+        if row[p] <= TOL_NONZERO * row_scale:
             raise GeneratorStructureError(
                 f"generator {p}: row entry ({d-1},{p}) = {row[p]:.3e} "
                 "must be nonzero"
             )
         for k in range(p):
-            if row[k] >= tol_zero * row_scale:
+            if row[k] >= TOL_ZERO * row_scale:
                 raise GeneratorStructureError(
                     f"generator {p}: row entry ({d-1},{k}) = {row[k]:.3e} "
                     "must vanish"
@@ -133,11 +129,7 @@ class NuTable:
     is_real: bool
 
 
-def nu_table(
-    gs: Sequence[np.ndarray],
-    tol_zero: float = TOL_ZERO,
-    tol_nonzero: float = TOL_NONZERO,
-) -> NuTable:
+def nu_table(gs: Sequence[np.ndarray]) -> NuTable:
     """Coefficients of the descending matrix-unit recursion.
 
     With c = corner entry of the last generator and r_p = last row of
@@ -147,7 +139,7 @@ def nu_table(
         nu[p][j]     = -(1 / r_p[p]) * sum_{q=p+1..j} nu[q][j] * r_p[q]
     """
     gs = [np.asarray(g) for g in gs]
-    _check_generator_structure(gs, tol_zero, tol_nonzero)
+    _check_generator_structure(gs)
     d = gs[0].shape[0]
     is_real = all(not np.iscomplexobj(g) for g in gs)
     nu = np.zeros((d, d), dtype=float if is_real else complex)
@@ -185,19 +177,13 @@ def matrix_unit(
 
 @lru_cache(maxsize=256)
 def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Cached blocks of generating symbol p at frequencies -n+1 .. xi_max
-    in the read-only MatrixSeq layout, copied once from generator_block:
-    equal to a fresh gamma_sequence's blocks bit for bit, and refused with
-    its message, as the last block it integrates is asked for first."""
-    frequencies(n, xi_max)  # refuses xi_max < 0
+    """Cached blocks of generating symbol p at frequencies -n+1 .. xi_max,
+    packed by pack_blocks: equal to a fresh gamma_sequence's blocks bit
+    for bit, and refused with its message, as the last block it
+    integrates is asked for first."""
+    xis = frequencies(n, xi_max)  # refuses xi_max < 0
     generator_block(n, alpha, max(xi_max, n - 1), p)
-    # frequencies 0 .. xi_max in one copy; pack_blocks' checks cost more
-    stack = np.zeros((xi_max + n, n, n))
-    stack[n - 1:] = [generator_block(n, alpha, xi, p) for xi in range(xi_max + 1)]
-    for d in range(1, n):
-        stack[d - 1, :d, :d] = generator_block(n, alpha, d - n, p)
-    stack.flags.writeable = False
-    return stack
+    return pack_blocks(n, (generator_block(n, alpha, xi, p) for xi in xis))
 
 
 @lru_cache(maxsize=4096)
@@ -215,14 +201,14 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     return m
 
 
-def generator_family(n: int, alpha: float, xi: int, tol_zero: float, tol_nonzero: float):
+def generator_family(n: int, alpha: float, xi: int):
     """Symbol indices d-1+|xi|+j (j < d), their blocks at xi and the nu
     table of those blocks.  The last generator is a nonzero multiple of
     E_{d-1,d-1} at xi and vanishes at every lower frequency."""
     d = block_order(n, xi)
     symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
     gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
-    return symbol_indices, gs, nu_table(gs, tol_zero=tol_zero, tol_nonzero=tol_nonzero)
+    return symbol_indices, gs, nu_table(gs)
 
 
 @dataclass(frozen=True)
@@ -237,16 +223,27 @@ class SeparationPlan:
     right: tuple
 
     def __post_init__(self) -> None:
-        # a plan rebuilt from its JSON carries lists; tuples keep it
-        # hashable, so it can key the product cache
+        # a plan rebuilt from its JSON carries lists; tuples keep it hashable
         for side in ("left", "right"):
             terms = tuple((float(c), int(k)) for c, k in getattr(self, side))
             object.__setattr__(self, side, terms)
 
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        """The plan's sequence up to xi_max, shared by every evaluation of
-        the plan at xi_max (see _plan_product)."""
-        return _plan_product(self, xi_max)
+        """The plan's sequence up to xi_max, a new one on each call: one
+        batched product over the cached generator stacks, with the scalar
+        limit of the plan."""
+        stack = partial(generator_stack, self.n, self.alpha, xi_max)
+
+        def limit(k):
+            return make_gp(k, self.alpha).limit
+
+        def combine(terms, f):
+            return sum(c * f(k) for c, k in terms)
+
+        mid = stack(self.middle)
+        prod = combine(self.left, stack) @ mid @ mid @ combine(self.right, stack)
+        lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
+        return MatrixSeq(n=self.n, alpha=self.alpha, blocks=prod, scalar_limit=lim)
 
     def to_json_obj(self) -> dict:
         return {
@@ -261,30 +258,11 @@ class SeparationPlan:
         return json.dumps(self.to_json_obj())
 
 
-@lru_cache(maxsize=512)
-def _plan_product(plan: SeparationPlan, xi_max: int) -> MatrixSeq:
-    """The plan's sequence: one batched product over the padded generator
-    stacks, with the scalar limit of the plan."""
-
-    stack = partial(generator_stack, plan.n, plan.alpha, xi_max)
-
-    def limit(k):
-        return make_gp(k, plan.alpha).limit
-
-    def combine(terms, f):
-        return sum(c * f(k) for c, k in terms)
-
-    mid = stack(plan.middle)
-    prod = combine(plan.left, stack) @ mid @ mid @ combine(plan.right, stack)
-    lim = combine(plan.left, limit) * limit(plan.middle) ** 2 * combine(plan.right, limit)
-    return MatrixSeq(n=plan.n, alpha=plan.alpha, blocks=prod, scalar_limit=lim)
-
-
 @lru_cache(maxsize=256)
 def _plan_grid(n: int, alpha: float, xi: int) -> tuple:
     """Every unit plan of the family at xi, grid[p][q] for E_{p,q}, from
     one generator_family and one nu table."""
-    symbol_indices, _, table = generator_family(n, alpha, xi, TOL_ZERO, TOL_NONZERO)
+    symbol_indices, _, table = generator_family(n, alpha, xi)
     d = len(symbol_indices)
     sides = [tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
              for p in range(d)]
@@ -295,9 +273,9 @@ def _plan_grid(n: int, alpha: float, xi: int) -> tuple:
 
 def same_frequency_plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
     """Plan whose evaluation X has X_xi equal to the matrix unit E_{p,q}
-    (order min(n+xi, n)), from the generator family checked at the
-    tolerances TOL_ZERO and TOL_NONZERO.  Plans are cached: equal
-    arguments return the same frozen plan."""
+    (order min(n+xi, n)), from the generator family that nu_table
+    accepts.  Plans are cached: equal arguments return the same frozen
+    plan."""
     d = block_order(n, xi)
     if not (0 <= p < d and 0 <= q < d):
         raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")

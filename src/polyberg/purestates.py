@@ -217,9 +217,9 @@ def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
 @lru_cache(maxsize=512)
 def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     """(plans, witnesses, complex blocks) of the same-frequency unit
-    E_{p,q} at xi, built once per key and shared as-is.  For p == q: the
-    plan and its evaluation at max(xi, 0), the very sequence
-    plan.evaluate returns.  For p != q: the plan and its mirror (q, p),
+    E_{p,q} at xi, built once per key and shared as-is; the one cache of
+    plan evaluations.  For p == q: the plan and its evaluation at
+    max(xi, 0).  For p != q: the plan and its mirror (q, p),
     and the sym and skew combinations of their evaluations, in that
     order.  Each witness's stack is cast to complex once and held as its
     blocks, frequency -n+1 first, so a state value costs one dot and one

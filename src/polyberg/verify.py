@@ -29,14 +29,7 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import (
-    TOL_NONZERO,
-    TOL_ZERO,
-    antitriangular_report,
-    generator_block,
-    matrix_unit,
-    nu_table,
-)
+from .generators import antitriangular_report, generator_block, matrix_unit, nu_table
 from .integration import entry_block, weighted_product_integral
 from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs
 from .purestates import (
@@ -178,16 +171,12 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
     return id_dev, lin_dev, symmetric, min_eig, norm_excess
 
 
-def antitriangular_failures(
-    n: int, alpha: float, blocks, tol_zero: float = TOL_ZERO, tol_nonzero: float = TOL_NONZERO
-) -> list:
+def antitriangular_failures(n: int, alpha: float, blocks) -> list:
     """The (xi, p) among blocks whose generator block lacks the
     (p - |xi|)-antitriangular profile."""
     return [
         (xi, p) for xi, p in blocks
-        if not antitriangular_report(
-            generator_block(n, alpha, xi, p), p - abs(xi), tol_zero, tol_nonzero
-        ).holds
+        if not antitriangular_report(generator_block(n, alpha, xi, p), p - abs(xi)).holds
     ]
 
 
@@ -251,18 +240,20 @@ def matrix_unit_error(families) -> float:
     )
 
 
-def negative_submatrix_failures(
-    n: int, alpha: float, symbols, xi_max: int, tol: float = 1e-12
-) -> list:
+SUBMATRIX_TOL = 1e-12
+
+
+def negative_submatrix_failures(n: int, alpha: float, symbols, xi_max: int) -> list:
     """(symbol index, xi) of the negative frequencies at which the block of
     the sequence, the leading submatrix of the mirrored block, differs by
-    more than tol from gamma_matrix at xi, computed on its own order."""
+    more than SUBMATRIX_TOL from gamma_matrix at xi, computed on its own
+    order."""
     failures = []
     for i, sym in enumerate(symbols):
         seq = gamma_sequence(sym, n, alpha, xi_max)
         failures += [
             (i, xi) for xi in range(-n + 1, 0)
-            if not np.max(np.abs(seq.block(xi) - gamma_matrix(sym, n, alpha, xi))) <= tol
+            if not np.max(np.abs(seq.block(xi) - gamma_matrix(sym, n, alpha, xi))) <= SUBMATRIX_TOL
         ]
     return failures
 
@@ -359,8 +350,6 @@ class CliGrid(NamedTuple):
     n: int
     alphas: list
     seed: int
-    tol_zero: float
-    tol_nonzero: float
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -393,7 +382,7 @@ def _antitriangular(g):
     ]
     return [
         f for alpha in g.alphas
-        for f in antitriangular_failures(n, alpha, blocks, g.tol_zero, g.tol_nonzero)
+        for f in antitriangular_failures(n, alpha, blocks)
     ]
 
 
@@ -506,22 +495,18 @@ class CheckResult:
     detail: str
 
 
-def run_all(
-    n: int,
-    alpha: Optional[float],
-    seed: int,
-    tol_zero: float = TOL_ZERO,
-    tol_nonzero: float = TOL_NONZERO,
-) -> List[CheckResult]:
+def run_all(n: int, alpha: Optional[float], seed: int) -> List[CheckResult]:
     """Every check on the command-line grid: order n, the one weight
     exponent alpha (0, 1 and 2.5 when None) and the seed of every
-    sampling check.  Refuses n < 1 and alpha <= -1 before any check."""
+    sampling check.  The antitriangular profile reads TOL_ZERO and
+    TOL_NONZERO, as every structure test does.  Refuses n < 1 and
+    alpha <= -1 before any check."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if alpha is not None and not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     alphas = [alpha] if alpha is not None else [0.0, 1.0, 2.5]
-    grid = CliGrid(n, alphas, seed, tol_zero, tol_nonzero)
+    grid = CliGrid(n, alphas, seed)
     results = []
     for name, measure, passes, detail in CHECKS:
         try:

@@ -150,6 +150,8 @@ def test_out_of_range_frequency_exits_2(argv, capsys):
         ["separate", "--xi-max", "3", "--state", "inf", "--state=0:1,0"],
         ["oracle", "--tol-zero", "1e-3", "--symbol", CONST],
         ["purestate", "--tol-nonzero", "1e-3", "--symbol", CONST, "--state", "inf"],
+        ["basis", "--tol-zero", "1e-3"],
+        ["verify", "--tol-nonzero", "1e-3"],
     ],
 )
 def test_unread_options_are_refused(argv, capsys):
@@ -307,6 +309,17 @@ def test_basis_past_the_generator_degree(capsys):
     code = main(["basis", "--n", "2", "--alpha", "0.5", "--xi", "63"])
     assert code == 0
     assert "worst reconstruction error: 0.000e+00" in capsys.readouterr().out
+
+
+def test_basis_and_separate_refuse_a_family_by_one_rule(capsys):
+    # the family at n = 6, xi = 30 fails the structure test; the unit
+    # demo and the separation refuse it with the same message
+    message = "error: generator 0: row entry (5,0) = 2.945e-15 must be nonzero\n"
+    states = ["--state", "30:1,0,0,0,0,0", "--state", "30:0,1,0,0,0,0"]
+    for argv in (["basis", "--n", "6", "--alpha", "0", "--xi", "30"],
+                 ["separate", "--n", "6", "--alpha", "0", *states]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize(

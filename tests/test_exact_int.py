@@ -27,7 +27,7 @@ from polyberg.integration import (
     weighted_product_integral,
 )
 from polyberg.jacobi import norm_coeff_sq_exact, q_coeffs_exact
-from polyberg.purestates import finite_state, separate
+from polyberg.purestates import finite_state, limit_state, separate, separation
 from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0, 2.5, -0.5)
@@ -174,6 +174,30 @@ def test_caches_stay_bounded_over_many_thresholds():
     )
 
 
+def test_every_separation_cache_is_read_again():
+    # each pair is separated twice: a same-frequency pair with p = q, one
+    # with p != q, a pair of two frequencies and a limit pair.  A cache of
+    # the separation path that none of these reads again only costs.
+    caches = [(name, fn) for name, fn in _caches()
+              if name.startswith(("polyberg.generators.", "polyberg.purestates."))
+              and fn.cache_info().maxsize is not None]
+    for _, fn in caches:
+        fn.cache_clear()
+    r = 1.0 / math.sqrt(2.0)
+    pairs = [
+        (finite_state(1, [1.0, 0.0]), finite_state(1, [0.0, 1.0])),
+        (finite_state(1, [r, r]), finite_state(1, [r, -r])),
+        (finite_state(0, [1.0, 0.0]), finite_state(1, [0.0, 1.0])),
+        (limit_state(), finite_state(1, [1.0, 0.0])),
+    ]
+    recipes = [separation(s1, s2, 2, 0.375)[2] for s1, s2 in pairs for _ in range(2)]
+    assert [sorted(r) for r in recipes[::2]] == [
+        ["plan"], ["combination", "plans"], ["plan"], ["symbol"]
+    ]
+    assert caches
+    assert [name for name, fn in caches if fn.cache_info().hits == 0] == []
+
+
 def test_generator_caches_stay_bounded_over_many_separations():
     # off-diagonal witnesses need the plans (p, q) and (q, p), diagonal ones
     # (p, p); every (alpha, xi) brings new plans and new stacks.  Dyadic
@@ -194,7 +218,6 @@ def test_generator_caches_stay_bounded_over_many_separations():
                 assert info.currsize <= info.maxsize, name
     for name in (
         "polyberg.generators._plan_grid",
-        "polyberg.generators._plan_product",
         "polyberg.generators.generator_stack",
         "polyberg.generators.generator_block",
         "polyberg.purestates._unit_witness",

@@ -20,6 +20,7 @@ from polyberg.generators import (
 )
 from polyberg import integration
 from polyberg.integration import MAX_MOMENT_DEGREE
+from polyberg.purestates import _unit_witness
 from polyberg.symbols import make_gp
 from polyberg.verify import (
     antitriangular_failures,
@@ -314,7 +315,9 @@ def test_cached_evaluations_equal_the_batched_product(n, alpha):
         xi_max = max(xi, 0)
         first, second = plan.evaluate(xi_max), plan.evaluate(xi_max)
         assert np.array_equal(first.blocks, _batched_evaluation(plan, xi_max)), (plan, xi_max)
-        assert first is second
+        # each call builds a new sequence, bit for bit the same
+        assert first.blocks.tobytes() == second.blocks.tobytes()
+        assert first.scalar_limit == second.scalar_limit
         assert not first.blocks.flags.writeable and not second.blocks.flags.writeable
         for name in ("scalar_limit", "blocks"):
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -322,15 +325,15 @@ def test_cached_evaluations_equal_the_batched_product(n, alpha):
 
 
 def test_arithmetic_on_cached_witnesses_leaves_them_unchanged():
-    a = same_frequency_plan(3, 0.5, 1, 0, 1).evaluate(1)
-    b = same_frequency_plan(3, 0.5, 1, 1, 0).evaluate(1)
+    a, b = _unit_witness(3, 0.5, 1, 0, 1)[1]  # the sym and skew witnesses
     before = [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)]
     for out in (a + b, 1j * a, a @ b):
         assert out is not a and out is not b
         assert not np.shares_memory(out.blocks, a.blocks)
         assert not np.shares_memory(out.blocks, b.blocks)
     assert [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)] == before
-    assert same_frequency_plan(3, 0.5, 1, 0, 1).evaluate(1) is a
+    again = _unit_witness(3, 0.5, 1, 0, 1)[1]
+    assert again[0] is a and again[1] is b
 
 
 def test_generator_stacks_equal_fresh_sequences():

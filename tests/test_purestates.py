@@ -374,7 +374,7 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
     caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators._plan_product, generators.generator_stack)
+              generators.generator_stack)
     before = [c.cache_info() for c in caches]
     for alpha in (float("nan"), -1.5, -1.0):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
@@ -396,7 +396,7 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
     caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators._plan_product, generators.generator_stack, generators.generator_block)
+              generators.generator_stack, generators.generator_block)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
     for s1, s2 in pairs:
@@ -410,7 +410,7 @@ def test_separation_refuses_an_infinity_witness_for_two_finite_states():
     # the witness is read only for a pair with the limit state; it is
     # refused before any cache, and before the coincidence families
     caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators._plan_product, generators.generator_stack, generators.generator_block)
+              generators.generator_stack, generators.generator_block)
     before = [c.cache_info() for c in caches]
     e0 = [1.0, 0.0]
     pairs = [
