@@ -1,13 +1,16 @@
 """Independent verification path: disk polynomials and brute-force 2D
 quadrature of Toeplitz matrix elements over the weighted unit disk.
 
-Nothing here reuses the entry-integral machinery; polynomials, the weight
-and the symbol are evaluated pointwise on a tensor grid: uniform angular
-nodes, which integrate the occurring trigonometric frequencies exactly,
-times composite Gauss-Legendre panels in u = sqrt(1 - t), t = r^2.  That
-variable absorbs the area Jacobian and turns the weight (1-t)^alpha dt
-into 2 u^(2 alpha + 1) du, a polynomial for half-integer alpha and never
-singular at the boundary for alpha >= 0.
+The quadrature reuses none of the entry-integral machinery; polynomials,
+the weight and the symbol are evaluated pointwise on a tensor grid:
+uniform angular nodes, which integrate the occurring trigonometric
+frequencies exactly, times composite Gauss-Legendre panels in
+u = sqrt(1 - t), t = r^2.  That variable absorbs the area Jacobian and
+turns the weight (1-t)^alpha dt into 2 u^(2 alpha + 1) du, a polynomial
+for half-integer alpha and never singular at the boundary for
+alpha >= 0.  `oracle_gaps` compares the
+quadrature with gamma_sequence, which it reads only for that comparison,
+so `polyberg oracle` loads the sequence path and this module alone.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .gammaseq import block_order, frequencies, gamma_sequence
 from .jacobi import JacobiParams, jac_norm_coeff, q_eval
 from .symbols import SymbolSpec, eval_at_t
 
-__all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d"]
+__all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d", "oracle_gaps"]
 
 # 4-point Gauss-Legendre nodes/weights on [-1, 1], on each of the
 # RADIAL_PANELS panels of toeplitz_entry_2d
@@ -114,3 +118,17 @@ def toeplitz_entry_2d(
     weighted = integrand * (2.0 * u_nodes ** (2.0 * alpha + 1.0) * u_weights)[None, :]
     # (alpha+1)/(2 pi) * sum_theta (2 pi / M) * sum_u w_u 2 u^(2 alpha+1) f(t, theta)
     return complex((alpha + 1.0) / angular_nodes * np.sum(weighted))
+
+
+def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:
+    """{xi: largest |2D quadrature - entry|} over the upper triangle of
+    each block of gamma_sequence(a, n, alpha, xi_max).  Entry (j, k) at
+    frequency xi pairs the disk polynomials of indices
+    (max(j + xi, j), max(j - xi, j)) and (max(k + xi, k), max(k - xi, k))."""
+    seq = gamma_sequence(a, n, alpha, xi_max)
+    return {
+        xi: max(abs(toeplitz_entry_2d(a, alpha, max(j + xi, j), max(j - xi, j),
+                                      max(k + xi, k), max(k - xi, k)) - seq.block(xi)[j, k])
+                for j in range(block_order(n, xi)) for k in range(j, block_order(n, xi)))
+        for xi in frequencies(n, xi_max)
+    }

@@ -109,6 +109,9 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_purestate(args) -> int:
+    if len(args.state) != 1:
+        print("purestate needs exactly one --state argument", file=sys.stderr)
+        return EXIT_USAGE
     from .purestates import eval_state
 
     a = _load_symbol(args.symbol, args.alpha)
@@ -165,7 +168,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .verify import oracle_gaps
+    from .bergman_oracle import oracle_gaps
 
     a = _load_symbol(args.symbol, args.alpha)
     worst = 0.0

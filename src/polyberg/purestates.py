@@ -82,12 +82,17 @@ def limit_state() -> PureState:
 
 def _state_gap(u: np.ndarray, v: np.ndarray) -> Tuple[float, int, int]:
     # max |D| for D = uu* - vv*, zero exactly when v is a unimodular multiple
-    # of u, and the first (p, q) attaining it; the symmetric maximum keeps
-    # p <= q where rounding splits the mirror entries of the Hermitian D
-    mags = np.abs(u[:, None] * u.conj() - v[:, None] * v.conj())
-    mags = np.maximum(mags, mags.T)
-    p, q = divmod(int(mags.argmax()), len(u))
-    return float(mags[p, q]), p, q
+    # of u, and the first (p, q), p <= q, attaining it, in one scalar pass:
+    # a scalar complex product makes D_qp the exact conjugate of D_pq, so
+    # the upper triangle holds every magnitude
+    u, v = u.tolist(), v.tolist()
+    best, at = -1.0, (0, 0)
+    for p, (up, vp) in enumerate(zip(u, v)):
+        for q in range(p, len(u)):
+            gap = abs(up * u[q].conjugate() - vp * v[q].conjugate())
+            if gap > best:
+                best, at = gap, (p, q)
+    return best, at[0], at[1]
 
 
 def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
@@ -223,7 +228,8 @@ def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     and the sym and skew combinations of their evaluations, in that
     order.  Each witness's stack is cast to complex once and held as its
     blocks, frequency -n+1 first, so a state value costs one dot and one
-    vdot and no cast."""
+    vdot and no cast; a block with no nonzero entry is held as None, a
+    state on it has value 0.0, and none is evaluated."""
     plan = same_frequency_plan(n, alpha, xi, p, q)
     a = plan.evaluate(max(xi, 0))
     if p == q:
@@ -233,7 +239,8 @@ def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
         b = mirror.evaluate(max(xi, 0))
         plans, witnesses = (plan, mirror), (a + b, 1j * (a + (-1.0) * b))
     cast = [MatrixSeq(n, alpha, np.asarray(w.blocks, dtype=complex)) for w in witnesses]
-    blocks = tuple(tuple(z.block(x) for x in frequencies(n, z.xi_max)) for z in cast)
+    blocks = tuple(tuple(b if b.any() else None for b in map(z.block, frequencies(n, z.xi_max)))
+                   for z in cast)
     return plans, witnesses, blocks
 
 
@@ -266,7 +273,9 @@ def separation(
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     for s in (s1, s2):
-        if s.xi is not None and len(s.u) != block_order(n, s.xi):
+        # a unit vector is never empty, so a frequency below -n+1 or an
+        # n < 1 lands here too, and block_order raises its own error
+        if s.xi is not None and len(s.u) != min(n + s.xi, n):
             raise ValueError(
                 f"state vector has dimension {len(s.u)}, block has order {block_order(n, s.xi)}"
             )
@@ -306,14 +315,18 @@ def separation(
             q = p
         plans, witnesses, blocks = _unit_witness(n, float(alpha), xi, p, q)
         # eval_state's quadratic forms, real part, on the witnesses' blocks,
-        # whose orders the dimension check above has matched
+        # whose orders the dimension check above has matched; a block the
+        # record marks as zero (the lower frequency of a cross pair) has
+        # value 0.0
         u1, u2, x1, x2 = s1.u, s2.u, s1.xi + n - 1, s2.xi + n - 1
-        k, vals = 0, (complex(np.vdot(u1, blocks[0][x1].dot(u1))).real,
-                      complex(np.vdot(u2, blocks[0][x2].dot(u2))).real)
+        b1, b2 = blocks[0][x1], blocks[0][x2]
+        k, vals = 0, (0.0 if b1 is None else complex(np.vdot(u1, b1.dot(u1))).real,
+                      0.0 if b2 is None else complex(np.vdot(u2, b2.dot(u2))).real)
         recipe = {"plan": plans[0]}
         if p != q:
-            skew = (complex(np.vdot(u1, blocks[1][x1].dot(u1))).real,
-                    complex(np.vdot(u2, blocks[1][x2].dot(u2))).real)
+            b1, b2 = blocks[1][x1], blocks[1][x2]
+            skew = (0.0 if b1 is None else complex(np.vdot(u1, b1.dot(u1))).real,
+                    0.0 if b2 is None else complex(np.vdot(u2, b2.dot(u2))).real)
             if abs(skew[0] - skew[1]) > abs(vals[0] - vals[1]):  # sym on a tie
                 k, vals = 1, skew
             recipe = {"plans": plans, "combination": ("sym", "skew")[k]}

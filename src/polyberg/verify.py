@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import special_fn
-from .bergman_oracle import toeplitz_entry_2d
+from .bergman_oracle import oracle_gaps  # re-exported: the oracle check lives with the oracle
 from .gammaseq import (
     block_order,
     frequencies,
@@ -269,20 +269,6 @@ def scalar_limit_tail(s: float, n: int, alpha: float, xis) -> tuple:
         closed = max(abs(dev - (s * s) ** (xi + 1)) / (s * s) ** (xi + 1)
                      for xi, dev in devs.items())
     return devs, closed
-
-
-def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:
-    """{xi: largest |2D quadrature - entry|} over the upper triangle of
-    each block of gamma_sequence(a, n, alpha, xi_max).  Entry (j, k) at
-    frequency xi pairs the disk polynomials of indices
-    (max(j + xi, j), max(j - xi, j)) and (max(k + xi, k), max(k - xi, k))."""
-    seq = gamma_sequence(a, n, alpha, xi_max)
-    return {
-        xi: max(abs(toeplitz_entry_2d(a, alpha, max(j + xi, j), max(j - xi, j),
-                                      max(k + xi, k), max(k - xi, k)) - seq.block(xi)[j, k])
-                for j in range(block_order(n, xi)) for k in range(j, block_order(n, xi)))
-        for xi in frequencies(n, xi_max)
-    }
 
 
 # --- pure states -------------------------------------------------------------

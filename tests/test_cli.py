@@ -177,6 +177,18 @@ def test_purestate_value(capsys):
     assert "0.0625" in out
 
 
+def test_purestate_refuses_any_other_count_of_states(capsys):
+    # one state is evaluated; extra ones (here of the wrong dimension) are
+    # refused, not dropped
+    symbol = ["--n", "2", "--symbol", '{"kind":"indicator","s":0.5}']
+    for states in (["0:1,0", "inf", "9:1"], ["0:1,0", "0:0,1"]):
+        argv = ["purestate", *symbol, *(arg for s in states for arg in ("--state", s))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "purestate needs exactly one --state argument\n"
+
+
 def test_separate_distinct_states(capsys):
     code = main(
         ["separate", "--n", "2", "--alpha", "0", "--state", "0:1,0", "--state", "2:1,0"]

@@ -29,6 +29,22 @@ def test_cli_import_loads_only_the_sequence_path():
     assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
 
 
+def test_oracle_loads_only_the_sequence_path_and_the_oracle():
+    # the comparison reads gamma_sequence; generators, purestates and
+    # verify stay unloaded
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from polyberg.cli import main; "
+            "code = main(['oracle', '--n', '2', '--xi-max', '1', "
+            "'--symbol', '{\"kind\":\"const\",\"value\":1}']); "
+            "print(code, *(m for m in sys.modules if m.startswith('polyberg.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    code, *modules = out.splitlines()[-1].split()
+    assert code == "0"
+    assert {m.removeprefix("polyberg.") for m in modules} == GAMMA_PATH | {"bergman_oracle"}
+
+
 def test_verify_loads_no_exact_rationals():
     # verify reads float coefficients off the integer path; fractions and
     # decimal stay for the test oracles

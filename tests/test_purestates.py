@@ -2,14 +2,17 @@
 
 import collections
 import dataclasses
+import struct
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import unit
 from polyberg import generators, integration, purestates
-from polyberg.gammaseq import MatrixSeq, frequencies, gamma_sequence
+from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -193,6 +196,51 @@ def _witness_indices_loop(u, v):
     if best <= purestates.PROPORTIONAL_TOL:
         raise NotSeparableError("vectors are proportional; states coincide")
     return pq
+
+
+_PARTS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
+
+
+@st.composite
+def _state_vector_pairs(draw):
+    # (u, v) of dimension 1..6: u real or complex, v independent, nearly
+    # proportional (phases off by 1e-12 .. 1e-6) or a phase multiple of u
+    d = draw(st.integers(1, 6))
+
+    def vector(real):
+        w = np.array(draw(_PARTS)[:d])
+        if not real:
+            w = w + 1j * np.array(draw(_PARTS)[:d])
+        assume(np.linalg.norm(w) > 1e-3)
+        return w / np.linalg.norm(w)
+
+    u = vector(draw(st.booleans()))
+    kind = draw(st.sampled_from(("independent", "near", "phase")))
+    if kind == "independent":
+        v = vector(draw(st.booleans()))
+    elif kind == "near":
+        theta = 10.0 ** draw(st.floats(-12.0, -6.0))
+        v = u * np.exp(1j * theta * np.array(draw(_PARTS)[:d]))
+    else:
+        v = np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))) * u
+    return u, v
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_state_vector_pairs())
+def test_state_gap_is_the_first_maximiser_of_the_loop_reference(pair):
+    # the scalar pass reads only p <= q: it still sees max |D| over the
+    # whole matrix, and it picks the loop reference's (p, q)
+    u, v = pair
+    gap, p, q = purestates._state_gap(u, v)
+    cu, cv = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    whole = max(_state_gap_at(cu, cv, j, k) for j in range(len(u)) for k in range(len(u)))
+    assert p <= q
+    assert gap >= whole * (1.0 - 1e-12)
+    assert gap == _state_gap_at(cu, cv, p, q)
+    assert _outcome(witness_indices, u, v) == _outcome(_witness_indices_loop, u, v)
+    if gap > purestates.PROPORTIONAL_TOL:
+        assert witness_indices(u, v) == (p, q)
 
 
 def _outcome(f, u, v):
@@ -495,6 +543,69 @@ def test_separation_values_are_the_state_values_of_the_witness(rng):
             assert all(type(v) is float for v in vals)
             assert vals == want, (s1, s2)
     assert set(combinations) == {"plan", "sym", "skew"}, combinations
+
+
+def test_zero_marks_are_the_zero_blocks_of_the_record():
+    # every record of the grid: a block is None exactly where the witness
+    # block has no nonzero entry, and otherwise it is the witness block
+    # cast to complex
+    marked = 0
+    for n in range(1, 6):
+        for alpha in (0.0, 0.5, 1.0, 2.5):
+            for xi in range(-n + 1, 9):
+                d = block_order(n, xi)
+                for p in range(d):
+                    for q in range(p, d):
+                        _, witnesses, blocks = purestates._unit_witness(n, alpha, xi, p, q)
+                        assert len(blocks) == len(witnesses)
+                        for w, held in zip(witnesses, blocks):
+                            xis = frequencies(n, w.xi_max)
+                            assert len(held) == len(xis)
+                            for x, b in zip(xis, held):
+                                if b is None:
+                                    assert not w.block(x).any() and w.block(x).shape == (
+                                        block_order(n, x),) * 2
+                                    marked += 1
+                                else:
+                                    assert np.array_equal(b, w.block(x).astype(complex))
+    assert marked
+
+
+def _bits(value):
+    # the state value as separation reports it (the real part), in bytes
+    return struct.pack("<d", value.real if isinstance(value, complex) else value)
+
+
+def test_separation_values_are_eval_state_bit_for_bit(rng):
+    # same-frequency pairs (p = q and p != q), cross pairs, among them
+    # every lower frequency against the top one, whose block there is a
+    # zero mark, and limit pairs
+    kinds = collections.Counter()
+    for n in range(1, 6):
+        for alpha in (0.0, 0.5, 1.0, 2.5):
+            states = []
+            for xi in range(-n + 1, 9):
+                d = block_order(n, xi)
+                eye = np.eye(d)
+                states += [finite_state(xi, eye[0]), finite_state(xi, eye[-1]),
+                           finite_state(xi, unit(rng.normal(size=d) + 1j * rng.normal(size=d)))]
+                if d > 1:
+                    states += [finite_state(xi, unit(eye[0] + c * eye[1])) for c in (1, -1, 1j)]
+            states.append(limit_state())
+            for i, s1 in enumerate(states):
+                for s2 in states[i + 1:]:
+                    try:
+                        witness, vals, recipe = separation(s1, s2, n, alpha)
+                    except NotSeparableError:
+                        continue
+                    kind = ("limit" if s1.xi is None or s2.xi is None
+                            else "cross" if s1.xi != s2.xi
+                            else recipe.get("combination", "plan"))
+                    kinds[kind] += 1
+                    for s, val in zip((s1, s2), vals):
+                        assert type(val) is float
+                        assert _bits(val) == _bits(eval_state(s, witness)), (n, alpha, s1, s2)
+    assert set(kinds) == {"plan", "sym", "skew", "cross", "limit"}, kinds
 
 
 def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic(monkeypatch):
