@@ -155,8 +155,7 @@ def _recipe_json(obj):
 
 
 def cmd_basis(args) -> int:
-    from .generators import generator_family
-    from .verify import matrix_unit_errors
+    from .generators import generator_family, matrix_unit_errors
 
     _, gs, table = generator_family(args.n, args.alpha, args.xi)
     errs = matrix_unit_errors(gs, table)

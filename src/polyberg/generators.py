@@ -32,6 +32,7 @@ __all__ = [
     "NuTable",
     "nu_table",
     "matrix_unit",
+    "matrix_unit_errors",
     "SeparationPlan",
     "same_frequency_plan",
     "generator_block",
@@ -153,6 +154,23 @@ def nu_table(gs: Sequence[np.ndarray]) -> NuTable:
     return NuTable(order=d, nu=nu, is_real=is_real)
 
 
+def _real_symmetric(gs: Sequence[np.ndarray], table: NuTable) -> bool:
+    return table.is_real and all(np.array_equal(g, g.T) for g in gs)
+
+
+def _left_factor(gs, table: NuTable, p: int, real_symmetric: bool) -> np.ndarray:
+    d = table.order
+    if real_symmetric:
+        left = sum(table.nu[p, j] * gs[j] for j in range(p, d))
+        return left @ gs[d - 1] @ gs[d - 1]
+    left = sum(np.conj(table.nu[p, j]) * gs[j].conj().T for j in range(p, d))
+    return left @ gs[d - 1].conj().T @ gs[d - 1]
+
+
+def _right_factor(gs, table: NuTable, q: int) -> np.ndarray:
+    return sum(table.nu[q, k] * gs[k] for k in range(q, table.order))
+
+
 def matrix_unit(
     gs: Sequence[np.ndarray], table: NuTable, p: int, q: int
 ) -> np.ndarray:
@@ -163,16 +181,26 @@ def matrix_unit(
     conjugates the left factor.
     """
     gs = [np.asarray(g) for g in gs]
+    left = _left_factor(gs, table, p, _real_symmetric(gs, table))
+    return left @ _right_factor(gs, table, q)
+
+
+def matrix_unit_errors(gs: Sequence[np.ndarray], table: NuTable) -> np.ndarray:
+    """Largest entry of |matrix_unit(gs, table, p, q) - E_pq|, per (p, q),
+    bit for bit: each left and right factor and the real-symmetric test
+    are formed once for the family."""
+    gs = [np.asarray(g) for g in gs]
     d = table.order
-    right = sum(table.nu[q, k] * gs[k] for k in range(q, d))
-    real_symmetric = table.is_real and all(
-        np.array_equal(g, g.T) for g in gs
-    )
-    if real_symmetric:
-        left = sum(table.nu[p, j] * gs[j] for j in range(p, d))
-        return left @ gs[d - 1] @ gs[d - 1] @ right
-    left = sum(np.conj(table.nu[p, j]) * gs[j].conj().T for j in range(p, d))
-    return left @ gs[d - 1].conj().T @ gs[d - 1] @ right
+    real_symmetric = _real_symmetric(gs, table)
+    lefts = [_left_factor(gs, table, p, real_symmetric) for p in range(d)]
+    rights = [_right_factor(gs, table, q) for q in range(d)]
+    errs = np.zeros((d, d))
+    for p in range(d):
+        for q in range(d):
+            e = np.zeros((d, d))
+            e[p, q] = 1.0
+            errs[p, q] = np.max(np.abs(lefts[p] @ rights[q] - e))
+    return errs
 
 
 @lru_cache(maxsize=256)

@@ -20,7 +20,6 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import special_fn
-from .bergman_oracle import oracle_gaps  # re-exported: the oracle check lives with the oracle
 from .gammaseq import (
     block_order,
     frequencies,
@@ -29,7 +28,7 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import antitriangular_report, generator_block, matrix_unit, nu_table
+from .generators import antitriangular_report, generator_block, matrix_unit_errors, nu_table
 from .integration import entry_block, weighted_product_integral
 from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs
 from .purestates import (
@@ -51,13 +50,13 @@ from .symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
 def gamma_ratio_violations(rng, draws: int) -> int:
     """Number of random (z, a, k) points at which the Wendel bound or the
     binomial bound fails."""
-    bad = 0
-    for _ in range(draws):
-        z = float(rng.uniform(1e-6, 100.0))
-        a = float(rng.uniform(1e-6, 10.0))
-        k = int(rng.integers(0, 31))
-        bad += not (special_fn.wendel_bound_holds(z, a) and special_fn.binom_bound_holds(z, k))
-    return bad
+    zs = rng.uniform(1e-6, 100.0, draws).tolist()
+    as_ = rng.uniform(1e-6, 10.0, draws).tolist()
+    ks = rng.integers(0, 31, draws).tolist()
+    return sum(
+        not (special_fn.wendel_bound_holds(z, a) and special_fn.binom_bound_holds(z, k))
+        for z, a, k in zip(zs, as_, ks)
+    )
 
 
 def beta_asymmetry(rng, draws: int, lo: float, hi: float) -> float:
@@ -219,18 +218,6 @@ def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> li
                     g[k, j] = g[j, k]
         gs.append(g)
     return gs
-
-
-def matrix_unit_errors(gs, table) -> np.ndarray:
-    """Largest entry of |matrix_unit(gs, table, p, q) - E_pq|, per (p, q)."""
-    d = len(gs)
-    errs = np.zeros((d, d))
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d))
-            e[p, q] = 1.0
-            errs[p, q] = np.max(np.abs(matrix_unit(gs, table, p, q) - e))
-    return errs
 
 
 def matrix_unit_error(families) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_pair_integral, unit
+from polyberg.bergman_oracle import oracle_gaps
 from polyberg.gammaseq import block_order, frequencies, tail_deviation
 from polyberg.jacobi import JacobiParams, jac_sup_bound
 from polyberg.purestates import (
@@ -35,7 +36,6 @@ from polyberg.verify import (
     matrix_unit_error,
     moment_identity_deviation,
     negative_submatrix_failures,
-    oracle_gaps,
     orthogonality_deviation,
     random_antitriangular_generators,
     scalar_limit_tail,

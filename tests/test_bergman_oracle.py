@@ -1,12 +1,29 @@
 """Disk polynomials and the 2D tensor-quadrature cross-check."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from conftest import disk_poly_alt
-from polyberg.bergman_oracle import DiskPoint, disk_poly, toeplitz_entry_2d
-from polyberg.symbols import const_symbol, indicator_symbol, make_gp
-from polyberg.verify import oracle_gaps
+from polyberg import bergman_oracle
+from polyberg.bergman_oracle import (
+    RADIAL_PANELS,
+    DiskPoint,
+    disk_poly,
+    oracle_gaps,
+    quadrature_block,
+    radial_rule,
+    toeplitz_entry_2d,
+)
+from polyberg.gammaseq import block_order
+from polyberg.symbols import (
+    const_symbol,
+    indicator_symbol,
+    make_gp,
+    poly_t_symbol,
+    sampled_symbol,
+)
 
 
 def test_disk_poly_constant():
@@ -90,3 +107,53 @@ def test_oracle_matches_exact_entries():
 def test_oracle_aliasing_guard():
     with pytest.raises(ValueError):
         toeplitz_entry_2d(const_symbol(1.0), 0.0, 6, 0, 6, 0, angular_nodes=10)
+
+
+def test_closed_form_gauss_legendre_rule():
+    # numpy.polynomial is read here only; the module writes the rule out
+    nodes, _ = np.polynomial.legendre.leggauss(4)
+    assert np.all(np.abs(bergman_oracle._GL_NODES - nodes) <= 2 * np.spacing(np.abs(nodes)))
+    # leggauss(4) itself rounds its outer weight 5.1 ulp away from
+    # (18 - sqrt 30)/36, so nodes and weights are held to 40-digit values
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        root = 2 * mpmath.sqrt(mpmath.mpf(6) / 5) / 7
+        inner, outer = mpmath.sqrt(mpmath.mpf(3) / 7 - root), mpmath.sqrt(mpmath.mpf(3) / 7 + root)
+        w_inner, w_outer = (18 + mpmath.sqrt(30)) / 36, (18 - mpmath.sqrt(30)) / 36
+        exact = [(-outer, w_outer), (-inner, w_inner), (inner, w_inner), (outer, w_outer)]
+        for got_x, got_w, (x, w) in zip(bergman_oracle._GL_NODES, bergman_oracle._GL_WEIGHTS,
+                                        exact):
+            assert abs(got_x - x) <= np.spacing(abs(got_x))
+            assert abs(got_w - w) <= np.spacing(got_w)
+
+
+CONTRACTION_SYMBOLS = {
+    "const": lambda alpha: const_symbol(0.7),
+    "poly_t": lambda alpha: poly_t_symbol([0.3, -0.2, 0.5]),
+    "poly_t_complex": lambda alpha: poly_t_symbol([0.3 + 0.1j, -0.2j, 0.5]),
+    "jacobi_g": lambda alpha: make_gp(3, alpha),
+    "indicator": lambda alpha: indicator_symbol(0.63),
+    "sampled": lambda alpha: sampled_symbol([(0.0, 1.0), (0.4, 0.2), (0.9, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("kind", list(CONTRACTION_SYMBOLS))
+def test_block_contraction_matches_entrywise_quadrature(kind, alpha):
+    a = CONTRACTION_SYMBOLS[kind](alpha)
+    rule = radial_rule(a, alpha)
+    # the indicator's jump at u = sqrt(1 - s^2) is one more panel edge
+    assert rule.r.size == 4 * (RADIAL_PANELS + (kind == "indicator"))
+
+    @lru_cache(maxsize=None)
+    def entry(xi, j, k):
+        return toeplitz_entry_2d(a, alpha, max(j + xi, j), max(j - xi, j),
+                                 max(k + xi, k), max(k - xi, k))
+
+    for n in range(1, 5):
+        for xi in range(-n + 1, 5):
+            block = quadrature_block(rule, n, alpha, xi)
+            assert block.shape == (block_order(n, xi),) * 2
+            for (j, k), got in np.ndenumerate(block):
+                want = entry(xi, j, k)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, xi, j, k, got, want)

@@ -12,9 +12,11 @@ from polyberg.generators import (
     GeneratorStructureError,
     antitriangular_report,
     generator_block,
+    generator_family,
     generator_stack,
     SeparationPlan,
     matrix_unit,
+    matrix_unit_errors,
     nu_table,
     same_frequency_plan,
 )
@@ -153,6 +155,22 @@ def test_matrix_unit_corner_any_valid_family():
         t = nu_table(gs)
         got = matrix_unit(gs, t, 3, 3)
         assert np.max(np.abs(got - unit_matrix(4, 3, 3))) < 1e-10
+
+
+def test_matrix_unit_errors_are_the_per_unit_errors_bit_for_bit():
+    # general, real symmetric and complex families, and package families
+    families = [random_antitriangular_generators(n, seed, symmetric)
+                for n in (2, 3, 5) for seed in (1, 2) for symmetric in (False, True)]
+    families += [[g * (1 + 0.5j) for g in random_antitriangular_generators(4, 7)]]
+    families += [generator_family(n, 0.5, xi)[1] for n, xi in ((3, 0), (4, -2), (4, 5))]
+    for gs in families:
+        table = nu_table(gs)
+        d = len(gs)
+        errs = matrix_unit_errors(gs, table)
+        for p in range(d):
+            for q in range(d):
+                want = np.max(np.abs(matrix_unit(gs, table, p, q) - unit_matrix(d, p, q)))
+                assert errs[p, q].tobytes() == want.tobytes(), (d, p, q)
 
 
 def test_same_frequency_plan_examples():

@@ -29,33 +29,53 @@ def test_cli_import_loads_only_the_sequence_path():
     assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
 
 
-def test_oracle_loads_only_the_sequence_path_and_the_oracle():
-    # the comparison reads gamma_sequence; generators, purestates and
-    # verify stay unloaded
+def _cli_run(argv, timeout=60):
+    """Exit code of `polyberg <argv>` in a fresh interpreter, the polyberg
+    modules it loaded (without the prefix), and which of numpy.polynomial,
+    fractions and decimal it loaded."""
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; from polyberg.cli import main; "
-            "code = main(['oracle', '--n', '2', '--xi-max', '1', "
-            "'--symbol', '{\"kind\":\"const\",\"value\":1}']); "
-            "print(code, *(m for m in sys.modules if m.startswith('polyberg.')))")
+            f"code = main({argv!r}); "
+            "print(code, *(m for m in sys.modules if m.startswith('polyberg.') "
+            "or m in ('numpy.polynomial', 'fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    code, *modules = out.splitlines()[-1].split()
-    assert code == "0"
-    assert {m.removeprefix("polyberg.") for m in modules} == GAMMA_PATH | {"bergman_oracle"}
+                         text=True, check=True, timeout=timeout).stdout
+    code, *loaded = out.splitlines()[-1].split()
+    modules = {m.removeprefix("polyberg.") for m in loaded if m.startswith("polyberg.")}
+    return int(code), modules, set(loaded) - {f"polyberg.{m}" for m in modules}
+
+
+def test_oracle_loads_only_the_sequence_path_and_the_oracle():
+    # the comparison reads gamma_sequence; generators, purestates and
+    # verify stay unloaded, and the closed-form Gauss-Legendre rule needs
+    # no numpy.polynomial
+    code, modules, others = _cli_run(
+        ["oracle", "--n", "2", "--xi-max", "1", "--symbol", '{"kind":"const","value":1}'])
+    assert code == 0
+    assert modules == GAMMA_PATH | {"bergman_oracle"}
+    assert "numpy.polynomial" not in others
 
 
 def test_verify_loads_no_exact_rationals():
     # verify reads float coefficients off the integer path; fractions and
     # decimal stay for the test oracles
-    src = os.path.dirname(os.path.dirname(polyberg.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from polyberg.cli import main; "
-            "code = main(['verify', '--n', '2', '--seed', '0']); "
-            "print(code, *(m for m in ('fractions', 'decimal') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.splitlines()[-1] == "0"
+    code, _, others = _cli_run(["verify", "--n", "2", "--seed", "0"], timeout=120)
+    assert code == 0
+    assert not others & {"fractions", "decimal"}
+
+
+def test_verify_loads_no_oracle():
+    # no check of `polyberg verify` runs the 2D quadrature
+    code, modules, _ = _cli_run(["verify", "--n", "3", "--seed", "1"], timeout=120)
+    assert code == 0
+    assert "bergman_oracle" not in modules
+
+
+def test_basis_loads_only_the_sequence_path_and_the_generators():
+    code, modules, _ = _cli_run(["basis", "--n", "3", "--alpha", "0.5", "--xi", "2"])
+    assert code == 0
+    assert modules == GAMMA_PATH | {"generators"}
 
 
 def test_public_names_resolve_to_their_modules():
