@@ -1,29 +1,32 @@
 """Blocks of entry integrals of symbols against pairs of normalized Jacobi
 functions.
 
-entry_blocks is the one entry kernel: it gives the blocks Gamma_xi(a) of a
-whole range of frequencies as one stack, from one of two block kernels
-chosen by the symbol kind.  entry_block and beta_entry read from it.
+entry_blocks gives the blocks Gamma_xi(a) of a range of frequencies as one
+stack, from the block kernel of the symbol's kind; entry_block and
+beta_entry read from it.  The caches are the only shared state, bounded.
 
-Polynomial symbols are integrated exactly, in Python integers over a
-common denominator.  With the weight exponent alpha = N / 2^e (a binary
-float), the moment of degree d is d! 2^(e (d+1)) / P[d+1], where
-P[j] = prod_{i=1..j} (N + i 2^e).  Per frequency the exact kernel puts
-the moments over one denominator once and forms the Hankel vector W[l],
-the integral of t^(|xi|+l) (1-t)^alpha a.  For a poly_t symbol that is
-the contraction W[l] = sum_c S_c M[l + c] with its scaled coefficients
-S.  For a generator g_p of the weight's own alpha, Rodrigues' formula
-(DLMF 18.5.5) gives it in closed form: W[l] = C(K, p) M'[K] at
-K = |xi| + l, where M' are the moments for the exponent
-alpha + p = (N + p 2^e) / 2^e, formed in integers.  So W[l] = 0 for
-K < p, and g_p's coefficients are never formed.  A generator for another
-alpha is a plain polynomial under this weight and takes the contraction.
-Each Jacobi polynomial Q_j and W give the row
-y_j[b] = sum_a Q_j[a] W[a + b]; entry (j, k) is sum_b Q_k[b] y_j[b] over
-one denominator, rounded once by a correctly rounded int / int division.
-So every orthogonality relation the entries inherit holds to the last bit
-(zeros come out as literal 0.0).  A constant symbol gives value * I by
-orthonormality.
+A poly_t symbol sum c_k t^k of degree m acts on the orthonormal
+polynomials as a(J), J the tridiagonal matrix of their recurrence
+(special_fn.jacobi_recurrence), so Gamma_xi(a) is the leading d x d block
+of a(J) (Golub & Meurant, Matrices, Moments and Quadrature, 2010), which J
+of order d + m // 2 gives.  Horner's rule runs on the leading d columns of
+the identity, one tridiagonal product of the stack per coefficient.  J is
+nonnegative, of norm below 1, with entries within a relative eps, so each
+entry is within 8 m (eps sum |c_k| + 2^-1074) of the exact integral (1.4 m
+eps sum |c_k| measured); c_0 I is exact, entries with |j - k| > m are
+literal zeros, and no moment (so no guard) applies.
+
+A generator g_p of the weight's own alpha = N / 2^e is integrated in
+integers.  The moment of degree d is d! 2^(e (d+1)) / P[d+1], with
+P[j] = prod_{i=1..j} (N + i 2^e).  By Rodrigues' formula (DLMF 18.5.5)
+the integral of t^K (1-t)^alpha g_p is C(K, p) M'[K], M' the moments for
+alpha + p: the Hankel vector W[l] at K = |xi| + l, 0 for K < p.  Row
+y_j[b] = sum_a Q_j[a] W[a + b], and entry (j, k) = sum_b Q_k[b] y_j[b] is
+rounded once by a correctly rounded int / int division, times the norm
+product, rounded once; the moments' head and the squared norms are
+carried along xi.  So zeros are literal 0.0, as the structure test needs.
+A generator for another alpha is refused: its large alternating
+coefficients make the poly_t bound loose.  A constant gives value * I.
 
 An indicator or sampled symbol is a level plus a part r that vanishes
 beyond x: level 0 and r = 1 up to the cut x = s^2, or the table's last
@@ -35,15 +38,13 @@ knot is an edge, and each panel is sized from its Bernstein ellipse
 a time: the weight t^|xi| (1-t)^alpha / mass at the nodes, the
 orthonormal polynomials from their three-term recurrence, and one
 extended-precision product V g V^T, so its working set is nodes x d.
-
-The caches are the only shared state.  They are bounded, sized so that
-one n = 8 request up to |xi| = 190 keeps all its hits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -61,26 +62,11 @@ __all__ = [
     "norm_product",
 ]
 
-# symbols integrated on the panel rule rather than exactly
-FLOAT_KINDS = ("indicator", "sampled")
-
 def _guard_degree(degree: int) -> None:
     if degree > MAX_MOMENT_DEGREE:
         raise ValueError(
             f"moment degree {degree} exceeds guard {MAX_MOMENT_DEGREE}"
         )
-
-
-def _scaled(coeffs) -> tuple[list[int], int]:
-    # integer numerators over one common denominator; floats (and anything
-    # that is not an exact rational) are taken at their binary value
-    ratios = [
-        c.as_integer_ratio() if isinstance(c, numbers.Rational)
-        else float(c).as_integer_ratio()
-        for c in coeffs
-    ]
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
 
 
 def _moments(num: int, e: int, xis: range, span: int):
@@ -102,7 +88,8 @@ def _moments(num: int, e: int, xis: range, span: int):
 
 @lru_cache(maxsize=8192)
 def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
-    """Product of the two normalization constants for indices j and k."""
+    """Product of the two normalization constants for indices j and k,
+    the factor of entry (j, k) of a generator block."""
     nj, dj = jacobi.norm_coeff_sq_int(alpha, xi_abs, j)
     nk, dk = jacobi.norm_coeff_sq_int(alpha, xi_abs, k)
     return math.sqrt((nj * nk) / (dj * dk))
@@ -116,10 +103,13 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if xi_abs < 0:
         raise ValueError(f"xi_abs must be nonnegative, got {xi_abs}")
-    nums, den = _scaled(coeffs)
+    # floats (and anything that is not an exact rational) at their binary value
+    ratios = [(c if isinstance(c, numbers.Rational) else float(c)).as_integer_ratio()
+              for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
     moments, mden = next(_moments(*jacobi.dyadic(alpha), range(xi_abs, xi_abs + 1),
-                                  len(nums) - 1))
-    return sum(c * m for c, m in zip(nums, moments)) / (den * mden)
+                                  len(ratios) - 1))
+    return sum(n * (den // d) * m for (n, d), m in zip(ratios, moments)) / (den * mden)
 
 
 @lru_cache(maxsize=64)
@@ -189,67 +179,76 @@ def _panel_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
     return out
 
 
-def _exact_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
-    # Upper triangles, by the Hankel contraction of the module docstring:
-    # entry (j, k) is the rational integral of Q_j Q_k a, rounded once.
-    if a.kind == "const":
-        # orthonormality makes the block value * I
-        return np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
+def _jacobi_blocks(coeffs, alpha: float, xis: range, d: int) -> np.ndarray:
+    # Horner's rule on the leading d columns; row r of J y is
+    # (diag_r y_r + off_r y_(r-1)) + off_(r+1) y_(r+1) at every order
+    *rest, top = coeffs
+    size = d + len(rest) // 2
+    diag, off = jacobi_recurrence(alpha, np.array(xis, float)[:, None], size)
+    diag, off = diag[..., None], off[..., None]
+    y = np.zeros((len(xis), size, d), np.result_type(*coeffs, float))
+    y.reshape(len(xis), -1)[:, :d * d:d + 1] = top
+    for c in reversed(rest):
+        y, jy = diag * y, y
+        y[:, 1:] += off * jy[:, :-1]
+        y[:, :-1] += off * jy[:, 1:]
+        y.reshape(len(xis), -1)[:, :d * d:d + 1] += c
+    return y[:, :d]
+
+
+def _norms_sq(num: int, e: int, xis: range, d: int):
+    # per xi, jacobi.norm_coeff_sq_int(num / 2^e, xi, m) for m < d, its
+    # products prod_{i=1..xi} ((m + i) q + num) and (m + xi)! / m! carried
+    q = 1 << e
+    prods = [math.prod((m + i) * q + num for i in range(1, xis[0] + 1)) for m in range(d)]
+    facs = [math.prod(range(m + 1, m + xis[0] + 1)) for m in range(d)]
+    for xi in xis:
+        yield [(((2 * m + xi + 1) * q + num) * prods[m], facs[m] << (e * (xi + 1)))
+               for m in range(d)]
+        prods = [pm * ((m + xi + 1) * q + num) for m, pm in enumerate(prods)]
+        facs = [fm * (m + xi + 1) for m, fm in enumerate(facs)]
+
+
+def _generator_blocks(p: int, alpha: float, xis: range, d: int) -> np.ndarray:
+    # upper triangles by the closed form of the module docstring
     num, e = jacobi.dyadic(alpha)
-    cplx = a.kind == "poly_t" and any(isinstance(c, complex) for c in a.coeffs)
-    if a.kind == "jacobi_g" and a.alpha == alpha:
-        # Rodrigues' formula: t^K g_p integrates to C(K, p) times the
-        # moment of degree K for the exponent alpha + p (0 for K < p)
-        runs = _moments(num + (a.p << e), e, xis, 2 * (d - 1))
-
-        def hankels(xi, moments, mden):
-            return [([math.comb(xi + l, a.p) * m for l, m in enumerate(moments)], mden)]
-    else:
-        if a.kind == "jacobi_g":
-            # a generator for another weight exponent is a plain polynomial here
-            parts = [jacobi.q_coeffs_int(a.alpha, 0.0, a.p)]
-        elif cplx:
-            parts = [_scaled([complex(c).real for c in a.coeffs]),
-                     _scaled([complex(c).imag for c in a.coeffs])]
-        else:
-            parts = [_scaled(a.coeffs)]
-        # the largest moment degree above |xi|: that of entry (d - 1, d - 1)
-        runs = _moments(num, e, xis, 2 * (d - 1) + len(parts[0][0]) - 1)
-
-        def hankels(xi, moments, mden):
-            return [([sum(c * moments[l + m] for m, c in enumerate(nums))
-                      for l in range(2 * d - 1)], den * mden) for nums, den in parts]
-    out = np.zeros((len(xis), d, d), dtype=complex if cplx else float)
-    for i, (xi, run) in enumerate(zip(xis, runs)):
-        ws = hankels(xi, *run)
+    out = np.zeros((len(xis), d, d))
+    runs = zip(xis, _moments(num + (p << e), e, xis, 2 * (d - 1)), _norms_sq(num, e, xis, d))
+    for i, (xi, (moments, mden), norms) in enumerate(runs):
+        w = [math.comb(xi + l, p) * m for l, m in enumerate(moments)]
         qs = [jacobi.q_coeffs_int(alpha, float(xi), m) for m in range(d)]
-        for j, (qj, dj) in enumerate(qs):
-            rows = [([sum(c * w[m + b] for m, c in enumerate(qj)) for b in range(d)], dj * wden)
-                    for w, wden in ws]
+        for j, ((qj, dj), (nj, nj_den)) in enumerate(zip(qs, norms)):
+            row = [sum(map(operator.mul, qj, w[b:])) for b in range(d)]
             for k in range(j, d):
-                qk, dk = qs[k]
-                vals = [sum(c * y for c, y in zip(qk, row)) / (row_den * dk)
-                        for row, row_den in rows]
-                out[i, j, k] = norm_product(alpha, xi, j, k) * (
-                    complex(*vals) if len(vals) == 2 else vals[0])
+                (qk, dk), (nk, nk_den) = qs[k], norms[k]
+                out[i, j, k] = math.sqrt((nj * nk) / (nj_den * nk_den)) * (
+                    sum(map(operator.mul, qk, row)) / (dj * mden * dk))
     return out
 
 
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
     exactly symmetric (len(xis), d, d) stack, complex only for a complex
-    symbol.  Indicator and sampled symbols take the panel-rule kernel,
-    the others the exact one.  Refuses degree d - 1 above
-    jacobi.MAX_DEGREE and moment degrees above MAX_MOMENT_DEGREE (the
-    largest is 2(d - 1) + max(xis), plus the degree of a poly_t symbol or
-    of a generator for another alpha)."""
+    symbol.  Refuses degree d - 1 above jacobi.MAX_DEGREE, a generator for
+    another alpha and, but for poly_t, the moment degree 2(d - 1) +
+    max(xis) above MAX_MOMENT_DEGREE."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if d - 1 > jacobi.MAX_DEGREE:
         raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
-    _guard_degree(2 * (d - 1) + xis[-1])
-    kernel = _panel_blocks if a.kind in FLOAT_KINDS else _exact_blocks
-    out = kernel(a, alpha, xis, d)
+    if a.kind != "poly_t":
+        _guard_degree(2 * (d - 1) + xis[-1])
+    if a.kind == "jacobi_g" and a.alpha != alpha:
+        raise ValueError(f"generator {a.p} is for alpha {a.alpha}, not the weight's {alpha}; "
+                         "pass its coefficients as a poly_t symbol")
+    if a.kind == "const":
+        out = np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
+    elif a.kind in ("indicator", "sampled"):
+        out = _panel_blocks(a, alpha, xis, d)
+    elif a.kind == "jacobi_g":
+        out = _generator_blocks(a.p, alpha, xis, d)
+    else:
+        out = _jacobi_blocks(a.coeffs, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):
         out[:, j + 1:, j] = out[:, j, j + 1:]
@@ -263,13 +262,9 @@ def entry_block(a: SymbolSpec, alpha: float, xi: int, d: int) -> np.ndarray:
 
 
 def beta_entry(a: SymbolSpec, alpha: float, xi: int, j: int, k: int):
-    """Entry integral of symbol a for frequency xi and indices (j, k):
-    the product of normalization constants times the integral of
-    a(sqrt(t)) Q_j(t) Q_k(t) (1-t)^alpha t^|xi|.
-
-    Entry [j, k] of entry_block(a, alpha, xi, max(j, k) + 1): that block is
-    exactly symmetric, and its guards are the entry's.
-    """
+    """Entry [j, k] of entry_block(a, alpha, xi, max(j, k) + 1), with that
+    block's guards: the integral of a(sqrt(t)) Q_j(t) Q_k(t) (1-t)^alpha
+    t^|xi| times the two normalization constants."""
     if j < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({j}, {k})")
     return entry_block(a, alpha, xi, max(j, k) + 1)[j, k].item()

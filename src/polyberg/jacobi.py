@@ -14,8 +14,10 @@ return the same numbers as reduced Fractions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -86,13 +88,11 @@ def q_coeffs_int(alpha: float, beta: float, m: int) -> tuple[tuple[int, ...], in
     pa <<= e - ea
     pb <<= e - eb
     q = 1 << e
-    nums = tuple(
-        (-1) ** (m - k)
-        * math.comb(m, k)
-        * math.prod(pa + pb + (m + k - i) * q for i in range(k))
-        * math.prod(pb + (m - i) * q for i in range(m - k))
-        for k in range(m + 1)
-    )
+    # the products prod_{i=m+1..m+k} (pa + pb + i q) and prod_{i=k+1..m} (pb + i q)
+    lows = accumulate((pa + pb + (m + k) * q for k in range(1, m + 1)), operator.mul, initial=1)
+    tops = [*accumulate((pb + k * q for k in range(m, 0, -1)), operator.mul, initial=1)][::-1]
+    nums = tuple((-1) ** (m - k) * math.comb(m, k) * low * top
+                 for k, (low, top) in enumerate(zip(lows, tops)))
     return nums, math.factorial(m) << (e * m)
 
 

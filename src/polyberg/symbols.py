@@ -143,8 +143,8 @@ def eval_at_t(a: SymbolSpec, t):
 def sup_abs(a: SymbolSpec) -> float:
     """Supremum of |a| over [0, 1).
 
-    Exact for const/indicator; for polynomials the critical points of the
-    derivative are solved so the maximum is not a grid estimate.
+    Exact for const/indicator; for polynomials the critical points of |a|,
+    where Re(a' conj(a)) = 0, are solved so the maximum is no grid estimate.
     """
     if a.kind == "const":
         return abs(a.value)
@@ -153,13 +153,19 @@ def sup_abs(a: SymbolSpec) -> float:
     if a.kind in ("poly_t", "jacobi_g"):
         coeffs = _poly_coeffs(a)
         cs = np.array([complex(c) for c in coeffs])
-        candidates = [0.0, 1.0]
         deriv = cs[1:] * np.arange(1, len(cs))
-        if len(deriv) >= 2:
-            for r in np.atleast_1d(np.roots(deriv[::-1])):
-                if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0:
-                    candidates.append(float(r.real))
-        return max(abs(_poly_eval(coeffs, t)) for t in candidates)
+        if len(deriv) and np.any(cs.imag):
+            deriv = np.convolve(deriv, cs.conj()).real
+        # scaled into [1/2, 1) by two exact powers of two, so np.roots sees no
+        # subnormal; a leading coefficient below eps would put roots near
+        # 1 / eps into its companion matrix and spoil those in [0, 1]
+        e = math.frexp(np.max(np.abs(deriv), initial=0.0))[1]
+        deriv = deriv * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+        while len(deriv) >= 2 and abs(deriv[-1]) < np.finfo(float).eps:
+            deriv = deriv[:-1]
+        roots = np.roots(deriv[::-1])
+        inside = roots.real[(abs(roots.imag) < 1e-12) & (roots.real > 0.0) & (roots.real < 1.0)]
+        return max(abs(_poly_eval(coeffs, t)) for t in [0.0, 1.0, *inside.tolist()])
     if a.kind == "sampled":
         return max(abs(v) for _, v in a.points)
     raise ValueError(f"unknown symbol kind {a.kind!r}")

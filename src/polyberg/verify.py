@@ -148,9 +148,8 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
     and cb at lin_xis, whether those blocks are exactly symmetric,
     smallest eigenvalue and largest ||block|| - sup|a| of two nonnegative
     symbols up to xi_max)."""
-    # the unit polynomial, not the constant: constants return value * I
-    # without integrating
-    seq = gamma_sequence(poly_t_symbol([1.0]), n, alpha, xi_max)
+    # g_0 = 1 is integrated; a constant and the unit polynomial give I as such
+    seq = gamma_sequence(make_gp(0, alpha), n, alpha, xi_max)
     id_dev = max(
         float(np.max(np.abs(b - np.eye(b.shape[0]))))
         for b in map(seq.block, frequencies(n, xi_max))
@@ -424,10 +423,9 @@ CHECKS = [
      lambda w: w < 1e-10, lambda w: f"max deviation {w:.2e}"),
     ("beta-moment identity", lambda g: moment_identity_deviation(g.alphas, range(5), 6),
      lambda w: w < 1e-10, lambda w: f"max relative deviation {w:.2e}"),
-    # the unit polynomial, not the constant: constants return value * I
-    # without integrating
+    # the unit generator g_0 of each alpha (see sequence_basics)
     ("orthonormal entries",
-     lambda g: identity_deviation(poly_t_symbol([1.0]), g.alphas, range(6), 4),
+     lambda g: max(identity_deviation(make_gp(0, a), [a], range(6), 4) for a in g.alphas),
      lambda w: w < 1e-12, lambda w: f"max deviation from identity {w:.2e}"),
     ("sup bound dominance", _sup_bound, lambda r: r <= 1 + 1e-12,
      lambda r: "unproven for alpha <= 0; skipped" if r is None

@@ -132,14 +132,19 @@ def pair_fraction(alpha: float, xi_abs: int, j: int, k: int) -> tuple:
     )
 
 
-def poly_entry_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) -> float:
+def poly_integral_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) -> Fraction:
     """Integral of sum coeffs[d] t^d against Q_j Q_k (1-t)^alpha t^xi_abs,
-    from Fraction convolutions and moments, rounded once."""
+    from Fraction convolutions and moments."""
     pair = pair_fraction(alpha, xi_abs, j, k)
     full = conv_exact(
         pair, [c if isinstance(c, Fraction) else Fraction(float(c)) for c in coeffs]
     )
-    return float(sum(c * moment_fraction(d + xi_abs, alpha) for d, c in enumerate(full)))
+    return sum(c * moment_fraction(d + xi_abs, alpha) for d, c in enumerate(full))
+
+
+def poly_entry_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) -> float:
+    """poly_integral_fraction rounded once."""
+    return float(poly_integral_fraction(coeffs, alpha, xi_abs, j, k))
 
 
 def disk_poly_alt(p: int, q: int, alpha: float, r: float, theta: float) -> complex:

@@ -2,7 +2,8 @@
 
 Coefficients, normalization constants and moments must be the same
 rationals, and every float read off them the same float, bit for bit:
-both paths round the same exact number once.
+both paths round the same exact number once.  poly_t blocks, which come
+from the Jacobi matrix, are held to their stated bound instead.
 """
 
 import math
@@ -31,6 +32,10 @@ from polyberg.purestates import finite_state, limit_state, separate, separation
 from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol
 
 ALPHAS = (0.0, 0.3, 0.5, 1.0, 2.5, -0.5)
+EPS = float(np.finfo(float).eps)
+# a poly_t entry of degree m is within JACOBI_BOUND m eps sum|c_k| of the
+# exact integral (integration module docstring)
+JACOBI_BOUND = 8
 IDX = 7
 POLY_DEGREE = 3
 GP = 5
@@ -86,6 +91,8 @@ def _fraction_block(coeffs, alpha, xi, d, kks):
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_entries_equal_fractions(alpha):
+    # generator and constant blocks bit for bit; poly_t blocks, from the
+    # Jacobi matrix, within the bound of the integration module docstring
     rng = np.random.default_rng(int(10 * alpha) + 7)
     real = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1))
     cplx = poly_t_symbol(rng.uniform(-1, 1, POLY_DEGREE + 1)
@@ -97,6 +104,8 @@ def test_entries_equal_fractions(alpha):
     consts = [const_symbol(-1.25), const_symbol(0.5 - 0.75j)]
     d = IDX + 1
     for sym, coeffs, degree in cases:
+        exact = sym.kind == "jacobi_g"
+        bound = JACOBI_BOUND * degree * EPS * sum(abs(c) for c in coeffs)
         for xi in xis(degree):
             # each block from a stack over two frequencies (one at xi = 0)
             lo = max(xi - 1, 0)
@@ -104,11 +113,15 @@ def test_entries_equal_fractions(alpha):
                    for j in range(d) for k in range(j, d)}
             want = _fraction_block(coeffs, alpha, xi, d, kks)
             got = integration.entry_blocks(sym, alpha, range(lo, xi + 1), d)[xi - lo]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= bound
             for j in range(d):
                 for k in range(j, d):
-                    assert beta_entry(sym, alpha, xi, j, k) == want[j, k]
+                    entry = beta_entry(sym, alpha, xi, j, k)
+                    assert entry == want[j, k] if exact else abs(entry - want[j, k]) <= bound
     for xi in xis(GP):
         lo = max(xi - 1, 0)
         for sym in consts:
@@ -136,15 +149,13 @@ def test_generator_blocks_past_degree_64_equal_fractions(alpha):
 
 def test_moment_guard_is_kept():
     # beta_entry reads the block of order k + 1, whose top moment degree is
-    # 2 k + |xi| plus the degree of a poly_t symbol, whatever j is
+    # 2 k + |xi|, whatever j is.  A poly_t block forms no moment and
+    # answers past the guard.
     poly = poly_t_symbol([0.5] * GP + [1.0])
-    edge = MAX_MOMENT_DEGREE - 2 * IDX - GP
-    assert math.isfinite(beta_entry(poly, 1.0, edge, 0, IDX))
-    with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
-        beta_entry(poly, 1.0, edge + 1, 0, IDX)
+    edge = MAX_MOMENT_DEGREE - 2 * IDX
+    assert math.isfinite(beta_entry(poly, 1.0, edge + 1, 0, IDX))
     # a generator's degree does not count: it is refused where a constant is
     gp, const = make_gp(GP, 1.0), const_symbol(1.0)
-    edge = MAX_MOMENT_DEGREE - 2 * IDX
     for sym in (gp, const):
         assert math.isfinite(beta_entry(sym, 1.0, edge, 0, IDX))
         with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):

@@ -99,17 +99,19 @@ def test_gamma_linearity(rng):
 
 
 def test_identity_deviation_integrates_the_unit_symbol(monkeypatch):
-    # doubled normalization constants double every integrated entry, so the
-    # identity deviation must see them; a constant symbol never would
+    # doubled normalization constants scale every integrated entry by 4, so
+    # the identity deviation must see them; a constant symbol or the unit
+    # polynomial, whose blocks are value * I as they stand, never would
     unpatched = sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))[0]
-    real = integration.norm_product
-    monkeypatch.setattr(integration, "norm_product", lambda *args: 2.0 * real(*args))
+    real = integration._norms_sq
+    monkeypatch.setattr(integration, "_norms_sq", lambda *args: (
+        [(4 * num, den) for num, den in norms] for norms in real(*args)))
     patched = sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))[0]
     assert unpatched < 1e-12 < patched
 
 
 def test_negative_submatrix_relation():
-    syms = (const_symbol(3.0), make_gp(3, 0.0), indicator_symbol(0.7))
+    syms = (const_symbol(3.0), make_gp(3, 1.5), indicator_symbol(0.7))
     for n in (2, 4):
         assert negative_submatrix_failures(n, 1.5, syms, 6) == []
 
@@ -245,7 +247,7 @@ def test_seq_algebra_refuses_mixed_sequences():
     g = make_gp(1, 0.0)
     a = gamma_sequence(g, 2, 0.0, 3)
     for other in (
-        gamma_sequence(g, 2, 1.0, 3),
+        gamma_sequence(make_gp(1, 1.0), 2, 1.0, 3),
         gamma_sequence(g, 3, 0.0, 3),
         gamma_sequence(g, 2, 0.0, 4),
     ):

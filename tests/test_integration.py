@@ -51,7 +51,7 @@ def test_const_symbol_gives_identity():
 
 
 def test_unit_polynomial_symbol_gives_identity():
-    # the same orthonormality, through the exact contraction path
+    # on the Jacobi-matrix path the unit polynomial gives I as it stands
     assert identity_deviation(poly_t_symbol([1.0]), (0.0, 0.5, 1.0, 2.5), range(9), 6) < 1e-12
 
 

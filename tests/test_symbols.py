@@ -120,6 +120,24 @@ def test_sup_abs():
     assert sup_abs(poly_t_symbol([0.5, -2.0])) == pytest.approx(1.5)
 
 
+def test_sup_abs_meets_a_fine_grid():
+    # |a| peaks where d/dt |a|^2 = 2 Re(a' conj(a)) vanishes; for complex
+    # coefficients that is not where a' does.  The first case read 1.3762
+    # from the roots of a' alone.
+    grid = np.linspace(0.0, 1.0, 200001)
+    rng = np.random.default_rng(11)
+    cases = [[-0.931 - 0.945j, -0.936 - 0.914j, 0.940 + 0.261j, 0.035 + 0.550j]]
+    for m in range(1, 11):
+        re = rng.uniform(-1, 1, m + 1)
+        cases += [re, re + 1j * rng.uniform(-1, 1, m + 1)]
+    for coeffs in cases:
+        sym = poly_t_symbol(coeffs)
+        seen = np.max(np.abs(eval_at_t(sym, grid)))
+        assert seen <= sup_abs(sym) * (1 + 1e-14)
+        assert sup_abs(sym) == pytest.approx(seen, rel=1e-9)
+    assert sup_abs(poly_t_symbol(cases[0])) == pytest.approx(1.722455, abs=1e-6)
+
+
 def test_json_round_trip():
     cases = [
         const_symbol(2.0),
