@@ -193,12 +193,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("gamma", "purestate", "separate", "basis", "oracle", "verify")
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of the one argv names
+    first: a subcommand's help, usage and errors are its own parser's, so
+    they read the same either way.  The top-level help, no command and
+    an unknown one list every subcommand."""
+    wanted = argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     parser = argparse.ArgumentParser(
         prog="polyberg",
         description="Frequency-indexed matrix model of radial Toeplitz operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with one subcommand built, the usage of an "unrecognized arguments"
+    # error still lists them all
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        None if wanted is COMMANDS else "{" + ",".join(COMMANDS) + "}"))
 
     def common(p, symbol=False):
         p.add_argument("--n", type=int, default=2)
@@ -207,44 +218,50 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
             p.add_argument("--symbol", required=True, help="symbol JSON or @file path")
 
-    p_gamma = sub.add_parser("gamma", help="compute and export a matrix sequence")
-    common(p_gamma, symbol=True)
-    p_gamma.add_argument("--format", choices=("json", "csv"), default="json")
-    p_gamma.add_argument("--xi", type=int, default=0, help="frequency for CSV export")
-    p_gamma.add_argument("--out", default=None)
-    p_gamma.set_defaults(fn=cmd_gamma)
+    if "gamma" in wanted:
+        p_gamma = sub.add_parser("gamma", help="compute and export a matrix sequence")
+        common(p_gamma, symbol=True)
+        p_gamma.add_argument("--format", choices=("json", "csv"), default="json")
+        p_gamma.add_argument("--xi", type=int, default=0, help="frequency for CSV export")
+        p_gamma.add_argument("--out", default=None)
+        p_gamma.set_defaults(fn=cmd_gamma)
 
-    p_state = sub.add_parser("purestate", help="evaluate a pure state on a sequence")
-    common(p_state, symbol=True)
-    p_state.add_argument("--state", action="append", required=True)
-    p_state.set_defaults(fn=cmd_purestate)
+    if "purestate" in wanted:
+        p_state = sub.add_parser("purestate", help="evaluate a pure state on a sequence")
+        common(p_state, symbol=True)
+        p_state.add_argument("--state", action="append", required=True)
+        p_state.set_defaults(fn=cmd_purestate)
 
-    p_sep = sub.add_parser("separate", help="separate two pure states")
-    common(p_sep)
-    p_sep.add_argument("--symbol", default=None, help="witness symbol for limit-state pairs")
-    p_sep.add_argument("--state", action="append", required=True)
-    p_sep.set_defaults(fn=cmd_separate)
+    if "separate" in wanted:
+        p_sep = sub.add_parser("separate", help="separate two pure states")
+        common(p_sep)
+        p_sep.add_argument("--symbol", default=None, help="witness symbol for limit-state pairs")
+        p_sep.add_argument("--state", action="append", required=True)
+        p_sep.set_defaults(fn=cmd_separate)
 
-    p_basis = sub.add_parser("basis", help="matrix-unit reconstruction demo")
-    common(p_basis)
-    p_basis.add_argument("--xi", type=int, default=0)
-    p_basis.set_defaults(fn=cmd_basis)
+    if "basis" in wanted:
+        p_basis = sub.add_parser("basis", help="matrix-unit reconstruction demo")
+        common(p_basis)
+        p_basis.add_argument("--xi", type=int, default=0)
+        p_basis.set_defaults(fn=cmd_basis)
 
-    p_oracle = sub.add_parser("oracle", help="cross-check entries against 2D quadrature")
-    common(p_oracle, symbol=True)
-    p_oracle.set_defaults(fn=cmd_oracle)
+    if "oracle" in wanted:
+        p_oracle = sub.add_parser("oracle", help="cross-check entries against 2D quadrature")
+        common(p_oracle, symbol=True)
+        p_oracle.set_defaults(fn=cmd_oracle)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--alpha", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(fn=cmd_verify)
+    if "verify" in wanted:
+        p_verify = sub.add_parser("verify", help="run the invariant suite")
+        p_verify.add_argument("--n", type=int, default=3)
+        p_verify.add_argument("--alpha", type=float, default=None)
+        p_verify.add_argument("--seed", type=int, default=0)
+        p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, IndexError, OSError) as exc:

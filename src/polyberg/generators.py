@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies, pack_blocks
+from .gammaseq import MatrixSeq, block_order, frequencies
 from .integration import entry_block
 from .symbols import make_gp
 
@@ -37,7 +37,6 @@ __all__ = [
     "same_frequency_plan",
     "generator_block",
     "generator_family",
-    "generator_stack",
 ]
 
 # the one structure rule: entries below TOL_ZERO vanish, entries above
@@ -64,19 +63,13 @@ def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
     and the report holds exactly when the whole matrix is numerically
     zero.
     """
-    m = np.asarray(m)
-    d = m.shape[0]
-    mags = np.abs(m)
+    mags = np.abs(np.asarray(m))
     scale = float(mags.max()) if mags.size and mags.max() > 0.0 else 1.0
-    below = [mags[j, k] for j in range(d) for k in range(d) if j + k < p]
-    on = [mags[j, k] for j in range(d) for k in range(d) if j + k == p]
-    below_max = max(below) if below else 0.0
-    anti_min = min(on) if on else math.inf
+    sums = np.add.outer(*map(np.arange, mags.shape))
+    below_max = float(mags[sums < p].max(initial=0.0))
+    anti_min = float(mags[sums == p].min(initial=math.inf))
     holds = below_max < TOL_ZERO * scale and anti_min > TOL_NONZERO * scale
-    return AntitriangularReport(
-        p=p, below_max=float(below_max), anti_min=float(anti_min),
-        scale=scale, holds=holds,
-    )
+    return AntitriangularReport(p, below_max, anti_min, scale, holds)
 
 
 class GeneratorStructureError(ValueError):
@@ -194,24 +187,9 @@ def matrix_unit_errors(gs: Sequence[np.ndarray], table: NuTable) -> np.ndarray:
     real_symmetric = _real_symmetric(gs, table)
     lefts = [_left_factor(gs, table, p, real_symmetric) for p in range(d)]
     rights = [_right_factor(gs, table, q) for q in range(d)]
-    errs = np.zeros((d, d))
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d))
-            e[p, q] = 1.0
-            errs[p, q] = np.max(np.abs(lefts[p] @ rights[q] - e))
-    return errs
-
-
-@lru_cache(maxsize=256)
-def generator_stack(n: int, alpha: float, xi_max: int, p: int) -> np.ndarray:
-    """Cached blocks of generating symbol p at frequencies -n+1 .. xi_max,
-    packed by pack_blocks: equal to a fresh gamma_sequence's blocks bit
-    for bit, and refused with its message, as the last block it
-    integrates is asked for first."""
-    xis = frequencies(n, xi_max)  # refuses xi_max < 0
-    generator_block(n, alpha, max(xi_max, n - 1), p)
-    return pack_blocks(n, (generator_block(n, alpha, xi, p) for xi in xis))
+    eye = np.eye(d)
+    return np.array([[np.max(np.abs(left @ right - np.outer(eye[p], eye[q])))
+                      for q, right in enumerate(rights)] for p, left in enumerate(lefts)])
 
 
 @lru_cache(maxsize=4096)
@@ -257,10 +235,14 @@ class SeparationPlan:
             object.__setattr__(self, side, terms)
 
     def evaluate(self, xi_max: int) -> MatrixSeq:
-        """The plan's sequence up to xi_max, a new one on each call: one
-        batched product over the cached generator stacks, with the scalar
-        limit of the plan."""
-        stack = partial(generator_stack, self.n, self.alpha, xi_max)
+        """The plan's sequence up to xi_max, a new one on each call, with
+        the plan's scalar limit.  Below eta0 = max(-n+1, m - 2 (n-1)) the
+        antidiagonal m - |eta| of the middle generator g_m lies past the
+        last one, 2 (d_eta - 1), so its block and the product are zero:
+        only eta0 .. xi_max are multiplied, from cached generator blocks,
+        the top first, so a block past the moment guard is refused first."""
+        n = self.n
+        blocks = np.zeros((len(frequencies(n, xi_max)), n, n))
 
         def limit(k):
             return make_gp(k, self.alpha).limit
@@ -268,10 +250,13 @@ class SeparationPlan:
         def combine(terms, f):
             return sum(c * f(k) for c, k in terms)
 
-        mid = stack(self.middle)
-        prod = combine(self.left, stack) @ mid @ mid @ combine(self.right, stack)
+        for eta in range(xi_max, max(-n + 1, self.middle - 2 * (n - 1)) - 1, -1):
+            at = partial(generator_block, n, self.alpha, eta)
+            left, mid = combine(self.left, at), at(self.middle)
+            d = len(mid)
+            blocks[eta + n - 1, :d, :d] = left @ mid @ mid @ combine(self.right, at)
         lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
-        return MatrixSeq(n=self.n, alpha=self.alpha, blocks=prod, scalar_limit=lim)
+        return MatrixSeq(n=n, alpha=self.alpha, blocks=blocks, scalar_limit=lim)
 
     def to_json_obj(self) -> dict:
         return {

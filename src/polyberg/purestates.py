@@ -15,7 +15,7 @@ closure_gap_witness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .generators import same_frequency_plan
-from .integration import entry_block
+from .integration import entry_block, entry_blocks
 from .symbols import SymbolSpec, indicator_symbol
 
 __all__ = [
@@ -175,10 +175,7 @@ def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
     from alpha, against frequency 2 with the first basis vector."""
     if n < 2:
         raise ValueError("the coincidence construction needs n >= 2")
-    u = _coincidence_vector(n, alpha)
-    v = np.zeros(n)
-    v[0] = 1.0
-    return finite_state(0, u), finite_state(2, v)
+    return finite_state(0, _coincidence_vector(n, alpha)), finite_state(2, np.eye(n)[0])
 
 
 def submatrix_coincidence_pair(n: int, eta: int) -> Tuple[PureState, PureState]:
@@ -187,11 +184,7 @@ def submatrix_coincidence_pair(n: int, eta: int) -> Tuple[PureState, PureState]:
     block is a leading principal submatrix of the positive one."""
     if not 1 <= eta <= n - 1:
         raise ValueError(f"eta must lie in [1, {n - 1}], got {eta}")
-    u = np.zeros(n - eta)
-    u[0] = 1.0
-    v = np.zeros(n)
-    v[0] = 1.0
-    return finite_state(-eta, u), finite_state(eta, v)
+    return finite_state(-eta, np.eye(n - eta)[0]), finite_state(eta, np.eye(n)[0])
 
 
 def _e0_like(u: np.ndarray) -> bool:
@@ -213,35 +206,57 @@ def _documented_coincidence(lo: PureState, hi: PureState, n: int, alpha: float) 
 
 
 @lru_cache(maxsize=256)
+def _limit_witnesses(n: int, alpha: float) -> dict:
+    return {}  # xi_max -> prefix views of one growing sequence (_limit_witness)
+
+
 def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    """The default infinity witness, the sequence of indicator_symbol(0.5),
-    returned as-is to every separation that reads it."""
-    return gamma_sequence(indicator_symbol(0.5), n, alpha, xi_max)
+    """The default infinity witness, the sequence of indicator_symbol(0.5)
+    up to xi_max, shared as-is: a prefix view of the one sequence kept per
+    (n, alpha), which a longer request grows by the frequencies it adds.
+    The panel kernel works a frequency at a time, so each equals a fresh
+    gamma_sequence bit for bit."""
+    views = _limit_witnesses(n, alpha)
+    if not views:
+        top = gamma_sequence(indicator_symbol(0.5), n, alpha, max(xi_max, n - 1))
+        views[top.xi_max] = top
+    if xi_max not in views:
+        top = views[max(views)]
+        if top.xi_max < xi_max:
+            more = entry_blocks(top.symbol, alpha, range(top.xi_max + 1, xi_max + 1), n)
+            views.clear()
+            views[xi_max] = replace(top, blocks=np.concatenate((top.blocks, more)))
+        else:
+            views[xi_max] = replace(top, blocks=top.blocks[:xi_max + n])
+    return views[xi_max]
 
 
 @lru_cache(maxsize=512)
 def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     """(plans, witnesses, complex blocks) of the same-frequency unit
-    E_{p,q} at xi, built once per key and shared as-is; the one cache of
-    plan evaluations.  For p == q: the plan and its evaluation at
-    max(xi, 0).  For p != q: the plan and its mirror (q, p),
-    and the sym and skew combinations of their evaluations, in that
-    order.  Each witness's stack is cast to complex once and held as its
-    blocks, frequency -n+1 first, so a state value costs one dot and one
-    vdot and no cast; a block with no nonzero entry is held as None, a
-    state on it has value 0.0, and none is evaluated."""
+    E_{p,q} at xi, built once per key and shared as-is.  For p == q: the
+    plan and its evaluation A at max(xi, 0); for p != q also the mirror
+    plan (q, p), with evaluation B, and the witnesses A + B and i (A - B).
+    Each witness's stack is cast to complex once, and its blocks held as
+    read-only views, frequency -n+1 first; a block that one any() over
+    the stack finds zero is held as None (a state on it has value 0.0)."""
     plan = same_frequency_plan(n, alpha, xi, p, q)
     a = plan.evaluate(max(xi, 0))
-    if p == q:
-        plans, witnesses = (plan,), (a,)
-    else:
-        mirror = same_frequency_plan(n, alpha, xi, q, p)
-        b = mirror.evaluate(max(xi, 0))
-        plans, witnesses = (plan, mirror), (a + b, 1j * (a + (-1.0) * b))
-    cast = [MatrixSeq(n, alpha, np.asarray(w.blocks, dtype=complex)) for w in witnesses]
-    blocks = tuple(tuple(b if b.any() else None for b in map(z.block, frequencies(n, z.xi_max)))
-                   for z in cast)
-    return plans, witnesses, blocks
+    plans, witnesses = (plan,), (a,)
+    if p != q:
+        plans += (same_frequency_plan(n, alpha, xi, q, p),)
+        b = plans[1].evaluate(max(xi, 0))
+        witnesses = (MatrixSeq(n, alpha, a.blocks + b.blocks, a.scalar_limit + b.scalar_limit),
+                     MatrixSeq(n, alpha, 1j * (a.blocks + (-1.0) * b.blocks),
+                               1j * (a.scalar_limit + (-1.0) * b.scalar_limit)))
+    blocks = []
+    for w in witnesses:
+        z = np.asarray(w.blocks, dtype=complex)
+        z.flags.writeable = False
+        nonzero = z.any(axis=(1, 2)).tolist()
+        blocks.append(tuple(z[i, :n + min(eta, 0), :n + min(eta, 0)] if nonzero[i] else None
+                            for i, eta in enumerate(frequencies(n, w.xi_max))))
+    return plans, witnesses, tuple(blocks)
 
 
 def separation(

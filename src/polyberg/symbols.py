@@ -153,19 +153,30 @@ def sup_abs(a: SymbolSpec) -> float:
     if a.kind in ("poly_t", "jacobi_g"):
         coeffs = _poly_coeffs(a)
         cs = np.array([complex(c) for c in coeffs])
+        # d|a|^2/dt / 2 has real coefficients, so a real companion matrix
+        # keeps a simple real root real
         deriv = cs[1:] * np.arange(1, len(cs))
-        if len(deriv) and np.any(cs.imag):
-            deriv = np.convolve(deriv, cs.conj()).real
+        deriv = (np.convolve(deriv, cs.conj()) if len(deriv) and np.any(cs.imag) else deriv).real
         # scaled into [1/2, 1) by two exact powers of two, so np.roots sees no
         # subnormal; a leading coefficient below eps would put roots near
         # 1 / eps into its companion matrix and spoil those in [0, 1]
         e = math.frexp(np.max(np.abs(deriv), initial=0.0))[1]
-        deriv = deriv * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
+        full = deriv = deriv * math.ldexp(1.0, -(e // 2)) * math.ldexp(1.0, e // 2 - e)
         while len(deriv) >= 2 and abs(deriv[-1]) < np.finfo(float).eps:
             deriv = deriv[:-1]
-        roots = np.roots(deriv[::-1])
-        inside = roots.real[(abs(roots.imag) < 1e-12) & (roots.real > 0.0) & (roots.real < 1.0)]
-        return max(abs(_poly_eval(coeffs, t)) for t in [0.0, 1.0, *inside.tolist()])
+        roots = np.roots(deriv[::-1]).real
+        roots = roots[(roots > 0.0) & (roots < 1.0)]
+        # Newton steps on the full polynomial polish each root, which a
+        # small leading coefficient can leave off; every point in [0, 1]
+        # is a lower bound, so the unpolished roots stay candidates
+        f, df = full[::-1], np.polyder(full[::-1])
+        polished = roots
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(8):
+                step = np.polyval(f, polished) / np.polyval(df, polished)
+                polished = np.clip(polished - np.where(np.isfinite(step), step, 0.0), 0.0, 1.0)
+        candidates = [0.0, 1.0, *roots.tolist(), *polished.tolist()]
+        return max(abs(_poly_eval(coeffs, t)) for t in candidates)
     if a.kind == "sampled":
         return max(abs(v) for _, v in a.points)
     raise ValueError(f"unknown symbol kind {a.kind!r}")

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, round trips."""
 
+import argparse
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from polyberg import integration, verify
-from polyberg.cli import main
+from polyberg.cli import COMMANDS, build_parser, main
 from polyberg.gammaseq import gamma_sequence, seq_from_json_obj, spectral_norm, tail_deviation
 from polyberg.generators import SeparationPlan
 from polyberg.purestates import eval_state, finite_state
@@ -421,3 +422,41 @@ def test_verify_reports_a_crashed_check(monkeypatch, capsys):
     assert lines[0].startswith("FAIL  gamma-ratio inequalities")
     assert lines[0].endswith("raised RuntimeError('boom')")
     assert lines[-1] == "14/15 checks passed, 1 failed"
+
+
+# exit code, stdout and stderr of each, as the parent's parser of every
+# subcommand gives them
+PARSE_ONLY = [["--help"], [], ["bogus"], ["gamma", "--help"], ["gamma"], ["verify", "--help"],
+              ["separate", "--help"], ["purestate", "--n", "2"], ["-h", "gamma"],
+              ["gamma", "--symbol", "{}", "--bogus"], ["verify", "--n", "x"]]
+
+
+def _subcommands(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY, ids=" ".join)
+def test_one_subcommand_parser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    full = run(lambda: build_parser().parse_args(argv))
+    assert run(lambda: main(argv)) == full
+    # only the subcommand argv names first is built
+    built = _subcommands(build_parser(argv))
+    assert built == (argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS))
+    if argv == ["bogus"]:
+        assert full == (2, "", "usage: polyberg [-h] {gamma,purestate,separate,basis,oracle,verify} ...\n"
+                        "polyberg: error: argument command: invalid choice: 'bogus' (choose from "
+                        "'gamma', 'purestate', 'separate', 'basis', 'oracle', 'verify')\n")
+    if argv == ["gamma"]:
+        assert full == (2, "", "usage: polyberg gamma [-h] [--n N] [--alpha ALPHA] [--xi-max XI_MAX] "
+                        "--symbol\n                      SYMBOL [--format {json,csv}] [--xi XI] "
+                        "[--out OUT]\npolyberg gamma: error: the following arguments are "
+                        "required: --symbol\n")

@@ -211,15 +211,16 @@ def test_every_separation_cache_is_read_again():
 
 def test_generator_caches_stay_bounded_over_many_separations():
     # off-diagonal witnesses need the plans (p, q) and (q, p), diagonal ones
-    # (p, p); every (alpha, xi) brings new plans and new stacks.  Dyadic
-    # alphas keep the exact integers short; no other test uses these.
+    # (p, p); every (alpha, xi) brings new plans and the two blocks of its
+    # family, so 52 alphas pass the 4096 generator blocks.  Dyadic alphas
+    # keep the exact integers short; no other test uses these.
     r = 1.0 / math.sqrt(2.0)
     states = (([1.0, 0.0], [0.0, 1.0]), ([r, r], [r, -r]))
     caches = {name: fn for name, fn in _caches()
               if name.startswith(("polyberg.generators.", "polyberg.purestates."))}
     limits = {name: fn.cache_info().maxsize for name, fn in caches.items()}
     misses = {name: fn.cache_info().misses for name, fn in caches.items()}
-    for alpha in (np.arange(10) + 0.5) / 8.0:
+    for alpha in (np.arange(52) + 0.5) / 8.0:
         for xi in range(40):
             for u, v in states:
                 separate(finite_state(xi, u), finite_state(xi, v), 2, float(alpha))
@@ -229,7 +230,6 @@ def test_generator_caches_stay_bounded_over_many_separations():
                 assert info.currsize <= info.maxsize, name
     for name in (
         "polyberg.generators._plan_grid",
-        "polyberg.generators.generator_stack",
         "polyberg.generators.generator_block",
         "polyberg.purestates._unit_witness",
     ):

@@ -13,14 +13,13 @@ from polyberg.generators import (
     antitriangular_report,
     generator_block,
     generator_family,
-    generator_stack,
     SeparationPlan,
     matrix_unit,
     matrix_unit_errors,
     nu_table,
     same_frequency_plan,
 )
-from polyberg import integration
+from polyberg import generators, integration
 from polyberg.integration import MAX_MOMENT_DEGREE
 from polyberg.purestates import _unit_witness
 from polyberg.symbols import make_gp
@@ -318,11 +317,14 @@ def test_evaluate_equals_per_frequency_products(n, alpha):
 
 
 def _batched_evaluation(plan, xi_max):
-    # the product L @ M @ M @ R over the generator stacks, uncached
-    def combine(terms):
-        return sum(c * generator_stack(plan.n, plan.alpha, xi_max, k) for c, k in terms)
+    # the product L @ M @ M @ R over fresh gamma_sequence stacks, uncached
+    def stack(k):
+        return gamma_sequence(make_gp(k, plan.alpha), plan.n, plan.alpha, xi_max).blocks
 
-    mid = generator_stack(plan.n, plan.alpha, xi_max, plan.middle)
+    def combine(terms):
+        return sum(c * stack(k) for c, k in terms)
+
+    mid = stack(plan.middle)
     return combine(plan.left) @ mid @ mid @ combine(plan.right)
 
 
@@ -354,37 +356,60 @@ def test_arithmetic_on_cached_witnesses_leaves_them_unchanged():
     assert again[0] is a and again[1] is b
 
 
-def test_generator_stacks_equal_fresh_sequences():
+def test_generator_blocks_equal_fresh_sequences():
     # requests in no particular order: each one integrates the blocks not
     # yet cached, or reads cached ones
     n, alpha = 3, 0.375
     for xi_max in (0, 4, 1, 9, 9, 2, 15):
         for p in (2, 5, 9):
-            want = gamma_sequence(make_gp(p, alpha), n, alpha, xi_max).blocks
-            got = generator_stack(n, alpha, xi_max, p)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (xi_max, p)
+            want = gamma_sequence(make_gp(p, alpha), n, alpha, xi_max)
             for xi in frequencies(n, xi_max):
-                assert np.array_equal(
-                    generator_block(n, alpha, xi, p), _fresh_block(n, alpha, xi, p)
-                ), (xi, p)
+                got = generator_block(n, alpha, xi, p)
+                assert got.dtype == want.blocks.dtype, (xi, p)
+                assert got.tobytes() == want.block(xi).tobytes(), (xi, p)
     with pytest.raises(ValueError, match="xi_max must be nonnegative"):
-        generator_stack(n, alpha, -1, 2)
+        same_frequency_plan(n, alpha, 0, 0, 0).evaluate(-1)
 
 
-def test_generator_stacks_refuse_where_fresh_sequences_do():
-    n, alpha, p = 2, 0.375, 40
+def test_evaluations_refuse_where_fresh_sequences_do():
+    n, alpha = 2, 0.375
     # the last frequency whose top moment degree, xi + 2 (n - 1), is admitted
     last = MAX_MOMENT_DEGREE - 2 * (n - 1)
-    # refused on the first request, and again once lower blocks are cached
+    plan = same_frequency_plan(n, alpha, last - 3, 0, 1)
+    generator_block.cache_clear()
+    # refused before any block is integrated, on the first request and
+    # again once the plan's own blocks are cached
     for xi_max in (last + 1, last + 1, 200):
+        held = generator_block.cache_info().currsize
         with pytest.raises(ValueError) as fresh:
-            gamma_sequence(make_gp(p, alpha), n, alpha, xi_max)
+            gamma_sequence(make_gp(plan.left[0][1], alpha), n, alpha, xi_max)
         with pytest.raises(ValueError) as grown:
-            generator_stack(n, alpha, xi_max, p)
+            plan.evaluate(xi_max)
         assert str(grown.value) == str(fresh.value)
-        generator_stack(n, alpha, last - 3, p)
-    want = gamma_sequence(make_gp(p, alpha), n, alpha, last).blocks
-    assert np.array_equal(generator_stack(n, alpha, last, p), want)
+        assert generator_block.cache_info().currsize == held
+        plan.evaluate(last - 3)
+    assert np.array_equal(plan.evaluate(last).blocks, _batched_evaluation(plan, last))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_evaluation_multiplies_from_the_first_nonzero_middle_block(n, alpha, monkeypatch):
+    # below eta0 = max(-n+1, m - 2 (n-1)) the middle block is an exact zero
+    # and no block is read; from eta0 on the middle block is read, and at
+    # eta0 itself it is nonzero
+    for xi, plan in _plans(n, alpha):
+        eta0 = max(-n + 1, plan.middle - 2 * (n - 1))
+        read = []
+        monkeypatch.setattr(generators, "generator_block",
+                            lambda n_, a_, eta, k: read.append(eta) or _fresh_block(n_, a_, eta, k))
+        x = plan.evaluate(9)
+        monkeypatch.undo()
+        assert set(read) == set(range(eta0, 10)), (plan, eta0)
+        assert eta0 == xi  # a family's plan starts at its own frequency
+        assert _fresh_block(n, alpha, eta0, plan.middle).any()
+        for eta in range(-n + 1, eta0):
+            assert not _fresh_block(n, alpha, eta, plan.middle).any()
+            assert not x.block(eta).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -424,12 +449,22 @@ def test_plans_are_cached():
     assert json.loads(by_int.to_json())["alpha"] == 1.0
 
 
-def test_generator_stacks_are_read_only():
+def test_evaluations_and_witness_blocks_are_read_only():
     plan = same_frequency_plan(3, 0.5, -1, 0, 1)
-    plan.evaluate(4)
-    stack = generator_stack(3, 0.5, 4, plan.middle)
-    assert stack.shape == (4 + 3, 3, 3)
+    x = plan.evaluate(4)
+    assert x.blocks.shape == (4 + 3, 3, 3)
     with pytest.raises(ValueError):
-        stack[0, 0, 0] = 1.0
+        x.blocks[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         generator_block(3, 0.5, 2, plan.middle)[0, 0] = 1.0
+    # a witness record holds views of one read-only complex stack
+    _, witnesses, blocks = _unit_witness(3, 0.5, 1, 0, 1)
+    for w, held in zip(witnesses, blocks):
+        kept = [b for b in held if b is not None]
+        assert len(held) == len(w.blocks) and kept
+        base = kept[0].base
+        assert base is not None and base.dtype == complex
+        for b in kept:
+            assert b.base is base and not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0

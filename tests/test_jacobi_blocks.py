@@ -6,7 +6,9 @@ n <= 8, dyadic alpha in (-1, 8), xi <= 150) and held to the bound of the
 integration module docstring against the Fraction oracle of conftest.
 The draws are derandomized, so the suite stays deterministic: 150 drawn
 examples and three fixed corners, about 3 s on a 2-vCPU machine, most of
-it in the oracle.
+it in the oracle.  Generator blocks are drawn too (n <= 8, dyadic alpha,
+xi from -n+1 up to the moment guard), 200 examples in about 0.5 s, for
+their antitriangular structure.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ from conftest import (
 )
 from polyberg import jacobi
 from polyberg.cli import main
+from polyberg.generators import generator_block
 from polyberg.gammaseq import gamma_matrix, gamma_sequence, spectral_norm
 from polyberg.integration import MAX_MOMENT_DEGREE, entry_block, entry_blocks
 from polyberg.symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
@@ -161,3 +164,31 @@ def test_poly_sequences_form_no_jacobi_coefficients():
     for coeffs in ([0.25, -1.0, 0.5], [0.5 + 0.25j, 0.0, -0.75j]):
         gamma_sequence(poly_t_symbol(coeffs), 8, 0.3125, 120)
     assert jacobi.q_coeffs_int.cache_info().misses == before
+
+
+@st.composite
+def generator_cases(draw):
+    # p is drawn around |xi|, where the antidiagonal p - |xi| of a block
+    # of order d runs from before its first (0) to past its last, 2 (d-1)
+    n = draw(st.integers(1, 8))
+    xi = draw(st.integers(-n + 1, MAX_MOMENT_DEGREE - 2 * (n - 1)))
+    p = abs(xi) + draw(st.integers(-3, 2 * (n - 1) + 3))
+    alpha = draw(st.integers(-15, 127)) / 16
+    return n, alpha, xi, min(max(p, 0), MAX_MOMENT_DEGREE)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(generator_cases())
+@example((8, 0.5, MAX_MOMENT_DEGREE - 14, MAX_MOMENT_DEGREE))
+@example((4, -15 / 16, -3, 0))
+def test_generator_blocks_are_antitriangular(case):
+    # entries above the antidiagonal j + k = p - |xi| are literal zeros, and
+    # those on it positive; so the block is zero exactly when p - |xi| lies
+    # past 2 (d - 1), the zero SeparationPlan.evaluate skips
+    n, alpha, xi, p = case
+    block = generator_block(n, alpha, xi, p)
+    d, anti = len(block), p - abs(xi)
+    sums = np.add.outer(np.arange(d), np.arange(d))
+    assert np.all(block[sums < anti] == 0.0)
+    assert np.all(block[sums == anti] > 0.0)
+    assert (not block.any()) == (anti > 2 * (d - 1))

@@ -95,3 +95,18 @@ def test_dir_lists_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         polyberg.no_such_name
+
+
+def test_every_module_defines_the_names_of_its_all():
+    # a name removed from a module but left in its __all__ breaks
+    # `from polyberg.<module> import *`; cli and verify declare none
+    src = os.path.dirname(polyberg.__file__)
+    modules = sorted(f[:-3] for f in os.listdir(src) if f.endswith(".py") and f != "__init__.py")
+    declared, missing = [], []
+    for module in modules:
+        mod = importlib.import_module(f"polyberg.{module}")
+        if hasattr(mod, "__all__"):
+            declared.append(module)
+            missing += [f"{module}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
+    assert "generators" in declared and len(declared) == len(modules) - 2
+    assert missing == []

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit
-from polyberg import generators, integration, purestates
+from polyberg import gammaseq, generators, integration, purestates
 from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
@@ -372,15 +372,47 @@ def test_cached_limit_witness_equals_the_indicator_sequence(n, alpha):
                 setattr(second, name, None)
 
 
+def test_limit_witness_grows_one_sequence_and_integrates_each_frequency_once(monkeypatch):
+    # requests in no particular order: a longer one integrates only the
+    # frequencies it adds, a shorter one is a read-only prefix view, and
+    # each equals a fresh sequence byte for byte
+    n, alpha, ind = 3, 0.625, indicator_symbol(0.5)
+    order = (4, 1, 6, 0, 6, 9, 2, 9)
+    wants = {x: gamma_sequence(ind, n, alpha, x) for x in order}
+    real, integrated = integration.entry_blocks, []
+
+    def spy(a, alpha_, xis, d):
+        integrated.extend(xis)
+        return real(a, alpha_, xis, d)
+
+    monkeypatch.setattr(purestates, "entry_blocks", spy)
+    monkeypatch.setattr(gammaseq, "entry_blocks", spy)
+    purestates._limit_witnesses.cache_clear()
+    seqs = [purestates._limit_witness(n, alpha, x) for x in order]
+    monkeypatch.undo()
+    assert integrated == list(range(10))
+    for x, seq in zip(order, seqs):
+        assert seq.blocks.tobytes() == wants[x].blocks.tobytes(), x
+        assert seq.scalar_limit == wants[x].scalar_limit and seq.symbol == ind
+        assert not seq.blocks.flags.writeable
+    # an equal request with no growth in between returns the same sequence
+    assert seqs[4] is seqs[2] and seqs[7] is seqs[5]
+
+
+def _clear_separation_caches():
+    for mod in (generators, purestates):
+        for val in vars(mod).values():
+            if hasattr(val, "cache_clear"):
+                val.cache_clear()
+
+
 def test_separations_integrate_each_generator_frequency_once(monkeypatch):
     # one sweep up the frequencies: same-frequency pairs (an off-diagonal
     # and a diagonal unit) and cross-frequency pairs at every xi.  Every
-    # block of a generating symbol is integrated once, however many
-    # frequencies later ask for it again; every family's nu table is
-    # solved once, and every generator stack is packed once.
-    for val in vars(generators).values():
-        if hasattr(val, "cache_clear"):
-            val.cache_clear()
+    # witness is the record of a family at xi >= 0, which integrates no
+    # generator block but its family's, each once; every family's nu
+    # table is solved once.
+    _clear_separation_caches()
     real, counts = integration.entry_blocks, collections.Counter()
 
     def spy(a, alpha, xis, d):
@@ -393,19 +425,13 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if val is real:
                     monkeypatch.setattr(mod, attr, spy)
-    real_nu, real_stack = generators.nu_table, generators.generator_stack
-    families, stacks = collections.Counter(), collections.Counter()
+    real_nu, families = generators.nu_table, collections.Counter()
 
     def nu_spy(gs, *args, **kwargs):
         families[tuple(g.tobytes() for g in gs)] += 1
         return real_nu(gs, *args, **kwargs)
 
-    def stack_spy(*key):
-        stacks[key] += 1
-        return real_stack(*key)
-
     monkeypatch.setattr(generators, "nu_table", nu_spy)
-    monkeypatch.setattr(generators, "generator_stack", stack_spy)
     n, alpha = 3, 0.5
     e0, e1, e2 = np.eye(n)
     for xi in range(31):
@@ -413,16 +439,23 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
         separate(finite_state(xi, e0), finite_state(xi, e2), n, alpha)
         for lo in range(-n + 1, xi):
             separate(finite_state(lo, np.eye(min(n + lo, n))[0]), finite_state(xi, e1), n, alpha)
-    assert counts
-    assert [key for key, c in counts.items() if c > 1] == []
+    # the family at xi: symbols n - 1 + xi + j, j < n
+    assert set(counts) == {(n - 1 + xi + j, xi) for xi in range(31) for j in range(n)}
+    assert set(counts.values()) == {1}
     assert len(families) == 31 and set(families.values()) == {1}  # xi = 0 .. 30
-    assert stacks and real_stack.cache_info().misses == len(stacks)
+    assert generators.generator_block.cache_info().misses == 31 * n
+    # a cold pair far up: only the two blocks of its family at xi = 150
+    _clear_separation_caches()
+    counts.clear()
+    separate(finite_state(150, [1.0, 0.0]), finite_state(150, [0.0, 1.0]), 2, alpha)
+    assert generators.generator_block.cache_info().misses == 2
+    assert set(counts) == {(151, 150), (152, 150)}
 
 
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
-    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_stack)
+    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+              generators.generator_block)
     before = [c.cache_info() for c in caches]
     for alpha in (float("nan"), -1.5, -1.0):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
@@ -443,8 +476,8 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (finite_state(-1, [r, r]), finite_state(1, [0.0, 1.0])),
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
-    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_stack, generators.generator_block)
+    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+              generators.generator_block)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
     for s1, s2 in pairs:
@@ -457,8 +490,8 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
 def test_separation_refuses_an_infinity_witness_for_two_finite_states():
     # the witness is read only for a pair with the limit state; it is
     # refused before any cache, and before the coincidence families
-    caches = (purestates._limit_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_stack, generators.generator_block)
+    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+              generators.generator_block)
     before = [c.cache_info() for c in caches]
     e0 = [1.0, 0.0]
     pairs = [

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyberg.jacobi import MAX_MOMENT_DEGREE, JacobiParams, q_coeffs, q_eval
 from polyberg.symbols import (
@@ -136,6 +138,47 @@ def test_sup_abs_meets_a_fine_grid():
         assert seen <= sup_abs(sym) * (1 + 1e-14)
         assert sup_abs(sym) == pytest.approx(seen, rel=1e-9)
     assert sup_abs(poly_t_symbol(cases[0])) == pytest.approx(1.722455, abs=1e-6)
+
+
+# a real polynomial whose critical point near t = 0.99993 np.roots placed
+# 5e-12 off the real axis when the critical-point polynomial was complex;
+# sup_abs then read 0.7589136245732027, the value at t = 1
+UNDERESTIMATED = (1.1977782919893354e-11, 0.853313957148699, 4.9517698508430886e-05,
+                  -4.6126645421364553e-07, 9.105494725593587e-15, -2.4266922391593602e-15,
+                  0.0012903291175773868, 8.12319687656696e-12, 7.335918301536188e-15,
+                  -0.09573971814543934, 1.9653110062415813e-13)
+
+
+def test_sup_abs_finds_a_critical_point_near_one():
+    sym = poly_t_symbol(UNDERESTIMATED)
+    seen = np.max(np.abs(eval_at_t(sym, np.linspace(0.0, 1.0, 200001))))
+    assert seen * (1 - 1e-12) <= sup_abs(sym) <= seen * (1 + 1e-9)
+
+
+# coefficients of mixed magnitudes, down to 1e-16 of the largest, as in
+# the case above
+mixed = st.tuples(st.floats(-1.0, 1.0, allow_nan=False), st.integers(0, 16)).map(
+    lambda c: c[0] * 10.0 ** -c[1])
+
+
+@st.composite
+def polynomials(draw):
+    m = draw(st.integers(0, 10))
+    coeffs = draw(st.lists(mixed, min_size=m + 1, max_size=m + 1))
+    if draw(st.booleans()):
+        imag = draw(st.lists(mixed, min_size=m + 1, max_size=m + 1))
+        coeffs = [complex(re, im) for re, im in zip(coeffs, imag)]
+    return coeffs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(polynomials())
+@example(list(UNDERESTIMATED))
+def test_sup_abs_is_never_below_a_grid(coeffs):
+    # 300 drawn real and complex polynomials of degree <= 10, about 2 s
+    sym = poly_t_symbol(coeffs)
+    seen = np.max(np.abs(eval_at_t(sym, np.linspace(0.0, 1.0, 20001))))
+    assert sup_abs(sym) >= seen * (1 - 1e-12)
 
 
 def test_json_round_trip():
