@@ -214,8 +214,8 @@ def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
     """The default infinity witness, the sequence of indicator_symbol(0.5)
     up to xi_max, shared as-is: a prefix view of the one sequence kept per
     (n, alpha), which a longer request grows by the frequencies it adds.
-    The panel kernel works a frequency at a time, so each equals a fresh
-    gamma_sequence bit for bit."""
+    A block does not depend on the range it is requested in, so each
+    equals a fresh gamma_sequence bit for bit."""
     views = _limit_witnesses(n, alpha)
     if not views:
         top = gamma_sequence(indicator_symbol(0.5), n, alpha, max(xi_max, n - 1))

@@ -1,21 +1,19 @@
-"""Scalar Gamma/Beta kernels, Gauss-Legendre rules and two elementary
+"""Scalar Gamma/Beta kernels, the Jacobi recurrence and two elementary
 Gamma-ratio inequalities.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  log_gamma is math.lgamma behind a domain check.  The
 regularized incomplete Beta is the continued fraction of DLMF 8.17.22,
 evaluated by the modified Lentz method (Thompson & Barnett, J. Comput.
-Phys. 64, 1986) behind a log-gamma front factor.  Gauss-Legendre rules
-on [-1, 1] come from Newton's method on the Legendre recurrence, and
-gauss_size sizes them from their Bernstein ellipse; with
-jacobi_recurrence they make the panel rule of the indicator and sampled
-blocks.
+Phys. 64, 1986) behind a log-gamma front factor; the indicator and
+sampled blocks take the same fraction behind a front factor of their own.
+jacobi_recurrence gives the Jacobi matrices those blocks and the
+polynomial blocks are built on.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +21,6 @@ __all__ = [
     "log_gamma",
     "beta",
     "jacobi_recurrence",
-    "gauss_size",
-    "legendre_rule",
     "reg_incomplete_beta",
     "wendel_bound_holds",
     "binom_bound_holds",
@@ -33,10 +29,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 
-# a Gauss rule is sized for this accuracy; it refuses more nodes than
-# MAX_GAUSS_SIZE
-_GAUSS_LOG_TOL = math.log(1e-16)
-MAX_GAUSS_SIZE = 1024
 # the incomplete Beta's continued fraction stops at this many terms (it
 # needs about 2200 at p = q = 10^7)
 MAX_FRACTION_TERMS = 10000
@@ -69,40 +61,6 @@ def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, n
     return np.concatenate([(b + 1.0) / (a + b + 2.0), rest], axis=1), off
 
 
-@lru_cache(maxsize=64)
-def legendre_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of `size` nodes on [-1, 1], as shared read-only
-    arrays: the nodes, and the weights in numpy.longdouble.  Newton's method
-    on the recurrence (k+1) P_(k+1) = (2k+1) u P_k - k P_(k-1), run in
-    longdouble from the first guesses -cos(pi (4i - 1) / (4 size + 2))."""
-    u = -np.cos(np.pi * (4.0 * np.arange(1, size + 1) - 1.0) / (4 * size + 2))
-    u = u.astype(np.longdouble)
-    for _ in range(5):
-        prev, cur = np.ones_like(u), u
-        for k in range(1, size):
-            prev, cur = cur, ((2 * k + 1) * u * cur - k * prev) / (k + 1)
-        slope = size * (u * cur - prev) / (u * u - 1)
-        u = u - cur / slope
-    weights = 2 / ((1 - u * u) * slope * slope)
-    nodes = u.astype(float)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def gauss_size(z, degree: int):
-    """Nodes a Gauss rule on an interval needs for a polynomial of the given
-    degree times a function analytic inside the Bernstein ellipse through
-    the point z > 1 half-widths from the interval's center (a positive
-    power of a singular factor counts in the degree).  The error decays
-    like rho^(-2 size), rho = z + sqrt(z^2 - 1) (Trefethen, SIAM Review 50,
-    2008).  z may be an array of intervals."""
-    size = degree // 2 + 1 + np.ceil(-_GAUSS_LOG_TOL / (2.0 * np.arccosh(z))).astype(int)
-    if np.max(size) > MAX_GAUSS_SIZE:
-        raise ValueError(f"a Gauss rule would need {np.max(size)} nodes, "
-                         f"more than {MAX_GAUSS_SIZE}")
-    return size
-
-
 def reg_incomplete_beta(x: float, p: float, q: float) -> float:
     """Regularized incomplete Beta I_x(p, q) = (1/B(p, q)) * integral of
     t^(p-1) (1-t)^(q-1) over [0, x] = x^p (1-x)^q / (p B(p, q)) / f, with
@@ -124,8 +82,16 @@ def reg_incomplete_beta(x: float, p: float, q: float) -> float:
     switch = x > (p + 1.0) / (p + q + 2.0)
     if switch:
         x, p, q = 1.0 - x, q, p
-    # modified Lentz (Thompson & Barnett 1986): f is the product of the
-    # ratios c d of successive convergents; 1e-300 stands in for a zero
+    value = math.exp(log_gamma(p + q) - log_gamma(p) - log_gamma(q)
+                     + p * math.log(x) + q * math.log1p(-x)) / (p * _beta_fraction(x, p, q))
+    return 1.0 - value if switch else value
+
+
+def _beta_fraction(x: float, p: float, q: float) -> float:
+    # the continued fraction f = 1 + d_1 / (1 + d_2 / (1 + ...)) of DLMF
+    # 8.17.22, I_x(p, q) = x^p (1-x)^q / (p B(p, q)) / f, by the modified
+    # Lentz method (Thompson & Barnett 1986): f is the product of the ratios
+    # c d of successive convergents; 1e-300 stands in for a zero
     f, c, d = 1.0, 1.0, 0.0
     for k in range(1, MAX_FRACTION_TERMS + 1):
         m = k // 2
@@ -137,9 +103,7 @@ def reg_incomplete_beta(x: float, p: float, q: float) -> float:
         c = (1.0 + dk / c) or 1e-300
         f *= c * d
         if abs(c * d - 1.0) <= _EPS:
-            value = math.exp(log_gamma(p + q) - log_gamma(p) - log_gamma(q)
-                             + p * math.log(x) + q * math.log1p(-x)) / (p * f)
-            return 1.0 - value if switch else value
+            return f
     raise ValueError("reg_incomplete_beta: the continued fraction has not "
                      f"converged after {MAX_FRACTION_TERMS} terms")
 

@@ -143,16 +143,19 @@ def eval_at_t(a: SymbolSpec, t):
 def sup_abs(a: SymbolSpec) -> float:
     """Supremum of |a| over [0, 1).
 
-    Exact for const/indicator; for polynomials the critical points of |a|,
-    where Re(a' conj(a)) = 0, are solved so the maximum is no grid estimate.
+    Exact for const/indicator, and for g_p = P_p^(alpha,0)(2t - 1) the
+    larger of |g_p(0)| = 1 and g_p(1) (Szego, Theorem 7.32.1); for a poly_t
+    the critical points of |a|, where Re(a' conj(a)) = 0, are solved so the
+    maximum is no grid estimate.
     """
     if a.kind == "const":
         return abs(a.value)
     if a.kind == "indicator":
         return 1.0
-    if a.kind in ("poly_t", "jacobi_g"):
-        coeffs = _poly_coeffs(a)
-        cs = np.array([complex(c) for c in coeffs])
+    if a.kind == "jacobi_g":
+        return max(a.limit, 1.0)
+    if a.kind == "poly_t":
+        cs = np.array([complex(c) for c in a.coeffs])
         # d|a|^2/dt / 2 has real coefficients, so a real companion matrix
         # keeps a simple real root real
         deriv = cs[1:] * np.arange(1, len(cs))
@@ -176,7 +179,7 @@ def sup_abs(a: SymbolSpec) -> float:
                 step = np.polyval(f, polished) / np.polyval(df, polished)
                 polished = np.clip(polished - np.where(np.isfinite(step), step, 0.0), 0.0, 1.0)
         candidates = [0.0, 1.0, *roots.tolist(), *polished.tolist()]
-        return max(abs(_poly_eval(coeffs, t)) for t in candidates)
+        return max(abs(_poly_eval(a.coeffs, t)) for t in candidates)
     if a.kind == "sampled":
         return max(abs(v) for _, v in a.points)
     raise ValueError(f"unknown symbol kind {a.kind!r}")

@@ -6,7 +6,10 @@ Fraction oracles and the symbol moments E_m = integral of a(sqrt(t)) t^m
 (1-t)^alpha over [0, 1] in mpmath at 80 digits.  The moments are summed
 segment by segment of the symbol (the indicator's [0, s^2]; the sampled
 table's flat ends and linear pieces), so the reference shares neither
-the panel rule nor the split a = level + r of the package.
+the closed forms nor the split a = level + r of the package.  Indicator
+blocks are also drawn by hypothesis (derandomized, 200 examples and two
+fixed corners, about 2.5 s on a 2-vCPU machine, most of it in the
+reference).
 """
 
 import math
@@ -14,10 +17,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
 from polyberg.gammaseq import gamma_sequence
-from polyberg.integration import beta_entry, entry_block, entry_blocks
+from polyberg.integration import MAX_MOMENT_DEGREE, beta_entry, entry_block, entry_blocks
 from polyberg.symbols import SymbolSpec, indicator_symbol, sampled_symbol, sup_abs
 
 mpmath = pytest.importorskip("mpmath")
@@ -157,8 +162,8 @@ def test_float_blocks_are_exactly_symmetric_and_agree_with_entries():
 
 
 def test_float_blocks_refuse_cut_too_close_to_one():
-    # the panels halve toward the cut x down to 1 - x, so they resolve every
-    # cut below 1; only a symbol built around the constructors reaches 1
+    # the closed forms hold at every cut below 1, however close; only a
+    # symbol built around the constructors reaches 1
     with pytest.raises(ValueError, match="must lie in"):
         sampled_symbol([(0.0, 0.0), (1.0, 1.0)])
     with pytest.raises(ValueError, match=r"cut 1.0 must lie in \(0, 1\)"):
@@ -172,8 +177,8 @@ def test_float_blocks_refuse_cut_too_close_to_one():
 
 
 def _long_table():
-    # 2048 even knots up to t = 1 - 1/2048: a panel between each pair of
-    # knots, so the rule holds thousands of nodes
+    # 2048 even knots up to t = 1 - 1/2048: thousands of hinges, so the
+    # kernel works through a range one frequency at a time
     ts = np.linspace(0.0, 1.0, 2049)[:-1]
     return [(float(t), float(0.5 + 0.4 * np.cos(3.0 * t) - 0.3 * t * t)) for t in ts]
 
@@ -201,13 +206,14 @@ def test_stacked_blocks_equal_single_frequency_calls(a, alpha, top, d):
 
 
 @pytest.mark.parametrize("a, n, xi_max", [
-    (sampled_symbol(_long_table()), 8, 10),  # 2048 knots: thousands of nodes
+    (sampled_symbol(_long_table()), 8, 10),  # 2048 knots: one frequency a chunk
     (indicator_symbol(0.9999), 1, 2),  # a cut near 1
 ])
 def test_sequence_working_set_stays_at_one_chunk(a, n, xi_max):
-    # the kernel works through the range a frequency at a time, so the whole
-    # sequence peaks where a single block does; a kernel holding the products
-    # of every frequency at once needs xi_max + 1 times that
+    # the kernel works through the range in chunks of frequencies sized to
+    # the number of cuts, so the whole sequence peaks where a single block
+    # does; a kernel holding the products of every frequency at once needs
+    # xi_max + 1 times that
     tracemalloc.start()
     try:
         entry_block(a, 0.0, xi_max, n)
@@ -218,3 +224,49 @@ def test_sequence_working_set_stays_at_one_chunk(a, n, xi_max):
     finally:
         tracemalloc.stop()
     assert whole < 1.25 * one, (whole, one)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def indicator_cases(draw):
+    n = draw(st.integers(1, 8))
+    alpha = draw(st.integers(-15, 127)) / 16
+    s = draw(st.floats(0.05, 0.9999))
+    return n, alpha, s, draw(st.integers(-n + 1, MAX_MOMENT_DEGREE - 2 * (n - 1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(indicator_cases())
+@example((7, -0.8125, 0.99904, 88))
+@example((8, -0.9375, 0.9999, MAX_MOMENT_DEGREE - 14))
+def test_drawn_indicator_blocks_match_mpmath(case):
+    # n <= 8, dyadic alpha = k/16 in (-1, 8), s in (0.05, 0.9999) and xi
+    # from -n + 1 up to the moment guard: the 1e-12 bound, exact symmetry,
+    # PSD, norm at most sup|a| = 1, and a negative frequency's block the
+    # leading submatrix of the order-n block at |xi|
+    n, alpha, s, xi = case
+    got = _check(indicator_symbol(s), _indicator_pieces(s), n, alpha, xi)
+    assert np.array_equal(got, got.T)
+    eigs = np.linalg.eigvalsh(got)
+    assert eigs[0] >= -1e-13 and eigs[-1] <= 1.0 + 1e-13, eigs
+    if xi < 0:
+        d = n + xi
+        assert np.array_equal(got, entry_block(indicator_symbol(s), alpha, -xi, n)[:d, :d])
+
+
+@pytest.mark.parametrize("alpha, xi", [(0.5, 0), (-0.5, 30), (2.25, 120)])
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.9])
+def test_steep_tables_keep_the_hinge_bound(t, alpha, xi):
+    # a 0 -> 1 ramp 1e-3, 1e-6 and 1e-9 wide: the hinge sum loses about
+    # eps sum_q |c_q|, c_q the changes of slope, and is not refused
+    for width in (1e-3, 1e-6, 1e-9):
+        points = [(0.0, 0.0), (t, 0.0), (t + width, 1.0)]
+        ts, vs = np.array(points).T
+        slopes = np.abs(np.diff(np.diff(vs) / np.diff(ts), prepend=0.0, append=0.0)).sum()
+        a = sampled_symbol(points)
+        with mpmath.workdps(DPS):
+            want = _reference_block(_sampled_pieces(points), alpha, xi, 4)
+        err = float(np.max(np.abs(entry_block(a, alpha, xi, 4) - want)))
+        assert err <= 1e-12 * max(1.0, sup_abs(a)) + 2 * EPS * slopes, (width, err)

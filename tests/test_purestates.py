@@ -316,13 +316,13 @@ def test_separation_gap_is_at_least_the_state_difference(rng):
 
 def test_state_integral_builds_one_block(monkeypatch, rng):
     calls = []
-    real = integration._panel_blocks
+    real = integration._cut_blocks
 
     def counted(a, alpha, xis, d):
         calls.append((xis, d))
         return real(a, alpha, xis, d)
 
-    monkeypatch.setattr(integration, "_panel_blocks", counted)
+    monkeypatch.setattr(integration, "_cut_blocks", counted)
     u = unit(rng.normal(size=4) + 1j * rng.normal(size=4))
     eval_state_integral(1, u, indicator_symbol(0.7), 4, 0.5)
     assert calls == [(range(1, 2), 4)]

@@ -207,3 +207,16 @@ def test_json_bad_input():
         symbol_from_json_obj({"kind": "nope"})
     with pytest.raises(ValueError):
         symbol_from_json_obj([1, 2, 3])
+
+
+@pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 2.75, 7.5])
+def test_generator_sup_is_the_larger_end_value(alpha):
+    # g_p(t) = P_p^(alpha, 0)(2t - 1) in mpmath on a grid that is dense near
+    # both ends, where |g_p| peaks (Szego, Theorem 7.32.1).  Read off the
+    # float monomials, g_30 at alpha = 2.75 gave 661248 for a supremum of
+    # 3079, and g_64 at alpha = 7.5 gave 1.3e32 for 4.0e9.
+    mpmath = pytest.importorskip("mpmath")
+    grid = [(1 - mpmath.cos(mpmath.pi * i / 64)) / 2 for i in range(65)]
+    for p in (0, 1, 12, 20, 30, 40, 64, 100, 192):
+        seen = max(abs(mpmath.jacobi(p, alpha, 0, 2 * t - 1)) for t in grid)
+        assert sup_abs(make_gp(p, alpha)) == pytest.approx(float(seen), rel=1e-13), p
