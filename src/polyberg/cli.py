@@ -12,6 +12,7 @@ verification modules are imported by the commands that use them, so a
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -260,13 +261,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one polyberg command and return its exit code.
+
+    Every exit, argparse's SystemExit included, leaves the collector
+    frozen (gc.freeze).  At exit the interpreter runs full collections
+    over every tracked object, mostly numpy's import-time heap, even with
+    the collector disabled; they skip frozen objects, so a one-shot
+    process skips that work (see the README).  A caller that runs main
+    in-process and keeps going may call gc.unfreeze() to let the
+    collector see those objects again."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser(argv).parse_args(argv)
+        try:
+            return args.fn(args)
+        except (ValueError, IndexError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        gc.freeze()
 
 
 def console_main() -> None:

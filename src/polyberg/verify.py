@@ -62,8 +62,7 @@ def gamma_ratio_violations(rng, draws: int) -> int:
 def beta_asymmetry(rng, draws: int, lo: float, hi: float) -> float:
     """Largest |B(x, y) - B(y, x)| / B(x, y) over random x, y in [lo, hi]."""
     worst = 0.0
-    for _ in range(draws):
-        x, y = (float(v) for v in rng.uniform(lo, hi, size=2))
+    for x, y in rng.uniform(lo, hi, size=(draws, 2)).tolist():
         bxy = special_fn.beta(x, y)
         worst = max(worst, abs(bxy - special_fn.beta(y, x)) / bxy)
     return worst
@@ -162,10 +161,10 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
         symmetric = symmetric and all(np.array_equal(g, g.T) for g in (ga, gb, gc))
     min_eig, norm_excess = math.inf, -math.inf
     for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
-        s2 = gamma_sequence(sym, n, alpha, xi_max)
+        s2, sup = gamma_sequence(sym, n, alpha, xi_max), sup_abs(sym)
         for b in map(s2.block, frequencies(n, xi_max)):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(b).min()))
-            norm_excess = max(norm_excess, spectral_norm(b) - sup_abs(sym))
+            norm_excess = max(norm_excess, spectral_norm(b) - sup)
     return id_dev, lin_dev, symmetric, min_eig, norm_excess
 
 

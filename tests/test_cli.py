@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, round trips."""
 
 import argparse
+import gc
 import json
 import warnings
 
@@ -125,6 +126,20 @@ def test_gamma_json_is_reproducible(tmp_path):
 
 
 CONST = '{"kind":"const","value":1}'
+
+
+@pytest.fixture
+def unfrozen():
+    gc.unfreeze()
+    yield
+    gc.unfreeze()
+
+
+def test_main_leaves_the_heap_frozen(unfrozen, capsys):
+    # the exit-time collections of a one-shot process skip frozen objects
+    assert gc.get_freeze_count() == 0
+    assert main(["gamma", "--n", "2", "--xi-max", "2", "--symbol", CONST]) == 0
+    assert gc.get_freeze_count() > 0
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from polyberg import integration
+from polyberg import integration, verify
 from polyberg.gammaseq import (
     MatrixSeq,
     block_csv,
@@ -108,6 +108,14 @@ def test_identity_deviation_integrates_the_unit_symbol(monkeypatch):
         [(4 * num, den) for num, den in norms] for norms in real(*args)))
     patched = sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))[0]
     assert unpatched < 1e-12 < patched
+
+
+def test_sequence_basics_finds_each_sup_once(monkeypatch):
+    # sup_abs root-finds, and its value does not depend on the block
+    kinds = []
+    monkeypatch.setattr(verify, "sup_abs", lambda sym: kinds.append(sym.kind) or sup_abs(sym))
+    sequence_basics(3, 0.5, 6, [0.3], [0.1], (0,))
+    assert kinds == ["indicator", "poly_t"]
 
 
 def test_negative_submatrix_relation():

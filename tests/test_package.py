@@ -2,17 +2,21 @@
 
 `import polyberg` loads no module; each public name is imported from its
 module on first lookup, so a `polyberg gamma` process loads only the
-sequence path.
+sequence path.  A process run by `cli.main` exits with the heap frozen.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
 import polyberg
+from polyberg.gammaseq import gamma_sequence, seq_to_json_obj
+from polyberg.symbols import symbol_from_json_obj
 
 GAMMA_PATH = {"cli", "gammaseq", "integration", "jacobi", "special_fn", "symbols"}
 
@@ -29,28 +33,61 @@ def test_cli_import_loads_only_the_sequence_path():
     assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
 
 
-def _cli_run(argv, timeout=60):
-    """Exit code of `polyberg <argv>` in a fresh interpreter, the polyberg
-    modules it loaded (without the prefix), and which of numpy.polynomial,
-    fractions and decimal it loaded."""
+class CliRun(NamedTuple):
+    code: int
+    modules: set       # the polyberg modules loaded, without the prefix
+    others: set        # which of numpy.polynomial, fractions and decimal
+    frozen: int        # gc.get_freeze_count() once main has returned
+    stderr: str
+
+
+def _cli_run(argv, timeout=60) -> CliRun:
+    """`polyberg <argv>` run by main in a fresh interpreter; an argparse
+    exit counts as main's return."""
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys; from polyberg.cli import main; "
-            f"code = main({argv!r}); "
-            "print(code, *(m for m in sys.modules if m.startswith('polyberg.') "
+    code = ("import gc, sys; from polyberg.cli import main\n"
+            f"try: code = main({argv!r})\n"
+            "except SystemExit as exc: code = exc.code\n"
+            "print(code, gc.get_freeze_count(), *(m for m in sys.modules "
+            "if m.startswith('polyberg.') "
             "or m in ('numpy.polynomial', 'fractions', 'decimal')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=timeout).stdout
-    code, *loaded = out.splitlines()[-1].split()
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=timeout)
+    code, frozen, *loaded = run.stdout.splitlines()[-1].split()
     modules = {m.removeprefix("polyberg.") for m in loaded if m.startswith("polyberg.")}
-    return int(code), modules, set(loaded) - {f"polyberg.{m}" for m in modules}
+    return CliRun(int(code), modules, set(loaded) - {f"polyberg.{m}" for m in modules},
+                  int(frozen), run.stderr)
+
+
+def test_gamma_process_exits_frozen_with_its_whole_output(tmp_path):
+    # the exit-time collections skip the frozen heap; the file is closed
+    # before main returns, so it holds what an in-process call computes
+    out = tmp_path / "seq.json"
+    symbol = '{"kind":"poly_t","coeffs":[0.5,-1,0.25]}'
+    run = _cli_run(["gamma", "--n", "4", "--alpha", "0.5", "--xi-max", "12",
+                    "--symbol", symbol, "--out", str(out)])
+    assert run.code == 0 and run.frozen > 0
+    seq = gamma_sequence(symbol_from_json_obj(json.loads(symbol), alpha=0.5), 4, 0.5, 12)
+    assert out.read_text(encoding="utf-8") == json.dumps(seq_to_json_obj(seq))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma", "--n", "four", "--symbol", '{"kind":"const","value":1}'],
+     "error: argument --n: invalid int value: 'four'"),
+    (["gamma", "--symbol", "{"], "error: symbol is not valid JSON"),
+], ids=["argparse", "command"])
+def test_usage_error_exits_frozen(argv, message):
+    run = _cli_run(argv)
+    assert run.code == 2 and run.frozen > 0
+    assert message in run.stderr
 
 
 def test_oracle_loads_only_the_sequence_path_and_the_oracle():
     # the comparison reads gamma_sequence; generators, purestates and
     # verify stay unloaded, and the closed-form Gauss-Legendre rule needs
     # no numpy.polynomial
-    code, modules, others = _cli_run(
+    code, modules, others, *_ = _cli_run(
         ["oracle", "--n", "2", "--xi-max", "1", "--symbol", '{"kind":"const","value":1}'])
     assert code == 0
     assert modules == GAMMA_PATH | {"bergman_oracle"}
@@ -60,20 +97,20 @@ def test_oracle_loads_only_the_sequence_path_and_the_oracle():
 def test_verify_loads_no_exact_rationals():
     # verify reads float coefficients off the integer path; fractions and
     # decimal stay for the test oracles
-    code, _, others = _cli_run(["verify", "--n", "2", "--seed", "0"], timeout=120)
+    code, _, others, *_ = _cli_run(["verify", "--n", "2", "--seed", "0"], timeout=120)
     assert code == 0
     assert not others & {"fractions", "decimal"}
 
 
 def test_verify_loads_no_oracle():
     # no check of `polyberg verify` runs the 2D quadrature
-    code, modules, _ = _cli_run(["verify", "--n", "3", "--seed", "1"], timeout=120)
+    code, modules, *_ = _cli_run(["verify", "--n", "3", "--seed", "1"], timeout=120)
     assert code == 0
     assert "bergman_oracle" not in modules
 
 
 def test_basis_loads_only_the_sequence_path_and_the_generators():
-    code, modules, _ = _cli_run(["basis", "--n", "3", "--alpha", "0.5", "--xi", "2"])
+    code, modules, *_ = _cli_run(["basis", "--n", "3", "--alpha", "0.5", "--xi", "2"])
     assert code == 0
     assert modules == GAMMA_PATH | {"generators"}
 

@@ -47,6 +47,21 @@ def test_beta_symmetry(rng):
     assert beta_asymmetry(rng, 300, 0.02, 50.0) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_beta_asymmetry_draws_the_pairs_of_the_per_pair_loop(seed, monkeypatch):
+    # one (draws, 2) call gives the pairs of draws calls of size 2 and
+    # leaves the stream where they do, so the later checks of
+    # `polyberg verify --seed k` read the same numbers
+    ref = np.random.default_rng(seed)
+    want = [tuple(float(v) for v in ref.uniform(0.05, 40.0, size=2)) for _ in range(200)]
+    seen = []
+    monkeypatch.setattr(special_fn, "beta", lambda x, y: seen.append((x, y)) or beta(x, y))
+    rng = np.random.default_rng(seed)
+    beta_asymmetry(rng, 200, 0.05, 40.0)
+    assert seen[::2] == want
+    assert rng.random() == ref.random()
+
+
 def test_beta_domain():
     with pytest.raises(ValueError):
         beta(0.0, 1.0)
