@@ -17,8 +17,7 @@ _EXPORTS = {
                    "antitriangular_report", "matrix_unit",
                    "nu_table", "same_frequency_plan"),
     "integration": ("beta_entry",),
-    "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound",
-               "q_coeffs", "q_eval"),
+    "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound", "q_eval"),
     "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
                    "coincidence_pair", "eval_state", "eval_state_integral",
                    "finite_state", "limit_state", "separate",

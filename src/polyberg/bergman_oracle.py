@@ -1,17 +1,19 @@
 """Independent verification path: disk polynomials and brute-force 2D
 quadrature of Toeplitz matrix elements over the weighted unit disk.
 
-The quadrature reuses none of the entry-integral machinery; polynomials,
-the weight and the symbol are evaluated pointwise on a tensor grid:
-uniform angular nodes, which integrate the occurring trigonometric
-frequencies exactly, times composite Gauss-Legendre panels in
-u = sqrt(1 - t), t = r^2.  That variable absorbs the area Jacobian and
-turns the weight (1-t)^alpha dt into 2 u^(2 alpha + 1) du, a polynomial
-for half-integer alpha and never singular at the boundary for
-alpha >= 0.  `oracle_gaps` compares the
+The quadrature reuses no entry kernel.  It evaluates the polynomials (by
+jacobi.q_eval, the recurrence the blocks also run), the weight and the
+symbol pointwise and integrates them against the true weight by brute
+force, so a wrong recurrence would show, as a constant symbol's block
+differing from I.  The grid: uniform angular nodes, which integrate the
+occurring trigonometric frequencies exactly, times composite
+Gauss-Legendre panels in u = sqrt(1 - t), t = r^2.  That variable absorbs
+the area Jacobian and turns the weight (1-t)^alpha dt into
+2 u^(2 alpha + 1) du, a polynomial for half-integer alpha and never
+singular at the boundary for alpha >= 0.  `oracle_gaps` compares the
 quadrature with gamma_sequence, which it reads only for that comparison,
-so `polyberg oracle` loads the sequence path and this module alone.
-Per call it builds one radial rule, and per frequency one table of the
+so `polyberg oracle` loads the sequence path and this module alone.  Per
+call it builds one radial rule, and per frequency one table of the
 block's disk polynomials on the shared grid, whose Gram contraction is
 the whole block.
 """

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import jacobi
 from .jacobi import MAX_MOMENT_DEGREE
-from .special_fn import _beta_fraction, jacobi_recurrence
+from .special_fn import _beta_fraction, jacobi_recurrence, jacobi_values
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -97,10 +97,11 @@ def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
     return math.sqrt((nj * nk) / (dj * dk))
 
 
-def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
+def weighted_product_integral(coeffs, alpha: float, xi_abs: int, den: int = 1) -> float:
     """Exact integral of a real-coefficient polynomial against the
-    (alpha, xi_abs) weight: sum of coeffs[d] * moment(d).  Coefficients
-    may be floats or exact rationals."""
+    (alpha, xi_abs) weight, rounded once: sum of coeffs[d] * moment(d) / den.
+    Coefficients may be floats or exact rationals, such as integer
+    numerators over their common denominator den."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     if xi_abs < 0:
@@ -108,10 +109,10 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int) -> float:
     # floats (and anything that is not an exact rational) at their binary value
     ratios = [(c if isinstance(c, numbers.Rational) else float(c)).as_integer_ratio()
               for c in coeffs]
-    den = math.lcm(*(d for _, d in ratios))
+    lcm = math.lcm(*(d for _, d in ratios))
     moments, mden = next(_moments(*jacobi.dyadic(alpha), range(xi_abs, xi_abs + 1),
                                   len(ratios) - 1))
-    return sum(n * (den // d) * m for (n, d), m in zip(ratios, moments)) / (den * mden)
+    return sum(n * (lcm // d) * m for (n, d), m in zip(ratios, moments)) / (lcm * den * mden)
 
 
 def _hinges(a: SymbolSpec):
@@ -148,16 +149,6 @@ def _cut_weights(x: np.ndarray, alpha: float):
     return w1, m00
 
 
-def _values(x: np.ndarray, diag: np.ndarray, off: np.ndarray, size: int) -> np.ndarray:
-    # the orthonormal polynomials 0 .. size - 1 at the cuts x (a column),
-    # for each recurrence row: (cuts, rows, size)
-    vals = np.ones((size, len(x), len(diag)))
-    for m in range(size - 1):
-        vals[m + 1] = ((x - diag[:, m]) * vals[m]
-                       - (off[:, m - 1] * vals[m - 1] if m else 0.0)) / off[:, m]
-    return vals.transpose(1, 2, 0)
-
-
 # frequencies per chunk over the number of cuts: a chunk holds (cuts, 2,
 # frequencies, d + 1, d + 1) products, so a sequence of a long table peaks
 # where one of its blocks does
@@ -186,8 +177,9 @@ def _cut_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
         diag, off = jacobi_recurrence(alpha, xi, d + 1)
         rdiag, roff = jacobi_recurrence(alpha + 1.0, xi + 1.0, d)
         kappa = j[1:] * np.cumprod(np.concatenate([np.ones_like(xi), roff], axis=1) / off, axis=1)
-        p = _values(x, diag, off, d + 1)
-        dp = np.concatenate([np.zeros_like(p[..., :1]), kappa * _values(x, rdiag, roff, d)], axis=-1)
+        p = jacobi_values(x, diag, off, d + 1)
+        dp = np.concatenate([np.zeros_like(p[..., :1]), kappa * jacobi_values(x, rdiag, roff, d)],
+                            axis=-1)
         # w1 p_j p_k' over (cut, sum, xi, j, k), summed over the cuts
         total = (((sums * w1[rows].T[:, None])[..., None] * p[:, None])[..., None]
                  * dp[:, None, :, None]).sum(axis=0)

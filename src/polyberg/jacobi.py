@@ -1,14 +1,17 @@
 """Shifted Jacobi polynomials on (0, 1) and their L2-normalized functions.
 
-The polynomials are kept in monomial form (degree <= 64).  Coefficients
-and squared normalization constants are exact, held as Python integers
-over one common integer denominator.  The weight exponents are binary
-floats, alpha = p / 2^e, so the generalized binomials expand into integer
-products scaled by powers of 2^e.  A float is made from such a number by
-one int / int division, which Python rounds correctly; that is what lets
-the downstream moment integration produce exact zeros where
-orthogonality demands them.  `q_coeffs_exact` and `norm_coeff_sq_exact`
-return the same numbers as reduced Fractions.
+Q_m, of degree m for the weight (1-t)^alpha t^beta, is evaluated in floats
+only by the three-term recurrence the blocks run (special_fn), with no
+degree limit.  Its monomial coefficients (degree <= 64) and squared
+normalization constants are exact, held as Python integers over one
+common integer denominator, for the exact generator blocks and checks.
+The weight exponents are binary floats, alpha = p / 2^e, so the
+generalized binomials expand into integer products scaled by powers of
+2^e.  A float is made from such a number by one int / int division, which
+Python rounds correctly; that is what lets the downstream moment
+integration produce exact zeros where orthogonality demands them.
+`q_coeffs_exact` and `norm_coeff_sq_exact` return the same numbers as
+reduced Fractions.
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .special_fn import log_gamma
+from .special_fn import jacobi_recurrence, jacobi_values, log_gamma
 
 __all__ = [
     "MAX_DEGREE",
     "MAX_MOMENT_DEGREE",
     "JacobiParams",
-    "q_coeffs",
     "q_coeffs_int",
     "q_coeffs_exact",
     "q_eval",
@@ -105,31 +107,23 @@ def q_coeffs_exact(alpha: float, beta: float, m: int) -> tuple:
     return tuple(Fraction(c, den) for c in nums)
 
 
-def q_coeffs(p: JacobiParams) -> np.ndarray:
-    """Monomial coefficients as floats, index = power of t."""
-    nums, den = q_coeffs_int(p.alpha, p.beta, p.m)
-    return np.array([c / den for c in nums], dtype=float)
-
-
-def compensated_poly_eval(coeffs, t):
-    """Monomial-sum evaluation with Kahan-compensated accumulation;
-    elementwise over scalar or array t."""
-    one = t * 0 + 1.0
-    acc = coeffs[0] * one
-    comp = t * 0.0
-    power = one
-    for c in coeffs[1:]:
-        power = power * t
-        term = c * power - comp
-        new = acc + term
-        comp = (new - acc) - term
-        acc = new
-    return acc
-
-
 def q_eval(p: JacobiParams, t):
-    """Evaluate the shifted polynomial at t in [0, 1] (scalar or array)."""
-    return compensated_poly_eval(q_coeffs(p), t)
+    """Evaluate the shifted polynomial at t in [0, 1] (scalar or array): the
+    orthonormal p_m by the recurrence, times Q_m's leading coefficient
+    C(s+2m, m), s = alpha + beta, and c_1 ... c_m, as the product of the
+    ratios c_k (s+2k)(s+2k-1) / (k (s+k)); c_1 with its factor 1 + s
+    cancelled, which the recurrence leaves as 0 / 0 at s = -1.  Within
+    eps (4 (m+1) + (m+1)^2 / 4) max(C(m+alpha, m), C(m+beta, m), 1), the
+    square term from the ends (against mpmath, m <= 192)."""
+    x, (a, b, m) = np.asarray(t, dtype=float), (p.alpha, p.beta, p.m)
+    s, k = a + b, np.arange(2.0, m + 1)
+    with np.errstate(invalid="ignore"):
+        diag, off = jacobi_recurrence(a, np.array([[b]]), m + 1)
+    first = math.sqrt((1.0 + a) * (1.0 + b) / (3.0 + s))
+    off[:, :1] = first / (2.0 + s)
+    lead = np.prod(off[0, 1:] * (s + 2 * k) * (s + 2 * k - 1) / (k * (s + k)))
+    vals = jacobi_values(x.reshape(-1, 1), diag, off, m + 1)[:, 0, m]
+    return (lead * (first if m else 1.0) * vals.reshape(x.shape))[()]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -191,11 +185,8 @@ def jac_fn_eval(p: JacobiParams, t):
         raise ValueError("t = 0 not allowed for negative beta")
     if p.alpha < 0 and np.any(arr == 1.0):
         raise ValueError("t = 1 not allowed for negative alpha")
-    k = jac_norm_coeff(p)
-    vals = k * (1.0 - arr) ** (p.alpha / 2.0) * arr ** (p.beta / 2.0) * q_eval(p, arr)
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(vals)
-    return vals
+    return (jac_norm_coeff(p) * (1.0 - arr) ** (p.alpha / 2.0) * arr ** (p.beta / 2.0)
+            * q_eval(p, arr))
 
 
 def jac_sup_bound(p: JacobiParams, x: float) -> float:

@@ -8,7 +8,8 @@ evaluated by the modified Lentz method (Thompson & Barnett, J. Comput.
 Phys. 64, 1986) behind a log-gamma front factor; the indicator and
 sampled blocks take the same fraction behind a front factor of their own.
 jacobi_recurrence gives the Jacobi matrices those blocks and the
-polynomial blocks are built on.
+polynomial blocks are built on; jacobi_values, which runs it, is the
+package's one float evaluator of Jacobi polynomials.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "log_gamma",
     "beta",
     "jacobi_recurrence",
+    "jacobi_values",
     "reg_incomplete_beta",
     "wendel_bound_holds",
     "binom_bound_holds",
@@ -59,6 +61,16 @@ def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, n
     rest = (2.0 * k * (k + a + b + 1.0) + (a + b) * (b + 1.0)) / (s * (s + 2.0))
     off = np.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
     return np.concatenate([(b + 1.0) / (a + b + 2.0), rest], axis=1), off
+
+
+def jacobi_values(x: np.ndarray, diag: np.ndarray, off: np.ndarray, size: int) -> np.ndarray:
+    """The orthonormal polynomials 0 .. size - 1 at the points x (a column),
+    for each recurrence row of jacobi_recurrence: (points, rows, size)."""
+    vals = np.ones((size, len(x), len(diag)))
+    for m in range(size - 1):
+        vals[m + 1] = ((x - diag[:, m]) * vals[m]
+                       - (off[:, m - 1] * vals[m - 1] if m else 0.0)) / off[:, m]
+    return vals.transpose(1, 2, 0)
 
 
 def reg_incomplete_beta(x: float, p: float, q: float) -> float:

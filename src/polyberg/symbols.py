@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .jacobi import MAX_MOMENT_DEGREE, JacobiParams, compensated_poly_eval, dyadic, q_coeffs
+from .jacobi import MAX_MOMENT_DEGREE, JacobiParams, dyadic, q_eval
 
 __all__ = [
     "SymbolSpec",
@@ -110,15 +110,15 @@ def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
     return SymbolSpec(kind="sampled", points=pts, limit=lim)
 
 
-_poly_eval = compensated_poly_eval
-
-
-def _poly_coeffs(a: SymbolSpec):
-    # monomial coefficients of a polynomial symbol; a generator's are read
-    # off its Jacobi polynomial only here, for pointwise evaluation
-    if a.kind == "jacobi_g":
-        return q_coeffs(JacobiParams(a.alpha, 0.0, a.p)).tolist()
-    return a.coeffs
+def _poly_eval(coeffs, t):
+    # a poly_t symbol's monomial sum, Kahan-compensated; elementwise in t
+    acc, comp, power = coeffs[0] * (t * 0 + 1.0), t * 0.0, t * 0 + 1.0
+    for c in coeffs[1:]:
+        power = power * t
+        term = c * power - comp
+        new = acc + term
+        comp, acc = (new - acc) - term, new
+    return acc
 
 
 def eval_at_t(a: SymbolSpec, t):
@@ -130,8 +130,10 @@ def eval_at_t(a: SymbolSpec, t):
         if np.isscalar(t):
             return 1.0 if t < cut else 0.0
         return np.where(np.asarray(t) < cut, 1.0, 0.0)
-    if a.kind in ("poly_t", "jacobi_g"):
-        return _poly_eval(_poly_coeffs(a), t)
+    if a.kind == "poly_t":
+        return _poly_eval(a.coeffs, t)
+    if a.kind == "jacobi_g":
+        return q_eval(JacobiParams(a.alpha, 0.0, a.p), t)
     if a.kind == "sampled":
         ts = np.array([p[0] for p in a.points])
         vs = np.array([p[1] for p in a.points])

@@ -30,7 +30,7 @@ from .gammaseq import (
 )
 from .generators import antitriangular_report, generator_block, matrix_unit_errors, nu_table
 from .integration import entry_block, weighted_product_integral
-from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs
+from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_int
 from .purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -76,16 +76,17 @@ def incomplete_beta_drop(p: float, q: float, points: int) -> float:
     return float(np.max(-np.diff(vals)))
 
 
-def _float_pair_integral(alpha: float, b: int, p: int, q: int) -> float:
-    conv = np.convolve(q_coeffs(JacobiParams(alpha, b, p)), q_coeffs(JacobiParams(alpha, b, q)))
-    return weighted_product_integral(conv, alpha, b)
+def _exact_pair_integral(alpha: float, b: int, p: int, q: int) -> float:
+    (up, dp), (uq, dq) = q_coeffs_int(alpha, b, p), q_coeffs_int(alpha, b, q)
+    conv = np.convolve(np.array(up, dtype=object), np.array(uq, dtype=object))
+    return weighted_product_integral(conv.tolist(), alpha, b, den=dp * dq)
 
 
-def orthogonality_deviation(alphas, betas, degrees: int, pair_integral=_float_pair_integral):
+def orthogonality_deviation(alphas, betas, degrees: int, pair_integral=_exact_pair_integral):
     """Largest |<Q_p, Q_q> - delta_pq h_p| over p <= q < degrees, with the
     closed-form squared norm h_p = Gamma(p+a+1) Gamma(p+b+1) /
     ((2p+a+b+1) Gamma(p+a+b+1) p!).  pair_integral(alpha, b, p, q) is the
-    weighted inner product; by default it convolves float coefficients."""
+    weighted inner product, by default from the exact integer coefficients."""
     lg = special_fn.log_gamma
     worst = 0.0
     for alpha in alphas:
@@ -104,14 +105,14 @@ def orthogonality_deviation(alphas, betas, degrees: int, pair_integral=_float_pa
 
 
 def moment_identity_deviation(alphas, xis, degrees: int) -> float:
-    """Largest relative deviation of the integral of t^m Q_m against the
-    (alpha, xi) weight from B(xi+m+1, alpha+m+1), over m < degrees."""
+    """Largest relative deviation of the exact integral of t^m Q_m against
+    the (alpha, xi) weight from B(xi+m+1, alpha+m+1), over m < degrees."""
     worst = 0.0
     for alpha in alphas:
         for xi in xis:
             for m in range(degrees):
-                coeffs = [0.0] * m + list(q_coeffs(JacobiParams(alpha, xi, m)))
-                val = weighted_product_integral(coeffs, alpha, xi)
+                nums, den = q_coeffs_int(alpha, xi, m)
+                val = weighted_product_integral([0] * m + list(nums), alpha, xi, den=den)
                 want = special_fn.beta(xi + m + 1.0, alpha + m + 1.0)
                 worst = max(worst, abs(val - want) / want)
     return worst

@@ -378,6 +378,18 @@ def test_oracle_command(capsys):
     assert "worst disagreement" in capsys.readouterr().out
 
 
+def test_oracle_agrees_on_a_generator_past_the_exact_degree(capsys):
+    # g_30 is evaluated pointwise by its recurrence (the float monomials
+    # disagreed by 3.3e4); g_70 answers, with a gap at the quadrature's
+    # resolution, above the gate
+    argv = ["oracle", "--n", "2", "--alpha", "0.5", "--xi-max", "2", "--symbol"]
+    assert main([*argv, '{"kind":"jacobi_g","p":30}']) == 0
+    assert float(capsys.readouterr().out.split()[-1]) < 1e-7
+    assert main([*argv, '{"kind":"jacobi_g","p":70}']) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and 1e-6 < float(captured.out.split()[-1]) < 1e-3
+
+
 def test_oracle_builds_one_block_per_frequency(monkeypatch, capsys):
     # the printed gamma blocks: one stacked kernel call over |xi| = 0..4 at
     # order 4 (negative frequencies are leading submatrices), not one per entry
@@ -413,6 +425,17 @@ def test_verify_seed_independence(capsys):
     for seed in ("7", "8"):
         code = main(["verify", "--n", "2", "--alpha", "0.5", "--seed", seed])
         assert code == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["0.1", "0.3"])
+def test_verify_passes_at_long_dyadic_alpha(alpha, capsys):
+    # 0.1 and 0.3 are long binary fractions (N / 2^55, N / 2^54): their
+    # rounded monomial coefficients made the orthogonality and Beta-moment
+    # checks read 1.1e-9 and 2.8e-10 against 1e-10; exact ones do not
+    code = main(["verify", "--n", "2", "--alpha", alpha])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.endswith("15/15 checks passed\n")
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from polyberg.jacobi import (
     jac_norm_coeff,
     jac_sup_bound,
     norm_coeff_sq_exact,
-    q_coeffs,
+    q_coeffs_int,
     q_eval,
 )
 from polyberg.special_fn import beta as beta_fn
@@ -26,14 +26,18 @@ from polyberg.verify import orthogonality_deviation, sup_bound_ratio
 
 
 def test_q_coeffs_frozen_examples():
-    assert list(q_coeffs(JacobiParams(3.0, 1.0, 0))) == [1.0]
-    assert list(q_coeffs(JacobiParams(0.0, 0.0, 1))) == [-1.0, 2.0]
-    assert list(q_coeffs(JacobiParams(0.0, 0.0, 2))) == [1.0, -6.0, 6.0]
+    def coeffs(alpha, beta, m):
+        nums, den = q_coeffs_int(alpha, beta, m)
+        return [c / den for c in nums]
+
+    assert coeffs(3.0, 1.0, 0) == [1.0]
+    assert coeffs(0.0, 0.0, 1) == [-1.0, 2.0]
+    assert coeffs(0.0, 0.0, 2) == [1.0, -6.0, 6.0]
 
 
 def test_q_coeffs_degree_guard():
     with pytest.raises(ValueError):
-        q_coeffs(JacobiParams(0.0, 0.0, 65))
+        q_coeffs_int(0.0, 0.0, 65)
 
 
 def test_params_validation():
@@ -64,20 +68,27 @@ def test_q_eval_matches_recurrence_oracle_low_degree(rng):
 
 
 def test_q_eval_matches_recurrence_oracle_high_degree(rng):
-    # at high degree the monomial basis is ill conditioned; the error is
-    # measured against the coefficient-magnitude scale of the evaluation
+    # both are three-term recurrences, so the error is measured against
+    # the largest value, not the monomial coefficients' magnitudes
     ts = np.linspace(0.0, 1.0, 101)
     for _ in range(25):
         alpha = float(rng.uniform(-0.9, 9.0))
         beta = float(rng.uniform(-0.9, 9.0))
         m = int(rng.integers(10, 26))
-        params = JacobiParams(alpha, beta, m)
-        mine = q_eval(params, ts)
+        mine = q_eval(JacobiParams(alpha, beta, m), ts)
         ref = shifted_jacobi_oracle(alpha, beta, m, ts)
-        cond = np.abs(q_coeffs(params))[None, :] @ (
-            ts[None, :] ** np.arange(m + 1)[:, None]
-        )
-        assert np.all(np.abs(mine - ref) <= 1e-13 * (cond[0] + 1.0))
+        assert np.max(np.abs(mine - ref)) <= 1e-13 * (np.max(np.abs(ref)) + 1.0)
+
+
+def test_q_eval_at_alpha_plus_beta_minus_one():
+    # the recurrence's c_1 is 0 / 0 there; Q_1 = (alpha + beta + 2) t - (beta + 1)
+    # and Q_2 from its coefficients
+    params = [JacobiParams(-0.25, -0.75, m) for m in (1, 2)]
+    ts = np.linspace(0.0, 1.0, 9)
+    assert np.allclose(q_eval(params[0], ts), ts - 0.25, rtol=0, atol=1e-15)
+    nums, den = q_coeffs_int(-0.25, -0.75, 2)
+    want = sum(c / den * ts**k for k, c in enumerate(nums))
+    assert np.allclose(q_eval(params[1], ts), want, rtol=0, atol=1e-14)
 
 
 def test_norm_coeff_closed_forms():

@@ -95,8 +95,8 @@ def test_oracle_loads_only_the_sequence_path_and_the_oracle():
 
 
 def test_verify_loads_no_exact_rationals():
-    # verify reads float coefficients off the integer path; fractions and
-    # decimal stay for the test oracles
+    # verify's exact checks convolve integer coefficients over their
+    # common denominator; fractions and decimal stay for the test oracles
     code, _, others, *_ = _cli_run(["verify", "--n", "2", "--seed", "0"], timeout=120)
     assert code == 0
     assert not others & {"fractions", "decimal"}
