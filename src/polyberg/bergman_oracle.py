@@ -10,12 +10,14 @@ occurring trigonometric frequencies exactly, times composite
 Gauss-Legendre panels in u = sqrt(1 - t), t = r^2.  That variable absorbs
 the area Jacobian and turns the weight (1-t)^alpha dt into
 2 u^(2 alpha + 1) du, a polynomial for half-integer alpha and never
-singular at the boundary for alpha >= 0.  `oracle_gaps` compares the
-quadrature with gamma_sequence, which it reads only for that comparison,
-so `polyberg oracle` loads the sequence path and this module alone.  Per
-call it builds one radial rule, and per frequency one table of the
-block's disk polynomials on the shared grid, whose Gram contraction is
-the whole block.
+singular at the boundary for alpha >= 0.  The panel count follows the
+integrand's polynomial degree (radial_panels).  `oracle_gaps` compares
+the quadrature with gamma_sequence, which it reads only for that
+comparison, so `polyberg oracle` loads the sequence path and this module
+alone.  Per call it builds one radial rule, and per frequency one block
+whose tensor sums factor into angular times radial Grams
+(quadrature_block); toeplitz_entry_2d sums the full 2D grid of one entry
+and is the entrywise reference.
 """
 
 from __future__ import annotations
@@ -48,6 +50,14 @@ class DiskPoint(NamedTuple):
     theta: float
 
 
+def _radial_part(p: int, q: int, alpha: float, r):
+    # normalization / sqrt(alpha+1) * r^|p-q| * Q_min(p,q)(r^2) of the
+    # (alpha, |p-q|) weight
+    params = JacobiParams(alpha, float(abs(p - q)), min(p, q))
+    scale = jac_norm_coeff(params) / math.sqrt(alpha + 1.0)
+    return scale * r ** abs(p - q) * q_eval(params, r * r)
+
+
 def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     """Normalized disk polynomial at r e^(i theta).
 
@@ -61,14 +71,7 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     theta = np.asarray(pt.theta, dtype=float)
     if np.any(r < 0.0) or np.any(r >= 1.0):
         raise ValueError("radius must lie in [0, 1)")
-    params = JacobiParams(alpha, float(abs(p - q)), min(p, q))
-    radial = (
-        jac_norm_coeff(params)
-        / math.sqrt(alpha + 1.0)
-        * r ** abs(p - q)
-        * q_eval(params, r * r)
-    )
-    out = radial * np.exp(1j * (p - q) * theta)
+    out = _radial_part(p, q, alpha, r) * np.exp(1j * (p - q) * theta)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -93,20 +96,30 @@ class RadialRule(NamedTuple):
     weights: np.ndarray
 
 
-def radial_rule(a: SymbolSpec, alpha: float) -> RadialRule:
-    """The radial half of the tensor rule for symbol a and exponent alpha."""
+def radial_panels(a: SymbolSpec, degree: int) -> int:
+    """Panels of the radial rule for symbol a times a product of disk
+    polynomials of degree `degree` in t, never fewer than RADIAL_PANELS.
+
+    The polynomial part of the integrand has degree k = deg a + degree in
+    t.  Its oscillations are about 1/k apart in u over most of [0, 1] but
+    1/k^2 near u = 1 (t = 0, the end that u = sqrt(1 - t) does not
+    stretch), so the count grows as k (16 + k / 8): `polyberg oracle --n 2
+    --xi-max 2` on g_p stays within 3e-9 up to p = 192 (alpha <= 7.5)."""
+    k = {"poly_t": len(a.coeffs or ()) - 1, "jacobi_g": a.p}.get(a.kind, 0) + degree
+    return max(RADIAL_PANELS, k * (16 + k // 8))
+
+
+def radial_rule(a: SymbolSpec, alpha: float, degree: int = 0) -> RadialRule:
+    """The radial half of the tensor rule for symbol a and exponent alpha,
+    sized for products of disk polynomials of degree `degree` in t, that
+    is (p + q + p2 + q2) / 2 for the pair (p, q), (p2, q2)."""
     # indicator symbols jump at t = s^2, that is u = sqrt(1 - s^2); a panel
     # edge there keeps the radial integrand panelwise smooth
     jump = math.sqrt(1.0 - a.s * a.s) if a.kind == "indicator" else None
-    u_nodes, u_weights = gauss_legendre_grid(RADIAL_PANELS, jump)
+    u_nodes, u_weights = gauss_legendre_grid(radial_panels(a, degree), jump)
     t_nodes = 1.0 - u_nodes * u_nodes
     weights = eval_at_t(a, t_nodes) * (2.0 * u_nodes ** (2.0 * alpha + 1.0) * u_weights)
     return RadialRule(r=np.sqrt(t_nodes), weights=weights)
-
-
-def _grid(rule: RadialRule, angular_nodes: int) -> DiskPoint:
-    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    return DiskPoint(r=rule.r[None, :], theta=thetas[:, None])
 
 
 def toeplitz_entry_2d(
@@ -135,8 +148,9 @@ def toeplitz_entry_2d(
         raise ValueError(
             f"{angular_nodes} angular nodes alias frequency {freq}; need more than {freq + 1}"
         )
-    rule = radial_rule(a, alpha)
-    grid = _grid(rule, angular_nodes)
+    rule = radial_rule(a, alpha, (p + q + p2 + q2 + 1) // 2)
+    thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    grid = DiskPoint(r=rule.r[None, :], theta=thetas[:, None])
     integrand = disk_poly(p2, q2, alpha, grid) * np.conj(disk_poly(p, q, alpha, grid))
     # (alpha+1)/(2 pi) * sum_theta (2 pi / M) * sum_u w_u 2 u^(2 alpha+1) a(t) f(t, theta)
     return complex((alpha + 1.0) / angular_nodes * np.sum(integrand * rule.weights))
@@ -145,25 +159,28 @@ def toeplitz_entry_2d(
 def quadrature_block(rule: RadialRule, n: int, alpha: float, xi: int) -> np.ndarray:
     """Every entry of the order-n block at frequency xi by the tensor rule,
     toeplitz_entry_2d's default grid: row j pairs the disk polynomial of
-    indices (max(j + xi, j), max(j - xi, j)).  Each has frequency xi, so
-    one d x M x R table on M = 2|xi| + 8 angular nodes holds them all,
-    and the block is its weighted Gram contraction."""
+    indices (max(j + xi, j), max(j - xi, j)).  Each is a radial part
+    times e^(i (p - q) theta), so the M x R sum of an entry factors: the
+    angular Gram sum_m conj(A_j) A_k over M = 2|xi| + 8 angular nodes
+    times the radial Gram sum_r R_j R_k w_r.  The radial parts are
+    evaluated once on the R radii."""
     nodes = 2 * abs(xi) + 8
-    grid = _grid(rule, nodes)
-    d = block_order(n, xi)
-    table = np.stack([disk_poly(max(j + xi, j), max(j - xi, j), alpha, grid) for j in range(d)])
-    # the short angular sum first, then the radial sum in numpy's pairwise
-    # order, as toeplitz_entry_2d sums; one BLAS dot over all M R nodes
-    # drifts up to 1.7e-14 from it
-    gram = np.einsum("jmr,kmr->jkr", table.conj(), table * rule.weights)
-    return (alpha + 1.0) / nodes * gram.sum(axis=-1)
+    thetas = 2.0 * math.pi * np.arange(nodes) / nodes
+    pairs = [(max(j + xi, j), max(j - xi, j)) for j in range(block_order(n, xi))]
+    angular = np.exp(1j * np.outer([p - q for p, q in pairs], thetas))
+    radial = np.stack([_radial_part(p, q, alpha, rule.r) for p, q in pairs])
+    gram = (angular.conj() @ angular.T) * ((radial * rule.weights) @ radial.T)
+    return (alpha + 1.0) / nodes * gram
 
 
 def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:
     """{xi: largest |2D quadrature - entry|} over the upper triangle of
     each block of gamma_sequence(a, n, alpha, xi_max)."""
     seq = gamma_sequence(a, n, alpha, xi_max)
-    rule = radial_rule(a, alpha)
+    # row j of the block at xi >= 0 has degree j + xi / 2 in t, so a
+    # product of two rows at most 2(n - 1) + xi_max; negative frequencies
+    # have lower degrees
+    rule = radial_rule(a, alpha, 2 * (n - 1) + xi_max)
     gaps = {}
     for xi in frequencies(n, xi_max):
         diff = np.abs(quadrature_block(rule, n, alpha, xi) - seq.block(xi))

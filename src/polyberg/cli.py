@@ -14,20 +14,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
-
-from .gammaseq import (
-    block_csv,
-    block_order,
-    frequencies,
-    gamma_sequence,
-    seq_to_json_obj,
-    spectral_norm,
-)
-from .symbols import symbol_from_json_obj, symbol_to_json_obj
 
 if TYPE_CHECKING:
     from .purestates import PureState
@@ -39,6 +28,8 @@ EXIT_NOT_SEPARABLE = 3
 
 
 def _load_symbol(spec: str, alpha: float):
+    from .symbols import symbol_from_json_obj
+
     if spec.startswith("@"):
         with open(spec[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -52,6 +43,9 @@ def _load_symbol(spec: str, alpha: float):
 
 
 def _parse_state(spec: str, n: int) -> PureState:
+    import numpy as np
+
+    from .gammaseq import block_order
     from .purestates import finite_state, limit_state
 
     if spec.strip().lower() == "inf":
@@ -87,6 +81,11 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def cmd_gamma(args) -> int:
+    import numpy as np
+
+    from .gammaseq import (block_csv, block_order, frequencies, gamma_sequence,
+                           seq_to_json_obj, spectral_norm)
+
     a = _load_symbol(args.symbol, args.alpha)
     seq = gamma_sequence(a, args.n, args.alpha, args.xi_max)
     if args.format == "json":
@@ -113,6 +112,7 @@ def cmd_purestate(args) -> int:
     if len(args.state) != 1:
         print("purestate needs exactly one --state argument", file=sys.stderr)
         return EXIT_USAGE
+    from .gammaseq import gamma_sequence
     from .purestates import eval_state
 
     a = _load_symbol(args.symbol, args.alpha)
@@ -151,11 +151,14 @@ def cmd_separate(args) -> int:
 def _recipe_json(obj):
     # the plans and symbols of a separation recipe
     from .generators import SeparationPlan
+    from .symbols import symbol_to_json_obj
 
     return obj.to_json_obj() if isinstance(obj, SeparationPlan) else symbol_to_json_obj(obj)
 
 
 def cmd_basis(args) -> int:
+    import numpy as np
+
     from .generators import generator_family, matrix_unit_errors
 
     _, gs, table = generator_family(args.n, args.alpha, args.xi)
@@ -173,7 +176,9 @@ def cmd_oracle(args) -> int:
     a = _load_symbol(args.symbol, args.alpha)
     worst = 0.0
     for xi, gap in oracle_gaps(a, args.n, args.alpha, args.xi_max).items():
-        worst = max(worst, gap)
+        # a NaN gap is kept: max(0.0, nan) would drop it
+        if gap > worst or math.isnan(gap):
+            worst = gap
         print(f"xi = {xi}: cumulative max |2d - exact| = {worst:.3e}")
     print(f"worst disagreement: {worst:.3e}")
     return EXIT_OK if worst < 1e-6 else EXIT_FAIL
@@ -263,14 +268,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one polyberg command and return its exit code.
 
-    Every exit, argparse's SystemExit included, leaves the collector
-    frozen (gc.freeze).  At exit the interpreter runs full collections
-    over every tracked object, mostly numpy's import-time heap, even with
-    the collector disabled; they skip frozen objects, so a one-shot
-    process skips that work (see the README).  A caller that runs main
-    in-process and keeps going may call gc.unfreeze() to let the
-    collector see those objects again."""
+    The cyclic collector is off while the command parses and runs: a
+    one-shot process makes few cycles and returns its memory at exit, so
+    the young-generation collections that numpy's import and the checks
+    would trigger are pure cost.  Every exit, argparse's SystemExit included, then leaves the
+    collector frozen (gc.freeze) and re-enables it if it was enabled on
+    entry.  At exit the interpreter runs full collections over every
+    tracked object, mostly numpy's import-time heap, even with the
+    collector disabled; they skip frozen objects, so a one-shot process
+    skips that work (see the README).  A caller that runs main in-process
+    and keeps going gets its collector state back, and may call
+    gc.unfreeze() to let the collector see those objects again."""
     argv = sys.argv[1:] if argv is None else argv
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser(argv).parse_args(argv)
         try:
@@ -280,6 +291,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     finally:
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
 def console_main() -> None:

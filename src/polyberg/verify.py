@@ -4,16 +4,22 @@ Every check takes its grid as arguments and returns the values it
 measured; the caller asserts its own bound.  `polyberg verify` runs the
 checks on the small grid of its command line (run_all, through the
 CHECKS table), and the acceptance and unit tests run the same functions
-on their own grids.  A check that samples takes a numpy Generator, so
-each caller chooses its own draws.  The sup-bound check is skipped when
-the weight exponent is not positive, because no bound of that shape is
-established there.
+on their own grids.  A check that samples takes a random.Random and
+draws value by value (uniform, randrange, choice, gauss), so each caller
+chooses its own draws and a `verify` process never loads numpy.random,
+whose bit generators import hashlib and OpenSSL.  A measurement that
+reads NaN anywhere is NaN, so its check fails: the running maxima go
+through _worse, because max(0.0, nan) is 0.0.  The sup-bound check is
+skipped when the weight exponent is not positive, because no bound of
+that shape is established there.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import zip_longest
 from typing import List, NamedTuple, Optional
 
@@ -44,27 +50,32 @@ from .purestates import (
 from .symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
 
 
+def _worse(worst: float, value: float) -> float:
+    """max(worst, value), NaN once either is NaN."""
+    return value if value > worst or math.isnan(value) else worst
+
+
 # --- special functions and Jacobi polynomials -------------------------------
 
 
-def gamma_ratio_violations(rng, draws: int) -> int:
+def gamma_ratio_violations(rng: random.Random, draws: int) -> int:
     """Number of random (z, a, k) points at which the Wendel bound or the
     binomial bound fails."""
-    zs = rng.uniform(1e-6, 100.0, draws).tolist()
-    as_ = rng.uniform(1e-6, 10.0, draws).tolist()
-    ks = rng.integers(0, 31, draws).tolist()
+    points = [(rng.uniform(1e-6, 100.0), rng.uniform(1e-6, 10.0), rng.randrange(31))
+              for _ in range(draws)]
     return sum(
         not (special_fn.wendel_bound_holds(z, a) and special_fn.binom_bound_holds(z, k))
-        for z, a, k in zip(zs, as_, ks)
+        for z, a, k in points
     )
 
 
-def beta_asymmetry(rng, draws: int, lo: float, hi: float) -> float:
+def beta_asymmetry(rng: random.Random, draws: int, lo: float, hi: float) -> float:
     """Largest |B(x, y) - B(y, x)| / B(x, y) over random x, y in [lo, hi]."""
     worst = 0.0
-    for x, y in rng.uniform(lo, hi, size=(draws, 2)).tolist():
+    for _ in range(draws):
+        x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
         bxy = special_fn.beta(x, y)
-        worst = max(worst, abs(bxy - special_fn.beta(y, x)) / bxy)
+        worst = _worse(worst, abs(bxy - special_fn.beta(y, x)) / bxy)
     return worst
 
 
@@ -100,7 +111,7 @@ def orthogonality_deviation(alphas, betas, degrees: int, pair_integral=_exact_pa
                             - math.log(2 * p + alpha + b + 1)
                             - lg(p + alpha + b + 1) - lg(p + 1.0)
                         )
-                    worst = max(worst, abs(pair_integral(alpha, b, p, q) - want))
+                    worst = _worse(worst, abs(pair_integral(alpha, b, p, q) - want))
     return worst
 
 
@@ -114,17 +125,18 @@ def moment_identity_deviation(alphas, xis, degrees: int) -> float:
                 nums, den = q_coeffs_int(alpha, xi, m)
                 val = weighted_product_integral([0] * m + list(nums), alpha, xi, den=den)
                 want = special_fn.beta(xi + m + 1.0, alpha + m + 1.0)
-                worst = max(worst, abs(val - want) / want)
+                worst = _worse(worst, abs(val - want) / want)
     return worst
 
 
 def identity_deviation(one, alphas, xis, order: int) -> float:
     """Largest entry of |entry_block(one, alpha, xi, order) - I| over the
     alphas and xis, for a symbol `one` equal to 1."""
-    return max(
+    return reduce(
+        _worse,
         (float(np.max(np.abs(entry_block(one, alpha, xi, order) - np.eye(order))))
          for alpha in alphas for xi in xis),
-        default=0.0,
+        0.0,
     )
 
 
@@ -135,7 +147,7 @@ def sup_bound_ratio(cases, points: int) -> float:
     for alpha, b, m, x in cases:
         params = JacobiParams(alpha, b, m)
         seen = np.max(np.abs(jac_fn_eval(params, np.linspace(0.0, x, points))))
-        worst = max(worst, float(seen / jac_sup_bound(params, x)))
+        worst = _worse(worst, float(seen / jac_sup_bound(params, x)))
     return worst
 
 
@@ -150,22 +162,22 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
     symbols up to xi_max)."""
     # g_0 = 1 is integrated; a constant and the unit polynomial give I as such
     seq = gamma_sequence(make_gp(0, alpha), n, alpha, xi_max)
-    id_dev = max(
+    id_dev = reduce(_worse, (
         float(np.max(np.abs(b - np.eye(b.shape[0]))))
         for b in map(seq.block, frequencies(n, xi_max))
-    )
+    ), 0.0)
     combo = [x + y for x, y in zip_longest(ca, cb, fillvalue=0.0)]
     lin_dev, symmetric = 0.0, True
     for xi in lin_xis:
         ga, gb, gc = (gamma_matrix(poly_t_symbol(c), n, alpha, xi) for c in (ca, cb, combo))
-        lin_dev = max(lin_dev, float(np.max(np.abs(ga + gb - gc))))
+        lin_dev = _worse(lin_dev, float(np.max(np.abs(ga + gb - gc))))
         symmetric = symmetric and all(np.array_equal(g, g.T) for g in (ga, gb, gc))
     min_eig, norm_excess = math.inf, -math.inf
     for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
         s2, sup = gamma_sequence(sym, n, alpha, xi_max), sup_abs(sym)
         for b in map(s2.block, frequencies(n, xi_max)):
             min_eig = min(min_eig, float(np.linalg.eigvalsh(b).min()))
-            norm_excess = max(norm_excess, spectral_norm(b) - sup)
+            norm_excess = _worse(norm_excess, spectral_norm(b) - sup)
     return id_dev, lin_dev, symmetric, min_eig, norm_excess
 
 
@@ -188,12 +200,12 @@ def zero_lemma(n: int, alpha: float, xis, count: int) -> tuple:
         start = 2 * block_order(n, xi) - 1 + abs(xi)
         for p in range(start, start + count):
             top = float(np.max(np.abs(generator_block(n, alpha, xi, p))))
-            worst = max(worst, top)
+            worst = _worse(worst, top)
             if top > 0.0:  # a literal zero scales to zero; skip building the scale
                 scale = max(
                     1.0, max(float(np.max(np.abs(generator_block(n, alpha, e, p)))) for e in xis)
                 )
-                worst_scaled = max(worst_scaled, top / scale)
+                worst_scaled = _worse(worst_scaled, top / scale)
     return worst, worst_scaled
 
 
@@ -201,8 +213,10 @@ def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> li
     """Generator family G_0..G_{n-1} with the structure nu_table needs:
     G_p vanishes above antidiagonal n - 1 + p, its entries on it have
     magnitudes in [0.2, 1.2) (a numerically meaningful 'nonzero'), and
-    those below are uniform in [-1, 1].  rng is a Generator or a seed."""
-    rng = np.random.default_rng(rng)
+    those below are uniform in [-1, 1].  rng is a random.Random or a
+    seed."""
+    if not isinstance(rng, random.Random):
+        rng = random.Random(rng)
     gs = []
     for p in range(n):
         g = np.zeros((n, n))
@@ -221,8 +235,8 @@ def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> li
 
 def matrix_unit_error(families) -> float:
     """Worst matrix-unit reconstruction error over generator families."""
-    return max(
-        (float(matrix_unit_errors(gs, nu_table(gs)).max()) for gs in families), default=0.0
+    return reduce(
+        _worse, (float(matrix_unit_errors(gs, nu_table(gs)).max()) for gs in families), 0.0
     )
 
 
@@ -252,29 +266,28 @@ def scalar_limit_tail(s: float, n: int, alpha: float, xis) -> tuple:
     devs = {xi: tail_deviation(seq, xi) for xi in xis}
     closed = None
     if n == 1 and alpha == 0.0:
-        closed = max(abs(dev - (s * s) ** (xi + 1)) / (s * s) ** (xi + 1)
-                     for xi, dev in devs.items())
+        closed = reduce(_worse, (abs(dev - (s * s) ** (xi + 1)) / (s * s) ** (xi + 1)
+                                 for xi, dev in devs.items()), 0.0)
     return devs, closed
 
 
 # --- pure states -------------------------------------------------------------
 
 
-def two_path_gap(rng, n: int, alphas, terms: int, draws: int) -> float:
+def two_path_gap(rng: random.Random, n: int, alphas, terms: int, draws: int) -> float:
     """Largest |eval_state - eval_state_integral|: per alpha, a random
     polynomial symbol with `terms` coefficients in [-1, 1] and `draws`
     random states at frequencies -n+1..6."""
     worst = 0.0
     for alpha in alphas:
-        sym = poly_t_symbol(list(rng.uniform(-1.0, 1.0, size=terms)))
+        sym = poly_t_symbol([rng.uniform(-1.0, 1.0) for _ in range(terms)])
         seq = gamma_sequence(sym, n, alpha, 6)
         for _ in range(draws):
-            xi = int(rng.integers(-n + 1, 7))
-            d = block_order(n, xi)
-            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            xi = rng.randrange(-n + 1, 7)
+            u = np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(block_order(n, xi))])
             u /= np.linalg.norm(u)
             v1 = eval_state(finite_state(xi, u), seq)
-            worst = max(worst, abs(v1 - eval_state_integral(xi, u, sym, n, alpha)))
+            worst = _worse(worst, abs(v1 - eval_state_integral(xi, u, sym, n, alpha)))
     return worst
 
 
@@ -282,11 +295,11 @@ def coincidence_gap(n: int, alpha: float, symbols) -> float:
     """Largest |sigma_1(a) - sigma_2(a)| over symbols for the documented
     coincidence pair, through the integral representation."""
     s1, s2 = coincidence_pair(n, alpha)
-    return max(
+    return reduce(_worse, (
         abs(eval_state_integral(s1.xi, s1.u, a, n, alpha)
             - eval_state_integral(s2.xi, s2.u, a, n, alpha))
         for a in symbols
-    )
+    ), 0.0)
 
 
 def closure_gap_witness_check(n: int, alpha: float, xi_max: int) -> tuple:
@@ -323,8 +336,8 @@ class CliGrid(NamedTuple):
     alphas: list
     seed: int
 
-    def rng(self):
-        return np.random.default_rng(self.seed)
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
 
 
 def _sup_bound(g):
@@ -333,8 +346,7 @@ def _sup_bound(g):
         return None
     rng = g.rng()
     cases = (
-        (float(rng.choice(alphas)), float(rng.integers(0, 41)), int(rng.integers(0, 6)),
-         float(rng.uniform(0.05, 0.95)))
+        (rng.choice(alphas), float(rng.randrange(41)), rng.randrange(6), rng.uniform(0.05, 0.95))
         for _ in range(30)
     )
     return sup_bound_ratio(cases, 1500)
@@ -360,7 +372,8 @@ def _antitriangular(g):
 
 def _zero_blocks(g):
     n = min(g.n, 4)
-    return max(zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in g.alphas)
+    tops = (zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in g.alphas)
+    return reduce(_worse, tops, 0.0)
 
 
 def _matrix_units(g):
@@ -425,7 +438,8 @@ CHECKS = [
      lambda w: w < 1e-10, lambda w: f"max relative deviation {w:.2e}"),
     # the unit generator g_0 of each alpha (see sequence_basics)
     ("orthonormal entries",
-     lambda g: max(identity_deviation(make_gp(0, a), [a], range(6), 4) for a in g.alphas),
+     lambda g: reduce(
+         _worse, (identity_deviation(make_gp(0, a), [a], range(6), 4) for a in g.alphas), 0.0),
      lambda w: w < 1e-12, lambda w: f"max deviation from identity {w:.2e}"),
     ("sup bound dominance", _sup_bound, lambda r: r <= 1 + 1e-12,
      lambda r: "unproven for alpha <= 0; skipped" if r is None

@@ -13,6 +13,7 @@ from polyberg.bergman_oracle import (
     disk_poly,
     oracle_gaps,
     quadrature_block,
+    radial_panels,
     radial_rule,
     toeplitz_entry_2d,
 )
@@ -102,6 +103,22 @@ def test_oracle_matches_exact_entries():
             for n in (1, 3):
                 gaps = oracle_gaps(a, n, alpha, 3)
                 assert max(gaps.values()) < 1e-6, (alpha, a.kind, n, gaps)
+
+
+def test_radial_panels_follow_the_degree():
+    # n <= 4 with xi_max <= 4, or n = 2 with xi_max <= 6, and a symbol of
+    # degree <= 4 keep the fixed rule; g_70 gets k (16 + k / 8) panels
+    for a in (make_gp(4, 0.5), poly_t_symbol([0.3, -0.2, 0.5]), indicator_symbol(0.5)):
+        assert radial_panels(a, 2 * 3 + 4) == radial_panels(a, 2 + 6) == RADIAL_PANELS
+    assert radial_panels(make_gp(70, 0.5), 2 + 2) == 74 * (16 + 9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5, 7.5])
+@pytest.mark.parametrize("p", [70, 192])
+def test_oracle_resolves_high_degree_generators(p, alpha):
+    # 256 fixed panels left 2.1e-4 at g_70 (alpha = 0.5); every exact
+    # block is a closed form or a literal zero
+    assert max(oracle_gaps(make_gp(p, alpha), 2, alpha, 2).values()) < 1e-8
 
 
 def test_oracle_aliasing_guard():

@@ -2,7 +2,9 @@
 
 `import polyberg` loads no module; each public name is imported from its
 module on first lookup, so a `polyberg gamma` process loads only the
-sequence path.  A process run by `cli.main` exits with the heap frozen.
+sequence path.  `import polyberg.cli` loads no numpy and no other polyberg
+module: the commands import what they use.  A process run by `cli.main`
+exits with the heap frozen.
 """
 
 import importlib
@@ -21,22 +23,23 @@ from polyberg.symbols import symbol_from_json_obj
 GAMMA_PATH = {"cli", "gammaseq", "integration", "jacobi", "special_fn", "symbols"}
 
 
-def test_cli_import_loads_only_the_sequence_path():
-    # and not fractions, which loads decimal: only the exact oracles use it
+def test_cli_import_loads_no_numpy_and_no_other_module():
+    # numpy and the sequence path are imported by the commands; nor
+    # fractions, which loads decimal: only the exact oracles use it
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, polyberg.cli; "
             "print(' '.join(m for m in sys.modules "
-            "if m.startswith('polyberg.') or m in ('fractions', 'decimal')))")
+            "if m.startswith(('polyberg.', 'numpy')) or m in ('fractions', 'decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert {m.removeprefix("polyberg.") for m in out.split()} == GAMMA_PATH
+    assert out.split() == ["polyberg.cli"]
 
 
 class CliRun(NamedTuple):
     code: int
     modules: set       # the polyberg modules loaded, without the prefix
-    others: set        # which of numpy.polynomial, fractions and decimal
+    others: set        # which of numpy.polynomial, numpy.random, fractions and decimal
     frozen: int        # gc.get_freeze_count() once main has returned
     stderr: str
 
@@ -51,7 +54,7 @@ def _cli_run(argv, timeout=60) -> CliRun:
             "except SystemExit as exc: code = exc.code\n"
             "print(code, gc.get_freeze_count(), *(m for m in sys.modules "
             "if m.startswith('polyberg.') "
-            "or m in ('numpy.polynomial', 'fractions', 'decimal')))")
+            "or m in ('numpy.polynomial', 'numpy.random', 'fractions', 'decimal')))")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=timeout)
     code, frozen, *loaded = run.stdout.splitlines()[-1].split()
@@ -68,6 +71,7 @@ def test_gamma_process_exits_frozen_with_its_whole_output(tmp_path):
     run = _cli_run(["gamma", "--n", "4", "--alpha", "0.5", "--xi-max", "12",
                     "--symbol", symbol, "--out", str(out)])
     assert run.code == 0 and run.frozen > 0
+    assert run.modules == GAMMA_PATH and not run.others & {"fractions", "decimal"}
     seq = gamma_sequence(symbol_from_json_obj(json.loads(symbol), alpha=0.5), 4, 0.5, 12)
     assert out.read_text(encoding="utf-8") == json.dumps(seq_to_json_obj(seq))
 
@@ -96,10 +100,12 @@ def test_oracle_loads_only_the_sequence_path_and_the_oracle():
 
 def test_verify_loads_no_exact_rationals():
     # verify's exact checks convolve integer coefficients over their
-    # common denominator; fractions and decimal stay for the test oracles
+    # common denominator; fractions and decimal stay for the test oracles.
+    # Its draws come from random.Random: numpy.random's bit generators
+    # would import hashlib and OpenSSL
     code, _, others, *_ = _cli_run(["verify", "--n", "2", "--seed", "0"], timeout=120)
     assert code == 0
-    assert not others & {"fractions", "decimal"}
+    assert not others & {"fractions", "decimal", "numpy.random"}
 
 
 def test_verify_loads_no_oracle():
