@@ -13,7 +13,7 @@ import importlib
 _EXPORTS = {
     "gammaseq": ("MatrixSeq", "block_order", "gamma_matrix", "gamma_sequence",
                  "spectral_norm", "tail_deviation"),
-    "generators": ("AntitriangularReport", "NuTable", "SeparationPlan",
+    "generators": ("AntitriangularReport", "SeparationPlan",
                    "antitriangular_report", "matrix_unit",
                    "nu_table", "same_frequency_plan"),
     "integration": ("beta_entry",),

@@ -6,11 +6,13 @@ jacobi.q_eval, the recurrence the blocks also run), the weight and the
 symbol pointwise and integrates them against the true weight by brute
 force, so a wrong recurrence would show, as a constant symbol's block
 differing from I.  The grid: uniform angular nodes, which integrate the
-occurring trigonometric frequencies exactly, times composite
-Gauss-Legendre panels in u = sqrt(1 - t), t = r^2.  That variable absorbs
-the area Jacobian and turns the weight (1-t)^alpha dt into
-2 u^(2 alpha + 1) du, a polynomial for half-integer alpha and never
-singular at the boundary for alpha >= 0.  The panel count follows the
+occurring trigonometric frequencies exactly, times composite 4-point
+panels in u = sqrt(1 - t), t = r^2, which turns (1-t)^alpha dt into
+2 u^(2 alpha + 1) du, singular at u = 0 for alpha < -1/2.  So the first
+panel takes the Gauss rule of that weight, for every alpha > -1; it is
+solved from special_fn.jacobi_recurrence, which q_eval and the blocks
+also run, and shares nothing else with the blocks.  The other panels are
+Gauss-Legendre times the weight, and their count follows the
 integrand's polynomial degree (radial_panels).  `oracle_gaps` compares
 the quadrature with gamma_sequence, which it reads only for that
 comparison, so `polyberg oracle` loads the sequence path and this module
@@ -29,6 +31,7 @@ import numpy as np
 
 from .gammaseq import block_order, frequencies, gamma_sequence
 from .jacobi import JacobiParams, jac_norm_coeff, q_eval
+from .special_fn import jacobi_recurrence
 from .symbols import SymbolSpec, eval_at_t
 
 __all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d", "oracle_gaps"]
@@ -75,16 +78,26 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     return complex(out) if out.ndim == 0 else out
 
 
-def gauss_legendre_grid(n_panels: int, breakpoint: float | None = None):
-    """Composite 4-point Gauss-Legendre nodes and weights on n_panels equal
-    panels of [0, 1].  A breakpoint becomes one more panel edge, so
+def weighted_grid(n_panels: int, alpha: float, breakpoint: float | None = None):
+    """Composite 4-point nodes on n_panels equal panels of [0, 1] and their
+    weights for 2 u^(2 alpha + 1): Gauss-Legendre times that weight on
+    every panel but the first, [0, h], which takes the Gauss rule of
+    u^(2 alpha + 1) itself.  A breakpoint becomes one more panel edge, so
     integrands with a jump there stay panelwise smooth."""
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     if breakpoint is not None:
         edges = np.sort(np.append(edges, breakpoint))
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+    nodes = mid + half * _GL_NODES
+    weights = 2.0 * nodes ** (2.0 * alpha + 1.0) * (half * _GL_WEIGHTS)
+    # Golub-Welsch for u^b on [0, 1]: the eigenvalues of its Jacobi matrix,
+    # and the squared first eigenvector components times the mass 1/(b + 1)
+    b, h = 2.0 * alpha + 1.0, edges[1]
+    diag, off = jacobi_recurrence(0.0, np.array([[b]]), 4)
+    first, vecs = np.linalg.eigh(np.diag(diag[0]) + np.diag(off[0], 1) + np.diag(off[0], -1))
+    nodes[0], weights[0] = h * first, 2.0 * h ** (b + 1.0) * vecs[0] ** 2 / (b + 1.0)
+    return nodes.ravel(), weights.ravel()
 
 
 class RadialRule(NamedTuple):
@@ -116,9 +129,9 @@ def radial_rule(a: SymbolSpec, alpha: float, degree: int = 0) -> RadialRule:
     # indicator symbols jump at t = s^2, that is u = sqrt(1 - s^2); a panel
     # edge there keeps the radial integrand panelwise smooth
     jump = math.sqrt(1.0 - a.s * a.s) if a.kind == "indicator" else None
-    u_nodes, u_weights = gauss_legendre_grid(radial_panels(a, degree), jump)
+    u_nodes, u_weights = weighted_grid(radial_panels(a, degree), alpha, jump)
     t_nodes = 1.0 - u_nodes * u_nodes
-    weights = eval_at_t(a, t_nodes) * (2.0 * u_nodes ** (2.0 * alpha + 1.0) * u_weights)
+    weights = eval_at_t(a, t_nodes) * u_weights
     return RadialRule(r=np.sqrt(t_nodes), weights=weights)
 
 

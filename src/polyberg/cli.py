@@ -161,8 +161,7 @@ def cmd_basis(args) -> int:
 
     from .generators import generator_family, matrix_unit_errors
 
-    _, gs, table = generator_family(args.n, args.alpha, args.xi)
-    errs = matrix_unit_errors(gs, table)
+    errs = matrix_unit_errors(generator_family(args.n, args.alpha, args.xi)[1])
     for (p, q), err in np.ndenumerate(errs):
         print(f"unit ({p},{q}): max entry error {err:.3e}")
     worst = float(errs.max())

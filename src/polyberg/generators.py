@@ -29,7 +29,6 @@ __all__ = [
     "AntitriangularReport",
     "antitriangular_report",
     "GeneratorStructureError",
-    "NuTable",
     "nu_table",
     "matrix_unit",
     "matrix_unit_errors",
@@ -114,17 +113,9 @@ def _check_generator_structure(gs: Sequence[np.ndarray]) -> None:
                 )
 
 
-@dataclass
-class NuTable:
-    """Upper-triangular coefficient table nu[p][j], 0 <= p <= j <= d-1."""
-
-    order: int
-    nu: np.ndarray
-    is_real: bool
-
-
-def nu_table(gs: Sequence[np.ndarray]) -> NuTable:
-    """Coefficients of the descending matrix-unit recursion.
+def nu_table(gs: Sequence[np.ndarray]) -> np.ndarray:
+    """Upper-triangular coefficients nu[p][j], 0 <= p <= j <= d-1, of the
+    descending matrix-unit recursion, of dtype result_type(*gs, float).
 
     With c = corner entry of the last generator and r_p = last row of
     generator p:
@@ -135,8 +126,7 @@ def nu_table(gs: Sequence[np.ndarray]) -> NuTable:
     gs = [np.asarray(g) for g in gs]
     _check_generator_structure(gs)
     d = gs[0].shape[0]
-    is_real = all(not np.iscomplexobj(g) for g in gs)
-    nu = np.zeros((d, d), dtype=float if is_real else complex)
+    nu = np.zeros((d, d), dtype=np.result_type(*gs, float))
     corner = gs[d - 1][d - 1, d - 1]
     nu[d - 1, d - 1] = 1.0 / corner**2
     for p in range(d - 2, -1, -1):
@@ -144,49 +134,37 @@ def nu_table(gs: Sequence[np.ndarray]) -> NuTable:
         nu[p, p] = 1.0 / (row[p] * corner)
         for j in range(p + 1, d):
             nu[p, j] = -sum(nu[q, j] * row[q] for q in range(p + 1, j + 1)) / row[p]
-    return NuTable(order=d, nu=nu, is_real=is_real)
+    return nu
 
 
-def _real_symmetric(gs: Sequence[np.ndarray], table: NuTable) -> bool:
-    return table.is_real and all(np.array_equal(g, g.T) for g in gs)
-
-
-def _left_factor(gs, table: NuTable, p: int, real_symmetric: bool) -> np.ndarray:
-    d = table.order
-    if real_symmetric:
-        left = sum(table.nu[p, j] * gs[j] for j in range(p, d))
-        return left @ gs[d - 1] @ gs[d - 1]
-    left = sum(np.conj(table.nu[p, j]) * gs[j].conj().T for j in range(p, d))
+def _left_factor(gs, nu: np.ndarray, p: int) -> np.ndarray:
+    d = len(gs)
+    left = sum(np.conj(nu[p, j]) * gs[j].conj().T for j in range(p, d))
     return left @ gs[d - 1].conj().T @ gs[d - 1]
 
 
-def _right_factor(gs, table: NuTable, q: int) -> np.ndarray:
-    return sum(table.nu[q, k] * gs[k] for k in range(q, table.order))
+def _right_factor(gs, nu: np.ndarray, q: int) -> np.ndarray:
+    return sum(nu[q, k] * gs[k] for k in range(q, len(gs)))
 
 
-def matrix_unit(
-    gs: Sequence[np.ndarray], table: NuTable, p: int, q: int
-) -> np.ndarray:
-    """Reassemble the matrix unit E_{p,q} from the generator family.
-
-    Real symmetric families use the simplified product
-    (sum nu[p][j] G_j) G_last^2 (sum nu[q][k] G_k); the general form
-    conjugates the left factor.
-    """
+def matrix_unit(gs: Sequence[np.ndarray], p: int, q: int) -> np.ndarray:
+    """Reassemble the matrix unit E_{p,q} from the generator family as
+    (sum conj(nu[p][j]) G_j^*) G_last^* G_last (sum nu[q][k] G_k), with
+    nu = nu_table(gs)."""
     gs = [np.asarray(g) for g in gs]
-    left = _left_factor(gs, table, p, _real_symmetric(gs, table))
-    return left @ _right_factor(gs, table, q)
+    nu = nu_table(gs)
+    return _left_factor(gs, nu, p) @ _right_factor(gs, nu, q)
 
 
-def matrix_unit_errors(gs: Sequence[np.ndarray], table: NuTable) -> np.ndarray:
-    """Largest entry of |matrix_unit(gs, table, p, q) - E_pq|, per (p, q),
-    bit for bit: each left and right factor and the real-symmetric test
-    are formed once for the family."""
+def matrix_unit_errors(gs: Sequence[np.ndarray]) -> np.ndarray:
+    """Largest entry of |matrix_unit(gs, p, q) - E_pq|, per (p, q), bit
+    for bit: nu and each left and right factor are formed once for the
+    family."""
     gs = [np.asarray(g) for g in gs]
-    d = table.order
-    real_symmetric = _real_symmetric(gs, table)
-    lefts = [_left_factor(gs, table, p, real_symmetric) for p in range(d)]
-    rights = [_right_factor(gs, table, q) for q in range(d)]
+    nu = nu_table(gs)
+    d = len(gs)
+    lefts = [_left_factor(gs, nu, p) for p in range(d)]
+    rights = [_right_factor(gs, nu, q) for q in range(d)]
     eye = np.eye(d)
     return np.array([[np.max(np.abs(left @ right - np.outer(eye[p], eye[q])))
                       for q, right in enumerate(rights)] for p, left in enumerate(lefts)])
@@ -208,13 +186,13 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
 
 
 def generator_family(n: int, alpha: float, xi: int):
-    """Symbol indices d-1+|xi|+j (j < d), their blocks at xi and the nu
-    table of those blocks.  The last generator is a nonzero multiple of
-    E_{d-1,d-1} at xi and vanishes at every lower frequency."""
+    """Symbol indices d-1+|xi|+j (j < d) and their blocks at xi.  The last
+    generator is a nonzero multiple of E_{d-1,d-1} at xi and vanishes at
+    every lower frequency."""
     d = block_order(n, xi)
     symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
     gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
-    return symbol_indices, gs, nu_table(gs)
+    return symbol_indices, gs
 
 
 @dataclass(frozen=True)
@@ -274,10 +252,10 @@ class SeparationPlan:
 @lru_cache(maxsize=256)
 def _plan_grid(n: int, alpha: float, xi: int) -> tuple:
     """Every unit plan of the family at xi, grid[p][q] for E_{p,q}, from
-    one generator_family and one nu table."""
-    symbol_indices, _, table = generator_family(n, alpha, xi)
-    d = len(symbol_indices)
-    sides = [tuple((float(table.nu[p, j]), symbol_indices[j]) for j in range(p, d))
+    one generator_family and one nu_table."""
+    symbol_indices, gs = generator_family(n, alpha, xi)
+    nu, d = nu_table(gs), len(symbol_indices)
+    sides = [tuple((float(nu[p, j]), symbol_indices[j]) for j in range(p, d))
              for p in range(d)]
     mid = symbol_indices[-1]
     return tuple(tuple(SeparationPlan(n, alpha, left, mid, right) for right in sides)

@@ -97,7 +97,8 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
 
 def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
     """Tabulated symbol; linear interpolation in t, constant beyond the
-    last node.  Excluded from the exact-integration guarantees."""
+    last node, so a limit other than the last value is refused; one left
+    out stays None.  Excluded from the exact-integration guarantees."""
     pts = tuple((float(t), _as_scalar(v)) for t, v in points)
     if len(pts) < 2:
         raise ValueError("sampled symbol needs at least two points")
@@ -107,6 +108,8 @@ def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
     if ts[0] < 0.0 or ts[-1] >= 1.0:
         raise ValueError("sampled t-values must lie in [0, 1)")
     lim = None if limit is None else _as_scalar(limit)
+    if lim is not None and lim != pts[-1][1]:
+        raise ValueError(f"sampled limit {lim} is not the last value {pts[-1][1]}")
     return SymbolSpec(kind="sampled", points=pts, limit=lim)
 
 

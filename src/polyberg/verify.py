@@ -9,7 +9,8 @@ draws value by value (uniform, randrange, choice, gauss), so each caller
 chooses its own draws and a `verify` process never loads numpy.random,
 whose bit generators import hashlib and OpenSSL.  A measurement that
 reads NaN anywhere is NaN, so its check fails: the running maxima go
-through _worse, because max(0.0, nan) is 0.0.  The sup-bound check is
+through _worse and the running minima through _lesser, because
+max(0.0, nan) is 0.0 and min(inf, nan) is inf.  The sup-bound check is
 skipped when the weight exponent is not positive, because no bound of
 that shape is established there.
 """
@@ -34,7 +35,7 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import antitriangular_report, generator_block, matrix_unit_errors, nu_table
+from .generators import antitriangular_report, generator_block, matrix_unit_errors
 from .integration import entry_block, weighted_product_integral
 from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_int
 from .purestates import (
@@ -53,6 +54,11 @@ from .symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
 def _worse(worst: float, value: float) -> float:
     """max(worst, value), NaN once either is NaN."""
     return value if value > worst or math.isnan(value) else worst
+
+
+def _lesser(least: float, value: float) -> float:
+    """min(least, value), NaN once either is NaN."""
+    return value if value < least or math.isnan(value) else least
 
 
 # --- special functions and Jacobi polynomials -------------------------------
@@ -176,7 +182,7 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
     for sym in (indicator_symbol(0.5), poly_t_symbol([0.2, -0.4, 0.3])):
         s2, sup = gamma_sequence(sym, n, alpha, xi_max), sup_abs(sym)
         for b in map(s2.block, frequencies(n, xi_max)):
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(b).min()))
+            min_eig = _lesser(min_eig, float(np.linalg.eigvalsh(b).min()))
             norm_excess = _worse(norm_excess, spectral_norm(b) - sup)
     return id_dev, lin_dev, symmetric, min_eig, norm_excess
 
@@ -235,9 +241,7 @@ def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> li
 
 def matrix_unit_error(families) -> float:
     """Worst matrix-unit reconstruction error over generator families."""
-    return reduce(
-        _worse, (float(matrix_unit_errors(gs, nu_table(gs)).max()) for gs in families), 0.0
-    )
+    return reduce(_worse, (float(matrix_unit_errors(gs).max()) for gs in families), 0.0)
 
 
 SUBMATRIX_TOL = 1e-12
@@ -322,7 +326,7 @@ def separation_gaps(n: int, alpha: float, pairs) -> tuple:
     for s1, s2 in pairs:
         try:
             _, vals = separate(s1, s2, n, alpha)
-            min_gap = min(min_gap, abs(vals[0] - vals[1]))
+            min_gap = _lesser(min_gap, abs(vals[0] - vals[1]))
         except NotSeparableError:
             refused.append((s1.xi, s2.xi))
     return min_gap, refused

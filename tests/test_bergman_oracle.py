@@ -121,6 +121,24 @@ def test_oracle_resolves_high_degree_generators(p, alpha):
     assert max(oracle_gaps(make_gp(p, alpha), 2, alpha, 2).values()) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", [-0.99, -0.9, -0.75, -0.6])
+def test_oracle_serves_alpha_below_minus_one_half(alpha):
+    # the weight 2 u^(2 alpha + 1) is singular at u = 0; a Gauss-Legendre
+    # first panel left 0.17 for the constant at alpha = -0.9
+    for a in (const_symbol(1.0), make_gp(3, alpha), poly_t_symbol([0.3, -0.2, 0.5]),
+              indicator_symbol(0.6)):
+        assert max(oracle_gaps(a, 3, alpha, 4).values()) < 1e-6, (alpha, a.kind)
+
+
+@pytest.mark.parametrize("alpha", [-0.99, -0.5, 0.0, 2.5])
+def test_first_panel_is_the_gauss_rule_of_the_weight(alpha):
+    # one panel is the first: 2 u^(2 alpha + 1) u^k integrates exactly for k <= 7
+    nodes, weights = bergman_oracle.weighted_grid(1, alpha)
+    assert np.all((nodes > 0.0) & (nodes < 1.0))
+    for k in range(8):
+        assert np.sum(weights * nodes**k) == pytest.approx(2.0 / (2.0 * alpha + 2.0 + k), rel=1e-13)
+
+
 def test_oracle_aliasing_guard():
     with pytest.raises(ValueError):
         toeplitz_entry_2d(const_symbol(1.0), 0.0, 6, 0, 6, 0, angular_nodes=10)

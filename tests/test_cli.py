@@ -538,9 +538,9 @@ def test_verify_fails_a_nan_measurement(monkeypatch):
     # running max over the families would read its first error and pass
     real, calls = verify.matrix_unit_errors, []
 
-    def nan_second(gs, table):
+    def nan_second(gs):
         calls.append(len(gs))
-        return real(gs, table) * (np.nan if len(calls) == 2 else 1.0)
+        return real(gs) * (np.nan if len(calls) == 2 else 1.0)
 
     monkeypatch.setattr(verify, "matrix_unit_errors", nan_second)
     results = {r.name: r for r in verify.run_all(2, 1.0, 0)}
@@ -550,6 +550,29 @@ def test_verify_fails_a_nan_measurement(monkeypatch):
     # and a NaN inner product fails orthogonality, where max(0.0, nan) is 0.0
     assert math.isnan(verify.orthogonality_deviation(
         [0.5], [0], 2, pair_integral=lambda *args: math.nan))
+
+
+def test_verify_fails_a_nan_separation_gap(monkeypatch):
+    # min(inf, nan) is inf, so a running min would read a NaN gap as
+    # inf > 1e-8 and pass
+    monkeypatch.setattr(verify, "separate", lambda *args: (None, (math.nan, 0.0)))
+    results = {r.name: r for r in verify.run_all(2, 1.0, 0)}
+    assert results["pure-state separation"].status == "fail"
+    assert math.isnan(verify.separation_gaps(2, 1.0, [(None, None)])[0])
+
+
+def test_verify_fails_a_nan_eigenvalue(monkeypatch):
+    # the second block's eigenvalues are NaN; min(x, nan) keeps x
+    real, calls = np.linalg.eigvalsh, []
+
+    def nan_second(b):
+        calls.append(b)
+        return real(b) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", nan_second)
+    results = {r.name: r for r in verify.run_all(2, 1.0, 0)}
+    assert results.pop("sequence basics").status == "fail"
+    assert all(r.status == "pass" for r in results.values())
 
 
 # exit code, stdout and stderr of each, as the parent's parser of every

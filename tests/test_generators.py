@@ -80,17 +80,17 @@ def test_nu_table_hand_recursion_n2():
     a, b, c = 0.83, -0.41, 1.27
     g0 = np.array([[0.0, a], [a, b]])
     g1 = np.array([[0.0, 0.0], [0.0, c]])
-    t = nu_table([g0, g1])
-    assert t.nu[1, 1] == pytest.approx(1.0 / c**2, rel=1e-15)
-    assert t.nu[0, 0] == pytest.approx(1.0 / (a * c), rel=1e-15)
-    assert t.nu[0, 1] == pytest.approx(-b / (a * c**2), rel=1e-15)
-    assert np.allclose(matrix_unit([g0, g1], t, 1, 0), unit_matrix(2, 1, 0), atol=1e-15)
+    nu = nu_table([g0, g1])
+    assert nu[1, 1] == pytest.approx(1.0 / c**2, rel=1e-15)
+    assert nu[0, 0] == pytest.approx(1.0 / (a * c), rel=1e-15)
+    assert nu[0, 1] == pytest.approx(-b / (a * c**2), rel=1e-15)
+    assert np.allclose(matrix_unit([g0, g1], 1, 0), unit_matrix(2, 1, 0), atol=1e-15)
 
 
 def test_nu_table_hand_recursion_n3(rng):
     # closed forms obtained by solving the three elimination steps by hand
     gs = random_antitriangular_generators(3, 11)
-    t = nu_table(gs)
+    nu = nu_table(gs)
     g0, g1, g2 = gs
     nu22 = 1.0 / g2[2, 2] ** 2
     nu11 = 1.0 / (g1[2, 1] * g2[2, 2])
@@ -98,12 +98,12 @@ def test_nu_table_hand_recursion_n3(rng):
     nu00 = 1.0 / (g0[2, 0] * g2[2, 2])
     nu01 = -nu11 * g0[2, 1] / g0[2, 0]
     nu02 = -(nu12 * g0[2, 1] + nu22 * g0[2, 2]) / g0[2, 0]
-    assert t.nu[2, 2] == pytest.approx(nu22, rel=1e-14)
-    assert t.nu[1, 1] == pytest.approx(nu11, rel=1e-14)
-    assert t.nu[1, 2] == pytest.approx(nu12, rel=1e-14)
-    assert t.nu[0, 0] == pytest.approx(nu00, rel=1e-14)
-    assert t.nu[0, 1] == pytest.approx(nu01, rel=1e-14)
-    assert t.nu[0, 2] == pytest.approx(nu02, rel=1e-14)
+    assert nu[2, 2] == pytest.approx(nu22, rel=1e-14)
+    assert nu[1, 1] == pytest.approx(nu11, rel=1e-14)
+    assert nu[1, 2] == pytest.approx(nu12, rel=1e-14)
+    assert nu[0, 0] == pytest.approx(nu00, rel=1e-14)
+    assert nu[0, 1] == pytest.approx(nu01, rel=1e-14)
+    assert nu[0, 2] == pytest.approx(nu02, rel=1e-14)
 
 
 def test_plan_truncation_consistency():
@@ -117,9 +117,9 @@ def test_plan_truncation_consistency():
 
 def test_nu_table_order_one():
     g = np.array([[2.5]])
-    t = nu_table([g])
-    assert t.nu[0, 0] == pytest.approx(1.0 / 6.25)
-    assert matrix_unit([g], t, 0, 0) == pytest.approx(np.array([[1.0]]))
+    nu = nu_table([g])
+    assert nu[0, 0] == pytest.approx(1.0 / 6.25)
+    assert matrix_unit([g], 0, 0) == pytest.approx(np.array([[1.0]]))
 
 
 def test_nu_table_structure_errors():
@@ -151,8 +151,7 @@ def test_matrix_units_random_generators(n, symmetric):
 def test_matrix_unit_corner_any_valid_family():
     for seed in (0, 3):
         gs = random_antitriangular_generators(4, seed)
-        t = nu_table(gs)
-        got = matrix_unit(gs, t, 3, 3)
+        got = matrix_unit(gs, 3, 3)
         assert np.max(np.abs(got - unit_matrix(4, 3, 3))) < 1e-10
 
 
@@ -163,13 +162,39 @@ def test_matrix_unit_errors_are_the_per_unit_errors_bit_for_bit():
     families += [[g * (1 + 0.5j) for g in random_antitriangular_generators(4, 7)]]
     families += [generator_family(n, 0.5, xi)[1] for n, xi in ((3, 0), (4, -2), (4, 5))]
     for gs in families:
-        table = nu_table(gs)
         d = len(gs)
-        errs = matrix_unit_errors(gs, table)
+        errs = matrix_unit_errors(gs)
         for p in range(d):
             for q in range(d):
-                want = np.max(np.abs(matrix_unit(gs, table, p, q) - unit_matrix(d, p, q)))
+                want = np.max(np.abs(matrix_unit(gs, p, q) - unit_matrix(d, p, q)))
                 assert errs[p, q].tobytes() == want.tobytes(), (d, p, q)
+
+
+def test_real_symmetric_units_are_the_unconjugated_product_bit_for_bit():
+    # the conjugating product needs no real-symmetric form of its own
+    families = [random_antitriangular_generators(n, seed, True)
+                for n in (1, 2, 3, 4, 5, 6) for seed in range(4)]
+    families += [generator_family(n, alpha, xi)[1]
+                 for n in (2, 3, 4) for alpha in (0.0, 0.5, 2.5) for xi in (-n + 1, 0, 3)]
+    for gs in families:
+        assert all(np.isrealobj(g) and np.array_equal(g, g.T) for g in gs)
+        nu, d = nu_table(gs), len(gs)
+        for p in range(d):
+            for q in range(d):
+                left = sum(nu[p, j] * gs[j] for j in range(p, d))
+                right = sum(nu[q, k] * gs[k] for k in range(q, d))
+                want = left @ gs[-1] @ gs[-1] @ right
+                assert matrix_unit(gs, p, q).tobytes() == want.tobytes(), (d, p, q)
+
+
+def test_nu_table_dtype_follows_the_family():
+    real = random_antitriangular_generators(3, 4)
+    assert nu_table(real).dtype == np.float64
+    assert nu_table(generator_family(3, 0.5, 1)[1]).dtype == np.float64
+    assert nu_table([g.astype(np.float32) for g in real]).dtype == np.float64
+    assert nu_table([g * (1 + 0.5j) for g in real]).dtype == np.complex128
+    mixed = real[:-1] + [real[-1] * (1 + 0j)]
+    assert nu_table(mixed).dtype == np.complex128
 
 
 def test_same_frequency_plan_examples():

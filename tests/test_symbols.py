@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyberg.gammaseq import gamma_sequence, tail_deviation
 from polyberg.jacobi import MAX_MOMENT_DEGREE, q_coeffs_int
 from polyberg.symbols import (
     const_symbol,
@@ -150,6 +151,22 @@ def test_sampled_symbol():
         sampled_symbol([(0.0, 1.0), (1.0, 2.0)])
 
 
+def test_sampled_limit_is_the_last_value():
+    # the table is constant past its last knot; limit 0.5 here gave a
+    # tail deviation of 1.5 at xi = 150, where it should tend to 0
+    with pytest.raises(ValueError, match="not the last value"):
+        sampled_symbol([(0, 1), (0.5, -1)], limit=0.5)
+    with pytest.raises(ValueError, match="not the last value"):
+        symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, -1]], "limit": 0.5})
+    a = sampled_symbol([(0, 1), (0.5, -1)], limit=-1)
+    assert a.limit == -1.0
+    assert tail_deviation(gamma_sequence(a, 2, 0.0, 150), 150) < 1e-12
+    c = symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, [2, -1]]],
+                              "limit": [2, -1]})
+    assert c.limit == 2 - 1j
+    assert symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, -1]]}).limit is None
+
+
 def test_sup_abs():
     assert sup_abs(const_symbol(-3.0)) == 3.0
     assert sup_abs(indicator_symbol(0.3)) == 1.0
@@ -229,7 +246,7 @@ def test_json_round_trip():
         indicator_symbol(0.5),
         poly_t_symbol([0.1, -0.2, 0.3]),
         make_gp(3, 0.5),
-        sampled_symbol([(0.0, 1.0), (0.5, -1.0)], limit=0.5),
+        sampled_symbol([(0.0, 1.0), (0.5, -1.0)], limit=-1.0),
     ]
     for a in cases:
         back = symbol_from_json_obj(symbol_to_json_obj(a))
