@@ -13,7 +13,8 @@ panel takes the Gauss rule of that weight, for every alpha > -1; it is
 solved from special_fn.jacobi_recurrence, which q_eval and the blocks
 also run, and shares nothing else with the blocks.  The other panels are
 Gauss-Legendre times the weight, and their count follows the
-integrand's polynomial degree (radial_panels).  `oracle_gaps` compares
+integrand's polynomial degree (radial_panels); an indicator's jump and a
+table's knots are panel edges.  `oracle_gaps` compares
 the quadrature with gamma_sequence, which it reads only for that
 comparison, so `polyberg oracle` loads the sequence path and this module
 alone.  Per call it builds one radial rule, and per frequency one block
@@ -78,15 +79,14 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     return complex(out) if out.ndim == 0 else out
 
 
-def weighted_grid(n_panels: int, alpha: float, breakpoint: float | None = None):
+def weighted_grid(n_panels: int, alpha: float, breakpoints=()):
     """Composite 4-point nodes on n_panels equal panels of [0, 1] and their
     weights for 2 u^(2 alpha + 1): Gauss-Legendre times that weight on
     every panel but the first, [0, h], which takes the Gauss rule of
-    u^(2 alpha + 1) itself.  A breakpoint becomes one more panel edge, so
-    integrands with a jump there stay panelwise smooth."""
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    if breakpoint is not None:
-        edges = np.sort(np.append(edges, breakpoint))
+    u^(2 alpha + 1) itself.  Each breakpoint in [0, 1] becomes a panel
+    edge, so integrands with a jump or a kink there stay panelwise
+    smooth."""
+    edges = np.unique(np.append(np.linspace(0.0, 1.0, n_panels + 1), breakpoints))
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     nodes = mid + half * _GL_NODES
@@ -126,10 +126,12 @@ def radial_rule(a: SymbolSpec, alpha: float, degree: int = 0) -> RadialRule:
     """The radial half of the tensor rule for symbol a and exponent alpha,
     sized for products of disk polynomials of degree `degree` in t, that
     is (p + q + p2 + q2) / 2 for the pair (p, q), (p2, q2)."""
-    # indicator symbols jump at t = s^2, that is u = sqrt(1 - s^2); a panel
-    # edge there keeps the radial integrand panelwise smooth
-    jump = math.sqrt(1.0 - a.s * a.s) if a.kind == "indicator" else None
-    u_nodes, u_weights = weighted_grid(radial_panels(a, degree), alpha, jump)
+    # an indicator jumps at t = s^2 and a table has kinks at its knots t_q;
+    # panel edges at u = sqrt(1 - t) there keep the radial integrand
+    # panelwise smooth
+    cuts = [a.s * a.s] if a.kind == "indicator" else [t for t, _ in a.points or ()]
+    u_nodes, u_weights = weighted_grid(radial_panels(a, degree), alpha,
+                                       np.sqrt(1.0 - np.array(cuts)))
     t_nodes = 1.0 - u_nodes * u_nodes
     weights = eval_at_t(a, t_nodes) * u_weights
     return RadialRule(r=np.sqrt(t_nodes), weights=weights)

@@ -94,15 +94,15 @@ def cmd_gamma(args) -> int:
         payload = block_csv(seq, args.xi)
     _write_output(payload, args.out)
     sink = sys.stdout if args.out else sys.stderr
-    n, limit = seq.n, seq.scalar_limit
-    print("xi order norm" + (" tail_deviation" if limit is not None else ""), file=sink)
+    n = seq.n
+    print("xi order norm tail_deviation", file=sink)
     # one stacked SVD per column: padding adds only zero singular values,
     # and the tail column reads the blocks of xi >= 0, which are unpadded
     norms = spectral_norm(seq.blocks)
-    tails = None if limit is None else spectral_norm(seq.blocks[n - 1:] - limit * np.eye(n))
+    tails = spectral_norm(seq.blocks[n - 1:] - seq.scalar_limit * np.eye(n))
     for i, xi in enumerate(frequencies(n, seq.xi_max)):
         row = f"{xi:3d} {block_order(n, xi):5d} {norms[i]:.6e}"
-        if tails is not None and xi >= 0:
+        if xi >= 0:
             row += f" {tails[xi]:.6e}"
         print(row, file=sink)
     return EXIT_OK

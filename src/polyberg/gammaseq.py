@@ -3,10 +3,10 @@
 For a symbol a, frequency xi >= -n+1 carries a square block of order
 min(n+xi, n) whose entries are the symbol-weighted Jacobi inner products.
 A truncated sequence holds the blocks from -n+1 up to a chosen maximal
-frequency together with the scalar boundary limit of the symbol when that
-limit is known.  Sequences support pointwise (per-frequency) addition,
-scalar multiplication and block products, which is all the generator
-algebra downstream needs.
+frequency together with the scalar boundary limit of the symbol.
+Sequences support pointwise (per-frequency) addition, scalar
+multiplication and block products, which is all the generator algebra
+downstream needs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .integration import entry_block, entry_blocks
-from .symbols import SymbolSpec, symbol_from_json_obj, symbol_to_json_obj
+from .symbols import (SymbolSpec, _scalar_from_json, _scalar_to_json, symbol_from_json_obj,
+                      symbol_to_json_obj)
 
 __all__ = [
     "block_order",
@@ -79,7 +80,7 @@ def pack_blocks(n: int, blocks) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MatrixSeq:
     """Truncated matrix sequence: blocks for every admissible frequency up
-    to xi_max, plus the scalar limit at infinity when defined.
+    to xi_max, plus the scalar limit at infinity, which is refused as None.
 
     Immutable, so a cached sequence is shared as-is (dataclasses.replace
     makes a changed copy).  blocks is one read-only (xi_max + n, n, n)
@@ -95,10 +96,12 @@ class MatrixSeq:
     n: int
     alpha: float
     blocks: np.ndarray = field(repr=False)
-    scalar_limit: Optional[complex] = None
+    scalar_limit: complex
     symbol: Optional[SymbolSpec] = None
 
     def __post_init__(self) -> None:
+        if self.scalar_limit is None:
+            raise ValueError("a matrix sequence needs its scalar limit")
         shape, n = np.shape(self.blocks), self.n
         if n < 1 or len(shape) != 3 or shape[0] < n or shape[1:] != (n, n):
             raise ValueError(
@@ -131,10 +134,8 @@ class MatrixSeq:
     def _pointwise(self, other: "MatrixSeq", block_op, limit_op) -> "MatrixSeq":
         if (self.n, self.alpha, self.xi_max) != (other.n, other.alpha, other.xi_max):
             raise ValueError("sequences must share n, alpha and truncation")
-        lim = None
-        if self.scalar_limit is not None and other.scalar_limit is not None:
-            lim = limit_op(self.scalar_limit, other.scalar_limit)
-        return MatrixSeq(self.n, self.alpha, block_op(self.blocks, other.blocks), lim)
+        return MatrixSeq(self.n, self.alpha, block_op(self.blocks, other.blocks),
+                         limit_op(self.scalar_limit, other.scalar_limit))
 
     def __add__(self, other: "MatrixSeq") -> "MatrixSeq":
         return self._pointwise(other, operator.add, operator.add)
@@ -143,8 +144,7 @@ class MatrixSeq:
         return self._pointwise(other, operator.matmul, operator.mul)
 
     def __mul__(self, c) -> "MatrixSeq":
-        lim = None if self.scalar_limit is None else c * self.scalar_limit
-        return MatrixSeq(self.n, self.alpha, c * self.blocks, lim)
+        return MatrixSeq(self.n, self.alpha, c * self.blocks, c * self.scalar_limit)
 
     __rmul__ = __mul__
 
@@ -176,8 +176,6 @@ def spectral_norm(m: np.ndarray):
 
 def tail_deviation(seq: MatrixSeq, xi: int) -> float:
     """Spectral-norm distance of the block at xi from (scalar limit) * I."""
-    if seq.scalar_limit is None:
-        raise ValueError("tail deviation needs a sequence with a scalar limit")
     if xi < 0:
         raise ValueError(f"tail deviation is defined for xi >= 0, got {xi}")
     b = seq.block(xi)
@@ -191,18 +189,10 @@ def _matrix_to_rows(m: np.ndarray):
 
 
 def _rows_to_matrix(rows):
-    def scal(v):
-        return complex(v[0], v[1]) if isinstance(v, list) else float(v)
-
-    arr = np.array([[scal(v) for v in row] for row in rows])
-    return arr
+    return np.array([[_scalar_from_json(v) for v in row] for row in rows])
 
 
 def seq_to_json_obj(seq: MatrixSeq) -> dict:
-    lim = seq.scalar_limit
-    if lim is not None:
-        lim = complex(lim)
-        lim = lim.real if lim.imag == 0.0 else [lim.real, lim.imag]
     return {
         "n": seq.n,
         "alpha": seq.alpha,
@@ -213,14 +203,11 @@ def seq_to_json_obj(seq: MatrixSeq) -> dict:
             {"xi": xi, "rows": _matrix_to_rows(seq.block(xi))}
             for xi in frequencies(seq.n, seq.xi_max)
         ],
-        "scalar_limit": lim,
+        "scalar_limit": _scalar_to_json(seq.scalar_limit),
     }
 
 
 def seq_from_json_obj(obj: dict) -> MatrixSeq:
-    lim = obj.get("scalar_limit")
-    if isinstance(lim, list):
-        lim = complex(lim[0], lim[1])
     sym = obj.get("symbol")
     n = int(obj["n"])
     if [int(m["xi"]) for m in obj["matrices"]] != list(frequencies(n, int(obj["xi_max"]))):
@@ -229,7 +216,7 @@ def seq_from_json_obj(obj: dict) -> MatrixSeq:
         n=n,
         alpha=float(obj["alpha"]),
         blocks=pack_blocks(n, (_rows_to_matrix(m["rows"]) for m in obj["matrices"])),
-        scalar_limit=lim,
+        scalar_limit=_scalar_from_json(obj.get("scalar_limit")),
         symbol=None if sym is None else symbol_from_json_obj(sym, alpha=obj["alpha"]),
     )
 

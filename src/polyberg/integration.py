@@ -37,7 +37,9 @@ p p^T w has M_jk = w1(x) (p_j p_k' - p_k p_j')(x) / (lambda_j - lambda_k)
 off the diagonal, p_k' = kappa_k R_(k-1) with R orthonormal for
 (alpha + 1, xi + 1), M_00 = I_x(xi + 1, alpha + 1), and the diagonal from
 J M = M J.  An indicator's block is M(s^2), a hinge's x_q M - J M.  A
-block does not depend on the range it is requested in.  Indicator blocks
+block does not depend on the range it is requested in.  The weights are
+tabulated up to the moment guard, so this kernel alone of the float ones
+refuses a moment degree 2 (d - 1) + xi above it.  Indicator blocks
 are within about 1e-14 of mpmath; a table's hinge sum adds up to
 2 eps sum_q |c_q| (0.53 eps sum_q |c_q| measured), seen on steep tables.
 """
@@ -163,6 +165,9 @@ def _cut_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     # in cut order along the leading axis (numpy adds whole slabs there, as
     # a table's two sums make every slab longer than one), and all else is
     # elementwise in xi, so a block does not depend on its chunk.
+    if d - 1 > jacobi.MAX_DEGREE:
+        raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
+    _guard_degree(2 * (d - 1) + xis[-1])
     level, cuts, weights = _hinges(a)
     out = np.broadcast_to(level * np.eye(d), (len(xis), d, d)).copy()
     if not cuts.size:
@@ -252,15 +257,14 @@ def _generator_blocks(p: int, alpha: float, xis: range, d: int) -> np.ndarray:
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
     exactly symmetric (len(xis), d, d) stack, complex only for a complex
-    symbol.  Refuses degree d - 1 above jacobi.MAX_DEGREE, a generator for
-    another alpha and, but for poly_t, the moment degree 2(d - 1) +
-    max(xis) above MAX_MOMENT_DEGREE."""
+    symbol.  Refuses alpha <= -1 and a generator for another alpha; each
+    kernel refuses what it cannot serve: an indicator or sampled symbol
+    degree d - 1 above jacobi.MAX_DEGREE and the moment degree
+    2(d - 1) + max(xis) above MAX_MOMENT_DEGREE, a generator that moment
+    degree and a coefficient degree above jacobi.MAX_DEGREE.  A constant
+    or poly_t symbol is refused at no order or frequency."""
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if d - 1 > jacobi.MAX_DEGREE:
-        raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
-    if a.kind != "poly_t":
-        _guard_degree(2 * (d - 1) + xis[-1])
     if a.kind == "jacobi_g" and a.alpha != alpha:
         raise ValueError(f"generator {a.p} is for alpha {a.alpha}, not the weight's {alpha}; "
                          "pass its coefficients as a poly_t symbol")

@@ -115,8 +115,6 @@ def eval_state(s: PureState, a_seq: MatrixSeq):
     """Value of the state on a sequence: quadratic form of the block, or
     the scalar limit for the limit state."""
     if s.xi is None:
-        if a_seq.scalar_limit is None:
-            raise ValueError("limit state needs a sequence with a scalar limit")
         return a_seq.scalar_limit
     b, u = a_seq.block(s.xi), s.u
     if len(b) != len(u):
@@ -303,8 +301,6 @@ def separation(
         fin = s2 if s1.xi is None else s1
         if infinity_witness is None:
             witness = _limit_witness(n, float(alpha), max(fin.xi, 0))
-        elif infinity_witness.limit is None:
-            raise ValueError("infinity witness symbol needs a known boundary limit")
         else:
             witness = gamma_sequence(infinity_witness, n, alpha, max(fin.xi, 0))
         recipe = {"symbol": witness.symbol}

@@ -95,10 +95,10 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
                       limit=rising / (math.factorial(p) << (e * p)))
 
 
-def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
+def sampled_symbol(points: Sequence) -> SymbolSpec:
     """Tabulated symbol; linear interpolation in t, constant beyond the
-    last node, so a limit other than the last value is refused; one left
-    out stays None.  Excluded from the exact-integration guarantees."""
+    last node, so its limit is the last value.  Excluded from the
+    exact-integration guarantees."""
     pts = tuple((float(t), _as_scalar(v)) for t, v in points)
     if len(pts) < 2:
         raise ValueError("sampled symbol needs at least two points")
@@ -107,10 +107,7 @@ def sampled_symbol(points: Sequence, limit=None) -> SymbolSpec:
         raise ValueError("sampled t-values must be strictly increasing")
     if ts[0] < 0.0 or ts[-1] >= 1.0:
         raise ValueError("sampled t-values must lie in [0, 1)")
-    lim = None if limit is None else _as_scalar(limit)
-    if lim is not None and lim != pts[-1][1]:
-        raise ValueError(f"sampled limit {lim} is not the last value {pts[-1][1]}")
-    return SymbolSpec(kind="sampled", points=pts, limit=lim)
+    return SymbolSpec(kind="sampled", points=pts, limit=pts[-1][1])
 
 
 def _poly_eval(coeffs, t):
@@ -141,7 +138,7 @@ def eval_at_t(a: SymbolSpec, t):
         ts = np.array([p[0] for p in a.points])
         vs = np.array([p[1] for p in a.points])
         out = np.interp(np.asarray(t, dtype=float), ts, vs)
-        return float(out) if np.isscalar(t) else out
+        return out.item() if np.isscalar(t) else out
     raise ValueError(f"unknown symbol kind {a.kind!r}")
 
 
@@ -191,8 +188,6 @@ def sup_abs(a: SymbolSpec) -> float:
 
 
 def _scalar_to_json(v):
-    if v is None:
-        return None
     v = complex(v)
     return v.real if v.imag == 0.0 else [v.real, v.imag]
 
@@ -226,7 +221,8 @@ def symbol_to_json_obj(a: SymbolSpec) -> dict:
 def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec:
     """Decode a symbol.  A jacobi_g entry may omit its weight exponent, in
     which case the contextual alpha (e.g. from the run configuration) is
-    used."""
+    used.  A sampled entry may omit its limit, which is the last value;
+    a limit that differs is refused."""
     try:
         kind = obj["kind"]
     except (TypeError, KeyError):
@@ -243,8 +239,9 @@ def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec
             raise ValueError("jacobi_g symbol requires an alpha (field or context)")
         return make_gp(int(obj["p"]), float(a))
     if kind == "sampled":
-        return sampled_symbol(
-            [(t, _scalar_from_json(v)) for t, v in obj["points"]],
-            limit=_scalar_from_json(obj.get("limit")),
-        )
+        a = sampled_symbol([(t, _scalar_from_json(v)) for t, v in obj["points"]])
+        lim = _scalar_from_json(obj.get("limit"))
+        if lim is not None and lim != a.limit:
+            raise ValueError(f"sampled limit {lim} is not the last value {a.limit}")
+        return a
     raise ValueError(f"unknown symbol kind {kind!r}")

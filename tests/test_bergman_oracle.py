@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import disk_poly_alt
 from polyberg import bergman_oracle
@@ -177,8 +179,9 @@ CONTRACTION_SYMBOLS = {
 def test_block_contraction_matches_entrywise_quadrature(kind, alpha):
     a = CONTRACTION_SYMBOLS[kind](alpha)
     rule = radial_rule(a, alpha)
-    # the indicator's jump at u = sqrt(1 - s^2) is one more panel edge
-    assert rule.r.size == 4 * (RADIAL_PANELS + (kind == "indicator"))
+    # the indicator's jump at u = sqrt(1 - s^2) is one more panel edge, and
+    # so is each knot of the table past t = 0 (u = 1 is an edge already)
+    assert rule.r.size == 4 * (RADIAL_PANELS + {"indicator": 1, "sampled": 2}.get(kind, 0))
 
     @lru_cache(maxsize=None)
     def entry(xi, j, k):
@@ -192,3 +195,36 @@ def test_block_contraction_matches_entrywise_quadrature(kind, alpha):
             for (j, k), got in np.ndenumerate(block):
                 want = entry(xi, j, k)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, xi, j, k, got, want)
+
+
+@st.composite
+def oracle_cases(draw):
+    # a symbol of each kind, and a table whose first knot lies anywhere in
+    # [0, 1/2), so that its kinks fall anywhere among the fixed panels
+    alpha = draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.5]))
+    unit = st.floats(-1.0, 1.0)
+    kind = draw(st.sampled_from(["const", "indicator", "poly_t", "jacobi_g", "sampled"]))
+    if kind == "const":
+        a = const_symbol(draw(unit))
+    elif kind == "indicator":
+        a = indicator_symbol(draw(st.floats(0.05, 0.95)))
+    elif kind == "poly_t":
+        a = poly_t_symbol(draw(st.lists(unit, min_size=1, max_size=4)))
+    elif kind == "jacobi_g":
+        a = make_gp(draw(st.integers(0, 6)), alpha)
+    else:
+        first = draw(st.floats(0.0, 0.5, exclude_max=True))
+        steps = draw(st.lists(st.floats(0.02, 0.15), min_size=1, max_size=4))
+        ts = first + np.cumsum([0.0, *steps])
+        a = sampled_symbol(zip(ts, draw(st.lists(unit, min_size=len(ts), max_size=len(ts)))))
+    return a, draw(st.integers(1, 3)), alpha, draw(st.integers(0, 4))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(oracle_cases())
+def test_oracle_meets_every_kind_to_rounding(case):
+    # panel edges at a table's knots keep its kinks off the Gauss nodes:
+    # with a kink inside a panel the table [[0,1],[0.3,0.2],[0.6,0.9],
+    # [0.9,0.4]] read 1.1e-6 at n = 3, alpha = 0.5
+    a, n, alpha, xi_max = case
+    assert max(oracle_gaps(a, n, alpha, xi_max).values()) < 1e-12

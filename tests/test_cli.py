@@ -378,6 +378,26 @@ def test_nonfinite_state_is_refused_before_normalizing(capsys):
     assert err.startswith("error: state vector must be finite, got [nan+0.j")
 
 
+def test_a_table_without_a_limit_has_its_last_value(tmp_path, capsys):
+    # gamma printed no tail column for such a table, and purestate and
+    # separate with the limit state exited 2
+    table = '{"kind":"sampled","points":[[0,1],[0.5,0.25]]}'
+    assert symbol_from_json_obj(json.loads(table)).limit == 0.25
+    out = tmp_path / "seq.json"
+    assert main(["gamma", "--n", "2", "--xi-max", "3", "--symbol", table, "--out", str(out)]) == 0
+    seq = seq_from_json_obj(json.loads(out.read_text()))
+    assert seq.scalar_limit == 0.25
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "xi order norm tail_deviation"
+    assert [row.split()[3:] for row in rows[2:]] == [
+        [f"{tail_deviation(seq, xi):.6e}"] for xi in range(4)]
+    assert main(["purestate", "--n", "2", "--state", "inf", "--symbol", table]) == 0
+    assert capsys.readouterr().out == "state value: 0.25\n"
+    assert main(["separate", "--n", "2", "--state", "inf", "--state", "0:1,0",
+                 "--symbol", table]) == 0
+    assert "sigma_1 = 0.25\n" in capsys.readouterr().out
+
+
 def test_basis_demo(capsys):
     code = main(["basis", "--n", "3", "--alpha", "0.5", "--xi", "1"])
     assert code == 0

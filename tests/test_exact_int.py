@@ -149,17 +149,17 @@ def test_generator_blocks_past_degree_64_equal_fractions(alpha):
 
 def test_moment_guard_is_kept():
     # beta_entry reads the block of order k + 1, whose top moment degree is
-    # 2 k + |xi|, whatever j is.  A poly_t block forms no moment and
-    # answers past the guard.
+    # 2 k + |xi|, whatever j is.  A poly_t or constant block forms no
+    # moment and answers past the guard.
     poly = poly_t_symbol([0.5] * GP + [1.0])
     edge = MAX_MOMENT_DEGREE - 2 * IDX
     assert math.isfinite(beta_entry(poly, 1.0, edge + 1, 0, IDX))
-    # a generator's degree does not count: it is refused where a constant is
-    gp, const = make_gp(GP, 1.0), const_symbol(1.0)
-    for sym in (gp, const):
-        assert math.isfinite(beta_entry(sym, 1.0, edge, 0, IDX))
-        with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
-            beta_entry(sym, 1.0, edge + 1, 0, IDX)
+    assert beta_entry(const_symbol(1.0), 1.0, edge + 1, 0, IDX) == 0.0
+    # a generator's degree does not count: it is refused at that same edge
+    gp = make_gp(GP, 1.0)
+    assert math.isfinite(beta_entry(gp, 1.0, edge, 0, IDX))
+    with pytest.raises(ValueError, match=f"moment degree {MAX_MOMENT_DEGREE + 1} "):
+        beta_entry(gp, 1.0, edge + 1, 0, IDX)
     with pytest.raises(ValueError):
         integration.weighted_product_integral([1.0, 2.0], 0.5, MAX_MOMENT_DEGREE)
 

@@ -186,12 +186,9 @@ def test_tail_deviation_goes_to_zero():
 
 
 def test_tail_deviation_errors():
-    seq = gamma_sequence(sampled_symbol([(0.0, 1.0), (0.5, 0.5)]), 2, 0.0, 3)
+    seq = gamma_sequence(const_symbol(1.0), 2, 0.0, 3)
     with pytest.raises(ValueError):
-        tail_deviation(seq, 2)  # no scalar limit
-    seq2 = gamma_sequence(const_symbol(1.0), 2, 0.0, 3)
-    with pytest.raises(ValueError):
-        tail_deviation(seq2, -1)
+        tail_deviation(seq, -1)
 
 
 def _seq_grid(n, xi_max):
@@ -285,6 +282,19 @@ def test_block_csv():
     assert lines[1].startswith("0,0,")
 
 
+def test_matrixseq_needs_its_scalar_limit():
+    with pytest.raises(ValueError, match="needs its scalar limit"):
+        MatrixSeq(n=2, alpha=0.0, blocks=np.zeros((3, 2, 2)), scalar_limit=None)
+    # a table given without a limit has its last value as one
+    obj = seq_to_json_obj(gamma_sequence(sampled_symbol([(0.0, 1.0), (0.5, 0.5)]), 2, 0.0, 2))
+    assert obj["scalar_limit"] == 0.5
+    assert seq_from_json_obj(obj).scalar_limit == 0.5
+    for lost in (dict(obj, scalar_limit=None),
+                 {key: val for key, val in obj.items() if key != "scalar_limit"}):
+        with pytest.raises(ValueError, match="needs its scalar limit"):
+            seq_from_json_obj(lost)
+
+
 def test_matrixseq_validation():
     for n, bad in (
         (2, np.eye(2)),
@@ -294,7 +304,7 @@ def test_matrixseq_validation():
         (0, np.zeros((1, 0, 0))),
     ):
         with pytest.raises(ValueError):
-            MatrixSeq(n=n, alpha=0.0, blocks=bad)
+            MatrixSeq(n=n, alpha=0.0, blocks=bad, scalar_limit=0.0)
     seq = gamma_sequence(const_symbol(1.0), 2, 0.0, 2)
     for xi in (-2, 3):
         with pytest.raises(IndexError):

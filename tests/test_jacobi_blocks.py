@@ -29,7 +29,7 @@ from polyberg.cli import main
 from polyberg.generators import generator_block
 from polyberg.gammaseq import gamma_matrix, gamma_sequence, spectral_norm
 from polyberg.integration import MAX_MOMENT_DEGREE, entry_block, entry_blocks
-from polyberg.symbols import indicator_symbol, make_gp, poly_t_symbol, sup_abs
+from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol, sup_abs
 
 EPS = float(np.finfo(float).eps)
 TINY = 5e-324  # the smallest subnormal
@@ -136,6 +136,28 @@ def test_moment_kinds_still_refuse_past_the_guard(sym, capsys):
                      sym.kind, f'"p":{sym.p}' if sym.p is not None else f'"s":{sym.s}')])
     assert code == 2
     assert GUARD_MESSAGE in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", (-0.5, 0.5, 2.5))
+def test_constant_blocks_answer_at_every_frequency(alpha):
+    # a constant's block forms no moment, so the moment guard does not
+    # refuse it: `gamma --n 4 --xi-max 300` on a constant was refused
+    for value in (2.0, 0.5 - 1j):
+        seq = gamma_sequence(const_symbol(value), 4, alpha, 399)
+        for xi in range(-3, 400):
+            block = seq.block(xi)
+            assert np.array_equal(block, value * np.eye(len(block))), (value, xi)
+
+
+@pytest.mark.parametrize("alpha", (-0.5, 0.5, 2.5))
+def test_poly_blocks_answer_past_the_coefficient_degree(alpha):
+    # a poly_t block forms no Jacobi coefficient, so jacobi.MAX_DEGREE does
+    # not refuse it: at order 70 (degree 69) the leading 8 x 8 of each
+    # block is the order-8 block bit for bit
+    for coeffs in ([0.3, -0.7, 0.2, 0.9], [1.0], [0.5 + 0.25j, 0.0, -0.75j]):
+        sym = poly_t_symbol(coeffs)
+        big, small = (entry_blocks(sym, alpha, range(40), d) for d in (70, 8))
+        assert big[:, :8, :8].tobytes() == small.tobytes(), coeffs
 
 
 def test_a_generator_for_another_alpha_is_refused():

@@ -81,9 +81,10 @@ def test_eval_state_errors():
         eval_state(finite_state(5, unit([1, 1])), seq)
     with pytest.raises(ValueError):
         eval_state(finite_state(0, [1.0]), seq)
-    nolim = dataclasses.replace(gamma_sequence(poly_t_symbol([1.0]), 2, 0.0, 2), scalar_limit=None)
-    with pytest.raises(ValueError):
-        eval_state(limit_state(), nolim)
+    # a sequence without a scalar limit cannot be made, so the limit state
+    # always has a value
+    with pytest.raises(ValueError, match="needs its scalar limit"):
+        dataclasses.replace(gamma_sequence(poly_t_symbol([1.0]), 2, 0.0, 2), scalar_limit=None)
 
 
 def _form_with_matmul(s, seq):

@@ -142,9 +142,9 @@ def test_sampled_symbol():
     a = sampled_symbol([(0.0, 1.0), (0.5, 2.0), (0.9, 0.0)])
     assert eval_at_t(a, 0.25) == pytest.approx(1.5)
     assert eval_at_t(a, 0.95) == pytest.approx(0.0)  # constant beyond last node
-    assert a.limit is None
-    b = sampled_symbol([(0.0, 1.0), (0.5, 2.0)], limit=2.0)
-    assert b.limit == 2.0
+    assert a.limit == 0.0
+    b = sampled_symbol([(0.0, 1.0), (0.5, 2.0 - 1j)])
+    assert b.limit == 2.0 - 1j
     with pytest.raises(ValueError):
         sampled_symbol([(0.5, 1.0), (0.5, 2.0)])
     with pytest.raises(ValueError):
@@ -155,16 +155,25 @@ def test_sampled_limit_is_the_last_value():
     # the table is constant past its last knot; limit 0.5 here gave a
     # tail deviation of 1.5 at xi = 150, where it should tend to 0
     with pytest.raises(ValueError, match="not the last value"):
-        sampled_symbol([(0, 1), (0.5, -1)], limit=0.5)
-    with pytest.raises(ValueError, match="not the last value"):
         symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, -1]], "limit": 0.5})
-    a = sampled_symbol([(0, 1), (0.5, -1)], limit=-1)
+    a = sampled_symbol([(0, 1), (0.5, -1)])
     assert a.limit == -1.0
     assert tail_deviation(gamma_sequence(a, 2, 0.0, 150), 150) < 1e-12
     c = symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, [2, -1]]],
                               "limit": [2, -1]})
     assert c.limit == 2 - 1j
-    assert symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, -1]]}).limit is None
+    assert symbol_from_json_obj({"kind": "sampled", "points": [[0, 1], [0.5, -1]]}) == a
+
+
+def test_eval_at_t_reads_a_scalar_t_as_an_array_does():
+    # at a scalar t a complex table lost its imaginary part (0.75 for
+    # 0.75 - 0.5j at t = 0.25); a real table still gives a float
+    for points in ([(0.0, 1 + 1j), (0.5, 0.5 - 2j)], [(0.0, 1.0), (0.5, -0.5)]):
+        a = sampled_symbol(points)
+        for t in (0.0, 0.25, 0.5, 0.7):
+            got = eval_at_t(a, t)
+            assert got == eval_at_t(a, np.array([t]))[0]
+            assert type(got) is type(points[1][1])
 
 
 def test_sup_abs():
@@ -246,7 +255,7 @@ def test_json_round_trip():
         indicator_symbol(0.5),
         poly_t_symbol([0.1, -0.2, 0.3]),
         make_gp(3, 0.5),
-        sampled_symbol([(0.0, 1.0), (0.5, -1.0)], limit=-1.0),
+        sampled_symbol([(0.0, 1.0), (0.5, -1.0)]),
     ]
     for a in cases:
         back = symbol_from_json_obj(symbol_to_json_obj(a))
