@@ -208,7 +208,7 @@ def seq_to_json_obj(seq: MatrixSeq) -> dict:
 
 
 def seq_from_json_obj(obj: dict) -> MatrixSeq:
-    sym = obj.get("symbol")
+    sym, lim = obj.get("symbol"), obj.get("scalar_limit")
     n = int(obj["n"])
     if [int(m["xi"]) for m in obj["matrices"]] != list(frequencies(n, int(obj["xi_max"]))):
         raise ValueError(f"matrices must list frequencies {-n + 1}..{obj['xi_max']} in order")
@@ -216,7 +216,7 @@ def seq_from_json_obj(obj: dict) -> MatrixSeq:
         n=n,
         alpha=float(obj["alpha"]),
         blocks=pack_blocks(n, (_rows_to_matrix(m["rows"]) for m in obj["matrices"])),
-        scalar_limit=_scalar_from_json(obj.get("scalar_limit")),
+        scalar_limit=lim if lim is None else _scalar_from_json(lim),
         symbol=None if sym is None else symbol_from_json_obj(sym, alpha=obj["alpha"]),
     )
 

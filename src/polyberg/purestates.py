@@ -24,7 +24,7 @@ import numpy as np
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .generators import same_frequency_plan
 from .integration import entry_block, entry_blocks
-from .symbols import SymbolSpec, indicator_symbol
+from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
 
 __all__ = [
     "PureState",
@@ -274,10 +274,12 @@ def separation(
     Same-frequency pairs go through the matrix-unit plans at the indices
     witness_indices gives (off-diagonal units are evaluated through
     their Hermitian and skew-Hermitian combinations, whichever has the
-    larger gap); a limit state is told apart from any finite state by an
-    indicator symbol; distinct finite frequencies use the same-frequency
-    plan for E_pp at the higher frequency, whose block at the lower
-    frequency vanishes.  Raises ValueError for alpha <= -1 and for a
+    larger gap); a limit state is told apart from any finite state by
+    indicator_symbol(0.5), or, once its blocks (which decay like 4^-xi)
+    come within MIN_GAP, by 1 - t, whose blocks I - J_xi are positive
+    definite; distinct finite frequencies use the same-frequency plan for
+    E_pp at the higher frequency, whose block at the lower frequency
+    vanishes.  Raises ValueError for alpha <= -1 and for a
     vector whose dimension is not its frequency's block order and for
     an infinity_witness given to two finite states (the CLI's --symbol),
     before any cache is read; NotSeparableError for equal states and for
@@ -303,8 +305,11 @@ def separation(
             witness = _limit_witness(n, float(alpha), max(fin.xi, 0))
         else:
             witness = gamma_sequence(infinity_witness, n, alpha, max(fin.xi, 0))
-        recipe = {"symbol": witness.symbol}
         vals = (eval_state(s1, witness), eval_state(s2, witness))
+        if infinity_witness is None and abs(vals[0] - vals[1]) <= MIN_GAP:
+            witness = gamma_sequence(poly_t_symbol([1.0, -1.0]), n, alpha, max(fin.xi, 0))
+            vals = (eval_state(s1, witness), eval_state(s2, witness))
+        recipe = {"symbol": witness.symbol}
     else:
         if s1.xi == s2.xi:
             # one D = uu* - vv* decides both: the same state, or the unit

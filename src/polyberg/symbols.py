@@ -52,8 +52,10 @@ class SymbolSpec:
 
 
 def _as_scalar(v):
-    v = complex(v)
-    return v.real if v.imag == 0.0 else v
+    z = complex(v)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"symbol values must be finite, got {v}")
+    return z.real if z.imag == 0.0 else z
 
 
 def const_symbol(value) -> SymbolSpec:
@@ -83,15 +85,17 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     (alpha, 0) weight, composed with r^2 (so in t it is the polynomial
     itself).  Its boundary value is the polynomial at t = 1,
     C(alpha + p, p) = prod_{i=1..p} (alpha + i) / p!, formed in integers
-    and rounded once.  p above MAX_MOMENT_DEGREE is refused: every block
-    of such a g_p within the moment guard is zero.  Symbols are immutable,
-    so one instance per (p, alpha) is shared.
+    and rounded once.  A p that is not an integer in 0 .. MAX_MOMENT_DEGREE
+    is refused (every block of a higher g_p within the moment guard is
+    zero).  Symbols are immutable, so one instance per (p, alpha) is
+    shared.
     """
-    if not 0 <= p <= MAX_MOMENT_DEGREE:
-        raise ValueError(f"generator index {p} outside 0 .. {MAX_MOMENT_DEGREE}")
+    if p not in range(MAX_MOMENT_DEGREE + 1):
+        raise ValueError(f"generator index {p} outside the integers 0 .. {MAX_MOMENT_DEGREE}")
+    p = int(p)
     num, e = dyadic(alpha)
     rising = math.prod(num + (i << e) for i in range(1, p + 1))
-    return SymbolSpec(kind="jacobi_g", p=int(p), alpha=float(alpha),
+    return SymbolSpec(kind="jacobi_g", p=p, alpha=float(alpha),
                       limit=rising / (math.factorial(p) << (e * p)))
 
 
@@ -103,9 +107,9 @@ def sampled_symbol(points: Sequence) -> SymbolSpec:
     if len(pts) < 2:
         raise ValueError("sampled symbol needs at least two points")
     ts = [t for t, _ in pts]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    if not all(a < b for a, b in zip(ts, ts[1:])):
         raise ValueError("sampled t-values must be strictly increasing")
-    if ts[0] < 0.0 or ts[-1] >= 1.0:
+    if not (0.0 <= ts[0] and ts[-1] < 1.0):
         raise ValueError("sampled t-values must lie in [0, 1)")
     return SymbolSpec(kind="sampled", points=pts, limit=pts[-1][1])
 
@@ -192,12 +196,17 @@ def _scalar_to_json(v):
     return v.real if v.imag == 0.0 else [v.real, v.imag]
 
 
-def _scalar_from_json(obj):
-    if obj is None:
-        return None
-    if isinstance(obj, (list, tuple)):
-        return complex(obj[0], obj[1])
+def _real_from_json(obj) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+        raise ValueError(f"expected a finite number, got {obj!r}")
     return float(obj)
+
+
+def _scalar_from_json(obj):
+    if isinstance(obj, (list, tuple)):
+        re, im = obj
+        return complex(_real_from_json(re), _real_from_json(im))
+    return _real_from_json(obj)
 
 
 def symbol_to_json_obj(a: SymbolSpec) -> dict:
@@ -219,7 +228,9 @@ def symbol_to_json_obj(a: SymbolSpec) -> dict:
 
 
 def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec:
-    """Decode a symbol.  A jacobi_g entry may omit its weight exponent, in
+    """Decode a symbol.  A missing or ill-typed field is refused with the
+    kind and its name: numbers are finite and not booleans, a complex one
+    an [re, im] pair.  A jacobi_g entry may omit its weight exponent, in
     which case the contextual alpha (e.g. from the run configuration) is
     used.  A sampled entry may omit its limit, which is the last value;
     a limit that differs is refused."""
@@ -227,21 +238,26 @@ def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ValueError("symbol JSON must be an object with a 'kind' field")
+
+    def field(name, decode, default=None):
+        # a missing field reads as null, which no decoder accepts
+        try:
+            return decode(obj.get(name, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} symbol field {name!r}: {exc}") from None
+
     if kind == "const":
-        return const_symbol(_scalar_from_json(obj["value"]))
+        return const_symbol(field("value", _scalar_from_json))
     if kind == "indicator":
-        return indicator_symbol(float(obj["s"]))
+        return indicator_symbol(field("s", _real_from_json))
     if kind == "poly_t":
-        return poly_t_symbol([_scalar_from_json(c) for c in obj["coeffs"]])
+        return poly_t_symbol(field("coeffs", lambda cs: [_scalar_from_json(c) for c in cs]))
     if kind == "jacobi_g":
-        a = obj.get("alpha", alpha)
-        if a is None:
-            raise ValueError("jacobi_g symbol requires an alpha (field or context)")
-        return make_gp(int(obj["p"]), float(a))
+        return make_gp(field("p", _real_from_json), field("alpha", _real_from_json, alpha))
     if kind == "sampled":
-        a = sampled_symbol([(t, _scalar_from_json(v)) for t, v in obj["points"]])
-        lim = _scalar_from_json(obj.get("limit"))
-        if lim is not None and lim != a.limit:
-            raise ValueError(f"sampled limit {lim} is not the last value {a.limit}")
+        a = sampled_symbol(field("points", lambda pts: [
+            (_real_from_json(t), _scalar_from_json(v)) for t, v in pts]))
+        if obj.get("limit") is not None and field("limit", _scalar_from_json) != a.limit:
+            raise ValueError(f"sampled limit {obj['limit']} is not the last value {a.limit}")
         return a
     raise ValueError(f"unknown symbol kind {kind!r}")

@@ -1,25 +1,26 @@
 """The package's invariant checks, each implemented once.
 
-Every check takes its grid as arguments and returns the values it
-measured; the caller asserts its own bound.  `polyberg verify` runs the
-checks on the small grid of its command line (run_all, through the
-CHECKS table), and the acceptance and unit tests run the same functions
-on their own grids.  A check that samples takes a random.Random and
-draws value by value (uniform, randrange, choice, gauss), so each caller
-chooses its own draws and a `verify` process never loads numpy.random,
-whose bit generators import hashlib and OpenSSL.  A measurement that
-reads NaN anywhere is NaN, so its check fails: the running maxima go
-through _worse and the running minima through _lesser, because
-max(0.0, nan) is 0.0 and min(inf, nan) is inf.  The sup-bound check is
-skipped when the weight exponent is not positive, because no bound of
-that shape is established there.
+Every measurement takes its grid as arguments and returns the values it
+measured; the caller asserts its own bound.  `polyberg verify` runs them
+on the small grid of its command line: run_all calls each check of
+CHECKS, one function that holds its grid, bound and detail text, with
+the order n, the weight exponents and a fresh random.Random(seed), and
+the check returns (ok, detail), ok None for a skip.  The acceptance and
+unit tests run the same measurements on their own grids.  A measurement
+that samples takes a random.Random and draws value by value (uniform,
+randrange, choice, gauss), so each caller chooses its own draws and a
+`verify` process never loads numpy.random, whose bit generators import
+hashlib and OpenSSL.  A measurement that reads NaN anywhere is NaN, so
+its check fails: the running maxima go through _worse and the running
+minima through _lesser, because max(0.0, nan) is 0.0 and min(inf, nan)
+is inf.  The sup-bound check is skipped when the weight exponent is not
+positive, because no bound of that shape is established there.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
 from typing import List, NamedTuple, Optional
@@ -335,87 +336,98 @@ def separation_gaps(n: int, alpha: float, pairs) -> tuple:
 # --- the command-line grid ---------------------------------------------------
 
 
-class CliGrid(NamedTuple):
-    n: int
-    alphas: list
-    seed: int
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
+def _gamma_ratio(n, alphas, rng):
+    return gamma_ratio_violations(rng, 1000) == 0, "1000 random (z, a, k) points"
 
 
-def _sup_bound(g):
-    alphas = [a for a in g.alphas if a > 0.0]
+def _beta_kernel(n, alphas, rng):
+    asym, drop = beta_asymmetry(rng, 200, 0.05, 40.0), incomplete_beta_drop(2.5, 3.5, 101)
+    return asym <= 1e-12 and drop <= 1e-14, "Beta symmetry + incomplete-beta monotonicity"
+
+
+def _orthogonality(n, alphas, rng):
+    w = orthogonality_deviation(alphas, range(5), 6)
+    return w < 1e-10, f"max deviation {w:.2e}"
+
+
+def _beta_moment(n, alphas, rng):
+    w = moment_identity_deviation(alphas, range(5), 6)
+    return w < 1e-10, f"max relative deviation {w:.2e}"
+
+
+def _orthonormal_entries(n, alphas, rng):
+    # the unit generator g_0 of each alpha (see sequence_basics)
+    w = reduce(_worse, (identity_deviation(make_gp(0, a), [a], range(6), 4) for a in alphas), 0.0)
+    return w < 1e-12, f"max deviation from identity {w:.2e}"
+
+
+def _sup_bound(n, alphas, rng):
+    alphas = [a for a in alphas if a > 0.0]
     if not alphas:
-        return None
-    rng = g.rng()
-    cases = (
-        (rng.choice(alphas), float(rng.randrange(41)), rng.randrange(6), rng.uniform(0.05, 0.95))
-        for _ in range(30)
-    )
-    return sup_bound_ratio(cases, 1500)
+        return None, "unproven for alpha <= 0; skipped"
+    cases = ((rng.choice(alphas), float(rng.randrange(41)), rng.randrange(6),
+              rng.uniform(0.05, 0.95)) for _ in range(30))
+    return sup_bound_ratio(cases, 1500) <= 1 + 1e-12, "grid sup dominated by the closed-form bound"
 
 
-def _sequence_basics(g):
-    return [
-        sequence_basics(g.n, alpha, 8, [0.3, -0.2, 0.5], [0.1, 0.4], (-g.n + 1, 0, 3))
-        for alpha in g.alphas
-    ]
+def _sequence_basics(n, alphas, rng):
+    res = [sequence_basics(n, alpha, 8, [0.3, -0.2, 0.5], [0.1, 0.4], (-n + 1, 0, 3))
+           for alpha in alphas]
+    ok = all(i < 1e-12 and lin < 1e-12 and sym and eig >= -1e-10 and over <= 1e-9
+             for i, lin, sym, eig, over in res)
+    return ok, f"identity dev {max(r[0] for r in res):.1e}; linearity, symmetry, PSD, norm bound"
 
 
-def _antitriangular(g):
-    n = min(g.n, 4)
-    blocks = [
-        (xi, p) for xi in range(-n + 1, 4) for p in range(2 * block_order(n, xi) - 1 + abs(xi))
-    ]
-    return [
-        f for alpha in g.alphas
-        for f in antitriangular_failures(n, alpha, blocks)
-    ]
+def _antitriangular(n, alphas, rng):
+    n = min(n, 4)
+    blocks = [(xi, p) for xi in range(-n + 1, 4)
+              for p in range(2 * block_order(n, xi) - 1 + abs(xi))]
+    bad = [f for alpha in alphas for f in antitriangular_failures(n, alpha, blocks)]
+    return not bad, "generating-symbol blocks have the expected antidiagonal profile"
 
 
-def _zero_blocks(g):
-    n = min(g.n, 4)
-    tops = (zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in g.alphas)
-    return reduce(_worse, tops, 0.0)
+def _zero_blocks(n, alphas, rng):
+    n = min(n, 4)
+    w = reduce(_worse, (zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in alphas), 0.0)
+    return w < 1e-10, f"max entry of structurally-zero blocks {w:.2e}"
 
 
-def _matrix_units(g):
-    rng = g.rng()
-    return matrix_unit_error(
-        random_antitriangular_generators(n, rng)
-        for n in range(2, min(g.n, 5) + 1) for _ in range(10)
-    )
+def _matrix_units(n, alphas, rng):
+    w = matrix_unit_error(random_antitriangular_generators(m, rng)
+                          for m in range(2, min(n, 5) + 1) for _ in range(10))
+    return w < 1e-8, f"max reconstruction error {w:.2e}"
 
 
-def _negative_submatrix(g):
-    return [
-        f for alpha in g.alphas
-        for f in negative_submatrix_failures(
-            g.n, alpha,
-            (indicator_symbol(0.7), make_gp(3, alpha), poly_t_symbol([0.5, 0.25])),
-            max(4, g.n),
-        )
-    ]
+def _negative_submatrix(n, alphas, rng):
+    bad = [f for alpha in alphas for f in negative_submatrix_failures(
+        n, alpha, (indicator_symbol(0.7), make_gp(3, alpha), poly_t_symbol([0.5, 0.25])),
+        max(4, n))]
+    return not bad, "negative blocks equal leading submatrices of mirrored blocks"
 
 
-def _tail(g):
-    devs = [scalar_limit_tail(0.5, g.n, alpha, [60])[0][60] for alpha in g.alphas]
-    return devs, scalar_limit_tail(0.5, 1, 0.0, range(21))[1]
+def _tail(n, alphas, rng):
+    devs = [scalar_limit_tail(0.5, n, alpha, [60])[0][60] for alpha in alphas]
+    closed = scalar_limit_tail(0.5, 1, 0.0, range(21))[1]
+    return (all(dev < 1e-6 for dev in devs) and closed <= 1e-14,
+            f"deviations at frequency 60: {', '.join(f'{dev:.1e}' for dev in devs)}")
 
 
-def _coincidence(g):
-    n = max(g.n, 2)
-    out = []
-    for alpha in g.alphas:
+def _two_paths(n, alphas, rng):
+    w = two_path_gap(rng, n, alphas, 4, 20)
+    return w < 1e-12, f"max disagreement {w:.2e}"
+
+
+def _coincidence(n, alphas, rng):
+    n, oks = max(n, 2), []
+    for alpha in alphas:
         syms = (indicator_symbol(0.5), make_gp(2, alpha), poly_t_symbol([0.3, 0.4, -0.1]))
         _, vals, refused = closure_gap_witness_check(n, alpha, 4)
-        out.append((coincidence_gap(n, alpha, syms), vals, refused))
-    return out
+        oks.append(coincidence_gap(n, alpha, syms) < 1e-10 and vals == (0.0, 1.0) and refused)
+    return all(oks), "documented pair agrees on generators; explicit witness gives (0, 1)"
 
 
-def _separation(g):
-    n = max(min(g.n, 3), 2)
+def _separation(n, alphas, rng):
+    n = max(min(n, 3), 2)
     e0, e1 = np.eye(n)[:2]
     pairs = [
         (finite_state(0, e0), finite_state(0, e1)),
@@ -423,85 +435,51 @@ def _separation(g):
         (finite_state(-1, np.eye(n - 1)[0]), finite_state(1, e1)),
         (limit_state(), finite_state(1, e0)),
     ]
-    return [separation_gaps(n, alpha, pairs) for alpha in g.alphas]
+    res = [separation_gaps(n, alpha, pairs) for alpha in alphas]
+    return (all(gap > 1e-8 and not refused for gap, refused in res),
+            "representative state pairs separated with gap > 1e-8")
 
 
-# (name, measurement on the command-line grid, pass test of the
-# measurement, detail text of the measurement); a measurement of None
-# marks the check skipped
 CHECKS = [
-    ("gamma-ratio inequalities", lambda g: gamma_ratio_violations(g.rng(), 1000),
-     lambda bad: bad == 0, lambda _: "1000 random (z, a, k) points"),
-    ("beta kernel",
-     lambda g: (beta_asymmetry(g.rng(), 200, 0.05, 40.0), incomplete_beta_drop(2.5, 3.5, 101)),
-     lambda m: m[0] <= 1e-12 and m[1] <= 1e-14,
-     lambda _: "Beta symmetry + incomplete-beta monotonicity"),
-    ("weighted orthogonality", lambda g: orthogonality_deviation(g.alphas, range(5), 6),
-     lambda w: w < 1e-10, lambda w: f"max deviation {w:.2e}"),
-    ("beta-moment identity", lambda g: moment_identity_deviation(g.alphas, range(5), 6),
-     lambda w: w < 1e-10, lambda w: f"max relative deviation {w:.2e}"),
-    # the unit generator g_0 of each alpha (see sequence_basics)
-    ("orthonormal entries",
-     lambda g: reduce(
-         _worse, (identity_deviation(make_gp(0, a), [a], range(6), 4) for a in g.alphas), 0.0),
-     lambda w: w < 1e-12, lambda w: f"max deviation from identity {w:.2e}"),
-    ("sup bound dominance", _sup_bound, lambda r: r <= 1 + 1e-12,
-     lambda r: "unproven for alpha <= 0; skipped" if r is None
-     else "grid sup dominated by the closed-form bound"),
-    ("sequence basics", _sequence_basics,
-     lambda res: all(
-         i < 1e-12 and lin < 1e-12 and sym and eig >= -1e-10 and over <= 1e-9
-         for i, lin, sym, eig, over in res
-     ),
-     lambda res: f"identity dev {max(r[0] for r in res):.1e}; linearity, symmetry, PSD, "
-                 "norm bound"),
-    ("antitriangular profile", _antitriangular, lambda bad: not bad,
-     lambda _: "generating-symbol blocks have the expected antidiagonal profile"),
-    ("structurally zero blocks", _zero_blocks,
-     lambda w: w < 1e-10, lambda w: f"max entry of structurally-zero blocks {w:.2e}"),
-    ("matrix-unit reconstruction", _matrix_units,
-     lambda w: w < 1e-8, lambda w: f"max reconstruction error {w:.2e}"),
-    ("negative-frequency submatrix", _negative_submatrix, lambda bad: not bad,
-     lambda _: "negative blocks equal leading submatrices of mirrored blocks"),
-    ("scalar-limit tail", _tail,
-     lambda m: all(dev < 1e-6 for dev in m[0]) and m[1] <= 1e-14,
-     lambda m: f"deviations at frequency 60: {', '.join(f'{dev:.1e}' for dev in m[0])}"),
-    ("state evaluation two paths", lambda g: two_path_gap(g.rng(), g.n, g.alphas, 4, 20),
-     lambda w: w < 1e-12, lambda w: f"max disagreement {w:.2e}"),
-    ("coincidence pair & witness", _coincidence,
-     lambda res: all(gap < 1e-10 and vals == (0.0, 1.0) and ref for gap, vals, ref in res),
-     lambda _: "documented pair agrees on generators; explicit witness gives (0, 1)"),
-    ("pure-state separation", _separation,
-     lambda res: all(gap > 1e-8 and not refused for gap, refused in res),
-     lambda _: "representative state pairs separated with gap > 1e-8"),
+    ("gamma-ratio inequalities", _gamma_ratio),
+    ("beta kernel", _beta_kernel),
+    ("weighted orthogonality", _orthogonality),
+    ("beta-moment identity", _beta_moment),
+    ("orthonormal entries", _orthonormal_entries),
+    ("sup bound dominance", _sup_bound),
+    ("sequence basics", _sequence_basics),
+    ("antitriangular profile", _antitriangular),
+    ("structurally zero blocks", _zero_blocks),
+    ("matrix-unit reconstruction", _matrix_units),
+    ("negative-frequency submatrix", _negative_submatrix),
+    ("scalar-limit tail", _tail),
+    ("state evaluation two paths", _two_paths),
+    ("coincidence pair & witness", _coincidence),
+    ("pure-state separation", _separation),
 ]
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "skip"
-    detail: str
+CheckResult = NamedTuple("CheckResult", [("name", str), ("status", str), ("detail", str)])
 
 
 def run_all(n: int, alpha: Optional[float], seed: int) -> List[CheckResult]:
     """Every check on the command-line grid: order n, the one weight
     exponent alpha (0, 1 and 2.5 when None) and the seed of every
-    sampling check.  The antitriangular profile reads TOL_ZERO and
-    TOL_NONZERO, as every structure test does.  Refuses n < 1 and
-    alpha <= -1 before any check."""
+    sampling check, each check drawing from its own random.Random(seed).
+    The antitriangular profile reads TOL_ZERO and TOL_NONZERO, as every
+    structure test does.  Refuses n < 1 and alpha <= -1 before any
+    check."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if alpha is not None and not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     alphas = [alpha] if alpha is not None else [0.0, 1.0, 2.5]
-    grid = CliGrid(n, alphas, seed)
     results = []
-    for name, measure, passes, detail in CHECKS:
+    for name, check in CHECKS:
         try:
-            value = measure(grid)
-            status = "skip" if value is None else "pass" if passes(value) else "fail"
-            results.append(CheckResult(name, status, detail(value)))
+            ok, detail = check(n, alphas, random.Random(seed))
+            status = "skip" if ok is None else "pass" if ok else "fail"
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name, "fail", f"raised {exc!r}"))
+            status, detail = "fail", f"raised {exc!r}"
+        results.append(CheckResult(name, status, detail))
     return results

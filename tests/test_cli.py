@@ -4,6 +4,7 @@ import argparse
 import gc
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from polyberg.cli import COMMANDS, build_parser, main
 from polyberg.gammaseq import gamma_sequence, seq_from_json_obj, spectral_norm, tail_deviation
 from polyberg.generators import SeparationPlan
 from polyberg.purestates import eval_state, finite_state
-from polyberg.symbols import symbol_from_json_obj
+from polyberg.symbols import indicator_symbol, poly_t_symbol, symbol_from_json_obj
 
 
 def test_gamma_writes_json(tmp_path, capsys):
@@ -109,6 +110,29 @@ def test_gamma_bad_symbol_exits_2(capsys):
     code = main(["gamma", "--n", "2", "--symbol", "{not json"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol, message", [
+    ('{"kind":"const"}', "const symbol field 'value'"),
+    ('{"kind":"sampled"}', "sampled symbol field 'points'"),
+    ('{"kind":"indicator"}', "indicator symbol field 's'"),
+    ('{"kind":"poly_t","coeffs":5}', "poly_t symbol field 'coeffs'"),
+    ('{"kind":"sampled","points":[[0,null],[0.5,1]]}', "sampled symbol field 'points'"),
+    ('{"kind":"jacobi_g","p":2.5}', "generator index 2.5 outside the integers"),
+    ('{"kind":"jacobi_g","p":true}', "jacobi_g symbol field 'p'"),
+    ('{"kind":"jacobi_g","p":2,"alpha":1e400}', "jacobi_g symbol field 'alpha'"),
+    ('{"kind":"const","value":NaN}', "const symbol field 'value'"),
+    ('{"kind":"const","value":1e400}', "const symbol field 'value'"),
+    ('{"kind":"const","value":"1"}', "const symbol field 'value'"),
+    ('{"kind":"poly_t","coeffs":[1,Infinity]}', "poly_t symbol field 'coeffs'"),
+])
+def test_malformed_symbol_exits_2_before_any_output(symbol, message, capsys):
+    # each crashed with a traceback, was silently misread (p 2.5 read as 2,
+    # true as 1, "1" as 1.0) or printed its payload before failing
+    code = main(["gamma", "--n", "2", "--xi-max", "2", "--symbol", symbol])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 def test_gamma_json_is_reproducible(tmp_path):
@@ -299,6 +323,34 @@ def test_separate_infinity(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "witness symbol" in out
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("alpha", [0.0, 2.5])
+def test_separate_tells_the_limit_state_from_far_frequencies(n, alpha, capsys):
+    # indicator(0.5)'s blocks decay like 4^-xi, so from about xi = 14 its
+    # values fall within MIN_GAP of the limit 0; 1 - t then witnesses
+    fallback = gamma_sequence(poly_t_symbol([1.0, -1.0]), n, alpha, 150)
+    indicator = gamma_sequence(indicator_symbol(0.5), n, alpha, 150)
+    used = set()
+    for xi in (14, 20, 100, 150):
+        for k in (0, n - 1):
+            u = np.eye(n)[k]
+            state = finite_state(xi, u)
+            code = main(["separate", "--n", str(n), "--alpha", str(alpha), "--state", "inf",
+                         "--state", f"{xi}:" + ",".join(map(str, u))])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0
+            witness = symbol_from_json_obj(json.loads(lines[0].removeprefix("witness symbol: ")))
+            seq = fallback if witness.kind == "poly_t" else indicator
+            if seq is fallback:
+                assert witness == poly_t_symbol([1.0, -1.0])
+                assert abs(eval_state(state, indicator)) <= 1e-8
+            else:
+                assert witness == indicator_symbol(0.5)
+            assert lines[1:3] == [f"sigma_1 = {0.0}", f"sigma_2 = {eval_state(state, seq)}"]
+            used.add(witness.kind)
+    assert "poly_t" in used
 
 
 def test_separate_refuses_a_symbol_without_a_limit_state(capsys):
@@ -593,6 +645,31 @@ def test_verify_fails_a_nan_eigenvalue(monkeypatch):
     results = {r.name: r for r in verify.run_all(2, 1.0, 0)}
     assert results.pop("sequence basics").status == "fail"
     assert all(r.status == "pass" for r in results.values())
+
+
+def test_run_all_gives_each_check_a_fresh_rng_and_maps_its_verdict(monkeypatch):
+    calls = []
+
+    def probe(ok, detail):
+        def check(n, alphas, rng):
+            calls.append((n, alphas, rng.random()))
+            return ok, detail
+        return check
+
+    def crash(n, alphas, rng):
+        calls.append((n, alphas, rng.random()))
+        raise RuntimeError("probe")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("pass", probe(True, "detail one")), ("crash", crash),
+        ("fail", probe(False, "detail three")), ("skip", probe(None, "detail four")),
+    ])
+    results = verify.run_all(3, None, 5)
+    assert [tuple(r) for r in results] == [
+        ("pass", "pass", "detail one"), ("crash", "fail", "raised RuntimeError('probe')"),
+        ("fail", "fail", "detail three"), ("skip", "skip", "detail four"),
+    ]
+    assert calls == [(3, [0.0, 1.0, 2.5], random.Random(5).random())] * 4
 
 
 # exit code, stdout and stderr of each, as the parent's parser of every

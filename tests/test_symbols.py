@@ -62,9 +62,24 @@ def test_make_gp_limit_is_the_binomial_rounded_once():
 def test_make_gp_refuses_indices_beyond_the_moment_guard():
     # every block of a higher g_p within the moment guard is zero
     assert make_gp(MAX_MOMENT_DEGREE, 0.5).p == MAX_MOMENT_DEGREE
-    for p in (-1, MAX_MOMENT_DEGREE + 1, 10**9):
+    for p in (-1, MAX_MOMENT_DEGREE + 1, 10**9, 2.5):
         with pytest.raises(ValueError, match=f"generator index {p} outside"):
             make_gp(p, 0.5)
+    # an integral float is its integer
+    assert make_gp(2.0, 0.5) is make_gp(2, 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: const_symbol(float("nan")),
+    lambda: const_symbol(complex(1.0, float("inf"))),
+    lambda: poly_t_symbol([1.0, float("-inf")]),
+    lambda: poly_t_symbol([1e308, 1e308]),  # finite coefficients, infinite limit
+    lambda: sampled_symbol([(0.0, 1.0), (0.5, float("nan"))]),
+    lambda: sampled_symbol([(0.0, 1.0), (float("nan"), 2.0), (0.5, 3.0)]),
+])
+def test_symbols_refuse_non_finite_values(build):
+    with pytest.raises(ValueError, match="finite|strictly increasing"):
+        build()
 
 
 def test_indicator_eval():
