@@ -16,7 +16,7 @@ import gc
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .purestates import PureState
@@ -72,14 +72,6 @@ def _parse_state(spec: str, n: int) -> PureState:
     return finite_state(xi, vec / nrm)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
-
-
 def cmd_gamma(args) -> int:
     import numpy as np
 
@@ -92,7 +84,11 @@ def cmd_gamma(args) -> int:
         payload = json.dumps(seq_to_json_obj(seq))
     else:
         payload = block_csv(seq, args.xi)
-    _write_output(payload, args.out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        print(payload)
     sink = sys.stdout if args.out else sys.stderr
     n = seq.n
     print("xi order norm tail_deviation", file=sink)
@@ -285,7 +281,7 @@ def main(argv=None) -> int:
         args = build_parser(argv).parse_args(argv)
         try:
             return args.fn(args)
-        except (ValueError, IndexError, OSError) as exc:
+        except (ValueError, IndexError, OSError, OverflowError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     finally:

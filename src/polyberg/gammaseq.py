@@ -14,13 +14,14 @@ from __future__ import annotations
 import io
 import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .integration import entry_block, entry_blocks
-from .symbols import (SymbolSpec, _scalar_from_json, _scalar_to_json, symbol_from_json_obj,
-                      symbol_to_json_obj)
+from .symbols import (SymbolSpec, _json_field, _real_from_json, _scalar_from_json,
+                      _scalar_to_json, symbol_from_json_obj, symbol_to_json_obj)
 
 __all__ = [
     "block_order",
@@ -207,18 +208,27 @@ def seq_to_json_obj(seq: MatrixSeq) -> dict:
     }
 
 
+def _int_from_json(obj) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj
+
+
 def seq_from_json_obj(obj: dict) -> MatrixSeq:
-    sym, lim = obj.get("symbol"), obj.get("scalar_limit")
-    n = int(obj["n"])
-    if [int(m["xi"]) for m in obj["matrices"]] != list(frequencies(n, int(obj["xi_max"]))):
-        raise ValueError(f"matrices must list frequencies {-n + 1}..{obj['xi_max']} in order")
-    return MatrixSeq(
-        n=n,
-        alpha=float(obj["alpha"]),
-        blocks=pack_blocks(n, (_rows_to_matrix(m["rows"]) for m in obj["matrices"])),
-        scalar_limit=lim if lim is None else _scalar_from_json(lim),
-        symbol=None if sym is None else symbol_from_json_obj(sym, alpha=obj["alpha"]),
-    )
+    """Decode a sequence.  A missing or ill-typed field is refused with
+    its name: n, xi_max and each matrix's xi are integers, not booleans,
+    and alpha a finite number.  A missing or null scalar_limit reaches
+    MatrixSeq's own refusal."""
+    get, get_in = partial(_json_field, "sequence", obj), partial(_json_field, "matrix")
+    n, xi_max = get("n", _int_from_json), get("xi_max", _int_from_json)
+    alpha = get("alpha", _real_from_json)
+    mats = get("matrices", lambda ms: [
+        (get_in(m, "xi", _int_from_json), get_in(m, "rows", _rows_to_matrix)) for m in ms])
+    if [xi for xi, _ in mats] != list(frequencies(n, xi_max)):
+        raise ValueError(f"matrices must list frequencies {-n + 1}..{xi_max} in order")
+    return MatrixSeq(n, alpha, pack_blocks(n, (rows for _, rows in mats)),
+                     get("scalar_limit", lambda v: v if v is None else _scalar_from_json(v)),
+                     get("symbol", lambda s: s if s is None else symbol_from_json_obj(s, alpha)))
 
 
 def block_csv(seq: MatrixSeq, xi: int) -> str:

@@ -13,7 +13,6 @@ truncation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -244,9 +243,6 @@ class SeparationPlan:
             "n": self.n,
             "alpha": self.alpha,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 @lru_cache(maxsize=256)

@@ -104,8 +104,7 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int, den: int = 1) -
     (alpha, xi_abs) weight, rounded once: sum of coeffs[d] * moment(d) / den.
     Coefficients may be floats or exact rationals, such as integer
     numerators over their common denominator den."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    jacobi.check_alpha(alpha)
     if xi_abs < 0:
         raise ValueError(f"xi_abs must be nonnegative, got {xi_abs}")
     # floats (and anything that is not an exact rational) at their binary value
@@ -257,14 +256,15 @@ def _generator_blocks(p: int, alpha: float, xis: range, d: int) -> np.ndarray:
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
     exactly symmetric (len(xis), d, d) stack, complex only for a complex
-    symbol.  Refuses alpha <= -1 and a generator for another alpha; each
-    kernel refuses what it cannot serve: an indicator or sampled symbol
-    degree d - 1 above jacobi.MAX_DEGREE and the moment degree
-    2(d - 1) + max(xis) above MAX_MOMENT_DEGREE, a generator that moment
-    degree and a coefficient degree above jacobi.MAX_DEGREE.  A constant
-    or poly_t symbol is refused at no order or frequency."""
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    symbol.  Refuses an alpha that is not a finite number above -1 and a
+    generator for another alpha; each kernel refuses what it cannot
+    serve: an indicator or sampled symbol degree d - 1 above
+    jacobi.MAX_DEGREE and the moment degree 2(d - 1) + max(xis) above
+    MAX_MOMENT_DEGREE, a generator that moment degree and a coefficient
+    degree above jacobi.MAX_DEGREE.  A constant or poly_t symbol is
+    refused at no order or frequency.  A stack with a non-finite entry
+    (a huge alpha overflows the recurrence) is refused."""
+    jacobi.check_alpha(alpha)
     if a.kind == "jacobi_g" and a.alpha != alpha:
         raise ValueError(f"generator {a.p} is for alpha {a.alpha}, not the weight's {alpha}; "
                          "pass its coefficients as a poly_t symbol")
@@ -279,6 +279,8 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):
         out[:, j + 1:, j] = out[:, j, j + 1:]
+    if not np.isfinite(out).all():
+        raise ValueError(f"{a.kind} symbol has a non-finite block entry at alpha {alpha}")
     return out
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "MAX_DEGREE",
     "MAX_MOMENT_DEGREE",
     "JacobiParams",
+    "check_alpha",
     "q_coeffs_int",
     "q_coeffs_exact",
     "q_eval",
@@ -47,6 +48,12 @@ MAX_MOMENT_DEGREE = 192
 _CACHE_SIZE = 2048
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a weight exponent alpha that is not a finite number above -1."""
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed -1 and be finite, got {alpha}")
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Weight exponents and degree: weight (1-t)^alpha t^beta, degree m."""
@@ -56,8 +63,7 @@ class JacobiParams:
     m: int
 
     def __post_init__(self) -> None:
-        if not self.alpha > -1.0:
-            raise ValueError(f"alpha must exceed -1, got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.beta > -1.0:
             raise ValueError(f"beta must exceed -1, got {self.beta}")
         if self.m < 0:

@@ -15,7 +15,7 @@ closure_gap_witness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -23,7 +23,8 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .generators import same_frequency_plan
-from .integration import entry_block, entry_blocks
+from .integration import entry_block
+from .jacobi import check_alpha
 from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
 
 __all__ = [
@@ -203,30 +204,12 @@ def _documented_coincidence(lo: PureState, hi: PureState, n: int, alpha: float) 
     return None
 
 
-@lru_cache(maxsize=256)
-def _limit_witnesses(n: int, alpha: float) -> dict:
-    return {}  # xi_max -> prefix views of one growing sequence (_limit_witness)
+_LIMIT_WITNESSES = (indicator_symbol(0.5), poly_t_symbol([1.0, -1.0]))  # tried in this order
 
 
-def _limit_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    """The default infinity witness, the sequence of indicator_symbol(0.5)
-    up to xi_max, shared as-is: a prefix view of the one sequence kept per
-    (n, alpha), which a longer request grows by the frequencies it adds.
-    A block does not depend on the range it is requested in, so each
-    equals a fresh gamma_sequence bit for bit."""
-    views = _limit_witnesses(n, alpha)
-    if not views:
-        top = gamma_sequence(indicator_symbol(0.5), n, alpha, max(xi_max, n - 1))
-        views[top.xi_max] = top
-    if xi_max not in views:
-        top = views[max(views)]
-        if top.xi_max < xi_max:
-            more = entry_blocks(top.symbol, alpha, range(top.xi_max + 1, xi_max + 1), n)
-            views.clear()
-            views[xi_max] = replace(top, blocks=np.concatenate((top.blocks, more)))
-        else:
-            views[xi_max] = replace(top, blocks=top.blocks[:xi_max + n])
-    return views[xi_max]
+@lru_cache(maxsize=512)
+def _symbol_witness(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
+    return gamma_sequence(a, n, alpha, xi_max)  # a limit-state witness, shared as-is
 
 
 @lru_cache(maxsize=512)
@@ -274,19 +257,20 @@ def separation(
     Same-frequency pairs go through the matrix-unit plans at the indices
     witness_indices gives (off-diagonal units are evaluated through
     their Hermitian and skew-Hermitian combinations, whichever has the
-    larger gap); a limit state is told apart from any finite state by
-    indicator_symbol(0.5), or, once its blocks (which decay like 4^-xi)
-    come within MIN_GAP, by 1 - t, whose blocks I - J_xi are positive
-    definite; distinct finite frequencies use the same-frequency plan for
+    larger gap); a limit state is told apart from a finite state by the
+    first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
+    past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
+    whose gap exceeds MIN_GAP, or by infinity_witness alone, whose
+    refusal propagates; each sequence is cached per (symbol, n, alpha,
+    xi_max).  Distinct finite frequencies use the same-frequency plan for
     E_pp at the higher frequency, whose block at the lower frequency
-    vanishes.  Raises ValueError for alpha <= -1 and for a
-    vector whose dimension is not its frequency's block order and for
-    an infinity_witness given to two finite states (the CLI's --symbol),
-    before any cache is read; NotSeparableError for equal states and for
-    the documented coincidence families.
+    vanishes.  Raises ValueError for an alpha that is not a finite number
+    above -1, for a vector whose dimension is not its frequency's block
+    order and for an infinity_witness given to two finite states (the
+    CLI's --symbol), before any cache is read; NotSeparableError for
+    equal states and for the documented coincidence families.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    check_alpha(alpha)
     for s in (s1, s2):
         # a unit vector is never empty, so a frequency below -n+1 or an
         # n < 1 lands here too, and block_order raises its own error
@@ -301,14 +285,17 @@ def separation(
         if s1.xi == s2.xi:
             raise NotSeparableError("identical pure states")
         fin = s2 if s1.xi is None else s1
-        if infinity_witness is None:
-            witness = _limit_witness(n, float(alpha), max(fin.xi, 0))
-        else:
-            witness = gamma_sequence(infinity_witness, n, alpha, max(fin.xi, 0))
-        vals = (eval_state(s1, witness), eval_state(s2, witness))
-        if infinity_witness is None and abs(vals[0] - vals[1]) <= MIN_GAP:
-            witness = gamma_sequence(poly_t_symbol([1.0, -1.0]), n, alpha, max(fin.xi, 0))
+        candidates = _LIMIT_WITNESSES if infinity_witness is None else (infinity_witness,)
+        for a in candidates:
+            try:
+                witness = _symbol_witness(a, n, float(alpha), max(fin.xi, 0))
+            except ValueError:
+                if a is candidates[-1]:  # only the last one's refusal is the answer
+                    raise
+                continue
             vals = (eval_state(s1, witness), eval_state(s2, witness))
+            if abs(vals[0] - vals[1]) > MIN_GAP:
+                break
         recipe = {"symbol": witness.symbol}
     else:
         if s1.xi == s2.xi:

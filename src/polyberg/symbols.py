@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,6 +209,15 @@ def _scalar_from_json(obj):
     return _real_from_json(obj)
 
 
+def _json_field(what: str, obj, name: str, decode, default=None):
+    # decode(obj[name]); a missing field reads as default (null, which no
+    # decoder accepts), and a refusal names the field
+    try:
+        return decode(obj.get(name, default) if isinstance(obj, dict) else default)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} field {name!r}: {exc}") from None
+
+
 def symbol_to_json_obj(a: SymbolSpec) -> dict:
     if a.kind == "const":
         return {"kind": "const", "value": _scalar_to_json(a.value)}
@@ -238,14 +247,7 @@ def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ValueError("symbol JSON must be an object with a 'kind' field")
-
-    def field(name, decode, default=None):
-        # a missing field reads as null, which no decoder accepts
-        try:
-            return decode(obj.get(name, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{kind} symbol field {name!r}: {exc}") from None
-
+    field = partial(_json_field, f"{kind} symbol", obj)
     if kind == "const":
         return const_symbol(field("value", _scalar_from_json))
     if kind == "indicator":

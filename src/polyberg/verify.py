@@ -38,7 +38,7 @@ from .gammaseq import (
 )
 from .generators import antitriangular_report, generator_block, matrix_unit_errors
 from .integration import entry_block, weighted_product_integral
-from .jacobi import JacobiParams, jac_fn_eval, jac_sup_bound, q_coeffs_int
+from .jacobi import JacobiParams, check_alpha, jac_fn_eval, jac_sup_bound, q_coeffs_int
 from .purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -467,12 +467,12 @@ def run_all(n: int, alpha: Optional[float], seed: int) -> List[CheckResult]:
     exponent alpha (0, 1 and 2.5 when None) and the seed of every
     sampling check, each check drawing from its own random.Random(seed).
     The antitriangular profile reads TOL_ZERO and TOL_NONZERO, as every
-    structure test does.  Refuses n < 1 and alpha <= -1 before any
-    check."""
+    structure test does.  Refuses n < 1 and an alpha that is not a
+    finite number above -1 before any check."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if alpha is not None and not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    if alpha is not None:
+        check_alpha(alpha)
     alphas = [alpha] if alpha is not None else [0.0, 1.0, 2.5]
     results = []
     for name, check in CHECKS:

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +153,6 @@ def test_closed_form_gauss_legendre_rule():
     assert np.all(np.abs(bergman_oracle._GL_NODES - nodes) <= 2 * np.spacing(np.abs(nodes)))
     # leggauss(4) itself rounds its outer weight 5.1 ulp away from
     # (18 - sqrt 30)/36, so nodes and weights are held to 40-digit values
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         root = 2 * mpmath.sqrt(mpmath.mpf(6) / 5) / 7
         inner, outer = mpmath.sqrt(mpmath.mpf(3) / 7 - root), mpmath.sqrt(mpmath.mpf(3) / 7 + root)

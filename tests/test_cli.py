@@ -4,12 +4,16 @@ import argparse
 import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import polyberg
 from polyberg import bergman_oracle, cli, integration, verify
 from polyberg.cli import COMMANDS, build_parser, main
 from polyberg.gammaseq import gamma_sequence, seq_from_json_obj, spectral_norm, tail_deviation
@@ -133,6 +137,39 @@ def test_malformed_symbol_exits_2_before_any_output(symbol, message, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--alpha", "inf", "--symbol", '{"kind":"const","value":1}'],
+    ["gamma", "--alpha", "inf", "--symbol", '{"kind":"poly_t","coeffs":[1,1]}'],
+    ["gamma", "--alpha", "1e300", "--symbol", '{"kind":"jacobi_g","p":2}'],
+    ["basis", "--alpha", "inf"],
+    ["separate", "--alpha", "inf", "--state", "inf", "--state", "0:1,0"],
+])
+def test_non_finite_or_overflowing_alpha_exits_2_before_any_output(argv, capsys):
+    # a constant at alpha inf exited 0, the others printed a NaN payload
+    # or raised OverflowError
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--alpha", "1e300", "--symbol", '{"kind":"poly_t","coeffs":[1,1]}'],
+    ["separate", "--alpha", "1e300", "--state", "inf", "--state", "0:1,0"],
+])
+def test_overflowing_alpha_exits_2_in_a_process(argv):
+    # the recurrence overflows to a non-finite block, which is refused;
+    # numpy's overflow warnings may reach stderr, so this runs in its own
+    # interpreter rather than under the warnings-as-errors filter
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    run = subprocess.run([sys.executable, "-m", "polyberg.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "Traceback" not in run.stderr
+    last = run.stderr.splitlines()[-1]
+    assert last == "error: poly_t symbol has a non-finite block entry at alpha 1e+300"
 
 
 def test_gamma_json_is_reproducible(tmp_path):
@@ -329,11 +366,14 @@ def test_separate_infinity(capsys):
 @pytest.mark.parametrize("alpha", [0.0, 2.5])
 def test_separate_tells_the_limit_state_from_far_frequencies(n, alpha, capsys):
     # indicator(0.5)'s blocks decay like 4^-xi, so from about xi = 14 its
-    # values fall within MIN_GAP of the limit 0; 1 - t then witnesses
-    fallback = gamma_sequence(poly_t_symbol([1.0, -1.0]), n, alpha, 150)
+    # values fall within MIN_GAP of the limit 0, and at xi = 200 its kernel
+    # refuses the moment degree; 1 - t then witnesses
+    fallback = gamma_sequence(poly_t_symbol([1.0, -1.0]), n, alpha, 200)
     indicator = gamma_sequence(indicator_symbol(0.5), n, alpha, 150)
+    with pytest.raises(ValueError, match="exceeds guard"):
+        gamma_sequence(indicator_symbol(0.5), n, alpha, 200)
     used = set()
-    for xi in (14, 20, 100, 150):
+    for xi in (14, 20, 100, 150, 200):
         for k in (0, n - 1):
             u = np.eye(n)[k]
             state = finite_state(xi, u)
@@ -345,12 +385,23 @@ def test_separate_tells_the_limit_state_from_far_frequencies(n, alpha, capsys):
             seq = fallback if witness.kind == "poly_t" else indicator
             if seq is fallback:
                 assert witness == poly_t_symbol([1.0, -1.0])
-                assert abs(eval_state(state, indicator)) <= 1e-8
+                assert xi == 200 or abs(eval_state(state, indicator)) <= 1e-8
             else:
+                assert xi != 200
                 assert witness == indicator_symbol(0.5)
             assert lines[1:3] == [f"sigma_1 = {0.0}", f"sigma_2 = {eval_state(state, seq)}"]
             used.add(witness.kind)
     assert "poly_t" in used
+
+
+def test_separate_refuses_an_explicit_witness_past_its_guard(capsys):
+    # a --symbol is the only witness tried: its kernel's refusal is the
+    # answer, though 1 - t would separate the pair
+    code = main(["separate", "--n", "2", "--alpha", "0.5", "--state", "inf",
+                 "--state", "200:1,0", "--symbol", '{"kind":"indicator","s":0.5}'])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: moment degree 202 exceeds guard 192\n"
 
 
 def test_separate_refuses_a_symbol_without_a_limit_state(capsys):
@@ -582,7 +633,7 @@ def test_verify_passes_at_long_dyadic_alpha(alpha, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "-1"], ["--alpha", "nan"]]
+    "argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "-1"], ["--alpha", "nan"], ["--alpha", "inf"]]
 )
 def test_verify_bad_input_exits_2(argv, capsys):
     code = main(["verify", *argv])

@@ -15,6 +15,7 @@ reference).
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +25,6 @@ from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
 from polyberg.gammaseq import gamma_sequence
 from polyberg.integration import MAX_MOMENT_DEGREE, beta_entry, entry_block, entry_blocks
 from polyberg.symbols import SymbolSpec, indicator_symbol, sampled_symbol, sup_abs
-
-mpmath = pytest.importorskip("mpmath")
 
 DPS = 80
 TOL = 1e-12

@@ -273,6 +273,27 @@ def test_json_round_trip_bitwise():
             assert np.array_equal(back.block(xi), seq.block(xi))
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda obj: {}, "'n': expected an integer, got None", id="empty"),
+    pytest.param(lambda obj: dict(obj, matrices=[{"xi": m["xi"]} for m in obj["matrices"]]),
+                 "'matrices': matrix field 'rows'", id="no-rows"),
+    pytest.param(lambda obj: dict(obj, n=2.5), "'n': expected an integer, got 2.5", id="n-2.5"),
+    pytest.param(lambda obj: dict(obj, n="2"), "'n': expected an integer, got '2'", id="n-str"),
+    pytest.param(lambda obj: dict(obj, n=True), "'n': expected an integer, got True", id="n-true"),
+    pytest.param(lambda obj: dict(obj, xi_max="2"), "'xi_max': expected an integer, got '2'",
+                 id="xi_max-str"),
+    pytest.param(lambda obj: dict(obj, alpha="0.5"), "'alpha': expected a finite number",
+                 id="alpha-str"),
+    pytest.param(lambda obj: dict(obj, alpha=True), "'alpha': expected a finite number",
+                 id="alpha-true"),
+])
+def test_sequence_json_refuses_a_missing_or_ill_typed_field(edit, message):
+    # each raised KeyError or was misread: n 2.5 as 2, "2" as 2, true as 1.0
+    obj = seq_to_json_obj(gamma_sequence(indicator_symbol(0.5), 2, 0.5, 2))
+    with pytest.raises(ValueError, match=f"^sequence field {message}"):
+        seq_from_json_obj(edit(obj))
+
+
 def test_block_csv():
     seq = gamma_sequence(const_symbol(1.0), 2, 0.0, 2)
     text = block_csv(seq, 0)

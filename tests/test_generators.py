@@ -273,7 +273,7 @@ def test_cross_frequency_plan_usage_errors():
 
 def test_plan_json():
     plan = same_frequency_plan(2, 0.0, 0, 0, 1)
-    obj = json.loads(plan.to_json())
+    obj = json.loads(json.dumps(plan.to_json_obj()))
     assert set(obj) == {"left", "middle", "right", "n", "alpha"}
     assert obj["n"] == 2 and obj["middle"] == 2
     assert all(len(pair) == 2 for pair in obj["left"])
@@ -281,7 +281,7 @@ def test_plan_json():
 
 def test_plan_rebuilt_from_json_is_equal():
     plan = same_frequency_plan(3, 0.5, 1, 0, 2)
-    rebuilt = SeparationPlan(**json.loads(plan.to_json()))
+    rebuilt = SeparationPlan(**json.loads(json.dumps(plan.to_json_obj())))
     assert isinstance(rebuilt.left, tuple) and isinstance(rebuilt.right[0], tuple)
     assert rebuilt == plan and hash(rebuilt) == hash(plan)
     assert np.array_equal(rebuilt.evaluate(3).blocks, plan.evaluate(3).blocks)
@@ -471,7 +471,7 @@ def test_plans_are_cached():
     by_int = same_frequency_plan(2, 1, 0, 0, 1)
     assert by_int is same_frequency_plan(2, 1.0, 0, 0, 1)
     assert isinstance(by_int.alpha, float)
-    assert json.loads(by_int.to_json())["alpha"] == 1.0
+    assert json.loads(json.dumps(by_int.to_json_obj()))["alpha"] == 1.0
 
 
 def test_evaluations_and_witness_blocks_are_read_only():

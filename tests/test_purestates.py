@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit
-from polyberg import gammaseq, generators, integration, purestates
+from polyberg import generators, integration, purestates
 from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
@@ -375,33 +375,6 @@ def test_cached_limit_witness_equals_the_indicator_sequence(n, alpha):
                 setattr(second, name, None)
 
 
-def test_limit_witness_grows_one_sequence_and_integrates_each_frequency_once(monkeypatch):
-    # requests in no particular order: a longer one integrates only the
-    # frequencies it adds, a shorter one is a read-only prefix view, and
-    # each equals a fresh sequence byte for byte
-    n, alpha, ind = 3, 0.625, indicator_symbol(0.5)
-    order = (4, 1, 6, 0, 6, 9, 2, 9)
-    wants = {x: gamma_sequence(ind, n, alpha, x) for x in order}
-    real, integrated = integration.entry_blocks, []
-
-    def spy(a, alpha_, xis, d):
-        integrated.extend(xis)
-        return real(a, alpha_, xis, d)
-
-    monkeypatch.setattr(purestates, "entry_blocks", spy)
-    monkeypatch.setattr(gammaseq, "entry_blocks", spy)
-    purestates._limit_witnesses.cache_clear()
-    seqs = [purestates._limit_witness(n, alpha, x) for x in order]
-    monkeypatch.undo()
-    assert integrated == list(range(10))
-    for x, seq in zip(order, seqs):
-        assert seq.blocks.tobytes() == wants[x].blocks.tobytes(), x
-        assert seq.scalar_limit == wants[x].scalar_limit and seq.symbol == ind
-        assert not seq.blocks.flags.writeable
-    # an equal request with no growth in between returns the same sequence
-    assert seqs[4] is seqs[2] and seqs[7] is seqs[5]
-
-
 def _clear_separation_caches():
     for mod in (generators, purestates):
         for val in vars(mod).values():
@@ -457,10 +430,10 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
 
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
-    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
               generators.generator_block)
     before = [c.cache_info() for c in caches]
-    for alpha in (float("nan"), -1.5, -1.0):
+    for alpha in (float("nan"), -1.5, -1.0, float("inf")):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
             with pytest.raises(ValueError, match="alpha must exceed -1"):
                 separate(*pair, 2, alpha)
@@ -479,7 +452,7 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (finite_state(-1, [r, r]), finite_state(1, [0.0, 1.0])),
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
-    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
               generators.generator_block)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
@@ -493,7 +466,7 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
 def test_separation_refuses_an_infinity_witness_for_two_finite_states():
     # the witness is read only for a pair with the limit state; it is
     # refused before any cache, and before the coincidence families
-    caches = (purestates._limit_witnesses, purestates._unit_witness, generators._plan_grid,
+    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
               generators.generator_block)
     before = [c.cache_info() for c in caches]
     e0 = [1.0, 0.0]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -109,7 +110,6 @@ def test_incomplete_beta_symmetry_and_monotonicity(rng):
 
 
 def test_incomplete_beta_matches_mpmath(rng):
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for _ in range(1000):
             x = float(rng.uniform(0.0, 1.0))
@@ -123,7 +123,6 @@ def test_incomplete_beta_large_parameters_within_stated_bound(x, p, q):
     # both lie past the switch, so the fraction evaluates J = 1 - I; the
     # docstring's bound is 2 eps (S + 16) J plus the roundings of 1 - x
     # and 1 - J
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         want = mpmath.betainc(p, q, 0, x, regularized=True)
     assert x > (p + 1.0) / (p + q + 2.0)

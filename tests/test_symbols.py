@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -146,7 +147,6 @@ def test_generator_values_match_mpmath(p, alpha, t):
     # coefficients: 0.16 (p + 1)^2 eps was measured near t = 0 at p = 180,
     # alpha = -0.47.  The first three examples read 3.6079989, 0.0399 and
     # 1382528 off the float monomials, for 3.6079990, 0.0358 and 2331.14.
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         want = float(mpmath.jacobi(p, alpha, 0, 2 * mpmath.mpf(t) - 1))
     g = make_gp(p, alpha)
@@ -297,7 +297,6 @@ def test_generator_sup_is_the_larger_end_value(alpha):
     # both ends, where |g_p| peaks (Szego, Theorem 7.32.1).  Read off the
     # float monomials, g_30 at alpha = 2.75 gave 661248 for a supremum of
     # 3079, and g_64 at alpha = 7.5 gave 1.3e32 for 4.0e9.
-    mpmath = pytest.importorskip("mpmath")
     grid = [(1 - mpmath.cos(mpmath.pi * i / 64)) / 2 for i in range(65)]
     for p in (0, 1, 12, 20, 30, 40, 64, 100, 192):
         seen = max(abs(mpmath.jacobi(p, alpha, 0, 2 * t - 1)) for t in grid)

@@ -45,7 +45,7 @@ def test_generator_block_keeps_its_cache():
 
 def test_witness_caches_are_bounded():
     # every separation witness is read from one of these caches
-    from polyberg.purestates import _limit_witnesses, _unit_witness
+    from polyberg.purestates import _symbol_witness, _unit_witness
 
-    assert _limit_witnesses.cache_info().maxsize is not None
+    assert _symbol_witness.cache_info().maxsize is not None
     assert _unit_witness.cache_info().maxsize is not None
