@@ -20,8 +20,7 @@ _EXPORTS = {
     "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound", "q_eval"),
     "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
                    "coincidence_pair", "eval_state", "eval_state_integral",
-                   "finite_state", "limit_state", "separate",
-                   "submatrix_coincidence_pair", "witness_indices"),
+                   "finite_state", "limit_state", "separate"),
     "special_fn": ("beta", "binom_bound_holds", "log_gamma", "reg_incomplete_beta",
                    "wendel_bound_holds"),
     "symbols": ("SymbolSpec", "const_symbol", "eval_at_t",

@@ -6,7 +6,8 @@ A truncated sequence holds the blocks from -n+1 up to a chosen maximal
 frequency together with the scalar boundary limit of the symbol.
 Sequences support pointwise (per-frequency) addition, scalar
 multiplication and block products, which is all the generator algebra
-downstream needs.
+downstream needs.  seq_to_json_obj writes a sequence as `gamma --out`
+does; no command reads one back.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from __future__ import annotations
 import io
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .integration import entry_block, entry_blocks
-from .symbols import (SymbolSpec, _json_field, _real_from_json, _scalar_from_json,
-                      _scalar_to_json, symbol_from_json_obj, symbol_to_json_obj)
+from .symbols import SymbolSpec, _scalar_to_json, symbol_to_json_obj
 
 __all__ = [
     "block_order",
@@ -33,7 +32,6 @@ __all__ = [
     "tail_deviation",
     "spectral_norm",
     "seq_to_json_obj",
-    "seq_from_json_obj",
     "block_csv",
 ]
 
@@ -129,9 +127,6 @@ class MatrixSeq:
         # row xi + n - 1, of order min(n + xi, n)
         return self.blocks[xi + n - 1] if xi >= 0 else self.blocks[xi + n - 1, :n + xi, :n + xi]
 
-    def sup_block_norm(self) -> float:
-        return float(spectral_norm(self.blocks).max())
-
     def _pointwise(self, other: "MatrixSeq", block_op, limit_op) -> "MatrixSeq":
         if (self.n, self.alpha, self.xi_max) != (other.n, other.alpha, other.xi_max):
             raise ValueError("sequences must share n, alpha and truncation")
@@ -189,10 +184,6 @@ def _matrix_to_rows(m: np.ndarray):
     return m.tolist()
 
 
-def _rows_to_matrix(rows):
-    return np.array([[_scalar_from_json(v) for v in row] for row in rows])
-
-
 def seq_to_json_obj(seq: MatrixSeq) -> dict:
     return {
         "n": seq.n,
@@ -206,29 +197,6 @@ def seq_to_json_obj(seq: MatrixSeq) -> dict:
         ],
         "scalar_limit": _scalar_to_json(seq.scalar_limit),
     }
-
-
-def _int_from_json(obj) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValueError(f"expected an integer, got {obj!r}")
-    return obj
-
-
-def seq_from_json_obj(obj: dict) -> MatrixSeq:
-    """Decode a sequence.  A missing or ill-typed field is refused with
-    its name: n, xi_max and each matrix's xi are integers, not booleans,
-    and alpha a finite number.  A missing or null scalar_limit reaches
-    MatrixSeq's own refusal."""
-    get, get_in = partial(_json_field, "sequence", obj), partial(_json_field, "matrix")
-    n, xi_max = get("n", _int_from_json), get("xi_max", _int_from_json)
-    alpha = get("alpha", _real_from_json)
-    mats = get("matrices", lambda ms: [
-        (get_in(m, "xi", _int_from_json), get_in(m, "rows", _rows_to_matrix)) for m in ms])
-    if [xi for xi, _ in mats] != list(frequencies(n, xi_max)):
-        raise ValueError(f"matrices must list frequencies {-n + 1}..{xi_max} in order")
-    return MatrixSeq(n, alpha, pack_blocks(n, (rows for _, rows in mats)),
-                     get("scalar_limit", lambda v: v if v is None else _scalar_from_json(v)),
-                     get("symbol", lambda s: s if s is None else symbol_from_json_obj(s, alpha)))
 
 
 def block_csv(seq: MatrixSeq, xi: int) -> str:

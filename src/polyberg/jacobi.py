@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .special_fn import jacobi_recurrence, jacobi_values, log_gamma
+from .special_fn import jacobi_recurrence, jacobi_values
 
 __all__ = [
     "MAX_DEGREE",
@@ -160,22 +160,16 @@ def norm_coeff_sq_exact(alpha: float, beta: int, m: int):
 
 
 def jac_norm_coeff(p: JacobiParams) -> float:
-    """Normalization constant making the weighted polynomial unit-norm.
+    """Normalization constant making the weighted polynomial unit-norm,
+    for a nonnegative integer beta (any other is refused):
 
     sqrt((2m+alpha+beta+1) Gamma(m+alpha+beta+1) m!
          / (Gamma(m+alpha+1) Gamma(m+beta+1))).
     """
-    if float(p.beta).is_integer() and p.beta >= 0:
-        num, den = norm_coeff_sq_int(p.alpha, int(p.beta), p.m)
-        return math.sqrt(num / den)
-    log_sq = (
-        math.log(2 * p.m + p.alpha + p.beta + 1)
-        + log_gamma(p.m + p.alpha + p.beta + 1)
-        + log_gamma(p.m + 1)
-        - log_gamma(p.m + p.alpha + 1)
-        - log_gamma(p.m + p.beta + 1)
-    )
-    return math.exp(0.5 * log_sq)
+    if not (float(p.beta).is_integer() and p.beta >= 0):
+        raise ValueError(f"jac_norm_coeff needs a nonnegative integer beta, got {p.beta}")
+    num, den = norm_coeff_sq_int(p.alpha, int(p.beta), p.m)
+    return math.sqrt(num / den)
 
 
 def jac_fn_eval(p: JacobiParams, t):
@@ -198,9 +192,10 @@ def jac_fn_eval(p: JacobiParams, t):
 def jac_sup_bound(p: JacobiParams, x: float) -> float:
     """Upper bound for sup |weighted function| on [0, x], valid for alpha > 0.
 
-    Returns (2m+alpha+beta+1)^(m+1+(alpha+1)/2) * x^(beta/2).  For
-    alpha <= 0 no proven bound of this shape is available and the call is
-    refused.
+    Returns (2m+alpha+beta+1)^(m+1+(alpha+1)/2) * x^(beta/2), squared
+    from its square root, so that past the float range (from alpha ~ 300)
+    it is math.inf, still a bound.  For alpha <= 0 no proven bound of
+    this shape is available and the call is refused.
     """
     if p.alpha <= 0.0:
         raise ValueError(
@@ -209,4 +204,8 @@ def jac_sup_bound(p: JacobiParams, x: float) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     base = 2 * p.m + p.alpha + p.beta + 1
-    return base ** (p.m + 1 + (p.alpha + 1) / 2.0) * x ** (p.beta / 2.0)
+    try:
+        root = base ** ((p.m + 1 + (p.alpha + 1) / 2.0) / 2.0) * x ** (p.beta / 4.0)
+    except OverflowError:  # the root is past the float range, so is the bound
+        return math.inf
+    return root * root

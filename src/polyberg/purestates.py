@@ -31,15 +31,12 @@ __all__ = [
     "PureState",
     "finite_state",
     "limit_state",
-    "same_pure_state",
     "eval_state",
     "eval_state_integral",
-    "witness_indices",
     "NotSeparableError",
     "separation",
     "separate",
     "coincidence_pair",
-    "submatrix_coincidence_pair",
     "closure_gap_witness",
 ]
 
@@ -53,10 +50,11 @@ class NotSeparableError(ValueError):
     sequence (documented coincidence families)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class PureState:
     """Either a finite state (frequency, unit vector) or the limit state
-    (xi is None, u is None)."""
+    (xi is None, u is None).  Equality is identity: s == t holds only
+    when s is t."""
 
     xi: Optional[int]
     u: Optional[np.ndarray]
@@ -104,14 +102,6 @@ def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
             and _state_gap(u, v)[0] <= PROPORTIONAL_TOL)
 
 
-def same_pure_state(s1: PureState, s2: PureState) -> bool:
-    """Equality as functionals: both are the limit state, or they share a
-    frequency and max |uu* - vv*| <= PROPORTIONAL_TOL."""
-    if s1.xi is None or s2.xi is None:
-        return s1.xi is None and s2.xi is None
-    return s1.xi == s2.xi and _proportional(s1.u, s2.u)
-
-
 def eval_state(s: PureState, a_seq: MatrixSeq):
     """Value of the state on a sequence: quadratic form of the block, or
     the scalar limit for the limit state."""
@@ -146,21 +136,6 @@ def eval_state_integral(
     return acc.real if abs(acc.imag) < 1e-14 * max(1.0, abs(acc)) else acc
 
 
-def witness_indices(u, v) -> Tuple[int, int]:
-    """The first (p, q), p <= q, maximising |u_p conj(u_q) - v_p conj(v_q)|:
-    E_pp, or the better of E_pq's sym and skew combinations, separates
-    the states by at least that maximum.  NotSeparableError when it is
-    within PROPORTIONAL_TOL (the states coincide)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError("vectors must have equal dimension")
-    gap, p, q = _state_gap(u, v)
-    if gap <= PROPORTIONAL_TOL:
-        raise NotSeparableError("vectors are proportional; states coincide")
-    return p, q
-
-
 def _coincidence_vector(n: int, alpha: float) -> np.ndarray:
     u = np.zeros(n)
     u[0] = math.sqrt((alpha + 3.0) / (2.0 * (alpha + 2.0)))
@@ -175,15 +150,6 @@ def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
     if n < 2:
         raise ValueError("the coincidence construction needs n >= 2")
     return finite_state(0, _coincidence_vector(n, alpha)), finite_state(2, np.eye(n)[0])
-
-
-def submatrix_coincidence_pair(n: int, eta: int) -> Tuple[PureState, PureState]:
-    """Second documented family: frequencies -eta and eta with first basis
-    vectors agree on every generating sequence, because the negative
-    block is a leading principal submatrix of the positive one."""
-    if not 1 <= eta <= n - 1:
-        raise ValueError(f"eta must lie in [1, {n - 1}], got {eta}")
-    return finite_state(-eta, np.eye(n - eta)[0]), finite_state(eta, np.eye(n)[0])
 
 
 def _e0_like(u: np.ndarray) -> bool:
@@ -227,9 +193,7 @@ def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     if p != q:
         plans += (same_frequency_plan(n, alpha, xi, q, p),)
         b = plans[1].evaluate(max(xi, 0))
-        witnesses = (MatrixSeq(n, alpha, a.blocks + b.blocks, a.scalar_limit + b.scalar_limit),
-                     MatrixSeq(n, alpha, 1j * (a.blocks + (-1.0) * b.blocks),
-                               1j * (a.scalar_limit + (-1.0) * b.scalar_limit)))
+        witnesses = (a + b, 1j * (a + (-1.0) * b))
     blocks = []
     for w in witnesses:
         z = np.asarray(w.blocks, dtype=complex)
@@ -254,10 +218,11 @@ def separation(
     evaluations A of P and B of Q combined as A + B (c = "sym") or
     i (A - B) (c = "skew").
 
-    Same-frequency pairs go through the matrix-unit plans at the indices
-    witness_indices gives (off-diagonal units are evaluated through
-    their Hermitian and skew-Hermitian combinations, whichever has the
-    larger gap); a limit state is told apart from a finite state by the
+    Same-frequency pairs go through the matrix-unit plans at the first
+    (p, q), p <= q, maximising |u_p conj(u_q) - v_p conj(v_q)|, and are
+    identical when that is within PROPORTIONAL_TOL (off-diagonal units are
+    evaluated through their Hermitian and skew-Hermitian combinations,
+    whichever has the larger gap); a limit state is told apart from a finite state by the
     first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
     past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
     whose gap exceeds MIN_GAP, or by infinity_witness alone, whose

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .jacobi import MAX_MOMENT_DEGREE, JacobiParams, dyadic, q_eval
+from .jacobi import MAX_MOMENT_DEGREE, JacobiParams, check_alpha, dyadic, q_eval
 
 __all__ = [
     "SymbolSpec",
@@ -87,11 +87,12 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     C(alpha + p, p) = prod_{i=1..p} (alpha + i) / p!, formed in integers
     and rounded once.  A p that is not an integer in 0 .. MAX_MOMENT_DEGREE
     is refused (every block of a higher g_p within the moment guard is
-    zero).  Symbols are immutable, so one instance per (p, alpha) is
-    shared.
+    zero), and so is an alpha that is not a finite number above -1.
+    Symbols are immutable, so one instance per (p, alpha) is shared.
     """
     if p not in range(MAX_MOMENT_DEGREE + 1):
         raise ValueError(f"generator index {p} outside the integers 0 .. {MAX_MOMENT_DEGREE}")
+    check_alpha(alpha)
     p = int(p)
     num, e = dyadic(alpha)
     rising = math.prod(num + (i << e) for i in range(1, p + 1))
@@ -209,15 +210,6 @@ def _scalar_from_json(obj):
     return _real_from_json(obj)
 
 
-def _json_field(what: str, obj, name: str, decode, default=None):
-    # decode(obj[name]); a missing field reads as default (null, which no
-    # decoder accepts), and a refusal names the field
-    try:
-        return decode(obj.get(name, default) if isinstance(obj, dict) else default)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} field {name!r}: {exc}") from None
-
-
 def symbol_to_json_obj(a: SymbolSpec) -> dict:
     if a.kind == "const":
         return {"kind": "const", "value": _scalar_to_json(a.value)}
@@ -241,13 +233,21 @@ def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec
     kind and its name: numbers are finite and not booleans, a complex one
     an [re, im] pair.  A jacobi_g entry may omit its weight exponent, in
     which case the contextual alpha (e.g. from the run configuration) is
-    used.  A sampled entry may omit its limit, which is the last value;
-    a limit that differs is refused."""
+    used as given, for make_gp to check.  A sampled entry may omit its
+    limit, which is the last value; a limit that differs is refused."""
     try:
         kind = obj["kind"]
     except (TypeError, KeyError):
         raise ValueError("symbol JSON must be an object with a 'kind' field")
-    field = partial(_json_field, f"{kind} symbol", obj)
+
+    def field(name: str, decode):
+        # decode(obj[name]); a missing field reads as null, which no
+        # decoder accepts, and a refusal names the kind and the field
+        try:
+            return decode(obj.get(name))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} symbol field {name!r}: {exc}") from None
+
     if kind == "const":
         return const_symbol(field("value", _scalar_from_json))
     if kind == "indicator":
@@ -255,7 +255,10 @@ def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec
     if kind == "poly_t":
         return poly_t_symbol(field("coeffs", lambda cs: [_scalar_from_json(c) for c in cs]))
     if kind == "jacobi_g":
-        return make_gp(field("p", _real_from_json), field("alpha", _real_from_json, alpha))
+        p = field("p", _real_from_json)
+        if "alpha" in obj or alpha is None:
+            alpha = field("alpha", _real_from_json)
+        return make_gp(p, alpha)
     if kind == "sampled":
         a = sampled_symbol(field("points", lambda pts: [
             (_real_from_json(t), _scalar_from_json(v)) for t, v in pts]))

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from polyberg.gammaseq import MatrixSeq, pack_blocks
 from polyberg.integration import weighted_product_integral
 from polyberg.jacobi import JacobiParams, jac_fn_eval, q_coeffs_exact
 
@@ -168,3 +169,16 @@ def unit(v) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _json_scalar(v):
+    return complex(*v) if isinstance(v, list) else v
+
+
+def read_gamma_out(obj) -> MatrixSeq:
+    """The sequence a `gamma --out` JSON object holds, from its n, alpha,
+    matrices[*].rows (frequency -n+1 first) and scalar_limit; a complex
+    number is an [re, im] pair.  The symbol is not read."""
+    n = obj["n"]
+    blocks = ([[_json_scalar(v) for v in row] for row in m["rows"]] for m in obj["matrices"])
+    return MatrixSeq(n, obj["alpha"], pack_blocks(n, blocks), _json_scalar(obj["scalar_limit"]))

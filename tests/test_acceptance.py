@@ -18,15 +18,15 @@ import numpy as np
 import pytest
 
 from conftest import exact_pair_integral, unit
+from polyberg import purestates
 from polyberg.bergman_oracle import oracle_gaps
-from polyberg.gammaseq import block_order, frequencies, tail_deviation
+from polyberg.gammaseq import block_order, frequencies, spectral_norm, tail_deviation
 from polyberg.jacobi import JacobiParams, jac_sup_bound
 from polyberg.purestates import (
     coincidence_pair,
     eval_state_integral,
     finite_state,
     limit_state,
-    same_pure_state,
 )
 from polyberg.symbols import const_symbol, indicator_symbol, make_gp, poly_t_symbol
 from polyberg.verify import (
@@ -164,7 +164,8 @@ def test_c07_separation_totality():
             states = _state_grid(n, np.random.default_rng(0))
             grid = [
                 (s1, s2) for i, s1 in enumerate(states) for s2 in states[i + 1:]
-                if not same_pure_state(s1, s2)
+                if s1.xi != s2.xi
+                or purestates._state_gap(s1.u, s2.u)[0] > purestates.PROPORTIONAL_TOL
             ]
             gap, ref = separation_gaps(n, alpha, grid)
             pairs += len(grid)
@@ -319,7 +320,7 @@ def test_c12_closure_gap_witness():
                 w.block(xi).shape == (block_order(n, xi),) * 2 for xi in frequencies(n, 6)
             )
             ok = ok and all(tail_deviation(w, xi) == 0.0 for xi in range(3, 7))
-            ok = ok and abs(w.sup_block_norm() - 1.0) < 1e-12
+            ok = ok and abs(spectral_norm(w.blocks).max() - 1.0) < 1e-12
     elapsed = time.perf_counter() - t0
     _report(12, ok, "identity-at-one-frequency witness evaluates to (0, 1)", elapsed, 1.0)
     assert ok

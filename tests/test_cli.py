@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import polyberg
+from conftest import read_gamma_out
 from polyberg import bergman_oracle, cli, integration, verify
 from polyberg.cli import COMMANDS, build_parser, main
-from polyberg.gammaseq import gamma_sequence, seq_from_json_obj, spectral_norm, tail_deviation
+from polyberg.gammaseq import gamma_sequence, spectral_norm, tail_deviation
 from polyberg.generators import SeparationPlan
 from polyberg.purestates import eval_state, finite_state
 from polyberg.symbols import indicator_symbol, poly_t_symbol, symbol_from_json_obj
@@ -38,8 +39,10 @@ def test_gamma_writes_json(tmp_path, capsys):
     obj = json.loads(out.read_text())
     assert len(obj["matrices"]) == 11
     assert obj["xi_min"] == -2 and obj["xi_max"] == 8
-    seq = seq_from_json_obj(obj)
+    seq = read_gamma_out(obj)
     assert seq.block(0).shape == (3, 3)
+    want = gamma_sequence(indicator_symbol(0.5), 3, 0.0, 8)
+    assert np.array_equal(seq.blocks, want.blocks) and seq.scalar_limit == want.scalar_limit
     table = capsys.readouterr().out
     assert "tail_deviation" in table
 
@@ -145,14 +148,21 @@ def test_malformed_symbol_exits_2_before_any_output(symbol, message, capsys):
     ["gamma", "--alpha", "1e300", "--symbol", '{"kind":"jacobi_g","p":2}'],
     ["basis", "--alpha", "inf"],
     ["separate", "--alpha", "inf", "--state", "inf", "--state", "0:1,0"],
+    ["basis", "--alpha", "nan"],
+    ["gamma", "--alpha", "inf", "--symbol", '{"kind":"jacobi_g","p":2}'],
+    ["gamma", "--alpha", "nan", "--symbol", '{"kind":"jacobi_g","p":2}'],
 ])
 def test_non_finite_or_overflowing_alpha_exits_2_before_any_output(argv, capsys):
     # a constant at alpha inf exited 0, the others printed a NaN payload
-    # or raised OverflowError
+    # or raised OverflowError; basis read "cannot convert Infinity to
+    # integer ratio", and a jacobi_g symbol's contextual alpha was refused
+    # as a JSON field.  A non-finite alpha gets the one shared line
     code = main(argv)
     captured = capsys.readouterr()
+    alpha = argv[argv.index("--alpha") + 1]
+    message = "" if alpha == "1e300" else f"alpha must exceed -1 and be finite, got {alpha}"
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,7 +498,7 @@ def test_a_table_without_a_limit_has_its_last_value(tmp_path, capsys):
     assert symbol_from_json_obj(json.loads(table)).limit == 0.25
     out = tmp_path / "seq.json"
     assert main(["gamma", "--n", "2", "--xi-max", "3", "--symbol", table, "--out", str(out)]) == 0
-    seq = seq_from_json_obj(json.loads(out.read_text()))
+    seq = read_gamma_out(json.loads(out.read_text()))
     assert seq.scalar_limit == 0.25
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "xi order norm tail_deviation"

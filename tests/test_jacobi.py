@@ -104,6 +104,12 @@ def test_norm_coeff_closed_forms():
     )
 
 
+def test_norm_coeff_refuses_a_beta_that_is_not_a_nonnegative_integer():
+    for beta in (0.5, -0.5):
+        with pytest.raises(ValueError, match="nonnegative integer beta"):
+            jac_norm_coeff(JacobiParams(1.0, beta, 2))
+
+
 def test_norm_coeff_gamma_vs_binomial_route():
     # for integer second exponent the squared constant equals
     # (2m+a+b+1) C(m+a+b, b) / C(m+b, b); cross-check against the
@@ -228,3 +234,30 @@ def test_sup_bound_dominates_random_tuples(rng):
         for _ in range(50)
     )
     assert sup_bound_ratio(cases, 2000) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [300.0, 1e4])
+def test_sup_bound_dominates_past_the_float_range(alpha, rng):
+    # base ** (m + 1 + (alpha + 1) / 2) raised OverflowError from alpha ~ 300
+    cases = [(alpha, float(rng.integers(0, 41)), int(rng.integers(0, 6)),
+              float(rng.uniform(0.05, 0.95))) for _ in range(30)]
+    assert sup_bound_ratio(cases, 1500) <= 1
+    assert jac_sup_bound(JacobiParams(alpha, 0.0, 5), 0.5) == math.inf
+
+
+def test_sup_bound_agrees_with_its_power_form(rng):
+    # wherever the power form stays in the float range, up to the roundings
+    # of the square root and its square
+    checked = 0
+    for _ in range(2000):
+        alpha = float(rng.choice([rng.uniform(0.01, 6.0), rng.uniform(6.0, 400.0)]))
+        params = JacobiParams(alpha, float(rng.integers(0, 41)), int(rng.integers(0, 6)))
+        x = float(rng.uniform(0.01, 0.99))
+        base = 2 * params.m + alpha + params.beta + 1
+        try:
+            want = base ** (params.m + 1 + (alpha + 1) / 2.0) * x ** (params.beta / 2.0)
+        except OverflowError:
+            continue
+        assert abs(jac_sup_bound(params, x) - want) <= 1e-13 * want
+        checked += 1
+    assert checked > 1000

@@ -7,6 +7,7 @@ module: the commands import what they use.  A process run by `cli.main`
 exits with the heap frozen.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -153,3 +154,28 @@ def test_every_module_defines_the_names_of_its_all():
             missing += [f"{module}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
     assert "generators" in declared and len(declared) == len(modules) - 2
     assert missing == []
+
+
+def test_no_module_keeps_an_unused_import_or_private_definition():
+    # leftovers of a deletion: a name imported (anywhere in the module) that
+    # the module never reads, or a module-level _private function or class
+    # that nothing in its module references; a name in __all__ counts as read
+    src = os.path.dirname(polyberg.__file__)
+    leftovers = []
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        nodes = list(ast.walk(tree))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        read |= {const.value for node in nodes if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                 for const in ast.walk(node.value) if isinstance(const, ast.Constant)}
+        imported = {(alias.asname or alias.name).split(".")[0] for node in nodes
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        private = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_") and not node.name.startswith("__")}
+        leftovers += [f"{fname}: {name}" for name in sorted((imported | private) - read)]
+    assert leftovers == []

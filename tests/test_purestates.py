@@ -22,11 +22,8 @@ from polyberg.purestates import (
     eval_state_integral,
     finite_state,
     limit_state,
-    same_pure_state,
     separate,
     separation,
-    submatrix_coincidence_pair,
-    witness_indices,
 )
 from polyberg.symbols import (
     const_symbol,
@@ -52,11 +49,21 @@ def test_state_vector_must_be_finite():
 
 
 def test_same_pure_state():
+    # equal as functionals: separation refuses them as identical
     u = unit([1.0, 1.0])
-    assert same_pure_state(finite_state(0, u), finite_state(0, 1j * u))
-    assert not same_pure_state(finite_state(0, u), finite_state(1, u))
-    assert same_pure_state(limit_state(), limit_state())
-    assert not same_pure_state(limit_state(), finite_state(0, u))
+    for s1, s2 in ((finite_state(0, u), finite_state(0, 1j * u)), (limit_state(), limit_state())):
+        with pytest.raises(NotSeparableError, match="identical pure states"):
+            separation(s1, s2, 2, 0.5)
+    for s1, s2 in ((finite_state(0, u), finite_state(1, u)), (limit_state(), finite_state(0, u))):
+        separation(s1, s2, 2, 0.5)
+
+
+def test_pure_state_equality_is_identity():
+    # the dataclass compared the u arrays, so == and `in` raised
+    s, t = finite_state(0, [1, 0]), finite_state(0, [1, 0])
+    assert (s == t) is False and (s == s) is True
+    assert s in [t, s] and t not in [s]
+    assert limit_state() != limit_state()
 
 
 def test_eval_state_const_and_limits():
@@ -148,11 +155,18 @@ def test_state_positivity_and_norm_bound(rng):
         assert abs(val) <= 1.0 + 1e-9
 
 
+def _witness_indices(u, v):
+    # the (p, q) that separation's same-frequency branch reads from
+    # _state_gap, or None for a pair within PROPORTIONAL_TOL (refused as
+    # identical states)
+    gap, p, q = purestates._state_gap(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    return None if gap <= purestates.PROPORTIONAL_TOL else (p, q)
+
+
 def test_witness_indices_examples():
-    assert witness_indices([1, 0], [0, 1]) == (0, 0)
-    p, q = witness_indices(unit([1, 1]), unit([1, -1]))
-    assert (p, q) == (0, 1)
-    assert witness_indices([1, 0], unit([1, 1])) == (0, 0)
+    assert _witness_indices([1, 0], [0, 1]) == (0, 0)
+    assert _witness_indices(unit([1, 1]), unit([1, -1])) == (0, 1)
+    assert _witness_indices([1, 0], unit([1, 1])) == (0, 0)
 
 
 def test_witness_indices_guarantee(rng):
@@ -160,14 +174,15 @@ def test_witness_indices_guarantee(rng):
         d = int(rng.integers(2, 6))
         u = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
         v = unit(rng.normal(size=d) + 1j * rng.normal(size=d))
-        p, q = witness_indices(u, v)
+        p, q = _witness_indices(u, v)
         assert abs(u[p] * np.conj(u[q]) - v[p] * np.conj(v[q])) > 1e-10
 
 
 def test_witness_indices_proportional_error():
     u = unit([1, 2, 3])
-    with pytest.raises(NotSeparableError):
-        witness_indices(u, np.exp(0.3j) * u)
+    assert _witness_indices(u, np.exp(0.3j) * u) is None
+    with pytest.raises(NotSeparableError, match="identical pure states"):
+        separation(finite_state(2, u), finite_state(2, np.exp(0.3j) * u), 3, 0.5)
 
 
 def test_witness_indices_nearly_proportional_error():
@@ -176,11 +191,10 @@ def test_witness_indices_nearly_proportional_error():
     u = np.ones(3) / np.sqrt(3.0)
     for theta in (1e-11, 1.4e-10):
         v = u * np.exp(1j * np.array([0.0, theta, -theta]))
-        with pytest.raises(NotSeparableError, match="vectors are proportional"):
-            witness_indices(u, v)
+        assert _witness_indices(u, v) is None
     for theta in (1.6e-10, 1e-6):
         v = u * np.exp(1j * np.array([0.0, theta, -theta]))
-        assert witness_indices(u, v) == (1, 2)
+        assert _witness_indices(u, v) == (1, 2)
 
 
 def _state_gap_at(u, v, p, q):
@@ -196,9 +210,7 @@ def _witness_indices_loop(u, v):
             gap = _state_gap_at(u, v, p, q)
             if gap > best:
                 best, pq = gap, (p, q)
-    if best <= purestates.PROPORTIONAL_TOL:
-        raise NotSeparableError("vectors are proportional; states coincide")
-    return pq
+    return None if best <= purestates.PROPORTIONAL_TOL else pq
 
 
 _PARTS = st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)
@@ -241,16 +253,9 @@ def test_state_gap_is_the_first_maximiser_of_the_loop_reference(pair):
     assert p <= q
     assert gap >= whole * (1.0 - 1e-12)
     assert gap == _state_gap_at(cu, cv, p, q)
-    assert _outcome(witness_indices, u, v) == _outcome(_witness_indices_loop, u, v)
+    assert _witness_indices(u, v) == _witness_indices_loop(u, v)
     if gap > purestates.PROPORTIONAL_TOL:
-        assert witness_indices(u, v) == (p, q)
-
-
-def _outcome(f, u, v):
-    try:
-        return f(u, v)
-    except NotSeparableError as exc:
-        return str(exc)
+        assert _witness_indices(u, v) == (p, q)
 
 
 def test_witness_indices_matches_the_loop_reference(rng):
@@ -278,7 +283,7 @@ def test_witness_indices_matches_the_loop_reference(rng):
                       for t in np.linspace(1.2e-10, 2.2e-10, 21)]
     kinds = collections.Counter()
     for u, v in cases:
-        got, want = _outcome(witness_indices, u, v), _outcome(_witness_indices_loop, u, v)
+        got, want = _witness_indices(u, v), _witness_indices_loop(u, v)
         if isinstance(got, tuple) and isinstance(want, tuple) and got != want:
             # a true tie that rounding broke the other way (for d = 2,
             # |D_00| = |D_11| for any pair of unit vectors)
@@ -288,8 +293,8 @@ def test_witness_indices_matches_the_loop_reference(rng):
             assert abs(gaps[0] - gaps[1]) <= 1e-15, (u, v)
         else:
             assert got == want, (u, v)
-        kinds[want if isinstance(want, str) else "pp" if want[0] == want[1] else "pq"] += 1
-    assert set(kinds) == {"pp", "pq", "vectors are proportional; states coincide"}, kinds
+        kinds["same" if want is None else "pp" if want[0] == want[1] else "pq"] += 1
+    assert set(kinds) == {"pp", "pq", "same"}, kinds
 
 
 @pytest.mark.parametrize("t", [1e-7, 1.4e-5, 1e-4, 1e-3])
@@ -706,15 +711,13 @@ def test_coincidence_function_identity():
 
 def test_submatrix_coincidence_family():
     for n, eta in [(2, 1), (3, 1), (3, 2)]:
-        s1, s2 = submatrix_coincidence_pair(n, eta)
+        s1, s2 = finite_state(-eta, np.eye(n - eta)[0]), finite_state(eta, np.eye(n)[0])
         for a in (indicator_symbol(0.6), make_gp(2, 1.0)):
             v1 = eval_state_integral(s1.xi, s1.u, a, n, 1.0)
             v2 = eval_state_integral(s2.xi, s2.u, a, n, 1.0)
             assert abs(v1 - v2) < 1e-14
         with pytest.raises(NotSeparableError):
             separate(s1, s2, n, 1.0)
-    with pytest.raises(ValueError):
-        submatrix_coincidence_pair(2, 2)
 
 
 def test_documented_coincidences_refused_but_near_miss_separates():
