@@ -86,7 +86,9 @@ def weighted_grid(n_panels: int, alpha: float, breakpoints=()):
     u^(2 alpha + 1) itself.  Each breakpoint in [0, 1] becomes a panel
     edge, so integrands with a jump or a kink there stay panelwise
     smooth."""
-    edges = np.unique(np.append(np.linspace(0.0, 1.0, n_panels + 1), breakpoints))
+    # np.unique's sorted distinct values, without the numpy.ma it imports
+    edges = np.sort(np.append(np.linspace(0.0, 1.0, n_panels + 1), breakpoints))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     nodes = mid + half * _GL_NODES

@@ -125,6 +125,7 @@ def cmd_separate(args) -> int:
         print("separate needs exactly two --state arguments", file=sys.stderr)
         return EXIT_USAGE
     from .purestates import NotSeparableError, separation
+    from .symbols import symbol_to_json_obj
 
     s1 = _parse_state(args.state[0], args.n)
     s2 = _parse_state(args.state[1], args.n)
@@ -137,19 +138,11 @@ def cmd_separate(args) -> int:
         print(f"not separable by construction: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE
     for key, value in recipe.items():
-        print(f"witness {key}: " + json.dumps(value, default=_recipe_json))
+        print(f"witness {key}: " + json.dumps(value, default=symbol_to_json_obj))
     print(f"sigma_1 = {vals[0]}")
     print(f"sigma_2 = {vals[1]}")
     print(f"gap = {abs(vals[0] - vals[1])}")
     return EXIT_OK
-
-
-def _recipe_json(obj):
-    # the plans and symbols of a separation recipe
-    from .generators import SeparationPlan
-    from .symbols import symbol_to_json_obj
-
-    return obj.to_json_obj() if isinstance(obj, SeparationPlan) else symbol_to_json_obj(obj)
 
 
 def cmd_basis(args) -> int:

@@ -263,7 +263,8 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     MAX_MOMENT_DEGREE, a generator that moment degree and a coefficient
     degree above jacobi.MAX_DEGREE.  A constant or poly_t symbol is
     refused at no order or frequency.  A stack with a non-finite entry
-    (a huge alpha overflows the recurrence) is refused."""
+    (a huge alpha overflows the recurrence) is refused, and so is a
+    generator whose exact integer ratios leave the float range."""
     jacobi.check_alpha(alpha)
     if a.kind == "jacobi_g" and a.alpha != alpha:
         raise ValueError(f"generator {a.p} is for alpha {a.alpha}, not the weight's {alpha}; "
@@ -273,7 +274,11 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     elif a.kind in ("indicator", "sampled"):
         out = _cut_blocks(a, alpha, xis, d)
     elif a.kind == "jacobi_g":
-        out = _generator_blocks(a.p, alpha, xis, d)
+        try:
+            out = _generator_blocks(a.p, alpha, xis, d)
+        except OverflowError:
+            raise ValueError(f"generator {a.p}: an exact ratio of its blocks leaves the "
+                             f"float range at alpha {alpha}") from None
     else:
         out = _jacobi_blocks(a.coeffs, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric

@@ -4,12 +4,13 @@ drivers.
 A finite state is a frequency together with a unit vector of the matching
 block dimension and evaluates a sequence as the quadratic form of its
 block; the limit state returns the scalar boundary value.  Distinct
-states are separated by explicit witnesses assembled from the
-generating-symbol sequences, except on the two documented families of
-state pairs that agree on every single generating sequence, where
-separation is refused by construction (the sequence with identity at one
-frequency and zeros elsewhere still tells such a pair apart, see
-closure_gap_witness).
+finite states are separated by exact matrix-unit combinations at one
+frequency, each certified to lie in C*(gamma) by the isolated corner
+value of gamma(t^2) - gamma(t)^2 there, and a finite state from the limit
+state by a symbol's sequence.  The two documented families of state
+pairs that agree on every single generating sequence are refused by
+construction (the sequence with identity at one frequency and zeros
+elsewhere still tells such a pair apart, see closure_gap_witness).
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
-from .generators import same_frequency_plan
 from .integration import entry_block
-from .jacobi import check_alpha
+from .jacobi import check_alpha, dyadic
 from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
 
 __all__ = [
@@ -43,11 +43,20 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 PROPORTIONAL_TOL = 1e-10
 MIN_GAP = 1e-8
+# alpha above this is refused by the corner certificate, whose scan of the
+# corners before their decreasing branch holds about alpha / 2 values
+CORNER_ALPHA_MAX = 1e5
+# each computed corner is within CORNER_REL_ERR of its exact value, relative
+# (16 units of 2^-53 bound its 13 roundings, see _corner); the certificate
+# asks two corners for a relative gap above CORNER_GAP_MIN
+CORNER_REL_ERR = 16 * 2.0 ** -53
+CORNER_GAP_MIN = 4 * CORNER_REL_ERR
 
 
 class NotSeparableError(ValueError):
-    """The two states coincide, or they agree on every generating
-    sequence (documented coincidence families)."""
+    """The two states coincide, they agree on every generating sequence
+    (documented coincidence families), or the frequency's corner value is
+    shared with another frequency within its float error."""
 
 
 @dataclass(eq=False)
@@ -178,30 +187,111 @@ def _symbol_witness(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixS
     return gamma_sequence(a, n, alpha, xi_max)  # a limit-state witness, shared as-is
 
 
+def _corner(n: int, alpha: float, eta):
+    # c_d(|eta|)^2, the corner of K = gamma(t^2) - gamma(t)^2 at eta (an
+    # int or an integer array), d = min(n + eta, n): the squared Jacobi
+    # off-diagonal d (d + a)(d + b)(d + a + b) / (s^2 (s^2 - 1)), b = |eta|,
+    # s = 2d + a + b, which for either sign of eta is
+    # n (n + a) x (x + a) / (s^2 (s - 1)(s + 1)), x = n + eta, s = 2n + a + eta.
+    # Each sum adds an exact integer to alpha and is rounded once (s enters
+    # twice); with the six products and the division that is 13 roundings
+    x, m = n + eta, 2 * n + eta
+    s = m + alpha
+    return n * (n + alpha) * x * (x + alpha) / (s * s * ((m - 1 + alpha) * (m + 1 + alpha)))
+
+
+def _tail_start(n: int, alpha: float) -> int:
+    """The frequency eta0 from which the corners decrease strictly.
+
+    With x = n + eta, y = x + alpha and s = x + n + alpha, all positive
+    and s > 1, the derivative of the log of _corner's closed form in eta
+    is 1/x + 1/y - 2/s - 2s/(s^2 - 1), and 2s/(s^2 - 1) - 2/s =
+    2/(s (s^2 - 1)) > 0, so it is below 1/x + 1/y - 4/s.  It is
+    therefore negative wherever 1/x + 1/y <= 4/s, that is where
+    4xy >= s (x + y), or Q(x) = 2x^2 + (alpha - 2n) x - alpha (n + alpha)
+    >= 0.  Q is an upward parabola: at an x past its vertex (2n - alpha)/4
+    with Q(x) >= 0, Q stays nonnegative for every larger x.  So from the
+    first integer x0 >= 1 with both, the corners decrease strictly.  x0
+    is started from the larger root (2n - alpha + sqrt(9 alpha^2 + 4 alpha n
+    + 4 n^2)) / 4 in floats and both conditions are tested in integers
+    (alpha = a / 2^e makes 4^e Q(x) and the vertex test times 2^e
+    integers), so no rounding can place it too early; eta0 = x0 - n is
+    at most about alpha / 2."""
+    a, e = dyadic(alpha)
+    q = 1 << e
+    root = (2 * n - alpha + math.sqrt(9.0 * alpha * alpha + 4.0 * alpha * n + 4.0 * n * n)) / 4.0
+    x = max(1, math.floor(root) - 1)
+    while not (4 * x * q >= 2 * n * q - a
+               and 2 * x * x * q * q + (a - 2 * n * q) * q * x - a * (n * q + a) >= 0):
+        x += 1
+    return x - n
+
+
+@lru_cache(maxsize=512)
+def _corner_certificate(n: int, alpha: float, xi: int) -> Tuple[float, float]:
+    """(corner, gap) at frequency xi: the corner c_d(|xi|)^2 of
+    K = gamma(t^2) - gamma(t)^2, whose block at every frequency eta is
+    c_d(|eta|)^2 E_(d-1,d-1), and its smallest relative distance to the
+    corner of any other frequency eta >= -n+1, none left out.  A corner
+    no other frequency shares is an isolated point of the spectrum of
+    the positive compact K, so the spectral projection P there
+    (E_(d-1,d-1) at xi, zero elsewhere) and the units
+    phi_p(gamma(t)) P phi_q(gamma(t))* at xi lie in C*(gamma) (phi the
+    recurrence of gamma(t) run backwards; continuous functional calculus,
+    Arveson, An Invitation to C*-Algebras, ch. 1).
+
+    The corners before _tail_start's eta0 are computed one by one; past
+    it they decrease strictly, so only xi's neighbours there count, or,
+    for a xi before it, the two values around xi's corner, found by
+    doubling steps and bisection.  Each computed corner is within
+    CORNER_REL_ERR of its exact value, so a relative gap above twice that
+    orders the exact values; CORNER_GAP_MIN asks for twice as much again.
+    Time and memory are O(alpha + n + log xi).  Raises ValueError for
+    alpha above CORNER_ALPHA_MAX, and NotSeparableError, naming both
+    frequencies, for a gap at or below CORNER_GAP_MIN."""
+    if not alpha <= CORNER_ALPHA_MAX:
+        raise ValueError(f"alpha {alpha} exceeds {CORNER_ALPHA_MAX:g}, the largest weight "
+                         "exponent the corner certificate of separate serves")
+    eta0, corner = _tail_start(n, alpha), _corner(n, alpha, xi)
+    if xi >= eta0:
+        tail = [xi + 1] + ([xi - 1] if xi > eta0 else [])
+    else:
+        # widen hi until its corner is at or below xi's, then bisect on lo's above it
+        lo, hi = eta0 - 1, eta0
+        while _corner(n, alpha, hi) > corner:
+            lo, hi = hi, 2 * hi - eta0 + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _corner(n, alpha, mid) > corner else (lo, mid)
+        tail = [hi] + ([hi - 1] if hi > eta0 else [])
+    head = np.arange(-n + 1, eta0)
+    etas = np.concatenate((head[head != xi], tail))
+    gaps = np.abs(_corner(n, alpha, etas) - corner) / corner
+    at = int(gaps.argmin())
+    if not gaps[at] > CORNER_GAP_MIN:
+        raise NotSeparableError(
+            f"the corners of gamma(t^2) - gamma(t)^2 at frequencies {xi} and {etas[at]} "
+            f"are {gaps[at]:.1e} apart, relative, within their float error")
+    return corner, float(gaps[at])
+
+
 @lru_cache(maxsize=512)
 def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
-    """(plans, witnesses, complex blocks) of the same-frequency unit
-    E_{p,q} at xi, built once per key and shared as-is.  For p == q: the
-    plan and its evaluation A at max(xi, 0); for p != q also the mirror
-    plan (q, p), with evaluation B, and the witnesses A + B and i (A - B).
-    Each witness's stack is cast to complex once, and its blocks held as
-    read-only views, frequency -n+1 first; a block that one any() over
-    the stack finds zero is held as None (a state on it has value 0.0)."""
-    plan = same_frequency_plan(n, alpha, xi, p, q)
-    a = plan.evaluate(max(xi, 0))
-    plans, witnesses = (plan,), (a,)
+    """(certificate, witnesses, skew block) of the unit E_{p,q} at xi,
+    built once per key and shared as-is: _corner_certificate(n, alpha,
+    xi), whose refusal comes first; the witnesses up to max(xi, 0), each
+    zero at every other frequency and at infinity, (E_pp,) for p == q and
+    (E_pq + E_qp, i (E_pq - E_qp)) for p != q, the last complex; and the
+    skew witness's block at xi (None for p == q)."""
+    cert = _corner_certificate(n, alpha, xi)
+    stack = np.zeros((max(xi, 0) + n, n, n))
+    stack[xi + n - 1, p, q] = stack[xi + n - 1, q, p] = 1.0
+    witnesses = (MatrixSeq(n, alpha, stack, 0.0),)
     if p != q:
-        plans += (same_frequency_plan(n, alpha, xi, q, p),)
-        b = plans[1].evaluate(max(xi, 0))
-        witnesses = (a + b, 1j * (a + (-1.0) * b))
-    blocks = []
-    for w in witnesses:
-        z = np.asarray(w.blocks, dtype=complex)
-        z.flags.writeable = False
-        nonzero = z.any(axis=(1, 2)).tolist()
-        blocks.append(tuple(z[i, :n + min(eta, 0), :n + min(eta, 0)] if nonzero[i] else None
-                            for i, eta in enumerate(frequencies(n, w.xi_max))))
-    return plans, witnesses, tuple(blocks)
+        skew = np.zeros(stack.shape, complex)
+        skew[xi + n - 1, p, q], skew[xi + n - 1, q, p] = 1j, -1j
+        witnesses += (MatrixSeq(n, alpha, skew, 0.0),)
+    return cert, witnesses, witnesses[-1].block(xi) if p != q else None
 
 
 def separation(
@@ -213,27 +303,31 @@ def separation(
 ) -> Tuple[MatrixSeq, Tuple[float, float], dict]:
     """Produce a witness sequence on which the two states differ, with the
     pair of state values and the recipe the witness was built from:
-    {"symbol": a} for the sequence of symbol a, {"plan": P} for the
-    evaluation of plan P, or {"plans": (P, Q), "combination": c} for the
-    evaluations A of P and B of Q combined as A + B (c = "sym") or
-    i (A - B) (c = "skew").
+    {"symbol": a} for the sequence of symbol a, or {"unit": {"xi", "p",
+    "q", "combination", "corner", "gap"}} for a matrix-unit combination
+    at frequency xi, zero at every other frequency and at infinity: E_pp,
+    or for p != q (the only case with a "combination") E_pq + E_qp
+    ("sym") or i (E_pq - E_qp) ("skew"); "corner" and "gap" are the
+    certificate of _corner_certificate that puts it in C*(gamma).
 
-    Same-frequency pairs go through the matrix-unit plans at the first
-    (p, q), p <= q, maximising |u_p conj(u_q) - v_p conj(v_q)|, and are
-    identical when that is within PROPORTIONAL_TOL (off-diagonal units are
-    evaluated through their Hermitian and skew-Hermitian combinations,
-    whichever has the larger gap); a limit state is told apart from a finite state by the
+    Same-frequency pairs take the unit at the first (p, q), p <= q,
+    maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when
+    that is within PROPORTIONAL_TOL (off-diagonal units are evaluated
+    through their Hermitian and skew-Hermitian combinations, whichever
+    has the larger gap); a limit state is told apart from a finite state by the
     first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
     past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
     whose gap exceeds MIN_GAP, or by infinity_witness alone, whose
     refusal propagates; each sequence is cached per (symbol, n, alpha,
-    xi_max).  Distinct finite frequencies use the same-frequency plan for
-    E_pp at the higher frequency, whose block at the lower frequency
-    vanishes.  Raises ValueError for an alpha that is not a finite number
-    above -1, for a vector whose dimension is not its frequency's block
-    order and for an infinity_witness given to two finite states (the
-    CLI's --symbol), before any cache is read; NotSeparableError for
-    equal states and for the documented coincidence families.
+    xi_max).  Distinct finite frequencies take E_pp at the higher
+    frequency, p the largest entry of its vector, which is zero at the
+    lower one.  Raises ValueError for an alpha that is not a finite
+    number above -1, for a vector whose dimension is not its frequency's
+    block order and for an infinity_witness given to two finite states
+    (the CLI's --symbol), before any cache is read, and for a finite pair
+    at an alpha above CORNER_ALPHA_MAX; NotSeparableError for equal
+    states, for the documented coincidence families and where the
+    certificate finds a frequency's corner shared.
     """
     check_alpha(alpha)
     for s in (s1, s2):
@@ -275,30 +369,30 @@ def separation(
                 family = _documented_coincidence(lo, hi, n, alpha)
                 if family:
                     raise NotSeparableError(f"{family} agrees on every generating sequence")
-            # the plan for E_pp at the higher frequency, whatever the
-            # lower one is: its squared middle factor vanishes at the
-            # lower frequency, whose block order puts the factor's
-            # structural index past the last antidiagonal
             xi, p = hi.xi, int(abs(hi.u).argmax())
             q = p
-        plans, witnesses, blocks = _unit_witness(n, float(alpha), xi, p, q)
-        # eval_state's quadratic forms, real part, on the witnesses' blocks,
-        # whose orders the dimension check above has matched; a block the
-        # record marks as zero (the lower frequency of a cross pair) has
-        # value 0.0
-        u1, u2, x1, x2 = s1.u, s2.u, s1.xi + n - 1, s2.xi + n - 1
-        b1, b2 = blocks[0][x1], blocks[0][x2]
-        k, vals = 0, (0.0 if b1 is None else complex(np.vdot(u1, b1.dot(u1))).real,
-                      0.0 if b2 is None else complex(np.vdot(u2, b2.dot(u2))).real)
-        recipe = {"plan": plans[0]}
-        if p != q:
-            b1, b2 = blocks[1][x1], blocks[1][x2]
-            skew = (0.0 if b1 is None else complex(np.vdot(u1, b1.dot(u1))).real,
-                    0.0 if b2 is None else complex(np.vdot(u2, b2.dot(u2))).real)
-            if abs(skew[0] - skew[1]) > abs(vals[0] - vals[1]):  # sym on a tie
-                k, vals = 1, skew
-            recipe = {"plans": plans, "combination": ("sym", "skew")[k]}
-        witness = witnesses[k]
+        (corner, cert_gap), witnesses, skew = _unit_witness(n, float(alpha), xi, p, q)
+        # eval_state's values, real part, on the exact units: conj(u_p) u_q
+        # for E_pp (0.0 at the other frequency of a cross pair) and twice
+        # its real part for the sym unit, in np.vdot's arithmetic on these
+        # blocks bit for bit; the skew unit's as eval_state's quadratic form
+        u1, u2 = s1.u, s2.u
+        if p == q:
+            z1 = complex(u1[p]) if s1.xi == xi else 0j
+            z2 = complex(u2[p]) if s2.xi == xi else 0j
+            k, vals = 0, ((z1.conjugate() * z1).real, (z2.conjugate() * z2).real)
+            unit = {"xi": xi, "p": p, "q": q, "corner": corner, "gap": cert_gap}
+        else:
+            vals = (2.0 * (complex(u1[p]).conjugate() * complex(u1[q])).real,
+                    2.0 * (complex(u2[p]).conjugate() * complex(u2[q])).real)
+            skw = (complex(np.vdot(u1, skew.dot(u1))).real,
+                   complex(np.vdot(u2, skew.dot(u2))).real)
+            k = 0
+            if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
+                k, vals = 1, skw
+            unit = {"xi": xi, "p": p, "q": q, "combination": ("sym", "skew")[k],
+                    "corner": corner, "gap": cert_gap}
+        recipe, witness = {"unit": unit}, witnesses[k]
     if abs(vals[0] - vals[1]) <= MIN_GAP:
         raise NotSeparableError(
             f"constructed witness produced values {vals[0]} and {vals[1]} "

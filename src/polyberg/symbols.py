@@ -87,7 +87,9 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     C(alpha + p, p) = prod_{i=1..p} (alpha + i) / p!, formed in integers
     and rounded once.  A p that is not an integer in 0 .. MAX_MOMENT_DEGREE
     is refused (every block of a higher g_p within the moment guard is
-    zero), and so is an alpha that is not a finite number above -1.
+    zero), and so is an alpha that is not a finite number above -1 or
+    that puts the boundary value past the float range (alpha^p / p!
+    above about 1.8e308).
     Symbols are immutable, so one instance per (p, alpha) is shared.
     """
     if p not in range(MAX_MOMENT_DEGREE + 1):
@@ -96,8 +98,12 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     p = int(p)
     num, e = dyadic(alpha)
     rising = math.prod(num + (i << e) for i in range(1, p + 1))
-    return SymbolSpec(kind="jacobi_g", p=p, alpha=float(alpha),
-                      limit=rising / (math.factorial(p) << (e * p)))
+    try:
+        limit = rising / (math.factorial(p) << (e * p))
+    except OverflowError:
+        raise ValueError(f"generator {p} has its boundary value past the float range "
+                         f"at alpha {alpha}") from None
+    return SymbolSpec(kind="jacobi_g", p=p, alpha=float(alpha), limit=limit)
 
 
 def sampled_symbol(points: Sequence) -> SymbolSpec:

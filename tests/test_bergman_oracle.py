@@ -1,5 +1,8 @@
 """Disk polynomials and the 2D tensor-quadrature cross-check."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import mpmath
@@ -140,6 +143,33 @@ def test_first_panel_is_the_gauss_rule_of_the_weight(alpha):
     assert np.all((nodes > 0.0) & (nodes < 1.0))
     for k in range(8):
         assert np.sum(weights * nodes**k) == pytest.approx(2.0 / (2.0 * alpha + 2.0 + k), rel=1e-13)
+
+
+def test_grid_edges_are_the_distinct_sorted_breakpoints(rng):
+    # duplicates, breakpoints on the equal panels' edges and -0.0 give the
+    # grid of np.unique's edges, bit for bit
+    for _ in range(50):
+        panels = int(rng.integers(1, 12))
+        pts = list(rng.choice(np.linspace(0.0, 1.0, panels + 1), size=3))
+        pts += list(rng.random(size=4)) + [-0.0, 0.0]
+        pts += list(rng.choice(pts, size=3))
+        alpha = float(rng.choice([-0.75, 0.0, 1.5]))
+        got = bergman_oracle.weighted_grid(panels, alpha, pts)
+        want = bergman_oracle.weighted_grid(panels, alpha, np.unique(pts))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        edges = np.unique(np.append(np.linspace(0.0, 1.0, panels + 1), pts))
+        assert len(got[0]) == 4 * (len(edges) - 1)
+
+
+def test_oracle_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call (0.9 MB of RSS)
+    code = ("import sys; from polyberg.bergman_oracle import oracle_gaps; "
+            "from polyberg.symbols import indicator_symbol; "
+            "oracle_gaps(indicator_symbol(0.5), 3, 1.0, 4); print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(bergman_oracle.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split() == ["False"]
 
 
 def test_oracle_aliasing_guard():

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -18,8 +19,7 @@ from conftest import read_gamma_out
 from polyberg import bergman_oracle, cli, integration, verify
 from polyberg.cli import COMMANDS, build_parser, main
 from polyberg.gammaseq import gamma_sequence, spectral_norm, tail_deviation
-from polyberg.generators import SeparationPlan
-from polyberg.purestates import eval_state, finite_state
+from polyberg.purestates import _corner_certificate, eval_state, finite_state, separation
 from polyberg.symbols import indicator_symbol, poly_t_symbol, symbol_from_json_obj
 
 
@@ -182,6 +182,25 @@ def test_overflowing_alpha_exits_2_in_a_process(argv):
     assert last == "error: poly_t symbol has a non-finite block entry at alpha 1e+300"
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--n", "2", "--alpha", "1e300"],
+    ["separate", "--n", "2", "--alpha", "1e300", "--state", "1:1,0", "--state", "1:0,1"],
+    ["gamma", "--alpha", "1e300", "--symbol", '{"kind":"jacobi_g","p":2}'],
+])
+def test_a_huge_alpha_is_refused_by_name_in_a_process(argv):
+    # an exact generator ratio (basis), the corner certificate's cap
+    # (separate) and make_gp's boundary value (gamma) each refuse alpha
+    # by name, on one line and at once
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    t0 = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "polyberg.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert time.monotonic() - t0 < 5.0
+    assert (run.returncode, run.stdout) == (2, "")
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "alpha 1e+300" in lines[0]
+
+
 def test_gamma_json_is_reproducible(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -337,23 +356,36 @@ def test_separate_distinct_states(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "gap = 1.0" in out
-    assert "witness plan" in out
+    line = next(line for line in out.splitlines() if line.startswith("witness "))
+    key, recipe = line.split(": ", 1)
+    assert key == "witness unit"
+    unit = json.loads(recipe)
+    assert list(unit) == ["xi", "p", "q", "corner", "gap"] and unit["xi"] == 2
+    assert (unit["p"], unit["q"]) == (0, 0)
 
 
 def test_separate_recipe_rebuilds_the_witness(capsys):
-    # an off-diagonal unit: the witness combines the (0, 1) and (1, 0) plans
+    # an off-diagonal unit: the recipe names the frequency, the unit and
+    # its combination, which rebuild the witness bit for bit, and the
+    # certificate of its membership
     vectors = ([0.6, 0.8], [0.6, -0.8])
     code = main(["separate", "--n", "2", "--state", "0:0.6,0.8", "--state", "0:0.6,-0.8"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     recipe = dict(line.split(": ", 1) for line in lines if line.startswith("witness "))
     sigmas = [float(line.split(" = ")[1]) for line in lines if line.startswith("sigma_")]
-    a, b = (SeparationPlan(**obj).evaluate(0) for obj in json.loads(recipe["witness plans"]))
-    sym = json.loads(recipe["witness combination"]) == "sym"
-    witness = a + b if sym else 1j * (a + (-1.0) * b)
+    unit = json.loads(recipe.pop("witness unit"))
+    assert not recipe
+    xi, p, q, combination = unit["xi"], unit["p"], unit["q"], unit["combination"]
+    sym = np.zeros((2, 2))
+    sym[p, q] = sym[q, p] = 1.0
+    block = sym if combination == "sym" else 1j * np.triu(sym) - 1j * np.tril(sym)
+    witness, _, _ = separation(*(finite_state(0, u) for u in vectors), 2, 0.0)
+    assert np.array_equal(witness.block(xi), block) and witness.xi_max == 0
+    assert not np.delete(witness.blocks, xi + 1, axis=0).any() and witness.scalar_limit == 0.0
     values = [eval_state(finite_state(0, u), witness) for u in vectors]
-    assert values == pytest.approx(sigmas, abs=1e-12)
-    assert sigmas == pytest.approx([0.96, -0.96], abs=1e-12)
+    assert values == sigmas == [0.96, -0.96]
+    assert (unit["corner"], unit["gap"]) == _corner_certificate(2, 0.0, xi)
 
 
 def test_separate_infinity(capsys):
@@ -527,14 +559,30 @@ def test_basis_past_the_generator_degree(capsys):
 
 
 def test_basis_and_separate_refuse_a_family_by_one_rule(capsys):
-    # the family at n = 6, xi = 30 fails the structure test; the unit
-    # demo and the separation refuse it with the same message
+    # the family at n = 6, xi = 30 fails the structure test, and the unit
+    # demo refuses it; separate, which needs no generator family, tells
+    # the two states apart
     message = "error: generator 0: row entry (5,0) = 2.945e-15 must be nonzero\n"
+    assert main(["basis", "--n", "6", "--alpha", "0", "--xi", "30"]) == 2
+    assert capsys.readouterr().err == message
     states = ["--state", "30:1,0,0,0,0,0", "--state", "30:0,1,0,0,0,0"]
-    for argv in (["basis", "--n", "6", "--alpha", "0", "--xi", "30"],
-                 ["separate", "--n", "6", "--alpha", "0", *states]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == message
+    assert main(["separate", "--n", "6", "--alpha", "0", *states]) == 0
+    assert capsys.readouterr().out.endswith("gap = 1.0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "8", "--alpha", "0.5", "--state", "25:1,0,0,0,0,0,0,0",
+     "--state", "25:0,0,0,0,0,0,0,1"],
+    ["--n", "4", "--alpha", "0.5", "--state", "70:1,0,0,0", "--state", "70:0,1,0,0"],
+    ["--n", "2", "--alpha", "0.5", "--state", "191:1,0", "--state", "191:0,1"],
+    ["--n", "2", "--alpha", "0.5", "--state", "190:1,0", "--state", "191:1,0"],
+], ids=["n8-xi25", "n4-xi70", "n2-xi191", "n2-cross-191"])
+def test_separate_pairs_the_generator_plans_refused(argv, capsys):
+    # refused by the generator structure test or the moment guard when
+    # the witnesses came from generator plans
+    assert main(["separate", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("witness unit: ") and out.endswith("gap = 1.0\n")
 
 
 @pytest.mark.parametrize(

@@ -190,8 +190,7 @@ def test_every_separation_cache_is_read_again():
     # with p != q, a pair of two frequencies and a limit pair.  A cache of
     # the separation path that none of these reads again only costs.
     caches = [(name, fn) for name, fn in _caches()
-              if name.startswith(("polyberg.generators.", "polyberg.purestates."))
-              and fn.cache_info().maxsize is not None]
+              if name.startswith("polyberg.purestates.") and fn.cache_info().maxsize is not None]
     for _, fn in caches:
         fn.cache_clear()
     r = 1.0 / math.sqrt(2.0)
@@ -202,22 +201,21 @@ def test_every_separation_cache_is_read_again():
         (limit_state(), finite_state(1, [1.0, 0.0])),
     ]
     recipes = [separation(s1, s2, 2, 0.375)[2] for s1, s2 in pairs for _ in range(2)]
-    assert [sorted(r) for r in recipes[::2]] == [
-        ["plan"], ["combination", "plans"], ["plan"], ["symbol"]
-    ]
+    assert [list(r) for r in recipes[::2]] == [["unit"], ["unit"], ["unit"], ["symbol"]]
+    assert [list(r["unit"]) for r in recipes[:6:2]] == [
+        ["xi", "p", "q", "corner", "gap"], ["xi", "p", "q", "combination", "corner", "gap"],
+        ["xi", "p", "q", "corner", "gap"]]
     assert caches
     assert [name for name, fn in caches if fn.cache_info().hits == 0] == []
 
 
-def test_generator_caches_stay_bounded_over_many_separations():
-    # off-diagonal witnesses need the plans (p, q) and (q, p), diagonal ones
-    # (p, p); every (alpha, xi) brings new plans and the two blocks of its
-    # family, so 52 alphas pass the 4096 generator blocks.  Dyadic alphas
-    # keep the exact integers short; no other test uses these.
+def test_witness_caches_stay_bounded_over_many_separations():
+    # off-diagonal witnesses are the records (p, q), diagonal ones (p, p);
+    # every (alpha, xi) brings new records and a new corner certificate,
+    # so 52 alphas pass the 512 of each.  No other test uses these alphas
     r = 1.0 / math.sqrt(2.0)
     states = (([1.0, 0.0], [0.0, 1.0]), ([r, r], [r, -r]))
-    caches = {name: fn for name, fn in _caches()
-              if name.startswith(("polyberg.generators.", "polyberg.purestates."))}
+    caches = {name: fn for name, fn in _caches() if name.startswith("polyberg.purestates.")}
     limits = {name: fn.cache_info().maxsize for name, fn in caches.items()}
     misses = {name: fn.cache_info().misses for name, fn in caches.items()}
     for alpha in (np.arange(52) + 0.5) / 8.0:
@@ -228,9 +226,5 @@ def test_generator_caches_stay_bounded_over_many_separations():
                 info = fn.cache_info()
                 assert info.maxsize is not None, name
                 assert info.currsize <= info.maxsize, name
-    for name in (
-        "polyberg.generators._plan_grid",
-        "polyberg.generators.generator_block",
-        "polyberg.purestates._unit_witness",
-    ):
+    for name in ("polyberg.purestates._corner_certificate", "polyberg.purestates._unit_witness"):
         assert caches[name].cache_info().misses - misses[name] > limits[name], name

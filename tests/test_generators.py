@@ -482,14 +482,11 @@ def test_evaluations_and_witness_blocks_are_read_only():
         x.blocks[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         generator_block(3, 0.5, 2, plan.middle)[0, 0] = 1.0
-    # a witness record holds views of one read-only complex stack
-    _, witnesses, blocks = _unit_witness(3, 0.5, 1, 0, 1)
-    for w, held in zip(witnesses, blocks):
-        kept = [b for b in held if b is not None]
-        assert len(held) == len(w.blocks) and kept
-        base = kept[0].base
-        assert base is not None and base.dtype == complex
-        for b in kept:
-            assert b.base is base and not b.flags.writeable
-            with pytest.raises(ValueError):
-                b[0, 0] = 1.0
+    # a witness record holds read-only stacks, and its skew block is a
+    # read-only view of the complex one
+    _, witnesses, skew = _unit_witness(3, 0.5, 1, 0, 1)
+    assert skew.base is witnesses[1].blocks.base and skew.dtype == complex
+    for b in (*(w.blocks for w in witnesses), skew):
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 1.0

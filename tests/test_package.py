@@ -122,6 +122,14 @@ def test_basis_loads_only_the_sequence_path_and_the_generators():
     assert modules == GAMMA_PATH | {"generators"}
 
 
+def test_separate_loads_only_the_sequence_path_and_purestates():
+    # a finite pair's witness is an exact unit: no generator family
+    code, modules, *_ = _cli_run(["separate", "--n", "3", "--alpha", "0.5",
+                                  "--state", "1:1,0,0", "--state", "2:0,1,0"])
+    assert code == 0
+    assert modules == GAMMA_PATH | {"purestates"}
+
+
 def test_public_names_resolve_to_their_modules():
     for module, names in polyberg._EXPORTS.items():
         mod = importlib.import_module(f"polyberg.{module}")

@@ -2,18 +2,22 @@
 
 import collections
 import dataclasses
+import math
 import random
+import re
 import struct
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import unit
-from polyberg import generators, integration, purestates
-from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence
+from polyberg import integration, purestates
+from polyberg.gammaseq import (MatrixSeq, block_order, frequencies, gamma_matrix,
+                               gamma_sequence, pack_blocks)
 from polyberg.purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -25,6 +29,7 @@ from polyberg.purestates import (
     separate,
     separation,
 )
+from polyberg.special_fn import jacobi_recurrence
 from polyberg.symbols import (
     const_symbol,
     indicator_symbol,
@@ -303,7 +308,7 @@ def test_separate_pairs_at_a_small_angle(t):
     # takes the values 0 and sin(2t)
     u, v = [1.0, 0.0], [np.cos(t), np.sin(t)]
     _, vals, recipe = purestates.separation(finite_state(0, u), finite_state(0, v), 2, 0.0)
-    assert recipe["combination"] == "sym"
+    assert recipe["unit"]["combination"] == "sym"
     assert abs(vals[1] - vals[0]) == pytest.approx(np.sin(2 * t), rel=1e-9)
 
 
@@ -381,24 +386,21 @@ def test_cached_limit_witness_equals_the_indicator_sequence(n, alpha):
 
 
 def _clear_separation_caches():
-    for mod in (generators, purestates):
-        for val in vars(mod).values():
-            if hasattr(val, "cache_clear"):
-                val.cache_clear()
+    for val in vars(purestates).values():
+        if hasattr(val, "cache_clear"):
+            val.cache_clear()
 
 
-def test_separations_integrate_each_generator_frequency_once(monkeypatch):
+def test_separations_integrate_nothing_and_certify_each_frequency_once(monkeypatch):
     # one sweep up the frequencies: same-frequency pairs (an off-diagonal
-    # and a diagonal unit) and cross-frequency pairs at every xi.  Every
-    # witness is the record of a family at xi >= 0, which integrates no
-    # generator block but its family's, each once; every family's nu
-    # table is solved once.
+    # and a diagonal unit) and cross-frequency pairs at every xi.  No
+    # witness integrates a block, and every frequency's corner
+    # certificate is made once, whichever pairs read it
     _clear_separation_caches()
-    real, counts = integration.entry_blocks, collections.Counter()
+    real, calls = integration.entry_blocks, []
 
     def spy(a, alpha, xis, d):
-        if a.kind == "jacobi_g":
-            counts.update((a.p, xi) for xi in xis)
+        calls.append((a, xis))
         return real(a, alpha, xis, d)
 
     for name, mod in list(sys.modules.items()):
@@ -406,37 +408,26 @@ def test_separations_integrate_each_generator_frequency_once(monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if val is real:
                     monkeypatch.setattr(mod, attr, spy)
-    real_nu, families = generators.nu_table, collections.Counter()
-
-    def nu_spy(gs, *args, **kwargs):
-        families[tuple(g.tobytes() for g in gs)] += 1
-        return real_nu(gs, *args, **kwargs)
-
-    monkeypatch.setattr(generators, "nu_table", nu_spy)
     n, alpha = 3, 0.5
     e0, e1, e2 = np.eye(n)
     for xi in range(31):
         separate(finite_state(xi, e0), finite_state(xi, e1), n, alpha)
-        separate(finite_state(xi, e0), finite_state(xi, e2), n, alpha)
+        separate(finite_state(xi, e0), finite_state(xi, unit(e0 + e2)), n, alpha)
         for lo in range(-n + 1, xi):
             separate(finite_state(lo, np.eye(min(n + lo, n))[0]), finite_state(xi, e1), n, alpha)
-    # the family at xi: symbols n - 1 + xi + j, j < n
-    assert set(counts) == {(n - 1 + xi + j, xi) for xi in range(31) for j in range(n)}
-    assert set(counts.values()) == {1}
-    assert len(families) == 31 and set(families.values()) == {1}  # xi = 0 .. 30
-    assert generators.generator_block.cache_info().misses == 31 * n
-    # a cold pair far up: only the two blocks of its family at xi = 150
+    assert calls == []
+    info = purestates._corner_certificate.cache_info()
+    assert info.misses == 31 and info.currsize == 31
+    # a cold pair far up: one certificate, still no block
     _clear_separation_caches()
-    counts.clear()
-    separate(finite_state(150, [1.0, 0.0]), finite_state(150, [0.0, 1.0]), 2, alpha)
-    assert generators.generator_block.cache_info().misses == 2
-    assert set(counts) == {(151, 150), (152, 150)}
+    separate(finite_state(10**4, [1.0, 0.0]), finite_state(10**4, [0.0, 1.0]), 2, alpha)
+    assert calls == [] and purestates._corner_certificate.cache_info().misses == 1
 
 
 def test_separate_refuses_bad_alpha_before_any_cache():
     s1, s2 = limit_state(), finite_state(0, [1.0, 0.0])
-    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_block)
+    caches = (purestates._symbol_witness, purestates._unit_witness,
+              purestates._corner_certificate)
     before = [c.cache_info() for c in caches]
     for alpha in (float("nan"), -1.5, -1.0, float("inf")):
         for pair in ((s1, s2), (s2, finite_state(0, [0.0, 1.0]))):
@@ -457,8 +448,8 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
         (finite_state(-1, [r, r]), finite_state(1, [0.0, 1.0])),
         (limit_state(), finite_state(3, [0.0, 0.0, 1.0])),
     ]
-    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_block)
+    caches = (purestates._symbol_witness, purestates._unit_witness,
+              purestates._corner_certificate)
     before = [c.cache_info() for c in caches]
     message = "state vector has dimension [23], block has order [12]$"
     for s1, s2 in pairs:
@@ -471,8 +462,8 @@ def test_separate_refuses_wrong_dimension_before_any_cache():
 def test_separation_refuses_an_infinity_witness_for_two_finite_states():
     # the witness is read only for a pair with the limit state; it is
     # refused before any cache, and before the coincidence families
-    caches = (purestates._symbol_witness, purestates._unit_witness, generators._plan_grid,
-              generators.generator_block)
+    caches = (purestates._symbol_witness, purestates._unit_witness,
+              purestates._corner_certificate)
     before = [c.cache_info() for c in caches]
     e0 = [1.0, 0.0]
     pairs = [
@@ -552,37 +543,41 @@ def test_separation_values_are_the_state_values_of_the_witness(rng):
                        finite_state(3, unit(rng.normal(size=n) + 1j * rng.normal(size=n))))]
         for s1, s2 in pairs:
             witness, vals, recipe = purestates.separation(s1, s2, n, alpha)
-            combinations[recipe.get("combination", "plan")] += 1
+            combinations[recipe["unit"].get("combination", "diagonal")] += 1
             want = (_hermitian_value(s1, witness), _hermitian_value(s2, witness))
             assert all(type(v) is float for v in vals)
             assert vals == want, (s1, s2)
-    assert set(combinations) == {"plan", "sym", "skew"}, combinations
+    assert set(combinations) == {"diagonal", "sym", "skew"}, combinations
 
 
-def test_zero_marks_are_the_zero_blocks_of_the_record():
-    # every record of the grid: a block is None exactly where the witness
-    # block has no nonzero entry, and otherwise it is the witness block
-    # cast to complex
-    marked = 0
+def test_unit_witnesses_are_exact_units_at_their_frequency():
+    # every record of the grid: each witness is the exact unit combination
+    # at xi, E_pp, E_pq + E_qp or i (E_pq - E_qp), with zero blocks at
+    # every other frequency (above a negative xi too) and limit 0, real
+    # but for the skew one, whose held block is its block at xi
     for n in range(1, 6):
         for alpha in (0.0, 0.5, 1.0, 2.5):
             for xi in range(-n + 1, 9):
                 d = block_order(n, xi)
                 for p in range(d):
                     for q in range(p, d):
-                        _, witnesses, blocks = purestates._unit_witness(n, alpha, xi, p, q)
-                        assert len(blocks) == len(witnesses)
-                        for w, held in zip(witnesses, blocks):
-                            xis = frequencies(n, w.xi_max)
-                            assert len(held) == len(xis)
-                            for x, b in zip(xis, held):
-                                if b is None:
-                                    assert not w.block(x).any() and w.block(x).shape == (
-                                        block_order(n, x),) * 2
-                                    marked += 1
-                                else:
-                                    assert np.array_equal(b, w.block(x).astype(complex))
-    assert marked
+                        cert, witnesses, skew = purestates._unit_witness(n, alpha, xi, p, q)
+                        assert cert == purestates._corner_certificate(n, alpha, xi)
+                        units = [np.zeros((d, d)), np.zeros((d, d), complex)]
+                        units[0][p, q] = units[0][q, p] = 1.0
+                        units[1][p, q], units[1][q, p] = 1j, -1j
+                        assert len(witnesses) == (1 if p == q else 2)
+                        for w, want in zip(witnesses, units):
+                            assert w.xi_max == max(xi, 0) and w.scalar_limit == 0.0
+                            assert w.blocks.dtype == want.dtype
+                            for x in frequencies(n, w.xi_max):
+                                block = w.block(x)
+                                assert np.array_equal(block, want if x == xi else 0 * block)
+                        if p == q:
+                            assert skew is None
+                        else:
+                            assert skew.base is witnesses[1].blocks.base
+                            assert np.array_equal(skew, witnesses[1].block(xi))
 
 
 def _bits(value):
@@ -614,18 +609,18 @@ def test_separation_values_are_eval_state_bit_for_bit(rng):
                         continue
                     kind = ("limit" if s1.xi is None or s2.xi is None
                             else "cross" if s1.xi != s2.xi
-                            else recipe.get("combination", "plan"))
+                            else recipe["unit"].get("combination", "diagonal"))
                     kinds[kind] += 1
                     for s, val in zip((s1, s2), vals):
                         assert type(val) is float
                         assert _bits(val) == _bits(eval_state(s, witness)), (n, alpha, s1, s2)
-    assert set(kinds) == {"plan", "sym", "skew", "cross", "limit"}, kinds
+    assert set(kinds) == {"diagonal", "sym", "skew", "cross", "limit"}, kinds
 
 
 def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic(monkeypatch):
     s1, s2 = finite_state(-1, unit([1.0, 1j])), finite_state(-1, unit([1.0, -1j]))
     first, vals, recipe = purestates.separation(s1, s2, 3, 0.25)
-    assert recipe["combination"] == "skew"
+    assert recipe["unit"]["combination"] == "skew"
     ops = collections.Counter()
     for name in ("__add__", "__mul__", "__rmul__", "__matmul__"):
         real = getattr(MatrixSeq, name)
@@ -638,11 +633,19 @@ def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic(monkeypatch)
     second, again, _ = purestates.separation(s1, s2, 3, 0.25)
     assert second is first and again == vals
     assert not ops
-    plan, mirror = recipe["plans"]
-    assert np.array_equal(
-        (1j * (plan.evaluate(0) + (-1.0) * mirror.evaluate(0))).blocks, first.blocks
-    )
-    assert ops  # the counter sees the arithmetic when there is some
+    # the recipe's units, E_pq and E_qp at xi, combined by the sequence
+    # arithmetic the counter sees
+    xi, p, q = (recipe["unit"][key] for key in ("xi", "p", "q"))
+    e_pq, e_qp = (_unit_sequence(3, 0.25, xi, j, k) for j, k in ((p, q), (q, p)))
+    assert np.array_equal((1j * (e_pq + (-1.0) * e_qp)).blocks, first.blocks)
+    assert ops
+
+
+def _unit_sequence(n, alpha, xi, p, q):
+    # E_pq at xi, zero elsewhere and at infinity, up to max(xi, 0)
+    blocks = [np.zeros((block_order(n, x),) * 2) for x in frequencies(n, max(xi, 0))]
+    blocks[xi + n - 1][p, q] = 1.0
+    return MatrixSeq(n, alpha, pack_blocks(n, blocks), 0.0)
 
 
 def test_separate_cross_frequency():
@@ -760,3 +763,134 @@ def test_closure_gap_witness():
         closure_gap_witness(1, 0.0, 5)
     with pytest.raises(ValueError):
         closure_gap_witness(2, 0.0, 1)
+
+
+def _dyadic_alpha(rng):
+    # a dyadic alpha in (-1, 8]
+    e = int(rng.integers(0, 7))
+    return float(rng.integers(-(1 << e) + 1, (8 << e) + 1)) / (1 << e)
+
+
+def test_corners_match_mpmath_and_a_brute_force_scan(rng):
+    # the closed form within CORNER_REL_ERR of 40 digits at drawn n, dyadic
+    # alpha and eta up to 10^4; the certificate's gap is the smallest
+    # relative gap of a scan over every frequency up to twice xi and past
+    # the peak, where the corners have fallen to a quarter of xi's (and
+    # decrease strictly from _tail_start on), and a refusal is that
+    # scan's gap failing
+    worst = 0.0
+    for _ in range(200):
+        n, alpha = int(rng.integers(1, 9)), _dyadic_alpha(rng)
+        xi = int(rng.choice([rng.integers(-n + 1, 40), rng.integers(-n + 1, 10**4 + 1)]))
+        top = 2 * max(xi, n + int(alpha)) + 64
+        etas = np.arange(-n + 1, top + 1)
+        vals = purestates._corner(n, alpha, etas)
+        for eta in (xi, int(rng.integers(-n + 1, top + 1))):
+            with mpmath.workdps(40):
+                a, x = mpmath.mpf(alpha), n + eta
+                s = 2 * n + eta + a
+                exact = n * (n + a) * x * (x + a) / (s * s * (s - 1) * (s + 1))
+                got = purestates._corner(n, alpha, eta)
+                worst = max(worst, float(abs(got - exact) / exact))
+            assert got == vals[eta + n - 1]
+        eta0 = purestates._tail_start(n, alpha)
+        assert np.all(np.diff(vals[eta0 + n - 1:]) < 0), (n, alpha)
+        assert vals[-1] < vals[xi + n - 1] / 4
+        corner = vals[xi + n - 1]
+        gaps = np.abs(np.delete(vals, xi + n - 1) - corner) / corner
+        try:
+            got = purestates._corner_certificate(n, alpha, xi)
+        except NotSeparableError:
+            assert gaps.min() <= purestates.CORNER_GAP_MIN, (n, alpha, xi)
+        else:
+            assert got == (corner, gaps.min()), (n, alpha, xi)
+    assert worst <= purestates.CORNER_REL_ERR, worst
+
+
+def test_corner_tail_start_is_past_the_last_rise():
+    # the corners decrease strictly from eta0; a large alpha puts eta0
+    # near alpha / 2 past -n, where the values still rose before
+    for n in (1, 2, 8):
+        for alpha in (-0.875, 0.0, 0.5, 2.75, 7.5, 100.0, 1000.0):
+            eta0 = purestates._tail_start(n, alpha)
+            vals = purestates._corner(n, alpha, np.arange(-n + 1, eta0 + 200))
+            assert np.all(np.diff(vals[eta0 + n - 1:]) < 0)
+            assert -n + 1 <= eta0 <= -n + 2 + (alpha + 2 * n) / 2
+    # the largest x0 - n at alpha = 1000, n = 8, against Q's exact root
+    r2 = (16 - 1000 + math.sqrt(9e6 + 32e3 + 256)) / 4
+    assert purestates._tail_start(8, 1000.0) == math.ceil(r2) - 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.5])
+def test_corner_is_the_block_of_gamma_t2_minus_gamma_t_squared(n, alpha):
+    # from the package's own poly_t blocks: K = gamma(t^2) - gamma(t)^2 is
+    # the certificate's corner times E_(d-1,d-1), within 4 eps in every
+    # entry (the entries of gamma(t) and gamma(t^2) lie in [0, 1]; forming
+    # the difference costs K's corner its relative accuracy at large xi);
+    # and phi_p(J) E_(d-1,d-1) phi_q(J)^T, with phi the recurrence of
+    # gamma(t) run backwards from phi_(d-1) = 1, phi_d = 0, is E_pq within
+    # 1e-12
+    eps = np.finfo(float).eps
+    t, t2 = poly_t_symbol([0.0, 1.0]), poly_t_symbol([0.0, 0.0, 1.0])
+    for xi in (*range(-n + 1, 4), 25, 60, 200, 10**3, 10**4):
+        d = block_order(n, xi)
+        j = gamma_matrix(t, n, alpha, xi)
+        k = gamma_matrix(t2, n, alpha, xi) - j @ j
+        corner, _ = purestates._corner_certificate(n, alpha, xi)
+        e = np.zeros((d, d))
+        e[d - 1, d - 1] = 1.0
+        assert np.abs(k - corner * e).max() <= 4 * eps, (xi, k, corner)
+        diag, off = (r[0] for r in jacobi_recurrence(alpha, np.array([[float(abs(xi))]]), d + 1))
+        phis = {d: np.zeros((d, d)), d - 1: np.eye(d)}
+        for m in range(d - 1, 0, -1):
+            phis[m - 1] = ((j - diag[m] * np.eye(d)) @ phis[m] - off[m] * phis[m + 1]) / off[m - 1]
+        for p in range(d):
+            for q in range(d):
+                want = np.zeros((d, d))
+                want[p, q] = 1.0
+                assert np.abs(phis[p] @ e @ phis[q].T - want).max() <= 1e-12, (xi, p, q)
+
+
+def test_a_shared_corner_is_refused_naming_both_frequencies(monkeypatch):
+    # no drawn pair shares a corner within the float error, so the
+    # refusal is shown with a gap bound above the nearest corner's
+    _clear_separation_caches()
+    _, gap = purestates._corner_certificate(3, 0.5, 4)
+    _clear_separation_caches()
+    monkeypatch.setattr(purestates, "CORNER_GAP_MIN", gap)
+    with pytest.raises(NotSeparableError, match="at frequencies 4 and [35] "):
+        separate(finite_state(4, [1.0, 0.0, 0.0]), finite_state(4, [0.0, 1.0, 0.0]), 3, 0.5)
+    _clear_separation_caches()
+
+
+def test_an_alpha_past_the_certificate_cap_is_refused_by_name():
+    # the cap bounds the certificate's scan; a limit-state pair has no
+    # certificate and is not refused by it
+    pair = (finite_state(1, [1.0, 0.0]), finite_state(1, [0.0, 1.0]))
+    _, vals = separate(*pair, 2, purestates.CORNER_ALPHA_MAX)
+    assert vals == (1.0, 0.0)
+    for alpha in (math.nextafter(purestates.CORNER_ALPHA_MAX, math.inf), 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"alpha {alpha} exceeds 100000, ")):
+            separate(*pair, 2, alpha)
+    separate(limit_state(), finite_state(1, [1.0, 0.0]), 2, 1e6)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.5])
+def test_distinct_pairs_separate_at_every_frequency(alpha):
+    # e_0 against e_(d-1) at xi, and e_0 at xi against e_0 at xi + 1, with
+    # gap 1 and exact units, where the generator plans were refused (from
+    # xi = 21 at n = 8); every finite state at xi has value |u_p|^2
+    for n in range(2, 9):
+        eye = np.eye(n)
+        for xi in (25, 60, 200, 10**3, 10**4):
+            for s1, s2 in ((finite_state(xi, eye[0]), finite_state(xi, eye[-1])),
+                           (finite_state(xi, eye[0]), finite_state(xi + 1, eye[0]))):
+                witness, vals, recipe = separation(s1, s2, n, alpha)
+                assert sorted(vals) == [0.0, 1.0], (n, xi)
+                rec = recipe["unit"]
+                assert rec["gap"] > purestates.CORNER_GAP_MIN and rec["corner"] > 0
+                assert witness.block(rec["xi"])[rec["p"], rec["q"]] == 1.0
+                assert np.count_nonzero(witness.blocks) == 1
+        _clear_separation_caches()
+
