@@ -113,8 +113,9 @@ def cmd_purestate(args) -> int:
 
     a = _load_symbol(args.symbol, args.alpha)
     state = _parse_state(args.state[0], args.n)
-    xi_top = args.xi_max if state.is_limit else max(args.xi_max, state.xi, 0)
-    seq = gamma_sequence(a, args.n, args.alpha, xi_top)
+    # a block does not depend on the range it is computed in, so the
+    # sequence stops at the state's frequency (at 0 for the limit state)
+    seq = gamma_sequence(a, args.n, args.alpha, 0 if state.is_limit else max(state.xi, 0))
     val = eval_state(state, seq)
     print(f"state value: {val}")
     return EXIT_OK
@@ -205,11 +206,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=(
         None if wanted is COMMANDS else "{" + ",".join(COMMANDS) + "}"))
 
-    def common(p, symbol=False):
+    def common(p, symbol=False, xi_max=True):
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--alpha", type=float, default=0.0)
         if symbol:  # the commands that take a symbol compute its sequence
-            p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
+            if xi_max:
+                p.add_argument("--xi-max", dest="xi_max", type=int, default=8)
             p.add_argument("--symbol", required=True, help="symbol JSON or @file path")
 
     if "gamma" in wanted:
@@ -222,7 +224,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if "purestate" in wanted:
         p_state = sub.add_parser("purestate", help="evaluate a pure state on a sequence")
-        common(p_state, symbol=True)
+        common(p_state, symbol=True, xi_max=False)
         p_state.add_argument("--state", action="append", required=True)
         p_state.set_defaults(fn=cmd_purestate)
 

@@ -205,12 +205,6 @@ class SeparationPlan:
     middle: int
     right: tuple
 
-    def __post_init__(self) -> None:
-        # a plan rebuilt from its JSON carries lists; tuples keep it hashable
-        for side in ("left", "right"):
-            terms = tuple((float(c), int(k)) for c, k in getattr(self, side))
-            object.__setattr__(self, side, terms)
-
     def evaluate(self, xi_max: int) -> MatrixSeq:
         """The plan's sequence up to xi_max, a new one on each call, with
         the plan's scalar limit.  Below eta0 = max(-n+1, m - 2 (n-1)) the
@@ -234,15 +228,6 @@ class SeparationPlan:
             blocks[eta + n - 1, :d, :d] = left @ mid @ mid @ combine(self.right, at)
         lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
         return MatrixSeq(n=n, alpha=self.alpha, blocks=blocks, scalar_limit=lim)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "left": [[c, k] for c, k in self.left],
-            "middle": self.middle,
-            "right": [[c, k] for c, k in self.right],
-            "n": self.n,
-            "alpha": self.alpha,
-        }
 
 
 @lru_cache(maxsize=256)

@@ -2,19 +2,35 @@
 functions.
 
 entry_blocks gives the blocks Gamma_xi(a) of a range of frequencies as one
-stack, from the block kernel of the symbol's kind; entry_block and
-beta_entry read from it.  The caches are the only shared state, bounded.
+stack, from the exact kernel for a generator and the float kernel for
+every other kind; entry_block and beta_entry read from it.  The caches are
+the only shared state, bounded.
 
-A poly_t symbol sum c_k t^k of degree m acts on the orthonormal
-polynomials as a(J), J the tridiagonal matrix of their recurrence
-(special_fn.jacobi_recurrence), so Gamma_xi(a) is the leading d x d block
-of a(J) (Golub & Meurant, Matrices, Moments and Quadrature, 2010), which J
-of order d + m // 2 gives.  Horner's rule runs on the leading d columns of
-the identity, one tridiagonal product of the stack per coefficient.  J is
-nonnegative, of norm below 1, with entries within a relative eps, so each
-entry is within 8 m (eps sum |c_k| + 2^-1074) of the exact integral (1.4 m
-eps sum |c_k| measured); c_0 I is exact, entries with |j - k| > m are
-literal zeros, and no moment (so no guard) applies.
+The float kernel.  With p the orthonormal polynomials of the (alpha, xi)
+weight w, J their tridiagonal recurrence matrix (special_fn.
+jacobi_recurrence) and M(x) the integral over [0, x] of p p^T w, so that
+M(1) = I, t p = J p makes the integral over [0, x] of t^k p p^T w equal
+J^k M(x) (Golub & Meurant, Matrices, Moments and Quadrature, 2010).  A
+constant or poly_t symbol is sum_k c_k t^k, an indicator 1[t < x] at the
+cut x = s^2, and a table its last value plus c_q (x_q - t)_+ at each kink
+x_q, c_q the change of slope.  So Gamma_xi(a) is the leading d x d block of
+sum_k J^k B_k, B_k = c_k I + sum_q w_qk M(x_q), by Horner's rule on the
+leading d columns: J of order d + m // 2 for a polynomial of degree m,
+whose powers of J are banded, and d + 1 for a table.  M has closed forms
+(DLMF 18.8, 18.9.15): with w1 = t w (1-t) and lambda_j = j (j + xi +
+alpha + 1), M_jk = w1(x) (p_j p_k' - p_k p_j')(x) / (lambda_j - lambda_k)
+off the diagonal, p_k' = kappa_k R_(k-1) with R orthonormal for
+(alpha + 1, xi + 1), M_00 = I_x(xi + 1, alpha + 1), and the diagonal from
+J M = M J.  Its weights are tabulated up to the moment guard, so only a
+symbol with a cut refuses a moment degree 2 (d - 1) + xi above
+MAX_MOMENT_DEGREE or a degree d - 1 above jacobi.MAX_DEGREE.  A symbol
+with no cut and degree 0 runs no recurrence.  A block does not depend on
+the range it is requested in.  J is nonnegative, of norm below 1, with
+entries within a relative eps, so a poly_t entry of degree m is within
+8 m (eps sum |c_k| + 2^-1074) of the exact integral (1.4 m eps sum |c_k|
+measured), c_0 I is exact and entries with |j - k| > m are literal zeros.
+Indicator blocks are within about 1e-14 of mpmath; a table's hinge sum
+adds up to 2 eps sum_q |c_q| (0.53 eps sum_q |c_q| measured).
 
 A generator g_p of the weight's own alpha = N / 2^e is integrated in
 integers.  The moment of degree d is d! 2^(e (d+1)) / P[d+1], with
@@ -26,22 +42,7 @@ rounded once by a correctly rounded int / int division, times the norm
 product, rounded once; the moments' head and the squared norms are
 carried along xi.  So zeros are literal 0.0, as the structure test needs.
 A generator for another alpha is refused: its large alternating
-coefficients make the poly_t bound loose.  A constant gives value * I.
-
-An indicator or sampled symbol is a level plus r = 0 beyond x: level 0
-and r = 1 up to the cut x = s^2, or the table's last value and r = sum
-c_q (x_q - t)_+ over its knots, c_q the change of slope.  The level gives
-level * I, and r has closed forms (DLMF 18.8, 18.9.15): with w1 = t w (1-t)
-and lambda_j = j (j + xi + alpha + 1), M(x) = integral over [0, x] of
-p p^T w has M_jk = w1(x) (p_j p_k' - p_k p_j')(x) / (lambda_j - lambda_k)
-off the diagonal, p_k' = kappa_k R_(k-1) with R orthonormal for
-(alpha + 1, xi + 1), M_00 = I_x(xi + 1, alpha + 1), and the diagonal from
-J M = M J.  An indicator's block is M(s^2), a hinge's x_q M - J M.  A
-block does not depend on the range it is requested in.  The weights are
-tabulated up to the moment guard, so this kernel alone of the float ones
-refuses a moment degree 2 (d - 1) + xi above it.  Indicator blocks
-are within about 1e-14 of mpmath; a table's hinge sum adds up to
-2 eps sum_q |c_q| (0.53 eps sum_q |c_q| measured), seen on steep tables.
+coefficients make the poly_t bound loose.
 """
 
 from __future__ import annotations
@@ -116,20 +117,23 @@ def weighted_product_integral(coeffs, alpha: float, xi_abs: int, den: int = 1) -
     return sum(n * (lcm // d) * m for (n, d), m in zip(ratios, moments)) / (lcm * den * mden)
 
 
-def _hinges(a: SymbolSpec):
-    # (level, cuts, weights): the indicator's cut s^2 with no weights, or the
-    # knots x_q > 0 of a table with their changes of slope c_q != 0
+def _pieces(a: SymbolSpec):
+    # (poly, cuts, rows): the c_k, and the cuts x_q < 1 with their rows
+    # w_q: (1) for an indicator, (c_q x_q, -c_q) for a table's kinks
+    if a.kind in ("const", "poly_t"):
+        return (a.value,) if a.kind == "const" else a.coeffs, np.zeros(0), np.zeros((0, 1))
     if a.kind == "indicator":
-        x, level, cuts, weights = a.s * a.s, 0.0, np.array([a.s * a.s]), None
+        x, poly, cuts, rows = a.s * a.s, (), np.array([a.s * a.s]), np.ones((1, 1))
     else:
         ts, vs = np.array([t for t, _ in a.points]), np.array([v for _, v in a.points])
-        x, level = ts[-1], vs[-1]
-        weights = np.diff(np.diff(vs) / np.diff(ts), prepend=0.0, append=0.0)
-        keep = (weights != 0.0) & (ts > 0.0)
-        cuts, weights = ts[keep], weights[keep]
+        x, poly = ts[-1], (vs[-1],)
+        slopes = np.diff(np.diff(vs) / np.diff(ts), prepend=0.0, append=0.0)
+        keep = (slopes != 0.0) & (ts > 0.0)
+        cuts, c = ts[keep], slopes[keep]
+        rows = np.stack([c * cuts, -c], 1)
     if not 0.0 < x < 1.0:
         raise ValueError(f"cut {x} must lie in (0, 1)")
-    return level, cuts, weights
+    return poly, cuts, rows
 
 
 def _cut_weights(x: np.ndarray, alpha: float):
@@ -150,77 +154,68 @@ def _cut_weights(x: np.ndarray, alpha: float):
     return w1, m00
 
 
-# frequencies per chunk over the number of cuts: a chunk holds (cuts, 2,
+# frequencies per chunk over the number of cuts: a chunk holds (cuts, rows,
 # frequencies, d + 1, d + 1) products, so a sequence of a long table peaks
 # where one of its blocks does
 _CHUNK = 2048
 
 
-def _cut_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
-    # level I plus the closed forms, a chunk of frequencies at a time.  M is
-    # linear in the products w1 p_j p_k' and its diagonal recurrence does not
-    # depend on the cut, so the products are summed over the cuts first,
-    # weighted 1 (an indicator), or c_q and c_q x_q (a table).  The sums run
-    # in cut order along the leading axis (numpy adds whole slabs there, as
-    # a table's two sums make every slab longer than one), and all else is
-    # elementwise in xi, so a block does not depend on its chunk.
-    if d - 1 > jacobi.MAX_DEGREE:
-        raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
-    _guard_degree(2 * (d - 1) + xis[-1])
-    level, cuts, weights = _hinges(a)
-    out = np.broadcast_to(level * np.eye(d), (len(xis), d, d)).copy()
-    if not cuts.size:
-        return out
-    w1, m00 = _cut_weights(cuts, alpha)
-    x, j = cuts[:, None], np.arange(d + 1)
-    sums = np.ones((1, 1, 1)) if weights is None else np.stack([weights, weights * cuts], 1)[..., None]
-    step = max(1, _CHUNK // cuts.size)
+def _float_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
+    # the module docstring's sum, a chunk of frequencies at a time.  M is
+    # linear in the products w1 p_j p_k' and its diagonal recurrence does
+    # not depend on the cut, so the products are summed over the cuts
+    # first, one sum per column of rows.  The sums run in cut order along
+    # the leading axis (numpy adds whole slabs there, as a table's two
+    # columns make every slab longer than one), and all else is elementwise
+    # in xi, so a block does not depend on its chunk
+    poly, cuts, rows = _pieces(a)
+    top = max(len(poly), rows.shape[1] if cuts.size else 0) - 1
+    size = d + (top if cuts.size else top // 2)
+    if cuts.size:
+        if d - 1 > jacobi.MAX_DEGREE:
+            raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
+        _guard_degree(2 * (d - 1) + xis[-1])
+        w1, m00 = _cut_weights(cuts, alpha)
+        x, j, sums = cuts[:, None], np.arange(d + 1), rows[..., None]
+    out = np.empty((len(xis), d, d), np.result_type(*poly, rows, float))
+    step = max(1, _CHUNK // max(cuts.size, 1))
     for lo in range(0, len(xis), step):
-        rows = np.array(xis[lo:lo + step])
-        xi = rows[:, None].astype(float)
-        diag, off = jacobi_recurrence(alpha, xi, d + 1)
-        rdiag, roff = jacobi_recurrence(alpha + 1.0, xi + 1.0, d)
-        kappa = j[1:] * np.cumprod(np.concatenate([np.ones_like(xi), roff], axis=1) / off, axis=1)
-        p = jacobi_values(x, diag, off, d + 1)
-        dp = np.concatenate([np.zeros_like(p[..., :1]), kappa * jacobi_values(x, rdiag, roff, d)],
-                            axis=-1)
-        # w1 p_j p_k' over (cut, sum, xi, j, k), summed over the cuts
-        total = (((sums * w1[rows].T[:, None])[..., None] * p[:, None])[..., None]
-                 * dp[:, None, :, None]).sum(axis=0)
-        lam = (j[:, None] - j) * (j[:, None] + j + xi[..., None] + (alpha + 1.0))
-        lam[:, j, j] = 1.0
-        m = (total - total.swapaxes(-1, -2)) / lam
-        m[..., 0, 0] = (sums * m00[rows].T[:, None]).sum(axis=0)
-        # the diagonal from J M = M J at (i + 1, i)
-        for i in range(d - 1):
-            m[..., i + 1, i + 1] = m[..., i, i] + (
-                off[:, i + 1] * m[..., i + 2, i] + (diag[:, i + 1] - diag[:, i]) * m[..., i + 1, i]
-                - (off[:, i - 1] * m[..., i + 1, i - 1] if i else 0.0)) / off[:, i]
-        if weights is None:
-            out[lo:lo + step] += m[0, :, :d, :d]
-            continue
-        # sum_q c_q (x_q M - J M) on the leading d x d block
-        jm = diag[:, :d, None] * m[0, :, :d, :d] + off[:, :, None] * m[0, :, 1:, :d]
-        jm[:, 1:] += off[:, :d - 1, None] * m[0, :, :d - 1, :d]
-        out[lo:lo + step] += m[1, :, :d, :d] - jm
+        at = np.array(xis[lo:lo + step])
+        xi = at[:, None].astype(float)
+        if cuts.size:
+            diag, off = jacobi_recurrence(alpha, xi, d + 1)
+            rdiag, roff = jacobi_recurrence(alpha + 1.0, xi + 1.0, d)
+            kappa = j[1:] * np.cumprod(np.concatenate([np.ones_like(xi), roff], axis=1) / off, axis=1)
+            p = jacobi_values(x, diag, off, d + 1)
+            dp = np.concatenate([np.zeros_like(p[..., :1]), kappa * jacobi_values(x, rdiag, roff, d)],
+                                axis=-1)
+            # w1 p_j p_k' over (cut, column, xi, j, k), summed over the cuts
+            total = (((sums * w1[at].T[:, None])[..., None] * p[:, None])[..., None]
+                     * dp[:, None, :, None]).sum(axis=0)
+            lam = (j[:, None] - j) * (j[:, None] + j + xi[..., None] + (alpha + 1.0))
+            lam[:, j, j] = 1.0
+            m = (total - total.swapaxes(-1, -2)) / lam
+            m[..., 0, 0] = (sums * m00[at].T[:, None]).sum(axis=0)
+            # the diagonal from J M = M J at (i + 1, i)
+            for i in range(d - 1):
+                m[..., i + 1, i + 1] = m[..., i, i] + (
+                    off[:, i + 1] * m[..., i + 2, i] + (diag[:, i + 1] - diag[:, i]) * m[..., i + 1, i]
+                    - (off[:, i - 1] * m[..., i + 1, i - 1] if i else 0.0)) / off[:, i]
+        elif top:
+            diag, off = jacobi_recurrence(alpha, xi, size)
+        # row r of J y is (diag_r y_r + off_r y_(r-1)) + off_(r+1) y_(r+1)
+        y = np.zeros((len(at), size, d), out.dtype)
+        for k in range(top, -1, -1):
+            if k < top:
+                y, jy = diag[..., None] * y, y
+                y[:, 1:] += off[..., None] * jy[:, :-1]
+                y[:, :-1] += off[..., None] * jy[:, 1:]
+            if cuts.size:
+                y += m[k, :, :size, :d]
+            if k < len(poly):
+                y.reshape(len(at), -1)[:, :d * d:d + 1] += poly[k]
+        out[lo:lo + step] = y[:, :d]
     return out
-
-
-def _jacobi_blocks(coeffs, alpha: float, xis: range, d: int) -> np.ndarray:
-    # Horner's rule on the leading d columns; row r of J y is
-    # (diag_r y_r + off_r y_(r-1)) + off_(r+1) y_(r+1) at every order
-    *rest, top = coeffs
-    size = d + len(rest) // 2
-    diag, off = jacobi_recurrence(alpha, np.array(xis, float)[:, None], size)
-    diag, off = diag[..., None], off[..., None]
-    y = np.zeros((len(xis), size, d), np.result_type(*coeffs, float))
-    y.reshape(len(xis), -1)[:, :d * d:d + 1] = top
-    for c in reversed(rest):
-        y, jy = diag * y, y
-        y[:, 1:] += off * jy[:, :-1]
-        y[:, :-1] += off * jy[:, 1:]
-        y.reshape(len(xis), -1)[:, :d * d:d + 1] += c
-    return y[:, :d]
 
 
 def _norms_sq(num: int, e: int, xis: range, d: int):
@@ -256,31 +251,30 @@ def _generator_blocks(p: int, alpha: float, xis: range, d: int) -> np.ndarray:
 def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
     """The d x d blocks Gamma_xi(a) for xi in the range xis >= 0, as one
     exactly symmetric (len(xis), d, d) stack, complex only for a complex
-    symbol.  Refuses an alpha that is not a finite number above -1 and a
-    generator for another alpha; each kernel refuses what it cannot
-    serve: an indicator or sampled symbol degree d - 1 above
+    symbol: a generator's from the exact kernel, every other kind's from
+    the float kernel (module docstring).  Refuses an alpha that is not a
+    finite number above -1 and a generator for another alpha; each
+    kernel refuses what it cannot serve: a symbol with a cut (an
+    indicator, or a table with a kink) a degree d - 1 above
     jacobi.MAX_DEGREE and the moment degree 2(d - 1) + max(xis) above
     MAX_MOMENT_DEGREE, a generator that moment degree and a coefficient
-    degree above jacobi.MAX_DEGREE.  A constant or poly_t symbol is
-    refused at no order or frequency.  A stack with a non-finite entry
-    (a huge alpha overflows the recurrence) is refused, and so is a
-    generator whose exact integer ratios leave the float range."""
+    degree above jacobi.MAX_DEGREE.  A constant, a poly_t symbol and a
+    table with no kink are refused at no order or frequency.  A stack
+    with a non-finite entry (a huge alpha overflows the recurrence) is
+    refused, and so is a generator whose exact integer ratios leave the
+    float range."""
     jacobi.check_alpha(alpha)
     if a.kind == "jacobi_g" and a.alpha != alpha:
         raise ValueError(f"generator {a.p} is for alpha {a.alpha}, not the weight's {alpha}; "
                          "pass its coefficients as a poly_t symbol")
-    if a.kind == "const":
-        out = np.broadcast_to(a.value * np.eye(d), (len(xis), d, d)).copy()
-    elif a.kind in ("indicator", "sampled"):
-        out = _cut_blocks(a, alpha, xis, d)
-    elif a.kind == "jacobi_g":
+    if a.kind == "jacobi_g":
         try:
             out = _generator_blocks(a.p, alpha, xis, d)
         except OverflowError:
             raise ValueError(f"generator {a.p}: an exact ratio of its blocks leaves the "
                              f"float range at alpha {alpha}") from None
     else:
-        out = _jacobi_blocks(a.coeffs, alpha, xis, d)
+        out = _float_blocks(a, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):
         out[:, j + 1:, j] = out[:, j, j + 1:]

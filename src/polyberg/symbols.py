@@ -145,12 +145,10 @@ def eval_at_t(a: SymbolSpec, t):
         return _poly_eval(a.coeffs, t)
     if a.kind == "jacobi_g":
         return q_eval(JacobiParams(a.alpha, 0.0, a.p), t)
-    if a.kind == "sampled":
-        ts = np.array([p[0] for p in a.points])
-        vs = np.array([p[1] for p in a.points])
-        out = np.interp(np.asarray(t, dtype=float), ts, vs)
-        return out.item() if np.isscalar(t) else out
-    raise ValueError(f"unknown symbol kind {a.kind!r}")
+    ts = np.array([p[0] for p in a.points])  # sampled
+    vs = np.array([p[1] for p in a.points])
+    out = np.interp(np.asarray(t, dtype=float), ts, vs)
+    return out.item() if np.isscalar(t) else out
 
 
 def sup_abs(a: SymbolSpec) -> float:
@@ -193,9 +191,7 @@ def sup_abs(a: SymbolSpec) -> float:
                 polished = np.clip(polished - np.where(np.isfinite(step), step, 0.0), 0.0, 1.0)
         candidates = [0.0, 1.0, *roots.tolist(), *polished.tolist()]
         return max(abs(_poly_eval(a.coeffs, t)) for t in candidates)
-    if a.kind == "sampled":
-        return max(abs(v) for _, v in a.points)
-    raise ValueError(f"unknown symbol kind {a.kind!r}")
+    return max(abs(v) for _, v in a.points)  # sampled
 
 
 def _scalar_to_json(v):
@@ -225,13 +221,11 @@ def symbol_to_json_obj(a: SymbolSpec) -> dict:
         return {"kind": "poly_t", "coeffs": [_scalar_to_json(c) for c in a.coeffs]}
     if a.kind == "jacobi_g":
         return {"kind": "jacobi_g", "p": a.p, "alpha": a.alpha}
-    if a.kind == "sampled":
-        return {
-            "kind": "sampled",
-            "points": [[t, _scalar_to_json(v)] for t, v in a.points],
-            "limit": _scalar_to_json(a.limit),
-        }
-    raise ValueError(f"unknown symbol kind {a.kind!r}")
+    return {
+        "kind": "sampled",
+        "points": [[t, _scalar_to_json(v)] for t, v in a.points],
+        "limit": _scalar_to_json(a.limit),
+    }
 
 
 def symbol_from_json_obj(obj: dict, alpha: Optional[float] = None) -> SymbolSpec:

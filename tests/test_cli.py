@@ -646,17 +646,72 @@ def test_oracle_builds_one_block_per_frequency(monkeypatch, capsys):
     # the printed gamma blocks: one stacked kernel call over |xi| = 0..4 at
     # order 4 (negative frequencies are leading submatrices), not one per entry
     calls = []
-    real = integration._cut_blocks
+    real = integration._float_blocks
 
     def counted(a, alpha, xis, d):
         calls.append((xis, d))
         return real(a, alpha, xis, d)
 
-    monkeypatch.setattr(integration, "_cut_blocks", counted)
+    monkeypatch.setattr(integration, "_float_blocks", counted)
     code = main(["oracle", "--n", "4", "--xi-max", "4",
                  "--symbol", '{"kind":"indicator","s":0.7}'])
     assert code == 0
     assert calls == [(range(5), 4)]
+
+
+@pytest.mark.parametrize("symbol", ['{"kind":"const","value":-2}', '{"kind":"poly_t","coeffs":[-2]}',
+                                    '{"kind":"sampled","points":[[0,-2],[0.5,-2]]}'])
+def test_a_constant_runs_no_recurrence(symbol, tmp_path, capsys):
+    # no cut and degree 0: no Jacobi matrix is formed, so alpha = 1e300
+    # overflows nothing (a one-coefficient poly_t exited 2 on its non-finite
+    # recurrence), and the flat table answers past the moment guard
+    out = tmp_path / "seq.json"
+    for alpha, xi_max in (("1e300", "8"), ("0.5", "300")):
+        code = main(["gamma", "--n", "4", "--alpha", alpha, "--xi-max", xi_max,
+                     "--symbol", symbol, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        blocks = read_gamma_out(json.loads(out.read_text())).blocks[3:]  # xi >= 0
+        assert blocks.tobytes() == (-2.0 * np.eye(4) + 0.0)[None].repeat(len(blocks), 0).tobytes()
+
+
+def test_purestate_computes_only_up_to_its_state(capsys):
+    # a state's value does not depend on a range, so purestate takes no
+    # --xi-max: "--xi-max 500" made an indicator's state refused by the
+    # moment guard (degree 502), at a finite state and at the limit state
+    indicator = '{"kind":"indicator","s":0.5}'
+    for state, want in (("0:1,0", 0.25), ("inf", 0.0)):
+        assert main(["purestate", "--n", "2", "--symbol", indicator, "--state", state]) == 0
+        assert capsys.readouterr().out == f"state value: {want}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["purestate", "--n", "2", "--symbol", indicator, "--xi-max", "500",
+                  "--state", state])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --xi-max 500" in capsys.readouterr().err
+    # bit for bit the value on a longer sequence
+    seq = gamma_sequence(indicator_symbol(0.5), 3, 0.5, 20)
+    assert main(["purestate", "--n", "3", "--alpha", "0.5", "--symbol", indicator,
+                 "--state", "7:1,0.5,-0.25j"]) == 0
+    u = np.array([1, 0.5, -0.25j]) / np.linalg.norm([1, 0.5, -0.25j])
+    assert capsys.readouterr().out == f"state value: {eval_state(finite_state(7, u), seq)}\n"
+
+
+@pytest.mark.parametrize("n, alpha", [(5, "60"), (1, "80"), (3, "100"), (8, "240")])
+def test_verify_passes_at_large_alpha(n, alpha, capsys):
+    # the tail check read indicator(0.5) at frequency 60, where it has not
+    # decayed at these alpha (6.9e-5, 1.7e-6 and 1.8e-2 at the first three)
+    code = main(["verify", "--n", str(n), "--alpha", alpha])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.endswith("15/15 checks passed\n")
+
+
+@pytest.mark.parametrize("alpha", ["240.5", "1e300"])
+def test_verify_refuses_alpha_above_its_cap(alpha, capsys):
+    # 1e300 failed 12 of 15 checks with exit 1
+    code = main(["verify", "--n", "2", "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: verify serves alpha up to 240, got {float(alpha)}\n"
 
 
 def test_verify_default_passes(capsys):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import shifted_jacobi_oracle, weighted_quadrature
-from polyberg.integration import beta_entry, norm_product, weighted_product_integral
+from polyberg import integration
+from polyberg.gammaseq import gamma_sequence
+from polyberg.integration import beta_entry, entry_blocks, norm_product, weighted_product_integral
 from polyberg.symbols import (
     const_symbol,
     indicator_symbol,
@@ -53,6 +55,31 @@ def test_const_symbol_gives_identity():
 def test_unit_polynomial_symbol_gives_identity():
     # on the Jacobi-matrix path the unit polynomial gives I as it stands
     assert identity_deviation(poly_t_symbol([1.0]), (0.0, 0.5, 1.0, 2.5), range(9), 6) < 1e-12
+
+
+@pytest.mark.parametrize("v", [2.0, -1.5, 0.0, 0.25 - 0.75j, -0.5 + 1j])
+def test_constants_are_degree_zero_polynomials_and_flat_tables(v):
+    # one kernel: the three spellings of a constant give the same bytes,
+    # +0.0 off the diagonal also for v < 0 (v * I made those -0.0)
+    for alpha, d in ((-0.5, 1), (0.5, 4), (2.75, 8)):
+        blocks = [entry_blocks(a, alpha, range(40), d).tobytes() for a in (
+            const_symbol(v), poly_t_symbol([v]), sampled_symbol([(0.0, v), (0.5, v)]))]
+        assert blocks[0] == blocks[1] == blocks[2], (alpha, d)
+
+
+def test_a_sequence_makes_one_kernel_call_per_kind(monkeypatch):
+    calls = []
+    real = integration._float_blocks
+
+    def counted(a, alpha, xis, d):
+        calls.append((a.kind, xis, d))
+        return real(a, alpha, xis, d)
+
+    monkeypatch.setattr(integration, "_float_blocks", counted)
+    for a in (const_symbol(-2.0), poly_t_symbol([0.5, -1.0, 0.25]), indicator_symbol(0.7),
+              sampled_symbol([(0.0, 1.0), (0.3, 0.2), (0.8, 0.6)])):
+        gamma_sequence(a, 4, 0.5, 30)
+    assert calls == [(kind, range(31), 4) for kind in ("const", "poly_t", "indicator", "sampled")]
 
 
 def test_entry_frozen_examples():
