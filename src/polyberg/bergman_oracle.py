@@ -17,8 +17,8 @@ integrand's polynomial degree (radial_panels); an indicator's jump and a
 table's knots are panel edges.  `oracle_gaps` compares
 the quadrature with gamma_sequence, which it reads only for that
 comparison, so `polyberg oracle` loads the sequence path and this module
-alone.  Per call it builds one radial rule, and per frequency one block
-whose tensor sums factor into angular times radial Grams
+alone.  Per call it builds one radial rule, and per frequency one block,
+a radial Gram, since every entry's angular factor is 1
 (quadrature_block); toeplitz_entry_2d sums the full 2D grid of one entry
 and is the entrywise reference.
 """
@@ -177,17 +177,13 @@ def quadrature_block(rule: RadialRule, n: int, alpha: float, xi: int) -> np.ndar
     """Every entry of the order-n block at frequency xi by the tensor rule,
     toeplitz_entry_2d's default grid: row j pairs the disk polynomial of
     indices (max(j + xi, j), max(j - xi, j)).  Each is a radial part
-    times e^(i (p - q) theta), so the M x R sum of an entry factors: the
-    angular Gram sum_m conj(A_j) A_k over M = 2|xi| + 8 angular nodes
-    times the radial Gram sum_r R_j R_k w_r.  The radial parts are
-    evaluated once on the R radii."""
-    nodes = 2 * abs(xi) + 8
-    thetas = 2.0 * math.pi * np.arange(nodes) / nodes
+    times e^(i (p - q) theta) with p - q = xi in every row, so the angular
+    factor of every entry is 1 and the block is (alpha + 1) times the
+    radial Gram sum_r R_j R_k w_r.  The radial parts are evaluated once
+    on the R radii."""
     pairs = [(max(j + xi, j), max(j - xi, j)) for j in range(block_order(n, xi))]
-    angular = np.exp(1j * np.outer([p - q for p, q in pairs], thetas))
     radial = np.stack([_radial_part(p, q, alpha, rule.r) for p, q in pairs])
-    gram = (angular.conj() @ angular.T) * ((radial * rule.weights) @ radial.T)
-    return (alpha + 1.0) / nodes * gram
+    return (alpha + 1.0) * ((radial * rule.weights) @ radial.T)
 
 
 def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:

@@ -149,14 +149,14 @@ def cmd_separate(args) -> int:
 def cmd_basis(args) -> int:
     import numpy as np
 
-    from .generators import generator_family, matrix_unit_errors
+    from .generators import UNIT_ERROR_MAX, generator_family, matrix_unit_errors
 
     errs = matrix_unit_errors(generator_family(args.n, args.alpha, args.xi)[1])
     for (p, q), err in np.ndenumerate(errs):
         print(f"unit ({p},{q}): max entry error {err:.3e}")
     worst = float(errs.max())
     print(f"worst reconstruction error: {worst:.3e}")
-    return EXIT_OK if worst < 1e-8 else EXIT_FAIL
+    return EXIT_OK if worst < UNIT_ERROR_MAX else EXIT_FAIL
 
 
 def cmd_oracle(args) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,37 +37,49 @@ __all__ = [
     "generator_family",
 ]
 
-# the one structure rule: entries below TOL_ZERO vanish, entries above
-# TOL_NONZERO do not, both relative to the matrix or row they lie in
+# the one structure rule, read by antitriangular_report alone: entries
+# below TOL_ZERO vanish, entries above TOL_NONZERO do not, both relative
+# to the largest entry of the matrix they lie in
 TOL_ZERO = 1e-10
 TOL_NONZERO = 1e-8
+UNIT_ERROR_MAX = 1e-8  # the reconstruction error `basis` and `verify` accept
 
 
 @dataclass(frozen=True)
 class AntitriangularReport:
+    """A fault is the (row, column) of the entry behind below_max or
+    anti_min where that side of the rule fails, None where it holds."""
+
     p: int
     below_max: float
     anti_min: float
     scale: float
     holds: bool
+    below_fault: Optional[Tuple[int, int]]
+    anti_fault: Optional[Tuple[int, int]]
 
 
 def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
-    """Check p-antitriangularity with the tolerances TOL_ZERO and
-    TOL_NONZERO relative to the matrix scale (largest entry magnitude,
-    or 1 for the zero matrix).
+    """Check p-antitriangularity of a nonempty matrix with the tolerances
+    TOL_ZERO and TOL_NONZERO relative to the matrix scale (largest entry
+    magnitude, or 1 for the zero matrix).  The entry behind below_max or
+    anti_min is the first of its magnitude in row order, a NaN if any.
 
-    For p beyond the last antidiagonal there are no on-diagonal entries
-    and the report holds exactly when the whole matrix is numerically
-    zero.
+    For p beyond the last antidiagonal there are no on-diagonal entries,
+    every entry lies above it and the scale is the largest of them: the
+    report holds exactly when the whole matrix is exactly zero.
     """
     mags = np.abs(np.asarray(m))
-    scale = float(mags.max()) if mags.size and mags.max() > 0.0 else 1.0
+    scale = float(mags.max()) if mags.max() > 0.0 else 1.0
     sums = np.add.outer(*map(np.arange, mags.shape))
-    below_max = float(mags[sums < p].max(initial=0.0))
-    anti_min = float(mags[sums == p].min(initial=math.inf))
-    holds = below_max < TOL_ZERO * scale and anti_min > TOL_NONZERO * scale
-    return AntitriangularReport(p, below_max, anti_min, scale, holds)
+    below = np.where(sums < p, mags, 0.0)
+    anti = np.where(sums == p, mags, math.inf)
+    jb, ja = (np.unravel_index(i, mags.shape) for i in (np.argmax(below), np.argmin(anti)))
+    below_max, anti_min = float(below[jb]), float(anti[ja])
+    below_fault = None if below_max < TOL_ZERO * scale else tuple(map(int, jb))
+    anti_fault = None if anti_min > TOL_NONZERO * scale else tuple(map(int, ja))
+    holds = below_fault is None and anti_fault is None
+    return AntitriangularReport(p, below_max, anti_min, scale, holds, below_fault, anti_fault)
 
 
 class GeneratorStructureError(ValueError):
@@ -78,38 +90,21 @@ class GeneratorStructureError(ValueError):
 def _check_generator_structure(gs: Sequence[np.ndarray]) -> None:
     d = gs[0].shape[0]
     if len(gs) != d or any(g.shape != (d, d) for g in gs):
-        raise GeneratorStructureError(
-            f"need exactly {d} square matrices of order {d}"
-        )
-    last = np.abs(gs[d - 1])
-    scale = last.max() if last.max() > 0 else 1.0
-    corner = last[d - 1, d - 1]
-    if corner <= TOL_NONZERO * scale:
-        raise GeneratorStructureError(
-            f"last generator: corner entry ({d-1},{d-1}) = {corner:.3e} "
-            "is not a nonzero multiple"
-        )
-    off = last.copy()
-    off[d - 1, d - 1] = 0.0
-    j, k = np.unravel_index(np.argmax(off), off.shape)
-    if off[j, k] >= TOL_ZERO * scale:
-        raise GeneratorStructureError(
-            f"last generator: entry ({j},{k}) = {off[j, k]:.3e} must vanish"
-        )
-    for p in range(d - 1):
-        row = np.abs(gs[p][d - 1, :])
-        row_scale = row.max() if row.max() > 0 else 1.0
-        if row[p] <= TOL_NONZERO * row_scale:
-            raise GeneratorStructureError(
-                f"generator {p}: row entry ({d-1},{p}) = {row[p]:.3e} "
-                "must be nonzero"
-            )
-        for k in range(p):
-            if row[k] >= TOL_ZERO * row_scale:
-                raise GeneratorStructureError(
-                    f"generator {p}: row entry ({d-1},{k}) = {row[k]:.3e} "
-                    "must vanish"
-                )
+        raise GeneratorStructureError(f"need exactly {d} square matrices of order {d}")
+    # the last generator, a nonzero multiple of E_(d-1,d-1), is (2d-2)-antitriangular;
+    # the last row of generator p, a 1 x d matrix where j + k = k, is p-antitriangular
+    for p in (d - 1, *range(d - 1)):
+        last = p == d - 1
+        rep = antitriangular_report(gs[p] if last else gs[p][d - 1:], 2 * p if last else p)
+        who, row = ("last generator: ", 0) if last else (f"generator {p}: row ", d - 1)
+        if rep.anti_fault and last:
+            raise GeneratorStructureError(f"{who}corner entry ({p},{p}) = {rep.anti_min:.3e} "
+                                          "is not a nonzero multiple")
+        if rep.anti_fault:
+            raise GeneratorStructureError(f"{who}entry ({row},{p}) = {rep.anti_min:.3e} must be nonzero")
+        if rep.below_fault:
+            j, k = rep.below_fault
+            raise GeneratorStructureError(f"{who}entry ({j + row},{k}) = {rep.below_max:.3e} must vanish")
 
 
 def nu_table(gs: Sequence[np.ndarray]) -> np.ndarray:
@@ -121,18 +116,24 @@ def nu_table(gs: Sequence[np.ndarray]) -> np.ndarray:
         nu[d-1][d-1] = 1 / c^2
         nu[p][p]     = 1 / (r_p[p] * c)
         nu[p][j]     = -(1 / r_p[p]) * sum_{q=p+1..j} nu[q][j] * r_p[q]
+    The rule is scale-free but nu is not: a family whose nu over- or
+    underflows to a non-finite value is refused.
     """
     gs = [np.asarray(g) for g in gs]
     _check_generator_structure(gs)
     d = gs[0].shape[0]
     nu = np.zeros((d, d), dtype=np.result_type(*gs, float))
     corner = gs[d - 1][d - 1, d - 1]
-    nu[d - 1, d - 1] = 1.0 / corner**2
-    for p in range(d - 2, -1, -1):
-        row = gs[p][d - 1, :]
-        nu[p, p] = 1.0 / (row[p] * corner)
-        for j in range(p + 1, d):
-            nu[p, j] = -sum(nu[q, j] * row[q] for q in range(p + 1, j + 1)) / row[p]
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        nu[d - 1, d - 1] = 1.0 / corner**2
+        for p in range(d - 2, -1, -1):
+            row = gs[p][d - 1, :]
+            nu[p, p] = 1.0 / (row[p] * corner)
+            for j in range(p + 1, d):
+                nu[p, j] = -sum(nu[q, j] * row[q] for q in range(p + 1, j + 1)) / row[p]
+    if not np.isfinite(nu).all():
+        p, j = np.argwhere(~np.isfinite(nu))[0]
+        raise GeneratorStructureError(f"coefficient nu[{p}][{j}] = {nu[p, j]} is not finite")
     return nu
 
 

@@ -36,7 +36,8 @@ from .gammaseq import (
     spectral_norm,
     tail_deviation,
 )
-from .generators import antitriangular_report, generator_block, matrix_unit_errors
+from .generators import (UNIT_ERROR_MAX, antitriangular_report, generator_block,
+                         matrix_unit_errors)
 from .integration import entry_block, weighted_product_integral
 from .jacobi import (MAX_MOMENT_DEGREE, JacobiParams, check_alpha, jac_fn_eval, jac_sup_bound,
                      q_coeffs_int)
@@ -191,30 +192,12 @@ def sequence_basics(n: int, alpha: float, xi_max: int, ca, cb, lin_xis) -> tuple
 
 def antitriangular_failures(n: int, alpha: float, blocks) -> list:
     """The (xi, p) among blocks whose generator block lacks the
-    (p - |xi|)-antitriangular profile."""
+    (p - |xi|)-antitriangular profile; past the last antidiagonal,
+    2d - 2, that profile is the exactly zero block."""
     return [
         (xi, p) for xi, p in blocks
         if not antitriangular_report(generator_block(n, alpha, xi, p), p - abs(xi)).holds
     ]
-
-
-def zero_lemma(n: int, alpha: float, xis, count: int) -> tuple:
-    """Largest entry of the structurally zero generator blocks, the first
-    `count` indices p >= 2d - 1 + |xi| at each xi: (absolute, scaled),
-    the scaled one divided by max(1, largest entry of generator p at any
-    of xis)."""
-    worst = worst_scaled = 0.0
-    for xi in xis:
-        start = 2 * block_order(n, xi) - 1 + abs(xi)
-        for p in range(start, start + count):
-            top = float(np.max(np.abs(generator_block(n, alpha, xi, p))))
-            worst = _worse(worst, top)
-            if top > 0.0:  # a literal zero scales to zero; skip building the scale
-                scale = max(
-                    1.0, max(float(np.max(np.abs(generator_block(n, alpha, e, p)))) for e in xis)
-                )
-                worst_scaled = _worse(worst_scaled, top / scale)
-    return worst, worst_scaled
 
 
 def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> list:
@@ -389,14 +372,16 @@ def _antitriangular(n, alphas, rng):
 
 def _zero_blocks(n, alphas, rng):
     n = min(n, 4)
-    w = reduce(_worse, (zero_lemma(n, alpha, range(-n + 1, 4), 5)[0] for alpha in alphas), 0.0)
-    return w < 1e-10, f"max entry of structurally-zero blocks {w:.2e}"
+    blocks = [(xi, 2 * block_order(n, xi) - 1 + abs(xi) + i)
+              for xi in range(-n + 1, 4) for i in range(5)]
+    bad = [f for alpha in alphas for f in antitriangular_failures(n, alpha, blocks)]
+    return not bad, f"{len(blocks) * len(alphas)} blocks past the last antidiagonal are exactly zero"
 
 
 def _matrix_units(n, alphas, rng):
     w = matrix_unit_error(random_antitriangular_generators(m, rng)
                           for m in range(2, min(n, 5) + 1) for _ in range(10))
-    return w < 1e-8, f"max reconstruction error {w:.2e}"
+    return w < UNIT_ERROR_MAX, f"max reconstruction error {w:.2e}"
 
 
 def _negative_submatrix(n, alphas, rng):
@@ -463,8 +448,11 @@ CHECKS = [
 ]
 
 
-# the largest alpha every check serves at n <= 8: the scalar-limit tail
-# at n = 8 reaches its bound from alpha = 244.1
+# the largest order every check serves: the scalar-limit tail misses its
+# bound from n = 9 (alpha = 240) and the moment guard refuses from n = 65
+N_MAX = 8
+# the largest alpha every check serves at n <= N_MAX: the scalar-limit
+# tail at n = 8 reaches its bound from alpha = 244.1
 ALPHA_MAX = 240.0
 
 CheckResult = NamedTuple("CheckResult", [("name", str), ("status", str), ("detail", str)])
@@ -474,12 +462,12 @@ def run_all(n: int, alpha: Optional[float], seed: int) -> List[CheckResult]:
     """Every check on the command-line grid: order n, the one weight
     exponent alpha (0, 1 and 2.5 when None) and the seed of every
     sampling check, each check drawing from its own random.Random(seed).
-    The antitriangular profile reads TOL_ZERO and TOL_NONZERO, as every
-    structure test does.  Refuses n < 1 and an alpha that is not a
-    finite number above -1 or that lies above ALPHA_MAX before any
-    check."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    The antitriangular profile and the zero blocks read
+    antitriangular_report, as every structure test does.  Refuses an n
+    outside 1..N_MAX and an alpha that is not a finite number above -1
+    or that lies above ALPHA_MAX before any check."""
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"verify serves n from 1 to {N_MAX}, got {n}")
     if alpha is not None:
         check_alpha(alpha)
         if alpha > ALPHA_MAX:

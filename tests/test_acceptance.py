@@ -41,7 +41,6 @@ from polyberg.verify import (
     scalar_limit_tail,
     separation_gaps,
     sequence_basics,
-    zero_lemma,
 )
 
 ALPHAS = (0.0, 0.5, 1.0, 2.5)
@@ -114,14 +113,20 @@ def test_c04_antitriangular_structure():
 
 def test_c05_zero_lemma():
     t0 = time.perf_counter()
-    worst = max(
-        zero_lemma(n, alpha, range(max(-n + 1, -6), 7), 4)[1]
-        for n in range(1, 6)
-        for alpha in ALPHAS
-    )
+    bad = []
+    checked = 0
+    for n in range(1, 6):
+        for alpha in ALPHAS:
+            blocks = [
+                (xi, 2 * block_order(n, xi) - 1 + abs(xi) + i)
+                for xi in range(max(-n + 1, -6), 7) for i in range(4)
+            ]
+            bad += [(n, alpha, xi, p) for xi, p in antitriangular_failures(n, alpha, blocks)]
+            checked += len(blocks)
+    ok = not bad
     elapsed = time.perf_counter() - t0
-    _report(5, worst < 1e-10, f"structurally-zero blocks vanish, worst scaled entry {worst:.2e}", elapsed, 5.0)
-    assert worst < 1e-10
+    _report(5, ok, f"{checked} structurally-zero blocks are exactly zero", elapsed, 5.0)
+    assert ok, bad
     assert elapsed < 5.0
 
 

@@ -746,7 +746,8 @@ def test_verify_passes_at_long_dyadic_alpha(alpha, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--n", "0"], ["--n", "-1"], ["--alpha", "-1"], ["--alpha", "nan"], ["--alpha", "inf"]]
+    "argv", [["--n", "0"], ["--n", "-1"], ["--n", "9"], ["--n", "66"],
+             ["--alpha", "-1"], ["--alpha", "nan"], ["--alpha", "inf"]]
 )
 def test_verify_bad_input_exits_2(argv, capsys):
     code = main(["verify", *argv])

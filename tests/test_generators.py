@@ -25,7 +25,6 @@ from polyberg.verify import (
     antitriangular_failures,
     matrix_unit_error,
     random_antitriangular_generators,
-    zero_lemma,
 )
 
 
@@ -52,9 +51,26 @@ def test_report_frozen_examples():
 
 def test_report_detects_violations():
     bad = np.array([[0.5, 1.0], [1.0, 0.3]])
-    assert not antitriangular_report(bad, 1).holds  # nonzero above
+    rep = antitriangular_report(bad, 1)
+    assert not rep.holds  # nonzero above
+    assert (rep.below_fault, rep.anti_fault) == ((0, 0), None)
     bad2 = np.array([[0.0, 1e-12], [1e-12, 0.5]])
-    assert not antitriangular_report(bad2, 1).holds  # antidiagonal too small
+    rep2 = antitriangular_report(bad2, 1)
+    assert not rep2.holds  # antidiagonal too small
+    assert (rep2.below_fault, rep2.anti_fault) == (None, (0, 1))
+
+
+def test_report_faults_name_the_extreme_entries():
+    # the largest entry above the antidiagonal, the smallest on it, the
+    # first in row order on a tie, and a NaN before any number
+    m = np.array([[0.1, 0.3, 1e-9], [0.3, 1e-9, 1.0], [1e-10, 1.0, 1.0]])
+    rep = antitriangular_report(m, 2)
+    assert (rep.below_fault, rep.below_max) == ((0, 1), 0.3)
+    assert (rep.anti_fault, rep.anti_min) == ((2, 0), 1e-10)
+    m[1, 1] = np.nan
+    rep = antitriangular_report(m, 2)
+    assert rep.anti_fault == (1, 1) and np.isnan(rep.anti_min)
+    assert antitriangular_report(np.eye(2), 0).below_fault is None
 
 
 def test_generator_structure_profile():
@@ -69,9 +85,13 @@ def test_generator_structure_profile():
 
 
 def test_zero_lemma_blocks_are_exactly_zero():
+    # past the last antidiagonal the report holds for literal zeros only
     for n in (2, 4):
         for alpha in (0.0, 1.0):
-            assert zero_lemma(n, alpha, (-n + 1, 0, 3), 4)[0] == 0.0, (n, alpha)
+            blocks = [(xi, 2 * block_order(n, xi) - 1 + abs(xi) + i)
+                      for xi in (-n + 1, 0, 3) for i in range(4)]
+            assert antitriangular_failures(n, alpha, blocks) == [], (n, alpha)
+            assert all(not generator_block(n, alpha, xi, p).any() for xi, p in blocks)
 
 
 def test_nu_table_hand_recursion_n2():
@@ -124,19 +144,52 @@ def test_nu_table_structure_errors():
     good = random_antitriangular_generators(3, 5)
     bad_last = [g.copy() for g in good]
     bad_last[2][0, 0] = 0.5
-    with pytest.raises(GeneratorStructureError, match="last generator"):
+    with pytest.raises(GeneratorStructureError, match=r"^last generator: entry \(0,0\) = 5\.000e-01 must vanish$"):
+        nu_table(bad_last)
+    bad_last[2][1, 0] = 0.7  # the larger of two is named
+    with pytest.raises(GeneratorStructureError, match=r"entry \(1,0\) = 7\.000e-01 must vanish"):
+        nu_table(bad_last)
+    bad_last[2][2, 2] = 0.0  # the corner comes first
+    with pytest.raises(GeneratorStructureError,
+                       match=r"^last generator: corner entry \(2,2\) = 0\.000e\+00 is not a nonzero multiple$"):
         nu_table(bad_last)
     bad_row = [g.copy() for g in good]
-    bad_row[1][2, 0] = bad_row[1][2, 1]  # fills a required zero
-    bad_row[1][2, 1] = 0.0  # kills the required nonzero? keep nonzero though
-    bad_row = [g.copy() for g in good]
     bad_row[1][2, 0] = 0.9
-    with pytest.raises(GeneratorStructureError, match="must vanish"):
+    with pytest.raises(GeneratorStructureError, match=r"^generator 1: row entry \(2,0\) = 9\.000e-01 must vanish$"):
         nu_table(bad_row)
     bad_pivot = [g.copy() for g in good]
     bad_pivot[0][2, 0] = 0.0
-    with pytest.raises(GeneratorStructureError, match="must be nonzero"):
+    with pytest.raises(GeneratorStructureError,
+                       match=r"^generator 0: row entry \(2,0\) = 0\.000e\+00 must be nonzero$"):
         nu_table(bad_pivot)
+    bad_pivot[1][2, 0] = 0.9  # generator 0 comes first
+    with pytest.raises(GeneratorStructureError, match="^generator 0: "):
+        nu_table(bad_pivot)
+
+
+def test_nu_table_row_names_its_pivot_then_its_largest_nonvanishing_entry():
+    gs = random_antitriangular_generators(4, 5)
+    gs[2][3, 0], gs[2][3, 1] = 0.3, 0.6
+    with pytest.raises(GeneratorStructureError, match=r"^generator 2: row entry \(3,1\) = 6\.000e-01 must vanish$"):
+        nu_table(gs)
+    gs[2][3, 2] = 0.0
+    with pytest.raises(GeneratorStructureError, match=r"^generator 2: row entry \(3,2\) = 0\.000e\+00 must be nonzero$"):
+        nu_table(gs)
+
+
+def test_nu_table_refuses_coefficients_that_are_not_finite():
+    # the structure rule is scale-free but nu is not: 1 / (1e-200)^2 overflows
+    tiny = [np.array([[1e-200]])]
+    with pytest.raises(GeneratorStructureError, match=r"^coefficient nu\[0\]\[0\] = inf is not finite$"):
+        nu_table(tiny)
+    with pytest.raises(GeneratorStructureError, match="is not finite"):
+        matrix_unit_errors(tiny)
+    assert nu_table([np.array([[1e-100]])])[0, 0] == pytest.approx(1e200)
+    # a NaN past a row's antidiagonal meets the rule and reaches nu
+    gs = random_antitriangular_generators(3, 5)
+    gs[0][2, 2] = np.nan
+    with pytest.raises(GeneratorStructureError, match="is not finite"):
+        nu_table(gs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -187,3 +187,25 @@ def test_no_module_keeps_an_unused_import_or_private_definition():
                    and node.name.startswith("_") and not node.name.startswith("__")}
         leftovers += [f"{fname}: {name}" for name in sorted((imported | private) - read)]
     assert leftovers == []
+
+
+
+def test_only_the_antitriangular_report_reads_the_structure_tolerances():
+    # one structure rule: every other structure test reads the report; a
+    # read is charged to its innermost function, or to its module
+    src = os.path.dirname(polyberg.__file__)
+    tolerances = {"TOL_ZERO", "TOL_NONZERO"}
+    readers = {}
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            todo = [(fname, ast.parse(fh.read()))]
+        while todo:
+            scope, node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope = f"{fname}: {getattr(node, 'name', 'lambda')}"
+            read = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else getattr(node, "attr", None))
+            if read in tolerances:
+                readers.setdefault(scope, set()).add(read)
+            todo += [(scope, child) for child in ast.iter_child_nodes(node)]
+    assert readers == {"generators.py: antitriangular_report": tolerances}
