@@ -128,13 +128,10 @@ def cmd_separate(args) -> int:
     from .purestates import NotSeparableError, separation
     from .symbols import symbol_to_json_obj
 
-    s1 = _parse_state(args.state[0], args.n)
-    s2 = _parse_state(args.state[1], args.n)
+    s1, s2 = (_parse_state(s, args.n) for s in args.state)
     witness_symbol = _load_symbol(args.symbol, args.alpha) if args.symbol else None
     try:
-        _, vals, recipe = separation(
-            s1, s2, args.n, args.alpha, infinity_witness=witness_symbol
-        )
+        _, vals, recipe = separation(s1, s2, args.n, args.alpha, infinity_witness=witness_symbol)
     except NotSeparableError as exc:
         print(f"not separable by construction: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE

@@ -62,7 +62,8 @@ class AntitriangularReport:
 def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
     """Check p-antitriangularity of a nonempty matrix with the tolerances
     TOL_ZERO and TOL_NONZERO relative to the matrix scale (largest entry
-    magnitude, or 1 for the zero matrix).  The entry behind below_max or
+    magnitude, or 1 for the zero matrix): each magnitude is divided by the
+    scale, so a subnormal scale underflows neither.  The entry behind below_max or
     anti_min is the first of its magnitude in row order, a NaN if any.
 
     For p beyond the last antidiagonal there are no on-diagonal entries,
@@ -76,8 +77,8 @@ def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
     anti = np.where(sums == p, mags, math.inf)
     jb, ja = (np.unravel_index(i, mags.shape) for i in (np.argmax(below), np.argmin(anti)))
     below_max, anti_min = float(below[jb]), float(anti[ja])
-    below_fault = None if below_max < TOL_ZERO * scale else tuple(map(int, jb))
-    anti_fault = None if anti_min > TOL_NONZERO * scale else tuple(map(int, ja))
+    below_fault = None if below_max / scale < TOL_ZERO else tuple(map(int, jb))
+    anti_fault = None if anti_min / scale > TOL_NONZERO else tuple(map(int, ja))
     holds = below_fault is None and anti_fault is None
     return AntitriangularReport(p, below_max, anti_min, scale, holds, below_fault, anti_fault)
 

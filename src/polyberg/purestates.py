@@ -88,25 +88,25 @@ def limit_state() -> PureState:
     return PureState(xi=None, u=None)
 
 
-def _state_gap(u: np.ndarray, v: np.ndarray) -> Tuple[float, int, int]:
-    # max |D| for D = uu* - vv*, zero exactly when v is a unimodular multiple
-    # of u, and the first (p, q), p <= q, attaining it, in one scalar pass:
-    # a scalar complex product makes D_qp the exact conjugate of D_pq, so
-    # the upper triangle holds every magnitude
-    u, v = u.tolist(), v.tolist()
+def _state_gap(u: list, v: list) -> Tuple[float, int, int]:
+    # max |D| for D = uu* - vv* (u, v lists), zero exactly when v is a
+    # unimodular multiple of u, and the first (p, q), p <= q, attaining it,
+    # in one scalar pass: a scalar complex product makes D_qp the exact
+    # conjugate of D_pq, so the upper triangle holds every magnitude
+    cu, cv = [z.conjugate() for z in u], [z.conjugate() for z in v]
     best, at = -1.0, (0, 0)
     for p, (up, vp) in enumerate(zip(u, v)):
         for q in range(p, len(u)):
-            gap = abs(up * u[q].conjugate() - vp * v[q].conjugate())
+            gap = abs(up * cu[q] - vp * cv[q])
             if gap > best:
                 best, at = gap, (p, q)
     return best, at[0], at[1]
 
 
-def _proportional(u: np.ndarray, v: np.ndarray) -> bool:
+def _proportional(u: list, v: list) -> bool:
     # |D_00| = ||u_0|^2 - |v_0|^2| <= max |D|: a pair it puts past twice the
     # tolerance, far beyond any rounding of D, is refused without forming D
-    return (u.shape == v.shape
+    return (len(u) == len(v)
             and abs(abs(u[0]) ** 2 - abs(v[0]) ** 2) <= 2.0 * PROPORTIONAL_TOL
             and _state_gap(u, v)[0] <= PROPORTIONAL_TOL)
 
@@ -118,16 +118,12 @@ def eval_state(s: PureState, a_seq: MatrixSeq):
         return a_seq.scalar_limit
     b, u = a_seq.block(s.xi), s.u
     if len(b) != len(u):
-        raise ValueError(
-            f"state vector has dimension {len(u)}, block has order {len(b)}"
-        )
+        raise ValueError(f"state vector has dimension {len(u)}, block has order {len(b)}")
     val = complex(np.vdot(u, b.dot(u)))
     return val.real if abs(val.imag) < 1e-14 * max(1.0, abs(val)) else val
 
 
-def eval_state_integral(
-    xi: int, u, a: SymbolSpec, n: int, alpha: float
-):
+def eval_state_integral(xi: int, u, a: SymbolSpec, n: int, alpha: float):
     """State value straight from entry integrals, bypassing any stored
     sequence: sum over (j, k) of conj(u_j) u_k times the entry integral.
     Must agree with eval_state on the assembled sequence."""
@@ -145,11 +141,9 @@ def eval_state_integral(
     return acc.real if abs(acc.imag) < 1e-14 * max(1.0, abs(acc)) else acc
 
 
-def _coincidence_vector(n: int, alpha: float) -> np.ndarray:
-    u = np.zeros(n)
-    u[0] = math.sqrt((alpha + 3.0) / (2.0 * (alpha + 2.0)))
-    u[1] = math.sqrt((alpha + 1.0) / (2.0 * (alpha + 2.0)))
-    return u
+def _coincidence_vector(n: int, alpha: float) -> list:
+    return ([math.sqrt((alpha + 3.0) / (2.0 * (alpha + 2.0))),
+             math.sqrt((alpha + 1.0) / (2.0 * (alpha + 2.0)))] + [0.0] * (n - 2))
 
 
 def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
@@ -161,19 +155,17 @@ def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
     return finite_state(0, _coincidence_vector(n, alpha)), finite_state(2, np.eye(n)[0])
 
 
-def _e0_like(u: np.ndarray) -> bool:
-    e0 = np.zeros(len(u))
-    e0[0] = 1.0
-    return _proportional(u, e0)
+def _e0_like(u: list) -> bool:
+    return _proportional(u, [1.0] + [0.0] * (len(u) - 1))
 
 
-def _documented_coincidence(lo: PureState, hi: PureState, n: int, alpha: float) -> Optional[str]:
-    # the documented family of finite states at frequencies (-eta, eta) or
-    # (0, 2), named, or None
-    if hi.xi == -lo.xi:
-        if _e0_like(lo.u) and _e0_like(hi.u):
-            return f"the documented ({lo.xi}, {hi.xi}) pair of first basis vectors"
-    elif n >= 2 and _e0_like(hi.u) and _proportional(lo.u, _coincidence_vector(n, alpha)):
+def _documented_coincidence(lo_xi: int, lo_u: list, hi_xi: int, hi_u: list,
+                            n: int, alpha: float) -> Optional[str]:
+    # the documented family of finite states at frequencies (-eta, eta) or (0, 2), named, or None
+    if hi_xi == -lo_xi:
+        if _e0_like(lo_u) and _e0_like(hi_u):
+            return f"the documented ({lo_xi}, {hi_xi}) pair of first basis vectors"
+    elif n >= 2 and _e0_like(hi_u) and _proportional(lo_u, _coincidence_vector(n, alpha)):
         return ("the documented (0, 2) pair (the alpha-vector at frequency 0, "
                 "the first basis vector at frequency 2)")
     return None
@@ -294,60 +286,34 @@ def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
     return cert, witnesses, witnesses[-1].block(xi) if p != q else None
 
 
-def separation(
-    s1: PureState,
-    s2: PureState,
-    n: int,
-    alpha: float,
-    infinity_witness: Optional[SymbolSpec] = None,
-) -> Tuple[MatrixSeq, Tuple[float, float], dict]:
-    """Produce a witness sequence on which the two states differ, with the
-    pair of state values and the recipe the witness was built from:
-    {"symbol": a} for the sequence of symbol a, or {"unit": {"xi", "p",
-    "q", "combination", "corner", "gap"}} for a matrix-unit combination
-    at frequency xi, zero at every other frequency and at infinity: E_pp,
-    or for p != q (the only case with a "combination") E_pq + E_qp
-    ("sym") or i (E_pq - E_qp) ("skew"); "corner" and "gap" are the
-    certificate of _corner_certificate that puts it in C*(gamma).
+def _wrong_dimension(d: int, n: int, xi: int) -> ValueError:
+    # a unit vector is never empty, so a xi below -n+1 or an n < 1 lands here: block_order raises
+    return ValueError(f"state vector has dimension {d}, block has order {block_order(n, xi)}")
 
-    Same-frequency pairs take the unit at the first (p, q), p <= q,
-    maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when
-    that is within PROPORTIONAL_TOL (off-diagonal units are evaluated
-    through their Hermitian and skew-Hermitian combinations, whichever
-    has the larger gap); a limit state is told apart from a finite state by the
-    first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
-    past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
-    whose gap exceeds MIN_GAP, or by infinity_witness alone, whose
-    refusal propagates; each sequence is cached per (symbol, n, alpha,
-    xi_max).  Distinct finite frequencies take E_pp at the higher
-    frequency, p the largest entry of its vector, which is zero at the
-    lower one.  Raises ValueError for an alpha that is not a finite
-    number above -1, for a vector whose dimension is not its frequency's
-    block order and for an infinity_witness given to two finite states
-    (the CLI's --symbol), before any cache is read, and for a finite pair
-    at an alpha above CORNER_ALPHA_MAX; NotSeparableError for equal
-    states, for the documented coincidence families and where the
-    certificate finds a frequency's corner shared.
-    """
+
+def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_witness) -> tuple:
+    # separation's witness, values and recipe as immutable parts: (a,) for
+    # symbol a's sequence, (xi, p, q, combination or None, corner, gap) for
+    # a unit; each vector is read once, as a list, of block order min(n + xi, n)
     check_alpha(alpha)
-    for s in (s1, s2):
-        # a unit vector is never empty, so a frequency below -n+1 or an
-        # n < 1 lands here too, and block_order raises its own error
-        if s.xi is not None and len(s.u) != min(n + s.xi, n):
-            raise ValueError(
-                f"state vector has dimension {len(s.u)}, block has order {block_order(n, s.xi)}"
-            )
-    if infinity_witness is not None and s1.xi is not None and s2.xi is not None:
+    xi1, xi2 = s1.xi, s2.xi
+    u1 = None if xi1 is None else s1.u.tolist()
+    if u1 is not None and len(u1) != (n if xi1 >= 0 else n + xi1):
+        raise _wrong_dimension(len(u1), n, xi1)
+    u2 = None if xi2 is None else s2.u.tolist()
+    if u2 is not None and len(u2) != (n if xi2 >= 0 else n + xi2):
+        raise _wrong_dimension(len(u2), n, xi2)
+    if infinity_witness is not None and xi1 is not None and xi2 is not None:
         raise ValueError("--symbol is the witness of a limit-state pair; neither state is inf")
 
-    if s1.xi is None or s2.xi is None:
-        if s1.xi == s2.xi:
+    if xi1 is None or xi2 is None:
+        if xi1 == xi2:
             raise NotSeparableError("identical pure states")
-        fin = s2 if s1.xi is None else s1
+        fin_xi = xi2 if xi1 is None else xi1
         candidates = _LIMIT_WITNESSES if infinity_witness is None else (infinity_witness,)
         for a in candidates:
             try:
-                witness = _symbol_witness(a, n, float(alpha), max(fin.xi, 0))
+                witness = _symbol_witness(a, n, float(alpha), max(fin_xi, 0))
             except ValueError:
                 if a is candidates[-1]:  # only the last one's refusal is the answer
                     raise
@@ -355,56 +321,92 @@ def separation(
             vals = (eval_state(s1, witness), eval_state(s2, witness))
             if abs(vals[0] - vals[1]) > MIN_GAP:
                 break
-        recipe = {"symbol": witness.symbol}
+        parts = (witness.symbol,)
     else:
-        if s1.xi == s2.xi:
+        if xi1 == xi2:
             # one D = uu* - vv* decides both: the same state, or the unit
-            gap, p, q = _state_gap(s1.u, s2.u)
+            gap, p, q = _state_gap(u1, u2)
             if gap <= PROPORTIONAL_TOL:
                 raise NotSeparableError("identical pure states")
-            xi = s1.xi
+            xi = xi1
         else:
-            lo, hi = (s1, s2) if s1.xi < s2.xi else (s2, s1)
-            if hi.xi == -lo.xi or (lo.xi == 0 and hi.xi == 2):
-                family = _documented_coincidence(lo, hi, n, alpha)
+            lo_xi, lo_u, xi, hi_u = (xi1, u1, xi2, u2) if xi1 < xi2 else (xi2, u2, xi1, u1)
+            if xi == -lo_xi or (lo_xi == 0 and xi == 2):
+                family = _documented_coincidence(lo_xi, lo_u, xi, hi_u, n, alpha)
                 if family:
                     raise NotSeparableError(f"{family} agrees on every generating sequence")
-            xi, p = hi.xi, int(abs(hi.u).argmax())
-            q = p
+            mags = list(map(abs, hi_u))
+            p = q = mags.index(max(mags))  # the first largest entry
         (corner, cert_gap), witnesses, skew = _unit_witness(n, float(alpha), xi, p, q)
         # eval_state's values, real part, on the exact units: conj(u_p) u_q
         # for E_pp (0.0 at the other frequency of a cross pair) and twice
         # its real part for the sym unit, in np.vdot's arithmetic on these
         # blocks bit for bit; the skew unit's as eval_state's quadratic form
-        u1, u2 = s1.u, s2.u
         if p == q:
-            z1 = complex(u1[p]) if s1.xi == xi else 0j
-            z2 = complex(u2[p]) if s2.xi == xi else 0j
+            z1 = u1[p] if xi1 == xi else 0j
+            z2 = u2[p] if xi2 == xi else 0j
             k, vals = 0, ((z1.conjugate() * z1).real, (z2.conjugate() * z2).real)
-            unit = {"xi": xi, "p": p, "q": q, "corner": corner, "gap": cert_gap}
         else:
-            vals = (2.0 * (complex(u1[p]).conjugate() * complex(u1[q])).real,
-                    2.0 * (complex(u2[p]).conjugate() * complex(u2[q])).real)
-            skw = (complex(np.vdot(u1, skew.dot(u1))).real,
-                   complex(np.vdot(u2, skew.dot(u2))).real)
+            vals = (2.0 * (u1[p].conjugate() * u1[q]).real,
+                    2.0 * (u2[p].conjugate() * u2[q]).real)
+            skw = (complex(np.vdot(s1.u, skew.dot(s1.u))).real,
+                   complex(np.vdot(s2.u, skew.dot(s2.u))).real)
             k = 0
             if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
                 k, vals = 1, skw
-            unit = {"xi": xi, "p": p, "q": q, "combination": ("sym", "skew")[k],
-                    "corner": corner, "gap": cert_gap}
-        recipe, witness = {"unit": unit}, witnesses[k]
+        combination = ("sym", "skew")[k] if p != q else None
+        witness, parts = witnesses[k], (xi, p, q, combination, corner, cert_gap)
     if abs(vals[0] - vals[1]) <= MIN_GAP:
-        raise NotSeparableError(
-            f"constructed witness produced values {vals[0]} and {vals[1]} "
-            f"closer than {MIN_GAP}"
-        )
-    return witness, vals, recipe
+        raise NotSeparableError(f"constructed witness produced values {vals[0]} and "
+                                f"{vals[1]} closer than {MIN_GAP}")
+    return witness, vals, parts
+
+
+def separation(s1: PureState, s2: PureState, n: int, alpha: float,
+               infinity_witness: Optional[SymbolSpec] = None) -> Tuple[MatrixSeq, Tuple[float, float], dict]:
+    """Produce a witness sequence on which the two states differ, with the
+    pair of state values and the recipe the witness was built from, a
+    dict built fresh on every call: {"symbol": a} for the sequence of
+    symbol a, or {"unit": {"xi", "p", "q", "combination", "corner",
+    "gap"}} for a matrix-unit combination at frequency xi, zero at every
+    other frequency and at infinity: E_pp, or for p != q (the only case
+    with a "combination") E_pq + E_qp ("sym") or i (E_pq - E_qp)
+    ("skew"); "corner" and "gap" are the certificate of
+    _corner_certificate that puts it in C*(gamma).
+
+    Same-frequency pairs take the unit at the first (p, q), p <= q,
+    maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when
+    that is within PROPORTIONAL_TOL (off-diagonal units are evaluated
+    through their Hermitian and skew-Hermitian combinations, whichever
+    has the larger gap); a limit state is told apart from a finite state
+    by the first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
+    past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
+    whose gap exceeds MIN_GAP, or by infinity_witness alone, whose
+    refusal propagates; each sequence is cached per (symbol, n, alpha,
+    xi_max).  Distinct finite frequencies take E_pp at the higher
+    frequency, p the first largest entry of its vector, which is zero at
+    the lower one.  Raises ValueError for an alpha that is not a finite
+    number above -1, for a vector whose dimension is not its frequency's
+    block order and for an infinity_witness given to two finite states
+    (the CLI's --symbol), before any cache is read, and for a finite pair
+    at an alpha above CORNER_ALPHA_MAX; NotSeparableError for equal
+    states, for the documented coincidence families and where the
+    certificate finds a frequency's corner shared.
+    """
+    witness, vals, parts = _separation(s1, s2, n, alpha, infinity_witness)
+    if len(parts) == 1:
+        return witness, vals, {"symbol": parts[0]}
+    unit = dict(zip(("xi", "p", "q", "combination", "corner", "gap"), parts))
+    if unit["combination"] is None:
+        del unit["combination"]
+    return witness, vals, {"unit": unit}
 
 
 def separate(s1: PureState, s2: PureState, n: int, alpha: float,
              infinity_witness: Optional[SymbolSpec] = None) -> Tuple[MatrixSeq, Tuple[float, float]]:
-    """The witness sequence and the pair of state values of separation."""
-    witness, vals, _ = separation(s1, s2, n, alpha, infinity_witness)
+    """The witness sequence and the pair of state values of separation,
+    with no recipe built."""
+    witness, vals, _ = _separation(s1, s2, n, alpha, infinity_witness)
     return witness, vals
 
 

@@ -170,7 +170,7 @@ def test_c07_separation_totality():
             grid = [
                 (s1, s2) for i, s1 in enumerate(states) for s2 in states[i + 1:]
                 if s1.xi != s2.xi
-                or purestates._state_gap(s1.u, s2.u)[0] > purestates.PROPORTIONAL_TOL
+                or purestates._state_gap(s1.u.tolist(), s2.u.tolist())[0] > purestates.PROPORTIONAL_TOL
             ]
             gap, ref = separation_gaps(n, alpha, grid)
             pairs += len(grid)

@@ -73,6 +73,19 @@ def test_report_faults_name_the_extreme_entries():
     assert antitriangular_report(np.eye(2), 0).below_fault is None
 
 
+def test_report_divides_by_a_subnormal_scale_without_underflow():
+    # each magnitude is divided by the scale before it meets a tolerance:
+    # TOL_ZERO * 1e-320 would round to 0.0 and fail a zero below_max
+    rep = antitriangular_report(np.array([[1e-320]]), 0)
+    assert rep.holds and (rep.below_max, rep.scale) == (0.0, 1e-320)
+    sub = np.array([[0.0, 5e-324], [5e-324, 0.0]])
+    assert antitriangular_report(sub, 1).holds
+    assert antitriangular_report(sub, 2).below_fault == (0, 1)
+    # the family meets the rule, and then its nu = 1 / c^2 overflows
+    with pytest.raises(GeneratorStructureError, match=r"^coefficient nu\[0\]\[0\] = inf is not finite$"):
+        nu_table([np.array([[5e-324]])])
+
+
 def test_generator_structure_profile():
     # blocks of the generating symbols are (p - |xi|)-antitriangular
     for n in (2, 3, 5):

@@ -2,6 +2,8 @@
 
 import collections
 import dataclasses
+import hashlib
+import json
 import math
 import random
 import re
@@ -35,6 +37,7 @@ from polyberg.symbols import (
     indicator_symbol,
     make_gp,
     poly_t_symbol,
+    symbol_to_json_obj,
 )
 from polyberg.verify import coincidence_gap, two_path_gap
 
@@ -164,7 +167,8 @@ def _witness_indices(u, v):
     # the (p, q) that separation's same-frequency branch reads from
     # _state_gap, or None for a pair within PROPORTIONAL_TOL (refused as
     # identical states)
-    gap, p, q = purestates._state_gap(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    gap, p, q = purestates._state_gap(np.asarray(u, dtype=complex).tolist(),
+                                      np.asarray(v, dtype=complex).tolist())
     return None if gap <= purestates.PROPORTIONAL_TOL else (p, q)
 
 
@@ -252,8 +256,8 @@ def test_state_gap_is_the_first_maximiser_of_the_loop_reference(pair):
     # the scalar pass reads only p <= q: it still sees max |D| over the
     # whole matrix, and it picks the loop reference's (p, q)
     u, v = pair
-    gap, p, q = purestates._state_gap(u, v)
     cu, cv = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    gap, p, q = purestates._state_gap(cu.tolist(), cv.tolist())
     whole = max(_state_gap_at(cu, cv, j, k) for j in range(len(u)) for k in range(len(u)))
     assert p <= q
     assert gap >= whole * (1.0 - 1e-12)
@@ -493,12 +497,12 @@ def test_documented_coincidence_answers_as_the_full_state_test(rng):
     # at angles on both sides of the tolerance, around e0 and around the
     # alpha-vector
     def same(u, v):
-        return purestates._state_gap(u, v)[0] <= purestates.PROPORTIONAL_TOL
+        return purestates._state_gap(u.tolist(), v.tolist())[0] <= purestates.PROPORTIONAL_TOL
 
     answers = collections.Counter()
     for n in (2, 3, 4):
         for alpha in (0.0, 0.5, 2.5):
-            u_star = purestates._coincidence_vector(n, alpha).astype(complex)
+            u_star = np.asarray(purestates._coincidence_vector(n, alpha), dtype=complex)
             frames = [(0, 2, u_star, np.eye(n)[0].astype(complex))]
             frames += [(-eta, eta, np.eye(n - eta)[0].astype(complex),
                         np.eye(n)[0].astype(complex)) for eta in range(1, n)]
@@ -509,7 +513,8 @@ def test_documented_coincidence_answers_as_the_full_state_test(rng):
                         v = _rotated(hi_u, t_hi, rng)
                         want = same(u, lo_u) and same(v, hi_u)
                         got = purestates._documented_coincidence(
-                            finite_state(lo_xi, u), finite_state(hi_xi, v), n, alpha)
+                            lo_xi, finite_state(lo_xi, u).u.tolist(),
+                            hi_xi, finite_state(hi_xi, v).u.tolist(), n, alpha)
                         assert (got is not None) == want, (n, alpha, lo_xi, t_lo, t_hi)
                         answers[want] += 1
     assert answers[True] > 100 and answers[False] > 100
@@ -646,6 +651,135 @@ def _unit_sequence(n, alpha, xi, p, q):
     blocks = [np.zeros((block_order(n, x),) * 2) for x in frequencies(n, max(xi, 0))]
     blocks[xi + n - 1][p, q] = 1.0
     return MatrixSeq(n, alpha, pack_blocks(n, blocks), 0.0)
+
+
+def _outcome(fn, *args, **kwargs):
+    # ("ok", result) or ("refused", (exception type, text))
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:  # NotSeparableError included
+        return "refused", (type(exc), str(exc))
+
+
+def _value_bits(vals):
+    return [struct.pack("<dd", complex(v).real, complex(v).imag) for v in vals]
+
+
+def test_separate_is_separation_without_its_recipe(rng):
+    # drawn n <= 5 and alpha: separate gives separation's witness object
+    # and value bits, or its refusal text, and a returned recipe may be
+    # changed without any effect on the next call's
+    kinds = collections.Counter()
+    for _ in range(10):
+        n, alpha = int(rng.integers(1, 6)), float(rng.choice([0.0, 0.5, 2.5]))
+        xis = {-n + 1, 0, 1, 2, *(int(x) for x in rng.integers(3, 9, size=2))}
+        states = [limit_state()]
+        for xi in sorted(xis | ({-1} if n > 1 else set())):
+            d = block_order(n, xi)
+            eye = np.eye(d)
+            states += [finite_state(xi, eye[0]), finite_state(xi, eye[-1]),
+                       finite_state(xi, unit(rng.normal(size=d) + 1j * rng.normal(size=d)))]
+            if d > 1:
+                states += [finite_state(xi, unit(eye[0] + c * eye[1])) for c in (1, -1, 1j, -1j)]
+        if n >= 2:
+            states += coincidence_pair(n, alpha)
+        states.append(finite_state(1, unit(np.ones(n + 1))))  # one entry too many
+        calls = [((s1, s2, n, alpha), {}) for i, s1 in enumerate(states) for s2 in states[i:]]
+        calls += [((states[0], s, n, alpha), {"infinity_witness": poly_t_symbol([0.5, 1.0])})
+                  for s in states[1:4]]
+        calls += [((states[1], states[2], n, alpha), {"infinity_witness": indicator_symbol(0.5)}),
+                  ((states[1], states[2], n, float("nan")), {})]
+        for args, kwargs in calls:
+            full = _outcome(separation, *args, **kwargs)
+            short = _outcome(separate, *args, **kwargs)
+            if full[0] == "refused":
+                assert short == full, args
+                kinds["refused"] += 1
+                continue
+            witness, vals, recipe = full[1]
+            assert short[0] == "ok" and short[1][0] is witness, args
+            assert _value_bits(short[1][1]) == _value_bits(vals), args
+            s1, s2 = args[:2]
+            kinds["limit" if "symbol" in recipe else "cross" if s1.xi != s2.xi
+                  else recipe["unit"].get("combination", "diagonal")] += 1
+            before = repr(recipe)
+            for inner in recipe.values():
+                if isinstance(inner, dict):
+                    inner["p"] = -1
+                    inner.pop("corner")
+            recipe["symbol"] = None
+            assert repr(separation(*args, **kwargs)[2]) == before, args
+    assert set(kinds) == {"limit", "cross", "diagonal", "sym", "skew", "refused"}, kinds
+
+
+def test_the_unit_index_is_the_first_largest_entry_and_the_first_largest_gap(rng):
+    # exact ties included (basis pairs, unit(e_j +- e_k), entries +-x and
+    # +-ix): the cross-pair p is numpy's argmax of |u|, and _state_gap's
+    # (p, q) is the first maximum in row order of a brute-force |D| over
+    # p <= q.  (Moduli that differ by a rounding may order differently:
+    # numpy's vectorised complex abs and Python's abs can differ in the
+    # last bit.)
+    vectors = collections.defaultdict(list)
+    for d in range(1, 6):
+        eye = np.eye(d)
+        vectors[d] += [eye[j] for j in range(d)]
+        vectors[d] += [unit(eye[j] + c * eye[k]) for j in range(d) for k in range(j + 1, d)
+                       for c in (1, -1, 1j)]
+        vectors[d] += [unit([1, 1j, -1, -1j, 1][:d]), unit([1j, 1, -1j, -1, 1j][:d])]
+        vectors[d] += [unit(rng.normal(size=d) + 1j * rng.normal(size=d)) for _ in range(4)]
+    ties = collections.Counter()
+    for d, vecs in vectors.items():
+        lo = finite_state(0, unit(np.ones(d)))
+        for u in vecs:
+            _, _, recipe = separation(lo, finite_state(1, u), d, 0.5)
+            want = int(np.abs(u).argmax())
+            assert recipe["unit"]["p"] == recipe["unit"]["q"] == want, u
+            ties["entry"] += np.sum(np.abs(u) == np.abs(u)[want]) > 1
+        for u in vecs:
+            for v in vecs:
+                uu, vv = u.tolist(), v.tolist()
+                cells = [(j, k) for j in range(d) for k in range(j, d)]
+                gaps = [abs(uu[j] * uu[k].conjugate() - vv[j] * vv[k].conjugate()) for j, k in cells]
+                gap, p, q = purestates._state_gap(uu, vv)
+                assert (gap, (p, q)) == (max(gaps), cells[gaps.index(max(gaps))]), (u, v)
+                ties["gap"] += gaps.count(max(gaps)) > 1
+    assert ties["entry"] > 10 and ties["gap"] > 10, ties
+
+
+def _separation_grid_digest():
+    # SHA-256 of (value bits, recipe JSON in its key order, refusal text)
+    # over every pair of a seeded c07-style grid, n <= 4, alpha in {0, 1}:
+    # basis vectors, unit(e_j +- e_k) and one random complex vector per
+    # frequency up to 6, the limit state and the documented (0, 2) pair
+    digest, rng = hashlib.sha256(), np.random.default_rng(40)
+    for n in range(1, 5):
+        for alpha in (0.0, 1.0):
+            states = [limit_state()]
+            for xi in range(-n + 1, 7):
+                d = block_order(n, xi)
+                eye = np.eye(d)
+                vecs = [eye[j] for j in range(d)]
+                vecs += [unit(eye[j] + c * eye[k]) for j in range(d) for k in range(j + 1, d)
+                         for c in (1, -1)]
+                vecs.append(unit(rng.normal(size=d) + 1j * rng.normal(size=d)))
+                states += [finite_state(xi, v) for v in vecs]
+            states += coincidence_pair(n, alpha) if n >= 2 else ()
+            for i, s1 in enumerate(states):
+                for s2 in states[i + 1:]:
+                    try:
+                        _, vals, recipe = separation(s1, s2, n, alpha)
+                    except NotSeparableError as exc:
+                        digest.update(f"refused: {exc}\n".encode())
+                        continue
+                    digest.update(b"".join(_value_bits(vals)))
+                    digest.update(json.dumps(recipe, default=symbol_to_json_obj).encode())
+    return digest.hexdigest()
+
+
+def test_separation_grid_outcomes_are_pinned():
+    # recorded before separation moved to Python scalars; a change in any
+    # value bit, recipe or refusal text changes the digest
+    assert _separation_grid_digest() == "0992d6677e44e5052c09775bcea8af265cb15d411ed3579303800e04a252be4a"
 
 
 def test_separate_cross_frequency():
