@@ -17,12 +17,10 @@ _EXPORTS = {
                    "antitriangular_report", "matrix_unit",
                    "nu_table", "same_frequency_plan"),
     "integration": ("beta_entry",),
-    "jacobi": ("JacobiParams", "jac_fn_eval", "jac_norm_coeff", "jac_sup_bound", "q_eval"),
+    "jacobi": ("JacobiParams", "jac_norm_coeff", "q_eval"),
     "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
                    "coincidence_pair", "eval_state", "eval_state_integral",
                    "finite_state", "limit_state", "separate"),
-    "special_fn": ("beta", "binom_bound_holds", "log_gamma", "reg_incomplete_beta",
-                   "wendel_bound_holds"),
     "symbols": ("SymbolSpec", "const_symbol", "eval_at_t",
                 "indicator_symbol", "make_gp", "poly_t_symbol", "sampled_symbol"),
     "bergman_oracle": ("DiskPoint", "disk_poly", "toeplitz_entry_2d"),

@@ -136,20 +136,25 @@ def _pieces(a: SymbolSpec):
     return poly, cuts, rows
 
 
-def _cut_weights(x: np.ndarray, alpha: float):
+def _cut_weights(x: np.ndarray, alpha: float, kind: str):
     # rows xi = 0 .. MAX_MOMENT_DEGREE, columns the cuts: w1 = x^(xi+1)
     # (1-x)^(alpha+1) / B(xi+1, alpha+1), carried from xi = 0 by its ratio,
     # and M_00 = I_x(xi+1, alpha+1) summed down from the anchor at the guard
     # in the positive terms of DLMF 8.17.20 (the forward recurrence cancels);
-    # the anchor's fraction takes the carried w1 as its front factor
+    # the anchor's fraction takes the carried w1 as its front factor, and
+    # its refusal at a huge alpha names the symbol's kind and alpha
     top, q = MAX_MOMENT_DEGREE, alpha + 1.0
     k = np.arange(top, dtype=float)[:, None]
     w1 = np.cumprod(np.concatenate([(q * x * (1.0 - x) ** q)[None], x * ((k + q + 1.0) / (k + 1.0))]),
                     axis=0)
     p = top + 1.0
-    anchor = np.array([1.0 - w / (q * _beta_fraction(1.0 - c, q, p))
-                       if c > (p + 1.0) / (p + q + 2.0) else w / (p * _beta_fraction(c, p, q))
-                       for c, w in zip(x.tolist(), w1[-1].tolist())])
+    try:
+        anchor = np.array([1.0 - w / (q * _beta_fraction(1.0 - c, q, p))
+                           if c > (p + 1.0) / (p + q + 2.0) else w / (p * _beta_fraction(c, p, q))
+                           for c, w in zip(x.tolist(), w1[-1].tolist())])
+    except ValueError:
+        raise ValueError(f"{kind} symbol: the incomplete Beta at a cut has not converged "
+                         f"at alpha {alpha}") from None
     m00 = np.cumsum(np.concatenate([anchor[None], (w1[:-1] / (k + 1.0))[::-1]]), axis=0)[::-1]
     return w1, m00
 
@@ -175,7 +180,7 @@ def _float_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray
         if d - 1 > jacobi.MAX_DEGREE:
             raise ValueError(f"degree {d - 1} exceeds supported maximum {jacobi.MAX_DEGREE}")
         _guard_degree(2 * (d - 1) + xis[-1])
-        w1, m00 = _cut_weights(cuts, alpha)
+        w1, m00 = _cut_weights(cuts, alpha, a.kind)
         x, j, sums = cuts[:, None], np.arange(d + 1), rows[..., None]
     out = np.empty((len(xis), d, d), np.result_type(*poly, rows, float))
     step = max(1, _CHUNK // max(cuts.size, 1))
@@ -274,7 +279,9 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
             raise ValueError(f"generator {a.p}: an exact ratio of its blocks leaves the "
                              f"float range at alpha {alpha}") from None
     else:
-        out = _float_blocks(a, alpha, xis, d)
+        # a huge alpha overflows the recurrence; the non-finite stack is refused below
+        with np.errstate(all="ignore"):
+            out = _float_blocks(a, alpha, xis, d)
     # the upper triangle, copied below the diagonal: exactly symmetric
     for j in range(d):
         out[:, j + 1:, j] = out[:, j, j + 1:]

@@ -1,4 +1,4 @@
-"""Shifted Jacobi polynomials on (0, 1) and their L2-normalized functions.
+"""Shifted Jacobi polynomials on (0, 1) and their normalization constants.
 
 Q_m, of degree m for the weight (1-t)^alpha t^beta, is evaluated in floats
 only by the three-term recurrence the blocks run (special_fn), with no
@@ -37,8 +37,6 @@ __all__ = [
     "jac_norm_coeff",
     "norm_coeff_sq_int",
     "norm_coeff_sq_exact",
-    "jac_fn_eval",
-    "jac_sup_bound",
 ]
 
 MAX_DEGREE = 64
@@ -170,42 +168,3 @@ def jac_norm_coeff(p: JacobiParams) -> float:
         raise ValueError(f"jac_norm_coeff needs a nonnegative integer beta, got {p.beta}")
     num, den = norm_coeff_sq_int(p.alpha, int(p.beta), p.m)
     return math.sqrt(num / den)
-
-
-def jac_fn_eval(p: JacobiParams, t):
-    """Orthonormal weighted value k (1-t)^(alpha/2) t^(beta/2) Q(t).
-
-    t may be a scalar or array in (0, 1); an endpoint is allowed only when
-    the corresponding half-exponent is nonnegative.
-    """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    if p.beta < 0 and np.any(arr == 0.0):
-        raise ValueError("t = 0 not allowed for negative beta")
-    if p.alpha < 0 and np.any(arr == 1.0):
-        raise ValueError("t = 1 not allowed for negative alpha")
-    return (jac_norm_coeff(p) * (1.0 - arr) ** (p.alpha / 2.0) * arr ** (p.beta / 2.0)
-            * q_eval(p, arr))
-
-
-def jac_sup_bound(p: JacobiParams, x: float) -> float:
-    """Upper bound for sup |weighted function| on [0, x], valid for alpha > 0.
-
-    Returns (2m+alpha+beta+1)^(m+1+(alpha+1)/2) * x^(beta/2), squared
-    from its square root, so that past the float range (from alpha ~ 300)
-    it is math.inf, still a bound.  For alpha <= 0 no proven bound of
-    this shape is available and the call is refused.
-    """
-    if p.alpha <= 0.0:
-        raise ValueError(
-            f"sup bound is only established for alpha > 0; got alpha={p.alpha}"
-        )
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
-    base = 2 * p.m + p.alpha + p.beta + 1
-    try:
-        root = base ** ((p.m + 1 + (p.alpha + 1) / 2.0) / 2.0) * x ** (p.beta / 4.0)
-    except OverflowError:  # the root is past the float range, so is the bound
-        return math.inf
-    return root * root

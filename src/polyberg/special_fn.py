@@ -1,5 +1,4 @@
-"""Scalar Gamma/Beta kernels, the Jacobi recurrence and two elementary
-Gamma-ratio inequalities.
+"""Scalar Gamma/Beta kernels and the Jacobi recurrence.
 
 Everything here is a pure function of floats, reentrant and safe to call
 concurrently.  log_gamma is math.lgamma behind a domain check.  The
@@ -9,7 +8,9 @@ Phys. 64, 1986) behind a log-gamma front factor; the indicator and
 sampled blocks take the same fraction behind a front factor of their own.
 jacobi_recurrence gives the Jacobi matrices those blocks and the
 polynomial blocks are built on; jacobi_values, which runs it, is the
-package's one float evaluator of Jacobi polynomials.
+package's one float evaluator of Jacobi polynomials.  No block calls
+log_gamma or reg_incomplete_beta; they stay because the benchmark's
+traced mode wraps both by name (perfbench/spans.py).
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ import numpy as np
 
 __all__ = [
     "log_gamma",
-    "beta",
     "jacobi_recurrence",
     "jacobi_values",
     "reg_incomplete_beta",
-    "wendel_bound_holds",
-    "binom_bound_holds",
-    "binom_real",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -41,13 +38,6 @@ def log_gamma(z: float) -> float:
     if z <= 0.0 or math.isnan(z):
         raise ValueError(f"log_gamma requires z > 0, got {z}")
     return math.lgamma(z)
-
-
-def beta(x: float, y: float) -> float:
-    """Euler Beta B(x, y) for x, y > 0, evaluated through log_gamma."""
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
 def jacobi_recurrence(a: float, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,36 +108,3 @@ def _beta_fraction(x: float, p: float, q: float) -> float:
             return f
     raise ValueError("reg_incomplete_beta: the continued fraction has not "
                      f"converged after {MAX_FRACTION_TERMS} terms")
-
-
-def binom_real(z: float, k: int) -> float:
-    """Generalized binomial C(z, k) for real z and integer k >= 0.
-
-    Computed as the falling-factorial product z (z-1) ... (z-k+1) / k!,
-    never through Gamma differences.
-    """
-    if k < 0:
-        raise ValueError(f"binom_real requires k >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= (z - i) / (i + 1)
-    return out
-
-
-def wendel_bound_holds(z: float, a: float) -> bool:
-    """Check Gamma(z+a)/Gamma(z) <= (z+a)^a with relative slack 1e-12."""
-    if z <= 0.0 or a <= 0.0:
-        raise ValueError(f"wendel_bound_holds requires z, a > 0, got ({z}, {a})")
-    ratio = math.exp(log_gamma(z + a) - log_gamma(z))
-    return ratio <= (z + a) ** a * (1.0 + 1e-12)
-
-
-def binom_bound_holds(z: float, k: int) -> bool:
-    """Check C(z+k, k) <= (z+k)^k / k! with relative slack 1e-12."""
-    if z <= 0.0:
-        raise ValueError(f"binom_bound_holds requires z > 0, got {z}")
-    if k < 0:
-        raise ValueError(f"binom_bound_holds requires k >= 0, got {k}")
-    lhs = binom_real(z + k, k)
-    rhs = (z + k) ** k / math.factorial(k)
-    return lhs <= rhs * (1.0 + 1e-12)

@@ -5,6 +5,12 @@ classical-recurrence polynomial evaluation, a single high-order
 Gauss-Legendre rule for weighted integrals, exact-rational convolution,
 the exact path built from Fractions (generalized binomials, recursive
 moments), and the second form of the disk polynomials.
+
+It also holds the lemmas of the previous paper (Bol. Soc. Mat. Mex. 27,
+43) that no block, sequence, state or separation reads: Wendel's
+Gamma-ratio inequality, a binomial bound, Euler's Beta, the orthonormal
+weighted Jacobi functions and their sup bound, with the measurements
+test_special_fn and test_jacobi assert their bounds on.
 """
 
 import math
@@ -16,7 +22,9 @@ import pytest
 
 from polyberg.gammaseq import MatrixSeq, pack_blocks
 from polyberg.integration import weighted_product_integral
-from polyberg.jacobi import JacobiParams, jac_fn_eval, q_coeffs_exact
+from polyberg.jacobi import JacobiParams, jac_norm_coeff, q_coeffs_exact, q_eval
+from polyberg.special_fn import reg_incomplete_beta
+from polyberg.verify import _worse
 
 
 def classical_jacobi_recurrence(alpha: float, beta: float, m: int, x):
@@ -146,6 +154,127 @@ def poly_integral_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) ->
 def poly_entry_fraction(coeffs, alpha: float, xi_abs: int, j: int, k: int) -> float:
     """poly_integral_fraction rounded once."""
     return float(poly_integral_fraction(coeffs, alpha, xi_abs, j, k))
+
+
+def beta(x: float, y: float) -> float:
+    """Euler Beta B(x, y) for x, y > 0, evaluated through math.lgamma."""
+    if x <= 0.0 or y <= 0.0:
+        raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def binom_real(z: float, k: int) -> float:
+    """Generalized binomial C(z, k) for real z and integer k >= 0.
+
+    Computed as the falling-factorial product z (z-1) ... (z-k+1) / k!,
+    never through Gamma differences.
+    """
+    if k < 0:
+        raise ValueError(f"binom_real requires k >= 0, got {k}")
+    out = 1.0
+    for i in range(k):
+        out *= (z - i) / (i + 1)
+    return out
+
+
+def wendel_bound_holds(z: float, a: float) -> bool:
+    """Check Gamma(z+a)/Gamma(z) <= (z+a)^a with relative slack 1e-12."""
+    if z <= 0.0 or a <= 0.0:
+        raise ValueError(f"wendel_bound_holds requires z, a > 0, got ({z}, {a})")
+    ratio = math.exp(math.lgamma(z + a) - math.lgamma(z))
+    return ratio <= (z + a) ** a * (1.0 + 1e-12)
+
+
+def binom_bound_holds(z: float, k: int) -> bool:
+    """Check C(z+k, k) <= (z+k)^k / k! with relative slack 1e-12."""
+    if z <= 0.0:
+        raise ValueError(f"binom_bound_holds requires z > 0, got {z}")
+    if k < 0:
+        raise ValueError(f"binom_bound_holds requires k >= 0, got {k}")
+    lhs = binom_real(z + k, k)
+    rhs = (z + k) ** k / math.factorial(k)
+    return lhs <= rhs * (1.0 + 1e-12)
+
+
+def jac_fn_eval(p: JacobiParams, t):
+    """Orthonormal weighted value k (1-t)^(alpha/2) t^(beta/2) Q(t).
+
+    t may be a scalar or array in (0, 1); an endpoint is allowed only when
+    the corresponding half-exponent is nonnegative.
+    """
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError("t must lie in [0, 1]")
+    if p.beta < 0 and np.any(arr == 0.0):
+        raise ValueError("t = 0 not allowed for negative beta")
+    if p.alpha < 0 and np.any(arr == 1.0):
+        raise ValueError("t = 1 not allowed for negative alpha")
+    return (jac_norm_coeff(p) * (1.0 - arr) ** (p.alpha / 2.0) * arr ** (p.beta / 2.0)
+            * q_eval(p, arr))
+
+
+def jac_sup_bound(p: JacobiParams, x: float) -> float:
+    """Upper bound for sup |weighted function| on [0, x], valid for alpha > 0.
+
+    Returns (2m+alpha+beta+1)^(m+1+(alpha+1)/2) * x^(beta/2), squared
+    from its square root, so that past the float range (from alpha ~ 300)
+    it is math.inf, still a bound.  For alpha <= 0 no proven bound of
+    this shape is available and the call is refused.
+    """
+    if p.alpha <= 0.0:
+        raise ValueError(
+            f"sup bound is only established for alpha > 0; got alpha={p.alpha}"
+        )
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"x must lie in (0, 1), got {x}")
+    base = 2 * p.m + p.alpha + p.beta + 1
+    try:
+        root = base ** ((p.m + 1 + (p.alpha + 1) / 2.0) / 2.0) * x ** (p.beta / 4.0)
+    except OverflowError:  # the root is past the float range, so is the bound
+        return math.inf
+    return root * root
+
+
+def gamma_ratio_points(rng, draws: int) -> list:
+    """Random (z, a, k) points, z in [1e-6, 100], a in [1e-6, 10], k < 31."""
+    return [(rng.uniform(1e-6, 100.0), rng.uniform(1e-6, 10.0), rng.randrange(31))
+            for _ in range(draws)]
+
+
+def gamma_ratio_violations(rng, draws: int) -> int:
+    """Number of random (z, a, k) points at which the Wendel bound or the
+    binomial bound fails."""
+    return sum(not (wendel_bound_holds(z, a) and binom_bound_holds(z, k))
+               for z, a, k in gamma_ratio_points(rng, draws))
+
+
+def beta_asymmetry(rng, draws: int, lo: float, hi: float) -> float:
+    """Largest |B(x, y) - B(y, x)| / B(x, y) over random x, y in [lo, hi]."""
+    worst = 0.0
+    for _ in range(draws):
+        x, y = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        bxy = beta(x, y)
+        worst = _worse(worst, abs(bxy - beta(y, x)) / bxy)
+    return worst
+
+
+def incomplete_beta_drop(p: float, q: float, points: int) -> float:
+    """Largest decrease of x -> I_x(p, q) between neighbouring points of
+    an even grid on [0, 1]."""
+    xs = np.linspace(0.0, 1.0, points)
+    vals = [reg_incomplete_beta(float(x), p, q) for x in xs]
+    return float(np.max(-np.diff(vals)))
+
+
+def sup_bound_ratio(cases, points: int) -> float:
+    """Largest ratio of max |f| on an even grid of [0, x] to
+    jac_sup_bound, over (alpha, beta, m, x) cases."""
+    worst = 0.0
+    for alpha, b, m, x in cases:
+        params = JacobiParams(alpha, b, m)
+        seen = np.max(np.abs(jac_fn_eval(params, np.linspace(0.0, x, points))))
+        worst = _worse(worst, float(seen / jac_sup_bound(params, x)))
+    return worst
 
 
 def disk_poly_alt(p: int, q: int, alpha: float, r: float, theta: float) -> complex:

@@ -17,11 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import exact_pair_integral, unit
+from conftest import exact_pair_integral, jac_sup_bound, unit
 from polyberg import purestates
 from polyberg.bergman_oracle import oracle_gaps
 from polyberg.gammaseq import block_order, frequencies, spectral_norm, tail_deviation
-from polyberg.jacobi import JacobiParams, jac_sup_bound
+from polyberg.jacobi import JacobiParams
 from polyberg.purestates import (
     coincidence_pair,
     eval_state_integral,

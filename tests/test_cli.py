@@ -171,15 +171,58 @@ def test_non_finite_or_overflowing_alpha_exits_2_before_any_output(argv, capsys)
 ])
 def test_overflowing_alpha_exits_2_in_a_process(argv):
     # the recurrence overflows to a non-finite block, which is refused;
-    # numpy's overflow warnings may reach stderr, so this runs in its own
-    # interpreter rather than under the warnings-as-errors filter
+    # numpy's overflow warnings reached stderr first, so this runs in its
+    # own interpreter rather than under the warnings-as-errors filter
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     run = subprocess.run([sys.executable, "-m", "polyberg.cli", *argv], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (run.returncode, run.stdout) == (2, "")
-    assert "Traceback" not in run.stderr
-    last = run.stderr.splitlines()[-1]
-    assert last == "error: poly_t symbol has a non-finite block entry at alpha 1e+300"
+    assert run.stderr == "error: poly_t symbol has a non-finite block entry at alpha 1e+300\n"
+
+
+# every run of the sweep below through cli.main, in one interpreter that
+# shows every warning (no warnings-as-errors filter, and no once-per-place
+# default): [exit code, stderr] per argv, or [None, its traceback]
+HUGE_ALPHA_RUNS = """
+import contextlib, io, json, sys, traceback, warnings
+from polyberg.cli import main
+warnings.simplefilter("always")
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    runs.append([code, err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_a_huge_alpha_is_served_or_refused_by_name_without_warnings(tmp_path):
+    # gamma and separate printed three numpy RuntimeWarnings from the
+    # recurrence before refusing a poly_t symbol at 1e200 and 1e300, and
+    # an indicator's refusal named reg_incomplete_beta but not alpha
+    symbols = ['{"kind":"poly_t","coeffs":[1,2]}', '{"kind":"indicator","s":0.5}',
+               '{"kind":"sampled","points":[[0,1],[0.3,0.2],[0.8,0.7]]}']
+    argvs = [argv + ["--n", "3", "--alpha", alpha, "--symbol", symbol]
+             for alpha in ("1e100", "1e200", "1e300") for symbol in symbols
+             for argv in (["gamma", "--xi-max", "3", "--out", str(tmp_path / "seq.json")],
+                          ["separate", "--state", "inf", "--state", "2:1,0,0"],
+                          ["purestate", "--state", "1:1,0,0"])]
+    src = os.path.dirname(os.path.dirname(polyberg.__file__))
+    run = subprocess.run([sys.executable, "-c", HUGE_ALPHA_RUNS, json.dumps(argvs)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    runs = json.loads(run.stdout)
+    bad = [(argv, code, err) for argv, (code, err) in zip(argvs, runs)
+           if not (code == 0 and err == "" or code == 2 and err.count("\n") == 1
+                   and err.startswith("error: ") and "alpha" in err)]
+    assert not bad
+    assert sum(code == 2 for code, _ in runs) > len(runs) // 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -702,7 +745,7 @@ def test_verify_passes_at_large_alpha(n, alpha, capsys):
     code = main(["verify", "--n", str(n), "--alpha", alpha])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out.endswith("15/15 checks passed\n")
+    assert out.endswith("12/12 checks passed\n")
 
 
 @pytest.mark.parametrize("alpha", ["240.5", "1e300"])
@@ -721,11 +764,12 @@ def test_verify_default_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_negative_alpha_skips_sup_bound(capsys):
+def test_verify_negative_alpha_passes_every_check(capsys):
+    # no check is skipped below alpha = 0
     code = main(["verify", "--n", "2", "--alpha", "-0.5", "--seed", "0"])
     out = capsys.readouterr().out
-    assert "SKIP" in out and "unproven for alpha <= 0" in out
     assert code == 0, out
+    assert out.endswith("12/12 checks passed\n") and "SKIP" not in out
 
 
 def test_verify_seed_independence(capsys):
@@ -742,7 +786,7 @@ def test_verify_passes_at_long_dyadic_alpha(alpha, capsys):
     code = main(["verify", "--n", "2", "--alpha", alpha])
     out = capsys.readouterr().out
     assert code == 0, out
-    assert out.endswith("15/15 checks passed\n")
+    assert out.endswith("12/12 checks passed\n")
 
 
 @pytest.mark.parametrize(
@@ -761,13 +805,13 @@ def test_verify_reports_a_crashed_check(monkeypatch, capsys):
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(verify, "gamma_ratio_violations", boom)
+    monkeypatch.setattr(verify, "two_path_gap", boom)
     code = main(["verify", "--n", "2", "--alpha", "1.0"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 1
-    assert lines[0].startswith("FAIL  gamma-ratio inequalities")
-    assert lines[0].endswith("raised RuntimeError('boom')")
-    assert lines[-1] == "14/15 checks passed, 1 failed"
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  state evaluation two paths    raised RuntimeError('boom')"]
+    assert lines[-1] == "11/12 checks passed, 1 failed"
 
 
 def test_verify_fails_a_nan_measurement(monkeypatch):
@@ -827,14 +871,14 @@ def test_run_all_gives_each_check_a_fresh_rng_and_maps_its_verdict(monkeypatch):
 
     monkeypatch.setattr(verify, "CHECKS", [
         ("pass", probe(True, "detail one")), ("crash", crash),
-        ("fail", probe(False, "detail three")), ("skip", probe(None, "detail four")),
+        ("fail", probe(False, "detail three")),
     ])
     results = verify.run_all(3, None, 5)
     assert [tuple(r) for r in results] == [
         ("pass", "pass", "detail one"), ("crash", "fail", "raised RuntimeError('probe')"),
-        ("fail", "fail", "detail three"), ("skip", "skip", "detail four"),
+        ("fail", "fail", "detail three"),
     ]
-    assert calls == [(3, [0.0, 1.0, 2.5], random.Random(5).random())] * 4
+    assert calls == [(3, [0.0, 1.0, 2.5], random.Random(5).random())] * 3
 
 
 # exit code, stdout and stderr of each, as the parent's parser of every

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conv_exact, norm_sq_fraction, q_coeffs_fraction
+from polyberg import integration
 from polyberg.gammaseq import gamma_sequence
 from polyberg.integration import MAX_MOMENT_DEGREE, beta_entry, entry_block, entry_blocks
 from polyberg.symbols import SymbolSpec, indicator_symbol, sampled_symbol, sup_abs
@@ -173,6 +174,16 @@ def test_float_blocks_refuse_cut_too_close_to_one():
     for alpha, xi in ((0.5, 0), (-0.5, 170)):
         _check(sampled_symbol(points), _sampled_pieces(points), 3, alpha, xi)
         _check(indicator_symbol(top), _indicator_pieces(top), 3, alpha, xi)
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e300])
+def test_cut_anchor_refusal_names_the_kind_and_alpha(alpha):
+    # the anchor's continued fraction does not converge at these alpha; its
+    # refusal named reg_incomplete_beta and not alpha
+    with pytest.raises(ValueError, match=rf"^sampled symbol: .* at alpha {alpha:g}$".replace("+", r"\+")):
+        integration._cut_weights(np.array([0.25, 0.5]), alpha, "sampled")
+    with pytest.raises(ValueError, match=rf"^indicator symbol: .* at alpha {alpha:g}$".replace("+", r"\+")):
+        entry_block(indicator_symbol(0.5), alpha, 0, 3)
 
 
 def _long_table():

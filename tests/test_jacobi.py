@@ -2,27 +2,30 @@
 and the closed forms used by the boundary coincidence construction."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import (
     exact_pair_integral,
+    jac_fn_eval,
+    jac_sup_bound,
     shifted_jacobi_oracle,
+    sup_bound_ratio,
     weighted_quadrature,
 )
+from conftest import beta as beta_fn
 from polyberg.jacobi import (
     JacobiParams,
-    jac_fn_eval,
     jac_norm_coeff,
-    jac_sup_bound,
     norm_coeff_sq_exact,
     q_coeffs_int,
     q_eval,
 )
-from polyberg.special_fn import beta as beta_fn
 from polyberg.special_fn import log_gamma
-from polyberg.verify import orthogonality_deviation, sup_bound_ratio
+from polyberg.verify import orthogonality_deviation
 
 
 def test_q_coeffs_frozen_examples():
@@ -234,6 +237,32 @@ def test_sup_bound_dominates_random_tuples(rng):
         for _ in range(50)
     )
     assert sup_bound_ratio(cases, 2000) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sup_bound_dominates_and_matches_mpmath_on_the_check_draws(seed):
+    # 30 cases at alpha 1 and 2.5, 1500 points each, drawn as `polyberg
+    # verify` drew them; the function is checked against mpmath's Jacobi
+    # polynomial on every 100th point, and the bound against its power form
+    rng = random.Random(seed)
+    cases = [(rng.choice([1.0, 2.5]), float(rng.randrange(41)), rng.randrange(6),
+              rng.uniform(0.05, 0.95)) for _ in range(30)]
+    assert sup_bound_ratio(cases, 1500) <= 1 + 1e-12
+    with mpmath.workdps(30):
+        for alpha, b, m, x in cases:
+            params = JacobiParams(alpha, b, m)
+            ts = np.linspace(0.0, x, 1500)[::100]
+            norm = mpmath.sqrt((2 * m + alpha + b + 1) * mpmath.gamma(m + alpha + b + 1)
+                               * mpmath.factorial(m)
+                               / (mpmath.gamma(m + alpha + 1) * mpmath.gamma(m + b + 1)))
+            want = [norm * (1 - mpmath.mpf(t)) ** (alpha / 2) * mpmath.mpf(t) ** (b / 2)
+                    * mpmath.jacobi(m, alpha, b, 2 * mpmath.mpf(t) - 1) for t in ts.tolist()]
+            scale = max(abs(w) for w in want)
+            assert max(abs(f - w) for f, w in zip(jac_fn_eval(params, ts).tolist(), want)) \
+                <= 1e-13 * scale, (alpha, b, m, x)
+            bound = (mpmath.mpf(2 * m + alpha + b + 1) ** (m + 1 + (alpha + 1) / 2)
+                     * mpmath.mpf(x) ** (b / 2))
+            assert abs(jac_sup_bound(params, x) - bound) <= 1e-13 * bound, (alpha, b, m, x)
 
 
 @pytest.mark.parametrize("alpha", [300.0, 1e4])

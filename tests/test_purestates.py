@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import unit
+from conftest import jac_fn_eval, unit
 from polyberg import integration, purestates
 from polyberg.gammaseq import (MatrixSeq, block_order, frequencies, gamma_matrix,
                                gamma_sequence, pack_blocks)
@@ -132,7 +132,7 @@ def test_state_integral_matches_density_quadrature(rng):
     # independent route for the integral representation: evaluate the
     # squared combination of weighted functions pointwise and integrate
     # over [0, s^2] with Simpson on a fine grid
-    from polyberg.jacobi import JacobiParams, jac_fn_eval
+    from polyberg.jacobi import JacobiParams
 
     s = 0.5
     for n, alpha, xi in [(3, 0.0, 2), (2, 1.0, 0), (3, 1.0, 4)]:
@@ -834,7 +834,7 @@ def test_coincidence_pair_agrees_on_many_symbols(rng):
 
 def test_coincidence_function_identity():
     # the quadratic-form densities of the two states coincide pointwise
-    from polyberg.jacobi import JacobiParams, jac_fn_eval
+    from polyberg.jacobi import JacobiParams
 
     ts = np.linspace(0.001, 0.999, 301)
     for alpha in (0.0, 1.0, 2.5):

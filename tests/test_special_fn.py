@@ -1,4 +1,6 @@
-"""Gamma/Beta kernel tests against stdlib, closed-form and mpmath oracles."""
+"""Gamma/Beta kernel tests against stdlib, closed-form and mpmath oracles,
+and the previous paper's Gamma-ratio and Beta lemmas (conftest), on the
+draws and bounds `polyberg verify` checked them with before they moved."""
 
 import math
 import random
@@ -7,16 +9,19 @@ import mpmath
 import numpy as np
 import pytest
 
-from polyberg import special_fn
-from polyberg.special_fn import (
+import conftest
+from conftest import (
     beta,
+    beta_asymmetry,
     binom_bound_holds,
     binom_real,
-    log_gamma,
-    reg_incomplete_beta,
+    gamma_ratio_points,
+    gamma_ratio_violations,
+    incomplete_beta_drop,
     wendel_bound_holds,
 )
-from polyberg.verify import beta_asymmetry, gamma_ratio_violations, incomplete_beta_drop
+from polyberg import special_fn
+from polyberg.special_fn import log_gamma, reg_incomplete_beta
 
 
 def test_log_gamma_trivial_points():
@@ -53,15 +58,19 @@ def test_beta_symmetry():
 def test_beta_asymmetry_draws_the_pairs_of_the_per_pair_loop(seed, monkeypatch):
     # pair i is the i-th (x, y) of a loop drawing x, then y, and the
     # stream is left where that loop leaves it, so a check that draws
-    # after it from the same Random reads the same numbers
+    # after it from the same Random reads the same numbers; on these 200
+    # pairs in [0.05, 40] B is symmetric to 1e-12 and within 1e-12 of mpmath
     ref = random.Random(seed)
     want = [(ref.uniform(0.05, 40.0), ref.uniform(0.05, 40.0)) for _ in range(200)]
     seen = []
-    monkeypatch.setattr(special_fn, "beta", lambda x, y: seen.append((x, y)) or beta(x, y))
+    monkeypatch.setattr(conftest, "beta", lambda x, y: seen.append((x, y)) or beta(x, y))
     rng = random.Random(seed)
-    beta_asymmetry(rng, 200, 0.05, 40.0)
+    assert beta_asymmetry(rng, 200, 0.05, 40.0) <= 1e-12
     assert seen[::2] == want
     assert rng.getstate() == ref.getstate()
+    with mpmath.workdps(30):
+        for x, y in want:
+            assert abs(beta(x, y) - mpmath.beta(x, y)) <= 1e-12 * mpmath.beta(x, y), (x, y)
 
 
 def test_beta_domain():
@@ -107,6 +116,11 @@ def test_incomplete_beta_symmetry_and_monotonicity(rng):
         rhs = 1.0 - reg_incomplete_beta(1.0 - x, float(q), float(p))
         assert abs(lhs - rhs) < 1e-12
     assert incomplete_beta_drop(3.2, 1.7, 500) <= 1e-14
+    assert incomplete_beta_drop(2.5, 3.5, 101) <= 1e-14
+    with mpmath.workdps(30):
+        for x in np.linspace(0.0, 1.0, 101).tolist():
+            want = mpmath.betainc(2.5, 3.5, 0, x, regularized=True)
+            assert abs(reg_incomplete_beta(x, 2.5, 3.5) - want) <= 1e-14, x
 
 
 def test_incomplete_beta_matches_mpmath(rng):
@@ -162,5 +176,15 @@ def test_binom_bound_examples():
     assert binom_bound_holds(0.5, 5)
 
 
-def test_bound_grid():
-    assert gamma_ratio_violations(random.Random(0), 1000) == 0
+@pytest.mark.parametrize("seed", [0, 7])
+def test_bound_grid(seed):
+    assert gamma_ratio_violations(random.Random(seed), 1000) == 0
+    # both lemmas hold at every point in 30-digit arithmetic too, and the
+    # falling-factorial binomial is within 1e-13 of mpmath's
+    with mpmath.workdps(30):
+        for z, a, k in gamma_ratio_points(random.Random(seed), 1000):
+            zm = mpmath.mpf(z)
+            assert mpmath.gamma(zm + a) / mpmath.gamma(zm) <= (zm + a) ** a, (z, a)
+            want = mpmath.binomial(zm + k, k)
+            assert want <= (zm + k) ** k / mpmath.factorial(k), (z, k)
+            assert abs(binom_real(z + k, k) - want) <= 1e-13 * want, (z, k)
