@@ -13,8 +13,9 @@ panel takes the Gauss rule of that weight, for every alpha > -1; it is
 solved from special_fn.jacobi_recurrence, which q_eval and the blocks
 also run, and shares nothing else with the blocks.  The other panels are
 Gauss-Legendre times the weight, and their count follows the
-integrand's polynomial degree (radial_panels); an indicator's jump and a
-table's knots are panel edges.  `oracle_gaps` compares
+integrand's degree, the weight's included (radial_panels), which caps
+alpha at ALPHA_MAX; an indicator's jump and a table's knots are panel
+edges.  `oracle_gaps` compares
 the quadrature with gamma_sequence, which it reads only for that
 comparison, so `polyberg oracle` loads the sequence path and this module
 alone.  Per call it builds one radial rule, and per frequency one block,
@@ -47,6 +48,10 @@ _GL_W_OUTER = (18.0 - math.sqrt(30.0)) / 36.0
 _GL_NODES = np.array([-_GL_OUTER, -_GL_INNER, _GL_INNER, _GL_OUTER])
 _GL_WEIGHTS = np.array([_GL_W_OUTER, _GL_W_INNER, _GL_W_INNER, _GL_W_OUTER])
 RADIAL_PANELS = 256
+# the radial rule's panel count grows like alpha^2 (radial_panels): a
+# constant's block at n = 8 takes about 0.7 s and 160 MB at alpha = 1000,
+# and about 36 s and 4.3 GB at 1e4
+ALPHA_MAX = 1000.0
 
 
 class DiskPoint(NamedTuple):
@@ -111,28 +116,38 @@ class RadialRule(NamedTuple):
     weights: np.ndarray
 
 
-def radial_panels(a: SymbolSpec, degree: int) -> int:
+def radial_panels(a: SymbolSpec, degree: int, alpha: float) -> int:
     """Panels of the radial rule for symbol a times a product of disk
-    polynomials of degree `degree` in t, never fewer than RADIAL_PANELS.
+    polynomials of degree `degree` in t under the weight (1 - t)^alpha,
+    never fewer than RADIAL_PANELS.
 
-    The polynomial part of the integrand has degree k = deg a + degree in
-    t.  Its oscillations are about 1/k apart in u over most of [0, 1] but
-    1/k^2 near u = 1 (t = 0, the end that u = sqrt(1 - t) does not
-    stretch), so the count grows as k (16 + k / 8): `polyberg oracle --n 2
-    --xi-max 2` on g_p stays within 3e-9 up to p = 192 (alpha <= 7.5)."""
-    k = {"poly_t": len(a.coeffs or ()) - 1, "jacobi_g": a.p}.get(a.kind, 0) + degree
+    The integrand has degree k = deg a + degree + ceil(max(alpha, 0)) in
+    t, the weight counted as the polynomial it is at an integer alpha:
+    without it, the mass of 2 u^(2 alpha + 1) within about 1/alpha of
+    u = 1 went unresolved, and a constant symbol's block at n = 8 missed
+    by 9e-3 at alpha = 200.  The oscillations are about 1/k apart in u
+    over most of [0, 1] but 1/k^2 near u = 1 (t = 0, the end that
+    u = sqrt(1 - t) does not stretch), so the count grows as
+    k (16 + k / 8): `polyberg oracle --n 2 --xi-max 2` on g_p stays within
+    3e-9 up to p = 192 (alpha <= 7.5)."""
+    k = ({"poly_t": len(a.coeffs or ()) - 1, "jacobi_g": a.p}.get(a.kind, 0) + degree
+         + math.ceil(max(alpha, 0.0)))
     return max(RADIAL_PANELS, k * (16 + k // 8))
 
 
 def radial_rule(a: SymbolSpec, alpha: float, degree: int = 0) -> RadialRule:
     """The radial half of the tensor rule for symbol a and exponent alpha,
     sized for products of disk polynomials of degree `degree` in t, that
-    is (p + q + p2 + q2) / 2 for the pair (p, q), (p2, q2)."""
+    is (p + q + p2 + q2) / 2 for the pair (p, q), (p2, q2).  Refuses an
+    alpha above ALPHA_MAX before building anything."""
+    if alpha > ALPHA_MAX:
+        raise ValueError(f"alpha {alpha} exceeds {ALPHA_MAX:g}, the largest weight exponent "
+                         "the disk oracle serves: its radial rule grows like alpha^2")
     # an indicator jumps at t = s^2 and a table has kinks at its knots t_q;
     # panel edges at u = sqrt(1 - t) there keep the radial integrand
     # panelwise smooth
     cuts = [a.s * a.s] if a.kind == "indicator" else [t for t, _ in a.points or ()]
-    u_nodes, u_weights = weighted_grid(radial_panels(a, degree), alpha,
+    u_nodes, u_weights = weighted_grid(radial_panels(a, degree, alpha), alpha,
                                        np.sqrt(1.0 - np.array(cuts)))
     t_nodes = 1.0 - u_nodes * u_nodes
     weights = eval_at_t(a, t_nodes) * u_weights

@@ -5,8 +5,9 @@ min(n+xi, n) whose entries are the symbol-weighted Jacobi inner products.
 A truncated sequence holds the blocks from -n+1 up to a chosen maximal
 frequency together with the scalar boundary limit of the symbol.
 Sequences support pointwise (per-frequency) addition, scalar
-multiplication and block products, which is all the generator algebra
-downstream needs.  seq_to_json_obj writes a sequence as `gamma --out`
+multiplication and block products; no code in the package combines
+sequences since separate builds its witnesses from exact matrix units,
+and only the tests use these operations.  seq_to_json_obj writes a sequence as `gamma --out`
 does; no command reads one back.
 """
 

@@ -16,6 +16,7 @@ elsewhere still tells such a pair apart, see closure_gap_witness).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -24,7 +25,7 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
 from .integration import entry_block
-from .jacobi import check_alpha, dyadic
+from .jacobi import check_alpha
 from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
 
 __all__ = [
@@ -43,9 +44,6 @@ __all__ = [
 UNIT_NORM_TOL = 1e-12
 PROPORTIONAL_TOL = 1e-10
 MIN_GAP = 1e-8
-# alpha above this is refused by the corner certificate, whose scan of the
-# corners before their decreasing branch holds about alpha / 2 values
-CORNER_ALPHA_MAX = 1e5
 # each computed corner is within CORNER_REL_ERR of its exact value, relative
 # (16 units of 2^-53 bound its 13 roundings, see _corner); the certificate
 # asks two corners for a relative gap above CORNER_GAP_MIN
@@ -180,10 +178,9 @@ def _symbol_witness(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixS
 
 
 def _corner(n: int, alpha: float, eta):
-    # c_d(|eta|)^2, the corner of K = gamma(t^2) - gamma(t)^2 at eta (an
-    # int or an integer array), d = min(n + eta, n): the squared Jacobi
-    # off-diagonal d (d + a)(d + b)(d + a + b) / (s^2 (s^2 - 1)), b = |eta|,
-    # s = 2d + a + b, which for either sign of eta is
+    # c_d(|eta|)^2, the corner of K = gamma(t^2) - gamma(t)^2 at eta: the
+    # squared Jacobi off-diagonal d (d + a)(d + b)(d + a + b) / (s^2 (s^2 - 1)),
+    # d = min(n + eta, n), b = |eta|, s = 2d + a + b, for either sign of eta
     # n (n + a) x (x + a) / (s^2 (s - 1)(s + 1)), x = n + eta, s = 2n + a + eta.
     # Each sum adds an exact integer to alpha and is rounded once (s enters
     # twice); with the six products and the division that is 13 roundings
@@ -192,31 +189,50 @@ def _corner(n: int, alpha: float, eta):
     return n * (n + alpha) * x * (x + alpha) / (s * s * ((m - 1 + alpha) * (m + 1 + alpha)))
 
 
-def _tail_start(n: int, alpha: float) -> int:
-    """The frequency eta0 from which the corners decrease strictly.
+def _normal_corner(n: int, alpha: float, eta: int) -> float:
+    # _corner, refused where CORNER_REL_ERR fails: not a positive normal float
+    c = _corner(n, alpha, eta)
+    if not c >= sys.float_info.min:
+        raise ValueError(f"alpha {alpha}: the corner certificate of separate reads the corner at "
+                         f"frequency {eta} as {c:.1e}, not a positive normal float")
+    return c
 
-    With x = n + eta, y = x + alpha and s = x + n + alpha, all positive
-    and s > 1, the derivative of the log of _corner's closed form in eta
-    is 1/x + 1/y - 2/s - 2s/(s^2 - 1), and 2s/(s^2 - 1) - 2/s =
-    2/(s (s^2 - 1)) > 0, so it is below 1/x + 1/y - 4/s.  It is
-    therefore negative wherever 1/x + 1/y <= 4/s, that is where
-    4xy >= s (x + y), or Q(x) = 2x^2 + (alpha - 2n) x - alpha (n + alpha)
-    >= 0.  Q is an upward parabola: at an x past its vertex (2n - alpha)/4
-    with Q(x) >= 0, Q stays nonnegative for every larger x.  So from the
-    first integer x0 >= 1 with both, the corners decrease strictly.  x0
-    is started from the larger root (2n - alpha + sqrt(9 alpha^2 + 4 alpha n
-    + 4 n^2)) / 4 in floats and both conditions are tested in integers
-    (alpha = a / 2^e makes 4^e Q(x) and the vertex test times 2^e
-    integers), so no rounding can place it too early; eta0 = x0 - n is
-    at most about alpha / 2."""
-    a, e = dyadic(alpha)
-    q = 1 << e
-    root = (2 * n - alpha + math.sqrt(9.0 * alpha * alpha + 4.0 * alpha * n + 4.0 * n * n)) / 4.0
-    x = max(1, math.floor(root) - 1)
-    while not (4 * x * q >= 2 * n * q - a
-               and 2 * x * x * q * q + (a - 2 * n * q) * q * x - a * (n * q + a) >= 0):
-        x += 1
-    return x - n
+
+def _first(holds, lo: int, hi: Optional[int] = None) -> int:
+    # the first x in (lo, hi] where holds, false then true; with no hi, hi - lo doubles from 1
+    if hi is None:
+        hi = lo + 1
+        while not holds(hi):
+            lo, hi = hi, 3 * hi - 2 * lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+def _peak(n: int, alpha: float) -> int:
+    """The first eta >= -n+1 with c(eta + 1) <= c(eta), c(x) = _corner at
+    x = n + eta: the corners rise strictly before it, fall strictly from
+    it.  With y = x + alpha, s = x + n + alpha, x y s (s^2 - 1) > 0 times
+    d/dx log c is P(x) = s (s^2 - 1)(x + y) - 2 x y (2 s^2 - 1), whose
+    coefficients from x^4 down, -2, -(5 alpha + 2n), 2n^2 - alpha n -
+    3 alpha^2, alpha (alpha^2 + 4 alpha n + 5n^2 - 1) + 2n (n^2 - 1) and
+    alpha (alpha + n)(alpha + n - 1)(alpha + n + 1), read -, -, any, +, +
+    for alpha >= 0.  For alpha = b - 1 in (-1, 0], x = 1 + z, n = 2 + m
+    give the z-coefficients -2, -(5b + 2m + 7), any, b^3 - b^2 - b + 9
+    plus terms with positive coefficients in m, b >= 0, and a polynomial
+    with positive coefficients; at n = 1 all are negative.  So P changes
+    sign at most once in x >= 1 (Descartes' rule), from + to -, and _first
+    finds the first eta of "c(eta + 1) <= c(eta)", exact in integers with
+    alpha = a / q, S = (x + n) q + a: (x + 1)((x + 1) q + a) S (S - q) <=
+    x (x q + a)(S + q)(S + 2q)."""
+    a, q = alpha.as_integer_ratio()  # q = 2^e
+
+    def falls(eta: int) -> bool:
+        x, s = n + eta, (2 * n + eta) * q + a
+        return (x + 1) * ((x + 1) * q + a) * s * (s - q) <= x * (x * q + a) * (s + q) * (s + 2 * q)
+
+    return _first(falls, -n)
 
 
 @lru_cache(maxsize=512)
@@ -232,39 +248,23 @@ def _corner_certificate(n: int, alpha: float, xi: int) -> Tuple[float, float]:
     recurrence of gamma(t) run backwards; continuous functional calculus,
     Arveson, An Invitation to C*-Algebras, ch. 1).
 
-    The corners before _tail_start's eta0 are computed one by one; past
-    it they decrease strictly, so only xi's neighbours there count, or,
-    for a xi before it, the two values around xi's corner, found by
-    doubling steps and bisection.  Each computed corner is within
-    CORNER_REL_ERR of its exact value, so a relative gap above twice that
-    orders the exact values; CORNER_GAP_MIN asks for twice as much again.
-    Time and memory are O(alpha + n + log xi).  Raises ValueError for
-    alpha above CORNER_ALPHA_MAX, and NotSeparableError, naming both
-    frequencies, for a gap at or below CORNER_GAP_MIN."""
-    if not alpha <= CORNER_ALPHA_MAX:
-        raise ValueError(f"alpha {alpha} exceeds {CORNER_ALPHA_MAX:g}, the largest weight "
-                         "exponent the corner certificate of separate serves")
-    eta0, corner = _tail_start(n, alpha), _corner(n, alpha, xi)
-    if xi >= eta0:
-        tail = [xi + 1] + ([xi - 1] if xi > eta0 else [])
-    else:
-        # widen hi until its corner is at or below xi's, then bisect on lo's above it
-        lo, hi = eta0 - 1, eta0
-        while _corner(n, alpha, hi) > corner:
-            lo, hi = hi, 2 * hi - eta0 + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _corner(n, alpha, mid) > corner else (lo, mid)
-        tail = [hi] + ([hi - 1] if hi > eta0 else [])
-    head = np.arange(-n + 1, eta0)
-    etas = np.concatenate((head[head != xi], tail))
-    gaps = np.abs(_corner(n, alpha, etas) - corner) / corner
-    at = int(gaps.argmin())
-    if not gaps[at] > CORNER_GAP_MIN:
-        raise NotSeparableError(
-            f"the corners of gamma(t^2) - gamma(t)^2 at frequencies {xi} and {etas[at]} "
-            f"are {gaps[at]:.1e} apart, relative, within their float error")
-    return corner, float(gaps[at])
+    The corners rise, then fall (_peak): on xi's branch the nearest are
+    xi -+ 1, on the other the two around xi's corner, found by _first on
+    the computed corners, each within CORNER_REL_ERR, so a gap above twice
+    that orders the exact values; time and memory are O(log(alpha + xi)).
+    Raises ValueError, naming alpha, where a corner read is not a positive
+    normal float (s >= 1.2e77 overflows s^4), and NotSeparableError, naming
+    both frequencies, for a gap at or below CORNER_GAP_MIN."""
+    corner = _normal_corner(n, alpha, xi)
+    peak = _peak(n, alpha)
+    bracket = (_first(lambda eta: _corner(n, alpha, eta) <= corner, peak) if xi < peak
+               else _first(lambda eta: _corner(n, alpha, eta) >= corner, -n, peak))
+    gap, eta = min((abs(_normal_corner(n, alpha, eta) - corner) / corner, eta)
+                   for eta in sorted({xi - 1, xi + 1, bracket - 1, bracket} - {xi, -n}))
+    if not gap > CORNER_GAP_MIN:
+        raise NotSeparableError(f"the corners of gamma(t^2) - gamma(t)^2 at frequencies {xi} and "
+                                f"{eta} are {gap:.1e} apart, relative, within their float error")
+    return corner, gap
 
 
 @lru_cache(maxsize=512)
@@ -389,9 +389,9 @@ def separation(s1: PureState, s2: PureState, n: int, alpha: float,
     number above -1, for a vector whose dimension is not its frequency's
     block order and for an infinity_witness given to two finite states
     (the CLI's --symbol), before any cache is read, and for a finite pair
-    at an alpha above CORNER_ALPHA_MAX; NotSeparableError for equal
-    states, for the documented coincidence families and where the
-    certificate finds a frequency's corner shared.
+    whose certificate reads a corner that is not a positive normal float;
+    NotSeparableError for equal states, for the documented coincidence
+    families and where the certificate finds a frequency's corner shared.
     """
     witness, vals, parts = _separation(s1, s2, n, alpha, infinity_witness)
     if len(parts) == 1:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disk_poly_alt
-from polyberg import bergman_oracle
+from polyberg import bergman_oracle, cli
 from polyberg.bergman_oracle import (
     RADIAL_PANELS,
     DiskPoint,
@@ -113,10 +113,35 @@ def test_oracle_matches_exact_entries():
 
 def test_radial_panels_follow_the_degree():
     # n <= 4 with xi_max <= 4, or n = 2 with xi_max <= 6, and a symbol of
-    # degree <= 4 keep the fixed rule; g_70 gets k (16 + k / 8) panels
+    # degree <= 4 keep the fixed rule at alpha <= 1; g_70 gets k (16 + k / 8)
+    # panels, and the weight counts as degree ceil(alpha)
     for a in (make_gp(4, 0.5), poly_t_symbol([0.3, -0.2, 0.5]), indicator_symbol(0.5)):
-        assert radial_panels(a, 2 * 3 + 4) == radial_panels(a, 2 + 6) == RADIAL_PANELS
-    assert radial_panels(make_gp(70, 0.5), 2 + 2) == 74 * (16 + 9)
+        for alpha in (-0.5, 0.0, 0.5, 1.0):
+            assert (radial_panels(a, 2 * 3 + 4, alpha) == radial_panels(a, 2 + 6, alpha)
+                    == RADIAL_PANELS)
+    assert radial_panels(make_gp(70, 0.5), 2 + 2, 0.5) == 75 * (16 + 9)
+    assert radial_panels(const_symbol(1.0), 2 * 7, 1000.0) == 1014 * (16 + 126)
+
+
+@pytest.mark.parametrize("kind, n, xi_max, alpha", [
+    ("const", 8, 0, 200.0), ("const", 8, 0, 1000.0), ("indicator", 3, 3, 200.0),
+    ("indicator", 3, 3, 1000.0), ("poly_t", 3, 3, 1000.0)])
+def test_oracle_passes_correct_blocks_at_a_large_alpha(kind, n, xi_max, alpha, capsys):
+    # a rule sized by the polynomial degree alone missed the weight's mass
+    # near u = 1: worst disagreements 9.3e-3, 0.40, 5.6e-5, 0.23 and 4.6e-2
+    symbol = {"const": '{"kind":"const","value":1}', "indicator": '{"kind":"indicator","s":0.5}',
+              "poly_t": '{"kind":"poly_t","coeffs":[0.2,1]}'}[kind]
+    argv = ["oracle", "--n", str(n), "--alpha", str(alpha), "--xi-max", str(xi_max),
+            "--symbol", symbol]
+    assert cli.main(argv) == 0, capsys.readouterr().out.splitlines()[-1]
+
+
+def test_oracle_refuses_an_alpha_past_its_cap(capsys):
+    # the rule's panel count grows like alpha^2: refused before it is built
+    argv = ["oracle", "--n", "3", "--alpha", "1000.5", "--symbol", '{"kind":"const","value":1}']
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: alpha 1000.5 exceeds 1000, ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 2.5, 7.5])

@@ -204,14 +204,18 @@ print(json.dumps(runs))
 def test_a_huge_alpha_is_served_or_refused_by_name_without_warnings(tmp_path):
     # gamma and separate printed three numpy RuntimeWarnings from the
     # recurrence before refusing a poly_t symbol at 1e200 and 1e300, and
-    # an indicator's refusal named reg_incomplete_beta but not alpha
+    # an indicator's refusal named reg_incomplete_beta but not alpha; a
+    # finite pair's corner certificate reads its corners as plain floats
     symbols = ['{"kind":"poly_t","coeffs":[1,2]}', '{"kind":"indicator","s":0.5}',
                '{"kind":"sampled","points":[[0,1],[0.3,0.2],[0.8,0.7]]}']
+    alphas = ("1e100", "1e200", "1e300")
     argvs = [argv + ["--n", "3", "--alpha", alpha, "--symbol", symbol]
-             for alpha in ("1e100", "1e200", "1e300") for symbol in symbols
+             for alpha in alphas for symbol in symbols
              for argv in (["gamma", "--xi-max", "3", "--out", str(tmp_path / "seq.json")],
                           ["separate", "--state", "inf", "--state", "2:1,0,0"],
                           ["purestate", "--state", "1:1,0,0"])]
+    argvs += [["separate", "--n", "3", "--alpha", alpha, "--state", "1:1,0,0",
+               "--state", "1:0,1,0"] for alpha in alphas]
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     run = subprocess.run([sys.executable, "-c", HUGE_ALPHA_RUNS, json.dumps(argvs)],
                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
@@ -231,8 +235,8 @@ def test_a_huge_alpha_is_served_or_refused_by_name_without_warnings(tmp_path):
     ["gamma", "--alpha", "1e300", "--symbol", '{"kind":"jacobi_g","p":2}'],
 ])
 def test_a_huge_alpha_is_refused_by_name_in_a_process(argv):
-    # an exact generator ratio (basis), the corner certificate's cap
-    # (separate) and make_gp's boundary value (gamma) each refuse alpha
+    # an exact generator ratio (basis), the corner certificate's float
+    # range (separate) and make_gp's boundary value (gamma) each refuse alpha
     # by name, on one line and at once
     src = os.path.dirname(os.path.dirname(polyberg.__file__))
     t0 = time.monotonic()

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import fractions
 import hashlib
 import json
 import math
@@ -905,54 +906,77 @@ def _dyadic_alpha(rng):
     return float(rng.integers(-(1 << e) + 1, (8 << e) + 1)) / (1 << e)
 
 
+LARGE_ALPHAS = (100.0, 1000.5, 12345.25, 99999.0, 1e5)
+
+
 def test_corners_match_mpmath_and_a_brute_force_scan(rng):
-    # the closed form within CORNER_REL_ERR of 40 digits at drawn n, dyadic
-    # alpha and eta up to 10^4; the certificate's gap is the smallest
-    # relative gap of a scan over every frequency up to twice xi and past
-    # the peak, where the corners have fallen to a quarter of xi's (and
-    # decrease strictly from _tail_start on), and a refusal is that
-    # scan's gap failing
+    # the closed form within CORNER_REL_ERR of 40 digits at drawn n, alpha
+    # (dyadic in (-1, 8], or up to 1e5) and eta up to 10^4 or near the
+    # peak; the certificate's gap is the smallest relative gap of a scan
+    # over every frequency, in chunks of at most 2^20, up to twice xi and
+    # the peak and on until the corners have fallen to a quarter of xi's
+    # (they fall strictly from the peak on, as the scan sees past it), and
+    # a refusal is that scan's gap failing
     worst = 0.0
     for _ in range(200):
-        n, alpha = int(rng.integers(1, 9)), _dyadic_alpha(rng)
-        xi = int(rng.choice([rng.integers(-n + 1, 40), rng.integers(-n + 1, 10**4 + 1)]))
-        top = 2 * max(xi, n + int(alpha)) + 64
-        etas = np.arange(-n + 1, top + 1)
-        vals = purestates._corner(n, alpha, etas)
-        for eta in (xi, int(rng.integers(-n + 1, top + 1))):
-            with mpmath.workdps(40):
-                a, x = mpmath.mpf(alpha), n + eta
-                s = 2 * n + eta + a
-                exact = n * (n + a) * x * (x + a) / (s * s * (s - 1) * (s + 1))
-                got = purestates._corner(n, alpha, eta)
-                worst = max(worst, float(abs(got - exact) / exact))
-            assert got == vals[eta + n - 1]
-        eta0 = purestates._tail_start(n, alpha)
-        assert np.all(np.diff(vals[eta0 + n - 1:]) < 0), (n, alpha)
-        assert vals[-1] < vals[xi + n - 1] / 4
-        corner = vals[xi + n - 1]
-        gaps = np.abs(np.delete(vals, xi + n - 1) - corner) / corner
+        n = int(rng.integers(1, 9))
+        alpha = float(rng.choice(LARGE_ALPHAS)) if rng.random() < 0.1 else _dyadic_alpha(rng)
+        peak = purestates._peak(n, alpha)
+        xi = int(rng.choice([rng.integers(-n + 1, 40), rng.integers(-n + 1, 10**4 + 1),
+                             max(-n + 1, peak + int(rng.integers(-20, 21)))]))
+        corner, best = purestates._corner(n, alpha, xi), math.inf
+        lo, hi = -n + 1, 2 * max(xi, peak) + 64
+        while True:
+            etas = np.arange(lo, hi + 1)
+            vals = purestates._corner(n, alpha, etas)
+            if lo == -n + 1:
+                for eta in (xi, int(rng.integers(-n + 1, hi + 1))):
+                    with mpmath.workdps(40):
+                        a, x = mpmath.mpf(alpha), n + eta
+                        s = 2 * n + eta + a
+                        exact = n * (n + a) * x * (x + a) / (s * s * (s - 1) * (s + 1))
+                        got = purestates._corner(n, alpha, eta)
+                        worst = max(worst, float(abs(got - exact) / exact))
+                    assert got == vals[eta + n - 1]
+            assert np.all(np.diff(vals[etas > peak]) < 0), (n, alpha, lo)
+            best = min(best, (np.abs(vals[etas != xi] - corner) / corner).min())
+            if vals[-1] < corner / 4:
+                break
+            lo, hi = hi + 1, hi + 2**20
         try:
             got = purestates._corner_certificate(n, alpha, xi)
         except NotSeparableError:
-            assert gaps.min() <= purestates.CORNER_GAP_MIN, (n, alpha, xi)
+            assert best <= purestates.CORNER_GAP_MIN, (n, alpha, xi)
         else:
-            assert got == (corner, gaps.min()), (n, alpha, xi)
+            assert got == (corner, best), (n, alpha, xi)
     assert worst <= purestates.CORNER_REL_ERR, worst
 
 
-def test_corner_tail_start_is_past_the_last_rise():
-    # the corners decrease strictly from eta0; a large alpha puts eta0
-    # near alpha / 2 past -n, where the values still rose before
-    for n in (1, 2, 8):
-        for alpha in (-0.875, 0.0, 0.5, 2.75, 7.5, 100.0, 1000.0):
-            eta0 = purestates._tail_start(n, alpha)
-            vals = purestates._corner(n, alpha, np.arange(-n + 1, eta0 + 200))
-            assert np.all(np.diff(vals[eta0 + n - 1:]) < 0)
-            assert -n + 1 <= eta0 <= -n + 2 + (alpha + 2 * n) / 2
-    # the largest x0 - n at alpha = 1000, n = 8, against Q's exact root
-    r2 = (16 - 1000 + math.sqrt(9e6 + 32e3 + 256)) / 4
-    assert purestates._tail_start(8, 1000.0) == math.ceil(r2) - 8
+def test_the_peak_is_the_first_argmax_of_the_exact_corners(rng):
+    # _peak against every exact corner up to well past it: the float
+    # corners, each within CORNER_REL_ERR of the exact ones, leave only
+    # those within three times that of their largest, which Fractions
+    # order; n <= 64 and dyadic alpha in (-1, 1e6], with -0.875, 0 and
+    # n = 1 among them
+    keys = [(1, -0.875), (1, 0.0), (1, 1e6), (64, -0.875), (64, 0.0), (7, 0.0)]
+    for _ in range(60):
+        e = int(rng.integers(0, 7))
+        top = 8.0 if rng.random() < 0.5 else 10 ** rng.uniform(1, 6)
+        alpha = float(rng.integers(-(1 << e) + 1, int(top * (1 << e)) + 1)) / (1 << e)
+        keys.append((int(rng.integers(1, 65)), alpha))
+    for n, alpha in keys:
+        etas = np.arange(-n + 1, int(max(alpha, 0.0)) + 2 * n + 64)
+        vals = purestates._corner(n, alpha, etas)
+        near = etas[vals >= vals.max() * (1 - 3 * purestates.CORNER_REL_ERR)]
+        a = fractions.Fraction(alpha)
+
+        def exact(eta):
+            x, s = n + eta, 2 * n + eta + a
+            return x * (x + a) / (s * s * (s - 1) * (s + 1))
+
+        want = max(near.tolist(), key=lambda eta: (exact(eta), -eta))
+        assert near.max() < etas[-1] - 1, (n, alpha)
+        assert purestates._peak(n, alpha) == want, (n, alpha)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
@@ -998,15 +1022,23 @@ def test_a_shared_corner_is_refused_naming_both_frequencies(monkeypatch):
     _clear_separation_caches()
 
 
-def test_an_alpha_past_the_certificate_cap_is_refused_by_name():
-    # the cap bounds the certificate's scan; a limit-state pair has no
-    # certificate and is not refused by it
+def test_a_large_alpha_is_certified_or_refused_by_name():
+    # no cap: past 1e5 the certificate answers; at 1e10 a low frequency
+    # shares its corner with a far one within float error; a corner read
+    # outside the positive normal floats is refused naming alpha, xi's own
+    # from 1.2e77 and, at 1e60, the bracket's past s = 1.2e77; a limit-state
+    # pair has no certificate and is not refused by it
+    for alpha in (math.nextafter(1e5, math.inf), 1e6):
+        for xi in (0, 1, 10, 10**3, 10**6):
+            assert purestates._corner_certificate(3, alpha, xi)[1] > purestates.CORNER_GAP_MIN
     pair = (finite_state(1, [1.0, 0.0]), finite_state(1, [0.0, 1.0]))
-    _, vals = separate(*pair, 2, purestates.CORNER_ALPHA_MAX)
-    assert vals == (1.0, 0.0)
-    for alpha in (math.nextafter(purestates.CORNER_ALPHA_MAX, math.inf), 1e300):
-        with pytest.raises(ValueError, match=re.escape(f"alpha {alpha} exceeds 100000, ")):
+    assert separate(*pair, 2, 1e6)[1] == (1.0, 0.0)
+    with pytest.raises(NotSeparableError, match=r" at frequencies 0 and \d{14,} are "):
+        purestates._corner_certificate(3, 1e10, 0)
+    for alpha in (1e60, 1.2e77, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"alpha {alpha}: the corner ")) as err:
             separate(*pair, 2, alpha)
+        assert err.type is ValueError
     separate(limit_state(), finite_state(1, [1.0, 0.0]), 2, 1e6)
 
 
