@@ -3,18 +3,14 @@
 For a symbol a, frequency xi >= -n+1 carries a square block of order
 min(n+xi, n) whose entries are the symbol-weighted Jacobi inner products.
 A truncated sequence holds the blocks from -n+1 up to a chosen maximal
-frequency together with the scalar boundary limit of the symbol.
-Sequences support pointwise (per-frequency) addition, scalar
-multiplication and block products; no code in the package combines
-sequences since separate builds its witnesses from exact matrix units,
-and only the tests use these operations.  seq_to_json_obj writes a sequence as `gamma --out`
-does; no command reads one back.
+frequency together with the scalar boundary limit of the symbol, as one
+read-only zero-padded stack.  seq_to_json_obj writes a sequence as
+`gamma --out` does; no command reads one back.
 """
 
 from __future__ import annotations
 
 import io
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +25,6 @@ __all__ = [
     "gamma_matrix",
     "gamma_sequence",
     "MatrixSeq",
-    "pack_blocks",
     "tail_deviation",
     "spectral_norm",
     "seq_to_json_obj",
@@ -59,24 +54,6 @@ def gamma_matrix(a: SymbolSpec, n: int, alpha: float, xi: int) -> np.ndarray:
     return entry_block(a, alpha, xi, block_order(n, xi))
 
 
-def pack_blocks(n: int, blocks) -> np.ndarray:
-    """Stack the blocks of frequencies -n+1, -n+2, ... (given in that
-    order) as one read-only (len, n, n) array, each block padded with
-    zeros to order n.  Refuses a block of the wrong order."""
-    blocks = list(blocks)
-    dtype = complex if any(np.iscomplexobj(b) for b in blocks) else float
-    stack = np.zeros((len(blocks), n, n), dtype=dtype)
-    for i, b in enumerate(blocks):
-        d = block_order(n, i - n + 1)
-        if np.shape(b) != (d, d):
-            raise ValueError(
-                f"block at frequency {i - n + 1} must have order {d}, got {np.shape(b)}"
-            )
-        stack[i, :d, :d] = b
-    stack.flags.writeable = False
-    return stack
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixSeq:
     """Truncated matrix sequence: blocks for every admissible frequency up
@@ -84,12 +61,8 @@ class MatrixSeq:
 
     Immutable, so a cached sequence is shared as-is (dataclasses.replace
     makes a changed copy).  blocks is one read-only (xi_max + n, n, n)
-    stack (see pack_blocks); block(xi) is the unpadded view.  Zero padding
-    commutes with sums, scalar multiples and products, so each is one
-    numpy call that gives a new sequence.  Real products equal the
-    per-block products bit for bit; complex ones may differ by an ulp at
-    negative frequencies, where the padded product rounds at order n (no
-    package path multiplies complex sequences).  Equality is identity:
+    stack, row xi + n - 1 holding the block at xi padded with zeros to
+    order n; block(xi) is the unpadded view.  Equality is identity:
     a == b holds only when a is b.
     """
 
@@ -128,32 +101,19 @@ class MatrixSeq:
         # row xi + n - 1, of order min(n + xi, n)
         return self.blocks[xi + n - 1] if xi >= 0 else self.blocks[xi + n - 1, :n + xi, :n + xi]
 
-    def _pointwise(self, other: "MatrixSeq", block_op, limit_op) -> "MatrixSeq":
-        if (self.n, self.alpha, self.xi_max) != (other.n, other.alpha, other.xi_max):
-            raise ValueError("sequences must share n, alpha and truncation")
-        return MatrixSeq(self.n, self.alpha, block_op(self.blocks, other.blocks),
-                         limit_op(self.scalar_limit, other.scalar_limit))
-
-    def __add__(self, other: "MatrixSeq") -> "MatrixSeq":
-        return self._pointwise(other, operator.add, operator.add)
-
-    def __matmul__(self, other: "MatrixSeq") -> "MatrixSeq":
-        return self._pointwise(other, operator.matmul, operator.mul)
-
-    def __mul__(self, c) -> "MatrixSeq":
-        return MatrixSeq(self.n, self.alpha, c * self.blocks, c * self.scalar_limit)
-
-    __rmul__ = __mul__
-
 
 def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
     """All blocks for frequencies -n+1 ... xi_max, from one entry_blocks
     call over 0 ... max(xi_max, n - 1) at order n: the block at xi < 0 is
-    the leading submatrix of order n + xi of the block at -xi.  The scalar
-    limit is taken from the symbol, never estimated."""
+    the leading submatrix of order n + xi of the block at -xi, so the
+    stack is the order-n blocks at |xi|, gathered with one index, with
+    the rows and columns past order n + xi zeroed.  The scalar limit is
+    taken from the symbol, never estimated."""
     xis = frequencies(n, xi_max)
     stack = entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), block_order(n, 0))
-    blocks = pack_blocks(n, (stack[abs(xi), :n + min(xi, 0), :n + min(xi, 0)] for xi in xis))
+    blocks = stack[np.abs(xis)]
+    for d in range(1, n):  # the block at xi = d - n, of order d
+        blocks[d - 1, d:] = blocks[d - 1, :, d:] = 0
     return MatrixSeq(
         n=n, alpha=alpha, blocks=blocks, scalar_limit=a.limit, symbol=a
     )

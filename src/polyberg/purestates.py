@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .gammaseq import MatrixSeq, block_order, frequencies, gamma_sequence, pack_blocks
+from .gammaseq import MatrixSeq, block_order, gamma_sequence
 from .integration import entry_block
 from .jacobi import check_alpha
 from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
@@ -72,6 +72,8 @@ class PureState:
 
 
 def finite_state(xi: int, u) -> PureState:
+    if not float(xi).is_integer():  # 2.0 and numpy integers are read as their integer
+        raise ValueError(f"frequency must be an integer, got {xi}")
     vec = np.asarray(u, dtype=complex)
     if vec.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
@@ -148,6 +150,7 @@ def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
     """The documented pair of distinct states that agree on every
     generating sequence: frequency 0 with the two-component vector built
     from alpha, against frequency 2 with the first basis vector."""
+    check_alpha(alpha)
     if n < 2:
         raise ValueError("the coincidence construction needs n >= 2")
     return finite_state(0, _coincidence_vector(n, alpha)), finite_state(2, np.eye(n)[0])
@@ -411,17 +414,16 @@ def separate(s1: PureState, s2: PureState, n: int, alpha: float,
 
 
 def closure_gap_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    """The sequence with identity at frequency 2 and zero blocks
-    elsewhere, scalar limit zero.  It belongs to the limit algebra and
-    separates the documented coincidence pair (values 0 and 1), although
-    no single generating sequence can."""
+    """The sequence up to xi_max with identity at frequency 2 and zero
+    blocks elsewhere, scalar limit zero.  It belongs to the limit algebra
+    and separates the documented coincidence pair (values 0 and 1),
+    although no single generating sequence can.  Refuses a bad alpha
+    first, then n < 2 and xi_max < 2."""
+    check_alpha(alpha)
     if n < 2:
         raise ValueError("the witness construction needs n >= 2")
     if xi_max < 2:
         raise ValueError(f"xi_max must be at least 2, got {xi_max}")
-    blocks = pack_blocks(
-        n,
-        (np.eye(n) if xi == 2 else np.zeros((block_order(n, xi),) * 2)
-         for xi in frequencies(n, xi_max)),
-    )
+    blocks = np.zeros((xi_max + n, n, n))
+    blocks[n + 1] = np.eye(n)
     return MatrixSeq(n=n, alpha=alpha, blocks=blocks, scalar_limit=0.0)

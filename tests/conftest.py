@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from polyberg.gammaseq import MatrixSeq, pack_blocks
+from polyberg.gammaseq import MatrixSeq
 from polyberg.integration import weighted_product_integral
 from polyberg.jacobi import JacobiParams, jac_norm_coeff, q_coeffs_exact, q_eval
 from polyberg.special_fn import reg_incomplete_beta
@@ -309,5 +309,9 @@ def read_gamma_out(obj) -> MatrixSeq:
     matrices[*].rows (frequency -n+1 first) and scalar_limit; a complex
     number is an [re, im] pair.  The symbol is not read."""
     n = obj["n"]
-    blocks = ([[_json_scalar(v) for v in row] for row in m["rows"]] for m in obj["matrices"])
-    return MatrixSeq(n, obj["alpha"], pack_blocks(n, blocks), _json_scalar(obj["scalar_limit"]))
+    blocks = [np.array([[_json_scalar(v) for v in row] for row in m["rows"]])
+              for m in obj["matrices"]]
+    stack = np.zeros((len(blocks), n, n), np.result_type(*blocks))  # zero padded
+    for row, b in zip(stack, blocks):
+        row[:len(b), :len(b)] = b
+    return MatrixSeq(n, obj["alpha"], stack, _json_scalar(obj["scalar_limit"]))

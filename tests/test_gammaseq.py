@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import read_gamma_out
-from polyberg import integration, verify
+from polyberg import integration, purestates, verify
 from polyberg.gammaseq import (
     MatrixSeq,
     block_csv,
@@ -14,7 +14,6 @@ from polyberg.gammaseq import (
     frequencies,
     gamma_matrix,
     gamma_sequence,
-    pack_blocks,
     seq_to_json_obj,
     spectral_norm,
     tail_deviation,
@@ -192,75 +191,34 @@ def test_tail_deviation_errors():
         tail_deviation(seq, -1)
 
 
-def _seq_grid(n, xi_max):
-    """Real sequences (g_1, g_2, const, indicator) and complex ones."""
-    real = [
-        gamma_sequence(make_gp(1, 0.0), n, 0.0, xi_max),
-        gamma_sequence(make_gp(2, 0.0), n, 0.0, xi_max),
-        gamma_sequence(const_symbol(2.0), n, 0.0, xi_max),
-        gamma_sequence(indicator_symbol(0.5), n, 0.0, xi_max),
-    ]
-    cplx = [
-        gamma_sequence(const_symbol(1 + 2j), n, 0.0, xi_max),
-        gamma_sequence(poly_t_symbol([0.5 + 1j, -0.25j, 0.3]), n, 0.0, xi_max),
-    ]
-    return real, cplx
+def _padded_stack(a, n, alpha, xi_max, dtype):
+    # each block at xi, the leading submatrix of order min(n + xi, n) of
+    # entry_blocks' order-n block at |xi|, written into a zero stack
+    order_n = integration.entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), n)
+    stack = np.zeros((xi_max + n, n, n), dtype)
+    for xi in frequencies(n, xi_max):
+        d = block_order(n, xi)
+        stack[xi + n - 1, :d, :d] = order_n[abs(xi), :d, :d]
+    return stack
 
 
-def _padding_is_zero(seq):
-    for xi in frequencies(seq.n, seq.xi_max):
-        d = block_order(seq.n, xi)
-        slab = seq.blocks[xi + seq.n - 1]
-        if np.any(slab[d:, :]) or np.any(slab[:, d:]):
-            return False
-    return True
-
-
-def test_seq_algebra_limits():
-    xi_max = 4
-    eps = np.finfo(float).eps
-    for n in (1, 2, 3, 5):
-        real, cplx = _seq_grid(n, xi_max)
-        a, b = real[:2]
-        assert (a + b).scalar_limit == pytest.approx(2.0)
-        assert (a @ b).scalar_limit == pytest.approx(1.0)
-        assert (0.5 * a).scalar_limit == pytest.approx(0.5)
-        freqs = frequencies(n, xi_max)
-        grid = [(x, True) for x in real] + [(x, False) for x in cplx]
-        for x, x_real in grid:
-            assert len(x.blocks) == len(freqs)
-            for c in (0.5, -1.5j):
-                cx = c * x
-                assert _padding_is_zero(cx)
-                for xi in freqs:
-                    assert np.array_equal(cx.block(xi), c * x.block(xi))
-            for y, y_real in grid:
-                s, p = x + y, x @ y
-                assert _padding_is_zero(s) and _padding_is_zero(p)
-                for xi in freqs:
-                    bx, by = x.block(xi), y.block(xi)
-                    assert np.array_equal(s.block(xi), bx + by)
-                    if x_real and y_real:
-                        assert np.array_equal(p.block(xi), bx @ by)
-                    else:
-                        # the padded product rounds at order n: within 4 ulps
-                        # of the magnitude sum of each entry
-                        bound = 4 * eps * (np.abs(bx) @ np.abs(by))
-                        assert np.all(np.abs(p.block(xi) - bx @ by) <= bound), xi
-
-
-def test_seq_algebra_refuses_mixed_sequences():
-    g = make_gp(1, 0.0)
-    a = gamma_sequence(g, 2, 0.0, 3)
-    for other in (
-        gamma_sequence(make_gp(1, 1.0), 2, 1.0, 3),
-        gamma_sequence(g, 3, 0.0, 3),
-        gamma_sequence(g, 2, 0.0, 4),
-    ):
-        with pytest.raises(ValueError):
-            a + other
-        with pytest.raises(ValueError):
-            a @ other
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gathered_stack_is_the_padded_blocks(n):
+    table = sampled_symbol([(0.0, 1.0), (0.4, 0.2), (0.8, 0.7)])
+    for alpha in (-0.5, 0.0, 0.5, 2.75):
+        for a, dtype in ((const_symbol(2.0), float), (const_symbol(1 - 0.5j), complex),
+                         (poly_t_symbol([0.5, -1.0, 0.25]), float),
+                         (poly_t_symbol([0.5 + 1j, -0.25j, 0.3]), complex),
+                         (indicator_symbol(0.6), float), (table, float),
+                         (make_gp(3, alpha), float), (make_gp(9, alpha), float)):
+            for xi_max in (0, 3, 40):
+                got = gamma_sequence(a, n, alpha, xi_max).blocks
+                assert got.dtype == dtype, (a, alpha, xi_max)
+                assert got.tobytes() == _padded_stack(a, n, alpha, xi_max, dtype).tobytes()
+                for xi in range(-n + 1, 0):  # every padding entry is +0.0
+                    pad = np.concatenate((got[xi + n - 1, n + xi:].ravel(),
+                                          got[xi + n - 1, :, n + xi:].ravel()))
+                    assert not np.any(pad) and not np.signbit(pad.view(float)).any()
 
 
 def test_json_round_trip_bitwise():
@@ -305,9 +263,6 @@ def test_matrixseq_validation():
     for xi in (-2, 3):
         with pytest.raises(IndexError):
             seq.block(xi)
-    wrong = [np.eye(1) if xi == 0 else seq.block(xi) for xi in frequencies(2, 2)]
-    with pytest.raises(ValueError, match="frequency 0 must have order 2"):
-        pack_blocks(2, wrong)
 
 
 def test_matrixseq_equality_is_identity():
@@ -319,7 +274,8 @@ def test_matrixseq_equality_is_identity():
 
 def test_matrixseq_is_read_only():
     seq = gamma_sequence(indicator_symbol(0.5), 3, 0.0, 3)
-    for s in (seq, seq + seq, 2.0 * seq, seq @ seq):
+    witnesses = purestates._unit_witness(3, 0.0, 2, 0, 2)[1]
+    for s in (seq, *witnesses, purestates.closure_gap_witness(3, 0.0, 3)):
         with pytest.raises(ValueError):
             s.blocks[0, 0, 0] = 1.0
         with pytest.raises(ValueError):

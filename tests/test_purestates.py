@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import jac_fn_eval, unit
 from polyberg import integration, purestates
-from polyberg.gammaseq import (MatrixSeq, block_order, frequencies, gamma_matrix,
-                               gamma_sequence, pack_blocks)
+from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_matrix, gamma_sequence
 from polyberg.purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -55,6 +54,18 @@ def test_state_vector_must_be_finite():
     for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
         with pytest.raises(ValueError, match="must be finite"):
             finite_state(0, bad)
+
+
+@pytest.mark.parametrize("xi, want", [(2, 2), (2.0, 2), (np.int64(-1), -1), (np.float64(3.0), 3),
+                                      (2.7, None), (np.float64(1.9), None), (math.inf, None),
+                                      (-math.inf, None), (math.nan, None)])
+def test_frequency_must_be_an_integer(xi, want):
+    if want is None:
+        with pytest.raises(ValueError, match=f"frequency must be an integer, got {xi}"):
+            finite_state(xi, [1.0])
+    else:
+        s = finite_state(xi, [1.0])
+        assert type(s.xi) is int and s.xi == want
 
 
 def test_same_pure_state():
@@ -113,7 +124,9 @@ def _form_with_matmul(s, seq):
 def test_eval_state_dot_is_bit_identical_to_matmul(rng):
     for n, alpha in ((2, 0.0), (3, 1.0), (4, 0.5)):
         real = gamma_sequence(indicator_symbol(0.7), n, alpha, 5)
-        seqs = (real, 1j * real + gamma_sequence(make_gp(n + 1, alpha), n, alpha, 5))
+        g = gamma_sequence(make_gp(n + 1, alpha), n, alpha, 5)
+        seqs = (real, MatrixSeq(n, alpha, 1j * real.blocks + g.blocks,
+                                1j * real.scalar_limit + g.scalar_limit))
         for seq in seqs:
             for xi in frequencies(n, 5):  # negative frequencies included
                 d = min(n + xi, n)
@@ -623,35 +636,23 @@ def test_separation_values_are_eval_state_bit_for_bit(rng):
     assert set(kinds) == {"diagonal", "sym", "skew", "cross", "limit"}, kinds
 
 
-def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic(monkeypatch):
+def test_a_warm_off_diagonal_separation_does_no_sequence_arithmetic():
     s1, s2 = finite_state(-1, unit([1.0, 1j])), finite_state(-1, unit([1.0, -1j]))
     first, vals, recipe = purestates.separation(s1, s2, 3, 0.25)
     assert recipe["unit"]["combination"] == "skew"
-    ops = collections.Counter()
-    for name in ("__add__", "__mul__", "__rmul__", "__matmul__"):
-        real = getattr(MatrixSeq, name)
-
-        def counted(self, other, _name=name, _real=real):
-            ops[_name] += 1
-            return _real(self, other)
-
-        monkeypatch.setattr(MatrixSeq, name, counted)
     second, again, _ = purestates.separation(s1, s2, 3, 0.25)
     assert second is first and again == vals
-    assert not ops
-    # the recipe's units, E_pq and E_qp at xi, combined by the sequence
-    # arithmetic the counter sees
+    # the recipe's units, E_pq and E_qp at xi, combined on their stacks
     xi, p, q = (recipe["unit"][key] for key in ("xi", "p", "q"))
     e_pq, e_qp = (_unit_sequence(3, 0.25, xi, j, k) for j, k in ((p, q), (q, p)))
-    assert np.array_equal((1j * (e_pq + (-1.0) * e_qp)).blocks, first.blocks)
-    assert ops
+    assert np.array_equal(1j * (e_pq.blocks + (-1.0) * e_qp.blocks), first.blocks)
 
 
 def _unit_sequence(n, alpha, xi, p, q):
     # E_pq at xi, zero elsewhere and at infinity, up to max(xi, 0)
-    blocks = [np.zeros((block_order(n, x),) * 2) for x in frequencies(n, max(xi, 0))]
-    blocks[xi + n - 1][p, q] = 1.0
-    return MatrixSeq(n, alpha, pack_blocks(n, blocks), 0.0)
+    blocks = np.zeros((max(xi, 0) + n, n, n))
+    blocks[xi + n - 1, p, q] = 1.0
+    return MatrixSeq(n, alpha, blocks, 0.0)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -898,6 +899,14 @@ def test_closure_gap_witness():
         closure_gap_witness(1, 0.0, 5)
     with pytest.raises(ValueError):
         closure_gap_witness(2, 0.0, 1)
+
+
+@pytest.mark.parametrize("alpha", [-1.5, -1.0, math.nan, math.inf])
+def test_coincidence_constructions_refuse_an_alpha_not_above_minus_one(alpha):
+    with pytest.raises(ValueError, match=f"alpha must exceed -1 and be finite, got {alpha}"):
+        coincidence_pair(2, alpha)
+    with pytest.raises(ValueError, match=f"alpha must exceed -1 and be finite, got {alpha}"):
+        closure_gap_witness(2, alpha, 5)
 
 
 def _dyadic_alpha(rng):
