@@ -15,7 +15,7 @@ _EXPORTS = {
                  "spectral_norm", "tail_deviation"),
     "generators": ("AntitriangularReport", "SeparationPlan",
                    "antitriangular_report", "matrix_unit",
-                   "nu_table", "same_frequency_plan"),
+                   "nu_table"),
     "integration": ("beta_entry",),
     "jacobi": ("JacobiParams", "jac_norm_coeff", "q_eval"),
     "purestates": ("NotSeparableError", "PureState", "closure_gap_witness",
@@ -23,7 +23,7 @@ _EXPORTS = {
                    "finite_state", "limit_state", "separate"),
     "symbols": ("SymbolSpec", "const_symbol", "eval_at_t",
                 "indicator_symbol", "make_gp", "poly_t_symbol", "sampled_symbol"),
-    "bergman_oracle": ("DiskPoint", "disk_poly", "toeplitz_entry_2d"),
+    "bergman_oracle": ("disk_poly", "toeplitz_entry_2d"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -36,7 +36,7 @@ from .jacobi import JacobiParams, jac_norm_coeff, q_eval
 from .special_fn import jacobi_recurrence
 from .symbols import SymbolSpec, eval_at_t
 
-__all__ = ["DiskPoint", "disk_poly", "toeplitz_entry_2d", "oracle_gaps"]
+__all__ = ["disk_poly", "toeplitz_entry_2d", "oracle_gaps"]
 
 # 4-point Gauss-Legendre nodes/weights on [-1, 1] in closed form
 # (Abramowitz & Stegun 25.4): nodes +-sqrt(3/7 -+ (2/7) sqrt(6/5)),
@@ -54,11 +54,6 @@ RADIAL_PANELS = 256
 ALPHA_MAX = 1000.0
 
 
-class DiskPoint(NamedTuple):
-    r: float
-    theta: float
-
-
 def _radial_part(p: int, q: int, alpha: float, r):
     # normalization / sqrt(alpha+1) * r^|p-q| * Q_min(p,q)(r^2) of the
     # (alpha, |p-q|) weight
@@ -67,8 +62,9 @@ def _radial_part(p: int, q: int, alpha: float, r):
     return scale * r ** abs(p - q) * q_eval(params, r * r)
 
 
-def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
-    """Normalized disk polynomial at r e^(i theta).
+def disk_poly(p: int, q: int, alpha: float, r, theta):
+    """Normalized disk polynomial at r e^(i theta), for arrays r and theta
+    that broadcast together (a complex for scalars).
 
     Radial part: normalization / sqrt(alpha+1) * r^|p-q| times the shifted
     polynomial of degree min(p, q) for the (alpha, |p-q|) weight at r^2;
@@ -76,8 +72,8 @@ def disk_poly(p: int, q: int, alpha: float, pt: DiskPoint):
     """
     if p < 0 or q < 0:
         raise ValueError(f"indices must be nonnegative, got ({p}, {q})")
-    r = np.asarray(pt.r, dtype=float)
-    theta = np.asarray(pt.theta, dtype=float)
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     if np.any(r < 0.0) or np.any(r >= 1.0):
         raise ValueError("radius must lie in [0, 1)")
     out = _radial_part(p, q, alpha, r) * np.exp(1j * (p - q) * theta)
@@ -182,8 +178,8 @@ def toeplitz_entry_2d(
         )
     rule = radial_rule(a, alpha, (p + q + p2 + q2 + 1) // 2)
     thetas = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    grid = DiskPoint(r=rule.r[None, :], theta=thetas[:, None])
-    integrand = disk_poly(p2, q2, alpha, grid) * np.conj(disk_poly(p, q, alpha, grid))
+    r, theta = rule.r[None, :], thetas[:, None]
+    integrand = disk_poly(p2, q2, alpha, r, theta) * np.conj(disk_poly(p, q, alpha, r, theta))
     # (alpha+1)/(2 pi) * sum_theta (2 pi / M) * sum_u w_u 2 u^(2 alpha+1) a(t) f(t, theta)
     return complex((alpha + 1.0) / angular_nodes * np.sum(integrand * rule.weights))
 

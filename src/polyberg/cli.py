@@ -108,15 +108,19 @@ def cmd_purestate(args) -> int:
     if len(args.state) != 1:
         print("purestate needs exactly one --state argument", file=sys.stderr)
         return EXIT_USAGE
-    from .gammaseq import gamma_sequence
-    from .purestates import eval_state
+    from .gammaseq import block_order, gamma_sequence
+    from .integration import entry_block
+    from .purestates import _block_value, eval_state
 
     a = _load_symbol(args.symbol, args.alpha)
     state = _parse_state(args.state[0], args.n)
-    # a block does not depend on the range it is computed in, so the
-    # sequence stops at the state's frequency (at 0 for the limit state)
-    seq = gamma_sequence(a, args.n, args.alpha, 0 if state.is_limit else max(state.xi, 0))
-    val = eval_state(state, seq)
+    if state.is_limit:
+        val = eval_state(state, gamma_sequence(a, args.n, args.alpha, 0))
+    else:
+        # a block does not depend on its range, and the one at xi < 0 is the
+        # leading submatrix of the order-n block at -xi, as in gamma_sequence
+        d = block_order(args.n, state.xi)
+        val = _block_value(entry_block(a, args.alpha, state.xi, args.n)[:d, :d], state.u)
     print(f"state value: {val}")
     return EXIT_OK
 
@@ -148,7 +152,7 @@ def cmd_basis(args) -> int:
 
     from .generators import UNIT_ERROR_MAX, generator_family, matrix_unit_errors
 
-    errs = matrix_unit_errors(generator_family(args.n, args.alpha, args.xi)[1])
+    errs = matrix_unit_errors(generator_family(args.n, args.alpha, args.xi))
     for (p, q), err in np.ndenumerate(errs):
         print(f"unit ({p},{q}): max entry error {err:.3e}")
     worst = float(errs.max())

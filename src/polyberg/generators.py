@@ -6,9 +6,9 @@ p-th antidiagonal (j + k < p) vanishes and every entry on that
 antidiagonal (j + k = p) does not.  A family G_0, ..., G_{d-1} in which
 G_q is (d-1+q)-antitriangular supports an explicit recursion producing
 coefficients nu[p][j] such that products of the G's reassemble every
-matrix unit E_{p,q}.  Plans package that recipe symbolically over the
-generating-symbol sequences so one plan can be evaluated at any
-truncation.
+matrix unit E_{p,q}; `basis` runs it on generator_family.  A
+SeparationPlan is a hand-written product of generating-symbol sequences,
+evaluable at any truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "matrix_unit",
     "matrix_unit_errors",
     "SeparationPlan",
-    "same_frequency_plan",
     "generator_block",
     "generator_family",
 ]
@@ -50,7 +49,6 @@ class AntitriangularReport:
     """A fault is the (row, column) of the entry behind below_max or
     anti_min where that side of the rule fails, None where it holds."""
 
-    p: int
     below_max: float
     anti_min: float
     scale: float
@@ -80,7 +78,7 @@ def antitriangular_report(m: np.ndarray, p: int) -> AntitriangularReport:
     below_fault = None if below_max / scale < TOL_ZERO else tuple(map(int, jb))
     anti_fault = None if anti_min / scale > TOL_NONZERO else tuple(map(int, ja))
     holds = below_fault is None and anti_fault is None
-    return AntitriangularReport(p, below_max, anti_min, scale, holds, below_fault, anti_fault)
+    return AntitriangularReport(below_max, anti_min, scale, holds, below_fault, anti_fault)
 
 
 class GeneratorStructureError(ValueError):
@@ -186,20 +184,20 @@ def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     return m
 
 
-def generator_family(n: int, alpha: float, xi: int):
-    """Symbol indices d-1+|xi|+j (j < d) and their blocks at xi.  The last
-    generator is a nonzero multiple of E_{d-1,d-1} at xi and vanishes at
-    every lower frequency."""
+def generator_family(n: int, alpha: float, xi: int) -> list:
+    """The blocks at xi of the generating symbols d-1+|xi|+j (j < d), the
+    family whose units `basis` reconstructs.  The last generator is a
+    nonzero multiple of E_{d-1,d-1} at xi and vanishes at every lower
+    frequency."""
     d = block_order(n, xi)
-    symbol_indices = [d - 1 + abs(xi) + j for j in range(d)]
-    gs = [generator_block(n, alpha, xi, s) for s in symbol_indices]
-    return symbol_indices, gs
+    return [generator_block(n, alpha, xi, d - 1 + abs(xi) + j) for j in range(d)]
 
 
 @dataclass(frozen=True)
 class SeparationPlan:
     """Symbolic recipe (sum_j c_j A_{k_j}) * A_mid^2 * (sum_j c'_j A_{k'_j})
-    over the generating-symbol sequences A_k; evaluable at any truncation."""
+    over the generating-symbol sequences A_k, written by hand (no code in
+    the package builds one); evaluable at any truncation."""
 
     n: int
     alpha: float
@@ -230,27 +228,3 @@ class SeparationPlan:
             blocks[eta + n - 1, :d, :d] = left @ mid @ mid @ combine(self.right, at)
         lim = combine(self.left, limit) * limit(self.middle) ** 2 * combine(self.right, limit)
         return MatrixSeq(n=n, alpha=self.alpha, blocks=blocks, scalar_limit=lim)
-
-
-@lru_cache(maxsize=256)
-def _plan_grid(n: int, alpha: float, xi: int) -> tuple:
-    """Every unit plan of the family at xi, grid[p][q] for E_{p,q}, from
-    one generator_family and one nu_table."""
-    symbol_indices, gs = generator_family(n, alpha, xi)
-    nu, d = nu_table(gs), len(symbol_indices)
-    sides = [tuple((float(nu[p, j]), symbol_indices[j]) for j in range(p, d))
-             for p in range(d)]
-    mid = symbol_indices[-1]
-    return tuple(tuple(SeparationPlan(n, alpha, left, mid, right) for right in sides)
-                 for left in sides)
-
-
-def same_frequency_plan(n: int, alpha: float, xi: int, p: int, q: int) -> SeparationPlan:
-    """Plan whose evaluation X has X_xi equal to the matrix unit E_{p,q}
-    (order min(n+xi, n)), from the generator family that nu_table
-    accepts.  Plans are cached: equal arguments return the same frozen
-    plan."""
-    d = block_order(n, xi)
-    if not (0 <= p < d and 0 <= q < d):
-        raise ValueError(f"unit indices must lie in [0, {d}), got ({p}, {q})")
-    return _plan_grid(n, float(alpha), xi)[p][q]

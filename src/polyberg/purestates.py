@@ -72,8 +72,11 @@ class PureState:
 
 
 def finite_state(xi: int, u) -> PureState:
-    if not float(xi).is_integer():  # 2.0 and numpy integers are read as their integer
+    # 2.0 and numpy integers are read as their integer, an int never as a float
+    if not isinstance(xi, (int, np.integer)) and not float(xi).is_integer():
         raise ValueError(f"frequency must be an integer, got {xi}")
+    if abs(int(xi)) > sys.float_info.max:
+        raise ValueError(f"frequency must be at most {sys.float_info.max:.6e} in magnitude")
     vec = np.asarray(u, dtype=complex)
     if vec.ndim != 1:
         raise ValueError("state vector must be one-dimensional")
@@ -111,16 +114,19 @@ def _proportional(u: list, v: list) -> bool:
             and _state_gap(u, v)[0] <= PROPORTIONAL_TOL)
 
 
-def eval_state(s: PureState, a_seq: MatrixSeq):
-    """Value of the state on a sequence: quadratic form of the block, or
-    the scalar limit for the limit state."""
-    if s.xi is None:
-        return a_seq.scalar_limit
-    b, u = a_seq.block(s.xi), s.u
+def _block_value(b: np.ndarray, u: np.ndarray):
+    """conj(u) . b u, the value on block b; real where its imaginary part is tiny."""
     if len(b) != len(u):
         raise ValueError(f"state vector has dimension {len(u)}, block has order {len(b)}")
     val = complex(np.vdot(u, b.dot(u)))
     return val.real if abs(val.imag) < 1e-14 * max(1.0, abs(val)) else val
+
+
+def eval_state(s: PureState, a_seq: MatrixSeq):
+    """Value of the state on a sequence: _block_value, or the scalar limit."""
+    if s.xi is None:
+        return a_seq.scalar_limit
+    return _block_value(a_seq.block(s.xi), s.u)
 
 
 def eval_state_integral(xi: int, u, a: SymbolSpec, n: int, alpha: float):

@@ -15,7 +15,6 @@ from conftest import disk_poly_alt
 from polyberg import bergman_oracle, cli
 from polyberg.bergman_oracle import (
     RADIAL_PANELS,
-    DiskPoint,
     disk_poly,
     oracle_gaps,
     quadrature_block,
@@ -36,12 +35,12 @@ from polyberg.symbols import (
 def test_disk_poly_constant():
     for alpha in (0.0, 0.5, 2.5):
         for r, th in [(0.0, 0.0), (0.5, 1.1), (0.99, 4.0)]:
-            assert disk_poly(0, 0, alpha, DiskPoint(r, th)) == pytest.approx(1.0)
+            assert disk_poly(0, 0, alpha, r, th) == pytest.approx(1.0)
 
 
 def test_disk_poly_first_offdiagonal():
     for r, th in [(0.3, 0.4), (0.8, 2.0)]:
-        got = disk_poly(1, 0, 0.0, DiskPoint(r, th))
+        got = disk_poly(1, 0, 0.0, r, th)
         want = np.sqrt(2.0) * r * np.exp(1j * th)
         assert abs(got - want) < 1e-14
 
@@ -52,7 +51,7 @@ def test_disk_poly_modulus_theta_independent(rng):
         alpha = float(rng.choice([0.0, 1.0, 2.5]))
         r = float(rng.uniform(0.0, 0.95))
         mags = {
-            round(abs(disk_poly(p, q, alpha, DiskPoint(r, th))), 12)
+            round(abs(disk_poly(p, q, alpha, r, th)), 12)
             for th in np.linspace(0.0, 6.0, 7)
         }
         assert len(mags) == 1
@@ -64,16 +63,16 @@ def test_disk_poly_two_forms_agree(rng):
         alpha = float(rng.choice([0.0, 0.5, 1.0, 2.5]))
         r = float(rng.uniform(0.05, 0.95))
         th = float(rng.uniform(0.0, 6.28))
-        a = disk_poly(p, q, alpha, DiskPoint(r, th))
+        a = disk_poly(p, q, alpha, r, th)
         b = disk_poly_alt(p, q, alpha, r, th)
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
 def test_disk_poly_domain():
     with pytest.raises(ValueError):
-        disk_poly(0, 0, 0.0, DiskPoint(1.0, 0.0))
+        disk_poly(0, 0, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        disk_poly(-1, 0, 0.0, DiskPoint(0.5, 0.0))
+        disk_poly(-1, 0, 0.0, 0.5, 0.0)
 
 
 def test_oracle_orthonormality_const():

@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, exit codes, round trips."""
 
 import argparse
+import collections
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -19,7 +22,8 @@ from conftest import read_gamma_out
 from polyberg import bergman_oracle, cli, integration, verify
 from polyberg.cli import COMMANDS, build_parser, main
 from polyberg.gammaseq import gamma_sequence, spectral_norm, tail_deviation
-from polyberg.purestates import _corner_certificate, eval_state, finite_state, separation
+from polyberg.purestates import (_corner_certificate, eval_state, eval_state_integral,
+                                 finite_state, separation)
 from polyberg.symbols import indicator_symbol, poly_t_symbol, symbol_from_json_obj
 
 
@@ -180,53 +184,69 @@ def test_overflowing_alpha_exits_2_in_a_process(argv):
     assert run.stderr == "error: poly_t symbol has a non-finite block entry at alpha 1e+300\n"
 
 
-# every run of the sweep below through cli.main, in one interpreter that
-# shows every warning (no warnings-as-errors filter, and no once-per-place
-# default): [exit code, stderr] per argv, or [None, its traceback]
-HUGE_ALPHA_RUNS = """
-import contextlib, io, json, sys, traceback, warnings
-from polyberg.cli import main
-warnings.simplefilter("always")
-runs = []
-for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except Exception:
-            code = None
-            traceback.print_exc()
-    runs.append([code, err.getvalue()])
-print(json.dumps(runs))
-"""
+SWEEP_SYMBOLS = ('{"kind":"const","value":[0.5,-2]}', '{"kind":"poly_t","coeffs":[1,-1,0.5]}',
+                 '{"kind":"jacobi_g","p":3}', '{"kind":"indicator","s":0.6}',
+                 '{"kind":"sampled","points":[[0,1],[0.3,0.2],[0.8,0.7]]}')
 
 
-def test_a_huge_alpha_is_served_or_refused_by_name_without_warnings(tmp_path):
+def _alpha_sweep(out: str):
+    # alpha near -1, log-uniform up to 1e300 and at fixed values, each
+    # with its n <= 8 and frequency; per symbol kind gamma, purestate and
+    # a limit pair, and one same-frequency pair
+    rng = random.Random(14)
+    alphas = [-0.5, 0.0, 1e-300, 240.5, 1e3, 1e5, 1e100, 1e200, 1e300]
+    alphas += [-1.0 + 10.0 ** -rng.uniform(1, 15) for _ in range(50)]
+    alphas += [10.0 ** rng.uniform(-3, 300) for _ in range(50)]
+    for alpha in alphas:
+        n = rng.randint(1, 8)
+        xi = rng.randint(-n + 1, 12)
+        zeros = [0] * (min(n + xi, n) - 1)
+        first, last = (",".join(map(str, v)) for v in ([1, *zeros], [*zeros, -1]))
+        for symbol in SWEEP_SYMBOLS:
+            common = ["--n", str(n), f"--alpha={alpha!r}", "--symbol", symbol]
+            yield ["gamma", *common, "--xi-max", str(rng.randint(0, 12)), "--out", out]
+            yield ["purestate", *common, "--state=" + rng.choice((f"{xi}:{first}", "inf"))]
+            yield ["separate", *common, "--state", "inf", f"--state={xi}:{last}"]
+        yield ["separate", "--n", str(n), f"--alpha={alpha!r}",
+               f"--state={xi}:{first}", f"--state={xi}:{last}"]
+
+
+def _huge_alpha_cases(out: str):
     # gamma and separate printed three numpy RuntimeWarnings from the
     # recurrence before refusing a poly_t symbol at 1e200 and 1e300, and
     # an indicator's refusal named reg_incomplete_beta but not alpha; a
     # finite pair's corner certificate reads its corners as plain floats
     symbols = ['{"kind":"poly_t","coeffs":[1,2]}', '{"kind":"indicator","s":0.5}',
                '{"kind":"sampled","points":[[0,1],[0.3,0.2],[0.8,0.7]]}']
-    alphas = ("1e100", "1e200", "1e300")
-    argvs = [argv + ["--n", "3", "--alpha", alpha, "--symbol", symbol]
-             for alpha in alphas for symbol in symbols
-             for argv in (["gamma", "--xi-max", "3", "--out", str(tmp_path / "seq.json")],
-                          ["separate", "--state", "inf", "--state", "2:1,0,0"],
-                          ["purestate", "--state", "1:1,0,0"])]
-    argvs += [["separate", "--n", "3", "--alpha", alpha, "--state", "1:1,0,0",
-               "--state", "1:0,1,0"] for alpha in alphas]
-    src = os.path.dirname(os.path.dirname(polyberg.__file__))
-    run = subprocess.run([sys.executable, "-c", HUGE_ALPHA_RUNS, json.dumps(argvs)],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-                         timeout=120)
-    assert run.returncode == 0, run.stderr
-    runs = json.loads(run.stdout)
-    bad = [(argv, code, err) for argv, (code, err) in zip(argvs, runs)
-           if not (code == 0 and err == "" or code == 2 and err.count("\n") == 1
-                   and err.startswith("error: ") and "alpha" in err)]
+    for alpha in ("1e100", "1e200", "1e300"):
+        for symbol in symbols:
+            common = ["--n", "3", "--alpha", alpha, "--symbol", symbol]
+            yield ["gamma", *common, "--xi-max", "3", "--out", out]
+            yield ["separate", *common, "--state", "inf", "--state", "2:1,0,0"]
+            yield ["purestate", *common, "--state", "1:1,0,0"]
+        yield ["separate", "--n", "3", "--alpha", alpha, "--state", "1:1,0,0", "--state", "1:0,1,0"]
+
+
+def test_a_huge_alpha_is_served_or_refused_by_name_without_warnings(tmp_path):
+    # over the alpha sweep and the huge-alpha cases, in one interpreter that
+    # records every warning, each run exits 0 with an empty stderr, 2 with
+    # one error line that names alpha, or (separate) 3 with one line
+    out = str(tmp_path / "seq.json")
+    bad, codes = [], collections.Counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in [*_alpha_sweep(out), *_huge_alpha_cases(out)]:
+            warned, err = len(caught), io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            codes[code] += 1
+            err = err.getvalue()
+            if len(caught) > warned or not (code == 0 and err == "" or err.count("\n") == 1 and (
+                    code == 2 and err.startswith("error: ") and "alpha" in err
+                    or code == 3 and argv[0] == "separate")):
+                bad.append((argv, code, err, caught[warned:]))
     assert not bad
-    assert sum(code == 2 for code, _ in runs) > len(runs) // 2
+    assert codes[0] > sum(codes.values()) // 2 and codes[2] > 0 and codes[3] > 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -740,6 +760,67 @@ def test_purestate_computes_only_up_to_its_state(capsys):
                  "--state", "7:1,0.5,-0.25j"]) == 0
     u = np.array([1, 0.5, -0.25j]) / np.linalg.norm([1, 0.5, -0.25j])
     assert capsys.readouterr().out == f"state value: {eval_state(finite_state(7, u), seq)}\n"
+
+
+def test_purestate_integrates_only_its_frequency(monkeypatch, capsys):
+    # the sequence up to the state's frequency took 2.5 s and 1 GB at 10^6
+    calls = []
+    real = integration.entry_blocks
+
+    def spy(a, alpha, xis, d):
+        calls.append((list(xis), d))
+        return real(a, alpha, xis, d)
+
+    monkeypatch.setattr(integration, "entry_blocks", spy)
+    u = np.eye(8)[0]
+    assert main(["purestate", "--n", "8", "--symbol", '{"kind":"poly_t","coeffs":[1,-1]}',
+                 "--state", "1000000:" + ",".join(map(str, u))]) == 0
+    assert calls == [([10**6], 8)]
+    want = eval_state_integral(10**6, u, poly_t_symbol([1.0, -1.0]), 8, 0.0)
+    assert capsys.readouterr().out == f"state value: {want}\n"
+
+
+def test_purestate_reads_every_finite_state_from_one_order_n_block(monkeypatch, capsys):
+    # a state at xi <= 0 read the sequence up to 0, which integrates every
+    # frequency 0 .. n - 1 and met a generator's moment guard at 3(n - 1),
+    # while one at xi > 0 read its own block: at n = 66 the two refused
+    # for different reasons
+    calls = []
+    real = integration.entry_blocks
+
+    def spy(a, alpha, xis, d):
+        calls.append((list(xis), d))
+        return real(a, alpha, xis, d)
+
+    monkeypatch.setattr(integration, "entry_blocks", spy)
+    g3 = '{"kind":"jacobi_g","p":3}'
+    for n in (65, 66):
+        runs = []
+        for xi in (-1, 0, 1):
+            u = ",".join(["1"] * 4 + ["0"] * (min(n + xi, n) - 4))
+            calls.clear()
+            runs.append((main(["purestate", "--n", str(n), "--symbol", g3, f"--state={xi}:{u}"]),
+                         capsys.readouterr()))
+            assert calls == [([abs(xi)], n)]
+        if n == 65:
+            assert [code for code, _ in runs] == [0, 0, 0]
+            assert all(c.err == "" and c.out.startswith("state value: ") for _, c in runs)
+            # the block at -1 is the leading submatrix of the block at 1
+            assert runs[0][1].out == runs[2][1].out
+        else:
+            assert [(code, c.out, c.err) for code, c in runs] == [
+                (2, "", "error: degree 65 exceeds supported maximum 64\n")] * 3
+
+
+@pytest.mark.parametrize("command", [["purestate", "--symbol", CONST], ["separate", "--state", "1:0,1,0"]])
+def test_a_frequency_past_the_float_range_is_refused_by_name(command, capsys):
+    # "error: int too large to convert to float" named no frequency
+    argv = [*command[:1], "--n", "3", "--state", "1" + "0" * 400 + ":1,0,0", *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: frequency must be at most 1.797693e+308 in magnitude")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n, alpha", [(5, "60"), (1, "80"), (3, "100"), (8, "240")])

@@ -1,4 +1,5 @@
-"""Antitriangular reports, the matrix-unit recursion, and separation plans."""
+"""Antitriangular reports, the matrix-unit recursion, and the evaluation
+of hand-written separation plans."""
 
 import dataclasses
 from functools import lru_cache
@@ -15,7 +16,7 @@ from polyberg.generators import (
     matrix_unit,
     matrix_unit_errors,
     nu_table,
-    same_frequency_plan,
+    SeparationPlan,
 )
 from polyberg import generators, integration
 from polyberg.integration import MAX_MOMENT_DEGREE
@@ -138,7 +139,7 @@ def test_nu_table_hand_recursion_n3(rng):
 
 
 def test_plan_truncation_consistency():
-    plan = same_frequency_plan(3, 0.5, 2, 1, 1)
+    plan = SeparationPlan(3, 0.5, ((0.75, 3), (-1.5, 5)), 4, ((2.0, 4),))
     short = plan.evaluate(2)
     long = plan.evaluate(6)
     for xi in frequencies(3, 2):
@@ -224,7 +225,7 @@ def test_matrix_unit_errors_are_the_per_unit_errors_bit_for_bit():
     families = [random_antitriangular_generators(n, seed, symmetric)
                 for n in (2, 3, 5) for seed in (1, 2) for symmetric in (False, True)]
     families += [[g * (1 + 0.5j) for g in random_antitriangular_generators(4, 7)]]
-    families += [generator_family(n, 0.5, xi)[1] for n, xi in ((3, 0), (4, -2), (4, 5))]
+    families += [generator_family(n, 0.5, xi) for n, xi in ((3, 0), (4, -2), (4, 5))]
     for gs in families:
         d = len(gs)
         errs = matrix_unit_errors(gs)
@@ -238,7 +239,7 @@ def test_real_symmetric_units_are_the_unconjugated_product_bit_for_bit():
     # the conjugating product needs no real-symmetric form of its own
     families = [random_antitriangular_generators(n, seed, True)
                 for n in (1, 2, 3, 4, 5, 6) for seed in range(4)]
-    families += [generator_family(n, alpha, xi)[1]
+    families += [generator_family(n, alpha, xi)
                  for n in (2, 3, 4) for alpha in (0.0, 0.5, 2.5) for xi in (-n + 1, 0, 3)]
     for gs in families:
         assert all(np.isrealobj(g) and np.array_equal(g, g.T) for g in gs)
@@ -254,89 +255,15 @@ def test_real_symmetric_units_are_the_unconjugated_product_bit_for_bit():
 def test_nu_table_dtype_follows_the_family():
     real = random_antitriangular_generators(3, 4)
     assert nu_table(real).dtype == np.float64
-    assert nu_table(generator_family(3, 0.5, 1)[1]).dtype == np.float64
+    assert nu_table(generator_family(3, 0.5, 1)).dtype == np.float64
     assert nu_table([g.astype(np.float32) for g in real]).dtype == np.float64
     assert nu_table([g * (1 + 0.5j) for g in real]).dtype == np.complex128
     mixed = real[:-1] + [real[-1] * (1 + 0j)]
     assert nu_table(mixed).dtype == np.complex128
 
 
-def test_same_frequency_plan_examples():
-    x = same_frequency_plan(2, 0.0, 0, 1, 1).evaluate(2)
-    assert np.allclose(x.block(0), unit_matrix(2, 1, 1), atol=1e-12)
-
-    x2 = same_frequency_plan(2, 0.0, 1, 0, 0).evaluate(2)
-    assert np.allclose(x2.block(1), unit_matrix(2, 0, 0), atol=1e-12)
-
-    # order-one frequency: plan collapses to a normalized fourth power
-    x3 = same_frequency_plan(1, 0.0, 3, 0, 0).evaluate(3)
-    assert x3.block(3)[0, 0] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_same_frequency_plan_negative_frequency():
-    for n, xi in [(3, -1), (4, -2)]:
-        d = n + xi
-        for p in range(d):
-            x = same_frequency_plan(n, 0.5, xi, p, p).evaluate(0)
-            assert np.allclose(x.block(xi), unit_matrix(d, p, p), atol=1e-10)
-
-
-def test_same_frequency_plan_off_diagonal_units():
-    for p, q in [(0, 1), (2, 0), (1, 2)]:
-        x = same_frequency_plan(3, 1.0, 2, p, q).evaluate(2)
-        assert np.allclose(x.block(2), unit_matrix(3, p, q), atol=1e-10)
-
-
-def test_cross_frequency_plan_cases():
-    # the witness of a pair at xi < eta is the plan for E_pp at eta, whose
-    # block at xi vanishes.  Nonnegative pair:
-    x = same_frequency_plan(2, 0.0, 2, 0, 0).evaluate(2)
-    assert np.allclose(x.block(2), unit_matrix(2, 0, 0), atol=1e-12)
-    assert np.max(np.abs(x.block(0))) < 1e-12
-
-    # negative lower, zero upper: example with the known zero block
-    x2 = same_frequency_plan(2, 0.0, 0, 1, 1).evaluate(1)
-    assert np.allclose(x2.block(0), unit_matrix(2, 1, 1), atol=1e-12)
-    assert np.max(np.abs(x2.block(-1))) < 1e-12
-
-    # both negative
-    x3 = same_frequency_plan(3, 0.0, -1, 0, 0).evaluate(0)
-    assert np.allclose(x3.block(-1), unit_matrix(2, 0, 0), atol=1e-12)
-    assert np.max(np.abs(x3.block(-2))) < 1e-12
-
-    # negative lower below the mirrored upper frequency
-    x4 = same_frequency_plan(3, 0.5, 1, 0, 0).evaluate(1)
-    assert np.allclose(x4.block(1), unit_matrix(3, 0, 0), atol=1e-10)
-    assert np.max(np.abs(x4.block(-2))) < 1e-12
-
-
-def test_cross_frequency_plan_full_grid():
-    for n in (2, 3, 4):
-        for alpha in (0.0, 1.0):
-            for xi in range(-n + 1, 6):
-                for eta in range(xi + 1, 7):
-                    d = min(n + eta, n)
-                    for p in (0, d - 1):
-                        x = same_frequency_plan(n, alpha, eta, p, p).evaluate(
-                            max(eta, 0)
-                        )
-                        err_unit = np.max(
-                            np.abs(x.block(eta) - unit_matrix(d, p, p))
-                        )
-                        assert err_unit < 1e-8, (n, alpha, xi, eta, p, err_unit)
-                        assert np.max(np.abs(x.block(xi))) < 1e-8
-
-
-def test_cross_frequency_plan_usage_errors():
-    # separation checks the lower frequency, the plan the index at eta
-    with pytest.raises(IndexError):
-        block_order(2, -2)
-    with pytest.raises(ValueError):
-        same_frequency_plan(2, 0.0, 3, 5, 5)
-
-
 def test_plan_scalar_limit_propagates():
-    plan = same_frequency_plan(2, 0.0, 0, 0, 0)
+    plan = SeparationPlan(2, 0.0, ((0.75, 1), (-1.5, 2)), 2, ((2.0, 1),))
     x = plan.evaluate(2)
     lims = {k: make_gp(k, 0.0).limit for _, k in plan.left}
     want = (
@@ -364,14 +291,17 @@ def _reference_evaluation(plan, xi_max):
     return blocks
 
 
+SIDES = (((1.0, 0),), ((0.75, 1), (-1.5, 3)))  # a side of one term and one of two
+
+
 def _plans(n, alpha):
-    # every plan with frequencies up to 6 (the cross-frequency witnesses
-    # among them), with the frequency its evaluation is read at
-    for xi in range(-n + 1, 7):
-        d = min(n + xi, n)
-        for p in range(d):
-            for q in range(d):
-                yield xi, same_frequency_plan(n, alpha, xi, p, q)
+    # every middle m <= 2n + 5 between sides of one and of two terms, with
+    # eta0 = max(-n+1, m - 2 (n-1)), the first frequency of a nonzero
+    # middle block, up to 7
+    for m in range(2 * n + 6):
+        for left in SIDES:
+            for right in SIDES:
+                yield max(-n + 1, m - 2 * (n - 1)), SeparationPlan(n, alpha, left, m, right)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -440,14 +370,15 @@ def test_generator_blocks_equal_fresh_sequences():
                 assert got.dtype == want.blocks.dtype, (xi, p)
                 assert got.tobytes() == want.block(xi).tobytes(), (xi, p)
     with pytest.raises(ValueError, match="xi_max must be nonnegative"):
-        same_frequency_plan(n, alpha, 0, 0, 0).evaluate(-1)
+        SeparationPlan(n, alpha, SIDES[0], 4, SIDES[1]).evaluate(-1)
 
 
 def test_evaluations_refuse_where_fresh_sequences_do():
     n, alpha = 2, 0.375
     # the last frequency whose top moment degree, xi + 2 (n - 1), is admitted
     last = MAX_MOMENT_DEGREE - 2 * (n - 1)
-    plan = same_frequency_plan(n, alpha, last - 3, 0, 1)
+    plan = SeparationPlan(n, alpha, ((0.75, last - 2), (-1.5, last - 1)), last - 1,
+                          ((2.0, last - 1),))
     generator_block.cache_clear()
     # refused before any block is integrated, on the first request and
     # again once the plan's own blocks are cached
@@ -477,7 +408,6 @@ def test_evaluation_multiplies_from_the_first_nonzero_middle_block(n, alpha, mon
         x = plan.evaluate(9)
         monkeypatch.undo()
         assert set(read) == set(range(eta0, 10)), (plan, eta0)
-        assert eta0 == xi  # a family's plan starts at its own frequency
         assert _fresh_block(n, alpha, eta0, plan.middle).any()
         for eta in range(-n + 1, eta0):
             assert not _fresh_block(n, alpha, eta, plan.middle).any()
@@ -512,16 +442,8 @@ def test_negative_block_integrates_only_its_mirror(monkeypatch):
     assert calls == [(49, [49], 50)]
 
 
-def test_plans_are_cached():
-    assert same_frequency_plan(3, 0.5, 1, 0, 2) is same_frequency_plan(3, 0.5, 1, 0, 2)
-    # an integer alpha gives the same float plan whichever call came first
-    by_int = same_frequency_plan(2, 1, 0, 0, 1)
-    assert by_int is same_frequency_plan(2, 1.0, 0, 0, 1)
-    assert type(by_int.alpha) is float
-
-
 def test_evaluations_and_witness_blocks_are_read_only():
-    plan = same_frequency_plan(3, 0.5, -1, 0, 1)
+    plan = SeparationPlan(3, 0.5, SIDES[1], 5, SIDES[0])
     x = plan.evaluate(4)
     assert x.blocks.shape == (4 + 3, 3, 3)
     with pytest.raises(ValueError):

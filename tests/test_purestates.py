@@ -68,6 +68,16 @@ def test_frequency_must_be_an_integer(xi, want):
         assert type(s.xi) is int and s.xi == want
 
 
+def test_a_frequency_past_the_float_range_is_refused_by_name():
+    # float(10**400) overflowed with "int too large to convert to float"
+    top = int(sys.float_info.max)
+    for xi in (top, -top, 10**300):
+        assert finite_state(xi, [1.0]).xi == xi
+    for xi in (top + 1, 10**400, -10**400):
+        with pytest.raises(ValueError, match=r"^frequency must be at most 1\.797693e\+308 in magnitude$"):
+            finite_state(xi, [1.0])
+
+
 def test_same_pure_state():
     # equal as functionals: separation refuses them as identical
     u = unit([1.0, 1.0])
