@@ -190,6 +190,8 @@ def cmd_verify(args) -> int:
 
 
 COMMANDS = ("gamma", "purestate", "separate", "basis", "oracle", "verify")
+# "--state -1:1" reads "-1:1" as an option, so argparse refuses it
+STATE_HELP = "'inf' or '<xi>:<c1,c2,...>'; write --state=-1:1 for a negative frequency"
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -226,14 +228,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if "purestate" in wanted:
         p_state = sub.add_parser("purestate", help="evaluate a pure state on a sequence")
         common(p_state, symbol=True, xi_max=False)
-        p_state.add_argument("--state", action="append", required=True)
+        p_state.add_argument("--state", action="append", required=True, help=STATE_HELP)
         p_state.set_defaults(fn=cmd_purestate)
 
     if "separate" in wanted:
         p_sep = sub.add_parser("separate", help="separate two pure states")
         common(p_sep)
         p_sep.add_argument("--symbol", default=None, help="witness symbol for limit-state pairs")
-        p_sep.add_argument("--state", action="append", required=True)
+        p_sep.add_argument("--state", action="append", required=True, help=STATE_HELP)
         p_sep.set_defaults(fn=cmd_separate)
 
     if "basis" in wanted:

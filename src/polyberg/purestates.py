@@ -71,11 +71,16 @@ class PureState:
         return self.xi is None
 
 
-def finite_state(xi: int, u) -> PureState:
+def _integer(x, name: str) -> int:
     # 2.0 and numpy integers are read as their integer, an int never as a float
-    if not isinstance(xi, (int, np.integer)) and not float(xi).is_integer():
-        raise ValueError(f"frequency must be an integer, got {xi}")
-    if abs(int(xi)) > sys.float_info.max:
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return int(x)
+
+
+def finite_state(xi: int, u) -> PureState:
+    xi = _integer(xi, "frequency")
+    if abs(xi) > sys.float_info.max:
         raise ValueError(f"frequency must be at most {sys.float_info.max:.6e} in magnitude")
     vec = np.asarray(u, dtype=complex)
     if vec.ndim != 1:
@@ -84,7 +89,7 @@ def finite_state(xi: int, u) -> PureState:
         raise ValueError(f"state vector must be finite, got {vec}")
     if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"state vector must be unit norm, got {np.linalg.norm(vec)}")
-    return PureState(xi=int(xi), u=vec)
+    return PureState(xi=xi, u=vec)
 
 
 def limit_state() -> PureState:
@@ -303,15 +308,15 @@ def _wrong_dimension(d: int, n: int, xi: int) -> ValueError:
 def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_witness) -> tuple:
     # separation's witness, values and recipe as immutable parts: (a,) for
     # symbol a's sequence, (xi, p, q, combination or None, corner, gap) for
-    # a unit; each vector is read once, as a list, of block order min(n + xi, n)
+    # a unit; a vector is read, as a list, only where its entries are used
     check_alpha(alpha)
+    if type(n) is not int:
+        n = _integer(n, "n")
     xi1, xi2 = s1.xi, s2.xi
-    u1 = None if xi1 is None else s1.u.tolist()
-    if u1 is not None and len(u1) != (n if xi1 >= 0 else n + xi1):
-        raise _wrong_dimension(len(u1), n, xi1)
-    u2 = None if xi2 is None else s2.u.tolist()
-    if u2 is not None and len(u2) != (n if xi2 >= 0 else n + xi2):
-        raise _wrong_dimension(len(u2), n, xi2)
+    if xi1 is not None and len(s1.u) != (n if xi1 >= 0 else n + xi1):
+        raise _wrong_dimension(len(s1.u), n, xi1)
+    if xi2 is not None and len(s2.u) != (n if xi2 >= 0 else n + xi2):
+        raise _wrong_dimension(len(s2.u), n, xi2)
     if infinity_witness is not None and xi1 is not None and xi2 is not None:
         raise ValueError("--symbol is the witness of a limit-state pair; neither state is inf")
 
@@ -332,35 +337,38 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
                 break
         parts = (witness.symbol,)
     else:
+        # eval_state's values, real part, on the exact units, in np.vdot's
+        # arithmetic on these blocks bit for bit: conj(u_p) u_q for E_pp
+        # (0.0 at the other frequency of a cross pair) and twice its real
+        # part for the sym unit; the skew unit's as eval_state's quadratic form
         if xi1 == xi2:
             # one D = uu* - vv* decides both: the same state, or the unit
+            u1, u2 = s1.u.tolist(), s2.u.tolist()
             gap, p, q = _state_gap(u1, u2)
             if gap <= PROPORTIONAL_TOL:
                 raise NotSeparableError("identical pure states")
-            xi = xi1
+            xi, vals = xi1, ((u1[p].conjugate() * u1[q]).real, (u2[p].conjugate() * u2[q]).real)
         else:
-            lo_xi, lo_u, xi, hi_u = (xi1, u1, xi2, u2) if xi1 < xi2 else (xi2, u2, xi1, u1)
-            if xi == -lo_xi or (lo_xi == 0 and xi == 2):
-                family = _documented_coincidence(lo_xi, lo_u, xi, hi_u, n, alpha)
+            lo, hi = (s1, s2) if xi1 < xi2 else (s2, s1)
+            xi, u = hi.xi, hi.u.tolist()
+            if xi == -lo.xi or (lo.xi == 0 and xi == 2):
+                family = _documented_coincidence(lo.xi, lo.u.tolist(), xi, u, n, alpha)
                 if family:
                     raise NotSeparableError(f"{family} agrees on every generating sequence")
-            mags = list(map(abs, hi_u))
-            p = q = mags.index(max(mags))  # the first largest entry
+            top = -1.0
+            for j, z in enumerate(u):  # p = q, the first largest entry
+                m = abs(z)
+                if m > top:
+                    p, top = j, m
+            q, z = p, u[p]
+            w = (z.conjugate() * z).real
+            vals = (w, 0.0) if hi is s1 else (0.0, w)
         (corner, cert_gap), witnesses, skew = _unit_witness(n, float(alpha), xi, p, q)
-        # eval_state's values, real part, on the exact units: conj(u_p) u_q
-        # for E_pp (0.0 at the other frequency of a cross pair) and twice
-        # its real part for the sym unit, in np.vdot's arithmetic on these
-        # blocks bit for bit; the skew unit's as eval_state's quadratic form
-        if p == q:
-            z1 = u1[p] if xi1 == xi else 0j
-            z2 = u2[p] if xi2 == xi else 0j
-            k, vals = 0, ((z1.conjugate() * z1).real, (z2.conjugate() * z2).real)
-        else:
-            vals = (2.0 * (u1[p].conjugate() * u1[q]).real,
-                    2.0 * (u2[p].conjugate() * u2[q]).real)
+        k = 0
+        if p != q:
+            vals = (2.0 * vals[0], 2.0 * vals[1])
             skw = (complex(np.vdot(s1.u, skew.dot(s1.u))).real,
                    complex(np.vdot(s2.u, skew.dot(s2.u))).real)
-            k = 0
             if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
                 k, vals = 1, skw
         combination = ("sym", "skew")[k] if p != q else None
@@ -395,9 +403,10 @@ def separation(s1: PureState, s2: PureState, n: int, alpha: float,
     xi_max).  Distinct finite frequencies take E_pp at the higher
     frequency, p the first largest entry of its vector, which is zero at
     the lower one.  Raises ValueError for an alpha that is not a finite
-    number above -1, for a vector whose dimension is not its frequency's
-    block order and for an infinity_witness given to two finite states
-    (the CLI's --symbol), before any cache is read, and for a finite pair
+    number above -1, for an n that is not an integer (read as
+    finite_state reads a frequency), for a vector whose dimension is not
+    its frequency's block order and for an infinity_witness given to two
+    finite states (the CLI's --symbol), before any cache is read, and for a finite pair
     whose certificate reads a corner that is not a positive normal float;
     NotSeparableError for equal states, for the documented coincidence
     families and where the certificate finds a frequency's corner shared.

@@ -580,6 +580,28 @@ def test_separate_wrong_dimension_exits_2(capsys):
     assert code == 2
 
 
+def test_a_negative_frequency_is_written_with_an_equals_sign(capsys, monkeypatch):
+    # "--state -1:1" reads -1:1 as an option; "--state=-1:1" is the state,
+    # and each --state help says so
+    monkeypatch.setenv("COLUMNS", "200")
+    symbol = ["--symbol", '{"kind":"indicator","s":0.5}']
+    for argv in (["separate", "--n", "2", "--state", "-1:1", "--state", "1:0,1"],
+                 ["purestate", "--n", "2", *symbol, "--state", "-1:1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --state: expected one argument\n")
+    assert main(["separate", "--n", "2", "--state=-1:1", "--state=1:0,1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('witness unit: {"xi": 1, "p": 1, "q": 1,') and "gap = 1.0" in out
+    assert main(["purestate", "--n", "2", *symbol, "--state=-1:1"]) == 0
+    assert capsys.readouterr().out == "state value: 0.0625\n"
+    for command in ("separate", "purestate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "write --state=-1:1 for a negative frequency" in capsys.readouterr().out
+
+
 def test_nonfinite_state_is_refused_before_normalizing(capsys):
     # no numpy warning on the way, and the message shows the given vector
     with warnings.catch_warnings():

@@ -464,6 +464,88 @@ def test_separate_refuses_bad_alpha_before_any_cache():
     assert [c.cache_info() for c in caches] == before
 
 
+def _outcomes(pairs, n):
+    # (value bits, recipe repr) or the refusal, per pair, through separation and separate
+    out = []
+    for s1, s2 in pairs:
+        full = _outcome(separation, s1, s2, n, 0.5)
+        short = _outcome(separate, s1, s2, n, 0.5)
+        if full[0] == "ok":
+            full = ("ok", (_value_bits(full[1][1]), repr(full[1][2])))
+            short = ("ok", _value_bits(short[1][1]))
+        out.append((full, short))
+    return out
+
+
+def test_n_is_read_as_an_integer_before_any_cache():
+    # 2.0 and numpy integers are n = 2, cold or warm (a float n once
+    # raised a TypeError cold and hit the int's cache entry warm); 2.5,
+    # NaN and inf are refused by name before any cache is read
+    e0, e1 = [1.0, 0.0], [0.0, 1.0]
+    pairs = [(finite_state(0, e0), finite_state(2, e1)), (finite_state(1, e0), finite_state(1, e1)),
+             (finite_state(1, e0), finite_state(1, unit([1.0, 1j]))),
+             (limit_state(), finite_state(1, e1)), coincidence_pair(2, 0.5)]
+    cold = {}
+    for n in (2.0, np.int64(2), np.float64(2.0), 2):
+        _clear_separation_caches()
+        cold[repr(n)] = _outcomes(pairs, n)
+    warm = [_outcomes(pairs, n) for n in (2.0, np.int64(2), np.float64(2.0))]
+    assert all(got == cold["2"] for got in [*cold.values(), *warm])
+    assert sum(full[0] == "ok" for full, _ in cold["2"]) == 4
+    caches = (purestates._symbol_witness, purestates._unit_witness,
+              purestates._corner_certificate)
+    before = [c.cache_info() for c in caches]
+    for n in (2.5, np.float64(1.9), float("nan"), float("inf")):
+        for s1, s2 in pairs:
+            for fn in (separate, separation):
+                with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+                    fn(s1, s2, n, 0.5)
+    assert [c.cache_info() for c in caches] == before
+
+
+def _numpy_calls(fn, *args):
+    # the array methods, numpy builtins and numpy Python functions fn(*args)
+    # calls, by name, through sys.setprofile (np.vdot by its Python
+    # dispatcher).  A ufunc such as np.abs raises no event of its own: what
+    # it returns is seen only when one of its methods is called
+    names = []
+
+    def hook(frame, event, arg):
+        if event == "c_call" and (isinstance(getattr(arg, "__self__", None), (np.ndarray, np.generic))
+                                  or (getattr(arg, "__module__", None) or "").startswith("numpy")):
+            names.append(arg.__name__)
+        elif event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def test_a_warm_finite_pair_calls_numpy_only_to_read_its_vectors():
+    # a warm cross pair reads the higher state's vector and nothing else
+    # through numpy; a same-frequency pair with p == q reads both vectors;
+    # the (0, 2) family test reads the lower one too.  No array is built
+    n, alpha = 3, 0.5
+    e0, e1, e2 = np.eye(n)
+    cases = [
+        ((finite_state(1, unit(e0 + 2 * e1)), finite_state(4, unit(e0 + 3j * e2))), ["tolist"]),
+        ((finite_state(4, unit(e0 + 3j * e2)), finite_state(-1, [0.6, 0.8])), ["tolist"]),
+        ((finite_state(2, e0), finite_state(2, e1)), ["tolist", "tolist"]),
+        ((finite_state(0, e1), finite_state(2, e0)), ["tolist", "tolist"]),
+    ]
+    for (s1, s2), want in cases:
+        separate(s1, s2, n, alpha)
+        assert _numpy_calls(separate, s1, s2, n, alpha) == want, (s1.xi, s2.xi)
+    # the skew value is eval_state's quadratic form, np.vdot(u, skew.dot(u)) per state
+    s1, s2 = finite_state(2, unit(e0 + 1j * e1)), finite_state(2, unit(e0 - 1j * e1))
+    separate(s1, s2, n, alpha)
+    assert _numpy_calls(separate, s1, s2, n, alpha) == ["tolist", "tolist"] + ["dot", "vdot"] * 2
+
+
 def test_separate_refuses_wrong_dimension_before_any_cache():
     # a vector longer than its frequency's block: same frequency with
     # p = q and p != q, two frequencies (either one too long) and the
