@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .integration import entry_block, entry_blocks
+from .jacobi import check_integer
 from .symbols import SymbolSpec, _scalar_to_json, symbol_to_json_obj
 
 __all__ = [
@@ -108,7 +109,8 @@ def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSe
     the leading submatrix of order n + xi of the block at -xi, so the
     stack is the order-n blocks at |xi|, gathered with one index, with
     the rows and columns past order n + xi zeroed.  The scalar limit is
-    taken from the symbol, never estimated."""
+    taken from the symbol, never estimated.  n is read by check_integer."""
+    n = check_integer(n, "n")
     xis = frequencies(n, xi_max)
     stack = entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), block_order(n, 0))
     blocks = stack[np.abs(xis)]

@@ -52,6 +52,15 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must exceed -1 and be finite, got {alpha}")
 
 
+def check_integer(x, name: str) -> int:
+    """x as an int (an integral float or numpy integer too), or a ValueError naming it."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{name} must be an integer, got {x}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class JacobiParams:
     """Weight exponents and degree: weight (1-t)^alpha t^beta, degree m."""

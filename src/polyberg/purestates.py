@@ -25,7 +25,7 @@ import numpy as np
 
 from .gammaseq import MatrixSeq, block_order, gamma_sequence
 from .integration import entry_block
-from .jacobi import check_alpha
+from .jacobi import check_alpha, check_integer
 from .symbols import SymbolSpec, indicator_symbol, poly_t_symbol
 
 __all__ = [
@@ -49,6 +49,11 @@ MIN_GAP = 1e-8
 # asks two corners for a relative gap above CORNER_GAP_MIN
 CORNER_REL_ERR = 16 * 2.0 ** -53
 CORNER_GAP_MIN = 4 * CORNER_REL_ERR
+# np.vdot's skew value of a state (four products summed) and -2 Im(conj(u_p) u_q) (two
+# roundings) are within 4 and 2 units of 2^-53 of it, as |u_p| |u_q| <= 1/2, so two skew
+# gaps, subtractions included, differ by 16 units plus O(2^-106): twice that is ample
+SKEW_MARGIN = 32 * 2.0 ** -53
+LIMIT_BUILD_MIN = 16  # a limit witness's least build; the indicator separates up to about 14
 
 
 class NotSeparableError(ValueError):
@@ -71,15 +76,8 @@ class PureState:
         return self.xi is None
 
 
-def _integer(x, name: str) -> int:
-    # 2.0 and numpy integers are read as their integer, an int never as a float
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
-        raise ValueError(f"{name} must be an integer, got {x}")
-    return int(x)
-
-
 def finite_state(xi: int, u) -> PureState:
-    xi = _integer(xi, "frequency")
+    xi = check_integer(xi, "frequency")
     if abs(xi) > sys.float_info.max:
         raise ValueError(f"frequency must be at most {sys.float_info.max:.6e} in magnitude")
     vec = np.asarray(u, dtype=complex)
@@ -97,17 +95,18 @@ def limit_state() -> PureState:
 
 
 def _state_gap(u: list, v: list) -> Tuple[float, int, int]:
-    # max |D| for D = uu* - vv* (u, v lists), zero exactly when v is a
-    # unimodular multiple of u, and the first (p, q), p <= q, attaining it,
-    # in one scalar pass: a scalar complex product makes D_qp the exact
-    # conjugate of D_pq, so the upper triangle holds every magnitude
-    cu, cv = [z.conjugate() for z in u], [z.conjugate() for z in v]
-    best, at = -1.0, (0, 0)
-    for p, (up, vp) in enumerate(zip(u, v)):
-        for q in range(p, len(u)):
-            gap = abs(up * cu[q] - vp * cv[q])
-            if gap > best:
-                best, at = gap, (p, q)
+    # max |D| for D = uu* - vv* (u, v lists), zero exactly when v is a unimodular
+    # multiple of u, and the first (p, q), p <= q, attaining it ((0, 0) for D = 0), in
+    # one scalar pass over the rows where u or v is nonzero: a scalar complex product
+    # makes D_qp the exact conjugate of D_pq, so the upper triangle holds every magnitude
+    best, at, d = 0.0, (0, 0), len(u)
+    for p in range(d):
+        up, vp = u[p], v[p]
+        if up or vp:
+            for q in range(p, d):
+                gap = abs(up * u[q].conjugate() - vp * v[q].conjugate())
+                if gap > best:
+                    best, at = gap, (p, q)
     return best, at[0], at[1]
 
 
@@ -139,7 +138,7 @@ def eval_state_integral(xi: int, u, a: SymbolSpec, n: int, alpha: float):
     sequence: sum over (j, k) of conj(u_j) u_k times the entry integral.
     Must agree with eval_state on the assembled sequence."""
     vec = np.asarray(u, dtype=complex)
-    d = block_order(n, xi)
+    d = block_order(check_integer(n, "n"), xi)
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
     # one entry_block call of its own, summed term by term rather than
@@ -162,6 +161,7 @@ def coincidence_pair(n: int, alpha: float) -> Tuple[PureState, PureState]:
     generating sequence: frequency 0 with the two-component vector built
     from alpha, against frequency 2 with the first basis vector."""
     check_alpha(alpha)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValueError("the coincidence construction needs n >= 2")
     return finite_state(0, _coincidence_vector(n, alpha)), finite_state(2, np.eye(n)[0])
@@ -186,9 +186,24 @@ def _documented_coincidence(lo_xi: int, lo_u: list, hi_xi: int, hi_u: list,
 _LIMIT_WITNESSES = (indicator_symbol(0.5), poly_t_symbol([1.0, -1.0]))  # tried in this order
 
 
+@lru_cache(maxsize=64)
+def _limit_build(a: SymbolSpec, n: int, alpha: float) -> list:
+    return []  # holds the longest sequence built for (a, n, alpha)
+
+
 @lru_cache(maxsize=512)
 def _symbol_witness(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    return gamma_sequence(a, n, alpha, xi_max)  # a limit-state witness, shared as-is
+    # a limit-state witness, shared as-is: a prefix of _limit_build's sequence (a block does
+    # not depend on its range), built up to max(xi_max, LIMIT_BUILD_MIN), or xi_max if refused
+    built = _limit_build(a, n, alpha)
+    if not built or built[0].xi_max < xi_max:
+        try:
+            built[:] = [gamma_sequence(a, n, alpha, max(xi_max, LIMIT_BUILD_MIN))]
+        except ValueError:
+            if xi_max >= LIMIT_BUILD_MIN:
+                raise
+            built[:] = [gamma_sequence(a, n, alpha, xi_max)]
+    return MatrixSeq(n, alpha, built[0].blocks[:xi_max + n], a.limit, a)
 
 
 def _corner(n: int, alpha: float, eta):
@@ -311,7 +326,7 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
     # a unit; a vector is read, as a list, only where its entries are used
     check_alpha(alpha)
     if type(n) is not int:
-        n = _integer(n, "n")
+        n = check_integer(n, "n")
     xi1, xi2 = s1.xi, s2.xi
     if xi1 is not None and len(s1.u) != (n if xi1 >= 0 else n + xi1):
         raise _wrong_dimension(len(s1.u), n, xi1)
@@ -347,7 +362,8 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
             gap, p, q = _state_gap(u1, u2)
             if gap <= PROPORTIONAL_TOL:
                 raise NotSeparableError("identical pure states")
-            xi, vals = xi1, ((u1[p].conjugate() * u1[q]).real, (u2[p].conjugate() * u2[q]).real)
+            w1, w2 = u1[p].conjugate() * u1[q], u2[p].conjugate() * u2[q]
+            xi, vals = xi1, (w1.real, w2.real)
         else:
             lo, hi = (s1, s2) if xi1 < xi2 else (s2, s1)
             xi, u = hi.xi, hi.u.tolist()
@@ -367,10 +383,12 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
         k = 0
         if p != q:
             vals = (2.0 * vals[0], 2.0 * vals[1])
-            skw = (complex(np.vdot(s1.u, skew.dot(s1.u))).real,
-                   complex(np.vdot(s2.u, skew.dot(s2.u))).real)
-            if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
-                k, vals = 1, skw
+            # np.vdot runs only where the skew gap -2 Im(w1 - w2) can win
+            if abs(2.0 * (w1.imag - w2.imag)) + SKEW_MARGIN >= abs(vals[0] - vals[1]):
+                skw = (complex(np.vdot(s1.u, skew.dot(s1.u))).real,
+                       complex(np.vdot(s2.u, skew.dot(s2.u))).real)
+                if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
+                    k, vals = 1, skw
         combination = ("sym", "skew")[k] if p != q else None
         witness, parts = witnesses[k], (xi, p, q, combination, corner, cert_gap)
     if abs(vals[0] - vals[1]) <= MIN_GAP:
@@ -392,23 +410,23 @@ def separation(s1: PureState, s2: PureState, n: int, alpha: float,
     _corner_certificate that puts it in C*(gamma).
 
     Same-frequency pairs take the unit at the first (p, q), p <= q,
-    maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when
-    that is within PROPORTIONAL_TOL (off-diagonal units are evaluated
-    through their Hermitian and skew-Hermitian combinations, whichever
-    has the larger gap); a limit state is told apart from a finite state
-    by the first of indicator_symbol(0.5) (blocks decaying like 4^-xi, refused
-    past the moment guard) and 1 - t (blocks I - J_xi, positive definite)
-    whose gap exceeds MIN_GAP, or by infinity_witness alone, whose
-    refusal propagates; each sequence is cached per (symbol, n, alpha,
-    xi_max).  Distinct finite frequencies take E_pp at the higher
-    frequency, p the first largest entry of its vector, which is zero at
-    the lower one.  Raises ValueError for an alpha that is not a finite
-    number above -1, for an n that is not an integer (read as
-    finite_state reads a frequency), for a vector whose dimension is not
-    its frequency's block order and for an infinity_witness given to two
-    finite states (the CLI's --symbol), before any cache is read, and for a finite pair
-    whose certificate reads a corner that is not a positive normal float;
-    NotSeparableError for equal states, for the documented coincidence
+    maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when that
+    is within PROPORTIONAL_TOL (off-diagonal units are evaluated through
+    their Hermitian and skew-Hermitian combinations, whichever has the
+    larger gap, the skew one only where it can win); a limit state is told
+    apart from a finite state by the first of indicator_symbol(0.5) (blocks
+    decaying like 4^-xi, refused past the moment guard) and 1 - t (blocks
+    I - J_xi, positive definite) whose gap exceeds MIN_GAP, or by
+    infinity_witness alone, whose refusal propagates; each is a prefix of
+    one build per (symbol, n, alpha).  Distinct finite frequencies take E_pp
+    at the higher frequency, p the first largest entry of its vector, which
+    is zero at the lower one.  Raises ValueError for an alpha that is not a
+    finite number above -1, for an n that is not an integer (read as
+    finite_state reads a frequency), for a vector whose dimension is not its
+    frequency's block order and for an infinity_witness given to two finite
+    states (the CLI's --symbol), before any cache is read, and for a finite
+    pair whose certificate reads a corner that is not a positive normal
+    float; NotSeparableError for equal states, for the documented coincidence
     families and where the certificate finds a frequency's corner shared.
     """
     witness, vals, parts = _separation(s1, s2, n, alpha, infinity_witness)
@@ -433,8 +451,9 @@ def closure_gap_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
     blocks elsewhere, scalar limit zero.  It belongs to the limit algebra
     and separates the documented coincidence pair (values 0 and 1),
     although no single generating sequence can.  Refuses a bad alpha
-    first, then n < 2 and xi_max < 2."""
+    first, then an n that is not an integer or below 2, and xi_max < 2."""
     check_alpha(alpha)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValueError("the witness construction needs n >= 2")
     if xi_max < 2:

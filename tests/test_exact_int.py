@@ -187,8 +187,9 @@ def test_caches_stay_bounded_over_many_thresholds():
 
 def test_every_separation_cache_is_read_again():
     # each pair is separated twice: a same-frequency pair with p = q, one
-    # with p != q, a pair of two frequencies and a limit pair.  A cache of
-    # the separation path that none of these reads again only costs.
+    # with p != q, a pair of two frequencies and two limit pairs at two
+    # frequencies, which read one build of the witness sequence.  A cache
+    # of the separation path that none of these reads again only costs.
     caches = [(name, fn) for name, fn in _caches()
               if name.startswith("polyberg.purestates.") and fn.cache_info().maxsize is not None]
     for _, fn in caches:
@@ -199,9 +200,10 @@ def test_every_separation_cache_is_read_again():
         (finite_state(1, [r, r]), finite_state(1, [r, -r])),
         (finite_state(0, [1.0, 0.0]), finite_state(1, [0.0, 1.0])),
         (limit_state(), finite_state(1, [1.0, 0.0])),
+        (limit_state(), finite_state(0, [0.0, 1.0])),
     ]
     recipes = [separation(s1, s2, 2, 0.375)[2] for s1, s2 in pairs for _ in range(2)]
-    assert [list(r) for r in recipes[::2]] == [["unit"], ["unit"], ["unit"], ["symbol"]]
+    assert [list(r) for r in recipes[::2]] == [["unit"], ["unit"], ["unit"], ["symbol"], ["symbol"]]
     assert [list(r["unit"]) for r in recipes[:6:2]] == [
         ["xi", "p", "q", "corner", "gap"], ["xi", "p", "q", "combination", "corner", "gap"],
         ["xi", "p", "q", "corner", "gap"]]
