@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gammaseq import block_order, frequencies, gamma_sequence
-from .jacobi import JacobiParams, jac_norm_coeff, q_eval
+from .jacobi import JacobiParams, check_integer, jac_norm_coeff, q_eval
 from .special_fn import jacobi_recurrence
 from .symbols import SymbolSpec, eval_at_t
 
@@ -199,7 +199,9 @@ def quadrature_block(rule: RadialRule, n: int, alpha: float, xi: int) -> np.ndar
 
 def oracle_gaps(a, n: int, alpha: float, xi_max: int) -> dict:
     """{xi: largest |2D quadrature - entry|} over the upper triangle of
-    each block of gamma_sequence(a, n, alpha, xi_max)."""
+    each block of gamma_sequence(a, n, alpha, xi_max); n is read by
+    check_integer."""
+    n = check_integer(n, "n")
     seq = gamma_sequence(a, n, alpha, xi_max)
     # row j of the block at xi >= 0 has degree j + xi / 2 in t, so a
     # product of two rows at most 2(n - 1) + xi_max; negative frequencies

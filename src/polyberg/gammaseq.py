@@ -34,7 +34,8 @@ __all__ = [
 
 
 def block_order(n: int, xi: int) -> int:
-    """Order of the block at frequency xi: min(n+xi, n)."""
+    """Order of the block at frequency xi: min(n+xi, n); n is read by check_integer."""
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if xi < -n + 1:
@@ -43,7 +44,8 @@ def block_order(n: int, xi: int) -> int:
 
 
 def frequencies(n: int, xi_max: int) -> range:
-    """Admissible frequencies -n+1 ... xi_max."""
+    """Admissible frequencies -n+1 ... xi_max; n is read by check_integer."""
+    n = check_integer(n, "n")
     if xi_max < 0:
         raise ValueError(f"xi_max must be nonnegative, got {xi_max}")
     return range(-n + 1, xi_max + 1)

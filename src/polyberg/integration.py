@@ -3,8 +3,8 @@ functions.
 
 entry_blocks gives the blocks Gamma_xi(a) of a range of frequencies as one
 stack, from the exact kernel for a generator and the float kernel for
-every other kind; entry_block and beta_entry read from it.  The caches are
-the only shared state, bounded.
+every other kind; entry_block and beta_entry read from it.  The module
+holds no cache; the exact kernel reads jacobi.q_coeffs_int's.
 
 The float kernel.  With p the orthonormal polynomials of the (alpha, xi)
 weight w, J their tridiagonal recurrence matrix (special_fn.
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,7 +90,6 @@ def _moments(num: int, e: int, xis: range, span: int):
         head *= num + (xi + 1) * q
 
 
-@lru_cache(maxsize=8192)
 def norm_product(alpha: float, xi_abs: int, j: int, k: int) -> float:
     """Product of the two normalization constants for indices j and k,
     the factor of entry (j, k) of a generator block."""

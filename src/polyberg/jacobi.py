@@ -17,6 +17,7 @@ reduced Fractions.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,13 +43,16 @@ __all__ = [
 MAX_DEGREE = 64
 # the largest moment degree integrated exactly (see integration)
 MAX_MOMENT_DEGREE = 192
-# holds every (beta, m) of one n = 8 request up to |xi| = 190 (1528 keys)
-_CACHE_SIZE = 2048
+
+
+def _real(x) -> bool:
+    # ints, floats and numpy's numbers; not a bool, which is an int (numpy's is no Real)
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def check_alpha(alpha: float) -> None:
-    """Refuse a weight exponent alpha that is not a finite number above -1."""
-    if not -1.0 < alpha < math.inf:
+    """Refuse a weight exponent alpha that is not a finite real number above -1."""
+    if not ((type(alpha) is float or _real(alpha)) and -1.0 < alpha < math.inf):
         raise ValueError(f"alpha must exceed -1 and be finite, got {alpha}")
 
 
@@ -56,7 +60,7 @@ def check_integer(x, name: str) -> int:
     """x as an int (an integral float or numpy integer too), or a ValueError naming it."""
     if type(x) is int:
         return x
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+    if not _real(x) or not (isinstance(x, (int, np.integer)) or float(x).is_integer()):
         raise ValueError(f"{name} must be an integer, got {x}")
     return int(x)
 
@@ -83,7 +87,8 @@ def dyadic(x: float) -> tuple[int, int]:
     return p, den.bit_length() - 1
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# holds every (beta, m) of one n = 8 request up to |xi| = 190 (1528 keys)
+@lru_cache(maxsize=2048)
 def q_coeffs_int(alpha: float, beta: float, m: int) -> tuple[tuple[int, ...], int]:
     """Monomial coefficients of the degree-m polynomial as integer
     numerators over one common denominator: (numerators, denominator).
@@ -139,7 +144,6 @@ def q_eval(p: JacobiParams, t):
     return (lead * (first if m else 1.0) * vals.reshape(x.shape))[()]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def norm_coeff_sq_int(alpha: float, beta: int, m: int) -> tuple[int, int]:
     """Squared normalization constant (integer beta) as an integer
     (numerator, denominator) pair.

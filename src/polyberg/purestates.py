@@ -53,7 +53,7 @@ CORNER_GAP_MIN = 4 * CORNER_REL_ERR
 # roundings) are within 4 and 2 units of 2^-53 of it, as |u_p| |u_q| <= 1/2, so two skew
 # gaps, subtractions included, differ by 16 units plus O(2^-106): twice that is ample
 SKEW_MARGIN = 32 * 2.0 ** -53
-LIMIT_BUILD_MIN = 16  # a limit witness's least build; the indicator separates up to about 14
+LIMIT_BUILD_MIN = 16  # the limit witnesses' shared build; the indicator separates up to about 14
 
 
 class NotSeparableError(ValueError):
@@ -138,7 +138,7 @@ def eval_state_integral(xi: int, u, a: SymbolSpec, n: int, alpha: float):
     sequence: sum over (j, k) of conj(u_j) u_k times the entry integral.
     Must agree with eval_state on the assembled sequence."""
     vec = np.asarray(u, dtype=complex)
-    d = block_order(check_integer(n, "n"), xi)
+    d = block_order(n, xi)
     if vec.shape != (d,):
         raise ValueError(f"vector must have dimension {d}, got {vec.shape}")
     # one entry_block call of its own, summed term by term rather than
@@ -186,24 +186,19 @@ def _documented_coincidence(lo_xi: int, lo_u: list, hi_xi: int, hi_u: list,
 _LIMIT_WITNESSES = (indicator_symbol(0.5), poly_t_symbol([1.0, -1.0]))  # tried in this order
 
 
-@lru_cache(maxsize=64)
-def _limit_build(a: SymbolSpec, n: int, alpha: float) -> list:
-    return []  # holds the longest sequence built for (a, n, alpha)
-
-
 @lru_cache(maxsize=512)
 def _symbol_witness(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSeq:
-    # a limit-state witness, shared as-is: a prefix of _limit_build's sequence (a block does
-    # not depend on its range), built up to max(xi_max, LIMIT_BUILD_MIN), or xi_max if refused
-    built = _limit_build(a, n, alpha)
-    if not built or built[0].xi_max < xi_max:
+    # a limit-state witness, shared as-is; below LIMIT_BUILD_MIN a prefix of the entry at
+    # LIMIT_BUILD_MIN (a block does not depend on its range), or, where that is refused (1 - t
+    # at alpha = 4e153 overflows by frequency 16), its own build, whose refusal is the answer
+    if xi_max < LIMIT_BUILD_MIN:
         try:
-            built[:] = [gamma_sequence(a, n, alpha, max(xi_max, LIMIT_BUILD_MIN))]
+            built = _symbol_witness(a, n, alpha, LIMIT_BUILD_MIN)
         except ValueError:
-            if xi_max >= LIMIT_BUILD_MIN:
-                raise
-            built[:] = [gamma_sequence(a, n, alpha, xi_max)]
-    return MatrixSeq(n, alpha, built[0].blocks[:xi_max + n], a.limit, a)
+            pass
+        else:
+            return MatrixSeq(n, alpha, built.blocks[:xi_max + n], a.limit, a)
+    return gamma_sequence(a, n, alpha, xi_max)
 
 
 def _corner(n: int, alpha: float, eta):
@@ -417,10 +412,10 @@ def separation(s1: PureState, s2: PureState, n: int, alpha: float,
     apart from a finite state by the first of indicator_symbol(0.5) (blocks
     decaying like 4^-xi, refused past the moment guard) and 1 - t (blocks
     I - J_xi, positive definite) whose gap exceeds MIN_GAP, or by
-    infinity_witness alone, whose refusal propagates; each is a prefix of
-    one build per (symbol, n, alpha).  Distinct finite frequencies take E_pp
-    at the higher frequency, p the first largest entry of its vector, which
-    is zero at the lower one.  Raises ValueError for an alpha that is not a
+    infinity_witness alone, whose refusal propagates; below frequency
+    LIMIT_BUILD_MIN each is a prefix of one build per (symbol, n, alpha).
+    Distinct finite frequencies take E_pp at the higher frequency, p the
+    first largest entry of its vector, which is zero at the lower one.  Raises ValueError for an alpha that is not a
     finite number above -1, for an n that is not an integer (read as
     finite_state reads a frequency), for a vector whose dimension is not its
     frequency's block order and for an infinity_witness given to two finite

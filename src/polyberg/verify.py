@@ -159,7 +159,7 @@ def antitriangular_failures(n: int, alpha: float, blocks) -> list:
     ]
 
 
-def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> list:
+def random_antitriangular_generators(n: int, rng) -> list:
     """Generator family G_0..G_{n-1} with the structure nu_table needs:
     G_p vanishes above antidiagonal n - 1 + p, its entries on it have
     magnitudes in [0.2, 1.2) (a numerically meaningful 'nonzero'), and
@@ -171,14 +171,12 @@ def random_antitriangular_generators(n: int, rng, symmetric: bool = False) -> li
     for p in range(n):
         g = np.zeros((n, n))
         for j in range(n):
-            for k in range(j if symmetric else 0, n):
+            for k in range(n):
                 s = j + k
                 if s > n - 1 + p:
                     g[j, k] = rng.uniform(-1.0, 1.0)
                 elif s == n - 1 + p:
                     g[j, k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.2)
-                if symmetric:
-                    g[k, j] = g[j, k]
         gs.append(g)
     return gs
 

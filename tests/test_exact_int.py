@@ -211,6 +211,25 @@ def test_every_separation_cache_is_read_again():
     assert [name for name, fn in caches if fn.cache_info().hits == 0] == []
 
 
+def test_every_cache_outside_separation_is_read_again():
+    # one cold verify run at n = 2 and one oracle run, as the check
+    # workload runs them: a bounded cache outside purestates that neither
+    # reads again only costs (norm_product's never was)
+    from polyberg.bergman_oracle import oracle_gaps
+    from polyberg.verify import run_all
+
+    caches = [(name, fn) for name, fn in _caches()
+              if not name.startswith("polyberg.purestates.") and fn.cache_info().maxsize is not None]
+    for _, fn in caches:
+        fn.cache_clear()
+    assert all(r.status == "pass" for r in run_all(2, None, 0))
+    oracle_gaps(make_gp(4, 0.5), 3, 0.5, 4)
+    assert {name for name, _ in caches} >= {"polyberg.jacobi.q_coeffs_int",
+                                            "polyberg.symbols.make_gp",
+                                            "polyberg.generators.generator_block"}
+    assert [name for name, fn in caches if fn.cache_info().hits == 0] == []
+
+
 def test_witness_caches_stay_bounded_over_many_separations():
     # off-diagonal witnesses are the records (p, q), diagonal ones (p, p);
     # every (alpha, xi) brings new records and a new corner certificate,

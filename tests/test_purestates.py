@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 
 from conftest import jac_fn_eval, unit
 from polyberg import integration, purestates
+from polyberg.bergman_oracle import oracle_gaps
 from polyberg.gammaseq import MatrixSeq, block_order, frequencies, gamma_matrix, gamma_sequence
+from polyberg.generators import generator_block, generator_family
+from polyberg.jacobi import check_alpha
 from polyberg.purestates import (
     NotSeparableError,
     closure_gap_witness,
@@ -460,52 +463,47 @@ def test_separations_integrate_nothing_and_certify_each_frequency_once(monkeypat
 
 
 def test_limit_witnesses_share_one_build_per_symbol_n_and_alpha(monkeypatch):
-    # limit pairs at frequencies up to 6, in a shuffled order, build the
-    # indicator once per (n, alpha), from 0 to LIMIT_BUILD_MIN, and every
-    # witness is a prefix of that build; a far request builds its own range
-    # and no more, and a shorter request of the same symbol is its prefix
+    # limit pairs at frequencies up to 6, in a shuffled order over the
+    # benchmark's (n, alpha), build the indicator once per (n, alpha), from
+    # 0 to LIMIT_BUILD_MIN, and every witness is a prefix of that build; a
+    # far request builds its own range and no more
     _clear_separation_caches()
     calls = _spy_entry_blocks(monkeypatch)
     ind, one_minus_t = purestates._LIMIT_WITNESSES
     top = range(purestates.LIMIT_BUILD_MIN + 1)
-    order = [(n, alpha, xi) for n in (2, 3) for alpha in (0.0, 1.0) for xi in range(-n + 1, 7)]
+    order = [(n, alpha, xi) for n in (2, 3, 4) for alpha in (0.0, 1.0) for xi in range(-n + 1, 7)]
     random.Random(5).shuffle(order)
     witnesses = [separate(limit_state(), finite_state(xi, np.eye(min(n + xi, n))[0]), n, alpha)[0]
                  for n, alpha, xi in order]
-    assert calls == [(ind, top)] * 4
-    assert purestates._limit_build.cache_info().currsize == 4
+    assert calls == [(ind, top)] * 6
     for (n, alpha, xi), witness in zip(order, witnesses):
+        shared = purestates._symbol_witness(ind, n, alpha, purestates.LIMIT_BUILD_MIN)
         assert witness.symbol is ind and witness.xi_max == max(xi, 0)
+        assert witness.blocks.base is shared.blocks.base
         assert np.array_equal(witness.blocks, gamma_sequence(ind, n, alpha, max(xi, 0)).blocks)
     del calls[:]
     far, _ = separate(limit_state(), finite_state(500, [1.0, 0.0]), 2, 0.5)
     assert far.symbol is one_minus_t and far.xi_max == 500
     assert calls == [(ind, range(501)), (one_minus_t, range(501))]
     near, _ = separate(limit_state(), finite_state(3, [1.0, 0.0]), 2, 0.5, one_minus_t)
-    assert near.blocks.base is far.blocks.base and len(calls) == 2
+    assert calls[2:] == [(one_minus_t, top)]
+    assert np.array_equal(near.blocks, far.blocks[:3 + 2])
 
 
-def test_a_refused_limit_build_is_retried_at_the_exact_range(monkeypatch):
-    # a build up to LIMIT_BUILD_MIN that is refused is made again up to the
-    # request, whose refusal, and only that, is the answer
+def test_a_refused_limit_build_is_retried_at_the_exact_range():
+    # 1 - t at alpha = 4e153 overflows by frequency LIMIT_BUILD_MIN, so
+    # the limit pair at frequency 0, which the indicator cannot separate
+    # there, is served by a build up to the request alone; a request past
+    # LIMIT_BUILD_MIN is refused by its own build
     _clear_separation_caches()
-    real, tops = purestates.gamma_sequence, []
-
-    def short(a, n, alpha, xi_max):
-        tops.append(xi_max)
-        if xi_max > 10:
-            raise ValueError(f"refused at {xi_max}")
-        return real(a, n, alpha, xi_max)
-
-    monkeypatch.setattr(purestates, "gamma_sequence", short)
-    ind = purestates._LIMIT_WITNESSES[0]
-    first = purestates._symbol_witness(ind, 2, 0.5, 3)
-    assert first.xi_max == 3 and tops == [16, 3]
-    assert purestates._symbol_witness(ind, 2, 0.5, 2).blocks.base is first.blocks.base
-    with pytest.raises(ValueError, match="^refused at 12$"):
-        purestates._symbol_witness(ind, 2, 0.5, 12)
-    assert tops == [16, 3, 16, 12]
-    assert purestates._limit_build(ind, 2, 0.5)[0].xi_max == 3
+    alpha, one_minus_t = 4e153, purestates._LIMIT_WITNESSES[1]
+    with pytest.raises(ValueError, match="non-finite block entry"):
+        gamma_sequence(one_minus_t, 2, alpha, purestates.LIMIT_BUILD_MIN)
+    witness, vals, recipe = separation(limit_state(), finite_state(0, [1.0, 0.0]), 2, alpha)
+    assert recipe == {"symbol": one_minus_t} and vals == (0.0, 1.0) and witness.xi_max == 0
+    assert np.array_equal(witness.blocks, gamma_sequence(one_minus_t, 2, alpha, 0).blocks)
+    with pytest.raises(ValueError, match="non-finite block entry"):
+        separate(limit_state(), finite_state(20, [1.0, 0.0]), 2, alpha, one_minus_t)
 
 
 def test_separate_refuses_bad_alpha_before_any_cache():
@@ -551,7 +549,7 @@ def test_n_is_read_as_an_integer_before_any_cache():
     caches = (purestates._symbol_witness, purestates._unit_witness,
               purestates._corner_certificate)
     before = [c.cache_info() for c in caches]
-    for n in (2.5, np.float64(1.9), float("nan"), float("inf")):
+    for n in (2.5, np.float64(1.9), float("nan"), float("inf"), "2", True, None):
         for s1, s2 in pairs:
             for fn in (separate, separation):
                 with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
@@ -566,6 +564,13 @@ _N_READERS = {
         lambda n: eval_state_integral(1, [0.6, 0.8j], indicator_symbol(0.5), n, 0.5), "n"),
     "coincidence_pair": (lambda n: coincidence_pair(n, 0.5), "n"),
     "closure_gap_witness": (lambda n: closure_gap_witness(n, 0.5, 3), "n"),
+    "block_order": (lambda n: block_order(n, 1), "n"),
+    "frequencies": (lambda n: frequencies(n, 3), "n"),
+    "gamma_matrix": (lambda n: gamma_matrix(indicator_symbol(0.5), n, 0.5, 1), "n"),
+    # an alpha no other test caches: the cache would read True as the key 1
+    "generator_block": (lambda n: generator_block(n, 0.4375, 1, 3), "n"),
+    "generator_family": (lambda n: generator_family(n, 0.5, 1), "n"),
+    "oracle_gaps": (lambda n: oracle_gaps(poly_t_symbol([1.0, -1.0]), n, 0.5, 2), "n"),
 }
 
 
@@ -575,7 +580,7 @@ def _plain(out):
         return type(out.n), out.n, _plain(out.blocks), out.scalar_limit
     if isinstance(out, purestates.PureState):
         return out.xi, _plain(out.u)
-    if isinstance(out, tuple):
+    if isinstance(out, (tuple, list)):
         return tuple(map(_plain, out))
     if isinstance(out, np.ndarray):
         return out.dtype, out.shape, out.tobytes()
@@ -585,14 +590,38 @@ def _plain(out):
 @pytest.mark.parametrize("name", sorted(_N_READERS))
 def test_each_function_of_n_reads_it_as_an_integer(name):
     # 2.0 and numpy integers are served as 2 (a float once raised a bare
-    # TypeError); 2.5, NaN and inf are refused by a ValueError naming the order
+    # TypeError, or was used as it came); 2.5, NaN, inf and what is no
+    # number (a str or bytes once read as its digits, True as 1) are refused
+    # by a ValueError naming the order
     fn, arg = _N_READERS[name]
     want = _plain(fn(2))
     for n in (2.0, np.float64(2.0), np.int64(2)):
         assert _plain(fn(n)) == want, n
-    for n in (2.5, np.float64(1.9), float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {n}$"):
+    for n in (2.5, np.float64(1.9), float("nan"), float("inf"), "2", b"2", True, None):
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {re.escape(str(n))}$"):
             fn(n)
+
+
+_ALPHA_READERS = {
+    "check_alpha": check_alpha,
+    "separate": lambda alpha: separate(limit_state(), finite_state(1, [0.0, 1.0]), 2, alpha),
+    "coincidence_pair": lambda alpha: coincidence_pair(2, alpha),
+    "closure_gap_witness": lambda alpha: closure_gap_witness(2, alpha, 3),
+    "gamma_sequence": lambda alpha: gamma_sequence(indicator_symbol(0.5), 2, alpha, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALPHA_READERS))
+def test_each_function_of_alpha_reads_it_as_a_real_number(name):
+    # a numpy float is served as the float; what is no number (a str, bytes
+    # or None once raised a bare TypeError, True was read as 1) is refused
+    # as an alpha not above -1 is
+    fn = _ALPHA_READERS[name]
+    assert _plain(fn(np.float64(0.5))) == _plain(fn(0.5))
+    for alpha in ("0.5", b"0.5", True, None, -1.0, float("nan")):
+        with pytest.raises(ValueError,
+                           match=f"^alpha must exceed -1 and be finite, got {re.escape(str(alpha))}$"):
+            fn(alpha)
 
 
 def _numpy_calls(fn, *args):
