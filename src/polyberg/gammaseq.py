@@ -34,8 +34,8 @@ __all__ = [
 
 
 def block_order(n: int, xi: int) -> int:
-    """Order of the block at frequency xi: min(n+xi, n); n is read by check_integer."""
-    n = check_integer(n, "n")
+    """Order of the block at frequency xi: min(n+xi, n); n and xi are read by check_integer."""
+    n, xi = check_integer(n, "n"), check_integer(xi, "frequency")
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if xi < -n + 1:
@@ -44,8 +44,8 @@ def block_order(n: int, xi: int) -> int:
 
 
 def frequencies(n: int, xi_max: int) -> range:
-    """Admissible frequencies -n+1 ... xi_max; n is read by check_integer."""
-    n = check_integer(n, "n")
+    """Admissible frequencies -n+1 ... xi_max; n and xi_max are read by check_integer."""
+    n, xi_max = check_integer(n, "n"), check_integer(xi_max, "xi_max")
     if xi_max < 0:
         raise ValueError(f"xi_max must be nonnegative, got {xi_max}")
     return range(-n + 1, xi_max + 1)
@@ -111,9 +111,11 @@ def gamma_sequence(a: SymbolSpec, n: int, alpha: float, xi_max: int) -> MatrixSe
     the leading submatrix of order n + xi of the block at -xi, so the
     stack is the order-n blocks at |xi|, gathered with one index, with
     the rows and columns past order n + xi zeroed.  The scalar limit is
-    taken from the symbol, never estimated.  n is read by check_integer."""
+    taken from the symbol, never estimated.  n is read by check_integer,
+    xi_max by frequencies."""
     n = check_integer(n, "n")
     xis = frequencies(n, xi_max)
+    xi_max = xis[-1]
     stack = entry_blocks(a, alpha, range(max(xi_max, n - 1) + 1), block_order(n, 0))
     blocks = stack[np.abs(xis)]
     for d in range(1, n):  # the block at xi = d - n, of order d

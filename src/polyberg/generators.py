@@ -169,7 +169,7 @@ def matrix_unit_errors(gs: Sequence[np.ndarray]) -> np.ndarray:
                       for q, right in enumerate(rights)] for p, left in enumerate(lefts)])
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # untyped, True would hit the entry of 1
 def generator_block(n: int, alpha: float, xi: int, p: int) -> np.ndarray:
     """Cached block at frequency xi of the sequence for generating symbol
     number p, integrated at order n for xi >= 0; for xi < 0 the leading

@@ -289,8 +289,10 @@ def entry_blocks(a: SymbolSpec, alpha: float, xis: range, d: int) -> np.ndarray:
 
 
 def entry_block(a: SymbolSpec, alpha: float, xi: int, d: int) -> np.ndarray:
-    """The block of entry_blocks at the single frequency xi (any sign)."""
-    d, xi_abs = jacobi.check_integer(d, "d"), abs(int(xi))
+    """The block of entry_blocks at the single frequency xi (any sign);
+    xi, then d, is read by check_integer."""
+    xi_abs = abs(jacobi.check_integer(xi, "frequency"))
+    d = jacobi.check_integer(d, "d")
     return entry_blocks(a, alpha, range(xi_abs, xi_abs + 1), d)[0]
 
 

@@ -49,10 +49,6 @@ MIN_GAP = 1e-8
 # asks two corners for a relative gap above CORNER_GAP_MIN
 CORNER_REL_ERR = 16 * 2.0 ** -53
 CORNER_GAP_MIN = 4 * CORNER_REL_ERR
-# np.vdot's skew value of a state (four products summed) and -2 Im(conj(u_p) u_q) (two
-# roundings) are within 4 and 2 units of 2^-53 of it, as |u_p| |u_q| <= 1/2, so two skew
-# gaps, subtractions included, differ by 16 units plus O(2^-106): twice that is ample
-SKEW_MARGIN = 32 * 2.0 ** -53
 LIMIT_BUILD_MIN = 16  # the limit witnesses' shared build; the indicator separates up to about 14
 
 
@@ -292,22 +288,16 @@ def _corner_certificate(n: int, alpha: float, xi: int) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=512)
-def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int) -> tuple:
-    """(certificate, witnesses, skew block) of the unit E_{p,q} at xi,
+def _unit_witness(n: int, alpha: float, xi: int, p: int, q: int, k: int) -> tuple:
+    """(certificate, witness) of combination k of the unit E_{p,q} at xi,
     built once per key and shared as-is: _corner_certificate(n, alpha,
-    xi), whose refusal comes first; the witnesses up to max(xi, 0), each
-    zero at every other frequency and at infinity, (E_pp,) for p == q and
-    (E_pq + E_qp, i (E_pq - E_qp)) for p != q, the last complex; and the
-    skew witness's block at xi (None for p == q)."""
+    xi), whose refusal comes first, and the witness up to max(xi, 0),
+    zero at every other frequency and at infinity: for k = 0 the float
+    E_pp (p == q) or E_pq + E_qp, for k = 1 the complex i (E_pq - E_qp)."""
     cert = _corner_certificate(n, alpha, xi)
-    stack = np.zeros((max(xi, 0) + n, n, n))
-    stack[xi + n - 1, p, q] = stack[xi + n - 1, q, p] = 1.0
-    witnesses = (MatrixSeq(n, alpha, stack, 0.0),)
-    if p != q:
-        skew = np.zeros(stack.shape, complex)
-        skew[xi + n - 1, p, q], skew[xi + n - 1, q, p] = 1j, -1j
-        witnesses += (MatrixSeq(n, alpha, skew, 0.0),)
-    return cert, witnesses, witnesses[-1].block(xi) if p != q else None
+    stack = np.zeros((max(xi, 0) + n, n, n), complex if k else float)
+    stack[xi + n - 1, p, q], stack[xi + n - 1, q, p] = (1j, -1j) if k else (1.0, 1.0)
+    return cert, MatrixSeq(n, alpha, stack, 0.0)
 
 
 def _wrong_dimension(d: int, n: int, xi: int) -> ValueError:
@@ -347,10 +337,11 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
                 break
         parts = (witness.symbol,)
     else:
-        # eval_state's values, real part, on the exact units, in np.vdot's
-        # arithmetic on these blocks bit for bit: conj(u_p) u_q for E_pp
-        # (0.0 at the other frequency of a cross pair) and twice its real
-        # part for the sym unit; the skew unit's as eval_state's quadratic form
+        # the values on the exact units, closed forms in w = conj(u_p) u_q, each within 2
+        # units of 2^-53 of the exact quadratic form: w.real for E_pp (0.0 at the other
+        # frequency of a cross pair), 2 Re w for sym and 0.0 - 2 Im w for skew (+0.0, not
+        # -0.0, for Im w = 0), which is taken only where its gap exceeds sym's
+        k = 0
         if xi1 == xi2:
             # one D = uu* - vv* decides both: the same state, or the unit
             u1, u2 = s1.u.tolist(), s2.u.tolist()
@@ -359,6 +350,11 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
                 raise NotSeparableError("identical pure states")
             w1, w2 = u1[p].conjugate() * u1[q], u2[p].conjugate() * u2[q]
             xi, vals = xi1, (w1.real, w2.real)
+            if p != q:
+                vals = (2.0 * w1.real, 2.0 * w2.real)
+                skw = (0.0 - 2.0 * w1.imag, 0.0 - 2.0 * w2.imag)
+                if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
+                    k, vals = 1, skw
         else:
             lo, hi = (s1, s2) if xi1 < xi2 else (s2, s1)
             xi, u = hi.xi, hi.u.tolist()
@@ -374,18 +370,8 @@ def _separation(s1: PureState, s2: PureState, n: int, alpha: float, infinity_wit
             q, z = p, u[p]
             w = (z.conjugate() * z).real
             vals = (w, 0.0) if hi is s1 else (0.0, w)
-        (corner, cert_gap), witnesses, skew = _unit_witness(n, float(alpha), xi, p, q)
-        k = 0
-        if p != q:
-            vals = (2.0 * vals[0], 2.0 * vals[1])
-            # np.vdot runs only where the skew gap -2 Im(w1 - w2) can win
-            if abs(2.0 * (w1.imag - w2.imag)) + SKEW_MARGIN >= abs(vals[0] - vals[1]):
-                skw = (complex(np.vdot(s1.u, skew.dot(s1.u))).real,
-                       complex(np.vdot(s2.u, skew.dot(s2.u))).real)
-                if abs(skw[0] - skw[1]) > abs(vals[0] - vals[1]):  # sym on a tie
-                    k, vals = 1, skw
-        combination = ("sym", "skew")[k] if p != q else None
-        witness, parts = witnesses[k], (xi, p, q, combination, corner, cert_gap)
+        (corner, cert_gap), witness = _unit_witness(n, float(alpha), xi, p, q, k)
+        parts = (xi, p, q, ("sym", "skew")[k] if p != q else None, corner, cert_gap)
     if abs(vals[0] - vals[1]) <= MIN_GAP:
         raise NotSeparableError(f"constructed witness produced values {vals[0]} and "
                                 f"{vals[1]} closer than {MIN_GAP}")
@@ -408,7 +394,10 @@ def separation(s1: PureState, s2: PureState, n: int, alpha: float,
     maximising |u_p conj(u_q) - v_p conj(v_q)|, and are identical when that
     is within PROPORTIONAL_TOL (off-diagonal units are evaluated through
     their Hermitian and skew-Hermitian combinations, whichever has the
-    larger gap, the skew one only where it can win); a limit state is told
+    larger gap, sym on a tie).  A finite pair's values are the closed forms
+    Re w, 2 Re w and -2 Im w of w = conj(u_p) u_q, each within 2 units of
+    2^-53 of the exact quadratic form of the state's float entries (a
+    zero skew value is +0.0); a limit pair's are eval_state's.  A limit state is told
     apart from a finite state by the first of indicator_symbol(0.5) (blocks
     decaying like 4^-xi, refused past the moment guard) and 1 - t (blocks
     I - J_xi, positive definite) whose gap exceeds MIN_GAP, or by
@@ -446,11 +435,13 @@ def closure_gap_witness(n: int, alpha: float, xi_max: int) -> MatrixSeq:
     blocks elsewhere, scalar limit zero.  It belongs to the limit algebra
     and separates the documented coincidence pair (values 0 and 1),
     although no single generating sequence can.  Refuses a bad alpha
-    first, then an n that is not an integer or below 2, and xi_max < 2."""
+    first, then an n that is not an integer or below 2, and an xi_max
+    that is not an integer or below 2."""
     check_alpha(alpha)
     n = check_integer(n, "n")
     if n < 2:
         raise ValueError("the witness construction needs n >= 2")
+    xi_max = check_integer(xi_max, "xi_max")
     if xi_max < 2:
         raise ValueError(f"xi_max must be at least 2, got {xi_max}")
     blocks = np.zeros((xi_max + n, n, n))

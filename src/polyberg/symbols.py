@@ -79,7 +79,7 @@ def poly_t_symbol(coeffs: Sequence) -> SymbolSpec:
     return SymbolSpec(kind="poly_t", coeffs=cs, limit=lim)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def make_gp(p: int, alpha: float) -> SymbolSpec:
     """Generating symbol number p: the degree-p polynomial for the
     (alpha, 0) weight, composed with r^2 (so in t it is the polynomial
@@ -89,13 +89,16 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     is refused (every block of a higher g_p within the moment guard is
     zero), and so is an alpha that is not a finite number above -1 or
     that puts the boundary value past the float range (alpha^p / p!
-    above about 1.8e308).
-    Symbols are immutable, so one instance per (p, alpha) is shared.
+    above about 1.8e308).  A bool is refused as either.
+    Symbols are immutable, so one instance per (p, alpha) is shared: the
+    cache keys types apart, so that True is no 1, and an integral float p
+    or a non-float alpha is served by the (int, float) entry.
     """
-    if p not in range(MAX_MOMENT_DEGREE + 1):
+    if type(p) is bool or p not in range(MAX_MOMENT_DEGREE + 1):
         raise ValueError(f"generator index {p} outside the integers 0 .. {MAX_MOMENT_DEGREE}")
     check_alpha(alpha)
-    p = int(p)
+    if type(p) is not int or type(alpha) is not float:
+        return make_gp(int(p), float(alpha))
     num, e = dyadic(alpha)
     rising = math.prod(num + (i << e) for i in range(1, p + 1))
     try:
@@ -103,7 +106,7 @@ def make_gp(p: int, alpha: float) -> SymbolSpec:
     except OverflowError:
         raise ValueError(f"generator {p} has its boundary value past the float range "
                          f"at alpha {alpha}") from None
-    return SymbolSpec(kind="jacobi_g", p=p, alpha=float(alpha), limit=limit)
+    return SymbolSpec(kind="jacobi_g", p=p, alpha=alpha, limit=limit)
 
 
 def sampled_symbol(points: Sequence) -> SymbolSpec:

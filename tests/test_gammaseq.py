@@ -275,7 +275,8 @@ def test_matrixseq_equality_is_identity():
 
 def test_matrixseq_is_read_only():
     seq = gamma_sequence(indicator_symbol(0.5), 3, 0.0, 3)
-    witnesses = purestates._unit_witness(3, 0.0, 2, 0, 2)[1]
+    witnesses = [purestates._unit_witness(3, 0.0, 2, 0, 2, k)[1] for k in (0, 1)]
+    assert [w.blocks.dtype for w in witnesses] == [float, complex]  # sym, skew
     for s in (seq, *witnesses, purestates.closure_gap_witness(3, 0.0, 3)):
         with pytest.raises(ValueError):
             s.blocks[0, 0, 0] = 1.0

@@ -355,14 +355,33 @@ def test_cached_evaluations_equal_the_batched_product(n, alpha):
 
 
 def test_cached_witnesses_come_back_unchanged():
-    a, b = _unit_witness(3, 0.5, 1, 0, 1)[1]  # the sym and skew witnesses
+    a, b = (_unit_witness(3, 0.5, 1, 0, 1, k)[1] for k in (0, 1))  # the sym and skew witnesses
+    assert (a.blocks.dtype, b.blocks.dtype) == (float, complex)
     before = [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)]
     h = np.sqrt(0.5)
     witness, _ = separate(finite_state(1, [h, h * 1j, 0.0]), finite_state(1, [h, -h * 1j, 0.0]), 3, 0.5)
     assert witness is b
     assert [(x.blocks.tobytes(), x.scalar_limit) for x in (a, b)] == before
-    again = _unit_witness(3, 0.5, 1, 0, 1)[1]
-    assert again[0] is a and again[1] is b
+    assert _unit_witness(3, 0.5, 1, 0, 1, 0)[1] is a and _unit_witness(3, 0.5, 1, 0, 1, 1)[1] is b
+
+
+def test_a_warm_cache_refuses_a_bool_as_its_reader_does():
+    # lru_cache keys compare True == 1 == 1.0: an untyped cache served the
+    # entry of 1 to True, cold refused, once 1 was cached.  An integral
+    # float or numpy alpha still shares the (int, float) generator
+    make_gp(3, 1.0)
+    make_gp(1, 0.5)
+    with pytest.raises(ValueError, match="^alpha must exceed -1 and be finite, got True$"):
+        make_gp(3, True)
+    with pytest.raises(ValueError, match="^generator index True outside"):
+        make_gp(True, 0.5)
+    assert make_gp(3.0, np.float64(1.0)) is make_gp(np.int64(3), 1) is make_gp(3, 1.0)
+    generator_block(1, 0.5, 1, 3)
+    generator_block(2, 0.5, 1, 3)
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        generator_block(True, 0.5, 1, 3)
+    with pytest.raises(ValueError, match="^frequency must be an integer, got True$"):
+        generator_block(2, 0.5, True, 3)
 
 
 def test_generator_blocks_equal_fresh_sequences():
@@ -457,11 +476,10 @@ def test_evaluations_and_witness_blocks_are_read_only():
         x.blocks[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         generator_block(3, 0.5, 2, plan.middle)[0, 0] = 1.0
-    # a witness record holds read-only stacks, and its skew block is a
-    # read-only view of the complex one
-    _, witnesses, skew = _unit_witness(3, 0.5, 1, 0, 1)
-    assert skew.base is witnesses[1].blocks.base and skew.dtype == complex
-    for b in (*(w.blocks for w in witnesses), skew):
+    # a witness record holds one read-only stack: float for sym, complex for skew
+    witnesses = [_unit_witness(3, 0.5, 1, 0, 1, k)[1] for k in (0, 1)]
+    assert [w.blocks.dtype for w in witnesses] == [float, complex]
+    for b in (w.blocks for w in witnesses):
         assert not b.flags.writeable
         with pytest.raises(ValueError):
             b[0, 0] = 1.0

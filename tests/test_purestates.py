@@ -602,6 +602,36 @@ def test_each_function_of_n_reads_it_as_an_integer(name):
             fn(n)
 
 
+_FREQUENCY_READERS = {
+    "block_order": (lambda xi: block_order(2, xi), "frequency"),
+    "entry_block": (lambda xi: integration.entry_block(indicator_symbol(0.5), 0.5, xi, 2), "frequency"),
+    "beta_entry": (lambda xi: integration.beta_entry(indicator_symbol(0.5), 0.5, xi, 0, 1), "frequency"),
+    "gamma_matrix": (lambda xi: gamma_matrix(indicator_symbol(0.5), 2, 0.5, xi), "frequency"),
+    "generator_block": (lambda xi: generator_block(2, 0.4375, xi, 3), "frequency"),
+    "eval_state_integral": (
+        lambda xi: eval_state_integral(xi, [0.6, 0.8j], indicator_symbol(0.5), 2, 0.5), "frequency"),
+    "frequencies": (lambda xi_max: frequencies(2, xi_max), "xi_max"),
+    "gamma_sequence": (lambda xi_max: gamma_sequence(indicator_symbol(0.5), 2, 0.5, xi_max), "xi_max"),
+    "closure_gap_witness": (lambda xi_max: closure_gap_witness(2, 0.5, xi_max), "xi_max"),
+    "oracle_gaps": (lambda xi_max: oracle_gaps(poly_t_symbol([1.0, -1.0]), 2, 0.5, xi_max), "xi_max"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FREQUENCY_READERS))
+def test_each_function_of_a_frequency_reads_it_as_an_integer(name):
+    # 2.0 and numpy integers are served as 2 (a float xi_max once raised a
+    # bare TypeError); a fraction, NaN, inf and a bool are refused by a
+    # ValueError naming the frequency or xi_max (a fractional frequency was
+    # once truncated, True read as 1)
+    fn, arg = _FREQUENCY_READERS[name]
+    want = _plain(fn(2))
+    for x in (2.0, np.float64(2.0), np.int64(2)):
+        assert _plain(fn(x)) == want, x
+    for x in (2.5, -0.5, np.float64(1.9), float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {re.escape(str(x))}$"):
+            fn(x)
+
+
 _ALPHA_READERS = {
     "check_alpha": check_alpha,
     "separate": lambda alpha: separate(limit_state(), finite_state(1, [0.0, 1.0]), 2, alpha),
@@ -661,12 +691,11 @@ def test_a_warm_finite_pair_calls_numpy_only_to_read_its_vectors():
     for (s1, s2), want in cases:
         separate(s1, s2, n, alpha)
         assert _numpy_calls(separate, s1, s2, n, alpha) == want, (s1.xi, s2.xi)
-    # the skew value is eval_state's quadratic form, np.vdot(u, skew.dot(u))
-    # per state, read only where skew can win: a pair that sym wins by far
-    # reads its two vectors alone
+    # sym and skew values are closed forms of the two vectors' entries: a
+    # pair of either reads its two vectors alone
     s1, s2 = finite_state(2, unit(e0 + 1j * e1)), finite_state(2, unit(e0 - 1j * e1))
-    separate(s1, s2, n, alpha)
-    assert _numpy_calls(separate, s1, s2, n, alpha) == ["tolist", "tolist"] + ["dot", "vdot"] * 2
+    assert separation(s1, s2, n, alpha)[2]["unit"]["combination"] == "skew"
+    assert _numpy_calls(separate, s1, s2, n, alpha) == ["tolist", "tolist"]
     s1, s2 = finite_state(2, unit(e0 + e1)), finite_state(2, unit(e0 - e1))
     assert separation(s1, s2, n, alpha)[2]["unit"]["combination"] == "sym"
     assert _numpy_calls(separate, s1, s2, n, alpha) == ["tolist", "tolist"]
@@ -682,14 +711,34 @@ def test_separation_functions_close_over_nothing():
     assert purestates._state_gap.__code__.co_cellvars == ()
 
 
-def test_sym_or_skew_near_a_tie_is_np_vdots_choice(rng):
+def _exact_value(s, witness):
+    # Re(conj(u) . b u), the exact quadratic form of the state's float
+    # entries on the witness's block at its frequency, as a Fraction
+    frac, b, u = fractions.Fraction, witness.block(s.xi), s.u.tolist()
+    total = frac(0)
+    for j, k in zip(*np.nonzero(b)):
+        a, c, x, y = map(frac, (u[j].real, u[j].imag, u[k].real, u[k].imag))
+        br, bi = frac(b[j, k].real), frac(b[j, k].imag)
+        total += (a * br + c * bi) * x - (a * bi - c * br) * y  # conj(u_j) b_jk u_k
+    return total
+
+
+def _within_two_units(val, s, witness) -> bool:
+    return abs(fractions.Fraction(val) - _exact_value(s, witness)) <= fractions.Fraction(2, 2 ** 53)
+
+
+def _is_minus_zero(val) -> bool:
+    return val == 0.0 and math.copysign(1.0, val) < 0.0
+
+
+def test_sym_or_skew_near_a_tie_is_the_closed_forms_choice(rng):
     # pairs whose D_pq has |Re| and |Im| within a few ulps (entries turned
     # by e^{i pi/4}, times random phases): sym or skew, and the value bits,
-    # are those of a full np.vdot on both units, whether or not the scalar
-    # skew estimate let the package skip its np.vdot
+    # are the closed forms' in w = conj(u_p) u_q, 2 Re w and 0.0 - 2 Im w,
+    # sym on a tie; no skew value is -0.0
     turn = np.exp(0.25j * np.pi)
-    # two such pairs drawn where the scalar skew gap fell below sym's and
-    # np.vdot's above it (numpy 2.4 on x86-64), so that no margin decides
+    # two such pairs drawn where np.vdot's skew gap exceeded sym's by an
+    # ulp and the closed form's fell an ulp below it: both take sym
     edges = [
         ([0.826511722199198 + 0.24998415715532907j, -0.21408773309439752 - 0.39974595573575794j,
           0.14210029882077152 + 0.13091784505835521j, -0.10375902514161911 + 0.025651418519211686j],
@@ -712,19 +761,72 @@ def test_sym_or_skew_near_a_tie_is_np_vdots_choice(rng):
             u = unit(np.concatenate(([a, w], rest))) * np.exp(2j * np.pi * rng.random())
             v = unit(np.concatenate(([a, -w], rest))) * np.exp(2j * np.pi * rng.random())
         s1, s2 = finite_state(xi, u), finite_state(xi, v)
-        _, vals, recipe = separation(s1, s2, d, 0.5)
+        witness, vals, recipe = separation(s1, s2, d, 0.5)
         p, q = recipe["unit"]["p"], recipe["unit"]["q"]
-        sym, skw = np.zeros((d, d)), np.zeros((d, d), complex)
-        sym[p, q] = sym[q, p] = 1.0
-        skw[p, q], skw[q, p] = 1j, -1j
-        want_sym = tuple(complex(np.vdot(s.u, sym.dot(s.u))).real for s in (s1, s2))
-        want_skw = tuple(complex(np.vdot(s.u, skw.dot(s.u))).real for s in (s1, s2))
+        w1, w2 = (s.u.tolist()[p].conjugate() * s.u.tolist()[q] for s in (s1, s2))
+        want_sym = (2.0 * w1.real, 2.0 * w2.real)
+        want_skw = (0.0 - 2.0 * w1.imag, 0.0 - 2.0 * w2.imag)
         sym_gap, skw_gap = abs(want_sym[0] - want_sym[1]), abs(want_skw[0] - want_skw[1])
         want = ("skew", want_skw) if skw_gap > sym_gap else ("sym", want_sym)
         assert (recipe["unit"]["combination"], _value_bits(vals)) == (want[0], _value_bits(want[1]))
+        assert all(_within_two_units(val, s, witness) for s, val in zip((s1, s2), vals))
+        assert not any(map(_is_minus_zero, vals))
+        if i < len(edges):
+            assert want[0] == "sym"
         chosen[want[0]] += 1
         close += abs(skw_gap - sym_gap) <= 8 * 2.0 ** -52
     assert min(chosen.values()) > 50 and close > 50, (chosen, close)
+    # Im w = 0 exactly for a real vector: its skew value is +0.0, where
+    # -2.0 * 0.0 would read -0.0
+    s1, s2 = finite_state(1, unit([1.0, 0.5])), finite_state(1, unit([1.0, 1j]))
+    _, vals, recipe = separation(s1, s2, 2, 0.5)
+    assert recipe["unit"]["combination"] == "skew"
+    assert _value_bits(vals[:1]) == _value_bits([0.0]) and vals[1] < -0.99
+
+
+def test_finite_pair_values_are_within_two_units_of_the_exact_form(rng):
+    # every value of a finite pair, E_pp, sym, skew and cross, lies within
+    # 2 units of 2^-53 of the exact quadratic form of the state's float
+    # entries, over drawn n <= 8, frequencies up to 10^4 and vectors near
+    # a sym-skew tie or not
+    turn = np.exp(0.25j * np.pi)
+    kinds = collections.Counter()
+
+    def draw(d, tie):
+        if tie and d > 1:
+            a, b = rng.uniform(0.2, 1.0, size=2) * rng.choice([-1, 1], size=2)
+            rest = rng.normal(size=d - 2) * 0.1 + 1j * rng.normal(size=d - 2) * 0.1
+            w = turn ** int(rng.integers(0, 8)) * b
+            return [unit(np.concatenate(([a, s * w], rest))) * np.exp(2j * np.pi * rng.random())
+                    for s in (1, -1)]
+        return [unit(rng.normal(size=d) * rng.uniform(0.01, 1.0, size=d)
+                     + 1j * rng.normal(size=d) * rng.uniform(0.01, 1.0, size=d)) for _ in range(2)]
+
+    for i in range(800):
+        n, alpha = int(rng.integers(1, 9)), float(rng.choice([0.0, 0.5, 2.5]))
+        xi = (int(rng.integers(-n + 1, 9)) if i % 8
+              else int(np.exp(rng.uniform(0.0, np.log(1e4)))))
+        d = block_order(n, xi)
+        u, v = draw(d, i % 2)
+        pairs = [(finite_state(xi, u), finite_state(xi, v))]
+        if xi > -n + 1:
+            lo = int(rng.integers(-n + 1, xi))
+            pairs.append((finite_state(lo, draw(block_order(n, lo), False)[0]), finite_state(xi, u)))
+        for s1, s2 in pairs:
+            try:
+                witness, vals, recipe = separation(s1, s2, n, alpha)
+            except NotSeparableError:
+                continue
+            kind = ("cross" if s1.xi != s2.xi
+                    else recipe["unit"].get("combination", "diagonal"))
+            kinds[kind] += 1
+            for s, val in zip((s1, s2), vals):
+                assert type(val) is float
+                assert _within_two_units(val, s, witness), (kind, s1, s2)
+            assert kind != "skew" or not any(map(_is_minus_zero, vals))
+        if xi > 100:  # a witness record up to 10^4 holds megabytes
+            _clear_separation_caches()
+    assert min(kinds[k] for k in ("diagonal", "sym", "skew", "cross")) > 50, kinds
 
 
 def test_separate_refuses_wrong_dimension_before_any_cache():
@@ -835,41 +937,39 @@ def test_separation_values_are_the_state_values_of_the_witness(rng):
                        finite_state(3, unit(rng.normal(size=n) + 1j * rng.normal(size=n))))]
         for s1, s2 in pairs:
             witness, vals, recipe = purestates.separation(s1, s2, n, alpha)
-            combinations[recipe["unit"].get("combination", "diagonal")] += 1
+            combination = recipe["unit"].get("combination", "diagonal")
+            combinations[combination] += 1
             want = (_hermitian_value(s1, witness), _hermitian_value(s2, witness))
             assert all(type(v) is float for v in vals)
-            assert vals == want, (s1, s2)
+            if combination == "skew":  # the closed form, within its bound of the exact form
+                assert all(_within_two_units(val, s, witness) for s, val in zip((s1, s2), vals))
+            else:
+                assert vals == want, (s1, s2)
     assert set(combinations) == {"diagonal", "sym", "skew"}, combinations
 
 
 def test_unit_witnesses_are_exact_units_at_their_frequency():
-    # every record of the grid: each witness is the exact unit combination
-    # at xi, E_pp, E_pq + E_qp or i (E_pq - E_qp), with zero blocks at
-    # every other frequency (above a negative xi too) and limit 0, real
-    # but for the skew one, whose held block is its block at xi
+    # every record of the grid: its one witness is the exact unit
+    # combination at xi, E_pp (k = 0, p == q), E_pq + E_qp (k = 0) or
+    # i (E_pq - E_qp) (k = 1), with zero blocks at every other frequency
+    # (above a negative xi too) and limit 0, a float stack but for the
+    # skew one, which is complex
     for n in range(1, 6):
         for alpha in (0.0, 0.5, 1.0, 2.5):
             for xi in range(-n + 1, 9):
                 d = block_order(n, xi)
                 for p in range(d):
                     for q in range(p, d):
-                        cert, witnesses, skew = purestates._unit_witness(n, alpha, xi, p, q)
-                        assert cert == purestates._corner_certificate(n, alpha, xi)
-                        units = [np.zeros((d, d)), np.zeros((d, d), complex)]
-                        units[0][p, q] = units[0][q, p] = 1.0
-                        units[1][p, q], units[1][q, p] = 1j, -1j
-                        assert len(witnesses) == (1 if p == q else 2)
-                        for w, want in zip(witnesses, units):
+                        for k in ((0,) if p == q else (0, 1)):
+                            cert, w = purestates._unit_witness(n, alpha, xi, p, q, k)
+                            assert cert == purestates._corner_certificate(n, alpha, xi)
+                            want = np.zeros((d, d), complex if k else float)
+                            want[p, q], want[q, p] = (1j, -1j) if k else (1.0, 1.0)
                             assert w.xi_max == max(xi, 0) and w.scalar_limit == 0.0
                             assert w.blocks.dtype == want.dtype
                             for x in frequencies(n, w.xi_max):
                                 block = w.block(x)
                                 assert np.array_equal(block, want if x == xi else 0 * block)
-                        if p == q:
-                            assert skew is None
-                        else:
-                            assert skew.base is witnesses[1].blocks.base
-                            assert np.array_equal(skew, witnesses[1].block(xi))
 
 
 def _bits(value):
@@ -880,7 +980,9 @@ def _bits(value):
 def test_separation_values_are_eval_state_bit_for_bit(rng):
     # same-frequency pairs (p = q and p != q), cross pairs, among them
     # every lower frequency against the top one, whose block there is a
-    # zero mark, and limit pairs
+    # zero mark, and limit pairs; a skew value, the closed form -2 Im w,
+    # can differ from eval_state's np.vdot in the last bit, and lies within
+    # 2 units of 2^-53 of the exact form
     kinds = collections.Counter()
     for n in range(1, 6):
         for alpha in (0.0, 0.5, 1.0, 2.5):
@@ -905,7 +1007,10 @@ def test_separation_values_are_eval_state_bit_for_bit(rng):
                     kinds[kind] += 1
                     for s, val in zip((s1, s2), vals):
                         assert type(val) is float
-                        assert _bits(val) == _bits(eval_state(s, witness)), (n, alpha, s1, s2)
+                        if kind == "skew":
+                            assert _within_two_units(val, s, witness) and not _is_minus_zero(val)
+                        else:
+                            assert _bits(val) == _bits(eval_state(s, witness)), (n, alpha, s1, s2)
     assert set(kinds) == {"diagonal", "sym", "skew", "cross", "limit"}, kinds
 
 
@@ -1052,9 +1157,10 @@ def _separation_grid_digest():
 
 
 def test_separation_grid_outcomes_are_pinned():
-    # recorded before separation moved to Python scalars; a change in any
-    # value bit, recipe or refusal text changes the digest
-    assert _separation_grid_digest() == "0992d6677e44e5052c09775bcea8af265cb15d411ed3579303800e04a252be4a"
+    # recorded when skew values became the closed form -2 Im w (four skew
+    # values moved by one ulp, nothing else); a change in any value bit,
+    # recipe or refusal text changes the digest
+    assert _separation_grid_digest() == "6c962bfd86ecbec9a480ac4e446a08497f92121dd995db2a6639065874904e20"
 
 
 def test_separate_cross_frequency():
